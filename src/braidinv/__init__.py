@@ -4,30 +4,4 @@ Everything computational runs over the rationals; floats appear only in
 reporting, at a precision the caller picks.
 """
 
-from .braid_ring import (INFINITE, BraidSum, coefficient, combine,
-                         filtration_order, identity, multiply, pair, render,
-                         sigma, sigma_bar, sigma_power, tau, tau_power)
-from .power_series import (Series, arcsinh2_closed_form, compose, exp_scaled,
-                           render_series, revert, series_arith, series_json,
-                           t_series, two_sinh_half, zero_series)
-from .kontsevich import GradedValue, Z, Z_i, focus_order, focus_profile, residue
-from .inverse_engine import (AsymptoticRow, LiftPoly, PairExpansion,
-                             SymmetricExpansion, asymptotic_check,
-                             closed_form_lift, coefficient_report,
-                             pair_limit_target, power_pair_expand, q_expand,
-                             reversion_lift, strengthen_step, strengthen_to)
-from .regularization import (RationalFunctionRep, beta_relation_lhs,
-                             generating_rep, leibniz_partial, theta,
-                             theta_power_rep, theta_value, z1_tauhat_partial)
-from .basis_solver import (ExactMatrix, SingularMatrixError, balanced_nodes,
-                           build_balanced, build_unbalanced, entry_sequence,
-                           identity_matrix, invert, mat_mul, solve_t_target,
-                           zeta2_check)
-from .convergence import (BiconvergenceReport, BraidSumSequence,
-                          ConditionCResult, additivity_check,
-                          biconvergence_report, classify_trace,
-                          coefficient_trace, filtration_condition_c,
-                          harmonic_sigma_sequence, lift_truncation_sequence,
-                          pair_partial_sequence, z_trace)
-
 __version__ = "0.1.0"

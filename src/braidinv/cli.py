@@ -31,8 +31,7 @@ from .convergence import (BraidSumSequence, biconvergence_report,
                           harmonic_sigma_sequence, lift_truncation_sequence,
                           pair_partial_sequence)
 from .inverse_engine import (PairExpansion, asymptotic_check, closed_form_lift,
-                             power_pair_expand, q_expand, reversion_lift,
-                             strengthen_to)
+                             q_expand, reversion_lift, strengthen_to)
 from .kontsevich import Z, focus_order, focus_profile
 from .regularization import beta_relation_lhs, theta_value, z1_tauhat_partial
 from .render import (Table, float_column, fmt_float, fmt_rational, render_csv,
@@ -40,6 +39,7 @@ from .render import (Table, float_column, fmt_float, fmt_rational, render_csv,
 
 ENV_FLOAT_DIGITS = "BRAIDINV_FLOAT_DIGITS"
 DEFAULT_FLOAT_DIGITS = 50
+INT_STR_DIGITS = 100000
 
 
 class UsageError(Exception):
@@ -117,12 +117,18 @@ BETA_ZERO_KS = (1, 3, 5, 7, 9, 11, 13)
 BETA_RELATION_SS = (3, 5, 7, 9)
 
 
-def compare_cell(computed: Fraction, printed: str, corrected: str | None) -> str:
-    if computed == Fraction(printed):
-        return "PASS"
-    if corrected is not None and computed == Fraction(corrected):
-        return "FLAGGED"
-    return "FAIL"
+def _cell(where: str, printed: str | None, computed: Fraction,
+          corrected: str | None = None) -> list[str]:
+    """One reproduce row; INFO when no printed value exists."""
+    if printed is None:
+        verdict = "INFO"
+    elif computed == Fraction(printed):
+        verdict = "PASS"
+    elif corrected is not None and computed == Fraction(corrected):
+        verdict = "FLAGGED"
+    else:
+        verdict = "FAIL"
+    return [where, printed or "(none)", fmt_rational(computed), verdict]
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +169,11 @@ def load_sequence(path: str) -> BraidSumSequence:
         return BraidSumSequence(items, payload.get("label", path))
     except (OSError, ValueError, KeyError, AttributeError) as exc:
         raise UsageError(f"cannot load sequence from {path}: {exc}")
+
+
+STOCK_SEQUENCES = {"tauhat": lift_truncation_sequence,
+                   "pairs": pair_partial_sequence,
+                   "harmonic": harmonic_sigma_sequence}
 
 
 def _odd_order(value: int, what: str) -> int:
@@ -210,11 +221,10 @@ def cmd_zmap(args) -> int:
 def cmd_qexpand(args) -> int:
     spec = OutputSpec.from_args(args)
     order = _odd_order(args.order, "--order")
-    P = strengthen_to(tau(), order)
     power = args.power
     if power < 1:
         raise UsageError("--power must be positive")
-    expansion = power_pair_expand(P, power) if power > 1 else q_expand(P)
+    expansion = q_expand(strengthen_to(tau(), order), power)
     if isinstance(expansion, PairExpansion):
         rows = [[f"q^{n} - q^-{n}", fmt_rational(c)]
                 for n, c in sorted(expansion.pair_coeffs.items())]
@@ -242,11 +252,10 @@ def cmd_asymptotics(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     d = spec.float_digits
-    with mpmath.workdps(d):
-        table_rows = [[str(row.order), fmt_rational(row.coeff),
-                       fmt_float(mpmath.mpf(row.coeff.numerator) / row.coeff.denominator, d),
-                       fmt_float(row.target, d), fmt_float(row.abs_error, d)]
-                      for row in rows]
+    table_rows = [[str(row.order), fmt_rational(row.coeff),
+                   fmt_float(row.coeff, d), fmt_float(row.target, d),
+                   fmt_float(row.abs_error, d)]
+                  for row in rows]
     spec.emit([Table(f"pair {args.j} coefficient against its limit",
                      ["order", "coefficient", float_column("approx", d),
                       float_column("target", d), float_column("abs_error", d)],
@@ -350,13 +359,11 @@ def cmd_basis(args) -> int:
                 worst = max(worst, abs(diff))
                 cmp_rows.append([str(n), fmt_rational(x), fmt_rational(y),
                                  fmt_rational(diff)])
-            d = spec.float_digits
-            with mpmath.workdps(d):
-                worst_f = fmt_float(mpmath.mpf(worst.numerator) / worst.denominator, d)
             tables.append(Table(
                 f"solution against the order {lift_order} lift expansion",
                 ["braid power", "solution", "lift", "difference"], cmp_rows,
-                [f"largest coefficient distance: {worst_f}",
+                [f"largest coefficient distance: "
+                 f"{fmt_float(worst, spec.float_digits)}",
                  "no identity between the columns is asserted; the distance "
                  "is reported as computed"]))
     spec.emit(tables)
@@ -368,12 +375,8 @@ def cmd_trace(args) -> int:
     window = args.window
     if window < 2:
         raise UsageError("--window must be at least 2")
-    if args.sequence == "tauhat":
-        seq = lift_truncation_sequence(window)
-    elif args.sequence == "pairs":
-        seq = pair_partial_sequence(window)
-    elif args.sequence == "harmonic":
-        seq = harmonic_sigma_sequence(window)
+    if args.sequence in STOCK_SEQUENCES:
+        seq = STOCK_SEQUENCES[args.sequence](window)
     else:
         seq = load_sequence(args.sequence)
     report = biconvergence_report(seq, args.jmax, window)
@@ -407,141 +410,76 @@ def cmd_trace(args) -> int:
 # ---------------------------------------------------------------------------
 # reproduce
 
-def _reproduce_lift():
+def _lift_rows():
     P = strengthen_to(tau(), 13)
-    C = closed_form_lift(13)
-    rows = []
-    failed = False
-    flagged = 0
-    for k in sorted(REF_LIFT):
-        computed = P.coeffs.get(k, Fraction(0))
-        verdict = compare_cell(computed, REF_LIFT[k], None)
-        failed = failed or verdict == "FAIL"
-        rows.append([f"degree {k}", REF_LIFT[k], fmt_rational(computed), verdict])
-    cross = "PASS" if P.coeffs == C.coeffs else "FAIL"
-    failed = failed or cross == "FAIL"
-    rows.append(["cross-route (closed form)", "equal", "equal" if cross == "PASS"
-                 else "different", cross])
-    return Table("lift coefficients", ["where", "reference", "computed", "verdict"],
-                 rows), failed, flagged
+    rows = [_cell(f"degree {k}", printed, P.coeffs.get(k, Fraction(0)))
+            for k, printed in sorted(REF_LIFT.items())]
+    same = P.coeffs == closed_form_lift(13).coeffs
+    rows.append(["cross-route (closed form)", "equal",
+                 "equal" if same else "different", "PASS" if same else "FAIL"])
+    return rows
 
 
-def _reproduce_pairs():
+def _pair_rows():
     P = strengthen_to(tau(), 11)
-    rows = []
-    failed = False
-    flagged = 0
-    for order, ref in REF_PAIR_ROWS:
-        pe = q_expand(P.truncate(order))
-        for n in sorted(pe.pair_coeffs):
-            computed = pe.pair_coeffs[n]
-            if ref is None:
-                rows.append([f"order {order}, pair {n}", "(none)",
-                             fmt_rational(computed), "INFO"])
-                continue
-            printed = ref[n]
-            verdict = compare_cell(computed, printed,
-                                   PAIR_MISPRINTS.get((order, n)))
-            if verdict == "FAIL":
-                failed = True
-            elif verdict == "FLAGGED":
-                flagged += 1
-            rows.append([f"order {order}, pair {n}", printed,
-                         fmt_rational(computed), verdict])
-    return Table("pair expansions of the lift truncations",
-                 ["where", "reference", "computed", "verdict"], rows,
-                 ["FLAGGED rows match the dual-route computation but differ "
-                  "from a known misprint in the reference"]), failed, flagged
+    return [_cell(f"order {order}, pair {n}", None if ref is None else ref[n],
+                  computed, PAIR_MISPRINTS.get((order, n)))
+            for order, ref in REF_PAIR_ROWS
+            for n, computed in
+            sorted(q_expand(P.truncate(order)).pair_coeffs.items())]
 
 
-def _reproduce_zeta2():
+def _zeta2_rows():
     entries = entry_sequence(1, 3, range(1, 9))
-    rows = []
-    failed = False
-    flagged = 0
-    for r, computed in zip(range(1, 9), entries):
-        printed = REF_ZETA2[r - 1]
-        verdict = compare_cell(computed, printed, ZETA2_MISPRINTS.get(r))
-        if verdict == "FAIL":
-            failed = True
-        elif verdict == "FLAGGED":
-            flagged += 1
-        rows.append([f"r = {r}", printed, fmt_rational(computed), verdict])
-    return Table("inverse (1,3) entries over the balanced basis",
-                 ["where", "reference", "computed", "verdict"], rows), failed, flagged
+    return [_cell(f"r = {r}", printed, computed, ZETA2_MISPRINTS.get(r))
+            for r, printed, computed in zip(range(1, 9), REF_ZETA2, entries)]
 
 
-def _reproduce_onefive():
+def _onefive_rows():
     entries = entry_sequence(1, 5, range(2, 10))
-    rows = []
-    failed = False
-    for r, computed in zip(range(2, 10), entries):
-        if r <= 8:
-            verdict = compare_cell(computed, REF_ONEFIVE[r - 2], None)
-            failed = failed or verdict == "FAIL"
-            rows.append([f"entry r = {r}", REF_ONEFIVE[r - 2],
-                         fmt_rational(computed), verdict])
-        else:
-            rows.append([f"entry r = {r}", "(none)", fmt_rational(computed),
-                         "INFO"])
-    previous = Fraction(0)
-    for r, computed in zip(range(2, 10), entries):
-        diff = computed - previous
-        previous = computed
-        printed = REF_ONEFIVE_DIFFS[r - 2]
-        verdict = compare_cell(diff, printed, None)
-        failed = failed or verdict == "FAIL"
-        rows.append([f"difference at r = {r}", printed, fmt_rational(diff),
-                     verdict])
-    return Table("inverse (1,5) entries and their first differences",
-                 ["where", "reference", "computed", "verdict"], rows), failed, 0
+    diffs = [b - a for a, b in zip([Fraction(0)] + entries, entries)]
+    return ([_cell(f"entry r = {r}", printed, computed)
+             for r, printed, computed in zip(range(2, 10), REF_ONEFIVE + [None],
+                                             entries)] +
+            [_cell(f"difference at r = {r}", printed, diff)
+             for r, printed, diff in zip(range(2, 10), REF_ONEFIVE_DIFFS, diffs)])
 
 
-def _reproduce_beta():
-    rows = []
-    failed = False
-    for k in BETA_ZERO_KS:
-        computed = theta_value(k)
-        verdict = "PASS" if computed == 0 else "FAIL"
-        failed = failed or verdict == "FAIL"
-        rows.append([f"Abel value, exponent {k}", "0", fmt_rational(computed),
-                     verdict])
-    for s in BETA_RELATION_SS:
-        computed = beta_relation_lhs(s)
-        verdict = "PASS" if computed == 0 else "FAIL"
-        failed = failed or verdict == "FAIL"
-        rows.append([f"residue relation, s = {s}", "0", fmt_rational(computed),
-                     verdict])
-    return Table("vanishing of the regularized sums",
-                 ["where", "reference", "computed", "verdict"], rows), failed, 0
+def _beta_rows():
+    return ([_cell(f"Abel value, exponent {k}", "0", theta_value(k))
+             for k in BETA_ZERO_KS] +
+            [_cell(f"residue relation, s = {s}", "0", beta_relation_lhs(s))
+             for s in BETA_RELATION_SS])
 
 
+# name -> (title, row generator, notes)
 REPRODUCE_TABLES = {
-    "lift": _reproduce_lift,
-    "pairs": _reproduce_pairs,
-    "zeta2": _reproduce_zeta2,
-    "onefive": _reproduce_onefive,
-    "beta": _reproduce_beta,
+    "lift": ("lift coefficients", _lift_rows, []),
+    "pairs": ("pair expansions of the lift truncations", _pair_rows,
+              ["FLAGGED rows match the dual-route computation but differ "
+               "from a known misprint in the reference"]),
+    "zeta2": ("inverse (1,3) entries over the balanced basis", _zeta2_rows, []),
+    "onefive": ("inverse (1,5) entries and their first differences",
+                _onefive_rows, []),
+    "beta": ("vanishing of the regularized sums", _beta_rows, []),
 }
 
 
 def cmd_reproduce(args) -> int:
     spec = OutputSpec.from_args(args)
-    names = args.table if args.table else list(REPRODUCE_TABLES)
     tables = []
-    any_failed = False
-    total_flagged = 0
-    for name in names:
-        table, failed, flagged = REPRODUCE_TABLES[name]()
-        tables.append(table)
-        any_failed = any_failed or failed
-        total_flagged += flagged
-    summary_rows = [["tables", str(len(tables))],
-                    ["flagged", str(total_flagged)],
-                    ["overall", "FAIL" if any_failed else "PASS"]]
-    tables.append(Table("summary", ["what", "value"], summary_rows))
+    for name in args.table or REPRODUCE_TABLES:
+        title, rows, notes = REPRODUCE_TABLES[name]
+        tables.append(Table(title, ["where", "reference", "computed", "verdict"],
+                            rows(), notes))
+    verdicts = [row[-1] for table in tables for row in table.rows]
+    failed = "FAIL" in verdicts
+    tables.append(Table("summary", ["what", "value"],
+                        [["tables", str(len(tables))],
+                         ["flagged", str(verdicts.count("FLAGGED"))],
+                         ["overall", "FAIL" if failed else "PASS"]]))
     spec.emit(tables)
-    return 2 if any_failed else 0
+    return 2 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = subs.add_parser("reproduce", help="check every bundled reference table")
-    p.add_argument("--all", action="store_true",
-                   help="run every table (the default)")
     p.add_argument("--table", action="append",
                    choices=sorted(REPRODUCE_TABLES),
                    help="run a specific table; may repeat")
@@ -639,6 +575,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
+    # exact rationals in the tables run to thousands of digits; the
+    # int-to-str guard is raised for this run only
+    limit = (sys.get_int_max_str_digits()
+             if hasattr(sys, "get_int_max_str_digits") else 0)
+    raise_limit = 0 < limit < INT_STR_DIGITS
+    if raise_limit:
+        sys.set_int_max_str_digits(INT_STR_DIGITS)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -646,6 +589,9 @@ def main(argv=None) -> int:
         return 1
     except BrokenPipeError:
         return 0
+    finally:
+        if raise_limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -5,10 +5,11 @@ Three conditions are inspected: (a) every braid coefficient trace settles,
 the filtration, order(b_i - b_j) >= i for i < j.  All verdicts are evidence
 over the inspected window, never limit claims; the report says so itself.
 
-Trace classification works on successive absolute differences rendered as
-floats.  Leading zero differences are trimmed first, because an exponent
-that has not entered the window yet carries no information.  Fewer than
-three nonzero differences is ruled insufficient rather than guessed at.
+Trace classification compares successive absolute differences as exact
+rationals, so no scale underflows or overflows.  Leading zero differences
+are trimmed first, because an exponent that has not entered the window yet
+carries no information.  Fewer than three nonzero differences is ruled
+insufficient rather than guessed at.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def classify_trace(values, min_diffs: int = 3) -> str:
     appeared too late in the window is reported as insufficient evidence
     rather than classified from its first few increments.
     """
-    diffs = [abs(float(b - a)) for a, b in zip(values, values[1:])]
+    diffs = [abs(b - a) for a, b in zip(values, values[1:])]
     while diffs and diffs[0] == 0:
         diffs.pop(0)
     if not diffs:

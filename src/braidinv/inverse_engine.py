@@ -14,7 +14,6 @@ only in reported columns, never in the computation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -24,7 +23,7 @@ import mpmath
 from .braid_ring import (BraidSum, coefficient, combine, filtration_order,
                          identity, multiply, tau)
 from .kontsevich import Z, Z_i
-from .power_series import Series, arcsinh2_closed_form, revert, two_sinh_half
+from .power_series import arcsinh2_closed_form, revert, two_sinh_half
 
 
 @dataclass(frozen=True)
@@ -66,13 +65,6 @@ class LiftPoly:
                 current += 1
             out = combine(out, 1, power, self.coeffs[k])
         return out
-
-    def as_series(self, order: int) -> Series:
-        coeffs = [Fraction(0)] * (order + 1)
-        for k, c in self.coeffs.items():
-            if k <= order:
-                coeffs[k] = c
-        return Series(coeffs)
 
 
 @dataclass(frozen=True)
@@ -146,24 +138,6 @@ def closed_form_lift(order: int) -> LiftPoly:
     return LiftPoly(coeffs)
 
 
-def q_expand(P: LiftPoly) -> PairExpansion:
-    """Regroup the expanded lift into antisymmetric pairs.
-
-    Only defined for the default seed; the expansion of an odd polynomial
-    in q - q^-1 must come out antisymmetric under q -> q^-1, and a failure
-    of that check means the expansion itself is broken.
-    """
-    if P.seed != tau():
-        raise ValueError("pair expansion requires the seed q - q^-1")
-    b = P.apply()
-    for n in b.terms:
-        if coefficient(b, -n) != -coefficient(b, n):
-            raise ArithmeticError("expansion lost antisymmetry")
-    if coefficient(b, 0) != 0:
-        raise ArithmeticError("expansion lost antisymmetry")
-    return PairExpansion({n: c for n, c in b.terms.items() if n > 0})
-
-
 @dataclass(frozen=True)
 class SymmetricExpansion:
     """Constant plus coefficients over q^n + q^-n, for even powers."""
@@ -172,31 +146,31 @@ class SymmetricExpansion:
     sym_coeffs: dict
 
 
-def power_pair_expand(P: LiftPoly, power: int):
-    """Expand the given power of the lift over pair combinations.
+def q_expand(P: LiftPoly, power: int = 1):
+    """Regroup a power of the expanded lift into pair combinations.
 
-    Odd powers are antisymmetric and yield a PairExpansion; even powers are
-    symmetric under q -> q^-1 and yield a SymmetricExpansion.  No reference
-    values exist for these tables; they are reported computations.
+    Only defined for the default seed.  An odd power of an odd polynomial in
+    q - q^-1 is antisymmetric under q -> q^-1 and yields a PairExpansion;
+    an even power is symmetric and yields a SymmetricExpansion.  A failure
+    of that symmetry means the expansion itself is broken.  No reference
+    values exist for powers above one; they are reported computations.
     """
     if power < 1:
         raise ValueError("power must be positive")
     if P.seed != tau():
         raise ValueError("pair expansion requires the seed q - q^-1")
-    b = identity()
     base = P.apply()
-    for _ in range(power):
+    b = base
+    for _ in range(power - 1):
         b = multiply(b, base)
-    if power % 2 == 1:
-        for n in b.terms:
-            if coefficient(b, -n) != -coefficient(b, n):
-                raise ArithmeticError("odd power lost antisymmetry")
-        return PairExpansion({n: c for n, c in b.terms.items() if n > 0})
-    for n in b.terms:
-        if coefficient(b, -n) != coefficient(b, n):
-            raise ArithmeticError("even power lost symmetry")
-    return SymmetricExpansion(coefficient(b, 0),
-                              {n: c for n, c in b.terms.items() if n > 0})
+    # antisymmetry also forces the q^0 coefficient to vanish
+    sign = -1 if power % 2 else 1
+    if any(coefficient(b, -n) != sign * c for n, c in b.terms.items()):
+        raise ArithmeticError(f"power {power} lost its symmetry under q -> q^-1")
+    positive = {n: c for n, c in b.terms.items() if n > 0}
+    if power % 2:
+        return PairExpansion(positive)
+    return SymmetricExpansion(coefficient(b, 0), positive)
 
 
 class AsymptoticRow(NamedTuple):
@@ -234,27 +208,4 @@ def asymptotic_check(j: int, r_list, digits: int = 50) -> list[AsymptoticRow]:
             c = pe.pair_coeffs.get(j, Fraction(0))
             approx = mpmath.mpf(c.numerator) / c.denominator
             rows.append(AsymptoticRow(r, c, target, abs(approx - target)))
-    return rows
-
-
-def coefficient_report(P: LiftPoly) -> list[tuple[int, int, int]]:
-    """(degree, numerator, denominator) rows of the lift coefficients.
-
-    Cross-checks the numerators against the Taylor numerators of arcsinh(x),
-    computed here from the closed form; the two sequences agree in lowest
-    terms, a fact the report depends on rather than re-deriving.
-    """
-    if P.seed != tau():
-        raise ValueError("coefficient report requires the seed q - q^-1")
-    rows = []
-    for k in sorted(P.coeffs):
-        c = P.coeffs[k]
-        rows.append((k, c.numerator, c.denominator))
-        i = (k - 1) // 2
-        plain = Fraction((-1) ** i * math.factorial(2 * i),
-                         4 ** i * math.factorial(i) ** 2 * (2 * i + 1))
-        if plain.numerator != c.numerator:
-            raise ArithmeticError(
-                f"degree {k}: numerator {c.numerator} differs from the "
-                f"arcsinh numerator {plain.numerator}")
     return rows

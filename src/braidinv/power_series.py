@@ -69,17 +69,6 @@ def mul(a: Series, b: Series) -> Series:
     return Series(out)
 
 
-def series_arith(op: str, a: Series, b) -> Series:
-    """Dispatch on op in {'add', 'mul', 'scale'}; scale takes a Rational b."""
-    if op == "add":
-        return add(a, b)
-    if op == "mul":
-        return mul(a, b)
-    if op == "scale":
-        return scale(a, b)
-    raise ValueError(f"unknown series operation {op!r}")
-
-
 def exp_scaled(c, order: int) -> Series:
     """exp(c*t) truncated: coefficients c^i / i!."""
     c = Fraction(c)

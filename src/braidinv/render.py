@@ -1,10 +1,10 @@
 """Table container and the text, JSON, and CSV emitters for the CLI.
 
 Exact rationals render as canonical 'p/q' strings; some of them run to
-thousands of digits, so the integer-to-string guard is raised once here.
-Floating point cells are produced by the callers, already formatted at
-their chosen precision, and appear only in columns whose names carry a
-digit tag.
+thousands of digits, so the command line raises the integer-to-string
+guard for the duration of a run.  Floating point cells are formatted at
+the caller's chosen precision and appear only in columns whose names carry
+a digit tag.
 """
 
 from __future__ import annotations
@@ -12,16 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
-
-if hasattr(sys, "set_int_max_str_digits"):
-    if sys.get_int_max_str_digits() < 100000:
-        sys.set_int_max_str_digits(100000)
-
 
 @dataclass
 class Table:
@@ -36,7 +30,11 @@ def fmt_rational(x) -> str:
 
 
 def fmt_float(x, digits: int) -> str:
-    return mpmath.nstr(x, digits)
+    """An mpmath number, or an exact Fraction, to significant digits."""
+    with mpmath.workdps(digits):
+        if isinstance(x, Fraction):
+            x = mpmath.mpf(x.numerator) / x.denominator
+        return mpmath.nstr(x, digits)
 
 
 def float_column(name: str, digits: int) -> str:
@@ -69,13 +67,6 @@ def render_json(tables) -> str:
                            "rows": [list(r) for r in t.rows],
                            "notes": list(t.notes)} for t in tables]}
     return json.dumps(payload, indent=2) + "\n"
-
-
-def tables_from_json(text: str) -> list[Table]:
-    payload = json.loads(text)
-    return [Table(t["title"], list(t["columns"]),
-                  [list(r) for r in t["rows"]], list(t["notes"]))
-            for t in payload["tables"]]
 
 
 def render_csv(tables) -> str:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 
 def run_cli(*args, env_extra=None):
@@ -158,6 +159,37 @@ def test_trace_subcommand_and_file_sequence(tmp_path):
 
     missing = run_cli("trace", "--sequence", str(tmp_path / "nope.json"))
     assert missing.returncode == 1
+
+
+def test_trace_json_sequences_at_extreme_scales(tmp_path):
+    for label, steps, expected in (
+            ("tiny", [Fraction(1, 10 ** 400 * 2 ** i) for i in range(7)],
+             "converging"),
+            ("huge", [10 ** 400 * (i + 1) for i in range(7)], "diverging")):
+        values = [sum(steps[:i], Fraction(0)) for i in range(8)]
+        payload = {"label": label,
+                   "items": [{"1": str(v)} for v in values]}
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        result = run_cli("trace", "--sequence", str(path), "--format", "csv")
+        assert result.returncode == 0, result.stderr
+        rows = list(csv.reader(io.StringIO(result.stdout)))
+        assert rows[2][:2] == ["1", expected]
+
+
+def test_importing_the_package_leaves_int_str_limit_alone():
+    code = ("import sys\n"
+            "limit = sys.get_int_max_str_digits\n"
+            "before = limit()\n"
+            "import braidinv.render\n"
+            "assert limit() == before\n"
+            "import braidinv.cli\n"
+            "assert limit() == before\n"
+            "braidinv.cli.main(['beta', '--s', '7'])\n"
+            "assert limit() == before\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_reproduce_all():

@@ -62,6 +62,10 @@ def test_classify_trace_shapes():
     wobble = [frac(0), frac(3), frac(4), frac(7), frac(8)]
     assert classify_trace(wobble) == "inconclusive"
     assert classify_trace(div, min_diffs=5) == "insufficient"
+    # beyond the float range: differences would underflow to zero or overflow
+    scale = frac(10) ** 400
+    assert classify_trace([x / scale for x in conv]) == "converging"
+    assert classify_trace([x * scale for x in div]) == "diverging"
 
 
 def test_condition_c_on_stock_sequences():

@@ -7,8 +7,7 @@ from braidinv.braid_ring import (BraidSum, combine, identity, multiply, pair,
                                  sigma, tau, tau_power)
 from braidinv.inverse_engine import (LiftPoly, PairExpansion,
                                      SymmetricExpansion, asymptotic_check,
-                                     closed_form_lift, coefficient_report,
-                                     pair_limit_target, power_pair_expand,
+                                     closed_form_lift, pair_limit_target,
                                      q_expand, reversion_lift,
                                      strengthen_step, strengthen_to)
 from braidinv.kontsevich import Z
@@ -120,13 +119,13 @@ def test_pair_expansion_rebuild_round_trip():
 
 def test_power_pair_expand_odd_and_even():
     P = strengthen_to(tau(), 5)
-    cube = power_pair_expand(P, 3)
+    cube = q_expand(P, 3)
     assert isinstance(cube, PairExpansion)
     applied = P.apply()
     cubed = multiply(multiply(applied, applied), applied)
     assert cube.rebuild() == cubed
 
-    square = power_pair_expand(P, 2)
+    square = q_expand(P, 2)
     assert isinstance(square, SymmetricExpansion)
     squared = multiply(applied, applied)
     rebuilt = BraidSum({0: square.constant})
@@ -137,9 +136,9 @@ def test_power_pair_expand_odd_and_even():
 
 def test_power_pair_expand_power_one_is_q_expand():
     P = strengthen_to(tau(), 7)
-    assert power_pair_expand(P, 1).pair_coeffs == q_expand(P).pair_coeffs
+    assert q_expand(P, 1) == q_expand(P)
     with pytest.raises(ValueError):
-        power_pair_expand(P, 0)
+        q_expand(P, 0)
 
 
 def test_pair_limit_target_signs():
@@ -161,14 +160,6 @@ def test_asymptotic_check_rejects_bad_inputs():
         asymptotic_check(2, [5])
     with pytest.raises(ValueError):
         asymptotic_check(5, [3])
-
-
-def test_coefficient_report():
-    rows = coefficient_report(strengthen_to(tau(), 13))
-    nums = [abs(n) for _, n, _ in rows[1:]]
-    dens = [d for _, _, d in rows[1:]]
-    assert nums == [1, 3, 5, 35, 63, 231]
-    assert dens == [24, 640, 7168, 294912, 2883584, 54525952]
 
 
 def test_truncations_of_one_run_match_shorter_runs():

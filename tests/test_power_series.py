@@ -5,7 +5,7 @@ import pytest
 
 from braidinv.power_series import (Series, add, arcsinh2_closed_form, compose,
                                    exp_scaled, mul, render_series, revert,
-                                   scale, series_arith, series_json, t_series,
+                                   scale, series_json, t_series,
                                    two_sinh_half, zero_series)
 
 import oracles
@@ -43,15 +43,6 @@ def test_add_scale_mul_basics():
     assert add(s, scale(s, -1)) == zero_series(6)
     t = t_series(4)
     assert list(mul(t, t).coeffs) == [0, 0, 1, 0, 0]
-
-
-def test_series_arith_dispatch():
-    s = t_series(3)
-    assert series_arith("add", s, s) == scale(s, 2)
-    assert series_arith("mul", s, s) == mul(s, s)
-    assert series_arith("scale", s, frac(1, 2)) == scale(s, frac(1, 2))
-    with pytest.raises(ValueError):
-        series_arith("div", s, s)
 
 
 def test_mixed_order_truncates_to_smaller():
