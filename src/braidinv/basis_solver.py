@@ -153,15 +153,14 @@ def zeta2_check(r_max: int) -> list[tuple[int, Fraction, Fraction, bool]]:
     return rows
 
 
-def solve_t_target(r: int, with_factorials: bool = False):
+def solve_t_target(N: ExactMatrix):
     """Solve the balanced moment system against the target (0, 1, 0, ...).
 
-    Returns the solution both as a coefficient list over the node order and
-    reassembled into a braid sum over the corresponding braid powers.
+    N is the inverse of a balanced moment matrix, so the solution is its
+    column 1.  Returns the solution both as a coefficient list over the node
+    order and reassembled into a braid sum over the corresponding braid powers.
     """
-    M = build_balanced(r, with_factorials)
-    N = invert(M)
-    solution = [N.rows[i][1] for i in range(M.dim)]
-    nodes = balanced_nodes(r)
-    b = BraidSum({node: c for node, c in zip(nodes, solution)})
-    return solution, b
+    if N.dim < 3:
+        raise ValueError("the degree-1 target needs r >= 1")
+    solution = [row[1] for row in N.rows]
+    return solution, BraidSum(dict(zip(balanced_nodes(N.dim // 2), solution)))

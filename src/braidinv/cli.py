@@ -1,8 +1,14 @@
 """Command line driver wiring every module together.
 
 Subcommands: lift, zmap, qexpand, asymptotics, beta, basis, trace,
-reproduce.  Exit codes: 0 when everything asked for passed, 1 for usage
-problems, 2 when a computation disagrees with a bundled reference value.
+reproduce.  Exit codes: 0 when everything asked for passed, 1 for bad
+input, 2 when a computation disagrees with a bundled reference value or a
+matrix has no inverse.
+
+The library raises ValueError for bad input and ArithmeticError for a
+broken internal invariant.  main() alone turns exceptions into exit codes:
+SingularMatrixError exits 2, any other ValueError or an OSError exits 1
+with one `error:` line, and an ArithmeticError keeps its traceback.
 
 The reproduce subcommand checks computed tables against reference values
 recorded from the source material this artifact reproduces.  Two reference
@@ -17,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -25,8 +30,8 @@ import mpmath
 from .basis_solver import (SingularMatrixError, balanced_nodes, build_balanced,
                            build_unbalanced, entry_sequence, invert,
                            solve_t_target)
-from .braid_ring import (BraidSum, identity, pair, render, sigma, sigma_bar,
-                         sigma_power, tau)
+from .braid_ring import (BraidSum, coefficient, combine, identity, pair,
+                         render, sigma, sigma_bar, sigma_power, tau)
 from .convergence import (BraidSumSequence, biconvergence_report,
                           harmonic_sigma_sequence, lift_truncation_sequence,
                           pair_partial_sequence)
@@ -42,46 +47,23 @@ DEFAULT_FLOAT_DIGITS = 50
 INT_STR_DIGITS = 100000
 
 
-class UsageError(Exception):
-    """Bad arguments or inputs; mapped to exit code 1."""
+def emit(args, tables) -> None:
+    """Render the tables in the chosen format to --out or stdout."""
+    # built per call: the bench tracer rebinds these names after import
+    renderers = {"text": render_text, "json": render_json, "csv": render_csv}
+    payload = renderers[args.format](tables)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(payload)
+    else:
+        sys.stdout.write(payload)
 
 
-@dataclass
-class OutputSpec:
-    format: str = "text"
-    float_digits: int = DEFAULT_FLOAT_DIGITS
-    out_path: str | None = None
-
-    @classmethod
-    def from_args(cls, args, needs_float: bool = False) -> "OutputSpec":
-        digits = args.digits
-        if digits is None:
-            raw = os.environ.get(ENV_FLOAT_DIGITS)
-            if raw is not None:
-                try:
-                    digits = int(raw)
-                except ValueError:
-                    raise UsageError(f"{ENV_FLOAT_DIGITS} must be an integer, got {raw!r}")
-            else:
-                digits = DEFAULT_FLOAT_DIGITS
-        if digits < 1:
-            raise UsageError("float digits must be positive")
-        if needs_float and digits < 10:
-            raise UsageError("float output needs at least 10 digits")
-        return cls(args.format, digits, args.out)
-
-    def emit(self, tables) -> None:
-        if self.format == "json":
-            payload = render_json(tables)
-        elif self.format == "csv":
-            payload = render_csv(tables)
-        else:
-            payload = render_text(tables)
-        if self.out_path:
-            with open(self.out_path, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-        else:
-            sys.stdout.write(payload)
+def _float_digits(args) -> int:
+    """The resolved --digits, for commands that print float columns."""
+    if args.digits < 10:
+        raise ValueError("float output needs at least 10 digits")
+    return args.digits
 
 
 # ---------------------------------------------------------------------------
@@ -144,31 +126,42 @@ def parse_braid(text: str) -> BraidSum:
         try:
             return pair(int(text[5:]))
         except ValueError as exc:
-            raise UsageError(f"bad pair spec {text!r}: {exc}")
+            raise ValueError(f"bad pair spec {text!r}: {exc}") from exc
     if text.startswith("sigma^"):
         try:
             return sigma_power(int(text[6:]))
         except ValueError as exc:
-            raise UsageError(f"bad power spec {text!r}: {exc}")
+            raise ValueError(f"bad power spec {text!r}: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:
             raw = json.loads(text)
-            return BraidSum({int(k): Fraction(v) for k, v in raw.items()})
-        except (ValueError, AttributeError) as exc:
-            raise UsageError(f"bad braid JSON: {exc}")
-    raise UsageError(f"unknown braid {text!r}; use tau, sigma, sigmabar, e, "
+        except ValueError as exc:
+            raise ValueError(f"bad braid JSON: {exc}") from exc
+        return _exponent_map(raw)
+    raise ValueError(f"unknown braid {text!r}; use tau, sigma, sigmabar, e, "
                      f"pair:N, sigma^K, or a JSON exponent map")
 
 
+def _exponent_map(raw) -> BraidSum:
+    """A braid sum from a parsed JSON object mapping exponents to rationals."""
+    try:
+        return BraidSum({int(k): Fraction(v) for k, v in raw.items()})
+    except (ValueError, ZeroDivisionError, TypeError, AttributeError) as exc:
+        raise ValueError(f"bad exponent map: {exc}") from exc
+
+
 def load_sequence(path: str) -> BraidSumSequence:
+    """A sequence from a JSON file {"label": ..., "items": [exponent maps]}."""
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
-        items = [BraidSum({int(k): Fraction(v) for k, v in item.items()})
-                 for item in payload["items"]]
-        return BraidSumSequence(items, payload.get("label", path))
-    except (OSError, ValueError, KeyError, AttributeError) as exc:
-        raise UsageError(f"cannot load sequence from {path}: {exc}")
+        if not isinstance(payload, dict) or \
+                not isinstance(payload.get("items"), list):
+            raise ValueError("expected an object with an 'items' list")
+        items = [_exponent_map(item) for item in payload["items"]]
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot load sequence from {path}: {exc}") from exc
+    return BraidSumSequence(items, payload.get("label", path))
 
 
 STOCK_SEQUENCES = {"tauhat": lift_truncation_sequence,
@@ -176,30 +169,22 @@ STOCK_SEQUENCES = {"tauhat": lift_truncation_sequence,
                    "harmonic": harmonic_sigma_sequence}
 
 
-def _odd_order(value: int, what: str) -> int:
-    if value < 1 or value % 2 == 0:
-        raise UsageError(f"{what} must be odd and positive, got {value}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_lift(args) -> int:
-    spec = OutputSpec.from_args(args)
-    order = _odd_order(args.order, "--order")
+    order = args.order
     if args.method == "reversion":
         P = reversion_lift(order)
     else:
         P = strengthen_to(tau(), order)
     rows = [[str(k), fmt_rational(P.coeffs[k])] for k in sorted(P.coeffs)]
-    spec.emit([Table(f"lift coefficients through degree {order}",
-                     ["degree", "coefficient"], rows)])
+    emit(args, [Table(f"lift coefficients through degree {order}",
+                      ["degree", "coefficient"], rows)])
     return 0
 
 
 def cmd_zmap(args) -> int:
-    spec = OutputSpec.from_args(args)
     b = parse_braid(args.braid)
     order = args.order
     jmax = args.jmax if args.jmax is not None else order
@@ -210,7 +195,7 @@ def cmd_zmap(args) -> int:
     focused = focus_order(profile)
     note = (f"focussed at degree {focused} through {jmax}" if focused is not None
             else f"not focussed through degree {jmax}")
-    spec.emit([
+    emit(args, [
         Table(f"integral of {render(b)} through degree {order}",
               ["degree", "coefficient"], series_rows),
         Table("graded components", ["degree", "value"], profile_rows, [note]),
@@ -219,11 +204,7 @@ def cmd_zmap(args) -> int:
 
 
 def cmd_qexpand(args) -> int:
-    spec = OutputSpec.from_args(args)
-    order = _odd_order(args.order, "--order")
-    power = args.power
-    if power < 1:
-        raise UsageError("--power must be positive")
+    order, power = args.order, args.power
     expansion = q_expand(strengthen_to(tau(), order), power)
     if isinstance(expansion, PairExpansion):
         rows = [[f"q^{n} - q^-{n}", fmt_rational(c)]
@@ -234,41 +215,34 @@ def cmd_qexpand(args) -> int:
                  for n, c in sorted(expansion.sym_coeffs.items())]
     notes = [] if power == 1 else \
         ["reported computation; no reference values exist for lift powers"]
-    spec.emit([Table(f"pair expansion of lift order {order}, power {power}",
-                     ["component", "coefficient"], rows, notes)])
+    emit(args, [Table(f"pair expansion of lift order {order}, power {power}",
+                      ["component", "coefficient"], rows, notes)])
     return 0
 
 
 def cmd_asymptotics(args) -> int:
-    spec = OutputSpec.from_args(args, needs_float=True)
+    d = _float_digits(args)
     try:
         orders = [int(x) for x in args.orders.split(",") if x]
     except ValueError as exc:
-        raise UsageError(f"bad --orders list: {exc}")
-    if not orders:
-        raise UsageError("--orders must list at least one order")
-    try:
-        rows = asymptotic_check(args.j, orders, spec.float_digits)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    d = spec.float_digits
+        raise ValueError(f"bad --orders list: {exc}") from exc
+    rows = asymptotic_check(args.j, orders, d)
     table_rows = [[str(row.order), fmt_rational(row.coeff),
                    fmt_float(row.coeff, d), fmt_float(row.target, d),
                    fmt_float(row.abs_error, d)]
                   for row in rows]
-    spec.emit([Table(f"pair {args.j} coefficient against its limit",
-                     ["order", "coefficient", float_column("approx", d),
-                      float_column("target", d), float_column("abs_error", d)],
-                     table_rows,
-                     ["target = (-1)^((j-1)/2) * 4/(pi*j^2)"])])
+    emit(args, [Table(f"pair {args.j} coefficient against its limit",
+                      ["order", "coefficient", float_column("approx", d),
+                       float_column("target", d), float_column("abs_error", d)],
+                      table_rows,
+                      ["target = (-1)^((j-1)/2) * 4/(pi*j^2)"])])
     return 0
 
 
 def cmd_beta(args) -> int:
     s = args.s
     if s == 1:
-        spec = OutputSpec.from_args(args, needs_float=True)
-        d = spec.float_digits
+        d = _float_digits(args)
         rows = []
         with mpmath.workdps(d):
             for r in (1, 10, 100, 1000, 10000):
@@ -278,43 +252,39 @@ def cmd_beta(args) -> int:
                 rows.append([str(r), size,
                              fmt_float(estimate, d),
                              fmt_float(abs(estimate - 1), d)])
-        spec.emit([Table("Leibniz partial sums, scaled by 4",
-                         ["terms", "digits num/den", float_column("over_pi", d),
-                          float_column("abs_error_to_1", d)],
-                         rows,
-                         ["partial sums are held as exact rationals; the "
-                          "column shows their printed size",
-                          "the alternating series bound keeps the error below "
-                          "1/(2r+1)/pi"])])
+        emit(args, [Table("Leibniz partial sums, scaled by 4",
+                          ["terms", "digits num/den", float_column("over_pi", d),
+                           float_column("abs_error_to_1", d)],
+                          rows,
+                          ["partial sums are held as exact rationals; the "
+                           "column shows their printed size",
+                           "the alternating series bound keeps the error below "
+                           "1/(2r+1)/pi"])])
         return 0
     if s < 3 or s % 2 == 0:
-        raise UsageError("--s must be 1 or an odd integer >= 3")
-    spec = OutputSpec.from_args(args)
+        raise ValueError("--s must be 1 or an odd integer >= 3")
     abel = theta_value(s - 2)
     lhs = beta_relation_lhs(s)
     verdict = "PASS" if lhs == 0 else "FAIL"
     rows = [[f"Abel value at exponent {s - 2}", fmt_rational(abel)],
             ["reduced relation left side", fmt_rational(lhs)],
             ["verdict", verdict]]
-    spec.emit([Table(f"residue relation at s = {s}", ["what", "value"], rows,
-                     ["the left side reduces exactly to the Abel value of the "
-                      "alternating sum with exponent s-2; zero is expected"])])
+    emit(args, [Table(f"residue relation at s = {s}", ["what", "value"], rows,
+                      ["the left side reduces exactly to the Abel value of the "
+                       "alternating sum with exponent s-2; zero is expected"])])
     return 0 if verdict == "PASS" else 2
 
 
 def cmd_basis(args) -> int:
-    spec = OutputSpec.from_args(args, needs_float=args.solve_t)
+    if args.solve_t:
+        if args.unbalanced:
+            raise ValueError("--solve-t applies to the balanced basis")
+        digits = _float_digits(args)
     r = args.r
-    if r < 0:
-        raise UsageError("--r must be nonnegative")
     build = build_unbalanced if args.unbalanced else build_balanced
     kind = "unbalanced" if args.unbalanced else "balanced"
     M = build(r, args.with_factorials)
-    try:
-        N = invert(M)
-    except SingularMatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    N = invert(M)
     tables = [
         Table(f"{kind} moment matrix, r = {r}",
               [f"c{j}" for j in range(M.dim)],
@@ -325,56 +295,42 @@ def cmd_basis(args) -> int:
     ]
     if args.entry:
         try:
-            row_s, col_s = args.entry.split(",")
-            row, col = int(row_s), int(col_s)
-        except ValueError as exc:
-            raise UsageError(f"bad --entry: {exc}")
-        try:
+            row, col = map(int, args.entry.split(","))
             value = N.entry(row, col)
-        except IndexError as exc:
-            raise UsageError(str(exc))
+        except (ValueError, IndexError) as exc:
+            raise ValueError(f"bad --entry: {exc}") from exc
         tables.append(Table(f"inverse entry ({row},{col})",
                             ["row", "col", "value"],
                             [[str(row), str(col), fmt_rational(value)]]))
     if args.solve_t:
-        if args.unbalanced:
-            raise UsageError("--solve-t applies to the balanced basis")
-        solution, b = solve_t_target(r, args.with_factorials)
-        nodes = balanced_nodes(r)
+        solution, b = solve_t_target(N)
         sol_rows = [[str(node), fmt_rational(c)]
-                    for node, c in zip(nodes, solution)]
+                    for node, c in zip(balanced_nodes(r), solution)]
         tables.append(Table("solution of the degree-1 target system",
                             ["braid power", "coefficient"], sol_rows,
                             [f"as a braid sum: {render(b)}"]))
         lift_order = r if r % 2 == 1 else r - 1
         if lift_order >= 1:
             lift_b = q_expand(strengthen_to(tau(), lift_order)).rebuild()
-            exponents = sorted(set(b.terms) | set(lift_b.terms))
-            cmp_rows = []
-            worst = Fraction(0)
-            for n in exponents:
-                x = b.terms.get(n, Fraction(0))
-                y = lift_b.terms.get(n, Fraction(0))
-                diff = x - y
-                worst = max(worst, abs(diff))
-                cmp_rows.append([str(n), fmt_rational(x), fmt_rational(y),
-                                 fmt_rational(diff)])
+            diff = combine(b, 1, lift_b, -1)
+            cmp_rows = [[str(n)] + [fmt_rational(coefficient(x, n))
+                                    for x in (b, lift_b, diff)]
+                        for n in sorted(set(b.terms) | set(lift_b.terms))]
+            worst = max(map(abs, diff.terms.values()), default=Fraction(0))
             tables.append(Table(
                 f"solution against the order {lift_order} lift expansion",
                 ["braid power", "solution", "lift", "difference"], cmp_rows,
-                [f"largest coefficient distance: "
-                 f"{fmt_float(worst, spec.float_digits)}",
+                [f"largest coefficient distance: {fmt_float(worst, digits)}",
                  "no identity between the columns is asserted; the distance "
                  "is reported as computed"]))
-    spec.emit(tables)
+    emit(args, tables)
     return 0
 
 
 def cmd_trace(args) -> int:
-    spec = OutputSpec.from_args(args)
     window = args.window
     if window < 2:
-        raise UsageError("--window must be at least 2")
+        raise ValueError("--window must be at least 2")
     if args.sequence in STOCK_SEQUENCES:
         seq = STOCK_SEQUENCES[args.sequence](window)
     else:
@@ -395,7 +351,7 @@ def cmd_trace(args) -> int:
     verdict_rows = [["(a) coefficient traces", report.verdict_a],
                     ["(b) integral traces", report.verdict_b],
                     ["(c) filtration condition", report.verdict_c]]
-    spec.emit([
+    emit(args, [
         Table(f"coefficient traces for {report.label}, window {report.window}",
               ["exponent", "class", "last value"], coeff_rows),
         Table(f"integral traces through degree {report.jmax}",
@@ -466,7 +422,6 @@ REPRODUCE_TABLES = {
 
 
 def cmd_reproduce(args) -> int:
-    spec = OutputSpec.from_args(args)
     tables = []
     for name in args.table or REPRODUCE_TABLES:
         title, rows, notes = REPRODUCE_TABLES[name]
@@ -478,7 +433,7 @@ def cmd_reproduce(args) -> int:
                         [["tables", str(len(tables))],
                          ["flagged", str(verdicts.count("FLAGGED"))],
                          ["overall", "FAIL" if failed else "PASS"]]))
-    spec.emit(tables)
+    emit(args, tables)
     return 2 if failed else 0
 
 
@@ -492,80 +447,83 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_output_options(sub):
-    sub.add_argument("--format", choices=("text", "json", "csv"),
-                     default="text")
-    sub.add_argument("--digits", type=int, default=None,
-                     help=f"float precision in significant digits "
-                          f"(default {DEFAULT_FLOAT_DIGITS}, or "
-                          f"{ENV_FLOAT_DIGITS})")
-    sub.add_argument("--out", default=None, help="write output to a file")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="braidinv",
                      description="exact computations for the inverse problem "
                                  "of the two-strand braid integral")
     subs = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json", "csv"),
+                        default="text")
+    output.add_argument("--digits", type=int, default=None,
+                        help=f"float precision in significant digits "
+                             f"(default {DEFAULT_FLOAT_DIGITS}, or "
+                             f"{ENV_FLOAT_DIGITS})")
+    output.add_argument("--out", default=None, help="write output to a file")
 
-    p = subs.add_parser("lift", parents=[], help="lift coefficients")
+    def command(name, func, help):
+        sub = subs.add_parser(name, parents=[output], help=help)
+        sub.set_defaults(func=func)
+        return sub
+
+    p = command("lift", cmd_lift, "lift coefficients")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--method", choices=("strengthen", "reversion"),
                    default="strengthen")
-    _add_output_options(p)
-    p.set_defaults(func=cmd_lift)
 
-    p = subs.add_parser("zmap", help="series and graded values of a braid sum")
+    p = command("zmap", cmd_zmap, "series and graded values of a braid sum")
     p.add_argument("--braid", default="tau")
     p.add_argument("--order", type=int, default=7)
     p.add_argument("--jmax", type=int, default=None)
-    _add_output_options(p)
-    p.set_defaults(func=cmd_zmap)
 
-    p = subs.add_parser("qexpand", help="pair expansion of a lift")
+    p = command("qexpand", cmd_qexpand, "pair expansion of a lift")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--power", type=int, default=1)
-    _add_output_options(p)
-    p.set_defaults(func=cmd_qexpand)
 
-    p = subs.add_parser("asymptotics", help="pair coefficients against 4/pi limits")
+    p = command("asymptotics", cmd_asymptotics,
+                "pair coefficients against 4/pi limits")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--orders", required=True,
                    help="comma separated lift orders")
-    _add_output_options(p)
-    p.set_defaults(func=cmd_asymptotics)
 
-    p = subs.add_parser("beta", help="regularized sums and the Leibniz check")
+    p = command("beta", cmd_beta, "regularized sums and the Leibniz check")
     p.add_argument("--s", type=int, required=True)
-    _add_output_options(p)
-    p.set_defaults(func=cmd_beta)
 
-    p = subs.add_parser("basis", help="moment matrices and inverse entries")
+    p = command("basis", cmd_basis, "moment matrices and inverse entries")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--unbalanced", action="store_true")
     p.add_argument("--entry", default=None, help="ROW,COL (1-based)")
     p.add_argument("--solve-t", action="store_true", dest="solve_t")
     p.add_argument("--with-factorials", action="store_true",
                    dest="with_factorials")
-    _add_output_options(p)
-    p.set_defaults(func=cmd_basis)
 
-    p = subs.add_parser("trace", help="finite-window convergence diagnostics")
+    p = command("trace", cmd_trace, "finite-window convergence diagnostics")
     p.add_argument("--sequence", default="tauhat",
                    help="tauhat, pairs, harmonic, or a JSON file path")
     p.add_argument("--jmax", type=int, default=5)
     p.add_argument("--window", type=int, default=8)
-    _add_output_options(p)
-    p.set_defaults(func=cmd_trace)
 
-    p = subs.add_parser("reproduce", help="check every bundled reference table")
+    p = command("reproduce", cmd_reproduce,
+                "check every bundled reference table")
     p.add_argument("--table", action="append",
                    choices=sorted(REPRODUCE_TABLES),
                    help="run a specific table; may repeat")
-    _add_output_options(p)
-    p.set_defaults(func=cmd_reproduce)
 
     return parser
+
+
+def _resolve_digits(flag: int | None) -> int:
+    """Float precision: the flag, else the environment variable, else 50."""
+    if flag is None:
+        raw = os.environ.get(ENV_FLOAT_DIGITS, str(DEFAULT_FLOAT_DIGITS))
+        try:
+            flag = int(raw)
+        except ValueError:
+            raise ValueError(f"{ENV_FLOAT_DIGITS} must be an integer, "
+                             f"got {raw!r}") from None
+    if flag < 1:
+        raise ValueError("float digits must be positive")
+    return flag
 
 
 def main(argv=None) -> int:
@@ -583,12 +541,16 @@ def main(argv=None) -> int:
     if raise_limit:
         sys.set_int_max_str_digits(INT_STR_DIGITS)
     try:
+        args.digits = _resolve_digits(args.digits)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         return 0
+    except SingularMatrixError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         if raise_limit:
             sys.set_int_max_str_digits(limit)

@@ -195,6 +195,8 @@ def asymptotic_check(j: int, r_list, digits: int = 50) -> list[AsymptoticRow]:
     """
     if j < 1 or j % 2 == 0:
         raise ValueError("pair index must be odd and positive")
+    if not r_list:
+        raise ValueError("need at least one order")
     for r in r_list:
         if r < j:
             raise ValueError(f"order {r} is below the pair index {j}")

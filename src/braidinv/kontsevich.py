@@ -24,6 +24,8 @@ class GradedValue(NamedTuple):
 
 def Z(b: BraidSum, order: int) -> Series:
     """Series value of the integral on b, truncated at the given order."""
+    if order < 0:
+        raise ValueError("negative order")
     result = zero_series(order)
     coeffs = list(result.coeffs)
     for n, c in b.terms.items():

@@ -125,7 +125,7 @@ def test_unbalanced_entries_grow():
 
 
 def test_solve_t_target_smallest_system():
-    solution, b = solve_t_target(1)
+    solution, b = solve_t_target(invert(build_balanced(1)))
     assert solution == [0, frac(1, 2), frac(-1, 2)]
     assert b == BraidSum({1: frac(1, 2), -1: frac(-1, 2)})
 
@@ -133,11 +133,13 @@ def test_solve_t_target_smallest_system():
 def test_solve_t_target_solves_the_system():
     for r in (1, 2, 3):
         M = build_balanced(r)
-        solution, _ = solve_t_target(r)
+        solution, _ = solve_t_target(invert(M))
         for i in range(M.dim):
             lhs = sum((M.rows[i][j] * solution[j] for j in range(M.dim)),
                       frac(0))
             assert lhs == (1 if i == 1 else 0)
+    with pytest.raises(ValueError):
+        solve_t_target(invert(build_balanced(0)))
 
 
 def test_mat_mul_shapes():

@@ -6,14 +6,21 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
+from braidinv import basis_solver, cli
+
 
 def run_cli(*args, env_extra=None):
+    """Run the CLI in a subprocess; no input may end in a traceback."""
     env = dict(os.environ)
     env.pop("BRAIDINV_FLOAT_DIGITS", None)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "braidinv", *args],
-                          capture_output=True, text=True, env=env)
+    result = subprocess.run([sys.executable, "-m", "braidinv", *args],
+                            capture_output=True, text=True, env=env)
+    assert "Traceback" not in result.stderr, result.stderr
+    return result
 
 
 def test_lift_text_output():
@@ -209,3 +216,43 @@ def test_reproduce_single_table():
     assert result.returncode == 0
     assert "residue relation" in result.stdout
     assert "pair" not in result.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["zmap", "--order", "-1"],
+    ["zmap", "--braid", '{"1": "1/0"}'],
+    ["trace", "--sequence", "{tmp}/zero.json"],
+    ["trace", "--sequence", "{tmp}/array.json"],
+    ["lift", "--order", "5", "--out", "{tmp}/missing/x"],
+    ["basis", "--r", "0", "--solve-t"],
+], ids=["negative-order", "zero-denominator", "sequence-zero-denominator",
+        "sequence-top-level-array", "missing-out-dir", "solve-t-at-r-0"])
+def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
+    (tmp_path / "zero.json").write_text('{"items": [{"1": "1/0"}]}',
+                                        encoding="utf-8")
+    (tmp_path / "array.json").write_text('[{"1": "1"}]', encoding="utf-8")
+    result = run_cli(*(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_basis_solve_t_inverts_once(monkeypatch, capsys):
+    calls = []
+    invert = basis_solver.invert
+
+    def counting_invert(M):
+        calls.append(M.dim)
+        return invert(M)
+
+    monkeypatch.setattr(cli, "invert", counting_invert)
+    monkeypatch.setattr(basis_solver, "invert", counting_invert)
+    monkeypatch.delenv("BRAIDINV_FLOAT_DIGITS", raising=False)
+    assert cli.main(["basis", "--r", "3", "--solve-t"]) == 0
+    assert calls == [7]
+
+    calls.clear()
+    assert cli.main(["basis", "--r", "2", "--unbalanced", "--solve-t"]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == \
+        "error: --solve-t applies to the balanced basis\n"

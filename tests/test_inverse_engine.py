@@ -160,6 +160,8 @@ def test_asymptotic_check_rejects_bad_inputs():
         asymptotic_check(2, [5])
     with pytest.raises(ValueError):
         asymptotic_check(5, [3])
+    with pytest.raises(ValueError, match="at least one order"):
+        asymptotic_check(1, [])
 
 
 def test_truncations_of_one_run_match_shorter_runs():

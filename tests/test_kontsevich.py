@@ -55,6 +55,8 @@ def test_z_i_agrees_with_series_coefficients():
         assert Z_i(b, i) == s.coeffs[i]
     with pytest.raises(ValueError):
         Z_i(b, -1)
+    with pytest.raises(ValueError, match="negative order"):
+        Z(b, -1)
 
 
 def test_z_i_golden_values():
