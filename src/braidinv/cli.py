@@ -205,6 +205,9 @@ def cmd_zmap(args) -> int:
 
 def cmd_qexpand(args) -> int:
     order, power = args.order, args.power
+    if power < 1:
+        # checked here as well, so a bad power fails before strengthening
+        raise ValueError("power must be positive")
     expansion = q_expand(strengthen_to(tau(), order), power)
     if isinstance(expansion, PairExpansion):
         rows = [[f"q^{n} - q^-{n}", fmt_rational(c)]

@@ -120,9 +120,14 @@ def biconvergence_report(seq: BraidSumSequence, jmax: int,
     """Aggregate (a), (b), (c) over the window.
 
     A condition fails only on positive evidence of divergence; insufficient
-    or inconclusive traces are listed but do not fail it.
+    or inconclusive traces are listed but do not fail it.  A window of
+    fewer than two items holds no evidence and is rejected.
     """
+    if jmax < 0:
+        raise ValueError("jmax must be nonnegative")
     window = min(window, len(seq))
+    if window < 2:
+        raise ValueError(f"a window needs at least 2 items, got {window}")
     trimmed = BraidSumSequence(seq.items[:window], seq.label)
     # a coefficient present for under half the window has not left its
     # transient regime; demanding window//2 + 2 increments keeps verdicts

@@ -1,10 +1,13 @@
 """Lifting the integral back to braid sums: the inverse problem.
 
 A LiftPoly is a polynomial applied to a seed braid sum of filtration order
-one.  The strengthening iteration raises, one degree at a time, the order
-through which the integral of the lifted element equals t; for the seed
-q - q^-1 its limit is the reversion of 2 sinh(t/2), with the classical
-closed-form arcsinh coefficients as a third route to the same numbers.
+one.  Strengthening finds the polynomial P whose lifted element has
+integral t through a target order.  The integral is a ring homomorphism,
+so Z(P(seed)) = P(Z(seed)) and P is the series reversion of Z(seed): one
+triangular solve in the series ring, checked once at the braid level by
+expanding P at the seed and integrating.  For the seed q - q^-1 this is
+the reversion of 2 sinh(t/2), with the classical closed-form arcsinh
+coefficients as an independent route to the same numbers.
 
 The pair expansion rewrites a lift over the antisymmetric pairs
 q^n - q^-n, whose coefficients approach signed multiples of 4/pi; the
@@ -20,10 +23,10 @@ from typing import NamedTuple
 
 import mpmath
 
-from .braid_ring import (BraidSum, coefficient, combine, filtration_order,
-                         identity, multiply, tau)
-from .kontsevich import Z, Z_i
-from .power_series import arcsinh2_closed_form, revert, two_sinh_half
+from .braid_ring import BraidSum, coefficient, filtration_order, multiply, tau
+from .kontsevich import Z
+from .power_series import (arcsinh2_closed_form, common_denominator, revert,
+                           t_series, two_sinh_half)
 
 
 @dataclass(frozen=True)
@@ -55,16 +58,30 @@ class LiftPoly:
         return LiftPoly(kept, self.seed)
 
     def apply(self) -> BraidSum:
-        """Expand the polynomial at the seed into a braid sum."""
-        out = BraidSum()
-        power = identity()
+        """Expand the polynomial at the seed into a braid sum.
+
+        With seed = S / q over integers, the result is sum_k (c_k / q^k) S^k:
+        integer powers of S weighted by integers over one denominator.
+        """
+        seed_ints, q = common_denominator(self.seed.terms.values())
+        seed = list(zip(self.seed.terms, seed_ints))
+        degrees = sorted(self.coeffs)
+        weights, den = common_denominator(self.coeffs[k] / q ** k
+                                          for k in degrees)
+        out = {}
+        power = {0: 1}
         current = 0
-        for k in sorted(self.coeffs):
+        for k, w in zip(degrees, weights):
             while current < k:
-                power = multiply(power, self.seed)
+                nxt = {}
+                for i, a in power.items():
+                    for n, c in seed:
+                        nxt[i + n] = nxt.get(i + n, 0) + a * c
+                power = nxt
                 current += 1
-            out = combine(out, 1, power, self.coeffs[k])
-        return out
+            for n, a in power.items():
+                out[n] = out.get(n, 0) + w * a
+        return BraidSum({n: Fraction(v, den) for n, v in out.items()})
 
 
 @dataclass(frozen=True)
@@ -86,37 +103,21 @@ class PairExpansion:
         return BraidSum(terms)
 
 
-def strengthen_step(P: LiftPoly, m: int) -> LiftPoly:
-    """One correction step at degree m >= 2.
-
-    Precondition: the integral of P applied to its seed equals t through
-    degree m - 1.  The step subtracts c times the degree-m seed power,
-    where c is the degree-m series coefficient; for the default seed the
-    even steps find c = 0 and change nothing.
-    """
-    if m < 2:
-        raise ValueError("correction steps start at degree 2")
-    z = Z(P.apply(), m)
-    expected = [Fraction(0), Fraction(1)] + [Fraction(0)] * (m - 2)
-    if list(z.coeffs[:m]) != expected:
-        raise ValueError(f"steps applied out of order: not flat below degree {m}")
-    c = z.coeffs[m]
-    if c == 0:
-        return P
-    coeffs = dict(P.coeffs)
-    coeffs[m] = coeffs.get(m, Fraction(0)) - c
-    return LiftPoly(coeffs, P.seed)
-
-
 def strengthen_to(seed: BraidSum, order: int) -> LiftPoly:
-    """Iterate correction steps through the target order (odd, >= 1)."""
+    """The lift of t through the target order (odd, >= 1) for an order-one seed.
+
+    Solved in the series ring as the reversion of Z(seed), then checked
+    once at the braid level: the integral of the lift expanded at the seed
+    must equal t.  The check shares no arithmetic with the series powers
+    inside the reversion.
+    """
     if order < 1 or order % 2 == 0:
         raise ValueError("target order must be odd and positive")
     if filtration_order(seed) != 1:
         raise ValueError("seed must have filtration order 1")
-    P = LiftPoly({1: 1 / Z_i(seed, 1)}, seed)
-    for m in range(2, order + 1):
-        P = strengthen_step(P, m)
+    P = LiftPoly(dict(enumerate(revert(Z(seed, order)).coeffs)), seed)
+    if Z(P.apply(), order) != t_series(order):
+        raise ArithmeticError(f"lift is not flat through order {order}")
     return P
 
 
@@ -124,18 +125,14 @@ def reversion_lift(order: int) -> LiftPoly:
     """The same coefficients by series reversion of 2 sinh(t/2)."""
     if order < 1 or order % 2 == 0:
         raise ValueError("target order must be odd and positive")
-    r = revert(two_sinh_half(order))
-    coeffs = {k: c for k, c in enumerate(r.coeffs) if k >= 1 and c}
-    return LiftPoly(coeffs)
+    return LiftPoly(dict(enumerate(revert(two_sinh_half(order)).coeffs)))
 
 
 def closed_form_lift(order: int) -> LiftPoly:
     """The same coefficients from the arcsinh closed form."""
     if order < 1 or order % 2 == 0:
         raise ValueError("target order must be odd and positive")
-    s = arcsinh2_closed_form(order)
-    coeffs = {k: c for k, c in enumerate(s.coeffs) if k >= 1 and c}
-    return LiftPoly(coeffs)
+    return LiftPoly(dict(enumerate(arcsinh2_closed_form(order).coeffs)))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .braid_ring import BraidSum, filtration_order
-from .power_series import Series, exp_scaled, zero_series
+from .power_series import Series, common_denominator
 
 
 class GradedValue(NamedTuple):
@@ -23,15 +23,20 @@ class GradedValue(NamedTuple):
 
 
 def Z(b: BraidSum, order: int) -> Series:
-    """Series value of the integral on b, truncated at the given order."""
+    """Series value of the integral on b, truncated at the given order.
+
+    With b_n = B_n / den over integers, the degree-i coefficient is the
+    integer moment sum_n B_n n^i divided by den 2^i i!.
+    """
     if order < 0:
         raise ValueError("negative order")
-    result = zero_series(order)
-    coeffs = list(result.coeffs)
-    for n, c in b.terms.items():
-        e = exp_scaled(Fraction(n, 2), order)
-        for i in range(order + 1):
-            coeffs[i] += c * e.coeffs[i]
+    exponents = list(b.terms)
+    moments, den = common_denominator(b.terms.values())
+    coeffs = []
+    for i in range(order + 1):
+        coeffs.append(Fraction(sum(moments), den))
+        moments = [m * n for m, n in zip(moments, exponents)]
+        den *= 2 * (i + 1)
     return Series(coeffs)
 
 
@@ -57,6 +62,8 @@ def residue(b: BraidSum) -> GradedValue:
 
 def focus_profile(b: BraidSum, jmax: int) -> list[GradedValue]:
     """Graded components for degrees 0..jmax."""
+    if jmax < 0:
+        raise ValueError("jmax must be nonnegative")
     return [GradedValue(j, Z_i(b, j)) for j in range(jmax + 1)]
 
 

@@ -4,6 +4,9 @@ A Series of truncation order N stores exactly N + 1 coefficients and all
 arithmetic is exact through degree N.  Mixed-order arithmetic truncates to
 the smaller order rather than pretending to know more digits than were
 computed.  No floating point appears anywhere in this module.
+
+Hot kernels here and in the integral and the lift expansion loop over
+integer numerators from common_denominator and return exact Fractions.
 """
 
 from __future__ import annotations
@@ -32,6 +35,16 @@ class Series:
 
     def __repr__(self):
         return f"<Series {render_series(self)}>"
+
+
+def common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators over one positive denominator: values[i] = ints[i] / den.
+
+    den is the least common denominator, so it is 1 for an empty list.
+    """
+    values = [Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def zero_series(order: int) -> Series:
@@ -100,24 +113,39 @@ def revert(s: Series) -> Series:
 
     Solved degree by degree: the system is triangular because s^k has
     valuation k.  Requires zero constant term and nonzero linear term.
+    The powers s^d are integer vectors over one denominator, reduced by
+    their common gcd at each degree.
     """
     order = s.truncation_order
     if order < 1 or s.coeffs[0] != 0:
         raise ValueError("series must have zero constant term")
     if s.coeffs[1] == 0:
         raise ValueError("series must have nonzero linear term")
+    ints, den = common_denominator(s.coeffs)
+    terms = [(j, c) for j, c in enumerate(ints) if c]
     r = [Fraction(0)] * (order + 1)
-    # partial[d] accumulates sum_{k<d} r_k s^k while powers of s are built up
-    s_power = Series([Fraction(1)] + [Fraction(0)] * order)   # s^0
+    # partial[i] accumulates [t^i] sum_{k<d} r_k s^k while powers of s are built up
     partial = [Fraction(0)] * (order + 1)
-    lead = [Fraction(1)]                                      # leading coeffs s_1^k
+    power, power_den = [1] + [0] * order, 1                   # s^0
     for d in range(1, order + 1):
-        s_power = mul(s_power, s)
-        lead.append(lead[-1] * s.coeffs[1])
-        target = Fraction(1) if d == 1 else Fraction(0)
-        r[d] = (target - partial[d]) / lead[d]
-        for i in range(order + 1):
-            partial[i] += r[d] * s_power.coeffs[i]
+        # s^d = s^(d-1) * s; s^(d-1) has valuation d - 1
+        nxt = [0] * (order + 1)
+        for i in range(d - 1, order):
+            a = power[i]
+            if a:
+                for j, c in terms:
+                    if i + j > order:
+                        break
+                    nxt[i + j] += a * c
+        power_den *= den
+        g = math.gcd(power_den, *nxt)
+        power, power_den = [x // g for x in nxt], power_den // g
+        target = 1 if d == 1 else 0
+        r[d] = (target - partial[d]) * power_den / power[d]
+        step = r[d] / power_den
+        for i in range(d + 1, order + 1):
+            if power[i]:
+                partial[i] += step * power[i]
     return Series(r)
 
 

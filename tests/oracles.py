@@ -59,6 +59,64 @@ def lagrange_revert(s):
 
 
 # ---------------------------------------------------------------------------
+# braid sums as {exponent: Fraction} maps, and stepwise strengthening
+
+TAU = {1: Fraction(1), -1: Fraction(-1)}
+
+
+def braid_mul(a, b):
+    """Product in the group algebra: q^i q^j = q^(i+j)."""
+    out = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            out[i + j] = out.get(i + j, Fraction(0)) + ca * cb
+    return {n: c for n, c in out.items() if c}
+
+
+def braid_poly(coeffs, seed):
+    """sum_k coeffs[k] seed^k by repeated multiplication, k >= 1."""
+    out = {}
+    power = {0: Fraction(1)}
+    for k in range(1, max(coeffs, default=0) + 1):
+        power = braid_mul(power, seed)
+        for n, c in power.items():
+            out[n] = out.get(n, Fraction(0)) + coeffs.get(k, 0) * c
+    return {n: c for n, c in out.items() if c}
+
+
+def integral(b, order):
+    """Degree-i coefficients sum_n b_n (n/2)^i / i! of exp(n t / 2), i <= order."""
+    return [sum((c * Fraction(n, 2) ** i for n, c in b.items()), Fraction(0))
+            / math.factorial(i) for i in range(order + 1)]
+
+
+def strengthen_step(coeffs, m, seed=TAU):
+    """One correction of a lift polynomial at degree m >= 2.
+
+    Precondition: the integral of the lift expanded at the seed equals t
+    below degree m.  If its degree-m coefficient is c, subtracting
+    c / s1^m times seed^m removes it, where s1 is the degree-1 coefficient
+    of the seed's integral (seed^m has integral s1^m t^m + ...).
+    """
+    if m < 2:
+        raise ValueError("correction steps start at degree 2")
+    z = integral(braid_poly(coeffs, seed), m)
+    if z[:m] != [0, 1] + [0] * (m - 2):
+        raise ValueError(f"steps applied out of order: not flat below degree {m}")
+    out = dict(coeffs)
+    out[m] = out.get(m, Fraction(0)) - z[m] / integral(seed, 1)[1] ** m
+    return {k: c for k, c in out.items() if c}
+
+
+def strengthen_stepwise(seed, order):
+    """The lift of t through the order, one correction step per degree."""
+    coeffs = {1: 1 / integral(seed, 1)[1]}
+    for m in range(2, order + 1):
+        coeffs = strengthen_step(coeffs, m, seed)
+    return coeffs
+
+
+# ---------------------------------------------------------------------------
 # naive exact linear algebra
 
 def gauss_inverse(rows):

@@ -225,12 +225,21 @@ def test_reproduce_single_table():
     ["trace", "--sequence", "{tmp}/array.json"],
     ["lift", "--order", "5", "--out", "{tmp}/missing/x"],
     ["basis", "--r", "0", "--solve-t"],
+    ["trace", "--sequence", "{tmp}/empty.json"],
+    ["trace", "--sequence", "{tmp}/one.json"],
+    ["zmap", "--jmax", "-1"],
+    ["trace", "--jmax", "-1"],
 ], ids=["negative-order", "zero-denominator", "sequence-zero-denominator",
-        "sequence-top-level-array", "missing-out-dir", "solve-t-at-r-0"])
+        "sequence-top-level-array", "missing-out-dir", "solve-t-at-r-0",
+        "sequence-empty", "sequence-one-item", "zmap-negative-jmax",
+        "trace-negative-jmax"])
 def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     (tmp_path / "zero.json").write_text('{"items": [{"1": "1/0"}]}',
                                         encoding="utf-8")
     (tmp_path / "array.json").write_text('[{"1": "1"}]', encoding="utf-8")
+    (tmp_path / "empty.json").write_text('{"items": []}', encoding="utf-8")
+    (tmp_path / "one.json").write_text('{"items": [{"1": "1"}]}',
+                                       encoding="utf-8")
     result = run_cli(*(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
     assert result.returncode == 1
     assert result.stderr.startswith("error: ")
@@ -256,3 +265,17 @@ def test_basis_solve_t_inverts_once(monkeypatch, capsys):
     assert calls == []
     assert capsys.readouterr().err == \
         "error: --solve-t applies to the balanced basis\n"
+
+
+def test_qexpand_rejects_a_bad_power_before_strengthening(monkeypatch, capsys):
+    calls = []
+    strengthen_to = cli.strengthen_to
+
+    def counting_strengthen_to(seed, order):
+        calls.append(order)
+        return strengthen_to(seed, order)
+
+    monkeypatch.setattr(cli, "strengthen_to", counting_strengthen_to)
+    assert cli.main(["qexpand", "--order", "61", "--power", "0"]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == "error: power must be positive\n"

@@ -5,12 +5,13 @@ import pytest
 
 from braidinv.braid_ring import (BraidSum, combine, identity, multiply, pair,
                                  sigma, tau, tau_power)
+from braidinv import inverse_engine
 from braidinv.inverse_engine import (LiftPoly, PairExpansion,
                                      SymmetricExpansion, asymptotic_check,
                                      closed_form_lift, pair_limit_target,
-                                     q_expand, reversion_lift,
-                                     strengthen_step, strengthen_to)
+                                     q_expand, reversion_lift, strengthen_to)
 from braidinv.kontsevich import Z
+from braidinv.power_series import Series
 
 import oracles
 
@@ -39,19 +40,19 @@ def test_liftpoly_truncate_and_apply():
 
 
 def test_strengthen_single_steps():
-    P1 = LiftPoly({1: 1})
-    P3 = strengthen_step(strengthen_step(P1, 2), 3)
-    assert P3.coeffs == {1: frac(1), 3: frac(-1, 24)}
-    P5 = strengthen_step(strengthen_step(P3, 4), 5)
-    assert P5.coeffs == {1: frac(1), 3: frac(-1, 24), 5: frac(3, 640)}
+    P1 = {1: frac(1)}
+    P3 = oracles.strengthen_step(oracles.strengthen_step(P1, 2), 3)
+    assert P3 == {1: frac(1), 3: frac(-1, 24)}
+    P5 = oracles.strengthen_step(oracles.strengthen_step(P3, 4), 5)
+    assert P5 == {1: frac(1), 3: frac(-1, 24), 5: frac(3, 640)}
 
 
 def test_strengthen_step_rejects_misuse():
     with pytest.raises(ValueError):
-        strengthen_step(LiftPoly({1: 1}), 1)
+        oracles.strengthen_step({1: frac(1)}, 1)
     # degree 4 step before the degree 3 correction: precondition broken
     with pytest.raises(ValueError):
-        strengthen_step(LiftPoly({1: 1}), 4)
+        oracles.strengthen_step({1: frac(1)}, 4)
 
 
 def test_strengthen_to_golden_13():
@@ -90,6 +91,43 @@ def test_strengthen_general_seed():
     assert P.coeffs[3] == frac(1, 12)
     z = Z(P.apply(), 3)
     assert list(z.coeffs) == [0, 1, 0, 0]
+    # seeds whose integral has a linear coefficient other than 1
+    for seed in (seed, BraidSum({1: 2, -1: -2}),
+                 BraidSum({1: frac(1, 3), -1: frac(-1, 3)})):
+        for order in (1, 3, 5, 7, 9):
+            P = strengthen_to(seed, order)
+            z = Z(P.apply(), order)
+            assert list(z.coeffs) == [0, 1] + [0] * (order - 1)
+            assert P.coeffs == oracles.strengthen_stepwise(seed.terms, order)
+
+
+def test_strengthen_solves_once_and_checks_once(monkeypatch):
+    calls = []
+    for name in ("revert", "Z"):
+        original = getattr(inverse_engine, name)
+
+        def counting(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(inverse_engine, name, counting)
+    apply = LiftPoly.apply
+
+    def counting_apply(self):
+        calls.append("apply")
+        return apply(self)
+
+    monkeypatch.setattr(LiftPoly, "apply", counting_apply)
+    strengthen_to(tau(), 21)
+    assert calls == ["Z", "revert", "apply", "Z"]
+
+
+def test_strengthen_reports_a_broken_invariant(monkeypatch):
+    revert = inverse_engine.revert
+    monkeypatch.setattr(inverse_engine, "revert",
+                        lambda s: Series(revert(s).coeffs[:-1] + (1,)))
+    with pytest.raises(ArithmeticError, match="not flat through order 5"):
+        strengthen_to(tau(), 5)
 
 
 def test_q_expand_golden_rows():
