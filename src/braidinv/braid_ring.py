@@ -6,9 +6,10 @@ Laurent polynomials in q.  A BraidSum stores an element as a sparse map from
 integer exponent to nonzero Fraction coefficient.
 
 The finite-type filtration order of an element is computed along two
-independent routes that must agree: the number of leading vanishing moments
-sum_n c_n n^i, and the multiplicity of q = 1 as a root of the associated
-Laurent polynomial.  The zero element has order INFINITE.
+independent routes that must agree, both over the stored terms only: the
+number of leading vanishing power moments sum_n c_n n^i, and the number of
+leading vanishing derivatives at q = 1 (the root multiplicity there).  The
+zero element has order INFINITE.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+from .power_series import common_denominator
 
 INFINITE = math.inf
 
@@ -109,17 +112,11 @@ def multiply(a: BraidSum, b: BraidSum) -> BraidSum:
 
 
 @lru_cache(maxsize=None)
-def _tau_power(k: int) -> BraidSum:
-    if k == 0:
-        return identity()
-    return multiply(_tau_power(k - 1), tau())
-
-
 def tau_power(k: int) -> BraidSum:
     """k-th power of tau, k >= 0."""
     if k < 0:
         raise ValueError("negative power of tau")
-    return _tau_power(k)
+    return identity() if k == 0 else multiply(tau_power(k - 1), tau())
 
 
 def coefficient(b: BraidSum, n: int) -> Fraction:
@@ -127,50 +124,59 @@ def coefficient(b: BraidSum, n: int) -> Fraction:
     return b.terms.get(n, Fraction(0))
 
 
+def moments(b: BraidSum):
+    """b's common denominator den and an unbounded lazy iterator of moments.
+
+    With b_n = B_n / den over integers, it yields sum_n B_n n^i, i = 0, 1, ...
+    """
+    exponents = list(b.terms)
+    numerators, den = common_denominator(b.terms.values())
+
+    def power_sums(weights):
+        while True:
+            yield sum(weights)
+            weights = [w * n for w, n in zip(weights, exponents)]
+
+    return den, power_sums(numerators)
+
+
 def _moment_order(b: BraidSum) -> int:
     # first j with sum_n c_n n^j nonzero; bounded by the term count because
     # the root multiplicity of a Laurent polynomial at q = 1 is below it
-    bound = len(b.terms)
-    for j in range(bound + 1):
-        if sum(c * n ** j for n, c in b.terms.items()) != 0:
+    _, sums = moments(b)
+    for j, total in zip(range(len(b.terms) + 1), sums):
+        if total:
             return j
     raise ArithmeticError("moment order exceeded its theoretical bound")
 
 
-def _division_order(b: BraidSum) -> int:
-    exponents = sorted(b.terms)
-    shift = exponents[0]
-    degree = exponents[-1] - shift
-    poly = [Fraction(0)] * (degree + 1)
-    for n, c in b.terms.items():
-        poly[n - shift] = c
-    multiplicity = 0
-    while sum(poly) == 0:
-        # synthetic division by (q - 1); exact because the remainder is zero
-        quotient = [Fraction(0)] * (len(poly) - 1)
-        acc = Fraction(0)
-        for i in range(len(poly) - 1, 0, -1):
-            acc += poly[i]
-            quotient[i - 1] = acc
-        poly = quotient
-        multiplicity += 1
-    return multiplicity
+def _derivative_order(b: BraidSum) -> int:
+    # first k with the k-th derivative at q = 1, sum_n c_n n(n-1)...(n-k+1),
+    # nonzero; Stirling numbers relate these falling-factorial moments to
+    # the power moments triangularly, so both routes stop at the same k
+    exponents = list(b.terms)
+    weights = list(b.terms.values())
+    for k in range(len(exponents) + 1):
+        if sum(weights):
+            return k
+        weights = [w * (n - k) for w, n in zip(weights, exponents)]
+    raise ArithmeticError("derivative order exceeded its theoretical bound")
 
 
 def filtration_order(b: BraidSum):
     """Filtration order of b: an integer, or INFINITE for the zero sum.
 
-    Both the moment route and the root-multiplicity route are evaluated and
+    Both the moment route and the derivative route are evaluated and
     compared on every call; a disagreement would mean a bug in one of them.
     """
     if not b:
         return INFINITE
-    moments = _moment_order(b)
-    division = _division_order(b)
-    if moments != division:
+    order = _moment_order(b)
+    check = _derivative_order(b)
+    if order != check:
         raise ArithmeticError(
-            f"order routes disagree: moments {moments}, division {division}")
-    return moments
+            f"order routes disagree: moments {order}, derivatives {check}")
+    return order
 
 
 def render(b: BraidSum) -> str:

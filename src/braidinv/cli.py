@@ -334,6 +334,9 @@ def cmd_trace(args) -> int:
     window = args.window
     if window < 2:
         raise ValueError("--window must be at least 2")
+    if args.jmax < 0:
+        # checked here as well, so a bad jmax fails before building a sequence
+        raise ValueError("jmax must be nonnegative")
     if args.sequence in STOCK_SEQUENCES:
         seq = STOCK_SEQUENCES[args.sequence](window)
     else:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .braid_ring import BraidSum, coefficient, combine, filtration_order, tau
 from .inverse_engine import strengthen_to
-from .kontsevich import Z_i
+from .kontsevich import Z
 
 CAVEAT = ("finite-window evidence only; no verdict here asserts a limit")
 
@@ -42,7 +42,7 @@ def coefficient_trace(seq: BraidSumSequence, n: int) -> list[Fraction]:
 
 
 def z_trace(seq: BraidSumSequence, j: int) -> list[Fraction]:
-    return [Z_i(b, j) for b in seq.items]
+    return [Z(b, j).coeffs[j] for b in seq.items]
 
 
 def classify_trace(values, min_diffs: int = 3) -> str:
@@ -137,7 +137,8 @@ def biconvergence_report(seq: BraidSumSequence, jmax: int,
     exponent_classes = {n: classify_trace(coefficient_trace(trimmed, n),
                                           maturity)
                         for n in exponents}
-    z_classes = {j: classify_trace(z_trace(trimmed, j), maturity)
+    integrals = [Z(b, jmax).coeffs for b in trimmed.items]
+    z_classes = {j: classify_trace([s[j] for s in integrals], maturity)
                  for j in range(jmax + 1)}
     cond_c = filtration_condition_c(trimmed)
     verdict_a = "fail" if "diverging" in exponent_classes.values() else "pass"

@@ -116,6 +116,33 @@ def strengthen_stepwise(seed, order):
     return coeffs
 
 
+def root_multiplicity_at_one(b):
+    """Multiplicity of q = 1 as a root of the Laurent polynomial sum_n b_n q^n.
+
+    Shifts to an ordinary polynomial on a dense coefficient list and divides
+    by (q - 1) synthetically while the remainder, the value at q = 1, is
+    zero.  The zero sum vanishes to every order: math.inf.
+    """
+    b = {n: c for n, c in b.items() if c}
+    if not b:
+        return math.inf
+    low = min(b)
+    poly = [Fraction(0)] * (max(b) - low + 1)
+    for n, c in b.items():
+        poly[n - low] = Fraction(c)
+    multiplicity = 0
+    while sum(poly) == 0:
+        # quotient coefficient of q^(i-1) is the sum of poly[j] for j >= i
+        quotient = []
+        acc = Fraction(0)
+        for c in reversed(poly[1:]):
+            acc += c
+            quotient.append(acc)
+        poly = quotient[::-1]
+        multiplicity += 1
+    return multiplicity
+
+
 # ---------------------------------------------------------------------------
 # naive exact linear algebra
 

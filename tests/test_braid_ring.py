@@ -103,7 +103,7 @@ def test_filtration_order_basics():
 
 def test_filtration_order_of_pairs():
     """Each antisymmetric pair has order exactly 1 (zero sum, nonzero mean)."""
-    for n in (1, 2, 3, 7):
+    for n in (1, 2, 3, 7, 10 ** 18):
         assert filtration_order(pair(n)) == 1
 
 

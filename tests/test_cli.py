@@ -279,3 +279,31 @@ def test_qexpand_rejects_a_bad_power_before_strengthening(monkeypatch, capsys):
     assert cli.main(["qexpand", "--order", "61", "--power", "0"]) == 1
     assert calls == []
     assert capsys.readouterr().err == "error: power must be positive\n"
+
+
+def test_trace_rejects_a_negative_jmax_before_building(monkeypatch, capsys):
+    calls = []
+    build = cli.STOCK_SEQUENCES["tauhat"]
+
+    def counting_build(count):
+        calls.append(count)
+        return build(count)
+
+    monkeypatch.setitem(cli.STOCK_SEQUENCES, "tauhat", counting_build)
+    assert cli.main(["trace", "--sequence", "tauhat", "--jmax", "-1",
+                     "--window", "120"]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == "error: jmax must be nonnegative\n"
+
+
+def test_trace_handles_huge_exponents(tmp_path):
+    big = "1000000000000000000"
+    payload = {"label": "huge-pairs",
+               "items": [{big: "1", f"-{big}": "-1"},
+                         {big: "2", f"-{big}": "-2"}]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    result = run_cli("trace", "--sequence", str(path))
+    assert result.returncode == 0, result.stderr
+    assert "satisfied" in result.stdout
+    assert "1 pairs checked" in result.stdout

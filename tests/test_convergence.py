@@ -10,7 +10,7 @@ from braidinv.convergence import (BraidSumSequence, additivity_check,
                                   harmonic_sigma_sequence,
                                   lift_truncation_sequence,
                                   pair_partial_sequence, z_trace)
-from braidinv.kontsevich import Z_i
+from braidinv.kontsevich import Z
 from braidinv.regularization import leibniz_partial
 
 
@@ -142,7 +142,7 @@ def test_lift_truncation_items():
     seq = lift_truncation_sequence(3)
     assert seq.items[0] == tau()
     assert seq.item(1) == tau()
-    assert Z_i(seq.item(3), 5) == 0
+    assert Z(seq.item(3), 5).coeffs[5] == 0
 
 
 def test_harmonic_sequence_values():

@@ -1,14 +1,19 @@
-"""Property tests for the integer kernels against Fraction-only oracles.
+"""Property tests for the integer kernels and the braid ring.
 
 revert, Z and LiftPoly.apply work on integer numerators over one common
-denominator; each property compares them with a route that never does.
+denominator; each property compares them with a Fraction-only route that
+never does.  The braid ring laws and the filtration order are checked
+against the ring axioms and the synthetic-division oracle.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
-from braidinv.braid_ring import BraidSum, multiply, tau
+from braidinv import braid_ring
+from braidinv.braid_ring import (BraidSum, combine, filtration_order, identity,
+                                 multiply, tau)
 from braidinv.inverse_engine import LiftPoly, strengthen_to
 from braidinv.kontsevich import Z
 from braidinv.power_series import Series, compose, mul, revert, t_series
@@ -18,6 +23,16 @@ import oracles
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 nonzero = rationals.filter(bool)
 braid_sums = st.dictionaries(st.integers(-7, 7), rationals, max_size=5)
+Q_MINUS_1 = {1: Fraction(1), 0: Fraction(-1)}
+
+
+@st.composite
+def vanishing_sums(draw):
+    """(q - 1)^k times a random sum, exponents in [-12, 12]: order k or more."""
+    terms = draw(st.dictionaries(st.integers(-8, 8), rationals, max_size=5))
+    for _ in range(draw(st.integers(0, 4))):
+        terms = oracles.braid_mul(terms, Q_MINUS_1)
+    return BraidSum(terms)
 
 
 @st.composite
@@ -53,3 +68,30 @@ def test_strengthen_matches_the_stepwise_oracle():
     for order in range(1, 22, 2):
         assert strengthen_to(tau(), order).coeffs == \
             oracles.strengthen_stepwise(oracles.TAU, order)
+
+
+@given(braid_sums, braid_sums, braid_sums, rationals, rationals)
+def test_multiply_is_a_commutative_ring_product(a, b, c, x, y):
+    a, b, c = BraidSum(a), BraidSum(b), BraidSum(c)
+    assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+    assert multiply(a, b) == multiply(b, a)
+    assert multiply(a, combine(b, x, c, y)) == \
+        combine(multiply(a, b), x, multiply(a, c), y)
+    assert multiply(a, identity()) == a
+
+
+@given(vanishing_sums())
+def test_filtration_order_is_the_root_multiplicity_at_one(b):
+    assert filtration_order(b) == oracles.root_multiplicity_at_one(b.terms)
+
+
+@given(vanishing_sums().filter(bool), vanishing_sums().filter(bool))
+def test_filtration_order_adds_under_product(a, b):
+    assert filtration_order(multiply(a, b)) == \
+        filtration_order(a) + filtration_order(b)
+
+
+def test_filtration_order_reports_disagreeing_routes(monkeypatch):
+    monkeypatch.setattr(braid_ring, "_derivative_order", lambda b: 2)
+    with pytest.raises(ArithmeticError, match="order routes disagree"):
+        filtration_order(tau())
