@@ -1,12 +1,19 @@
 """Exact moment matrices over braid power bases and their inverses.
 
 The balanced basis takes braid powers in the node order 0, 1, -1, 2, -2, ...
-and row i of the matrix holds the i-th powers of the nodes (0^0 = 1).  Its
-inverse is computed by fraction-free Bareiss elimination and verified by
-multiplying back.  Specific inverse entries form sequences with number
-theoretic content: the (1,3) entries are minus the partial sums of 1/k^2.
-The unbalanced variant on nodes 0..r is there to show the opposite, its
-entries grow without bound.
+and row i of the matrix holds the i-th powers of the nodes (0^0 = 1),
+divided by i! with factorials.  Row k of the inverse holds the coefficients
+of the Lagrange polynomial of node k, w(x) / ((x - n_k) w'(n_k)) with
+w(x) = prod_j (x - n_j), read off one synthetic division of w over the
+integers (Macon and Spitzbart, Amer. Math. Monthly 65, 1958); factorials
+only rescale its columns.  Every inverse is verified entry by entry,
+N*M = I, by evaluating each row polynomial at every node on integers.
+
+Over the balanced nodes, row 1 is the partial Euler product
+prod_{k<=r} (1 - x^2/k^2) of sin(pi x)/(pi x), so the (1,3) entries are
+minus the partial sums of 1/k^2, and column 1 holds the centered
+finite-difference weights for f'(0).  The unbalanced variant on nodes
+0..r is there to show the opposite, its entries grow without bound.
 """
 
 from __future__ import annotations
@@ -16,10 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .braid_ring import BraidSum
-
-
-class SingularMatrixError(ValueError):
-    """Raised when elimination finds no usable pivot."""
 
 
 @dataclass
@@ -47,18 +50,22 @@ class ExactMatrix:
         return self.dim == other.dim and self.rows == other.rows
 
 
-def identity_matrix(n: int) -> ExactMatrix:
-    return ExactMatrix(n, [[Fraction(int(i == j)) for j in range(n)]
-                           for i in range(n)])
+class MomentMatrix(ExactMatrix):
+    """Row i holds n^i (over i! with factorials) for distinct integer nodes n."""
+
+    def __init__(self, nodes, with_factorials: bool = False):
+        self.nodes = tuple(nodes)
+        if len(set(self.nodes)) != len(self.nodes):
+            raise ValueError("moment matrix nodes must be distinct")
+        self.with_factorials = with_factorials
+        scale = _column_scale(len(self.nodes), with_factorials)
+        super().__init__(len(self.nodes),
+                         [[Fraction(n ** i, f) for n in self.nodes]
+                          for i, f in enumerate(scale)])
 
 
-def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    n = a.dim
-    rows = [[sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), Fraction(0))
-             for j in range(n)] for i in range(n)]
-    return ExactMatrix(n, rows)
+def _column_scale(dim: int, with_factorials: bool) -> list[int]:
+    return [math.factorial(i) if with_factorials else 1 for i in range(dim)]
 
 
 def balanced_nodes(r: int) -> list[int]:
@@ -68,65 +75,60 @@ def balanced_nodes(r: int) -> list[int]:
     return nodes
 
 
-def _moment_matrix(nodes, with_factorials=False) -> ExactMatrix:
-    dim = len(nodes)
-    rows = []
-    for i in range(dim):
-        row = [Fraction(1 if n == 0 and i == 0 else n ** i) for n in nodes]
-        if with_factorials:
-            f = math.factorial(i)
-            row = [x / f for x in row]
-        rows.append(row)
-    return ExactMatrix(dim, rows)
-
-
-def build_balanced(r: int, with_factorials: bool = False) -> ExactMatrix:
+def build_balanced(r: int, with_factorials: bool = False) -> MomentMatrix:
     """(2r+1) x (2r+1) moment matrix over the nodes 0, 1, -1, ..., r, -r."""
     if r < 0:
         raise ValueError("negative order")
-    return _moment_matrix(balanced_nodes(r), with_factorials)
+    return MomentMatrix(balanced_nodes(r), with_factorials)
 
 
-def build_unbalanced(r: int, with_factorials: bool = False) -> ExactMatrix:
+def build_unbalanced(r: int, with_factorials: bool = False) -> MomentMatrix:
     """(r+1) x (r+1) moment matrix over the one-sided nodes 0..r."""
     if r < 0:
         raise ValueError("negative order")
-    return _moment_matrix(list(range(r + 1)), with_factorials)
+    return MomentMatrix(range(r + 1), with_factorials)
 
 
-def invert(M: ExactMatrix) -> ExactMatrix:
-    """Exact inverse via Bareiss elimination, verified by M*N = I.
+def _lagrange_rows(nodes, scale) -> list[list[Fraction]]:
+    """Row k: coefficients of w(x) / (x - n_k) over prod_{j != k} (n_k - n_j)."""
+    w = [1]
+    for a in nodes:
+        w = [0] + w
+        for i in range(len(w) - 1):
+            w[i] -= a * w[i + 1]
+    rows = []
+    for a in nodes:
+        q = [0] * len(nodes)
+        q[-1] = w[-1]
+        for i in range(len(q) - 1, 0, -1):
+            q[i - 1] = w[i] + a * q[i]
+        value = math.prod(a - b for b in nodes if b != a)
+        rows.append([Fraction(c * f, value) for c, f in zip(q, scale)])
+    return rows
 
-    The fraction-free update keeps intermediate entries as small as the
-    theory allows; the divisions it performs are exact by construction.
-    """
-    n = M.dim
-    work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(M.rows)]
-    prev = Fraction(1)
-    for k in range(n):
-        if work[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if work[r][k] != 0), None)
-            if swap is None:
-                raise SingularMatrixError(f"no pivot in column {k}")
-            work[k], work[swap] = work[swap], work[k]
-        pivot = work[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, 2 * n):
-                work[i][j] = (pivot * work[i][j] - work[i][k] * work[k][j]) / prev
-            work[i][k] = Fraction(0)
-        prev = pivot
-    inverse_rows = [[Fraction(0)] * n for _ in range(n)]
-    for col in range(n):
-        for i in range(n - 1, -1, -1):
-            acc = work[i][n + col]
-            for j in range(i + 1, n):
-                acc -= work[i][j] * inverse_rows[j][col]
-            inverse_rows[i][col] = acc / work[i][i]
-    N = ExactMatrix(n, inverse_rows)
-    if mat_mul(M, N) != identity_matrix(n):
-        raise ArithmeticError("inverse failed its own verification")
-    return N
+
+def _verify(nodes, scale, rows) -> None:
+    """N*M = I in every entry: row k's polynomial is 1 at n_k, 0 elsewhere."""
+    for k, row in enumerate(rows):
+        coeffs = [x / f for x, f in zip(row, scale)]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
+        for j, x in enumerate(nodes):
+            acc = 0
+            for c in ints:
+                acc = acc * x + c
+            if acc != (den if j == k else 0):
+                raise ArithmeticError("inverse failed its own verification")
+
+
+def invert(M: MomentMatrix) -> ExactMatrix:
+    """Exact inverse of a moment matrix from its Lagrange rows, verified."""
+    if not isinstance(M, MomentMatrix):
+        raise ValueError("invert needs a moment matrix")
+    scale = _column_scale(M.dim, M.with_factorials)
+    rows = _lagrange_rows(M.nodes, scale)
+    _verify(M.nodes, scale, rows)
+    return ExactMatrix(M.dim, rows)
 
 
 def entry_sequence(row: int, col: int, r_range) -> list[Fraction]:

@@ -2,13 +2,12 @@
 
 Subcommands: lift, zmap, qexpand, asymptotics, beta, basis, trace,
 reproduce.  Exit codes: 0 when everything asked for passed, 1 for bad
-input, 2 when a computation disagrees with a bundled reference value or a
-matrix has no inverse.
+input, 2 when a computation disagrees with a bundled reference value.
 
 The library raises ValueError for bad input and ArithmeticError for a
 broken internal invariant.  main() alone turns exceptions into exit codes:
-SingularMatrixError exits 2, any other ValueError or an OSError exits 1
-with one `error:` line, and an ArithmeticError keeps its traceback.
+a ValueError or an OSError exits 1 with one `error:` line, and an
+ArithmeticError keeps its traceback.
 
 The reproduce subcommand checks computed tables against reference values
 recorded from the source material this artifact reproduces.  Two reference
@@ -27,9 +26,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .basis_solver import (SingularMatrixError, balanced_nodes, build_balanced,
-                           build_unbalanced, entry_sequence, invert,
-                           solve_t_target)
+from .basis_solver import (balanced_nodes, build_balanced, build_unbalanced,
+                           entry_sequence, invert, solve_t_target)
 from .braid_ring import (BraidSum, coefficient, combine, identity, pair,
                          render, sigma, sigma_bar, sigma_power, tau)
 from .convergence import (BraidSumSequence, biconvergence_report,
@@ -551,9 +549,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except SingularMatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -169,6 +169,33 @@ def gauss_inverse(rows):
 
 
 # ---------------------------------------------------------------------------
+# closed forms for row 1 and column 1 of the balanced inverse
+
+def euler_product_row(r):
+    """Coefficients of prod_{k=1}^{r} (1 - x^2/k^2), ascending, length 2r + 1."""
+    coeffs = [Fraction(1)]
+    for k in range(1, r + 1):
+        nxt = coeffs + [Fraction(0), Fraction(0)]
+        for i, c in enumerate(coeffs):
+            nxt[i + 2] -= c / (k * k)
+        coeffs = nxt
+    return coeffs
+
+
+def difference_weights(r):
+    """Centered weights c_n, n = 0, 1, -1, ..., r, -r, for f'(0) on nodes -r..r.
+
+    c_0 = 0 and c_{+-k} = +-(-1)^(k+1) (r!)^2 / (k (r-k)! (r+k)!).
+    """
+    out = [Fraction(0)]
+    for k in range(1, r + 1):
+        c = Fraction((-1) ** (k + 1) * math.factorial(r) ** 2,
+                     k * math.factorial(r - k) * math.factorial(r + k))
+        out += [c, -c]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Euler numbers from the sech generating series
 
 def euler_numbers_sech(kmax):

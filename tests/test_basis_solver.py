@@ -1,13 +1,12 @@
-import random
+import math
 from fractions import Fraction
 
 import pytest
 
-from braidinv.basis_solver import (ExactMatrix, SingularMatrixError,
-                                   balanced_nodes, build_balanced,
-                                   build_unbalanced, entry_sequence,
-                                   identity_matrix, invert, mat_mul,
-                                   solve_t_target, zeta2_check)
+from braidinv.basis_solver import (ExactMatrix, balanced_nodes,
+                                   build_balanced, build_unbalanced,
+                                   entry_sequence, invert, solve_t_target,
+                                   zeta2_check)
 from braidinv.braid_ring import BraidSum
 
 import oracles
@@ -50,8 +49,16 @@ def test_invert_m1():
 
 
 def test_invert_identity_and_m2_entry():
-    assert invert(identity_matrix(3)) == identity_matrix(3)
+    # the only moment matrix that is an identity is the 1x1 one
+    assert invert(build_balanced(0)) == ExactMatrix(1, [[1]])
+    assert invert(build_unbalanced(0, with_factorials=True)) == \
+        ExactMatrix(1, [[1]])
     assert invert(build_balanced(2)).entry(1, 3) == frac(-5, 4)
+
+
+def test_invert_needs_a_moment_matrix():
+    with pytest.raises(ValueError, match="moment matrix"):
+        invert(ExactMatrix(2, [[1, 0], [0, 1]]))
 
 
 def test_entry_bounds():
@@ -62,32 +69,29 @@ def test_entry_bounds():
         M.entry(1, 4)
 
 
-def test_invert_rejects_singular():
-    with pytest.raises(SingularMatrixError):
-        invert(ExactMatrix(2, [[1, 2], [2, 4]]))
+ORACLE_ORDERS = list(range(1, 25)) + [60]
 
 
-def test_invert_matches_gauss_oracle_random():
-    rng = random.Random(950)
-    done = 0
-    while done < 12:
-        n = rng.randrange(1, 5)
-        rows = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(n)]
-        try:
-            expected = oracles.gauss_inverse(rows)
-        except ZeroDivisionError:
-            with pytest.raises(SingularMatrixError):
-                invert(ExactMatrix(n, rows))
-            continue
-        assert invert(ExactMatrix(n, rows)).rows == expected
-        done += 1
+def test_row_one_is_the_partial_euler_product():
+    for r in [0] + ORACLE_ORDERS:
+        assert invert(build_balanced(r)).rows[0] == oracles.euler_product_row(r)
 
 
-def test_invert_is_involutive_random():
-    rng = random.Random(951)
-    for _ in range(6):
-        M = build_balanced(rng.randrange(1, 4))
-        assert invert(invert(M)) == M
+def test_column_one_holds_the_difference_weights():
+    for r in ORACLE_ORDERS:
+        N = invert(build_balanced(r))
+        assert [row[1] for row in N.rows] == oracles.difference_weights(r)
+        assert solve_t_target(N)[0] == oracles.difference_weights(r)
+
+
+def test_with_factorials_rescales_the_inverse_columns():
+    for build in (build_balanced, build_unbalanced):
+        for r in range(6):
+            plain = invert(build(r))
+            scaled = invert(build(r, with_factorials=True))
+            assert scaled.rows == [[x * math.factorial(i)
+                                    for i, x in enumerate(row)]
+                                   for row in plain.rows]
 
 
 def test_zeta2_entries():
@@ -140,8 +144,3 @@ def test_solve_t_target_solves_the_system():
             assert lhs == (1 if i == 1 else 0)
     with pytest.raises(ValueError):
         solve_t_target(invert(build_balanced(0)))
-
-
-def test_mat_mul_shapes():
-    with pytest.raises(ValueError):
-        mat_mul(identity_matrix(2), identity_matrix(3))

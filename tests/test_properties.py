@@ -3,15 +3,18 @@
 revert, Z and LiftPoly.apply work on integer numerators over one common
 denominator; each property compares them with a Fraction-only route that
 never does.  The braid ring laws and the filtration order are checked
-against the ring axioms and the synthetic-division oracle.
+against the ring axioms and the synthetic-division oracle, and the
+Lagrange-row moment-matrix inverse against Gauss-Jordan elimination.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from braidinv import braid_ring
+from braidinv import basis_solver, braid_ring
+from braidinv.basis_solver import MomentMatrix, build_balanced, invert
 from braidinv.braid_ring import (BraidSum, combine, filtration_order, identity,
                                  multiply, tau)
 from braidinv.inverse_engine import LiftPoly, strengthen_to
@@ -24,6 +27,7 @@ rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 nonzero = rationals.filter(bool)
 braid_sums = st.dictionaries(st.integers(-7, 7), rationals, max_size=5)
 Q_MINUS_1 = {1: Fraction(1), 0: Fraction(-1)}
+node_sets = st.lists(st.integers(-20, 20), min_size=1, max_size=8, unique=True)
 
 
 @st.composite
@@ -95,3 +99,35 @@ def test_filtration_order_reports_disagreeing_routes(monkeypatch):
     monkeypatch.setattr(braid_ring, "_derivative_order", lambda b: 2)
     with pytest.raises(ArithmeticError, match="order routes disagree"):
         filtration_order(tau())
+
+
+@given(node_sets, st.booleans())
+def test_invert_matches_gauss_jordan(nodes, with_factorials):
+    rows = [[Fraction(n ** i, math.factorial(i) if with_factorials else 1)
+             for n in nodes] for i in range(len(nodes))]
+    M = MomentMatrix(nodes, with_factorials)
+    assert M.rows == rows
+    assert invert(M).rows == oracles.gauss_inverse(rows)
+
+
+@given(node_sets, st.data())
+def test_moment_matrix_rejects_repeated_nodes(nodes, data):
+    repeat = data.draw(st.sampled_from(nodes))
+    at = data.draw(st.integers(0, len(nodes)))
+    with pytest.raises(ValueError, match="distinct"):
+        MomentMatrix(nodes[:at] + [repeat] + nodes[at:])
+
+
+def test_invert_reports_any_corrupted_entry(monkeypatch):
+    lagrange_rows = basis_solver._lagrange_rows
+    dim = build_balanced(2).dim
+    for k in range(dim):
+        for i in range(dim):
+            def corrupted(nodes, scale, k=k, i=i):
+                rows = lagrange_rows(nodes, scale)
+                rows[k][i] += Fraction(1, 10 ** 9)
+                return rows
+            monkeypatch.setattr(basis_solver, "_lagrange_rows", corrupted)
+            with pytest.raises(ArithmeticError,
+                               match="inverse failed its own verification"):
+                invert(build_balanced(2))
