@@ -33,7 +33,8 @@ class ExactMatrix:
     def __post_init__(self):
         if self.dim < 1 or len(self.rows) != self.dim:
             raise ValueError("matrix shape mismatch")
-        self.rows = [[Fraction(x) for x in row] for row in self.rows]
+        self.rows = [[x if type(x) is Fraction else Fraction(x) for x in row]
+                     for row in self.rows]
         for row in self.rows:
             if len(row) != self.dim:
                 raise ValueError("matrix shape mismatch")

@@ -4,6 +4,12 @@ Subcommands: lift, zmap, qexpand, asymptotics, beta, basis, trace,
 reproduce.  Exit codes: 0 when everything asked for passed, 1 for bad
 input, 2 when a computation disagrees with a bundled reference value.
 
+Every subcommand imports braid_ring, inverse_engine, kontsevich and
+render; the rest is imported by the commands that use it: basis_solver by
+basis and reproduce, regularization by beta and reproduce, convergence by
+trace, and mpmath only for float columns (asymptotics, beta --s 1,
+basis --solve-t).
+
 The library raises ValueError for bad input and ArithmeticError for a
 broken internal invariant.  main() alone turns exceptions into exit codes:
 a ValueError or an OSError exits 1 with one `error:` line, and an
@@ -24,19 +30,11 @@ import os
 import sys
 from fractions import Fraction
 
-import mpmath
-
-from .basis_solver import (balanced_nodes, build_balanced, build_unbalanced,
-                           entry_sequence, invert, solve_t_target)
 from .braid_ring import (BraidSum, coefficient, combine, identity, pair,
                          render, sigma, sigma_bar, sigma_power, tau)
-from .convergence import (BraidSumSequence, biconvergence_report,
-                          harmonic_sigma_sequence, lift_truncation_sequence,
-                          pair_partial_sequence)
 from .inverse_engine import (PairExpansion, asymptotic_check, closed_form_lift,
                              q_expand, reversion_lift, strengthen_to)
 from .kontsevich import Z, focus_order, focus_profile
-from .regularization import beta_relation_lhs, theta_value, z1_tauhat_partial
 from .render import (Table, float_column, fmt_float, fmt_rational, render_csv,
                      render_json, render_text)
 
@@ -150,6 +148,7 @@ def _exponent_map(raw) -> BraidSum:
 
 def load_sequence(path: str) -> BraidSumSequence:
     """A sequence from a JSON file {"label": ..., "items": [exponent maps]}."""
+    from .convergence import BraidSumSequence
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -160,11 +159,6 @@ def load_sequence(path: str) -> BraidSumSequence:
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot load sequence from {path}: {exc}") from exc
     return BraidSumSequence(items, payload.get("label", path))
-
-
-STOCK_SEQUENCES = {"tauhat": lift_truncation_sequence,
-                   "pairs": pair_partial_sequence,
-                   "harmonic": harmonic_sigma_sequence}
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +235,11 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_beta(args) -> int:
+    from .regularization import (beta_relation_lhs, theta_value,
+                                 z1_tauhat_partial)
     s = args.s
     if s == 1:
+        import mpmath
         d = _float_digits(args)
         rows = []
         with mpmath.workdps(d):
@@ -277,6 +274,8 @@ def cmd_beta(args) -> int:
 
 
 def cmd_basis(args) -> int:
+    from .basis_solver import (balanced_nodes, build_balanced, build_unbalanced,
+                               invert, solve_t_target)
     if args.solve_t:
         if args.unbalanced:
             raise ValueError("--solve-t applies to the balanced basis")
@@ -329,6 +328,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from .convergence import STOCK_SEQUENCES, biconvergence_report
     window = args.window
     if window < 2:
         raise ValueError("--window must be at least 2")
@@ -390,12 +390,14 @@ def _pair_rows():
 
 
 def _zeta2_rows():
+    from .basis_solver import entry_sequence
     entries = entry_sequence(1, 3, range(1, 9))
     return [_cell(f"r = {r}", printed, computed, ZETA2_MISPRINTS.get(r))
             for r, printed, computed in zip(range(1, 9), REF_ZETA2, entries)]
 
 
 def _onefive_rows():
+    from .basis_solver import entry_sequence
     entries = entry_sequence(1, 5, range(2, 10))
     diffs = [b - a for a, b in zip([Fraction(0)] + entries, entries)]
     return ([_cell(f"entry r = {r}", printed, computed)
@@ -406,6 +408,7 @@ def _onefive_rows():
 
 
 def _beta_rows():
+    from .regularization import beta_relation_lhs, theta_value
     return ([_cell(f"Abel value, exponent {k}", "0", theta_value(k))
              for k in BETA_ZERO_KS] +
             [_cell(f"residue relation, s = {s}", "0", beta_relation_lhs(s))

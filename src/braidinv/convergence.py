@@ -215,3 +215,8 @@ def pair_partial_sequence(count: int) -> BraidSumSequence:
         acc = combine(acc, 1, piece, 1)
         items.append(acc)
     return BraidSumSequence(items, "pair-partials")
+
+
+STOCK_SEQUENCES = {"tauhat": lift_truncation_sequence,
+                   "pairs": pair_partial_sequence,
+                   "harmonic": harmonic_sigma_sequence}

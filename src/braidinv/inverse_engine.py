@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-import mpmath
-
 from .braid_ring import BraidSum, coefficient, filtration_order, multiply, tau
 from .kontsevich import Z
 from .power_series import (arcsinh2_closed_form, common_denominator, revert,
@@ -179,6 +177,7 @@ class AsymptoticRow(NamedTuple):
 
 def pair_limit_target(j: int, digits: int = 50):
     """Signed limit of the pair-j coefficient: (-1)^((j-1)/2) * 4/(pi j^2)."""
+    import mpmath
     with mpmath.workdps(digits):
         sign = -1 if (j - 1) // 2 % 2 else 1
         return sign * 4 / (mpmath.pi * j * j)
@@ -190,6 +189,7 @@ def asymptotic_check(j: int, r_list, digits: int = 50) -> list[AsymptoticRow]:
     All coefficients are exact; the limit involves pi, so the comparison
     column is floating point at the requested precision.
     """
+    import mpmath
     if j < 1 or j % 2 == 0:
         raise ValueError("pair index must be odd and positive")
     if not r_list:

@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
 
 @dataclass
 class Table:
@@ -31,6 +30,7 @@ def fmt_rational(x) -> str:
 
 def fmt_float(x, digits: int) -> str:
     """An mpmath number, or an exact Fraction, to significant digits."""
+    import mpmath
     with mpmath.workdps(digits):
         if isinstance(x, Fraction):
             x = mpmath.mpf(x.numerator) / x.denominator

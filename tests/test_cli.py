@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidinv import basis_solver, cli
+from braidinv import basis_solver, cli, convergence
 
 
 def run_cli(*args, env_extra=None):
@@ -254,7 +254,6 @@ def test_basis_solve_t_inverts_once(monkeypatch, capsys):
         calls.append(M.dim)
         return invert(M)
 
-    monkeypatch.setattr(cli, "invert", counting_invert)
     monkeypatch.setattr(basis_solver, "invert", counting_invert)
     monkeypatch.delenv("BRAIDINV_FLOAT_DIGITS", raising=False)
     assert cli.main(["basis", "--r", "3", "--solve-t"]) == 0
@@ -283,13 +282,13 @@ def test_qexpand_rejects_a_bad_power_before_strengthening(monkeypatch, capsys):
 
 def test_trace_rejects_a_negative_jmax_before_building(monkeypatch, capsys):
     calls = []
-    build = cli.STOCK_SEQUENCES["tauhat"]
+    build = convergence.STOCK_SEQUENCES["tauhat"]
 
     def counting_build(count):
         calls.append(count)
         return build(count)
 
-    monkeypatch.setitem(cli.STOCK_SEQUENCES, "tauhat", counting_build)
+    monkeypatch.setitem(convergence.STOCK_SEQUENCES, "tauhat", counting_build)
     assert cli.main(["trace", "--sequence", "tauhat", "--jmax", "-1",
                      "--window", "120"]) == 1
     assert calls == []
