@@ -45,11 +45,6 @@ class ExactMatrix:
             raise IndexError(f"entry ({row},{col}) outside a {self.dim}x{self.dim} matrix")
         return self.rows[row - 1][col - 1]
 
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.dim == other.dim and self.rows == other.rows
-
 
 class MomentMatrix(ExactMatrix):
     """Row i holds n^i (over i! with factorials) for distinct integer nodes n."""
@@ -139,21 +134,6 @@ def entry_sequence(row: int, col: int, r_range) -> list[Fraction]:
         N = invert(build_balanced(r))
         out.append(N.entry(row, col))
     return out
-
-
-def zeta2_check(r_max: int) -> list[tuple[int, Fraction, Fraction, bool]]:
-    """Rows (r, inverse (1,3) entry, partial sum of 1/k^2, equal?).
-
-    The entries are conjecturally the negated partial sums; the rows report
-    the comparison instead of assuming it.
-    """
-    rows = []
-    partial = Fraction(0)
-    for r in range(1, r_max + 1):
-        partial += Fraction(1, r * r)
-        entry = invert(build_balanced(r)).entry(1, 3)
-        rows.append((r, entry, partial, -entry == partial))
-    return rows
 
 
 def solve_t_target(N: ExactMatrix):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .power_series import common_denominator
 
@@ -109,14 +108,6 @@ def multiply(a: BraidSum, b: BraidSum) -> BraidSum:
             key = i + j
             terms[key] = terms.get(key, Fraction(0)) + ca * cb
     return BraidSum(terms)
-
-
-@lru_cache(maxsize=None)
-def tau_power(k: int) -> BraidSum:
-    """k-th power of tau, k >= 0."""
-    if k < 0:
-        raise ValueError("negative power of tau")
-    return identity() if k == 0 else multiply(tau_power(k - 1), tau())
 
 
 def coefficient(b: BraidSum, n: int) -> Fraction:

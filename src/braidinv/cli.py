@@ -34,7 +34,7 @@ from .braid_ring import (BraidSum, coefficient, combine, identity, pair,
                          render, sigma, sigma_bar, sigma_power, tau)
 from .inverse_engine import (PairExpansion, asymptotic_check, closed_form_lift,
                              q_expand, reversion_lift, strengthen_to)
-from .kontsevich import Z, focus_order, focus_profile
+from .kontsevich import Z, focus_order
 from .render import (Table, float_column, fmt_float, fmt_rational, render_csv,
                      render_json, render_text)
 
@@ -56,10 +56,22 @@ def emit(args, tables) -> None:
 
 
 def _float_digits(args) -> int:
-    """The resolved --digits, for commands that print float columns."""
-    if args.digits < 10:
+    """Float precision: --digits, else BRAIDINV_FLOAT_DIGITS, else 50.
+
+    Read only by the commands that print float columns, so a bad value
+    fails those and no other.
+    """
+    digits = args.digits
+    if digits is None:
+        raw = os.environ.get(ENV_FLOAT_DIGITS, str(DEFAULT_FLOAT_DIGITS))
+        try:
+            digits = int(raw)
+        except ValueError:
+            raise ValueError(f"{ENV_FLOAT_DIGITS} must be an integer, "
+                             f"got {raw!r}") from None
+    if digits < 10:
         raise ValueError("float output needs at least 10 digits")
-    return args.digits
+    return digits
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +124,11 @@ def _cell(where: str, printed: str | None, computed: Fraction,
 # ---------------------------------------------------------------------------
 # braid input parsing
 
+# JSON numbers are read as exact decimals: 0.1 is 1/10, 1e400 is 10^400;
+# Fraction rejects the NaN and Infinity constants with a ValueError
+EXACT_JSON = {"parse_float": Fraction, "parse_constant": Fraction}
+
+
 def parse_braid(text: str) -> BraidSum:
     """Named elements, sigma^K, pair:N, or a JSON exponent map."""
     named = {"tau": tau, "sigma": sigma, "sigmabar": sigma_bar,
@@ -130,7 +147,7 @@ def parse_braid(text: str) -> BraidSum:
             raise ValueError(f"bad power spec {text!r}: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, **EXACT_JSON)
         except ValueError as exc:
             raise ValueError(f"bad braid JSON: {exc}") from exc
         return _exponent_map(raw)
@@ -151,7 +168,7 @@ def load_sequence(path: str) -> BraidSumSequence:
     from .convergence import BraidSumSequence
     try:
         with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
+            payload = json.load(handle, **EXACT_JSON)
         if not isinstance(payload, dict) or \
                 not isinstance(payload.get("items"), list):
             raise ValueError("expected an object with an 'items' list")
@@ -182,15 +199,17 @@ def cmd_zmap(args) -> int:
     jmax = args.jmax if args.jmax is not None else order
     series = Z(b, order)
     series_rows = [[str(i), fmt_rational(c)] for i, c in enumerate(series.coeffs)]
-    profile = focus_profile(b, jmax)
-    profile_rows = [[str(g.order), fmt_rational(g.value)] for g in profile]
-    focused = focus_order(profile)
+    if jmax < 0:
+        raise ValueError("jmax must be nonnegative")
+    graded = Z(b, jmax).coeffs
+    graded_rows = [[str(j), fmt_rational(c)] for j, c in enumerate(graded)]
+    focused = focus_order(graded)
     note = (f"focussed at degree {focused} through {jmax}" if focused is not None
             else f"not focussed through degree {jmax}")
     emit(args, [
         Table(f"integral of {render(b)} through degree {order}",
               ["degree", "coefficient"], series_rows),
-        Table("graded components", ["degree", "value"], profile_rows, [note]),
+        Table("graded components", ["degree", "value"], graded_rows, [note]),
     ])
     return 0
 
@@ -235,8 +254,7 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_beta(args) -> int:
-    from .regularization import (beta_relation_lhs, theta_value,
-                                 z1_tauhat_partial)
+    from .regularization import leibniz_partial, theta_value
     s = args.s
     if s == 1:
         import mpmath
@@ -244,7 +262,7 @@ def cmd_beta(args) -> int:
         rows = []
         with mpmath.workdps(d):
             for r in (1, 10, 100, 1000, 10000):
-                exact = z1_tauhat_partial(r)
+                exact = 4 * leibniz_partial(r)
                 size = f"{len(str(exact.numerator))}/{len(str(exact.denominator))}"
                 estimate = mpmath.mpf(exact.numerator) / exact.denominator / mpmath.pi
                 rows.append([str(r), size,
@@ -261,11 +279,11 @@ def cmd_beta(args) -> int:
         return 0
     if s < 3 or s % 2 == 0:
         raise ValueError("--s must be 1 or an odd integer >= 3")
+    # the relation's left side reduces exactly to this Abel value
     abel = theta_value(s - 2)
-    lhs = beta_relation_lhs(s)
-    verdict = "PASS" if lhs == 0 else "FAIL"
+    verdict = "PASS" if abel == 0 else "FAIL"
     rows = [[f"Abel value at exponent {s - 2}", fmt_rational(abel)],
-            ["reduced relation left side", fmt_rational(lhs)],
+            ["reduced relation left side", fmt_rational(abel)],
             ["verdict", verdict]]
     emit(args, [Table(f"residue relation at s = {s}", ["what", "value"], rows,
                       ["the left side reduces exactly to the Abel value of the "
@@ -408,10 +426,10 @@ def _onefive_rows():
 
 
 def _beta_rows():
-    from .regularization import beta_relation_lhs, theta_value
+    from .regularization import theta_value
     return ([_cell(f"Abel value, exponent {k}", "0", theta_value(k))
              for k in BETA_ZERO_KS] +
-            [_cell(f"residue relation, s = {s}", "0", beta_relation_lhs(s))
+            [_cell(f"residue relation, s = {s}", "0", theta_value(s - 2))
              for s in BETA_RELATION_SS])
 
 
@@ -519,20 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_digits(flag: int | None) -> int:
-    """Float precision: the flag, else the environment variable, else 50."""
-    if flag is None:
-        raw = os.environ.get(ENV_FLOAT_DIGITS, str(DEFAULT_FLOAT_DIGITS))
-        try:
-            flag = int(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_FLOAT_DIGITS} must be an integer, "
-                             f"got {raw!r}") from None
-    if flag < 1:
-        raise ValueError("float digits must be positive")
-    return flag
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -548,7 +552,6 @@ def main(argv=None) -> int:
     if raise_limit:
         sys.set_int_max_str_digits(INT_STR_DIGITS)
     try:
-        args.digits = _resolve_digits(args.digits)
         return args.func(args)
     except BrokenPipeError:
         return 0

@@ -41,10 +41,6 @@ def coefficient_trace(seq: BraidSumSequence, n: int) -> list[Fraction]:
     return [coefficient(b, n) for b in seq.items]
 
 
-def z_trace(seq: BraidSumSequence, j: int) -> list[Fraction]:
-    return [Z(b, j).coeffs[j] for b in seq.items]
-
-
 def classify_trace(values, min_diffs: int = 3) -> str:
     """One of constant, converging, diverging, insufficient, inconclusive.
 
@@ -111,9 +107,6 @@ class BiconvergenceReport:
     verdict_c: str
     caveat: str = CAVEAT
 
-    def all_pass(self) -> bool:
-        return (self.verdict_a, self.verdict_b, self.verdict_c) == ("pass",) * 3
-
 
 def biconvergence_report(seq: BraidSumSequence, jmax: int,
                          window: int) -> BiconvergenceReport:
@@ -147,28 +140,6 @@ def biconvergence_report(seq: BraidSumSequence, jmax: int,
     return BiconvergenceReport(seq.label, window, jmax, exponent_classes,
                                z_classes, cond_c, verdict_a, verdict_b,
                                verdict_c)
-
-
-def additivity_check(b: BraidSumSequence, c: BraidSumSequence,
-                     exponents, j_values) -> bool:
-    """Traces of the elementwise sum equal the sums of traces, exactly."""
-    if len(b) != len(c):
-        raise ValueError("sequences must have equal length")
-    total = BraidSumSequence(
-        [combine(x, 1, y, 1) for x, y in zip(b.items, c.items)],
-        label=f"{b.label}+{c.label}")
-    for n in exponents:
-        lhs = coefficient_trace(total, n)
-        rhs = [x + y for x, y in zip(coefficient_trace(b, n),
-                                     coefficient_trace(c, n))]
-        if lhs != rhs:
-            return False
-    for j in j_values:
-        lhs = z_trace(total, j)
-        rhs = [x + y for x, y in zip(z_trace(b, j), z_trace(c, j))]
-        if lhs != rhs:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

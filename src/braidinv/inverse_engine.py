@@ -48,9 +48,6 @@ class LiftPoly:
                 clean[int(k)] = c
         object.__setattr__(self, "coeffs", clean)
 
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
-
     def truncate(self, order: int) -> "LiftPoly":
         kept = {k: c for k, c in self.coeffs.items() if k <= order}
         return LiftPoly(kept, self.seed)

@@ -33,9 +33,6 @@ class Series:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __repr__(self):
-        return f"<Series {render_series(self)}>"
-
 
 def common_denominator(values) -> tuple[list[int], int]:
     """Integer numerators over one positive denominator: values[i] = ints[i] / den.
@@ -45,10 +42,6 @@ def common_denominator(values) -> tuple[list[int], int]:
     values = [Fraction(v) for v in values]
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def zero_series(order: int) -> Series:
-    return Series([Fraction(0)] * (order + 1))
 
 
 def t_series(order: int) -> Series:
@@ -70,18 +63,6 @@ def scale(a: Series, c) -> Series:
     return Series([c * x for x in a.coeffs])
 
 
-def mul(a: Series, b: Series) -> Series:
-    order = min(a.truncation_order, b.truncation_order)
-    out = [Fraction(0)] * (order + 1)
-    for i, ca in enumerate(a.coeffs[: order + 1]):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b.coeffs[: order + 1 - i]):
-            if cb:
-                out[i + j] += ca * cb
-    return Series(out)
-
-
 def exp_scaled(c, order: int) -> Series:
     """exp(c*t) truncated: coefficients c^i / i!."""
     c = Fraction(c)
@@ -89,23 +70,6 @@ def exp_scaled(c, order: int) -> Series:
     for i in range(1, order + 1):
         coeffs.append(coeffs[-1] * c / i)
     return Series(coeffs)
-
-
-def compose(outer: Series, inner: Series) -> Series:
-    """Substitute inner into outer, exact through inner's truncation order.
-
-    The outer series is treated as a polynomial: coefficients beyond its
-    stored order are exact zeros.  The inner series must have zero constant
-    term, otherwise the substitution is not defined for formal series.
-    """
-    if inner.coeffs[0] != 0:
-        raise ValueError("inner series must have zero constant term")
-    order = inner.truncation_order
-    result = zero_series(order)
-    for c in reversed(outer.coeffs):
-        result = mul(result, inner)
-        result = Series([result.coeffs[0] + c] + list(result.coeffs[1:]))
-    return result
 
 
 def revert(s: Series) -> Series:
@@ -169,21 +133,3 @@ def arcsinh2_closed_form(order: int) -> Series:
         coeffs[2 * k + 1] = Fraction(num, den)
         k += 1
     return Series(coeffs)
-
-
-def render_series(s: Series) -> str:
-    """Text form 'c0 + c1*t + c2*t^2 + ...' listing every coefficient."""
-    parts = []
-    for i, c in enumerate(s.coeffs):
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append(f"{c}*t")
-        else:
-            parts.append(f"{c}*t^{i}")
-    return " + ".join(parts)
-
-
-def series_json(s: Series):
-    """Ordered coefficient array of exact strings."""
-    return [str(c) for c in s.coeffs]

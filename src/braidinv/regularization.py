@@ -5,6 +5,11 @@ into the value at x = 1 of theta^k applied to it, theta being x d/dx.  The
 operator stays inside the family N(x)/(1 + x^2)^k of rational functions, so
 the whole calculus is exact: no limits are taken numerically.  The values
 vanish at odd k and produce half Euler numbers at even k.
+
+The residue relation at odd s >= 3 reduces algebraically to the Abel value
+at exponent s - 2: the pi factors cancel before any number is produced.
+The degree-1 integral trace of the pair partial sums, scaled by pi, is
+4 leibniz_partial(r), which tends to pi.
 """
 
 from __future__ import annotations
@@ -30,11 +35,6 @@ class RationalFunctionRep:
         return sum(self.numerator, Fraction(0)) / 2 ** self.denominator_power
 
 
-def generating_rep() -> RationalFunctionRep:
-    """x / (1 + x^2), the Abel transform of the alternating odd signs."""
-    return RationalFunctionRep((Fraction(0), Fraction(1)), 1)
-
-
 def theta(rep: RationalFunctionRep) -> RationalFunctionRep:
     """Apply x d/dx, raising the denominator power by one.
 
@@ -54,31 +54,18 @@ def theta(rep: RationalFunctionRep) -> RationalFunctionRep:
     return RationalFunctionRep(tuple(out), k + 1)
 
 
-def theta_power_rep(k: int) -> RationalFunctionRep:
-    rep = generating_rep()
-    for _ in range(k):
-        rep = theta(rep)
-    return rep
-
-
 def theta_value(k: int) -> Fraction:
-    """Abel value of 1^k - 3^k + 5^k - ..., exactly."""
+    """Abel value of 1^k - 3^k + 5^k - ..., exactly.
+
+    theta^k applied to x / (1 + x^2), the Abel transform of the alternating
+    odd signs, evaluated at x = 1.
+    """
     if k < 0:
         raise ValueError("negative order")
-    return theta_power_rep(k).value_at_one()
-
-
-def beta_relation_lhs(s: int) -> Fraction:
-    """Left side of the residue relation at odd s >= 3, reduced exactly.
-
-    Algebraically the relation collapses to the Abel value of the
-    alternating sum with exponent s - 2; the pi factors cancel before any
-    number is produced, so the result is an exact rational (zero at every
-    odd s, matching the vanishing of the alternating L-series there).
-    """
-    if s % 2 == 0 or s < 3:
-        raise ValueError("relation defined for odd s >= 3")
-    return theta_value(s - 2)
+    rep = RationalFunctionRep((Fraction(0), Fraction(1)), 1)
+    for _ in range(k):
+        rep = theta(rep)
+    return rep.value_at_one()
 
 
 def leibniz_partial(r: int) -> Fraction:
@@ -99,11 +86,3 @@ def leibniz_partial(r: int) -> Fraction:
 
     return block(0, r)
 
-
-def z1_tauhat_partial(r: int) -> Fraction:
-    """Exact value of pi times the degree-1 trace of the pair partial sum.
-
-    Equals 4 times the Leibniz partial sum; dividing by pi (a reporting
-    step, never done here) sends it to 1 as r grows.
-    """
-    return 4 * leibniz_partial(r)

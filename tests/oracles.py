@@ -24,6 +24,18 @@ def series_mul(a, b, order):
     return out
 
 
+def series_compose(outer, inner):
+    """outer(inner(t)) through inner's order, by Horner; needs inner[0] = 0."""
+    if inner[0] != 0:
+        raise ValueError("inner series must have zero constant term")
+    order = len(inner) - 1
+    out = [Fraction(0)] * (order + 1)
+    for c in reversed(outer):
+        out = series_mul(out, inner, order)
+        out[0] += c
+    return out
+
+
 def series_recip(a, order):
     """Multiplicative inverse of a series with nonzero constant term."""
     if a[0] == 0:
@@ -71,6 +83,14 @@ def braid_mul(a, b):
         for j, cb in b.items():
             out[i + j] = out.get(i + j, Fraction(0)) + ca * cb
     return {n: c for n, c in out.items() if c}
+
+
+def tau_power(k):
+    """(q - q^-1)^k, k >= 0, by k multiplications."""
+    out = {0: Fraction(1)}
+    for _ in range(k):
+        out = braid_mul(out, TAU)
+    return out
 
 
 def braid_poly(coeffs, seed):

@@ -5,8 +5,7 @@ import pytest
 
 from braidinv.basis_solver import (ExactMatrix, balanced_nodes,
                                    build_balanced, build_unbalanced,
-                                   entry_sequence, invert, solve_t_target,
-                                   zeta2_check)
+                                   entry_sequence, invert, solve_t_target)
 from braidinv.braid_ring import BraidSum
 
 import oracles
@@ -115,11 +114,9 @@ def test_onefive_entries_and_differences():
 
 
 def test_zeta2_check_reports_equality():
-    rows = zeta2_check(6)
-    for r, entry, partial, equal in rows:
-        assert equal
-        assert -entry == partial
-        assert partial == oracles.harmonic_second(r)
+    entries = entry_sequence(1, 3, range(1, 7))
+    assert [-e for e in entries] == [oracles.harmonic_second(r)
+                                     for r in range(1, 7)]
 
 
 def test_unbalanced_entries_grow():

@@ -114,10 +114,14 @@ def test_asymptotics_digits_env(tmp_path):
 
 
 def test_float_output_needs_enough_digits():
-    result = run_cli("asymptotics", "--j", "1", "--orders", "7",
-                     "--digits", "4")
-    assert result.returncode == 1
-    assert "digits" in result.stderr
+    for extra, env in ((["--digits", "4"], None),
+                       ([], {"BRAIDINV_FLOAT_DIGITS": "abc"})):
+        result = run_cli("asymptotics", "--j", "1", "--orders", "7", *extra,
+                         env_extra=env)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+        assert "DIGITS" in result.stderr.upper()
 
 
 def test_beta_subcommand():
@@ -229,13 +233,19 @@ def test_reproduce_single_table():
     ["trace", "--sequence", "{tmp}/one.json"],
     ["zmap", "--jmax", "-1"],
     ["trace", "--jmax", "-1"],
+    ["zmap", "--braid", '{"1": Infinity}'],
+    ["zmap", "--braid", '{"1": NaN}'],
+    ["trace", "--sequence", "{tmp}/infinite.json"],
 ], ids=["negative-order", "zero-denominator", "sequence-zero-denominator",
         "sequence-top-level-array", "missing-out-dir", "solve-t-at-r-0",
         "sequence-empty", "sequence-one-item", "zmap-negative-jmax",
-        "trace-negative-jmax"])
+        "trace-negative-jmax", "json-infinity", "json-nan",
+        "sequence-json-infinity"])
 def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     (tmp_path / "zero.json").write_text('{"items": [{"1": "1/0"}]}',
                                         encoding="utf-8")
+    (tmp_path / "infinite.json").write_text(
+        '{"items": [{"1": 1}, {"1": -Infinity}]}', encoding="utf-8")
     (tmp_path / "array.json").write_text('[{"1": "1"}]', encoding="utf-8")
     (tmp_path / "empty.json").write_text('{"items": []}', encoding="utf-8")
     (tmp_path / "one.json").write_text('{"items": [{"1": "1"}]}',
@@ -244,6 +254,35 @@ def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     assert result.returncode == 1
     assert result.stderr.startswith("error: ")
     assert result.stderr.count("\n") == 1
+
+
+def test_json_numbers_are_exact_decimals(tmp_path):
+    tenth = run_cli("zmap", "--braid", '{"1": 0.1}', "--order", "1")
+    assert tenth.returncode == 0
+    assert "integral of 1/10*q^1 through degree 1" in tenth.stdout
+    huge = run_cli("zmap", "--braid", '{"1": 1e400}', "--order", "0",
+                   "--format", "json")
+    assert huge.returncode == 0
+    assert json.loads(huge.stdout)["tables"][0]["rows"] == [["0", str(10 ** 400)]]
+    path = tmp_path / "decimals.json"
+    path.write_text('{"items": [{"1": 1e400}, {"1": 0.25}, {"1": 0.125}]}',
+                    encoding="utf-8")
+    seq = run_cli("trace", "--sequence", str(path), "--window", "3",
+                  "--format", "csv")
+    assert seq.returncode == 0
+    assert list(csv.reader(io.StringIO(seq.stdout)))[2] == \
+        ["1", "insufficient", "1/8"]
+
+
+def test_float_digits_are_read_only_where_floats_print():
+    golden = os.path.join(os.path.dirname(__file__), "golden",
+                          "lift_order_13.text")
+    with open(golden, encoding="utf-8") as handle:
+        expected = handle.read()
+    lift = run_cli("lift", "--order", "13",
+                   env_extra={"BRAIDINV_FLOAT_DIGITS": "abc"})
+    assert lift.returncode == 0
+    assert lift.stdout == expected
 
 
 def test_basis_solve_t_inverts_once(monkeypatch, capsys):

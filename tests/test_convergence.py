@@ -1,21 +1,25 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from braidinv.braid_ring import BraidSum, pair, tau
-from braidinv.convergence import (BraidSumSequence, additivity_check,
-                                  biconvergence_report, classify_trace,
-                                  coefficient_trace, filtration_condition_c,
+from braidinv.braid_ring import combine
+from braidinv.convergence import (BraidSumSequence, biconvergence_report,
+                                  classify_trace, coefficient_trace,
+                                  filtration_condition_c,
                                   harmonic_sigma_sequence,
                                   lift_truncation_sequence,
-                                  pair_partial_sequence, z_trace)
+                                  pair_partial_sequence)
 from braidinv.kontsevich import Z
 from braidinv.regularization import leibniz_partial
 
 
 def frac(n, d=1):
     return Fraction(n, d)
+
+
+def z_trace(seq, j):
+    """The degree-j graded integral over the items of a sequence."""
+    return [Z(b, j).coeffs[j] for b in seq.items]
 
 
 def test_coefficient_trace_of_lift_truncations():
@@ -95,7 +99,6 @@ def test_biconvergence_verdicts():
     lifts = biconvergence_report(lift_truncation_sequence(8), 5, 8)
     assert (lifts.verdict_a, lifts.verdict_b, lifts.verdict_c) == \
         ("pass", "pass", "pass")
-    assert lifts.all_pass()
 
     harmonic = biconvergence_report(harmonic_sigma_sequence(8), 5, 8)
     assert (harmonic.verdict_a, harmonic.verdict_b) == ("pass", "pass")
@@ -107,7 +110,8 @@ def test_biconvergence_verdicts():
 
     b = BraidSum({3: frac(2, 7)})
     const = biconvergence_report(BraidSumSequence([b] * 6, "const"), 4, 6)
-    assert const.all_pass()
+    assert (const.verdict_a, const.verdict_b, const.verdict_c) == \
+        ("pass", "pass", "pass")
 
 
 def test_report_carries_caveat():
@@ -132,10 +136,15 @@ def test_additivity_of_traces():
                          for _ in range(2)}) for _ in range(5)]
     b = BraidSumSequence(items_b, "b")
     c = BraidSumSequence(items_c, "c")
-    assert additivity_check(b, c, range(-4, 5), range(4))
-    with pytest.raises(ValueError):
-        additivity_check(b, BraidSumSequence(items_c[:3], "short"),
-                         [0], [0])
+    total = BraidSumSequence([combine(x, 1, y, 1)
+                              for x, y in zip(items_b, items_c)], "b+c")
+    for n in range(-4, 5):
+        assert coefficient_trace(total, n) == [
+            x + y for x, y in zip(coefficient_trace(b, n),
+                                  coefficient_trace(c, n))]
+    for j in range(4):
+        assert z_trace(total, j) == [
+            x + y for x, y in zip(z_trace(b, j), z_trace(c, j))]
 
 
 def test_lift_truncation_items():

@@ -1,19 +1,30 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from braidinv.braid_ring import (BraidSum, combine, identity, multiply, pair,
-                                 sigma, sigma_bar, tau, tau_power)
-from braidinv.kontsevich import (GradedValue, Z, focus_order, focus_profile,
-                                 residue)
-from braidinv.power_series import add, exp_scaled, mul
+from braidinv import cli
+from braidinv.braid_ring import (INFINITE, BraidSum, combine, filtration_order,
+                                 identity, multiply, sigma, sigma_bar, tau)
+from braidinv.kontsevich import Z, focus_order
+from braidinv.power_series import add, exp_scaled
 
 import oracles
 
 
 def frac(n, d=1):
     return Fraction(n, d)
+
+
+def tau_power(k):
+    return BraidSum(oracles.tau_power(k))
+
+
+def residue(b):
+    """(order, value): the graded component at the filtration order."""
+    j = filtration_order(b)
+    return j, Z(b, j).coeffs[j]
 
 
 def test_z_on_generators():
@@ -47,7 +58,8 @@ def test_z_is_multiplicative():
     for _ in range(10):
         a = BraidSum({rng.randrange(-3, 4): rng.randrange(-2, 3) for _ in range(2)})
         b = BraidSum({rng.randrange(-3, 4): rng.randrange(-2, 3) for _ in range(2)})
-        assert Z(multiply(a, b), 6) == mul(Z(a, 6), Z(b, 6))
+        assert list(Z(multiply(a, b), 6).coeffs) == \
+            oracles.series_mul(Z(a, 6).coeffs, Z(b, 6).coeffs, 6)
 
 
 def test_z_i_agrees_with_series_coefficients():
@@ -62,8 +74,8 @@ def test_z_i_golden_values():
 
 
 def test_residue_of_order_one_elements():
-    assert residue(tau()) == GradedValue(1, frac(1))
-    assert residue(combine(sigma(), 2, identity(), -2)) == GradedValue(1, frac(1))
+    assert residue(tau()) == (1, 1)
+    assert residue(combine(sigma(), 2, identity(), -2)) == (1, 1)
 
 
 def test_residue_of_tau_cubed():
@@ -71,41 +83,42 @@ def test_residue_of_tau_cubed():
     b = tau_power(3)
     direct = sum((c * frac(n, 2) ** 3 for n, c in b.terms.items()), frac(0)) / 6
     assert direct == 1
-    assert residue(b) == GradedValue(3, frac(1))
+    assert residue(b) == (3, 1)
 
 
 def test_residue_rejects_zero():
-    with pytest.raises(ValueError):
-        residue(BraidSum())
+    # no graded component of the zero sum is nonzero: its order is infinite
+    assert filtration_order(BraidSum()) == INFINITE
+    assert focus_order(Z(BraidSum(), 6).coeffs) is None
 
 
 def test_residue_multiplicative_at_matching_orders():
     """Orders add and leading values multiply when nothing cancels."""
     for i in range(1, 4):
         for j in range(1, 4):
-            ri = residue(tau_power(i))
-            rj = residue(tau_power(j))
-            rij = residue(tau_power(i + j))
-            assert rij.order == ri.order + rj.order
-            assert rij.value == ri.value * rj.value
+            (oi, vi), (oj, vj) = residue(tau_power(i)), residue(tau_power(j))
+            assert residue(tau_power(i + j)) == (oi + oj, vi * vj)
 
 
 def test_focus_profile_of_corrected_lift():
     b = combine(combine(tau(), 1, tau_power(3), frac(-1, 24)), 1,
                 tau_power(5), frac(3, 640))
-    profile = focus_profile(b, 5)
-    values = [g.value for g in profile]
-    assert values == [0, 1, 0, 0, 0, 0]
+    profile = Z(b, 5).coeffs
+    assert list(profile) == [0, 1, 0, 0, 0, 0]
     assert focus_order(profile) == 1
 
 
 def test_focus_profile_trivial_cases():
-    assert [g.value for g in focus_profile(identity(), 3)] == [1, 0, 0, 0]
-    assert [g.value for g in focus_profile(tau(), 3)] == [0, 1, 0, frac(1, 24)]
-    assert focus_order(focus_profile(tau(), 3)) is None
-    assert focus_order(focus_profile(BraidSum(), 4)) is None
+    assert list(Z(identity(), 3).coeffs) == [1, 0, 0, 0]
+    assert list(Z(tau(), 3).coeffs) == [0, 1, 0, frac(1, 24)]
+    assert focus_order(Z(identity(), 3).coeffs) == 0
+    assert focus_order(Z(tau(), 1).coeffs) == 1
+    assert focus_order(Z(tau(), 3).coeffs) is None
+    assert focus_order(Z(BraidSum(), 4).coeffs) is None
 
 
-def test_focus_profile_orders_are_consecutive():
-    profile = focus_profile(pair(2), 4)
-    assert [g.order for g in profile] == [0, 1, 2, 3, 4]
+def test_focus_profile_orders_are_consecutive(capsys):
+    assert cli.main(["zmap", "--braid", "pair:2", "--order", "2",
+                     "--jmax", "4", "--format", "json"]) == 0
+    graded = json.loads(capsys.readouterr().out)["tables"][1]["rows"]
+    assert [row[0] for row in graded] == ["0", "1", "2", "3", "4"]

@@ -19,7 +19,7 @@ from braidinv.braid_ring import (BraidSum, combine, filtration_order, identity,
                                  multiply, tau)
 from braidinv.inverse_engine import LiftPoly, strengthen_to
 from braidinv.kontsevich import Z
-from braidinv.power_series import Series, compose, mul, revert, t_series
+from braidinv.power_series import Series, revert, t_series
 
 import oracles
 
@@ -48,16 +48,17 @@ def reversible_series(draw):
 
 @given(reversible_series())
 def test_revert_is_the_compositional_inverse(coeffs):
-    s = Series(coeffs)
-    r = revert(s)
-    assert compose(r, s) == t_series(s.truncation_order)
-    assert list(r.coeffs) == oracles.lagrange_revert(coeffs)
+    r = list(revert(Series(coeffs)).coeffs)
+    assert oracles.series_compose(r, coeffs) == \
+        list(t_series(len(coeffs) - 1).coeffs)
+    assert r == oracles.lagrange_revert(coeffs)
 
 
 @given(braid_sums, braid_sums, st.integers(0, 8))
 def test_z_is_a_ring_homomorphism(a, b, order):
     a, b = BraidSum(a), BraidSum(b)
-    assert Z(multiply(a, b), order) == mul(Z(a, order), Z(b, order))
+    assert list(Z(multiply(a, b), order).coeffs) == oracles.series_mul(
+        Z(a, order).coeffs, Z(b, order).coeffs, order)
     assert list(Z(a, order).coeffs) == oracles.integral(a.terms, order)
 
 

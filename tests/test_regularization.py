@@ -4,24 +4,25 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from braidinv.regularization import (RationalFunctionRep, beta_relation_lhs,
-                                     generating_rep, leibniz_partial, theta,
-                                     theta_power_rep, theta_value,
-                                     z1_tauhat_partial)
+from braidinv import cli
+from braidinv.regularization import (RationalFunctionRep, leibniz_partial,
+                                     theta, theta_value)
 
 import oracles
 
+# x / (1 + x^2), the Abel transform of the alternating odd signs
+GENERATING = RationalFunctionRep((0, 1), 1)
+
 
 def test_generating_rep_and_value():
-    rep = generating_rep()
-    assert rep.numerator == (Fraction(0), Fraction(1))
-    assert rep.denominator_power == 1
-    assert rep.value_at_one() == Fraction(1, 2)
+    assert GENERATING.numerator == (Fraction(0), Fraction(1))
+    assert GENERATING.denominator_power == 1
+    assert GENERATING.value_at_one() == Fraction(1, 2) == theta_value(0)
 
 
 def test_theta_first_application():
     # theta(x/(1+x^2)) = (x - x^3)/(1+x^2)^2, which vanishes at x = 1
-    rep = theta(generating_rep())
+    rep = theta(GENERATING)
     assert rep.numerator == (Fraction(0), Fraction(1), Fraction(0), Fraction(-1))
     assert rep.denominator_power == 2
     assert rep.value_at_one() == 0
@@ -60,25 +61,27 @@ def test_rep_rejects_zero_denominator_power():
 
 
 def test_theta_power_rep_growth_is_controlled():
-    rep = theta_power_rep(9)
+    rep = GENERATING
+    for _ in range(9):
+        rep = theta(rep)
+    assert rep.value_at_one() == theta_value(9)
     assert rep.denominator_power == 10
     assert len(rep.numerator) <= 2 * 9 + 2
 
 
-def test_beta_relation():
+def test_beta_relation(capsys):
     for s in (3, 5, 7, 9):
-        assert beta_relation_lhs(s) == 0
-    with pytest.raises(ValueError):
-        beta_relation_lhs(4)
-    with pytest.raises(ValueError):
-        beta_relation_lhs(1)
+        assert cli.main(["beta", "--s", str(s), "--format", "csv"]) == 0
+        assert "reduced relation left side,0\n" in capsys.readouterr().out
+    for s in (4, 2, -1):
+        assert cli.main(["beta", "--s", str(s)]) == 1
+        assert capsys.readouterr().err == \
+            "error: --s must be 1 or an odd integer >= 3\n"
 
 
 def test_leibniz_partial_small():
     assert leibniz_partial(1) == 1
     assert leibniz_partial(2) == Fraction(2, 3)
-    assert z1_tauhat_partial(1) == 4
-    assert z1_tauhat_partial(2) == Fraction(8, 3)
     with pytest.raises(ValueError):
         leibniz_partial(0)
 
