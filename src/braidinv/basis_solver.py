@@ -19,22 +19,18 @@ finite-difference weights for f'(0).  The unbalanced variant on nodes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .braid_ring import BraidSum
 
 
-@dataclass
 class ExactMatrix:
-    dim: int
-    rows: list
-
-    def __post_init__(self):
-        if self.dim < 1 or len(self.rows) != self.dim:
+    def __init__(self, dim: int, rows: list):
+        if dim < 1 or len(rows) != dim:
             raise ValueError("matrix shape mismatch")
+        self.dim = dim
         self.rows = [[x if type(x) is Fraction else Fraction(x) for x in row]
-                     for row in self.rows]
+                     for row in rows]
         for row in self.rows:
             if len(row) != self.dim:
                 raise ValueError("matrix shape mismatch")
@@ -74,14 +70,14 @@ def balanced_nodes(r: int) -> list[int]:
 def build_balanced(r: int, with_factorials: bool = False) -> MomentMatrix:
     """(2r+1) x (2r+1) moment matrix over the nodes 0, 1, -1, ..., r, -r."""
     if r < 0:
-        raise ValueError("negative order")
+        raise ValueError("r must be nonnegative")
     return MomentMatrix(balanced_nodes(r), with_factorials)
 
 
 def build_unbalanced(r: int, with_factorials: bool = False) -> MomentMatrix:
     """(r+1) x (r+1) moment matrix over the one-sided nodes 0..r."""
     if r < 0:
-        raise ValueError("negative order")
+        raise ValueError("r must be nonnegative")
     return MomentMatrix(range(r + 1), with_factorials)
 
 

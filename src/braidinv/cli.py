@@ -8,7 +8,9 @@ Every subcommand imports braid_ring, inverse_engine, kontsevich and
 render; the rest is imported by the commands that use it: basis_solver by
 basis and reproduce, regularization by beta and reproduce, convergence by
 trace, and mpmath only for float columns (asymptotics, beta --s 1,
-basis --solve-t).
+basis --solve-t).  json loads only for --format json, a JSON braid or a
+sequence file, and csv only for --format csv; the record types are plain
+classes, so no class generator loads at all.
 
 The library raises ValueError for bad input and ArithmeticError for a
 broken internal invariant.  main() alone turns exceptions into exit codes:
@@ -25,7 +27,6 @@ row is marked FLAGGED rather than FAIL and does not affect the exit code.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -146,6 +147,7 @@ def parse_braid(text: str) -> BraidSum:
         except ValueError as exc:
             raise ValueError(f"bad power spec {text!r}: {exc}") from exc
     if text.lstrip().startswith("{"):
+        import json
         try:
             raw = json.loads(text, **EXACT_JSON)
         except ValueError as exc:
@@ -165,6 +167,7 @@ def _exponent_map(raw) -> BraidSum:
 
 def load_sequence(path: str) -> BraidSumSequence:
     """A sequence from a JSON file {"label": ..., "items": [exponent maps]}."""
+    import json
     from .convergence import BraidSumSequence
     try:
         with open(path, encoding="utf-8") as handle:
@@ -197,11 +200,14 @@ def cmd_zmap(args) -> int:
     b = parse_braid(args.braid)
     order = args.order
     jmax = args.jmax if args.jmax is not None else order
-    series = Z(b, order)
-    series_rows = [[str(i), fmt_rational(c)] for i, c in enumerate(series.coeffs)]
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if jmax < 0:
         raise ValueError("jmax must be nonnegative")
-    graded = Z(b, jmax).coeffs
+    coeffs = Z(b, max(order, jmax)).coeffs
+    series_rows = [[str(i), fmt_rational(c)]
+                   for i, c in enumerate(coeffs[:order + 1])]
+    graded = coeffs[:jmax + 1]
     graded_rows = [[str(j), fmt_rational(c)] for j, c in enumerate(graded)]
     focused = focus_order(graded)
     note = (f"focussed at degree {focused} through {jmax}" if focused is not None

@@ -14,7 +14,6 @@ insufficient rather than guessed at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .braid_ring import BraidSum, coefficient, combine, filtration_order, tau
@@ -24,10 +23,10 @@ from .kontsevich import Z
 CAVEAT = ("finite-window evidence only; no verdict here asserts a limit")
 
 
-@dataclass
 class BraidSumSequence:
-    items: list
-    label: str = ""
+    def __init__(self, items: list, label: str = ""):
+        self.items = items
+        self.label = label
 
     def __len__(self):
         return len(self.items)
@@ -67,12 +66,12 @@ def classify_trace(values, min_diffs: int = 3) -> str:
     return "inconclusive"
 
 
-@dataclass
 class ConditionCResult:
-    ok: bool
-    checked_pairs: int
-    first_violation: tuple | None
-    violations: list = field(default_factory=list)
+    def __init__(self, checked_pairs: int, violations: list):
+        self.ok = not violations
+        self.checked_pairs = checked_pairs
+        self.first_violation = violations[0] if violations else None
+        self.violations = violations
 
 
 def filtration_condition_c(seq: BraidSumSequence,
@@ -88,24 +87,24 @@ def filtration_condition_c(seq: BraidSumSequence,
             order = filtration_order(diff)
             if order < i:
                 violations.append((i, j, order))
-    return ConditionCResult(ok=not violations,
-                            checked_pairs=checked,
-                            first_violation=violations[0] if violations else None,
-                            violations=violations)
+    return ConditionCResult(checked, violations)
 
 
-@dataclass
 class BiconvergenceReport:
-    label: str
-    window: int
-    jmax: int
-    exponent_classes: dict
-    z_classes: dict
-    condition_c: ConditionCResult
-    verdict_a: str
-    verdict_b: str
-    verdict_c: str
-    caveat: str = CAVEAT
+    def __init__(self, label: str, window: int, jmax: int,
+                 exponent_classes: dict, z_classes: dict,
+                 condition_c: ConditionCResult):
+        self.label = label
+        self.window = window
+        self.jmax = jmax
+        self.exponent_classes = exponent_classes
+        self.z_classes = z_classes
+        self.condition_c = condition_c
+        self.verdict_a = "fail" if "diverging" in exponent_classes.values() \
+            else "pass"
+        self.verdict_b = "fail" if "diverging" in z_classes.values() else "pass"
+        self.verdict_c = "pass" if condition_c.ok else "fail"
+        self.caveat = CAVEAT
 
 
 def biconvergence_report(seq: BraidSumSequence, jmax: int,
@@ -133,13 +132,8 @@ def biconvergence_report(seq: BraidSumSequence, jmax: int,
     integrals = [Z(b, jmax).coeffs for b in trimmed.items]
     z_classes = {j: classify_trace([s[j] for s in integrals], maturity)
                  for j in range(jmax + 1)}
-    cond_c = filtration_condition_c(trimmed)
-    verdict_a = "fail" if "diverging" in exponent_classes.values() else "pass"
-    verdict_b = "fail" if "diverging" in z_classes.values() else "pass"
-    verdict_c = "pass" if cond_c.ok else "fail"
     return BiconvergenceReport(seq.label, window, jmax, exponent_classes,
-                               z_classes, cond_c, verdict_a, verdict_b,
-                               verdict_c)
+                               z_classes, filtration_condition_c(trimmed))
 
 
 # ---------------------------------------------------------------------------

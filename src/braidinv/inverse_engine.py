@@ -17,9 +17,7 @@ only in reported columns, never in the computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from .braid_ring import BraidSum, coefficient, filtration_order, multiply, tau
 from .kontsevich import Z
@@ -27,7 +25,6 @@ from .power_series import (arcsinh2_closed_form, common_denominator, revert,
                            t_series, two_sinh_half)
 
 
-@dataclass(frozen=True)
 class LiftPoly:
     """Polynomial-in-seed representative of a lift.
 
@@ -35,18 +32,16 @@ class LiftPoly:
     odd degrees occur, but a general order-one seed may force every degree.
     """
 
-    coeffs: dict
-    seed: BraidSum = field(default_factory=tau)
-
-    def __post_init__(self):
+    def __init__(self, coeffs: dict, seed: BraidSum | None = None):
         clean = {}
-        for k, c in self.coeffs.items():
+        for k, c in coeffs.items():
             c = Fraction(c)
             if c:
                 if k < 1:
                     raise ValueError("lift degrees start at 1")
                 clean[int(k)] = c
-        object.__setattr__(self, "coeffs", clean)
+        self.coeffs = clean
+        self.seed = tau() if seed is None else seed
 
     def truncate(self, order: int) -> "LiftPoly":
         kept = {k: c for k, c in self.coeffs.items() if k <= order}
@@ -79,16 +74,12 @@ class LiftPoly:
         return BraidSum({n: Fraction(v, den) for n, v in out.items()})
 
 
-@dataclass(frozen=True)
 class PairExpansion:
     """Coefficients over the antisymmetric pairs q^n - q^-n, odd n > 0."""
 
-    pair_coeffs: dict
-
-    def __post_init__(self):
-        clean = {int(n): Fraction(c) for n, c in self.pair_coeffs.items()
-                 if Fraction(c)}
-        object.__setattr__(self, "pair_coeffs", clean)
+    def __init__(self, pair_coeffs: dict):
+        self.pair_coeffs = {int(n): Fraction(c)
+                            for n, c in pair_coeffs.items() if Fraction(c)}
 
     def rebuild(self) -> BraidSum:
         terms = {}
@@ -130,12 +121,12 @@ def closed_form_lift(order: int) -> LiftPoly:
     return LiftPoly(dict(enumerate(arcsinh2_closed_form(order).coeffs)))
 
 
-@dataclass(frozen=True)
 class SymmetricExpansion:
     """Constant plus coefficients over q^n + q^-n, for even powers."""
 
-    constant: Fraction
-    sym_coeffs: dict
+    def __init__(self, constant: Fraction, sym_coeffs: dict):
+        self.constant = constant
+        self.sym_coeffs = sym_coeffs
 
 
 def q_expand(P: LiftPoly, power: int = 1):
@@ -165,11 +156,12 @@ def q_expand(P: LiftPoly, power: int = 1):
     return SymmetricExpansion(coefficient(b, 0), positive)
 
 
-class AsymptoticRow(NamedTuple):
-    order: int
-    coeff: Fraction
-    target: object     # mpmath float
-    abs_error: object  # mpmath float
+class AsymptoticRow:
+    def __init__(self, order: int, coeff: Fraction, target, abs_error):
+        self.order = order
+        self.coeff = coeff
+        self.target = target          # mpmath float
+        self.abs_error = abs_error    # mpmath float
 
 
 def pair_limit_target(j: int, digits: int = 50):

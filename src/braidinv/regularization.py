@@ -14,22 +14,17 @@ The degree-1 integral trace of the pair partial sums, scaled by pi, is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
 class RationalFunctionRep:
     """N(x) / (1 + x^2)^k with a dense numerator coefficient vector."""
 
-    numerator: tuple
-    denominator_power: int
-
-    def __post_init__(self):
-        if self.denominator_power < 1:
+    def __init__(self, numerator: tuple, denominator_power: int):
+        if denominator_power < 1:
             raise ValueError("denominator power must be at least 1")
-        object.__setattr__(self, "numerator",
-                           tuple(Fraction(c) for c in self.numerator))
+        self.numerator = tuple(Fraction(c) for c in numerator)
+        self.denominator_power = denominator_power
 
     def value_at_one(self) -> Fraction:
         return sum(self.numerator, Fraction(0)) / 2 ** self.denominator_power

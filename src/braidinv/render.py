@@ -9,19 +9,16 @@ a digit tag.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
-@dataclass
 class Table:
-    title: str
-    columns: list
-    rows: list
-    notes: list = field(default_factory=list)
+    def __init__(self, title: str, columns: list, rows: list,
+                 notes: list = ()):
+        self.title = title
+        self.columns = columns
+        self.rows = rows
+        self.notes = list(notes)
 
 
 def fmt_rational(x) -> str:
@@ -62,6 +59,7 @@ def render_text(tables) -> str:
 
 
 def render_json(tables) -> str:
+    import json
     payload = {"tables": [{"title": t.title,
                            "columns": list(t.columns),
                            "rows": [list(r) for r in t.rows],
@@ -70,6 +68,8 @@ def render_json(tables) -> str:
 
 
 def render_csv(tables) -> str:
+    import csv
+    import io
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     for index, table in enumerate(tables):

@@ -49,10 +49,10 @@ def test_invert_m1():
 
 def test_invert_identity_and_m2_entry():
     # the only moment matrix that is an identity is the 1x1 one
-    assert invert(build_balanced(0)) == ExactMatrix(1, [[1]])
+    for M in (build_balanced(0), build_unbalanced(0, with_factorials=True)):
+        N = invert(M)
+        assert (N.dim, N.rows) == (1, [[1]])
     assert type(ExactMatrix(1, [[1]]).entry(1, 1)) is Fraction
-    assert invert(build_unbalanced(0, with_factorials=True)) == \
-        ExactMatrix(1, [[1]])
     assert invert(build_balanced(2)).entry(1, 3) == frac(-5, 4)
 
 

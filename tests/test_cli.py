@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from braidinv import basis_solver, cli, convergence
+from braidinv.braid_ring import pair
 
 
 def run_cli(*args, env_extra=None):
@@ -236,11 +237,14 @@ def test_reproduce_single_table():
     ["zmap", "--braid", '{"1": Infinity}'],
     ["zmap", "--braid", '{"1": NaN}'],
     ["trace", "--sequence", "{tmp}/infinite.json"],
+    ["basis", "--r", "-1"],
+    ["basis", "--r", "-1", "--unbalanced"],
 ], ids=["negative-order", "zero-denominator", "sequence-zero-denominator",
         "sequence-top-level-array", "missing-out-dir", "solve-t-at-r-0",
         "sequence-empty", "sequence-one-item", "zmap-negative-jmax",
         "trace-negative-jmax", "json-infinity", "json-nan",
-        "sequence-json-infinity"])
+        "sequence-json-infinity", "basis-negative-r",
+        "basis-unbalanced-negative-r"])
 def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     (tmp_path / "zero.json").write_text('{"items": [{"1": "1/0"}]}',
                                         encoding="utf-8")
@@ -303,6 +307,35 @@ def test_basis_solve_t_inverts_once(monkeypatch, capsys):
     assert calls == []
     assert capsys.readouterr().err == \
         "error: --solve-t applies to the balanced basis\n"
+
+
+def test_zmap_integrates_once(monkeypatch, capsys):
+    calls = []
+    Z = cli.Z
+
+    def counting_Z(b, order):
+        calls.append(order)
+        return Z(b, order)
+
+    def rows(order):
+        return [[str(i), str(c)] for i, c in enumerate(Z(pair(2), order).coeffs)]
+
+    monkeypatch.setattr(cli, "Z", counting_Z)
+    for order, jmax in ((4, 4), (2, 5), (6, 3)):
+        calls.clear()
+        assert cli.main(["zmap", "--braid", "pair:2", "--order", str(order),
+                         "--jmax", str(jmax), "--format", "json"]) == 0
+        assert calls == [max(order, jmax)]
+        series, graded = json.loads(capsys.readouterr().out)["tables"]
+        assert series["rows"] == rows(order)
+        assert graded["rows"] == rows(jmax)
+
+    calls.clear()
+    assert cli.main(["zmap", "--order", "-1", "--jmax", "-1"]) == 1
+    assert cli.main(["basis", "--r", "-1"]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == \
+        "error: order must be nonnegative\nerror: r must be nonnegative\n"
 
 
 def test_qexpand_rejects_a_bad_power_before_strengthening(monkeypatch, capsys):
