@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .braid_ring import BraidSum
-
 
 class ExactMatrix:
     def __init__(self, dim: int, rows: list):
@@ -99,18 +97,33 @@ def _lagrange_rows(nodes, scale) -> list[list[Fraction]]:
     return rows
 
 
+def _horner(coeffs, x: int) -> int:
+    """The polynomial with coefficients highest degree first, at x."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
 def _verify(nodes, scale, rows) -> None:
-    """N*M = I in every entry: row k's polynomial is 1 at n_k, 0 elsewhere."""
+    """N*M = I in every entry: row k's polynomial is 1 at n_k, 0 elsewhere.
+
+    p(n) = E(n^2) + n O(n^2) for the even and odd parts E and O of p, so
+    both are evaluated once per square and serve the nodes n and -n alike.
+    """
+    squares = {}
+    for j, x in enumerate(nodes):
+        squares.setdefault(x * x, []).append((j, x))
     for k, row in enumerate(rows):
         coeffs = [x / f for x, f in zip(row, scale)]
         den = math.lcm(*(c.denominator for c in coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
-        for j, x in enumerate(nodes):
-            acc = 0
-            for c in ints:
-                acc = acc * x + c
-            if acc != (den if j == k else 0):
-                raise ArithmeticError("inverse failed its own verification")
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        even, odd = ints[0::2][::-1], ints[1::2][::-1]
+        for square, group in squares.items():
+            e, o = _horner(even, square), _horner(odd, square)
+            for j, x in group:
+                if e + x * o != (den if j == k else 0):
+                    raise ArithmeticError("inverse failed its own verification")
 
 
 def invert(M: MomentMatrix) -> ExactMatrix:
@@ -139,6 +152,7 @@ def solve_t_target(N: ExactMatrix):
     column 1.  Returns the solution both as a coefficient list over the node
     order and reassembled into a braid sum over the corresponding braid powers.
     """
+    from .braid_ring import BraidSum
     if N.dim < 3:
         raise ValueError("the degree-1 target needs r >= 1")
     solution = [row[1] for row in N.rows]

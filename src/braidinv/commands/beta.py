@@ -1,0 +1,42 @@
+"""braidinv beta: the Leibniz check at s = 1, the residue relation above."""
+
+from ..cli import _float_digits, emit
+from ..regularization import leibniz_partial, theta_value
+from ..render import Table, float_column, fmt_float, fmt_rational
+
+
+def run(args) -> int:
+    s = args.s
+    if s == 1:
+        import mpmath
+        d = _float_digits(args)
+        rows = []
+        with mpmath.workdps(d):
+            for r in (1, 10, 100, 1000, 10000):
+                exact = 4 * leibniz_partial(r)
+                size = f"{len(str(exact.numerator))}/{len(str(exact.denominator))}"
+                estimate = mpmath.mpf(exact.numerator) / exact.denominator / mpmath.pi
+                rows.append([str(r), size,
+                             fmt_float(estimate, d),
+                             fmt_float(abs(estimate - 1), d)])
+        emit(args, [Table("Leibniz partial sums, scaled by 4",
+                          ["terms", "digits num/den", float_column("over_pi", d),
+                           float_column("abs_error_to_1", d)],
+                          rows,
+                          ["partial sums are held as exact rationals; the "
+                           "column shows their printed size",
+                           "the alternating series bound keeps the error below "
+                           "1/(2r+1)/pi"])])
+        return 0
+    if s < 3 or s % 2 == 0:
+        raise ValueError("--s must be 1 or an odd integer >= 3")
+    # the relation's left side reduces exactly to this Abel value
+    abel = theta_value(s - 2)
+    verdict = "PASS" if abel == 0 else "FAIL"
+    rows = [[f"Abel value at exponent {s - 2}", fmt_rational(abel)],
+            ["reduced relation left side", fmt_rational(abel)],
+            ["verdict", verdict]]
+    emit(args, [Table(f"residue relation at s = {s}", ["what", "value"], rows,
+                      ["the left side reduces exactly to the Abel value of the "
+                       "alternating sum with exponent s-2; zero is expected"])])
+    return 0 if verdict == "PASS" else 2

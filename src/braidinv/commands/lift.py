@@ -1,0 +1,18 @@
+"""braidinv lift: the lift coefficients through an odd degree."""
+
+from ..braid_ring import tau
+from ..cli import emit
+from ..inverse_engine import reversion_lift, strengthen_to
+from ..render import Table, fmt_rational
+
+
+def run(args) -> int:
+    order = args.order
+    if args.method == "reversion":
+        P = reversion_lift(order)
+    else:
+        P = strengthen_to(tau(), order)
+    rows = [[str(k), fmt_rational(P.coeffs[k])] for k in sorted(P.coeffs)]
+    emit(args, [Table(f"lift coefficients through degree {order}",
+                      ["degree", "coefficient"], rows)])
+    return 0

@@ -1,0 +1,30 @@
+"""braidinv zmap: the integral of a braid sum and its graded values."""
+
+from ..braid_ring import render
+from ..cli import emit, parse_braid
+from ..kontsevich import Z, focus_order
+from ..render import Table, fmt_rational
+
+
+def run(args) -> int:
+    b = parse_braid(args.braid)
+    order = args.order
+    jmax = args.jmax if args.jmax is not None else order
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if jmax < 0:
+        raise ValueError("jmax must be nonnegative")
+    coeffs = Z(b, max(order, jmax)).coeffs
+    series_rows = [[str(i), fmt_rational(c)]
+                   for i, c in enumerate(coeffs[:order + 1])]
+    graded = coeffs[:jmax + 1]
+    graded_rows = [[str(j), fmt_rational(c)] for j, c in enumerate(graded)]
+    focused = focus_order(graded)
+    note = (f"focussed at degree {focused} through {jmax}" if focused is not None
+            else f"not focussed through degree {jmax}")
+    emit(args, [
+        Table(f"integral of {render(b)} through degree {order}",
+              ["degree", "coefficient"], series_rows),
+        Table("graded components", ["degree", "value"], graded_rows, [note]),
+    ])
+    return 0

@@ -17,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .braid_ring import BraidSum, coefficient, combine, filtration_order, tau
-from .inverse_engine import strengthen_to
 from .kontsevich import Z
 
 CAVEAT = ("finite-window evidence only; no verdict here asserts a limit")
@@ -145,6 +144,7 @@ def lift_truncation_sequence(count: int) -> BraidSumSequence:
     Differences of consecutive items are spans of high seed powers, so the
     sequence satisfies condition (c) comfortably.
     """
+    from .inverse_engine import strengthen_to
     full = strengthen_to(tau(), 2 * count - 1)
     items = [full.truncate(2 * i - 1).apply() for i in range(1, count + 1)]
     return BraidSumSequence(items, "lift-truncations")

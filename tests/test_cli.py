@@ -10,6 +10,7 @@ import pytest
 
 from braidinv import basis_solver, cli, convergence
 from braidinv.braid_ring import pair
+from braidinv.commands import qexpand, reproduce, zmap
 
 
 def run_cli(*args, env_extra=None):
@@ -223,6 +224,13 @@ def test_reproduce_single_table():
     assert "pair" not in result.stdout
 
 
+def test_reproduce_offers_exactly_its_tables(capsys):
+    # the parser lists the names itself, so --help loads no command module
+    assert cli.main(["reproduce", "--help"]) == 0
+    offered = "{" + ",".join(sorted(reproduce.REPRODUCE_TABLES)) + "}"
+    assert offered in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["zmap", "--order", "-1"],
     ["zmap", "--braid", '{"1": "1/0"}'],
@@ -239,12 +247,15 @@ def test_reproduce_single_table():
     ["trace", "--sequence", "{tmp}/infinite.json"],
     ["basis", "--r", "-1"],
     ["basis", "--r", "-1", "--unbalanced"],
+    ["basis", "--r", "3", "--entry", "1"],
+    ["basis", "--r", "3", "--entry", "1,3,4"],
 ], ids=["negative-order", "zero-denominator", "sequence-zero-denominator",
         "sequence-top-level-array", "missing-out-dir", "solve-t-at-r-0",
         "sequence-empty", "sequence-one-item", "zmap-negative-jmax",
         "trace-negative-jmax", "json-infinity", "json-nan",
         "sequence-json-infinity", "basis-negative-r",
-        "basis-unbalanced-negative-r"])
+        "basis-unbalanced-negative-r", "entry-one-value",
+        "entry-three-values"])
 def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     (tmp_path / "zero.json").write_text('{"items": [{"1": "1/0"}]}',
                                         encoding="utf-8")
@@ -258,6 +269,21 @@ def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     assert result.returncode == 1
     assert result.stderr.startswith("error: ")
     assert result.stderr.count("\n") == 1
+
+
+def test_bad_entry_names_the_expected_form_before_inverting(monkeypatch,
+                                                            capsys):
+    calls = []
+    monkeypatch.setattr(basis_solver, "invert", calls.append)
+    for entry in ("1", "1,3,4", "1,x"):
+        assert cli.main(["basis", "--r", "3", "--entry", entry]) == 1
+        assert capsys.readouterr().err == \
+            f"error: bad --entry: expected ROW,COL, got {entry!r}\n"
+    assert calls == []
+    monkeypatch.undo()
+    assert cli.main(["basis", "--r", "1", "--entry", "4,1"]) == 1
+    assert capsys.readouterr().err == \
+        "error: bad --entry: entry (4,1) outside a 3x3 matrix\n"
 
 
 def test_json_numbers_are_exact_decimals(tmp_path):
@@ -311,7 +337,7 @@ def test_basis_solve_t_inverts_once(monkeypatch, capsys):
 
 def test_zmap_integrates_once(monkeypatch, capsys):
     calls = []
-    Z = cli.Z
+    Z = zmap.Z
 
     def counting_Z(b, order):
         calls.append(order)
@@ -320,7 +346,7 @@ def test_zmap_integrates_once(monkeypatch, capsys):
     def rows(order):
         return [[str(i), str(c)] for i, c in enumerate(Z(pair(2), order).coeffs)]
 
-    monkeypatch.setattr(cli, "Z", counting_Z)
+    monkeypatch.setattr(zmap, "Z", counting_Z)
     for order, jmax in ((4, 4), (2, 5), (6, 3)):
         calls.clear()
         assert cli.main(["zmap", "--braid", "pair:2", "--order", str(order),
@@ -340,13 +366,13 @@ def test_zmap_integrates_once(monkeypatch, capsys):
 
 def test_qexpand_rejects_a_bad_power_before_strengthening(monkeypatch, capsys):
     calls = []
-    strengthen_to = cli.strengthen_to
+    strengthen_to = qexpand.strengthen_to
 
     def counting_strengthen_to(seed, order):
         calls.append(order)
         return strengthen_to(seed, order)
 
-    monkeypatch.setattr(cli, "strengthen_to", counting_strengthen_to)
+    monkeypatch.setattr(qexpand, "strengthen_to", counting_strengthen_to)
     assert cli.main(["qexpand", "--order", "61", "--power", "0"]) == 1
     assert calls == []
     assert capsys.readouterr().err == "error: power must be positive\n"

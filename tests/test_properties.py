@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from braidinv import basis_solver, braid_ring
-from braidinv.basis_solver import MomentMatrix, build_balanced, invert
+from braidinv.basis_solver import (MomentMatrix, build_balanced,
+                                   build_unbalanced, invert)
 from braidinv.braid_ring import (BraidSum, combine, filtration_order, identity,
                                  multiply, tau)
 from braidinv.inverse_engine import LiftPoly, strengthen_to
@@ -121,14 +122,27 @@ def test_moment_matrix_rejects_repeated_nodes(nodes, data):
 
 def test_invert_reports_any_corrupted_entry(monkeypatch):
     lagrange_rows = basis_solver._lagrange_rows
-    dim = build_balanced(2).dim
-    for k in range(dim):
-        for i in range(dim):
-            def corrupted(nodes, scale, k=k, i=i):
-                rows = lagrange_rows(nodes, scale)
-                rows[k][i] += Fraction(1, 10 ** 9)
-                return rows
-            monkeypatch.setattr(basis_solver, "_lagrange_rows", corrupted)
-            with pytest.raises(ArithmeticError,
-                               match="inverse failed its own verification"):
-                invert(build_balanced(2))
+    # balanced nodes share their squares in pairs; unbalanced ones do not
+    for M in (build_balanced(2), build_unbalanced(3)):
+        for k in range(M.dim):
+            for i in range(M.dim):
+                def corrupted(nodes, scale, k=k, i=i):
+                    rows = lagrange_rows(nodes, scale)
+                    rows[k][i] += Fraction(1, 10 ** 9)
+                    return rows
+                monkeypatch.setattr(basis_solver, "_lagrange_rows", corrupted)
+                with pytest.raises(ArithmeticError,
+                                   match="inverse failed its own verification"):
+                    invert(M)
+
+    # adding x(x-1)(x-2) = 2x - 3x^2 + x^3 keeps row 0 right at the nodes
+    # 0, 1 and 2, so only the check at -1 and -2 can see it
+    def mirrored(nodes, scale):
+        rows = lagrange_rows(nodes, scale)
+        for i, c in enumerate((0, 2, -3, 1)):
+            rows[0][i] += Fraction(c, 10 ** 9)
+        return rows
+    monkeypatch.setattr(basis_solver, "_lagrange_rows", mirrored)
+    with pytest.raises(ArithmeticError,
+                       match="inverse failed its own verification"):
+        invert(build_balanced(2))

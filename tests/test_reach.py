@@ -1,4 +1,5 @@
-"""Every function and method in src/braidinv runs in some CLI invocation.
+"""Every function and method in src/braidinv, the command modules included,
+runs in some CLI invocation.
 
 The invocations below go through cli.main in-process while sys.setprofile
 records each code object that starts running.  A function that none of them
@@ -37,12 +38,13 @@ EXTRA = [
 
 
 def defined_functions():
-    """(file, first line, name) of every def under src/braidinv."""
+    """(file, first line, name) of every def under src/braidinv and its
+    subpackages."""
     found = set()
-    for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.realpath(os.path.join(PACKAGE, name))
+    paths = [os.path.realpath(os.path.join(folder, name))
+             for folder, _, names in os.walk(PACKAGE)
+             for name in names if name.endswith(".py")]
+    for path in sorted(paths):
         with open(path, encoding="utf-8") as handle:
             stack = [compile(handle.read(), path, "exec")]
         while stack:

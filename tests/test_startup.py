@@ -1,11 +1,14 @@
 """What each README command imports.
 
-A command loads mpmath only when it prints a float column, and loads each
-of basis_solver, convergence and regularization only when it uses it.
-json loads only for --format json or a JSON input, csv only for
---format csv, and dataclasses and inspect never (mpmath loads neither).
-Each command runs in a fresh interpreter, so nothing another test imported
-can hide an import, and its stdout must still match its golden.
+The CLI core loads no library module; after parsing it loads the one
+command module that runs, and that module loads only the library modules
+it uses.  So --help loads the core alone, a command loads mpmath only when
+it prints a float column, and each library module loads only for the
+commands that call it.  json loads only for --format json or a JSON input,
+csv only for --format csv, and dataclasses and inspect never (mpmath loads
+neither).  Each command runs in a fresh interpreter, so nothing another
+test imported can hide an import, and its stdout must still match its
+golden.
 """
 
 import json
@@ -28,23 +31,28 @@ import json
 print(json.dumps([code, loaded]), file=sys.stderr)
 """
 
-ALWAYS = {"braidinv", "braidinv.cli", "braidinv.braid_ring",
-          "braidinv.inverse_engine", "braidinv.kontsevich",
-          "braidinv.power_series", "braidinv.render"}
+CORE = {"braidinv", "braidinv.cli"}
+# every command adds its own module, the commands package and render
+ALWAYS = CORE | {"braidinv.commands", "braidinv.render"}
+# what kontsevich and inverse_engine bring with them
+INTEGRAL = {"braidinv.kontsevich", "braidinv.braid_ring",
+            "braidinv.power_series"}
+ENGINE = INTEGRAL | {"braidinv.inverse_engine"}
 
-# README command -> what it loads beyond ALWAYS in text format
+# README command -> what it loads beyond ALWAYS and its module in text format
 EXTRA = {
-    "lift --order 13": set(),
-    "zmap --braid pair:2 --order 4": set(),
-    "qexpand --order 11": set(),
-    "qexpand --order 5 --power 2": set(),
-    "asymptotics --j 3 --orders 9,25,49": {"mpmath"},
+    "lift --order 13": ENGINE,
+    "zmap --braid pair:2 --order 4": INTEGRAL,
+    "qexpand --order 11": ENGINE,
+    "qexpand --order 5 --power 2": ENGINE,
+    "asymptotics --j 3 --orders 9,25,49": ENGINE | {"mpmath"},
     "beta --s 1": {"mpmath", "braidinv.regularization"},
     "beta --s 7": {"braidinv.regularization"},
     "basis --r 2 --entry 1,3": {"braidinv.basis_solver"},
-    "basis --r 3 --solve-t": {"mpmath", "braidinv.basis_solver"},
-    "trace --sequence tauhat --window 8": {"braidinv.convergence"},
-    "reproduce": {"braidinv.basis_solver", "braidinv.regularization"},
+    "basis --r 3 --solve-t": ENGINE | {"mpmath", "braidinv.basis_solver"},
+    "trace --sequence tauhat --window 8": ENGINE | {"braidinv.convergence"},
+    "reproduce": ENGINE | {"braidinv.basis_solver",
+                           "braidinv.regularization"},
 }
 # output format -> what it adds
 FORMAT = {"text": set(), "json": {"json"}, "csv": {"csv"}}
@@ -64,16 +72,38 @@ def test_every_readme_command_is_listed():
     assert {key.rsplit(" --format ", 1)[0] for key in DIGESTS} == set(EXTRA)
 
 
+def loads(command, *adds):
+    """ALWAYS, the command's own module and whatever else it adds."""
+    return ALWAYS.union({f"braidinv.commands.{command.split()[0]}"}, *adds)
+
+
 @pytest.mark.parametrize("command", sorted(EXTRA))
 def test_command_loads_only_what_it_uses(command):
     for fmt, adds in FORMAT.items():
         key = f"{command} --format {fmt}"
         assert probe(key.split()) == \
-            (0, ALWAYS | EXTRA[command] | adds, read_golden(key)), key
+            (0, loads(command, EXTRA[command], adds), read_golden(key)), key
+
+
+def test_help_loads_the_core_alone():
+    code, loaded, out = probe(["--help"])
+    assert (code, loaded) == (0, CORE)
+    assert out.startswith(b"usage: braidinv")
 
 
 def test_json_braid_loads_json():
     argv = ["zmap", "--braid", '{"2": 1, "-2": -1}', "--order", "4"]
     assert probe(argv) == \
-        (0, ALWAYS | {"json"},
+        (0, loads("zmap", INTEGRAL, {"json"}),
          read_golden("zmap --braid pair:2 --order 4 --format text"))
+
+
+def test_sequence_file_trace_skips_the_engine(tmp_path):
+    path = tmp_path / "seq.json"
+    path.write_text('{"items": [{"1": 1}, {"1": 0.5}, {"1": "1/4"}]}',
+                    encoding="utf-8")
+    code, loaded, out = probe(["trace", "--sequence", str(path),
+                               "--window", "3", "--format", "csv"])
+    assert (code, loaded) == \
+        (0, loads("trace", INTEGRAL, {"braidinv.convergence", "json", "csv"}))
+    assert b"insufficient" in out
