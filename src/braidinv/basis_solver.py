@@ -16,8 +16,6 @@ finite-difference weights for f'(0).  The unbalanced variant on nodes
 0..r is there to show the opposite, its entries grow without bound.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

@@ -12,8 +12,6 @@ leading vanishing derivatives at q = 1 (the root multiplicity there).  The
 zero element has order INFINITE.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

@@ -1,16 +1,20 @@
-"""Command line driver: the parser and the dispatch to one subcommand.
+"""Command line interface: the flag table, its parser and the dispatch to one
+subcommand.
 
 Subcommands: lift, zmap, qexpand, asymptotics, beta, basis, trace,
 reproduce.  Exit codes: 0 when everything asked for passed, 1 for bad
-input, 2 when a computation disagrees with a bundled reference value.
+input or a usage error, 2 when a computation disagrees with a bundled
+reference value.
 
 Each request compiles only the code it runs: with no bytecode cache
 (PYTHONDONTWRITEBYTECODE) Python compiles every module it imports, every
-time.  This module imports no library module at the top; after parsing,
-main imports braidinv.commands.<name>, which imports what it uses, and
-calls its run(args).  So --help loads this module alone, beta and basis
-without --solve-t skip inverse_engine, kontsevich, braid_ring and
-power_series, and a trace of a sequence file skips inverse_engine.  mpmath
+time.  This module imports no library module at the top and reads argv
+with its own table (COMMANDS), so argparse, gettext and locale never load;
+after parsing, main imports braidinv.commands.<name>, which imports what
+it uses, and calls its run(args).  So --help and usage errors load this
+module alone; beta, basis without --solve-t and reproduce without its lift
+and pairs tables skip inverse_engine, kontsevich, braid_ring and
+power_series; a trace of a sequence file skips inverse_engine.  mpmath
 loads only for float columns (asymptotics, beta --s 1, basis --solve-t),
 json only for --format json, a JSON braid or a sequence file, and csv only
 for --format csv; the record types are plain classes, so no class
@@ -22,12 +26,10 @@ a ValueError or an OSError exits 1 with one `error:` line, and an
 ArithmeticError keeps its traceback.
 """
 
-from __future__ import annotations
-
-import argparse
 import os
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 
 ENV_FLOAT_DIGITS = "BRAIDINV_FLOAT_DIGITS"
 DEFAULT_FLOAT_DIGITS = 50
@@ -71,7 +73,7 @@ def _float_digits(args) -> int:
 # 1e400 is 10^400, and Fraction rejects NaN and Infinity with a ValueError
 
 
-def parse_braid(text: str) -> BraidSum:
+def parse_braid(text: str) -> "BraidSum":
     """Named elements, sigma^K, pair:N, or a JSON exponent map."""
     from .braid_ring import identity, pair, sigma, sigma_bar, sigma_power, tau
     named = {"tau": tau, "sigma": sigma, "sigmabar": sigma_bar,
@@ -101,7 +103,7 @@ def parse_braid(text: str) -> BraidSum:
                      f"pair:N, sigma^K, or a JSON exponent map")
 
 
-def _exponent_map(raw) -> BraidSum:
+def _exponent_map(raw) -> "BraidSum":
     """A braid sum from a parsed JSON object mapping exponents to rationals."""
     from fractions import Fraction
     from .braid_ring import BraidSum
@@ -111,7 +113,7 @@ def _exponent_map(raw) -> BraidSum:
         raise ValueError(f"bad exponent map: {exc}") from exc
 
 
-def load_sequence(path: str) -> BraidSumSequence:
+def load_sequence(path: str) -> "BraidSumSequence":
     """A sequence from a JSON file {"label": ..., "items": [exponent maps]}."""
     import json
     from fractions import Fraction
@@ -130,83 +132,193 @@ def load_sequence(path: str) -> BraidSumSequence:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one table of commands and flags, read by parse_args and rendered
+# as usage and help.  A flag of kind int or str takes a value, bool is a
+# switch and list collects values; FLAG fills the fields an entry leaves out
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+FLAG = {"kind": str, "default": None, "choices": (), "required": False,
+        "help": ""}
+OUTPUT_FLAGS = {  # taken by every command
+    "--format": {"default": "text", "choices": ("text", "json", "csv")},
+    "--digits": {"kind": int, "help": f"float precision in significant digits"
+                 f"\n(default {DEFAULT_FLOAT_DIGITS}, or {ENV_FLOAT_DIGITS})"},
+    "--out": {"help": "write output to a file"},
+}
+REQUIRED_INT = {"kind": int, "required": True}
+SWITCH = {"kind": bool, "default": False}
+COMMANDS = {  # command -> (help line, its own flags)
+    "lift": ("lift coefficients", {
+        "--order": REQUIRED_INT,
+        "--method": {"default": "strengthen",
+                     "choices": ("strengthen", "reversion")}}),
+    "zmap": ("series and graded values of a braid sum", {
+        "--braid": {"default": "tau"}, "--order": {"kind": int, "default": 7},
+        "--jmax": {"kind": int}}),
+    "qexpand": ("pair expansion of a lift", {
+        "--order": REQUIRED_INT, "--power": {"kind": int, "default": 1}}),
+    "asymptotics": ("pair coefficients against 4/pi limits", {
+        "--j": REQUIRED_INT,
+        "--orders": {"required": True, "help": "comma separated lift orders"}}),
+    "beta": ("regularized sums and the Leibniz check", {"--s": REQUIRED_INT}),
+    "basis": ("moment matrices and inverse entries", {
+        "--r": REQUIRED_INT, "--unbalanced": SWITCH,
+        "--entry": {"help": "ROW,COL (1-based)"}, "--solve-t": SWITCH,
+        "--with-factorials": SWITCH}),
+    "trace": ("finite-window convergence diagnostics", {
+        "--sequence": {"default": "tauhat",
+                       "help": "tauhat, pairs, harmonic, or a JSON file path"},
+        "--jmax": {"kind": int, "default": 5},
+        "--window": {"kind": int, "default": 8}}),
+    "reproduce": ("check every bundled reference table", {
+        "--table": {"kind": list,
+                    "choices": ("beta", "lift", "onefive", "pairs", "zeta2"),
+                    "help": "run a specific table; may repeat"}}),
+}
+HELP = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="braidinv",
-                     description="exact computations for the inverse problem "
-                                 "of the two-strand braid integral")
-    subs = parser.add_subparsers(dest="command", required=True)
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text")
-    output.add_argument("--digits", type=int, default=None,
-                        help=f"float precision in significant digits "
-                             f"(default {DEFAULT_FLOAT_DIGITS}, or "
-                             f"{ENV_FLOAT_DIGITS})")
-    output.add_argument("--out", default=None, help="write output to a file")
+def parse_args(argv):
+    """The request in argv: command, then one attribute per flag.
 
-    def command(name, help):
-        return subs.add_parser(name, parents=[output], help=help)
+    A flag takes its value as the next token or after `=`, and may be
+    shortened to a unique prefix; the last of repeated flags wins, and
+    --table appends.  Raises SystemExit(0) after printing help and
+    SystemExit(1) after a usage error.
+    """
+    for at, token in enumerate(argv):
+        hit = _match(token, HELP, None)
+        if hit is None:
+            break
+        if hit[0] in HELP:
+            _help(None, hit[1])
+    else:
+        _fail(None, "the following arguments are required: command")
+    command, tokens, stray = argv[at], argv[at + 1:], list(argv[:at])
+    if command not in COMMANDS:
+        _fail(None, f"argument command: invalid choice: {command!r} "
+                    f"(choose from {', '.join(COMMANDS)})")
+    flags = _flags(command)
+    options = HELP + tuple(flags)
+    # every token is matched first: an ambiguous prefix fails even after -h
+    hits = [_match(token, options, command) for token in tokens]
+    args = SimpleNamespace(command=command, **{
+        _dest(name): spec["default"] for name, spec in flags.items()})
+    pairs = iter(zip(tokens, hits))
+    for token, hit in pairs:
+        if hit is None or hit[0] not in options:
+            stray.append(token)
+            continue
+        name, value = hit
+        if name in HELP:
+            _help(command, value)
+        kind, choices = flags[name]["kind"], flags[name]["choices"]
+        if kind is bool and value is not None:
+            _fail(command, f"argument {name}: ignored explicit argument "
+                           f"{value!r}")
+        if kind is not bool and value is None:
+            value, hit = next(pairs, (None, ()))
+            if hit is not None:
+                _fail(command, f"argument {name}: expected one argument")
+        try:
+            value = True if kind is bool else int(value) if kind is int else value
+        except ValueError:
+            _fail(command, f"argument {name}: invalid int value: {value!r}")
+        if choices and value not in choices:
+            _fail(command, f"argument {name}: invalid choice: {value!r} "
+                           f"(choose from {', '.join(choices)})")
+        if kind is list:
+            value = (getattr(args, _dest(name)) or []) + [value]
+        setattr(args, _dest(name), value)
+    given = {hit and hit[0] for hit in hits}
+    missing = [name for name, spec in flags.items()
+               if spec["required"] and name not in given]
+    if missing:
+        _fail(command, f"the following arguments are required: "
+                       f"{', '.join(missing)}")
+    if stray:
+        _fail(command, f"unrecognized arguments: {' '.join(stray)}")
+    return args
 
-    p = command("lift", "lift coefficients")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--method", choices=("strengthen", "reversion"),
-                   default="strengthen")
 
-    p = command("zmap", "series and graded values of a braid sum")
-    p.add_argument("--braid", default="tau")
-    p.add_argument("--order", type=int, default=7)
-    p.add_argument("--jmax", type=int, default=None)
+def _match(token, options, command):
+    """(option, its `=` value or None) for a flag, None for a value: '-', a
+    negative number, or a token with no leading '-' or with a space.  A flag
+    may be a unique prefix of an option; an unknown one comes back as is."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[1] == "h":
+        return "-h", token[2:] or None
+    name, eq, value = token.partition("=")
+    found = [name] if name in options else [
+        option for option in options
+        if token[1] == "-" and len(name) > 2 and option.startswith(name)]
+    if len(found) > 1:
+        _fail(command, f"ambiguous option: {name} could match "
+                       f"{', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    whole, dot, fraction = token[1:].partition(".")
+    if (whole.isdecimal() or dot and not whole) and \
+            (not dot or fraction.isdecimal()) or " " in token:
+        return None
+    return token, None
 
-    p = command("qexpand", "pair expansion of a lift")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--power", type=int, default=1)
 
-    p = command("asymptotics", "pair coefficients against 4/pi limits")
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--orders", required=True,
-                   help="comma separated lift orders")
+def _flags(command):
+    return {name: {**FLAG, **spec} for name, spec in
+            {**OUTPUT_FLAGS, **COMMANDS[command][1]}.items()}
 
-    p = command("beta", "regularized sums and the Leibniz check")
-    p.add_argument("--s", type=int, required=True)
 
-    p = command("basis", "moment matrices and inverse entries")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--unbalanced", action="store_true")
-    p.add_argument("--entry", default=None, help="ROW,COL (1-based)")
-    p.add_argument("--solve-t", action="store_true", dest="solve_t")
-    p.add_argument("--with-factorials", action="store_true",
-                   dest="with_factorials")
+def _dest(name):
+    return name[2:].replace("-", "_")
 
-    p = command("trace", "finite-window convergence diagnostics")
-    p.add_argument("--sequence", default="tauhat",
-                   help="tauhat, pairs, harmonic, or a JSON file path")
-    p.add_argument("--jmax", type=int, default=5)
-    p.add_argument("--window", type=int, default=8)
 
-    p = command("reproduce", "check every bundled reference table")
-    p.add_argument("--table", action="append",
-                   choices=("beta", "lift", "onefive", "pairs", "zeta2"),
-                   help="run a specific table; may repeat")
+def _usage(command):
+    if command is None:
+        return "usage: braidinv [-h] COMMAND [options]"
+    return " ".join(["usage: braidinv", command, "[-h]", *(
+        f"{name} {name[2:].upper()}" for name, spec in _flags(command).items()
+        if spec["required"]), "[options]"])
 
-    return parser
+
+def _fail(command, message):
+    """The usage and one error line on stderr, then exit 1."""
+    prog = "braidinv" if command is None else f"braidinv {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(1)
+
+
+def _help(command, value):
+    """Help on stdout, then exit 0; `--help=x` is a usage error."""
+    if value is not None:
+        _fail(command, f"argument --help: ignored explicit argument {value!r}")
+    rows = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        about = ("exact computations for the inverse problem of the two-strand "
+                 "braid integral\n\ncommands:\n" + "\n".join(
+                     _row(name, line) for name, (line, _) in COMMANDS.items()))
+    else:
+        about = COMMANDS[command][0]
+        for name, spec in _flags(command).items():
+            metavar = ("{" + ",".join(spec["choices"]) + "}"
+                       if spec["choices"] else name[2:].upper())
+            rows.append((name if spec["kind"] is bool else f"{name} {metavar}",
+                         spec["help"]))
+    sys.stdout.write(f"{_usage(command)}\n\n{about}\n\noptions:\n" +
+                     "\n".join(_row(*row) for row in rows) + "\n")
+    raise SystemExit(0)
+
+
+def _row(left, line):
+    """One help row, its text from column 25 on."""
+    return f"  {left:<20}  {line}".replace("\n", "\n" + " " * 24).rstrip()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 1
+        return exc.code
     # exact rationals in the tables run to thousands of digits; the
     # int-to-str guard is raised for this run only
     limit = (sys.get_int_max_str_digits()

@@ -9,9 +9,7 @@ marked FLAGGED rather than FAIL and does not affect the exit code.
 
 from fractions import Fraction
 
-from ..braid_ring import tau
 from ..cli import emit
-from ..inverse_engine import closed_form_lift, q_expand, strengthen_to
 from ..render import Table, fmt_rational
 
 REF_LIFT = {1: "1", 3: "-1/24", 5: "3/640", 7: "-5/7168",
@@ -58,6 +56,8 @@ def _cell(where: str, printed: str | None, computed: Fraction,
 
 
 def _lift_rows():
+    from ..braid_ring import tau
+    from ..inverse_engine import closed_form_lift, strengthen_to
     P = strengthen_to(tau(), 13)
     rows = [_cell(f"degree {k}", printed, P.coeffs.get(k, Fraction(0)))
             for k, printed in sorted(REF_LIFT.items())]
@@ -68,6 +68,8 @@ def _lift_rows():
 
 
 def _pair_rows():
+    from ..braid_ring import tau
+    from ..inverse_engine import q_expand, strengthen_to
     P = strengthen_to(tau(), 11)
     return [_cell(f"order {order}, pair {n}", None if ref is None else ref[n],
                   computed, PAIR_MISPRINTS.get((order, n)))

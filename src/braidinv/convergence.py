@@ -12,8 +12,6 @@ carries no information.  Fewer than three nonzero differences is ruled
 insufficient rather than guessed at.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .braid_ring import BraidSum, coefficient, combine, filtration_order, tau

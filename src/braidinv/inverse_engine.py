@@ -15,8 +15,6 @@ asymptotic comparisons here are the only place floating point appears, and
 only in reported columns, never in the computation.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .braid_ring import BraidSum, coefficient, filtration_order, multiply, tau

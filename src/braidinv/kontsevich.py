@@ -8,8 +8,6 @@ degree-i coefficient of Z(b) is sum_n b_n (n/2)^i / i!, exactly.  The
 graded components of b are the coefficients of Z(b), read off by index.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .braid_ring import BraidSum, moments

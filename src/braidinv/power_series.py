@@ -9,8 +9,6 @@ Hot kernels here and in the integral and the lift expansion loop over
 integer numerators from common_denominator and return exact Fractions.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

@@ -12,8 +12,6 @@ The degree-1 integral trace of the pair partial sums, scaled by pi, is
 4 leibniz_partial(r), which tends to pi.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 

@@ -7,8 +7,6 @@ the caller's chosen precision and appear only in columns whose names carry
 a digit tag.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 

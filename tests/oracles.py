@@ -4,10 +4,14 @@ Everything in this file is written directly from the mathematical definitions
 and never imports the package under test.  Each oracle gives a second,
 structurally unrelated route to a value that the package computes, so a test
 that compares the two is a genuine consistency check rather than a tautology.
+The command line parser is the argparse one braidinv used before it read
+argv from its own flag table, kept verbatim as that table's reference.
 """
 
 from fractions import Fraction
+import argparse
 import math
+import sys
 
 
 # ---------------------------------------------------------------------------
@@ -316,3 +320,78 @@ def harmonic_second(r):
 
 def leibniz_direct(r):
     return sum(Fraction((-1) ** m, 2 * m + 1) for m in range(r))
+
+
+# ---------------------------------------------------------------------------
+# the argparse command line parser, verbatim
+
+ENV_FLOAT_DIGITS = "BRAIDINV_FLOAT_DIGITS"
+DEFAULT_FLOAT_DIGITS = 50
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(1)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="braidinv",
+                     description="exact computations for the inverse problem "
+                                 "of the two-strand braid integral")
+    subs = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json", "csv"),
+                        default="text")
+    output.add_argument("--digits", type=int, default=None,
+                        help=f"float precision in significant digits "
+                             f"(default {DEFAULT_FLOAT_DIGITS}, or "
+                             f"{ENV_FLOAT_DIGITS})")
+    output.add_argument("--out", default=None, help="write output to a file")
+
+    def command(name, help):
+        return subs.add_parser(name, parents=[output], help=help)
+
+    p = command("lift", "lift coefficients")
+    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--method", choices=("strengthen", "reversion"),
+                   default="strengthen")
+
+    p = command("zmap", "series and graded values of a braid sum")
+    p.add_argument("--braid", default="tau")
+    p.add_argument("--order", type=int, default=7)
+    p.add_argument("--jmax", type=int, default=None)
+
+    p = command("qexpand", "pair expansion of a lift")
+    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--power", type=int, default=1)
+
+    p = command("asymptotics", "pair coefficients against 4/pi limits")
+    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--orders", required=True,
+                   help="comma separated lift orders")
+
+    p = command("beta", "regularized sums and the Leibniz check")
+    p.add_argument("--s", type=int, required=True)
+
+    p = command("basis", "moment matrices and inverse entries")
+    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--unbalanced", action="store_true")
+    p.add_argument("--entry", default=None, help="ROW,COL (1-based)")
+    p.add_argument("--solve-t", action="store_true", dest="solve_t")
+    p.add_argument("--with-factorials", action="store_true",
+                   dest="with_factorials")
+
+    p = command("trace", "finite-window convergence diagnostics")
+    p.add_argument("--sequence", default="tauhat",
+                   help="tauhat, pairs, harmonic, or a JSON file path")
+    p.add_argument("--jmax", type=int, default=5)
+    p.add_argument("--window", type=int, default=8)
+
+    p = command("reproduce", "check every bundled reference table")
+    p.add_argument("--table", action="append",
+                   choices=("beta", "lift", "onefive", "pairs", "zeta2"),
+                   help="run a specific table; may repeat")
+
+    return parser

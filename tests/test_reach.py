@@ -34,6 +34,7 @@ EXTRA = [
     ["zmap", "--braid", "sigmabar", "--order", "2"],
     ["zmap", "--braid", "sigma^3", "--order", "2"],
     ["lift", "--order", "x"],
+    ["--help"],
 ]
 
 

@@ -6,9 +6,11 @@ it uses.  So --help loads the core alone, a command loads mpmath only when
 it prints a float column, and each library module loads only for the
 commands that call it.  json loads only for --format json or a JSON input,
 csv only for --format csv, and dataclasses and inspect never (mpmath loads
-neither).  Each command runs in a fresh interpreter, so nothing another
-test imported can hide an import, and its stdout must still match its
-golden.
+neither).  The core parses argv from its own flag table, so argparse, and
+the gettext and locale it pulls in, never load; nor does __future__, except
+that mpmath imports it itself.  Each command runs in a fresh interpreter,
+so nothing another test imported can hide an import, and its stdout must
+still match its golden.
 """
 
 import json
@@ -26,7 +28,8 @@ import sys
 from braidinv import cli
 code = cli.main(sys.argv[1:])
 loaded = sorted(n for n in sys.modules if n.startswith("braidinv") or
-                n in ("mpmath", "json", "csv", "dataclasses", "inspect"))
+                n in ("mpmath", "json", "csv", "dataclasses", "inspect",
+                      "argparse", "gettext", "locale", "__future__"))
 import json
 print(json.dumps([code, loaded]), file=sys.stderr)
 """
@@ -38,6 +41,8 @@ ALWAYS = CORE | {"braidinv.commands", "braidinv.render"}
 INTEGRAL = {"braidinv.kontsevich", "braidinv.braid_ring",
             "braidinv.power_series"}
 ENGINE = INTEGRAL | {"braidinv.inverse_engine"}
+# mpmath imports __future__ itself
+MPMATH = {"mpmath", "__future__"}
 
 # README command -> what it loads beyond ALWAYS and its module in text format
 EXTRA = {
@@ -45,11 +50,11 @@ EXTRA = {
     "zmap --braid pair:2 --order 4": INTEGRAL,
     "qexpand --order 11": ENGINE,
     "qexpand --order 5 --power 2": ENGINE,
-    "asymptotics --j 3 --orders 9,25,49": ENGINE | {"mpmath"},
-    "beta --s 1": {"mpmath", "braidinv.regularization"},
+    "asymptotics --j 3 --orders 9,25,49": ENGINE | MPMATH,
+    "beta --s 1": MPMATH | {"braidinv.regularization"},
     "beta --s 7": {"braidinv.regularization"},
     "basis --r 2 --entry 1,3": {"braidinv.basis_solver"},
-    "basis --r 3 --solve-t": ENGINE | {"mpmath", "braidinv.basis_solver"},
+    "basis --r 3 --solve-t": ENGINE | MPMATH | {"braidinv.basis_solver"},
     "trace --sequence tauhat --window 8": ENGINE | {"braidinv.convergence"},
     "reproduce": ENGINE | {"braidinv.basis_solver",
                            "braidinv.regularization"},
@@ -89,6 +94,23 @@ def test_help_loads_the_core_alone():
     code, loaded, out = probe(["--help"])
     assert (code, loaded) == (0, CORE)
     assert out.startswith(b"usage: braidinv")
+
+
+def test_usage_error_loads_the_core_alone():
+    code, loaded, out = probe(["lift", "--order", "x"])
+    assert (code, loaded, out) == (1, CORE, b"")
+
+
+@pytest.mark.parametrize("tables, adds", [
+    (["zeta2", "onefive"], {"braidinv.basis_solver"}),
+    (["beta"], {"braidinv.regularization"}),
+], ids=["zeta2-onefive", "beta"])
+def test_reproduce_loads_only_its_tables(tables, adds):
+    argv = ["reproduce"] + [arg for table in tables
+                            for arg in ("--table", table)]
+    code, loaded, out = probe(argv)
+    assert (code, loaded) == (0, loads("reproduce", adds))
+    assert out.count(b"PASS") > len(tables)
 
 
 def test_json_braid_loads_json():
