@@ -142,9 +142,10 @@ def _moment_order(b: BraidSum) -> int:
 def _derivative_order(b: BraidSum) -> int:
     # first k with the k-th derivative at q = 1, sum_n c_n n(n-1)...(n-k+1),
     # nonzero; Stirling numbers relate these falling-factorial moments to
-    # the power moments triangularly, so both routes stop at the same k
+    # the power moments triangularly, so both routes stop at the same k;
+    # scaling to integer numerators leaves every vanishing sum at zero
     exponents = list(b.terms)
-    weights = list(b.terms.values())
+    weights, _ = common_denominator(b.terms.values())
     for k in range(len(exponents) + 1):
         if sum(weights):
             return k

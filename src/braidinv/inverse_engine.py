@@ -2,12 +2,14 @@
 
 A LiftPoly is a polynomial applied to a seed braid sum of filtration order
 one.  Strengthening finds the polynomial P whose lifted element has
-integral t through a target order.  The integral is a ring homomorphism,
-so Z(P(seed)) = P(Z(seed)) and P is the series reversion of Z(seed): one
-triangular solve in the series ring, checked once at the braid level by
-expanding P at the seed and integrating.  For the seed q - q^-1 this is
-the reversion of 2 sinh(t/2), with the classical closed-form arcsinh
-coefficients as an independent route to the same numbers.
+integral t through a target order.  The integral is a ring homomorphism
+with Z(q^n) = exp(n t/2), so for seed = sum_n c_n q^n the polynomial P is
+the series with sum_n c_n exp(n P/2) = t.  One solve finds it degree by
+degree on integers, without forming Z(seed); the result is checked once at
+the braid level by expanding P at the seed and integrating.  For the seed
+q - q^-1 this is the reversion of 2 sinh(t/2), with the classical
+closed-form arcsinh coefficients as an independent route to the same
+numbers.
 
 The pair expansion rewrites a lift over the antisymmetric pairs
 q^n - q^-n, whose coefficients approach signed multiples of 4/pi; the
@@ -16,11 +18,11 @@ only in reported columns, never in the computation.
 """
 
 from fractions import Fraction
+from operator import add, mul
 
 from .braid_ring import BraidSum, coefficient, filtration_order, multiply, tau
 from .kontsevich import Z
-from .power_series import (arcsinh2_closed_form, common_denominator, revert,
-                           t_series, two_sinh_half)
+from .power_series import arcsinh2_closed_form, common_denominator, t_series
 
 
 class LiftPoly:
@@ -87,29 +89,62 @@ class PairExpansion:
         return BraidSum(terms)
 
 
+def _lift_series(seed: BraidSum, order: int) -> list:
+    """Coefficients 0..order of the series P with sum_n c_n exp(n P/2) = t.
+
+    seed = sum_n c_n q^n must have filtration order one.  With u = P/2 and
+    E_n = exp(n u), the ODE E_n' = n u' E_n and sum_n c_n E_n = t fix one
+    more derivative of u at 0 per step.  The step runs on integers: the
+    seed's numerators gamma_n over their denominator C, S = sum_n gamma_n n,
+    and the scaled derivatives U_m = S^(2m-1) u^(m)(0) and, for k >= 1,
+    F_n,k = S^(2k-1) E_n^(k)(0).  Only the final coefficients divide.
+    """
+    exponents = list(seed.terms)
+    gammas, C = common_denominator(seed.terms.values())
+    S = sum(g * n for g, n in zip(gammas, exponents))
+    U = [0, C]
+    F = [[1, n * C] for n in exponents]
+    binom = [1]
+    for k in range(1, order):
+        # E_n^(k+1) = n sum_(j<=k) C(k,j) u^(j+1) E_n^(k-j) by Leibniz; acc
+        # is the part j < k, and sum_n c_n E_n^(k+1) = 0 then gives u^(k+1)
+        binom = [1, *map(add, binom, binom[1:]), 1]
+        row = list(map(mul, binom, U[1:]))
+        accs = [sum(map(mul, row, reversed(f))) for f in F]
+        u_next = -sum(g * n * a for g, n, a in zip(gammas, exponents, accs))
+        U.append(u_next)
+        for n, f, acc in zip(exponents, F, accs):
+            f.append(n * (S * acc + u_next))
+    coeffs = [Fraction(0)]
+    den = S                                 # S^(2m-1) m!
+    for m in range(1, order + 1):
+        coeffs.append(Fraction(2 * U[m], den))
+        den *= S * S * (m + 1)
+    return coeffs
+
+
 def strengthen_to(seed: BraidSum, order: int) -> LiftPoly:
     """The lift of t through the target order (odd, >= 1) for an order-one seed.
 
-    Solved in the series ring as the reversion of Z(seed), then checked
+    Solved on the series side as sum_n c_n exp(n P/2) = t, then checked
     once at the braid level: the integral of the lift expanded at the seed
-    must equal t.  The check shares no arithmetic with the series powers
-    inside the reversion.
+    must equal t.  The check shares no arithmetic with the solve.
     """
     if order < 1 or order % 2 == 0:
         raise ValueError("target order must be odd and positive")
     if filtration_order(seed) != 1:
         raise ValueError("seed must have filtration order 1")
-    P = LiftPoly(dict(enumerate(revert(Z(seed, order)).coeffs)), seed)
+    P = LiftPoly(dict(enumerate(_lift_series(seed, order))), seed)
     if Z(P.apply(), order) != t_series(order):
         raise ArithmeticError(f"lift is not flat through order {order}")
     return P
 
 
 def reversion_lift(order: int) -> LiftPoly:
-    """The same coefficients by series reversion of 2 sinh(t/2)."""
+    """The same coefficients by reverting 2 sinh(t/2) = Z(q - q^-1)."""
     if order < 1 or order % 2 == 0:
         raise ValueError("target order must be odd and positive")
-    return LiftPoly(dict(enumerate(revert(two_sinh_half(order)).coeffs)))
+    return LiftPoly(dict(enumerate(_lift_series(tau(), order))))
 
 
 def closed_form_lift(order: int) -> LiftPoly:

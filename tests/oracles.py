@@ -28,6 +28,11 @@ def series_mul(a, b, order):
     return out
 
 
+def exp_series(c, order):
+    """exp(c t) through the order: c^i / i!."""
+    return [Fraction(c) ** i / math.factorial(i) for i in range(order + 1)]
+
+
 def series_compose(outer, inner):
     """outer(inner(t)) through inner's order, by Horner; needs inner[0] = 0."""
     if inner[0] != 0:

@@ -11,7 +11,6 @@ from braidinv.inverse_engine import (LiftPoly, PairExpansion,
                                      closed_form_lift, pair_limit_target,
                                      q_expand, reversion_lift, strengthen_to)
 from braidinv.kontsevich import Z
-from braidinv.power_series import Series
 
 import oracles
 
@@ -102,7 +101,7 @@ def test_strengthen_general_seed():
 
 def test_strengthen_solves_once_and_checks_once(monkeypatch):
     calls = []
-    for name in ("revert", "Z"):
+    for name in ("_lift_series", "Z"):
         original = getattr(inverse_engine, name)
 
         def counting(*args, name=name, original=original):
@@ -118,13 +117,13 @@ def test_strengthen_solves_once_and_checks_once(monkeypatch):
 
     monkeypatch.setattr(LiftPoly, "apply", counting_apply)
     strengthen_to(tau(), 21)
-    assert calls == ["Z", "revert", "apply", "Z"]
+    assert calls == ["_lift_series", "apply", "Z"]
 
 
 def test_strengthen_reports_a_broken_invariant(monkeypatch):
-    revert = inverse_engine.revert
-    monkeypatch.setattr(inverse_engine, "revert",
-                        lambda s: Series(revert(s).coeffs[:-1] + (1,)))
+    solve = inverse_engine._lift_series
+    monkeypatch.setattr(inverse_engine, "_lift_series",
+                        lambda seed, order: solve(seed, order)[:-1] + [1])
     with pytest.raises(ArithmeticError, match="not flat through order 5"):
         strengthen_to(tau(), 5)
 

@@ -8,7 +8,6 @@ from braidinv import cli
 from braidinv.braid_ring import (INFINITE, BraidSum, combine, filtration_order,
                                  identity, multiply, sigma, sigma_bar, tau)
 from braidinv.kontsevich import Z, focus_order
-from braidinv.power_series import add, exp_scaled
 
 import oracles
 
@@ -28,8 +27,8 @@ def residue(b):
 
 
 def test_z_on_generators():
-    assert Z(sigma(), 7) == exp_scaled(frac(1, 2), 7)
-    assert Z(sigma_bar(), 7) == exp_scaled(frac(-1, 2), 7)
+    assert list(Z(sigma(), 7).coeffs) == oracles.exp_series(frac(1, 2), 7)
+    assert list(Z(sigma_bar(), 7).coeffs) == oracles.exp_series(frac(-1, 2), 7)
 
 
 def test_z_on_tau():
@@ -49,7 +48,8 @@ def test_z_is_linear():
     for _ in range(10):
         a = BraidSum({rng.randrange(-4, 5): rng.randrange(-3, 4) for _ in range(3)})
         b = BraidSum({rng.randrange(-4, 5): rng.randrange(-3, 4) for _ in range(3)})
-        assert Z(combine(a, 1, b, 1), 5) == add(Z(a, 5), Z(b, 5))
+        assert list(Z(combine(a, 1, b, 1), 5).coeffs) == \
+            [x + y for x, y in zip(Z(a, 5).coeffs, Z(b, 5).coeffs)]
 
 
 def test_z_is_multiplicative():

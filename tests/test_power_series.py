@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from braidinv.braid_ring import tau
-from braidinv.inverse_engine import LiftPoly
+from braidinv.braid_ring import (BraidSum, identity, multiply, sigma,
+                                 sigma_bar, tau)
+from braidinv.inverse_engine import LiftPoly, _lift_series, strengthen_to
 from braidinv.kontsevich import Z
-from braidinv.power_series import (Series, add, arcsinh2_closed_form,
-                                   exp_scaled, revert, scale, t_series,
-                                   two_sinh_half)
+from braidinv.power_series import Series, arcsinh2_closed_form, t_series
 
 import oracles
 
@@ -17,40 +16,41 @@ def frac(n, d=1):
     return Fraction(n, d)
 
 
+def random_seed(rng):
+    """A seed of filtration order one: coefficients summing to zero, and a
+    nonzero first moment."""
+    while True:
+        exponents = rng.sample(range(-6, 7), rng.randrange(2, 5))
+        coeffs = [frac(rng.randrange(-4, 5), rng.randrange(1, 4))
+                  for _ in exponents[1:]]
+        terms = dict(zip(exponents, coeffs + [-sum(coeffs)]))
+        if sum(n * c for n, c in terms.items()):
+            return BraidSum(terms)
+
+
 def test_exp_half_matches_displayed_series():
-    s = exp_scaled(frac(1, 2), 7)
-    assert list(s.coeffs) == [frac(1), frac(1, 2), frac(1, 8), frac(1, 48),
-                              frac(1, 384), frac(1, 3840), frac(1, 46080),
-                              frac(1, 645120)]
+    """Z(q) = exp(t/2), and the oracle's exponential series agrees."""
+    displayed = [frac(1), frac(1, 2), frac(1, 8), frac(1, 48), frac(1, 384),
+                 frac(1, 3840), frac(1, 46080), frac(1, 645120)]
+    assert list(Z(sigma(), 7).coeffs) == displayed
+    assert oracles.exp_series(frac(1, 2), 7) == displayed
 
 
 def test_exp_minus_half_alternates():
-    plus = exp_scaled(frac(1, 2), 7)
-    minus = exp_scaled(frac(-1, 2), 7)
+    plus = Z(sigma(), 7)
+    minus = Z(sigma_bar(), 7)
     for i in range(8):
         assert minus.coeffs[i] == (-1) ** i * plus.coeffs[i]
 
 
 def test_exp_zero_is_one():
-    assert exp_scaled(0, 5) == Series([1, 0, 0, 0, 0, 0])
+    assert Z(identity(), 5) == Series([1, 0, 0, 0, 0, 0])
 
 
 def test_exp_product_is_one():
-    p = oracles.series_mul(exp_scaled(frac(1, 2), 7).coeffs,
-                           exp_scaled(frac(-1, 2), 7).coeffs, 7)
+    p = oracles.series_mul(Z(sigma(), 7).coeffs, Z(sigma_bar(), 7).coeffs, 7)
     assert p == [frac(1)] + [frac(0)] * 7
-
-
-def test_add_and_scale_basics():
-    s = exp_scaled(frac(1, 3), 6)
-    assert add(s, scale(s, -1)) == Series([0] * 7)
-    assert list(scale(t_series(4), -2).coeffs) == [0, -2, 0, 0, 0]
-
-
-def test_mixed_order_truncates_to_smaller():
-    a = exp_scaled(1, 8)
-    b = exp_scaled(1, 3)
-    assert add(a, b).truncation_order == 3
+    assert list(Z(multiply(sigma(), sigma_bar()), 7).coeffs) == p
 
 
 def test_compose_corrects_the_fifth_degree():
@@ -66,44 +66,46 @@ def test_compose_corrects_the_fifth_degree():
 
 
 def test_revert_two_sinh_half():
-    r = revert(two_sinh_half(11))
-    assert list(r.coeffs) == [0, 1, 0, frac(-1, 24), 0, frac(3, 640), 0,
-                              frac(-5, 7168), 0, frac(35, 294912), 0,
-                              frac(-63, 2883584)]
+    """The solve on q - q^-1 reverts Z(q - q^-1) = 2 sinh(t/2)."""
+    assert _lift_series(tau(), 11) == [
+        0, 1, 0, frac(-1, 24), 0, frac(3, 640), 0, frac(-5, 7168), 0,
+        frac(35, 294912), 0, frac(-63, 2883584)]
 
 
-def test_revert_identity():
-    assert revert(t_series(5)) == t_series(5)
+def test_lift_series_of_a_one_sided_seed_is_a_log():
+    """Z(2q - 2) = 2 exp(t/2) - 2 reverts to 2 log(1 + t/2), whose degree-m
+    coefficient is (-1)^(m+1) / (m 2^(m-1)): every degree, not only odd."""
+    assert _lift_series(BraidSum({1: 2, 0: -2}), 12) == [0] + [
+        frac((-1) ** (m + 1), m * 2 ** (m - 1)) for m in range(1, 13)]
 
 
 def test_revert_preconditions():
-    with pytest.raises(ValueError):
-        revert(Series([1, 1, 1]))
-    with pytest.raises(ValueError):
-        revert(Series([0, 0, 1]))
+    """The solve needs Z(seed) with zero constant and nonzero linear term,
+    which is filtration order one; strengthening refuses anything else."""
+    for seed in (sigma(), identity(), BraidSum({1: 1, 0: -2}),
+                 BraidSum({2: 1, 0: -2, -2: 1}), BraidSum({})):
+        with pytest.raises(ValueError, match="filtration order 1"):
+            strengthen_to(seed, 3)
 
 
 def test_revert_matches_lagrange_oracle_random():
     rng = random.Random(521)
     for _ in range(10):
-        order = rng.randrange(3, 8)
-        coeffs = [Fraction(0), Fraction(rng.choice([1, -1, 2]))]
-        coeffs += [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
-                   for _ in range(order - 1)]
-        ours = revert(Series(coeffs))
-        assert list(ours.coeffs) == oracles.lagrange_revert(coeffs)
+        seed = random_seed(rng)
+        order = rng.randrange(1, 9)
+        assert _lift_series(seed, order) == \
+            oracles.lagrange_revert(oracles.integral(seed.terms, order))
 
 
 def test_revert_round_trip_random():
     rng = random.Random(522)
     for _ in range(10):
-        order = rng.randrange(3, 8)
-        coeffs = [Fraction(0), Fraction(1)]
-        coeffs += [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
-                   for _ in range(order - 1)]
-        r = list(revert(Series(coeffs)).coeffs)
-        assert oracles.series_compose(r, coeffs) == list(t_series(order).coeffs)
-        assert oracles.series_compose(coeffs, r) == list(t_series(order).coeffs)
+        seed = random_seed(rng)
+        order = rng.randrange(1, 9)
+        s = oracles.integral(seed.terms, order)
+        r = _lift_series(seed, order)
+        assert oracles.series_compose(r, s) == list(t_series(order).coeffs)
+        assert oracles.series_compose(s, r) == list(t_series(order).coeffs)
 
 
 def test_closed_form_arcsinh():

@@ -1,26 +1,30 @@
 """Property tests for the integer kernels and the braid ring.
 
-revert, Z and LiftPoly.apply work on integer numerators over one common
-denominator; each property compares them with a Fraction-only route that
-never does.  The braid ring laws and the filtration order are checked
-against the ring axioms and the synthetic-division oracle, and the
-Lagrange-row moment-matrix inverse against Gauss-Jordan elimination.
+The lift solve, Z and LiftPoly.apply work on integer numerators over one
+common denominator; each property compares them with a Fraction-only route
+that never does.  The solve is checked on random seeds of filtration order
+one against Lagrange inversion and composition of the seed's integral and
+against stepwise strengthening.  The braid ring laws and the filtration
+order are checked against the ring axioms and the synthetic-division
+oracle, and the Lagrange-row moment-matrix inverse against Gauss-Jordan
+elimination.
 """
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from braidinv import basis_solver, braid_ring
 from braidinv.basis_solver import (MomentMatrix, build_balanced,
                                    build_unbalanced, invert)
 from braidinv.braid_ring import (BraidSum, combine, filtration_order, identity,
                                  multiply, tau)
-from braidinv.inverse_engine import LiftPoly, strengthen_to
+from braidinv.inverse_engine import (LiftPoly, _lift_series, closed_form_lift,
+                                     reversion_lift, strengthen_to)
 from braidinv.kontsevich import Z
-from braidinv.power_series import Series, revert, t_series
+from braidinv.power_series import t_series
 
 import oracles
 
@@ -41,18 +45,39 @@ def vanishing_sums(draw):
 
 
 @st.composite
-def reversible_series(draw):
-    order = draw(st.integers(1, 15))
-    tail = draw(st.lists(rationals, min_size=order - 1, max_size=order - 1))
-    return [Fraction(0), draw(nonzero)] + tail
+def order_one_seeds(draw):
+    """2-5 terms with exponents in [-12, 12]: sum c_n = 0, sum c_n n != 0."""
+    exponents = draw(st.lists(st.integers(-12, 12), min_size=2, max_size=5,
+                              unique=True))
+    coeffs = draw(st.lists(nonzero, min_size=len(exponents) - 1,
+                           max_size=len(exponents) - 1))
+    terms = dict(zip(exponents, coeffs + [-sum(coeffs)]))
+    assume(sum(n * c for n, c in terms.items()))
+    return BraidSum(terms)
 
 
-@given(reversible_series())
-def test_revert_is_the_compositional_inverse(coeffs):
-    r = list(revert(Series(coeffs)).coeffs)
-    assert oracles.series_compose(r, coeffs) == \
-        list(t_series(len(coeffs) - 1).coeffs)
-    assert r == oracles.lagrange_revert(coeffs)
+@given(order_one_seeds(), st.integers(1, 15))
+def test_revert_is_the_compositional_inverse(seed, order):
+    s = oracles.integral(seed.terms, order)
+    r = _lift_series(seed, order)
+    assert oracles.series_compose(r, s) == list(t_series(order).coeffs)
+    assert oracles.series_compose(s, r) == list(t_series(order).coeffs)
+    assert r == oracles.lagrange_revert(s)
+
+
+# the stepwise oracle rebuilds every power of the seed at every degree,
+# up to 0.5 s an example at order 15, hence the smaller budget
+@settings(max_examples=25)
+@given(order_one_seeds(), st.integers(0, 7))
+def test_strengthen_matches_the_stepwise_oracle_on_general_seeds(seed, k):
+    order = 2 * k + 1
+    assert strengthen_to(seed, order).coeffs == \
+        oracles.strengthen_stepwise(seed.terms, order)
+
+
+def test_three_routes_agree_at_order_301():
+    assert strengthen_to(tau(), 301).coeffs == reversion_lift(301).coeffs == \
+        closed_form_lift(301).coeffs
 
 
 @given(braid_sums, braid_sums, st.integers(0, 8))
