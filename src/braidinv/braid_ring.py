@@ -2,8 +2,11 @@
 
 The group is infinite cyclic, generated by the half twist.  Writing q for the
 generator and q^-1 for its inverse, the rational group algebra is the ring of
-Laurent polynomials in q.  A BraidSum stores an element as a sparse map from
-integer exponent to nonzero Fraction coefficient.
+Laurent polynomials in q.  A BraidSum stores an element as a sparse map
+from exponent to nonzero integer numerator over one positive denominator,
+reduced by their gcd so that equal sums have equal fields.  The kernels
+work on those integers; Fractions come in through the constructor and go
+out through terms, coefficient and render.
 
 The finite-type filtration order of an element is computed along two
 independent routes that must agree, both over the stored terms only: the
@@ -23,34 +26,42 @@ INFINITE = math.inf
 class BraidSum:
     """Finite formal sum of braid powers with rational coefficients.
 
-    Instances are immutable by convention; every operation returns a new
-    value, so sharing between threads needs no coordination.  Zero
-    coefficients are never stored.
+    The coefficient of q^n is nums[n] / den.  Instances are immutable by
+    convention; every operation returns a new value.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for exponent, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[int(exponent)] = coeff
-        self._terms = clean
+        terms = terms or {}
+        nums, den = common_denominator(terms.values())
+        self._reduce(zip(map(int, terms), nums), den)
+
+    @classmethod
+    def over(cls, nums: dict, den: int) -> "BraidSum":
+        """The sum of nums[n] / den q^n, den > 0, zeros dropped and reduced."""
+        b = cls.__new__(cls)
+        b._reduce(nums.items(), den)
+        return b
+
+    def _reduce(self, items, den):
+        nums = {n: c for n, c in items if c}
+        g = math.gcd(den, *nums.values())
+        self.nums = {n: c // g for n, c in nums.items()} if g > 1 else nums
+        self.den = den // g
 
     @property
     def terms(self):
-        """Exponent-to-coefficient map.  Treat as read-only."""
-        return self._terms
+        """Exponent-to-Fraction view, built on each access."""
+        return {n: Fraction(c, self.den) for n, c in self.nums.items()}
 
     def __eq__(self, other):
         if not isinstance(other, BraidSum):
             return NotImplemented
-        return self._terms == other._terms
+        return self.nums == other.nums and self.den == other.den
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self.nums)
 
     def __repr__(self):
         return f"<BraidSum {render(self)}>"
@@ -87,53 +98,43 @@ def pair(n: int) -> BraidSum:
 
 
 def combine(a: BraidSum, ca, b: BraidSum, cb) -> BraidSum:
-    """Linear combination ca*a + cb*b in canonical form."""
-    ca = Fraction(ca)
-    cb = Fraction(cb)
-    terms = {}
-    for exponent, coeff in a.terms.items():
-        terms[exponent] = ca * coeff
-    for exponent, coeff in b.terms.items():
-        terms[exponent] = terms.get(exponent, Fraction(0)) + cb * coeff
-    return BraidSum(terms)
+    """Linear combination ca*a + cb*b of integer or Fraction multiples."""
+    da, db = ca.denominator * a.den, cb.denominator * b.den
+    den = math.lcm(da, db)
+    x, y = ca.numerator * (den // da), cb.numerator * (den // db)
+    nums = {n: x * c for n, c in a.nums.items()}
+    for n, c in b.nums.items():
+        nums[n] = nums.get(n, 0) + y * c
+    return BraidSum.over(nums, den)
 
 
 def multiply(a: BraidSum, b: BraidSum) -> BraidSum:
     """Convolution product induced by the group law."""
-    terms = {}
-    for i, ca in a.terms.items():
-        for j, cb in b.terms.items():
-            key = i + j
-            terms[key] = terms.get(key, Fraction(0)) + ca * cb
-    return BraidSum(terms)
+    nums = {}
+    for i, x in a.nums.items():
+        for j, y in b.nums.items():
+            nums[i + j] = nums.get(i + j, 0) + x * y
+    return BraidSum.over(nums, a.den * b.den)
 
 
 def coefficient(b: BraidSum, n: int) -> Fraction:
     """Stored coefficient of exponent n, zero if absent."""
-    return b.terms.get(n, Fraction(0))
+    return Fraction(b.nums.get(n, 0), b.den)
 
 
 def moments(b: BraidSum):
-    """b's common denominator den and an unbounded lazy iterator of moments.
-
-    With b_n = B_n / den over integers, it yields sum_n B_n n^i, i = 0, 1, ...
-    """
-    exponents = list(b.terms)
-    numerators, den = common_denominator(b.terms.values())
-
-    def power_sums(weights):
-        while True:
-            yield sum(weights)
-            weights = [w * n for w, n in zip(weights, exponents)]
-
-    return den, power_sums(numerators)
+    """Lazily and unbounded, b's integer moments sum_n nums[n] n^i, i >= 0."""
+    exponents = list(b.nums)
+    weights = list(b.nums.values())
+    while True:
+        yield sum(weights)
+        weights = [w * n for w, n in zip(weights, exponents)]
 
 
 def _moment_order(b: BraidSum) -> int:
     # first j with sum_n c_n n^j nonzero; bounded by the term count because
     # the root multiplicity of a Laurent polynomial at q = 1 is below it
-    _, sums = moments(b)
-    for j, total in zip(range(len(b.terms) + 1), sums):
+    for j, total in zip(range(len(b.nums) + 1), moments(b)):
         if total:
             return j
     raise ArithmeticError("moment order exceeded its theoretical bound")
@@ -143,9 +144,9 @@ def _derivative_order(b: BraidSum) -> int:
     # first k with the k-th derivative at q = 1, sum_n c_n n(n-1)...(n-k+1),
     # nonzero; Stirling numbers relate these falling-factorial moments to
     # the power moments triangularly, so both routes stop at the same k;
-    # scaling to integer numerators leaves every vanishing sum at zero
-    exponents = list(b.terms)
-    weights, _ = common_denominator(b.terms.values())
+    # scaling by den leaves every vanishing sum at zero
+    exponents = list(b.nums)
+    weights = list(b.nums.values())
     for k in range(len(exponents) + 1):
         if sum(weights):
             return k
@@ -173,5 +174,5 @@ def render(b: BraidSum) -> str:
     """Canonical text form, decreasing exponents, e.g. '1*q^1 + -1*q^-1'."""
     if not b:
         return "0"
-    parts = [f"{b.terms[n]}*q^{n}" for n in sorted(b.terms, reverse=True)]
+    parts = [f"{c}*q^{n}" for n, c in sorted(b.terms.items(), reverse=True)]
     return " + ".join(parts)

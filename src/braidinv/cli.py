@@ -104,10 +104,16 @@ def parse_braid(text: str) -> "BraidSum":
 
 
 def _exponent_map(raw) -> "BraidSum":
-    """A braid sum from a parsed JSON object mapping exponents to rationals."""
+    """A braid sum from a parsed JSON object, decimal exponents to rationals."""
     from fractions import Fraction
     from .braid_ring import BraidSum
     try:
+        for k, v in raw.items():
+            digits = k[1:] if k[:1] in "+-" else k
+            if not (digits.isascii() and digits.isdecimal()):
+                raise ValueError(f"exponent {k!r} is not a decimal integer")
+            if isinstance(v, bool):
+                raise ValueError(f"{str(v).lower()} is not a coefficient")
         return BraidSum({int(k): Fraction(v) for k, v in raw.items()})
     except (ValueError, ZeroDivisionError, TypeError, AttributeError) as exc:
         raise ValueError(f"bad exponent map: {exc}") from exc

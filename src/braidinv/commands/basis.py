@@ -52,12 +52,13 @@ def run(args) -> int:
                             [f"as a braid sum: {render(b)}"]))
         lift_order = r if r % 2 == 1 else r - 1
         if lift_order >= 1:
-            lift_b = q_expand(strengthen_to(tau(), lift_order)).rebuild()
+            lift_b = q_expand(strengthen_to(tau(), lift_order))
             diff = combine(b, 1, lift_b, -1)
             cmp_rows = [[str(n)] + [fmt_rational(coefficient(x, n))
                                     for x in (b, lift_b, diff)]
-                        for n in sorted(set(b.terms) | set(lift_b.terms))]
-            worst = max(map(abs, diff.terms.values()), default=Fraction(0))
+                        for n in sorted(b.nums.keys() | lift_b.nums.keys())]
+            worst = Fraction(max(map(abs, diff.nums.values()), default=0),
+                             diff.den)
             tables.append(Table(
                 f"solution against the order {lift_order} lift expansion",
                 ["braid power", "solution", "lift", "difference"], cmp_rows,

@@ -1,8 +1,8 @@
 """braidinv qexpand: the pair expansion of a lift or of its power."""
 
-from ..braid_ring import tau
+from ..braid_ring import coefficient, tau
 from ..cli import emit
-from ..inverse_engine import PairExpansion, q_expand, strengthen_to
+from ..inverse_engine import q_expand, strengthen_to
 from ..render import Table, fmt_rational
 
 
@@ -11,14 +11,11 @@ def run(args) -> int:
     if power < 1:
         # checked here as well, so a bad power fails before strengthening
         raise ValueError("power must be positive")
-    expansion = q_expand(strengthen_to(tau(), order), power)
-    if isinstance(expansion, PairExpansion):
-        rows = [[f"q^{n} - q^-{n}", fmt_rational(c)]
-                for n, c in sorted(expansion.pair_coeffs.items())]
-    else:
-        rows = [["q^0", fmt_rational(expansion.constant)]]
-        rows += [[f"q^{n} + q^-{n}", fmt_rational(c)]
-                 for n, c in sorted(expansion.sym_coeffs.items())]
+    b = q_expand(strengthen_to(tau(), order), power)
+    sign = "-" if power % 2 else "+"
+    rows = [] if power % 2 else [["q^0", fmt_rational(coefficient(b, 0))]]
+    rows += [[f"q^{n} {sign} q^-{n}", fmt_rational(coefficient(b, n))]
+             for n in sorted(b.nums) if n > 0]
     notes = [] if power == 1 else \
         ["reported computation; no reference values exist for lift powers"]
     emit(args, [Table(f"pair expansion of lift order {order}, power {power}",

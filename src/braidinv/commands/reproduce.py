@@ -68,14 +68,14 @@ def _lift_rows():
 
 
 def _pair_rows():
-    from ..braid_ring import tau
+    from ..braid_ring import coefficient, tau
     from ..inverse_engine import q_expand, strengthen_to
     P = strengthen_to(tau(), 11)
     return [_cell(f"order {order}, pair {n}", None if ref is None else ref[n],
-                  computed, PAIR_MISPRINTS.get((order, n)))
+                  coefficient(b, n), PAIR_MISPRINTS.get((order, n)))
             for order, ref in REF_PAIR_ROWS
-            for n, computed in
-            sorted(q_expand(P.truncate(order)).pair_coeffs.items())]
+            for b in [q_expand(P.truncate(order))]
+            for n in sorted(b.nums) if n > 0]
 
 
 def _zeta2_rows():

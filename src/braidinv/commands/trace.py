@@ -1,7 +1,6 @@
 """braidinv trace: finite-window convergence diagnostics of a sequence."""
 
-from fractions import Fraction
-
+from ..braid_ring import coefficient
 from ..cli import emit, load_sequence
 from ..convergence import STOCK_SEQUENCES, biconvergence_report
 from ..render import Table, fmt_rational
@@ -20,7 +19,7 @@ def run(args) -> int:
         seq = load_sequence(args.sequence)
     report = biconvergence_report(seq, args.jmax, window)
     coeff_rows = [[str(n), cls,
-                   fmt_rational(seq.items[report.window - 1].terms.get(n, Fraction(0)))]
+                   fmt_rational(coefficient(seq.items[report.window - 1], n))]
                   for n, cls in sorted(report.exponent_classes.items())]
     z_rows = [[str(j), cls] for j, cls in sorted(report.z_classes.items())]
     cond = report.condition_c

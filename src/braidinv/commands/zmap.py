@@ -14,7 +14,7 @@ def run(args) -> int:
         raise ValueError("order must be nonnegative")
     if jmax < 0:
         raise ValueError("jmax must be nonnegative")
-    coeffs = Z(b, max(order, jmax)).coeffs
+    coeffs = Z(b, max(order, jmax))
     series_rows = [[str(i), fmt_rational(c)]
                    for i, c in enumerate(coeffs[:order + 1])]
     graded = coeffs[:jmax + 1]

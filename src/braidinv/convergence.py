@@ -14,7 +14,8 @@ insufficient rather than guessed at.
 
 from fractions import Fraction
 
-from .braid_ring import BraidSum, coefficient, combine, filtration_order, tau
+from .braid_ring import (BraidSum, coefficient, combine, filtration_order,
+                         pair, tau)
 from .kontsevich import Z
 
 CAVEAT = ("finite-window evidence only; no verdict here asserts a limit")
@@ -122,11 +123,11 @@ def biconvergence_report(seq: BraidSumSequence, jmax: int,
     # transient regime; demanding window//2 + 2 increments keeps verdicts
     # off such rows at every window size
     maturity = max(3, window // 2 + 2)
-    exponents = sorted({n for b in trimmed.items for n in b.terms})
+    exponents = sorted({n for b in trimmed.items for n in b.nums})
     exponent_classes = {n: classify_trace(coefficient_trace(trimmed, n),
                                           maturity)
                         for n in exponents}
-    integrals = [Z(b, jmax).coeffs for b in trimmed.items]
+    integrals = [Z(b, jmax) for b in trimmed.items]
     z_classes = {j: classify_trace([s[j] for s in integrals], maturity)
                  for j in range(jmax + 1)}
     return BiconvergenceReport(seq.label, window, jmax, exponent_classes,
@@ -173,9 +174,7 @@ def pair_partial_sequence(count: int) -> BraidSumSequence:
     acc = BraidSum()
     for m in range(count):
         n = 2 * m + 1
-        step = Fraction(4 * (-1) ** m, n * n)
-        piece = BraidSum({n: step, -n: -step})
-        acc = combine(acc, 1, piece, 1)
+        acc = combine(acc, 1, pair(n), Fraction(4 * (-1) ** m, n * n))
         items.append(acc)
     return BraidSumSequence(items, "pair-partials")
 

@@ -11,10 +11,11 @@ q - q^-1 this is the reversion of 2 sinh(t/2), with the classical
 closed-form arcsinh coefficients as an independent route to the same
 numbers.
 
-The pair expansion rewrites a lift over the antisymmetric pairs
-q^n - q^-n, whose coefficients approach signed multiples of 4/pi; the
-asymptotic comparisons here are the only place floating point appears, and
-only in reported columns, never in the computation.
+An expanded lift is antisymmetric under q -> q^-1, so its coefficients at
+positive exponents are its coefficients over the pairs q^n - q^-n; they
+approach signed multiples of 4/pi.  The comparison with that limit prints
+float columns, as `beta --s 1` and `basis --solve-t` do, but floats never
+enter a computation: the kernels here read braid sums' integer numerators.
 """
 
 from fractions import Fraction
@@ -50,14 +51,15 @@ class LiftPoly:
     def apply(self) -> BraidSum:
         """Expand the polynomial at the seed into a braid sum.
 
-        With seed = S / q over integers, the result is sum_k (c_k / q^k) S^k:
+        With seed = S / q and c_k = w_k / den over integers, the result is
+        sum_k w_k q^(top-k) S^k over den q^top, top the highest degree:
         integer powers of S weighted by integers over one denominator.
         """
-        seed_ints, q = common_denominator(self.seed.terms.values())
-        seed = list(zip(self.seed.terms, seed_ints))
+        seed = list(self.seed.nums.items())
+        q = self.seed.den
         degrees = sorted(self.coeffs)
-        weights, den = common_denominator(self.coeffs[k] / q ** k
-                                          for k in degrees)
+        weights, den = common_denominator(self.coeffs[k] for k in degrees)
+        top = max(degrees, default=0)
         out = {}
         power = {0: 1}
         current = 0
@@ -69,24 +71,10 @@ class LiftPoly:
                         nxt[i + n] = nxt.get(i + n, 0) + a * c
                 power = nxt
                 current += 1
+            w *= q ** (top - k)
             for n, a in power.items():
                 out[n] = out.get(n, 0) + w * a
-        return BraidSum({n: Fraction(v, den) for n, v in out.items()})
-
-
-class PairExpansion:
-    """Coefficients over the antisymmetric pairs q^n - q^-n, odd n > 0."""
-
-    def __init__(self, pair_coeffs: dict):
-        self.pair_coeffs = {int(n): Fraction(c)
-                            for n, c in pair_coeffs.items() if Fraction(c)}
-
-    def rebuild(self) -> BraidSum:
-        terms = {}
-        for n, c in self.pair_coeffs.items():
-            terms[n] = c
-            terms[-n] = -c
-        return BraidSum(terms)
+        return BraidSum.over(out, den * q ** top)
 
 
 def _lift_series(seed: BraidSum, order: int) -> list:
@@ -99,8 +87,8 @@ def _lift_series(seed: BraidSum, order: int) -> list:
     and the scaled derivatives U_m = S^(2m-1) u^(m)(0) and, for k >= 1,
     F_n,k = S^(2k-1) E_n^(k)(0).  Only the final coefficients divide.
     """
-    exponents = list(seed.terms)
-    gammas, C = common_denominator(seed.terms.values())
+    exponents = list(seed.nums)
+    gammas, C = list(seed.nums.values()), seed.den
     S = sum(g * n for g, n in zip(gammas, exponents))
     U = [0, C]
     F = [[1, n * C] for n in exponents]
@@ -151,25 +139,18 @@ def closed_form_lift(order: int) -> LiftPoly:
     """The same coefficients from the arcsinh closed form."""
     if order < 1 or order % 2 == 0:
         raise ValueError("target order must be odd and positive")
-    return LiftPoly(dict(enumerate(arcsinh2_closed_form(order).coeffs)))
+    return LiftPoly(dict(enumerate(arcsinh2_closed_form(order))))
 
 
-class SymmetricExpansion:
-    """Constant plus coefficients over q^n + q^-n, for even powers."""
-
-    def __init__(self, constant: Fraction, sym_coeffs: dict):
-        self.constant = constant
-        self.sym_coeffs = sym_coeffs
-
-
-def q_expand(P: LiftPoly, power: int = 1):
-    """Regroup a power of the expanded lift into pair combinations.
+def q_expand(P: LiftPoly, power: int = 1) -> BraidSum:
+    """A power of the expanded lift, checked for its symmetry under q -> q^-1.
 
     Only defined for the default seed.  An odd power of an odd polynomial in
-    q - q^-1 is antisymmetric under q -> q^-1 and yields a PairExpansion;
-    an even power is symmetric and yields a SymmetricExpansion.  A failure
-    of that symmetry means the expansion itself is broken.  No reference
-    values exist for powers above one; they are reported computations.
+    q - q^-1 is antisymmetric, so its positive half holds the coefficients
+    over the pairs q^n - q^-n; an even power is symmetric, a constant plus
+    coefficients over q^n + q^-n.  A failure of that symmetry means the
+    expansion itself is broken.  No reference values exist for powers above
+    one; they are reported computations.
     """
     if power < 1:
         raise ValueError("power must be positive")
@@ -181,12 +162,9 @@ def q_expand(P: LiftPoly, power: int = 1):
         b = multiply(b, base)
     # antisymmetry also forces the q^0 coefficient to vanish
     sign = -1 if power % 2 else 1
-    if any(coefficient(b, -n) != sign * c for n, c in b.terms.items()):
+    if any(b.nums.get(-n) != sign * c for n, c in b.nums.items()):
         raise ArithmeticError(f"power {power} lost its symmetry under q -> q^-1")
-    positive = {n: c for n, c in b.terms.items() if n > 0}
-    if power % 2:
-        return PairExpansion(positive)
-    return SymmetricExpansion(coefficient(b, 0), positive)
+    return b
 
 
 class AsymptoticRow:
@@ -225,8 +203,7 @@ def asymptotic_check(j: int, r_list, digits: int = 50) -> list[AsymptoticRow]:
     with mpmath.workdps(digits):
         target = pair_limit_target(j, digits)
         for r in sorted(r_list):
-            pe = q_expand(full.truncate(r))
-            c = pe.pair_coeffs.get(j, Fraction(0))
+            c = coefficient(q_expand(full.truncate(r)), j)
             approx = mpmath.mpf(c.numerator) / c.denominator
             rows.append(AsymptoticRow(r, c, target, abs(approx - target)))
     return rows

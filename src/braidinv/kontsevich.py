@@ -4,30 +4,30 @@ On two strands the integral is determined by its value on the half twist:
 Z(q^n) = exp(n t / 2).  Extended linearly to braid sums it becomes a
 series-valued map whose degree-i component lands in a one-dimensional
 space; we identify that space with the rationals via the basis t^i, so the
-degree-i coefficient of Z(b) is sum_n b_n (n/2)^i / i!, exactly.  The
-graded components of b are the coefficients of Z(b), read off by index.
+degree-i coefficient of Z(b) is sum_n b_n (n/2)^i / i!, exactly.  Z
+returns those coefficients as a tuple of Fractions, and the graded
+components of b are its entries, read off by index.
 """
 
 from fractions import Fraction
 
 from .braid_ring import BraidSum, moments
-from .power_series import Series
 
 
-def Z(b: BraidSum, order: int) -> Series:
-    """Series value of the integral on b, truncated at the given order.
+def Z(b: BraidSum, order: int) -> tuple:
+    """Series value of the integral on b, its coefficients through the order.
 
     The degree-i coefficient is the i-th integer moment of b divided by
-    den 2^i i!, with den b's common denominator.
+    b.den 2^i i!.
     """
     if order < 0:
         raise ValueError("negative order")
-    den, sums = moments(b)
+    den = b.den
     coeffs = []
-    for i, total in zip(range(order + 1), sums):
+    for i, total in zip(range(order + 1), moments(b)):
         coeffs.append(Fraction(total, den))
         den *= 2 * (i + 1)
-    return Series(coeffs)
+    return tuple(coeffs)
 
 
 def focus_order(components):

@@ -1,31 +1,13 @@
-"""Dense truncated power series in one variable t over exact rationals.
+"""Truncated power series in one variable t over exact rationals.
 
-A Series of truncation order N stores exactly N + 1 coefficients, exact
-through degree N: the integral's values, the target t, and the arcsinh
-closed form of the strong inverse.  The package does no arithmetic on
-series; its hot kernels (the integral, the lift solve and the expansion of
-a lift at its seed) loop over integer numerators from common_denominator
-and return exact Fractions.  No floating point appears anywhere in this
-module.
+A series of truncation order N is a tuple of its N + 1 Fraction
+coefficients, exact through degree N: the integral's values, the target t
+and the arcsinh closed form of the strong inverse.  The package does no
+arithmetic on series, and no floating point appears in this module.
 """
 
 import math
 from fractions import Fraction
-
-
-class Series:
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if not coeffs:
-            raise ValueError("a series needs at least the constant coefficient")
-        self.coeffs = coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
 
 def common_denominator(values) -> tuple[list[int], int]:
@@ -38,16 +20,14 @@ def common_denominator(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def t_series(order: int) -> Series:
+def t_series(order: int) -> tuple:
     """The identity series t, truncated at the given order."""
     if order < 1:
         raise ValueError("t does not fit in order 0")
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[1] = Fraction(1)
-    return Series(coeffs)
+    return (Fraction(0), Fraction(1)) + (Fraction(0),) * (order - 1)
 
 
-def arcsinh2_closed_form(order: int) -> Series:
+def arcsinh2_closed_form(order: int) -> tuple:
     """Taylor series of 2 arcsinh(x/2) from the closed-form coefficients.
 
     The degree 2k+1 coefficient is (-1)^k (2k)! / (16^k (k!)^2 (2k+1)).
@@ -60,4 +40,4 @@ def arcsinh2_closed_form(order: int) -> Series:
         den = 16 ** k * math.factorial(k) ** 2 * (2 * k + 1)
         coeffs[2 * k + 1] = Fraction(num, den)
         k += 1
-    return Series(coeffs)
+    return tuple(coeffs)

@@ -85,6 +85,14 @@ def lagrange_revert(s):
 TAU = {1: Fraction(1), -1: Fraction(-1)}
 
 
+def braid_lincomb(a, x, b, y):
+    """x a + y b, term by term."""
+    out = {n: x * c for n, c in a.items()}
+    for n, c in b.items():
+        out[n] = out.get(n, Fraction(0)) + y * c
+    return {n: c for n, c in out.items() if c}
+
+
 def braid_mul(a, b):
     """Product in the group algebra: q^i q^j = q^(i+j)."""
     out = {}
@@ -256,6 +264,14 @@ def pair_expand_binomial(poly):
             term = coeff * ((-1) ** i) * math.comb(k, i)
             pairs[n] = pairs.get(n, Fraction(0)) + term
     return {n: c for n, c in pairs.items() if c}
+
+
+def pair_half(terms):
+    """The pair coefficients of an antisymmetric exponent map: the positive
+    half, after checking that every term has its negated mirror."""
+    if any(terms.get(-n) != -c for n, c in terms.items()):
+        raise ValueError("not antisymmetric under q -> 1/q")
+    return {n: c for n, c in terms.items() if n > 0}
 
 
 # ---------------------------------------------------------------------------

@@ -63,11 +63,10 @@ def test_criterion_02_route_agreement():
 
 def test_criterion_03_integral_golden_series():
     half = frac(1, 2)
-    ok = (list(Z(sigma(), 7).coeffs) == oracles.exp_series(half, 7)
-          and list(Z(sigma_bar(), 7).coeffs) == oracles.exp_series(-half, 7)
-          and list(Z(tau(), 7).coeffs) == [0, 1, 0, frac(1, 24), 0,
-                                           frac(1, 1920), 0,
-                                           frac(1, 322560)])
+    ok = (list(Z(sigma(), 7)) == oracles.exp_series(half, 7)
+          and list(Z(sigma_bar(), 7)) == oracles.exp_series(-half, 7)
+          and list(Z(tau(), 7)) == [0, 1, 0, frac(1, 24), 0,
+                                    frac(1, 1920), 0, frac(1, 322560)])
     report(3, ok, "integral of the two generators and their difference "
                   "matches the displayed degree-7 series exactly")
 
@@ -89,9 +88,10 @@ def test_criterion_04_pair_expansion_rows():
     full = strengthen_to(tau(), 11)
     ok = True
     for order, expected in printed.items():
-        if q_expand(full.truncate(order)).pair_coeffs != expected:
+        expansion = q_expand(full.truncate(order))
+        if oracles.pair_half(expansion.terms) != expected:
             ok = False
-    row5 = q_expand(full).pair_coeffs
+    row5 = oracles.pair_half(q_expand(full).terms)
     for n, expected in row5_printed.items():
         if row5.get(n) != expected:
             ok = False
@@ -204,12 +204,11 @@ def test_criterion_13_property_suites():
                       for _ in range(2)})
         b = BraidSum({rng.randrange(-3, 4): rng.randrange(-2, 3)
                       for _ in range(2)})
-        if list(Z(multiply(a, b), 6).coeffs) != oracles.series_mul(
-                Z(a, 6).coeffs, Z(b, 6).coeffs, 6):
+        if list(Z(multiply(a, b), 6)) != \
+                oracles.series_mul(Z(a, 6), Z(b, 6), 6):
             problems.append("homomorphism")
-        if Z(combine(a, 2, b, -3), 6).coeffs != tuple(
-                2 * x - 3 * y for x, y in zip(Z(a, 6).coeffs,
-                                              Z(b, 6).coeffs)):
+        if Z(combine(a, 2, b, -3), 6) != tuple(
+                2 * x - 3 * y for x, y in zip(Z(a, 6), Z(b, 6))):
             problems.append("linearity")
 
     powers = [BraidSum(oracles.tau_power(i)) for i in range(5)]
@@ -221,7 +220,7 @@ def test_criterion_13_property_suites():
     for i in range(1, 5):
         # the residue: the graded component at the filtration order
         order = filtration_order(powers[i])
-        if order != i or Z(powers[i], i).coeffs[i] != 1:
+        if order != i or Z(powers[i], i)[i] != 1:
             problems.append("residue")
 
     round_trips = 0
@@ -237,7 +236,7 @@ def test_criterion_13_property_suites():
         order = rng.randrange(3, 9)
         r = _lift_series(seed, order)
         if oracles.series_compose(r, oracles.integral(seed.terms, order)) \
-                != list(t_series(order).coeffs):
+                != list(t_series(order)):
             problems.append("reversion round trip")
 
     if not filtration_condition_c(lift_truncation_sequence(8)).ok:

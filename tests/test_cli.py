@@ -249,19 +249,26 @@ def test_reproduce_offers_exactly_its_tables(capsys):
     ["basis", "--r", "-1", "--unbalanced"],
     ["basis", "--r", "3", "--entry", "1"],
     ["basis", "--r", "3", "--entry", "1,3,4"],
+    ["zmap", "--braid", '{"1": true}'],
+    ["zmap", "--braid", '{"1": false}'],
+    ["zmap", "--braid", '{"1_0": 1}'],
+    ["trace", "--sequence", "{tmp}/bool.json"],
 ], ids=["negative-order", "zero-denominator", "sequence-zero-denominator",
         "sequence-top-level-array", "missing-out-dir", "solve-t-at-r-0",
         "sequence-empty", "sequence-one-item", "zmap-negative-jmax",
         "trace-negative-jmax", "json-infinity", "json-nan",
         "sequence-json-infinity", "basis-negative-r",
         "basis-unbalanced-negative-r", "entry-one-value",
-        "entry-three-values"])
+        "entry-three-values", "json-true", "json-false",
+        "exponent-underscore", "sequence-json-bool"])
 def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     (tmp_path / "zero.json").write_text('{"items": [{"1": "1/0"}]}',
                                         encoding="utf-8")
     (tmp_path / "infinite.json").write_text(
         '{"items": [{"1": 1}, {"1": -Infinity}]}', encoding="utf-8")
     (tmp_path / "array.json").write_text('[{"1": "1"}]', encoding="utf-8")
+    (tmp_path / "bool.json").write_text(
+        '{"items": [{"1": 1}, {"1": true}]}', encoding="utf-8")
     (tmp_path / "empty.json").write_text('{"items": []}', encoding="utf-8")
     (tmp_path / "one.json").write_text('{"items": [{"1": "1"}]}',
                                        encoding="utf-8")
@@ -344,7 +351,7 @@ def test_zmap_integrates_once(monkeypatch, capsys):
         return Z(b, order)
 
     def rows(order):
-        return [[str(i), str(c)] for i, c in enumerate(Z(pair(2), order).coeffs)]
+        return [[str(i), str(c)] for i, c in enumerate(Z(pair(2), order))]
 
     monkeypatch.setattr(zmap, "Z", counting_Z)
     for order, jmax in ((4, 4), (2, 5), (6, 3)):

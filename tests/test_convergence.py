@@ -19,7 +19,7 @@ def frac(n, d=1):
 
 def z_trace(seq, j):
     """The degree-j graded integral over the items of a sequence."""
-    return [Z(b, j).coeffs[j] for b in seq.items]
+    return [Z(b, j)[j] for b in seq.items]
 
 
 def test_coefficient_trace_of_lift_truncations():
@@ -151,7 +151,7 @@ def test_lift_truncation_items():
     seq = lift_truncation_sequence(3)
     assert seq.items[0] == tau()
     assert seq.item(1) == tau()
-    assert Z(seq.item(3), 5).coeffs[5] == 0
+    assert Z(seq.item(3), 5)[5] == 0
 
 
 def test_harmonic_sequence_values():

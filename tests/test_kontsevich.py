@@ -23,24 +23,24 @@ def tau_power(k):
 def residue(b):
     """(order, value): the graded component at the filtration order."""
     j = filtration_order(b)
-    return j, Z(b, j).coeffs[j]
+    return j, Z(b, j)[j]
 
 
 def test_z_on_generators():
-    assert list(Z(sigma(), 7).coeffs) == oracles.exp_series(frac(1, 2), 7)
-    assert list(Z(sigma_bar(), 7).coeffs) == oracles.exp_series(frac(-1, 2), 7)
+    assert list(Z(sigma(), 7)) == oracles.exp_series(frac(1, 2), 7)
+    assert list(Z(sigma_bar(), 7)) == oracles.exp_series(frac(-1, 2), 7)
 
 
 def test_z_on_tau():
     s = Z(tau(), 7)
-    assert list(s.coeffs) == [0, 1, 0, frac(1, 24), 0, frac(1, 1920), 0,
-                              frac(1, 322560)]
+    assert list(s) == [0, 1, 0, frac(1, 24), 0, frac(1, 1920), 0,
+                       frac(1, 322560)]
 
 
 def test_z_on_double_difference():
     b = combine(sigma(), 2, identity(), -2)
     s = Z(b, 2)
-    assert list(s.coeffs) == [0, 1, frac(1, 4)]
+    assert list(s) == [0, 1, frac(1, 4)]
 
 
 def test_z_is_linear():
@@ -48,8 +48,8 @@ def test_z_is_linear():
     for _ in range(10):
         a = BraidSum({rng.randrange(-4, 5): rng.randrange(-3, 4) for _ in range(3)})
         b = BraidSum({rng.randrange(-4, 5): rng.randrange(-3, 4) for _ in range(3)})
-        assert list(Z(combine(a, 1, b, 1), 5).coeffs) == \
-            [x + y for x, y in zip(Z(a, 5).coeffs, Z(b, 5).coeffs)]
+        assert list(Z(combine(a, 1, b, 1), 5)) == \
+            [x + y for x, y in zip(Z(a, 5), Z(b, 5))]
 
 
 def test_z_is_multiplicative():
@@ -58,19 +58,19 @@ def test_z_is_multiplicative():
     for _ in range(10):
         a = BraidSum({rng.randrange(-3, 4): rng.randrange(-2, 3) for _ in range(2)})
         b = BraidSum({rng.randrange(-3, 4): rng.randrange(-2, 3) for _ in range(2)})
-        assert list(Z(multiply(a, b), 6).coeffs) == \
-            oracles.series_mul(Z(a, 6).coeffs, Z(b, 6).coeffs, 6)
+        assert list(Z(multiply(a, b), 6)) == \
+            oracles.series_mul(Z(a, 6), Z(b, 6), 6)
 
 
 def test_z_i_agrees_with_series_coefficients():
     b = combine(tau_power(3), frac(1, 7), sigma(), 2)
-    assert list(Z(b, 6).coeffs) == oracles.integral(b.terms, 6)
+    assert list(Z(b, 6)) == oracles.integral(b.terms, 6)
     with pytest.raises(ValueError, match="negative order"):
         Z(b, -1)
 
 
 def test_z_i_golden_values():
-    assert Z(tau(), 3).coeffs == (0, 1, 0, frac(1, 24))
+    assert Z(tau(), 3) == (0, 1, 0, frac(1, 24))
 
 
 def test_residue_of_order_one_elements():
@@ -89,7 +89,7 @@ def test_residue_of_tau_cubed():
 def test_residue_rejects_zero():
     # no graded component of the zero sum is nonzero: its order is infinite
     assert filtration_order(BraidSum()) == INFINITE
-    assert focus_order(Z(BraidSum(), 6).coeffs) is None
+    assert focus_order(Z(BraidSum(), 6)) is None
 
 
 def test_residue_multiplicative_at_matching_orders():
@@ -103,18 +103,18 @@ def test_residue_multiplicative_at_matching_orders():
 def test_focus_profile_of_corrected_lift():
     b = combine(combine(tau(), 1, tau_power(3), frac(-1, 24)), 1,
                 tau_power(5), frac(3, 640))
-    profile = Z(b, 5).coeffs
+    profile = Z(b, 5)
     assert list(profile) == [0, 1, 0, 0, 0, 0]
     assert focus_order(profile) == 1
 
 
 def test_focus_profile_trivial_cases():
-    assert list(Z(identity(), 3).coeffs) == [1, 0, 0, 0]
-    assert list(Z(tau(), 3).coeffs) == [0, 1, 0, frac(1, 24)]
-    assert focus_order(Z(identity(), 3).coeffs) == 0
-    assert focus_order(Z(tau(), 1).coeffs) == 1
-    assert focus_order(Z(tau(), 3).coeffs) is None
-    assert focus_order(Z(BraidSum(), 4).coeffs) is None
+    assert list(Z(identity(), 3)) == [1, 0, 0, 0]
+    assert list(Z(tau(), 3)) == [0, 1, 0, frac(1, 24)]
+    assert focus_order(Z(identity(), 3)) == 0
+    assert focus_order(Z(tau(), 1)) == 1
+    assert focus_order(Z(tau(), 3)) is None
+    assert focus_order(Z(BraidSum(), 4)) is None
 
 
 def test_focus_profile_orders_are_consecutive(capsys):

@@ -7,7 +7,7 @@ from braidinv.braid_ring import (BraidSum, identity, multiply, sigma,
                                  sigma_bar, tau)
 from braidinv.inverse_engine import LiftPoly, _lift_series, strengthen_to
 from braidinv.kontsevich import Z
-from braidinv.power_series import Series, arcsinh2_closed_form, t_series
+from braidinv.power_series import arcsinh2_closed_form, t_series
 
 import oracles
 
@@ -32,7 +32,7 @@ def test_exp_half_matches_displayed_series():
     """Z(q) = exp(t/2), and the oracle's exponential series agrees."""
     displayed = [frac(1), frac(1, 2), frac(1, 8), frac(1, 48), frac(1, 384),
                  frac(1, 3840), frac(1, 46080), frac(1, 645120)]
-    assert list(Z(sigma(), 7).coeffs) == displayed
+    assert list(Z(sigma(), 7)) == displayed
     assert oracles.exp_series(frac(1, 2), 7) == displayed
 
 
@@ -40,17 +40,17 @@ def test_exp_minus_half_alternates():
     plus = Z(sigma(), 7)
     minus = Z(sigma_bar(), 7)
     for i in range(8):
-        assert minus.coeffs[i] == (-1) ** i * plus.coeffs[i]
+        assert minus[i] == (-1) ** i * plus[i]
 
 
 def test_exp_zero_is_one():
-    assert Z(identity(), 5) == Series([1, 0, 0, 0, 0, 0])
+    assert Z(identity(), 5) == (1, 0, 0, 0, 0, 0)
 
 
 def test_exp_product_is_one():
-    p = oracles.series_mul(Z(sigma(), 7).coeffs, Z(sigma_bar(), 7).coeffs, 7)
+    p = oracles.series_mul(Z(sigma(), 7), Z(sigma_bar(), 7), 7)
     assert p == [frac(1)] + [frac(0)] * 7
-    assert list(Z(multiply(sigma(), sigma_bar()), 7).coeffs) == p
+    assert list(Z(multiply(sigma(), sigma_bar()), 7)) == p
 
 
 def test_compose_corrects_the_fifth_degree():
@@ -60,9 +60,9 @@ def test_compose_corrects_the_fifth_degree():
     the lift expanded at tau is that composition.
     """
     out = Z(LiftPoly({1: 1, 3: frac(-1, 24)}, tau()).apply(), 5)
-    assert out.coeffs[1] == 1
-    assert out.coeffs[3] == 0
-    assert out.coeffs[5] == frac(-3, 640)
+    assert out[1] == 1
+    assert out[3] == 0
+    assert out[5] == frac(-3, 640)
 
 
 def test_revert_two_sinh_half():
@@ -104,20 +104,18 @@ def test_revert_round_trip_random():
         order = rng.randrange(1, 9)
         s = oracles.integral(seed.terms, order)
         r = _lift_series(seed, order)
-        assert oracles.series_compose(r, s) == list(t_series(order).coeffs)
-        assert oracles.series_compose(s, r) == list(t_series(order).coeffs)
+        assert oracles.series_compose(r, s) == list(t_series(order))
+        assert oracles.series_compose(s, r) == list(t_series(order))
 
 
 def test_closed_form_arcsinh():
     s = arcsinh2_closed_form(7)
-    assert list(s.coeffs) == [0, 1, 0, frac(-1, 24), 0, frac(3, 640), 0,
-                              frac(-5, 7168)]
+    assert list(s) == [0, 1, 0, frac(-1, 24), 0, frac(3, 640), 0,
+                       frac(-5, 7168)]
     assert arcsinh2_closed_form(1) == t_series(1)
-    assert arcsinh2_closed_form(13).coeffs[13] == frac(231, 54525952)
+    assert arcsinh2_closed_form(13)[13] == frac(231, 54525952)
 
 
 def test_empty_series_rejected():
-    with pytest.raises(ValueError):
-        Series([])
     with pytest.raises(ValueError):
         t_series(0)

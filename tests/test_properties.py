@@ -1,8 +1,10 @@
 """Property tests for the integer kernels and the braid ring.
 
-The lift solve, Z and LiftPoly.apply work on integer numerators over one
-common denominator; each property compares them with a Fraction-only route
-that never does.  The solve is checked on random seeds of filtration order
+Braid sums store integer numerators over one reduced denominator, and every
+kernel (combine, multiply, the lift solve, Z and LiftPoly.apply) works on
+them; each property compares them with a Fraction-only route that never
+does.  Equality compares the stored integers, so the canonical form itself
+is checked after each kernel.  The solve is checked on random seeds of filtration order
 one against Lagrange inversion and composition of the seed's integral and
 against stepwise strengthening.  The braid ring laws and the filtration
 order are checked against the ring axioms and the synthetic-division
@@ -33,6 +35,11 @@ nonzero = rationals.filter(bool)
 braid_sums = st.dictionaries(st.integers(-7, 7), rationals, max_size=5)
 Q_MINUS_1 = {1: Fraction(1), 0: Fraction(-1)}
 node_sets = st.lists(st.integers(-20, 20), min_size=1, max_size=8, unique=True)
+# zeros, the empty sum and denominators far beyond one machine word
+wide_sums = st.dictionaries(st.integers(-9, 9), st.one_of(
+    st.just(Fraction(0)), rationals,
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+              st.integers(1, 10 ** 40))), max_size=6)
 
 
 @st.composite
@@ -60,8 +67,8 @@ def order_one_seeds(draw):
 def test_revert_is_the_compositional_inverse(seed, order):
     s = oracles.integral(seed.terms, order)
     r = _lift_series(seed, order)
-    assert oracles.series_compose(r, s) == list(t_series(order).coeffs)
-    assert oracles.series_compose(s, r) == list(t_series(order).coeffs)
+    assert oracles.series_compose(r, s) == list(t_series(order))
+    assert oracles.series_compose(s, r) == list(t_series(order))
     assert r == oracles.lagrange_revert(s)
 
 
@@ -83,9 +90,9 @@ def test_three_routes_agree_at_order_301():
 @given(braid_sums, braid_sums, st.integers(0, 8))
 def test_z_is_a_ring_homomorphism(a, b, order):
     a, b = BraidSum(a), BraidSum(b)
-    assert list(Z(multiply(a, b), order).coeffs) == oracles.series_mul(
-        Z(a, order).coeffs, Z(b, order).coeffs, order)
-    assert list(Z(a, order).coeffs) == oracles.integral(a.terms, order)
+    assert list(Z(multiply(a, b), order)) == oracles.series_mul(
+        Z(a, order), Z(b, order), order)
+    assert list(Z(a, order)) == oracles.integral(a.terms, order)
 
 
 @given(braid_sums, st.dictionaries(st.integers(1, 6), rationals, max_size=4))
@@ -109,6 +116,28 @@ def test_multiply_is_a_commutative_ring_product(a, b, c, x, y):
     assert multiply(a, combine(b, x, c, y)) == \
         combine(multiply(a, b), x, multiply(a, c), y)
     assert multiply(a, identity()) == a
+
+
+def assert_canonical(b):
+    assert b.den > 0
+    assert math.gcd(b.den, *b.nums.values()) == 1
+    assert all(b.nums.values())
+
+
+@given(wide_sums, wide_sums, rationals, rationals)
+def test_kernels_return_the_canonical_form(a, b, x, y):
+    sum_oracle = oracles.braid_lincomb(a, x, b, y)
+    product_oracle = oracles.braid_mul(a, b)
+    A, B = BraidSum(a), BraidSum(b)
+    for got, want in ((A, {n: c for n, c in a.items() if c}),
+                      (combine(A, x, B, y), sum_oracle),
+                      (multiply(A, B), product_oracle)):
+        assert_canonical(got)
+        assert got.terms == want
+    # one sum built from the rationals and by a kernel compares equal
+    assert combine(A, x, B, y) == BraidSum(sum_oracle) == \
+        combine(B, y, A, x)
+    assert multiply(A, B) == BraidSum(product_oracle) == multiply(B, A)
 
 
 @given(vanishing_sums())
