@@ -114,6 +114,10 @@ def _exponent_map(raw) -> "BraidSum":
                 raise ValueError(f"exponent {k!r} is not a decimal integer")
             if isinstance(v, bool):
                 raise ValueError(f"{str(v).lower()} is not a coefficient")
+            # Fraction(str) also reads 1_0, full-width digits and padding
+            if isinstance(v, str) and not (v.isascii() and "_" not in v
+                                           and v == v.strip()):
+                raise ValueError(f"coefficient {v!r} is not a plain number")
         return BraidSum({int(k): Fraction(v) for k, v in raw.items()})
     except (ValueError, ZeroDivisionError, TypeError, AttributeError) as exc:
         raise ValueError(f"bad exponent map: {exc}") from exc

@@ -11,12 +11,19 @@ def run(args) -> int:
         orders = [int(x) for x in args.orders.split(",") if x]
     except ValueError as exc:
         raise ValueError(f"bad --orders list: {exc}") from exc
-    rows = asymptotic_check(args.j, orders, d)
-    table_rows = [[str(row.order), fmt_rational(row.coeff),
-                   fmt_float(row.coeff, d), fmt_float(row.target, d),
-                   fmt_float(row.abs_error, d)]
-                  for row in rows]
-    emit(args, [Table(f"pair {args.j} coefficient against its limit",
+    j = args.j
+    rows = asymptotic_check(j, orders)
+    import mpmath
+    table_rows = []
+    with mpmath.workdps(d):
+        sign = -1 if (j - 1) // 2 % 2 else 1
+        target = sign * 4 / (mpmath.pi * j * j)
+        for order, c in rows:
+            approx = mpmath.mpf(c.numerator) / c.denominator
+            table_rows.append([str(order), fmt_rational(c), fmt_float(c, d),
+                               fmt_float(target, d),
+                               fmt_float(abs(approx - target), d)])
+    emit(args, [Table(f"pair {j} coefficient against its limit",
                       ["order", "coefficient", float_column("approx", d),
                        float_column("target", d), float_column("abs_error", d)],
                       table_rows,

@@ -2,17 +2,17 @@
 
 from ..braid_ring import tau
 from ..cli import emit
-from ..inverse_engine import reversion_lift, strengthen_to
+from ..inverse_engine import closed_form_lift, strengthen_to
 from ..render import Table, fmt_rational
 
 
 def run(args) -> int:
     order = args.order
     if args.method == "reversion":
-        P = reversion_lift(order)
+        P = closed_form_lift(order)
     else:
         P = strengthen_to(tau(), order)
-    rows = [[str(k), fmt_rational(P.coeffs[k])] for k in sorted(P.coeffs)]
+    rows = [[str(k), fmt_rational(c)] for k, c in enumerate(P) if c]
     emit(args, [Table(f"lift coefficients through degree {order}",
                       ["degree", "coefficient"], rows)])
     return 0

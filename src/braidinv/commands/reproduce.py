@@ -59,9 +59,9 @@ def _lift_rows():
     from ..braid_ring import tau
     from ..inverse_engine import closed_form_lift, strengthen_to
     P = strengthen_to(tau(), 13)
-    rows = [_cell(f"degree {k}", printed, P.coeffs.get(k, Fraction(0)))
+    rows = [_cell(f"degree {k}", printed, P[k])
             for k, printed in sorted(REF_LIFT.items())]
-    same = P.coeffs == closed_form_lift(13).coeffs
+    same = P == closed_form_lift(13)
     rows.append(["cross-route (closed form)", "equal",
                  "equal" if same else "different", "PASS" if same else "FAIL"])
     return rows
@@ -74,7 +74,7 @@ def _pair_rows():
     return [_cell(f"order {order}, pair {n}", None if ref is None else ref[n],
                   coefficient(b, n), PAIR_MISPRINTS.get((order, n)))
             for order, ref in REF_PAIR_ROWS
-            for b in [q_expand(P.truncate(order))]
+            for b in [q_expand(P[:order + 1])]
             for n in sorted(b.nums) if n > 0]
 
 

@@ -51,8 +51,6 @@ def classify_trace(values, min_diffs: int = 3) -> str:
         diffs.pop(0)
     if not diffs:
         return "constant"
-    if all(d == 0 for d in diffs):
-        return "constant"
     if len(diffs) < min_diffs:
         return "insufficient"
     nonincreasing = all(y <= x for x, y in zip(diffs, diffs[1:]))
@@ -143,9 +141,9 @@ def lift_truncation_sequence(count: int) -> BraidSumSequence:
     Differences of consecutive items are spans of high seed powers, so the
     sequence satisfies condition (c) comfortably.
     """
-    from .inverse_engine import strengthen_to
+    from .inverse_engine import apply, strengthen_to
     full = strengthen_to(tau(), 2 * count - 1)
-    items = [full.truncate(2 * i - 1).apply() for i in range(1, count + 1)]
+    items = [apply(full[:2 * i], tau()) for i in range(1, count + 1)]
     return BraidSumSequence(items, "lift-truncations")
 
 

@@ -1,21 +1,21 @@
 """Lifting the integral back to braid sums: the inverse problem.
 
-A LiftPoly is a polynomial applied to a seed braid sum of filtration order
-one.  Strengthening finds the polynomial P whose lifted element has
-integral t through a target order.  The integral is a ring homomorphism
-with Z(q^n) = exp(n t/2), so for seed = sum_n c_n q^n the polynomial P is
-the series with sum_n c_n exp(n P/2) = t.  One solve finds it degree by
-degree on integers, without forming Z(seed); the result is checked once at
-the braid level by expanding P at the seed and integrating.  For the seed
-q - q^-1 this is the reversion of 2 sinh(t/2), with the classical
-closed-form arcsinh coefficients as an independent route to the same
-numbers.
+A lift is a tuple P of Fractions indexed by degree, with P[0] = 0, like
+every series in the package; it stands for sum_k P[k] seed^k for a seed
+braid sum of filtration order one.  Strengthening finds the P whose
+expansion at the seed has integral t through a target order.  The integral
+is a ring homomorphism with Z(q^n) = exp(n t/2), so for seed = sum_n c_n q^n
+P is the series with sum_n c_n exp(n P/2) = t.  One solve finds it degree
+by degree on integers, without forming Z(seed); the result is checked once
+at the braid level by expanding P at the seed and integrating.  For the
+seed q - q^-1 this is the reversion of 2 sinh(t/2), whose classical
+closed-form arcsinh coefficients are an independent route to the same
+numbers (`lift --method reversion`).
 
 An expanded lift is antisymmetric under q -> q^-1, so its coefficients at
 positive exponents are its coefficients over the pairs q^n - q^-n; they
-approach signed multiples of 4/pi.  The comparison with that limit prints
-float columns, as `beta --s 1` and `basis --solve-t` do, but floats never
-enter a computation: the kernels here read braid sums' integer numerators.
+approach signed multiples of 4/pi.  Everything here is exact: the float
+columns that compare them with that limit are built in the commands.
 """
 
 from fractions import Fraction
@@ -26,58 +26,37 @@ from .kontsevich import Z
 from .power_series import arcsinh2_closed_form, common_denominator, t_series
 
 
-class LiftPoly:
-    """Polynomial-in-seed representative of a lift.
+def apply(coeffs, seed: BraidSum) -> BraidSum:
+    """Expand the lift sum_k coeffs[k] seed^k into a braid sum.
 
-    coeffs maps degree to coefficient; with the default seed q - q^-1 only
-    odd degrees occur, but a general order-one seed may force every degree.
+    With seed = S / q and coeffs[k] = w_k / den over integers, the result
+    is sum_k w_k q^(top-k) S^k over den q^top, top the highest degree with
+    a nonzero weight: integer powers of S weighted by integers over one
+    denominator.  Zero weights are skipped.
     """
-
-    def __init__(self, coeffs: dict, seed: BraidSum | None = None):
-        clean = {}
-        for k, c in coeffs.items():
-            c = Fraction(c)
-            if c:
-                if k < 1:
-                    raise ValueError("lift degrees start at 1")
-                clean[int(k)] = c
-        self.coeffs = clean
-        self.seed = tau() if seed is None else seed
-
-    def truncate(self, order: int) -> "LiftPoly":
-        kept = {k: c for k, c in self.coeffs.items() if k <= order}
-        return LiftPoly(kept, self.seed)
-
-    def apply(self) -> BraidSum:
-        """Expand the polynomial at the seed into a braid sum.
-
-        With seed = S / q and c_k = w_k / den over integers, the result is
-        sum_k w_k q^(top-k) S^k over den q^top, top the highest degree:
-        integer powers of S weighted by integers over one denominator.
-        """
-        seed = list(self.seed.nums.items())
-        q = self.seed.den
-        degrees = sorted(self.coeffs)
-        weights, den = common_denominator(self.coeffs[k] for k in degrees)
-        top = max(degrees, default=0)
-        out = {}
-        power = {0: 1}
-        current = 0
-        for k, w in zip(degrees, weights):
-            while current < k:
-                nxt = {}
-                for i, a in power.items():
-                    for n, c in seed:
-                        nxt[i + n] = nxt.get(i + n, 0) + a * c
-                power = nxt
-                current += 1
-            w *= q ** (top - k)
-            for n, a in power.items():
-                out[n] = out.get(n, 0) + w * a
-        return BraidSum.over(out, den * q ** top)
+    weights, den = common_denominator(coeffs)
+    terms = [(k, w) for k, w in enumerate(weights) if w]
+    top = terms[-1][0] if terms else 0
+    q = seed.den
+    seed = list(seed.nums.items())
+    out = {}
+    power = {0: 1}
+    current = 0
+    for k, w in terms:
+        while current < k:
+            nxt = {}
+            for i, a in power.items():
+                for n, c in seed:
+                    nxt[i + n] = nxt.get(i + n, 0) + a * c
+            power = nxt
+            current += 1
+        w *= q ** (top - k)
+        for n, a in power.items():
+            out[n] = out.get(n, 0) + w * a
+    return BraidSum.over(out, den * q ** top)
 
 
-def _lift_series(seed: BraidSum, order: int) -> list:
+def _lift_series(seed: BraidSum, order: int) -> tuple:
     """Coefficients 0..order of the series P with sum_n c_n exp(n P/2) = t.
 
     seed = sum_n c_n q^n must have filtration order one.  With u = P/2 and
@@ -108,10 +87,10 @@ def _lift_series(seed: BraidSum, order: int) -> list:
     for m in range(1, order + 1):
         coeffs.append(Fraction(2 * U[m], den))
         den *= S * S * (m + 1)
-    return coeffs
+    return tuple(coeffs)
 
 
-def strengthen_to(seed: BraidSum, order: int) -> LiftPoly:
+def strengthen_to(seed: BraidSum, order: int) -> tuple:
     """The lift of t through the target order (odd, >= 1) for an order-one seed.
 
     Solved on the series side as sum_n c_n exp(n P/2) = t, then checked
@@ -122,74 +101,48 @@ def strengthen_to(seed: BraidSum, order: int) -> LiftPoly:
         raise ValueError("target order must be odd and positive")
     if filtration_order(seed) != 1:
         raise ValueError("seed must have filtration order 1")
-    P = LiftPoly(dict(enumerate(_lift_series(seed, order))), seed)
-    if Z(P.apply(), order) != t_series(order):
+    P = _lift_series(seed, order)
+    if Z(apply(P, seed), order) != t_series(order):
         raise ArithmeticError(f"lift is not flat through order {order}")
     return P
 
 
-def reversion_lift(order: int) -> LiftPoly:
-    """The same coefficients by reverting 2 sinh(t/2) = Z(q - q^-1)."""
+def closed_form_lift(order: int) -> tuple:
+    """The lift for the seed q - q^-1 from the arcsinh closed form."""
     if order < 1 or order % 2 == 0:
         raise ValueError("target order must be odd and positive")
-    return LiftPoly(dict(enumerate(_lift_series(tau(), order))))
+    return arcsinh2_closed_form(order)
 
 
-def closed_form_lift(order: int) -> LiftPoly:
-    """The same coefficients from the arcsinh closed form."""
-    if order < 1 or order % 2 == 0:
-        raise ValueError("target order must be odd and positive")
-    return LiftPoly(dict(enumerate(arcsinh2_closed_form(order))))
+def q_expand(P, power: int = 1) -> BraidSum:
+    """A power of the lift expanded at q - q^-1, checked for symmetry.
 
-
-def q_expand(P: LiftPoly, power: int = 1) -> BraidSum:
-    """A power of the expanded lift, checked for its symmetry under q -> q^-1.
-
-    Only defined for the default seed.  An odd power of an odd polynomial in
-    q - q^-1 is antisymmetric, so its positive half holds the coefficients
-    over the pairs q^n - q^-n; an even power is symmetric, a constant plus
-    coefficients over q^n + q^-n.  A failure of that symmetry means the
-    expansion itself is broken.  No reference values exist for powers above
-    one; they are reported computations.
+    An odd power of an odd polynomial in q - q^-1 is antisymmetric, so its
+    positive half holds the coefficients over the pairs q^n - q^-n; an even
+    power is symmetric, a constant plus coefficients over q^n + q^-n.  A
+    failure of that symmetry means the expansion itself is broken.  No
+    reference values exist for powers above one; they are reported
+    computations.
     """
     if power < 1:
         raise ValueError("power must be positive")
-    if P.seed != tau():
-        raise ValueError("pair expansion requires the seed q - q^-1")
-    base = P.apply()
+    base = apply(P, tau())
     b = base
     for _ in range(power - 1):
         b = multiply(b, base)
     # antisymmetry also forces the q^0 coefficient to vanish
     sign = -1 if power % 2 else 1
-    if any(b.nums.get(-n) != sign * c for n, c in b.nums.items()):
+    if b != BraidSum.over({-n: sign * c for n, c in b.nums.items()}, b.den):
         raise ArithmeticError(f"power {power} lost its symmetry under q -> q^-1")
     return b
 
 
-class AsymptoticRow:
-    def __init__(self, order: int, coeff: Fraction, target, abs_error):
-        self.order = order
-        self.coeff = coeff
-        self.target = target          # mpmath float
-        self.abs_error = abs_error    # mpmath float
+def asymptotic_check(j: int, r_list) -> list:
+    """(order, pair-j coefficient) for each lift order, ascending.
 
-
-def pair_limit_target(j: int, digits: int = 50):
-    """Signed limit of the pair-j coefficient: (-1)^((j-1)/2) * 4/(pi j^2)."""
-    import mpmath
-    with mpmath.workdps(digits):
-        sign = -1 if (j - 1) // 2 % 2 else 1
-        return sign * 4 / (mpmath.pi * j * j)
-
-
-def asymptotic_check(j: int, r_list, digits: int = 50) -> list[AsymptoticRow]:
-    """Distance of the pair-j coefficient to its limit, order by order.
-
-    All coefficients are exact; the limit involves pi, so the comparison
-    column is floating point at the requested precision.
+    The coefficients approach (-1)^((j-1)/2) 4/(pi j^2); that limit
+    involves pi, so the comparison with it is left to the float columns.
     """
-    import mpmath
     if j < 1 or j % 2 == 0:
         raise ValueError("pair index must be odd and positive")
     if not r_list:
@@ -197,13 +150,5 @@ def asymptotic_check(j: int, r_list, digits: int = 50) -> list[AsymptoticRow]:
     for r in r_list:
         if r < j:
             raise ValueError(f"order {r} is below the pair index {j}")
-    top = max(r_list)
-    full = strengthen_to(tau(), top)
-    rows = []
-    with mpmath.workdps(digits):
-        target = pair_limit_target(j, digits)
-        for r in sorted(r_list):
-            c = coefficient(q_expand(full.truncate(r)), j)
-            approx = mpmath.mpf(c.numerator) / c.denominator
-            rows.append(AsymptoticRow(r, c, target, abs(approx - target)))
-    return rows
+    full = strengthen_to(tau(), max(r_list))
+    return [(r, coefficient(q_expand(full[:r + 1]), j)) for r in sorted(r_list)]

@@ -1,9 +1,9 @@
 """Truncated power series in one variable t over exact rationals.
 
 A series of truncation order N is a tuple of its N + 1 Fraction
-coefficients, exact through degree N: the integral's values, the target t
-and the arcsinh closed form of the strong inverse.  The package does no
-arithmetic on series, and no floating point appears in this module.
+coefficients, exact through degree N: the integral's values, the target t,
+the lifts and the arcsinh closed form of the strong inverse.  The package
+does no arithmetic on series, and no floating point appears in this module.
 """
 
 import math

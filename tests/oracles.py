@@ -146,11 +146,24 @@ def strengthen_step(coeffs, m, seed=TAU):
 
 
 def strengthen_stepwise(seed, order):
-    """The lift of t through the order, one correction step per degree."""
+    """The lift of t through the order, one correction step per degree, as
+    the tuple of its coefficients at degrees 0..order."""
     coeffs = {1: 1 / integral(seed, 1)[1]}
     for m in range(2, order + 1):
         coeffs = strengthen_step(coeffs, m, seed)
-    return coeffs
+    return tuple(coeffs.get(k, Fraction(0)) for k in range(order + 1))
+
+
+def arcsinh2_binomial(order):
+    """2 arcsinh(t/2) through the order, by integrating its derivative
+    (1 + t^2/4)^(-1/2) term by term; the binomial series has
+    c_(k+1) = c_k * -(2k+1) / (8(k+1)) at t^(2k+2)."""
+    out = [Fraction(0)] * (order + 1)
+    c = Fraction(1)
+    for k in range((order + 1) // 2):
+        out[2 * k + 1] = c / (2 * k + 1)
+        c *= Fraction(-(2 * k + 1), 8 * (k + 1))
+    return tuple(out)
 
 
 def root_multiplicity_at_one(b):

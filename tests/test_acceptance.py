@@ -19,8 +19,7 @@ from braidinv.convergence import (biconvergence_report,
                                   harmonic_sigma_sequence,
                                   lift_truncation_sequence)
 from braidinv.inverse_engine import (_lift_series, asymptotic_check,
-                                     closed_form_lift, q_expand,
-                                     reversion_lift, strengthen_to)
+                                     closed_form_lift, q_expand, strengthen_to)
 from braidinv.kontsevich import Z
 from braidinv.power_series import t_series
 from braidinv.regularization import leibniz_partial, theta_value
@@ -41,23 +40,24 @@ def test_criterion_01_lift_coefficients():
     expected = {1: frac(1), 3: frac(-1, 24), 5: frac(3, 640),
                 7: frac(-5, 7168), 9: frac(35, 294912),
                 11: frac(-63, 2883584), 13: frac(231, 54525952)}
-    computed = strengthen_to(tau(), 13).coeffs
-    report(1, computed == expected,
+    computed = strengthen_to(tau(), 13)
+    report(1, {k: c for k, c in enumerate(computed) if c} == expected,
            f"seven lift coefficients through degree 13, exact; "
-           f"top = {computed.get(13)}")
+           f"top = {computed[13]}")
 
 
 def test_criterion_02_route_agreement():
     orders = list(range(1, 26, 2))
     mismatches = []
     for n in orders:
-        a = strengthen_to(tau(), n).coeffs
-        b = reversion_lift(n).coeffs
-        c = closed_form_lift(n).coeffs
+        a = strengthen_to(tau(), n)
+        b = oracles.arcsinh2_binomial(n)
+        c = closed_form_lift(n)
         if not a == b == c:
             mismatches.append(n)
     report(2, not mismatches,
-           f"strengthening = reversion = closed form at odd orders "
+           f"strengthening = binomial series oracle = closed form "
+           f"(--method reversion) at odd orders "
            f"{orders[0]}..{orders[-1]}; mismatches: {mismatches or 'none'}")
 
 
@@ -88,7 +88,7 @@ def test_criterion_04_pair_expansion_rows():
     full = strengthen_to(tau(), 11)
     ok = True
     for order, expected in printed.items():
-        expansion = q_expand(full.truncate(order))
+        expansion = q_expand(full[:order + 1])
         if oracles.pair_half(expansion.terms) != expected:
             ok = False
     row5 = oracles.pair_half(q_expand(full).terms)
@@ -103,11 +103,12 @@ def test_criterion_04_pair_expansion_rows():
 
 
 def test_criterion_05_wallis_limit():
-    rows = asymptotic_check(1, list(range(7, 50, 2)), 50)
-    errors = [row.abs_error for row in rows]
-    decreasing = all(b < a for a, b in zip(errors, errors[1:]))
+    rows = asymptotic_check(1, list(range(7, 50, 2)))
     with mpmath.workdps(50):
+        errors = [abs(mpmath.mpf(c.numerator) / c.denominator - 4 / mpmath.pi)
+                  for _, c in rows]
         final_ok = errors[-1] < mpmath.mpf("0.02")
+    decreasing = all(b < a for a, b in zip(errors, errors[1:]))
     report(5, decreasing and final_ok,
            f"|pair-1 coefficient - 4/pi| strictly decreasing over odd "
            f"orders 7..49; at 49 it is {mpmath.nstr(errors[-1], 6)} < 0.02")
@@ -117,10 +118,12 @@ def test_criterion_06_higher_pair_limits():
     details = []
     ok = True
     for j in (3, 5):
-        row = asymptotic_check(j, [49], 50)[0]
+        [(_, c)] = asymptotic_check(j, [49])
         with mpmath.workdps(50):
-            ok = ok and row.abs_error < mpmath.mpf("0.05")
-        details.append(f"j={j}: {mpmath.nstr(row.abs_error, 6)}")
+            limit = (-1) ** ((j - 1) // 2) * 4 / (mpmath.pi * j * j)
+            error = abs(mpmath.mpf(c.numerator) / c.denominator - limit)
+            ok = ok and error < mpmath.mpf("0.05")
+        details.append(f"j={j}: {mpmath.nstr(error, 6)}")
     report(6, ok, "distance to the signed limit 4/(pi j^2) at order 49, "
                   + ", ".join(details) + ", both < 0.05")
 

@@ -32,9 +32,14 @@ def test_lift_text_output():
     assert "-1/24" in result.stdout
 
 
-def test_lift_methods_are_byte_identical():
-    a = run_cli("lift", "--order", "13", "--method", "strengthen")
-    b = run_cli("lift", "--order", "13", "--method", "reversion")
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("order", ["1", "13", "151"])
+def test_lift_methods_are_byte_identical(order, fmt):
+    # strengthening and the arcsinh closed form share no code
+    a = run_cli("lift", "--order", order, "--format", fmt,
+                "--method", "strengthen")
+    b = run_cli("lift", "--order", order, "--format", fmt,
+                "--method", "reversion")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
 
@@ -253,6 +258,9 @@ def test_reproduce_offers_exactly_its_tables(capsys):
     ["zmap", "--braid", '{"1": false}'],
     ["zmap", "--braid", '{"1_0": 1}'],
     ["trace", "--sequence", "{tmp}/bool.json"],
+    ["zmap", "--braid", '{"1": "1_0"}'],
+    ["zmap", "--braid", '{"1": "\uff11"}'],
+    ["trace", "--sequence", "{tmp}/underscore.json"],
 ], ids=["negative-order", "zero-denominator", "sequence-zero-denominator",
         "sequence-top-level-array", "missing-out-dir", "solve-t-at-r-0",
         "sequence-empty", "sequence-one-item", "zmap-negative-jmax",
@@ -260,7 +268,9 @@ def test_reproduce_offers_exactly_its_tables(capsys):
         "sequence-json-infinity", "basis-negative-r",
         "basis-unbalanced-negative-r", "entry-one-value",
         "entry-three-values", "json-true", "json-false",
-        "exponent-underscore", "sequence-json-bool"])
+        "exponent-underscore", "sequence-json-bool",
+        "coefficient-underscore", "coefficient-fullwidth",
+        "sequence-coefficient-underscore"])
 def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     (tmp_path / "zero.json").write_text('{"items": [{"1": "1/0"}]}',
                                         encoding="utf-8")
@@ -269,6 +279,8 @@ def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     (tmp_path / "array.json").write_text('[{"1": "1"}]', encoding="utf-8")
     (tmp_path / "bool.json").write_text(
         '{"items": [{"1": 1}, {"1": true}]}', encoding="utf-8")
+    (tmp_path / "underscore.json").write_text(
+        '{"items": [{"1": 1}, {"1": "1_0"}]}', encoding="utf-8")
     (tmp_path / "empty.json").write_text('{"items": []}', encoding="utf-8")
     (tmp_path / "one.json").write_text('{"items": [{"1": "1"}]}',
                                        encoding="utf-8")
@@ -294,9 +306,11 @@ def test_bad_entry_names_the_expected_form_before_inverting(monkeypatch,
 
 
 def test_json_numbers_are_exact_decimals(tmp_path):
-    tenth = run_cli("zmap", "--braid", '{"1": 0.1}', "--order", "1")
-    assert tenth.returncode == 0
-    assert "integral of 1/10*q^1 through degree 1" in tenth.stdout
+    # a string coefficient may still be a decimal or a ratio
+    for value in ('0.1', '"0.1"', '"1/10"'):
+        tenth = run_cli("zmap", "--braid", f'{{"1": {value}}}', "--order", "1")
+        assert tenth.returncode == 0
+        assert "integral of 1/10*q^1 through degree 1" in tenth.stdout
     huge = run_cli("zmap", "--braid", '{"1": 1e400}', "--order", "0",
                    "--format", "json")
     assert huge.returncode == 0
