@@ -20,8 +20,8 @@ def run(args) -> int:
         target = sign * 4 / (mpmath.pi * j * j)
         for order, c in rows:
             approx = mpmath.mpf(c.numerator) / c.denominator
-            table_rows.append([str(order), fmt_rational(c), fmt_float(c, d),
-                               fmt_float(target, d),
+            table_rows.append([str(order), fmt_rational(c),
+                               fmt_float(approx, d), fmt_float(target, d),
                                fmt_float(abs(approx - target), d)])
     emit(args, [Table(f"pair {j} coefficient against its limit",
                       ["order", "coefficient", float_column("approx", d),

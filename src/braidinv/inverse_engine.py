@@ -18,12 +18,13 @@ approach signed multiples of 4/pi.  Everything here is exact: the float
 columns that compare them with that limit are built in the commands.
 """
 
+import math
 from fractions import Fraction
 from operator import add, mul
 
 from .braid_ring import BraidSum, coefficient, filtration_order, multiply, tau
 from .kontsevich import Z
-from .power_series import arcsinh2_closed_form, common_denominator, t_series
+from .power_series import common_denominator, t_series
 
 
 def apply(coeffs, seed: BraidSum) -> BraidSum:
@@ -108,10 +109,19 @@ def strengthen_to(seed: BraidSum, order: int) -> tuple:
 
 
 def closed_form_lift(order: int) -> tuple:
-    """The lift for the seed q - q^-1 from the arcsinh closed form."""
+    """The lift for the seed q - q^-1: the Taylor series of 2 arcsinh(t/2).
+
+    The degree 2k+1 coefficient is (-1)^k (2k)! / (16^k (k!)^2 (2k+1)).
+    Independent of the lift solve by construction.
+    """
     if order < 1 or order % 2 == 0:
         raise ValueError("target order must be odd and positive")
-    return arcsinh2_closed_form(order)
+    coeffs = [Fraction(0)] * (order + 1)
+    for k in range((order + 1) // 2):
+        num = (-1) ** k * math.factorial(2 * k)
+        den = 16 ** k * math.factorial(k) ** 2 * (2 * k + 1)
+        coeffs[2 * k + 1] = Fraction(num, den)
+    return tuple(coeffs)
 
 
 def q_expand(P, power: int = 1) -> BraidSum:
