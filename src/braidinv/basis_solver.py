@@ -6,8 +6,8 @@ divided by i! with factorials.  Row k of the inverse holds the coefficients
 of the Lagrange polynomial of node k, w(x) / ((x - n_k) w'(n_k)) with
 w(x) = prod_j (x - n_j), read off one synthetic division of w over the
 integers (Macon and Spitzbart, Amer. Math. Monthly 65, 1958); factorials
-only rescale its columns.  Every inverse is verified entry by entry,
-N*M = I, by evaluating each row polynomial at every node on integers.
+only rescale its columns.  An inverse is a list of rows, verified entry
+by entry, N*M = I, evaluating each row polynomial at each node on integers.
 
 Over the balanced nodes, row 1 is the partial Euler product
 prod_{k<=r} (1 - x^2/k^2) of sin(pi x)/(pi x), so the (1,3) entries are
@@ -20,40 +20,18 @@ import math
 from fractions import Fraction
 
 
-class ExactMatrix:
-    def __init__(self, dim: int, rows: list):
-        if dim < 1 or len(rows) != dim:
-            raise ValueError("matrix shape mismatch")
-        self.dim = dim
-        self.rows = [[x if type(x) is Fraction else Fraction(x) for x in row]
-                     for row in rows]
-        for row in self.rows:
-            if len(row) != self.dim:
-                raise ValueError("matrix shape mismatch")
-
-    def entry(self, row: int, col: int) -> Fraction:
-        """1-based access, matching the printed sequence positions."""
-        if not (1 <= row <= self.dim and 1 <= col <= self.dim):
-            raise IndexError(f"entry ({row},{col}) outside a {self.dim}x{self.dim} matrix")
-        return self.rows[row - 1][col - 1]
-
-
-class MomentMatrix(ExactMatrix):
+class MomentMatrix:
     """Row i holds n^i (over i! with factorials) for distinct integer nodes n."""
 
     def __init__(self, nodes, with_factorials: bool = False):
         self.nodes = tuple(nodes)
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("moment matrix nodes must be distinct")
-        self.with_factorials = with_factorials
-        scale = _column_scale(len(self.nodes), with_factorials)
-        super().__init__(len(self.nodes),
-                         [[Fraction(n ** i, f) for n in self.nodes]
-                          for i, f in enumerate(scale)])
-
-
-def _column_scale(dim: int, with_factorials: bool) -> list[int]:
-    return [math.factorial(i) if with_factorials else 1 for i in range(dim)]
+        self.dim = len(self.nodes)
+        self.scale = [math.factorial(i) if with_factorials else 1
+                      for i in range(self.dim)]
+        self.rows = [[Fraction(n ** i, f) for n in self.nodes]
+                     for i, f in enumerate(self.scale)]
 
 
 def balanced_nodes(r: int) -> list[int]:
@@ -124,34 +102,26 @@ def _verify(nodes, scale, rows) -> None:
                     raise ArithmeticError("inverse failed its own verification")
 
 
-def invert(M: MomentMatrix) -> ExactMatrix:
-    """Exact inverse of a moment matrix from its Lagrange rows, verified."""
-    if not isinstance(M, MomentMatrix):
-        raise ValueError("invert needs a moment matrix")
-    scale = _column_scale(M.dim, M.with_factorials)
-    rows = _lagrange_rows(M.nodes, scale)
-    _verify(M.nodes, scale, rows)
-    return ExactMatrix(M.dim, rows)
+def invert(M: MomentMatrix) -> list[list[Fraction]]:
+    """The rows of M's exact inverse: its Lagrange rows, verified."""
+    rows = _lagrange_rows(M.nodes, M.scale)
+    _verify(M.nodes, M.scale, rows)
+    return rows
 
 
 def entry_sequence(row: int, col: int, r_range) -> list[Fraction]:
     """Inverse entries (1-based) of the balanced matrices over a range of r."""
-    out = []
-    for r in r_range:
-        N = invert(build_balanced(r))
-        out.append(N.entry(row, col))
-    return out
+    return [invert(build_balanced(r))[row - 1][col - 1] for r in r_range]
 
 
-def solve_t_target(N: ExactMatrix):
+def solve_t_target(N: list):
     """Solve the balanced moment system against the target (0, 1, 0, ...).
 
-    N is the inverse of a balanced moment matrix, so the solution is its
-    column 1.  Returns the solution both as a coefficient list over the node
-    order and reassembled into a braid sum over the corresponding braid powers.
+    The solution is column 1 of N, the rows of a balanced inverse; it is
+    returned as a list in node order and as the braid sum over those powers.
     """
     from .braid_ring import BraidSum
-    if N.dim < 3:
+    if len(N) < 3:
         raise ValueError("the degree-1 target needs r >= 1")
-    solution = [row[1] for row in N.rows]
-    return solution, BraidSum(dict(zip(balanced_nodes(N.dim // 2), solution)))
+    solution = [row[1] for row in N]
+    return solution, BraidSum(dict(zip(balanced_nodes(len(N) // 2), solution)))

@@ -67,21 +67,8 @@ class BraidSum:
         return f"<BraidSum {render(self)}>"
 
 
-def identity() -> BraidSum:
-    return BraidSum({0: 1})
-
-
-def sigma() -> BraidSum:
-    """The half twist q."""
-    return BraidSum({1: 1})
-
-
-def sigma_bar() -> BraidSum:
-    """The inverse half twist q^-1."""
-    return BraidSum({-1: 1})
-
-
 def sigma_power(n: int) -> BraidSum:
+    """The braid power q^n: the identity at 0, the half twist at 1."""
     return BraidSum({n: 1})
 
 

@@ -17,8 +17,8 @@ and pairs tables skip inverse_engine, kontsevich, braid_ring and
 power_series; a trace of a sequence file skips inverse_engine.  mpmath
 loads only for float columns (asymptotics, beta --s 1, basis --solve-t),
 json only for --format json, a JSON braid or a sequence file, and csv only
-for --format csv; the record types are plain classes, so no class
-generator loads at all.
+for --format csv; the only record types, BraidSum, MomentMatrix and
+Table, are plain classes, so no class generator loads at all.
 
 The library raises ValueError for bad input and ArithmeticError for a
 broken internal invariant.  main() alone turns exceptions into exit codes:
@@ -75,11 +75,12 @@ def _float_digits(args) -> int:
 
 def parse_braid(text: str) -> "BraidSum":
     """Named elements, sigma^K, pair:N, or a JSON exponent map."""
-    from .braid_ring import identity, pair, sigma, sigma_bar, sigma_power, tau
-    named = {"tau": tau, "sigma": sigma, "sigmabar": sigma_bar,
-             "e": identity, "identity": identity}
-    if text in named:
-        return named[text]()
+    from .braid_ring import pair, sigma_power, tau
+    powers = {"sigma": 1, "sigmabar": -1, "e": 0, "identity": 0}
+    if text == "tau":
+        return tau()
+    if text in powers:
+        return sigma_power(powers[text])
     if text.startswith("pair:"):
         try:
             return pair(int(text[5:]))
@@ -123,11 +124,10 @@ def _exponent_map(raw) -> "BraidSum":
         raise ValueError(f"bad exponent map: {exc}") from exc
 
 
-def load_sequence(path: str) -> "BraidSumSequence":
-    """A sequence from a JSON file {"label": ..., "items": [exponent maps]}."""
+def load_sequence(path: str) -> tuple:
+    """(label, items) from a JSON file {"label": ..., "items": [maps]}."""
     import json
     from fractions import Fraction
-    from .convergence import BraidSumSequence
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle, parse_float=Fraction,
@@ -135,10 +135,13 @@ def load_sequence(path: str) -> "BraidSumSequence":
         if not isinstance(payload, dict) or \
                 not isinstance(payload.get("items"), list):
             raise ValueError("expected an object with an 'items' list")
+        label = payload.get("label", path)
+        if not isinstance(label, str):
+            raise ValueError("the label must be a string")
         items = [_exponent_map(item) for item in payload["items"]]
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot load sequence from {path}: {exc}") from exc
-    return BraidSumSequence(items, payload.get("label", path))
+    return label, items
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ def run(args) -> int:
     build = build_unbalanced if args.unbalanced else build_balanced
     kind = "unbalanced" if args.unbalanced else "balanced"
     M = build(r, args.with_factorials)
+    if args.entry and not (1 <= row <= M.dim and 1 <= col <= M.dim):
+        raise ValueError(f"bad --entry: entry ({row},{col}) outside a "
+                         f"{M.dim}x{M.dim} matrix")
     N = invert(M)
     tables = [
         Table(f"{kind} moment matrix, r = {r}",
@@ -31,16 +34,13 @@ def run(args) -> int:
               [[fmt_rational(x) for x in row] for row in M.rows]),
         Table(f"inverse, r = {r}",
               [f"c{j}" for j in range(M.dim)],
-              [[fmt_rational(x) for x in row] for row in N.rows]),
+              [[fmt_rational(x) for x in row] for row in N]),
     ]
     if args.entry:
-        try:
-            value = N.entry(row, col)
-        except IndexError as exc:
-            raise ValueError(f"bad --entry: {exc}") from exc
         tables.append(Table(f"inverse entry ({row},{col})",
                             ["row", "col", "value"],
-                            [[str(row), str(col), fmt_rational(value)]]))
+                            [[str(row), str(col),
+                              fmt_rational(N[row - 1][col - 1])]]))
     if args.solve_t:
         from ..braid_ring import coefficient, combine, render, tau
         from ..inverse_engine import q_expand, strengthen_to

@@ -1,9 +1,10 @@
 """Finite-window convergence diagnostics for sequences of braid sums.
 
-Three conditions are inspected: (a) every braid coefficient trace settles,
-(b) every graded integral trace settles, (c) later differences sit deep in
-the filtration, order(b_i - b_j) >= i for i < j.  All verdicts are evidence
-over the inspected window, never limit claims; the report says so itself.
+A sequence is a list of BraidSums, b_1 first.  Three conditions are
+inspected: (a) every braid coefficient trace settles, (b) every graded
+integral trace settles, (c) later differences sit deep in the filtration,
+order(b_i - b_j) >= i for i < j.  All verdicts are evidence over the
+inspected window, never limit claims; CAVEAT says so.
 
 Trace classification compares successive absolute differences as exact
 rationals, so no scale underflows or overflows.  Leading zero differences
@@ -19,23 +20,6 @@ from .braid_ring import (BraidSum, coefficient, combine, filtration_order,
 from .kontsevich import Z
 
 CAVEAT = ("finite-window evidence only; no verdict here asserts a limit")
-
-
-class BraidSumSequence:
-    def __init__(self, items: list, label: str = ""):
-        self.items = items
-        self.label = label
-
-    def __len__(self):
-        return len(self.items)
-
-    def item(self, i: int) -> BraidSum:
-        """1-based access, matching the index convention of condition (c)."""
-        return self.items[i - 1]
-
-
-def coefficient_trace(seq: BraidSumSequence, n: int) -> list[Fraction]:
-    return [coefficient(b, n) for b in seq.items]
 
 
 def classify_trace(values, min_diffs: int = 3) -> str:
@@ -62,80 +46,51 @@ def classify_trace(values, min_diffs: int = 3) -> str:
     return "inconclusive"
 
 
-class ConditionCResult:
-    def __init__(self, checked_pairs: int, violations: list):
-        self.ok = not violations
-        self.checked_pairs = checked_pairs
-        self.first_violation = violations[0] if violations else None
-        self.violations = violations
+def verdict(classes: dict) -> str:
+    """A condition fails only on positive evidence of divergence."""
+    return "fail" if "diverging" in classes.values() else "pass"
 
 
-def filtration_condition_c(seq: BraidSumSequence,
-                           window: int | None = None) -> ConditionCResult:
-    """Check order(b_i - b_j) >= i over all pairs i < j within the window."""
-    limit = len(seq) if window is None else min(window, len(seq))
+def filtration_condition_c(items: list) -> list:
+    """The violations (i, j, order) of order(b_i - b_j) >= i, 1 <= i < j."""
     violations = []
-    checked = 0
-    for i in range(1, limit + 1):
-        for j in range(i + 1, limit + 1):
-            checked += 1
-            diff = combine(seq.item(i), 1, seq.item(j), -1)
-            order = filtration_order(diff)
+    for i, a in enumerate(items, 1):
+        for j, b in enumerate(items[i:], i + 1):
+            order = filtration_order(combine(a, 1, b, -1))
             if order < i:
                 violations.append((i, j, order))
-    return ConditionCResult(checked, violations)
+    return violations
 
 
-class BiconvergenceReport:
-    def __init__(self, label: str, window: int, jmax: int,
-                 exponent_classes: dict, z_classes: dict,
-                 condition_c: ConditionCResult):
-        self.label = label
-        self.window = window
-        self.jmax = jmax
-        self.exponent_classes = exponent_classes
-        self.z_classes = z_classes
-        self.condition_c = condition_c
-        self.verdict_a = "fail" if "diverging" in exponent_classes.values() \
-            else "pass"
-        self.verdict_b = "fail" if "diverging" in z_classes.values() else "pass"
-        self.verdict_c = "pass" if condition_c.ok else "fail"
-        self.caveat = CAVEAT
+def biconvergence_report(items: list, jmax: int):
+    """(a), (b), (c) over the window items: the trace class per exponent,
+    the trace class per degree 0..jmax, and the violations of (c).
 
-
-def biconvergence_report(seq: BraidSumSequence, jmax: int,
-                         window: int) -> BiconvergenceReport:
-    """Aggregate (a), (b), (c) over the window.
-
-    A condition fails only on positive evidence of divergence; insufficient
-    or inconclusive traces are listed but do not fail it.  A window of
-    fewer than two items holds no evidence and is rejected.
+    A window of fewer than two items holds no evidence and is rejected.
     """
     if jmax < 0:
         raise ValueError("jmax must be nonnegative")
-    window = min(window, len(seq))
+    window = len(items)
     if window < 2:
         raise ValueError(f"a window needs at least 2 items, got {window}")
-    trimmed = BraidSumSequence(seq.items[:window], seq.label)
     # a coefficient present for under half the window has not left its
     # transient regime; demanding window//2 + 2 increments keeps verdicts
     # off such rows at every window size
     maturity = max(3, window // 2 + 2)
-    exponents = sorted({n for b in trimmed.items for n in b.nums})
-    exponent_classes = {n: classify_trace(coefficient_trace(trimmed, n),
-                                          maturity)
-                        for n in exponents}
-    integrals = [Z(b, jmax) for b in trimmed.items]
+    exponents = sorted({n for b in items for n in b.nums})
+    exponent_classes = {
+        n: classify_trace([coefficient(b, n) for b in items], maturity)
+        for n in exponents}
+    integrals = [Z(b, jmax) for b in items]
     z_classes = {j: classify_trace([s[j] for s in integrals], maturity)
                  for j in range(jmax + 1)}
-    return BiconvergenceReport(seq.label, window, jmax, exponent_classes,
-                               z_classes, filtration_condition_c(trimmed))
+    return exponent_classes, z_classes, filtration_condition_c(items)
 
 
 # ---------------------------------------------------------------------------
 # stock sequences used by the command line and the diagnostics themselves
 
-def lift_truncation_sequence(count: int) -> BraidSumSequence:
+def lift_truncation_sequence(count: int) -> list:
     """b_i = the order (2i-1) lift applied to q - q^-1.
 
     Differences of consecutive items are spans of high seed powers, so the
@@ -143,11 +98,10 @@ def lift_truncation_sequence(count: int) -> BraidSumSequence:
     """
     from .inverse_engine import apply, strengthen_to
     full = strengthen_to(tau(), 2 * count - 1)
-    items = [apply(full[:2 * i], tau()) for i in range(1, count + 1)]
-    return BraidSumSequence(items, "lift-truncations")
+    return [apply(full[:2 * i], tau()) for i in range(1, count + 1)]
 
 
-def harmonic_sigma_sequence(count: int) -> BraidSumSequence:
+def harmonic_sigma_sequence(count: int) -> list:
     """b_i = (alternating harmonic partial sum) times the half twist.
 
     The coefficient converges, every graded trace converges, and condition
@@ -158,10 +112,10 @@ def harmonic_sigma_sequence(count: int) -> BraidSumSequence:
     for m in range(1, count + 1):
         acc += Fraction((-1) ** (m + 1), m)
         items.append(BraidSum({1: acc}))
-    return BraidSumSequence(items, "harmonic-sigma")
+    return items
 
 
-def pair_partial_sequence(count: int) -> BraidSumSequence:
+def pair_partial_sequence(count: int) -> list:
     """Partial sums of 4 sum (-1)^m (q^n - q^-n) / n^2 over odd n = 2m+1.
 
     Scaled so every coefficient stays rational (the limit object carries a
@@ -174,9 +128,10 @@ def pair_partial_sequence(count: int) -> BraidSumSequence:
         n = 2 * m + 1
         acc = combine(acc, 1, pair(n), Fraction(4 * (-1) ** m, n * n))
         items.append(acc)
-    return BraidSumSequence(items, "pair-partials")
+    return items
 
 
-STOCK_SEQUENCES = {"tauhat": lift_truncation_sequence,
-                   "pairs": pair_partial_sequence,
-                   "harmonic": harmonic_sigma_sequence}
+# name -> (label, builder of the first count items)
+STOCK_SEQUENCES = {"tauhat": ("lift-truncations", lift_truncation_sequence),
+                   "pairs": ("pair-partials", pair_partial_sequence),
+                   "harmonic": ("harmonic-sigma", harmonic_sigma_sequence)}

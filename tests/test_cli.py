@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from braidinv import basis_solver, cli, convergence
-from braidinv.braid_ring import pair
+from braidinv.braid_ring import BraidSum, pair
 from braidinv.commands import qexpand, reproduce, zmap
 
 
@@ -95,6 +95,12 @@ def test_zmap_named_and_json_braids():
     assert bad.returncode == 1
 
 
+def test_named_braids_are_braid_powers():
+    for name, terms in (("e", {0: 1}), ("identity", {0: 1}), ("sigma", {1: 1}),
+                        ("sigmabar", {-1: 1}), ("tau", {1: 1, -1: -1})):
+        assert cli.parse_braid(name) == BraidSum(terms)
+
+
 def test_qexpand_rows():
     result = run_cli("qexpand", "--order", "7")
     assert result.returncode == 0
@@ -174,6 +180,12 @@ def test_trace_subcommand_and_file_sequence(tmp_path):
                      "--window", "4")
     assert custom.returncode == 0
     assert "steady" in custom.stdout
+
+    path.write_text(json.dumps({**payload, "label": None}), encoding="utf-8")
+    unlabeled = run_cli("trace", "--sequence", str(path))
+    assert unlabeled.returncode == 1
+    assert unlabeled.stderr == (f"error: cannot load sequence from {path}: "
+                                f"the label must be a string\n")
 
     missing = run_cli("trace", "--sequence", str(tmp_path / "nope.json"))
     assert missing.returncode == 1
@@ -261,6 +273,8 @@ def test_reproduce_offers_exactly_its_tables(capsys):
     ["zmap", "--braid", '{"1": "1_0"}'],
     ["zmap", "--braid", '{"1": "\uff11"}'],
     ["trace", "--sequence", "{tmp}/underscore.json"],
+    ["trace", "--sequence", "{tmp}/label-null.json"],
+    ["trace", "--sequence", "{tmp}/label-list.json"],
 ], ids=["negative-order", "zero-denominator", "sequence-zero-denominator",
         "sequence-top-level-array", "missing-out-dir", "solve-t-at-r-0",
         "sequence-empty", "sequence-one-item", "zmap-negative-jmax",
@@ -270,7 +284,8 @@ def test_reproduce_offers_exactly_its_tables(capsys):
         "entry-three-values", "json-true", "json-false",
         "exponent-underscore", "sequence-json-bool",
         "coefficient-underscore", "coefficient-fullwidth",
-        "sequence-coefficient-underscore"])
+        "sequence-coefficient-underscore", "sequence-label-null",
+        "sequence-label-list"])
 def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     (tmp_path / "zero.json").write_text('{"items": [{"1": "1/0"}]}',
                                         encoding="utf-8")
@@ -284,6 +299,11 @@ def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     (tmp_path / "empty.json").write_text('{"items": []}', encoding="utf-8")
     (tmp_path / "one.json").write_text('{"items": [{"1": "1"}]}',
                                        encoding="utf-8")
+    two = '[{"1": 1}, {"1": 2}]'
+    (tmp_path / "label-null.json").write_text(
+        f'{{"label": null, "items": {two}}}', encoding="utf-8")
+    (tmp_path / "label-list.json").write_text(
+        f'{{"label": ["x"], "items": {two}}}', encoding="utf-8")
     result = run_cli(*(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
     assert result.returncode == 1
     assert result.stderr.startswith("error: ")
@@ -298,6 +318,11 @@ def test_bad_entry_names_the_expected_form_before_inverting(monkeypatch,
         assert cli.main(["basis", "--r", "3", "--entry", entry]) == 1
         assert capsys.readouterr().err == \
             f"error: bad --entry: expected ROW,COL, got {entry!r}\n"
+    # the bounds are checked against the built matrix, still uninverted
+    for entry in ("0,1", "1,8", "8,1"):
+        assert cli.main(["basis", "--r", "3", "--entry", entry]) == 1
+        assert capsys.readouterr().err == \
+            f"error: bad --entry: entry ({entry}) outside a 7x7 matrix\n"
     assert calls == []
     monkeypatch.undo()
     assert cli.main(["basis", "--r", "1", "--entry", "4,1"]) == 1
@@ -401,13 +426,14 @@ def test_qexpand_rejects_a_bad_power_before_strengthening(monkeypatch, capsys):
 
 def test_trace_rejects_a_negative_jmax_before_building(monkeypatch, capsys):
     calls = []
-    build = convergence.STOCK_SEQUENCES["tauhat"]
+    label, build = convergence.STOCK_SEQUENCES["tauhat"]
 
     def counting_build(count):
         calls.append(count)
         return build(count)
 
-    monkeypatch.setitem(convergence.STOCK_SEQUENCES, "tauhat", counting_build)
+    monkeypatch.setitem(convergence.STOCK_SEQUENCES, "tauhat",
+                        (label, counting_build))
     assert cli.main(["trace", "--sequence", "tauhat", "--jmax", "-1",
                      "--window", "120"]) == 1
     assert calls == []

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from braidinv import cli
 from braidinv.braid_ring import BraidSum, pair, tau
 from braidinv.braid_ring import combine
-from braidinv.convergence import (BraidSumSequence, biconvergence_report,
-                                  classify_trace, coefficient_trace,
+from braidinv.convergence import (CAVEAT, STOCK_SEQUENCES,
+                                  biconvergence_report, classify_trace,
                                   filtration_condition_c,
                                   harmonic_sigma_sequence,
                                   lift_truncation_sequence,
-                                  pair_partial_sequence)
+                                  pair_partial_sequence, verdict)
 from braidinv.kontsevich import Z
 from braidinv.regularization import leibniz_partial
 
@@ -17,9 +20,21 @@ def frac(n, d=1):
     return Fraction(n, d)
 
 
-def z_trace(seq, j):
+def z_trace(items, j):
     """The degree-j graded integral over the items of a sequence."""
-    return [Z(b, j)[j] for b in seq.items]
+    return [Z(b, j)[j] for b in items]
+
+
+def coefficient_trace(items, n):
+    """The coefficient of q^n over the items of a sequence."""
+    return [b.terms.get(n, 0) for b in items]
+
+
+def verdicts(items, jmax):
+    """The (a), (b), (c) verdicts as the trace command prints them."""
+    n_classes, z_classes, violations = biconvergence_report(items, jmax)
+    return (verdict(n_classes), verdict(z_classes),
+            "fail" if violations else "pass")
 
 
 def test_coefficient_trace_of_lift_truncations():
@@ -37,13 +52,13 @@ def test_coefficient_trace_exponent_zero_is_flat():
 
 def test_trace_over_constant_sequence():
     b = BraidSum({2: frac(1, 3)})
-    seq = BraidSumSequence([b, b, b], "const")
+    seq = [b, b, b]
     assert coefficient_trace(seq, 2) == [frac(1, 3)] * 3
     assert classify_trace(coefficient_trace(seq, 2)) == "constant"
 
 
 def test_z_trace_identities():
-    diffs = BraidSumSequence([pair(n) for n in (1, 2, 3)], "pairs-raw")
+    diffs = [pair(n) for n in (1, 2, 3)]
     assert z_trace(diffs, 0) == [frac(0)] * 3
 
     lifts = lift_truncation_sequence(5)
@@ -73,50 +88,60 @@ def test_classify_trace_shapes():
 
 
 def test_condition_c_on_stock_sequences():
-    assert filtration_condition_c(lift_truncation_sequence(6)).ok
+    assert filtration_condition_c(lift_truncation_sequence(6)) == []
 
     harmonic = filtration_condition_c(harmonic_sigma_sequence(5))
-    assert not harmonic.ok
-    assert harmonic.first_violation == (1, 2, 0)
+    assert harmonic[0] == (1, 2, 0)
+    # every difference of the harmonic items has order 0 < i
+    assert len(harmonic) == 10
 
     b = BraidSum({1: 1, -2: frac(1, 2)})
-    const = filtration_condition_c(BraidSumSequence([b, b, b, b], "const"))
-    assert const.ok
-    assert const.checked_pairs == 6
+    assert filtration_condition_c([b, b, b, b]) == []
 
 
 def test_condition_c_window_restriction():
     """Truncating the window only ever removes violations, never adds."""
     seq = pair_partial_sequence(6)
     full = filtration_condition_c(seq)
-    short = filtration_condition_c(seq, window=2)
-    assert not full.ok
-    assert short.checked_pairs == 1
-    assert len(short.violations) <= len(full.violations)
+    short = filtration_condition_c(seq[:2])
+    assert full
+    assert set(short) <= set(full)
 
 
 def test_biconvergence_verdicts():
-    lifts = biconvergence_report(lift_truncation_sequence(8), 5, 8)
-    assert (lifts.verdict_a, lifts.verdict_b, lifts.verdict_c) == \
-        ("pass", "pass", "pass")
-
-    harmonic = biconvergence_report(harmonic_sigma_sequence(8), 5, 8)
-    assert (harmonic.verdict_a, harmonic.verdict_b) == ("pass", "pass")
-    assert harmonic.verdict_c == "fail"
-
-    pairs = biconvergence_report(pair_partial_sequence(8), 5, 8)
-    assert pairs.verdict_b == "fail"
-    assert pairs.verdict_c == "fail"
+    assert verdicts(lift_truncation_sequence(8), 5) == ("pass",) * 3
+    assert verdicts(harmonic_sigma_sequence(8), 5) == ("pass", "pass", "fail")
+    assert verdicts(pair_partial_sequence(8), 5)[1:] == ("fail", "fail")
 
     b = BraidSum({3: frac(2, 7)})
-    const = biconvergence_report(BraidSumSequence([b] * 6, "const"), 4, 6)
-    assert (const.verdict_a, const.verdict_b, const.verdict_c) == \
-        ("pass", "pass", "pass")
+    assert verdicts([b] * 6, 4) == ("pass",) * 3
 
 
-def test_report_carries_caveat():
-    report = biconvergence_report(lift_truncation_sequence(4), 2, 4)
-    assert "finite-window" in report.caveat
+def test_verdict_fails_only_on_divergence():
+    assert verdict({}) == "pass"
+    assert verdict({0: "insufficient", 1: "inconclusive",
+                    2: "converging", 3: "constant"}) == "pass"
+    assert verdict({0: "converging", 5: "diverging"}) == "fail"
+
+
+def test_report_rejects_short_windows_and_negative_degrees():
+    items = lift_truncation_sequence(2)
+    with pytest.raises(ValueError, match="at least 2 items, got 1"):
+        biconvergence_report(items[:1], 2)
+    with pytest.raises(ValueError, match="jmax must be nonnegative"):
+        biconvergence_report(items, -1)
+
+
+def test_report_carries_caveat(capsys):
+    assert "finite-window" in CAVEAT
+    assert cli.main(["trace", "--sequence", "harmonic", "--window", "4"]) == 0
+    assert capsys.readouterr().out.endswith(f"note: {CAVEAT}\n")
+
+
+def test_stock_sequence_labels():
+    assert {name: label for name, (label, _) in STOCK_SEQUENCES.items()} == \
+        {"tauhat": "lift-truncations", "pairs": "pair-partials",
+         "harmonic": "harmonic-sigma"}
 
 
 def test_eventual_constancy_under_condition_c():
@@ -134,10 +159,8 @@ def test_additivity_of_traces():
                          for _ in range(2)}) for _ in range(5)]
     items_c = [BraidSum({rng.randrange(-3, 4): rng.randrange(-2, 3)
                          for _ in range(2)}) for _ in range(5)]
-    b = BraidSumSequence(items_b, "b")
-    c = BraidSumSequence(items_c, "c")
-    total = BraidSumSequence([combine(x, 1, y, 1)
-                              for x, y in zip(items_b, items_c)], "b+c")
+    b, c = items_b, items_c
+    total = [combine(x, 1, y, 1) for x, y in zip(items_b, items_c)]
     for n in range(-4, 5):
         assert coefficient_trace(total, n) == [
             x + y for x, y in zip(coefficient_trace(b, n),
@@ -149,20 +172,19 @@ def test_additivity_of_traces():
 
 def test_lift_truncation_items():
     seq = lift_truncation_sequence(3)
-    assert seq.items[0] == tau()
-    assert seq.item(1) == tau()
-    assert Z(seq.item(3), 5)[5] == 0
+    assert seq[0] == tau()
+    assert Z(seq[2], 5)[5] == 0
 
 
 def test_harmonic_sequence_values():
     seq = harmonic_sigma_sequence(3)
     partials = [frac(1), frac(1, 2), frac(5, 6)]
-    for item, p in zip(seq.items, partials):
+    for item, p in zip(seq, partials):
         assert item == BraidSum({1: p})
 
 
 def test_pair_partial_first_item():
     seq = pair_partial_sequence(2)
-    assert seq.items[0] == BraidSum({1: 4, -1: -4})
-    second = seq.items[1]
+    assert seq[0] == BraidSum({1: 4, -1: -4})
+    second = seq[1]
     assert second.terms[3] == frac(-4, 9)

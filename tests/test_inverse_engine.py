@@ -5,8 +5,8 @@ import mpmath
 import pytest
 
 from braidinv import cli, inverse_engine
-from braidinv.braid_ring import (BraidSum, combine, identity, multiply, pair,
-                                 sigma, tau)
+from braidinv.braid_ring import (BraidSum, combine, multiply, pair,
+                                 sigma_power, tau)
 from braidinv.inverse_engine import (apply, asymptotic_check,
                                      closed_form_lift, q_expand, strengthen_to)
 from braidinv.kontsevich import Z
@@ -52,7 +52,7 @@ def test_strengthen_to_rejects_bad_inputs():
     with pytest.raises(ValueError):
         strengthen_to(tau(), 6)
     with pytest.raises(ValueError):
-        strengthen_to(identity(), 3)
+        strengthen_to(sigma_power(0), 3)
 
 
 def test_strengthened_lift_is_flat():
@@ -72,7 +72,7 @@ def test_three_routes_agree():
 
 def test_strengthen_general_seed():
     """A different order-one seed gets its own corrections, every degree."""
-    seed = combine(sigma(), 2, identity(), -2)
+    seed = combine(sigma_power(1), 2, sigma_power(0), -2)
     P = strengthen_to(seed, 3)
     assert P[1] == 1
     assert P[2] == frac(-1, 4)
