@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from braidinv import cli
 from braidinv.basis_solver import (balanced_nodes, build_balanced,
                                    build_unbalanced, entry_sequence, invert,
                                    solve_t_target)
@@ -55,6 +56,16 @@ def test_invert_identity_and_m2_entry():
         assert (M.dim, N) == (1, [[1]])
         assert type(N[0][0]) is Fraction
     assert invert(build_balanced(2))[0][2] == frac(-5, 4)
+
+
+def test_entry_bounds(capsys):
+    # entries are 1-based and checked against the built matrix's dim
+    for entry in ("0,1", "1,4"):
+        assert cli.main(["basis", "--r", "1", "--entry", entry]) == 1
+        assert capsys.readouterr().err == \
+            f"error: bad --entry: entry ({entry}) outside a 3x3 matrix\n"
+    assert cli.main(["basis", "--r", "1", "--entry", "1,3"]) == 0
+    assert "inverse entry (1,3)" in capsys.readouterr().out
 
 
 ORACLE_ORDERS = list(range(1, 25)) + [60]
