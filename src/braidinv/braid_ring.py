@@ -95,13 +95,18 @@ def combine(a: BraidSum, ca, b: BraidSum, cb) -> BraidSum:
     return BraidSum.over(nums, den)
 
 
+def _convolve(a_nums: dict, b_nums: dict) -> dict:
+    # the group law q^i q^j = q^(i+j) on integer numerators, zeros kept
+    nums = {}
+    for i, x in a_nums.items():
+        for j, y in b_nums.items():
+            nums[i + j] = nums.get(i + j, 0) + x * y
+    return nums
+
+
 def multiply(a: BraidSum, b: BraidSum) -> BraidSum:
     """Convolution product induced by the group law."""
-    nums = {}
-    for i, x in a.nums.items():
-        for j, y in b.nums.items():
-            nums[i + j] = nums.get(i + j, 0) + x * y
-    return BraidSum.over(nums, a.den * b.den)
+    return BraidSum.over(_convolve(a.nums, b.nums), a.den * b.den)
 
 
 def coefficient(b: BraidSum, n: int) -> Fraction:

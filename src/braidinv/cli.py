@@ -73,6 +73,16 @@ def _float_digits(args) -> int:
 # 1e400 is 10^400, and Fraction rejects NaN and Infinity with a ValueError
 
 
+def _exact_decimal(text: str) -> "Fraction":
+    """Fraction(text), refused past a decimal exponent of INT_STR_DIGITS,
+    which its first seven digits decide: Fraction builds 10^e in full."""
+    from fractions import Fraction
+    exponent = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
+    if exponent.isdecimal() and int(exponent[:7]) > INT_STR_DIGITS:
+        raise ValueError(f"decimal exponent beyond {INT_STR_DIGITS} in size")
+    return Fraction(text)
+
+
 def parse_braid(text: str) -> "BraidSum":
     """Named elements, sigma^K, pair:N, or a JSON exponent map."""
     from .braid_ring import pair, sigma_power, tau
@@ -95,7 +105,7 @@ def parse_braid(text: str) -> "BraidSum":
         import json
         from fractions import Fraction
         try:
-            raw = json.loads(text, parse_float=Fraction,
+            raw = json.loads(text, parse_float=_exact_decimal,
                              parse_constant=Fraction)
         except ValueError as exc:
             raise ValueError(f"bad braid JSON: {exc}") from exc
@@ -119,7 +129,8 @@ def _exponent_map(raw) -> "BraidSum":
             if isinstance(v, str) and not (v.isascii() and "_" not in v
                                            and v == v.strip()):
                 raise ValueError(f"coefficient {v!r} is not a plain number")
-        return BraidSum({int(k): Fraction(v) for k, v in raw.items()})
+        return BraidSum({int(k): _exact_decimal(v) if isinstance(v, str)
+                         else Fraction(v) for k, v in raw.items()})
     except (ValueError, ZeroDivisionError, TypeError, AttributeError) as exc:
         raise ValueError(f"bad exponent map: {exc}") from exc
 
@@ -130,7 +141,7 @@ def load_sequence(path: str) -> tuple:
     from fractions import Fraction
     try:
         with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle, parse_float=Fraction,
+            payload = json.load(handle, parse_float=_exact_decimal,
                                 parse_constant=Fraction)
         if not isinstance(payload, dict) or \
                 not isinstance(payload.get("items"), list):

@@ -22,7 +22,8 @@ import math
 from fractions import Fraction
 from operator import add, mul
 
-from .braid_ring import BraidSum, coefficient, filtration_order, multiply, tau
+from .braid_ring import (BraidSum, _convolve, coefficient, filtration_order,
+                         multiply, tau)
 from .kontsevich import Z
 from .power_series import common_denominator, t_series
 
@@ -30,31 +31,17 @@ from .power_series import common_denominator, t_series
 def apply(coeffs, seed: BraidSum) -> BraidSum:
     """Expand the lift sum_k coeffs[k] seed^k into a braid sum.
 
-    With seed = S / q and coeffs[k] = w_k / den over integers, the result
-    is sum_k w_k q^(top-k) S^k over den q^top, top the highest degree with
-    a nonzero weight: integer powers of S weighted by integers over one
-    denominator.  Zero weights are skipped.
+    With seed = S / q and coeffs[k] = w_k / den over integers, Horner's rule
+    acc <- acc S + w_k q^(top-k), from top = len(coeffs) - 1 down, builds
+    the numerator over den q^top on the ring's one convolution.
     """
     weights, den = common_denominator(coeffs)
-    terms = [(k, w) for k, w in enumerate(weights) if w]
-    top = terms[-1][0] if terms else 0
-    q = seed.den
-    seed = list(seed.nums.items())
-    out = {}
-    power = {0: 1}
-    current = 0
-    for k, w in terms:
-        while current < k:
-            nxt = {}
-            for i, a in power.items():
-                for n, c in seed:
-                    nxt[i + n] = nxt.get(i + n, 0) + a * c
-            power = nxt
-            current += 1
-        w *= q ** (top - k)
-        for n, a in power.items():
-            out[n] = out.get(n, 0) + w * a
-    return BraidSum.over(out, den * q ** top)
+    acc, scale = {}, 1
+    for w in reversed(weights):
+        acc = _convolve(acc, seed.nums)
+        acc[0] = acc.get(0, 0) + w * scale
+        scale *= seed.den
+    return BraidSum.over(acc, den * seed.den ** max(len(weights) - 1, 0))
 
 
 def _lift_series(seed: BraidSum, order: int) -> tuple:
@@ -136,8 +123,7 @@ def q_expand(P, power: int = 1) -> BraidSum:
     """
     if power < 1:
         raise ValueError("power must be positive")
-    base = apply(P, tau())
-    b = base
+    b = base = apply(P, tau())
     for _ in range(power - 1):
         b = multiply(b, base)
     # antisymmetry also forces the q^0 coefficient to vanish

@@ -50,8 +50,7 @@ def render_text(tables) -> str:
         for row in table.rows:
             lines.append("  ".join(cell.ljust(widths[i])
                                    for i, cell in enumerate(row)).rstrip())
-        for note in table.notes:
-            lines.append(f"note: {note}")
+        lines += [f"note: {note}" for note in table.notes]
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
@@ -75,8 +74,6 @@ def render_csv(tables) -> str:
             writer.writerow([])
         writer.writerow(["table", table.title])
         writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow(row)
-        for note in table.notes:
-            writer.writerow(["note", note])
+        writer.writerows(table.rows)
+        writer.writerows(["note", note] for note in table.notes)
     return out.getvalue()

@@ -111,11 +111,13 @@ def tau_power(k):
 
 
 def braid_poly(coeffs, seed):
-    """sum_k coeffs[k] seed^k by repeated multiplication, k >= 1."""
+    """sum_k coeffs[k] seed^k by repeated multiplication, k >= 0; seed^0 is
+    the identity q^0."""
     out = {}
     power = {0: Fraction(1)}
-    for k in range(1, max(coeffs, default=0) + 1):
-        power = braid_mul(power, seed)
+    for k in range(max(coeffs, default=-1) + 1):
+        if k:
+            power = braid_mul(power, seed)
         for n, c in power.items():
             out[n] = out.get(n, Fraction(0)) + coeffs.get(k, 0) * c
     return {n: c for n, c in out.items() if c}

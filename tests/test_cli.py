@@ -350,6 +350,31 @@ def test_json_numbers_are_exact_decimals(tmp_path):
         ["1", "insufficient", "1/8"]
 
 
+def test_json_exponents_are_bounded(tmp_path):
+    # Fraction builds 10^e in full, so an exponent past the digit limit is
+    # refused from the text, in a JSON number, a string and a sequence file
+    path = tmp_path / "exponent.json"
+    path.write_text('{"items": [{"1": 1}, {"1": 1e100001}]}', encoding="utf-8")
+    bound = "decimal exponent beyond 100000 in size\n"
+    for argv in (["zmap", "--braid", '{"1": 1e100001, "-1": -1}'],
+                 ["zmap", "--braid", '{"1": 1e20000000, "-1": -1}'],
+                 ["zmap", "--braid", '{"1": "-1E-100001"}'],
+                 ["trace", "--sequence", str(path)]):
+        result = run_cli(*argv)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.endswith(bound)
+    tiny = run_cli("zmap", "--braid", '{"1": "1e-400"}', "--order", "0",
+                   "--format", "json")
+    assert tiny.returncode == 0
+    assert json.loads(tiny.stdout)["tables"][0]["rows"] == \
+        [["0", f"1/{10 ** 400}"]]
+    # the bound itself is read, with or without leading zeros
+    assert cli._exact_decimal("1e100000") == 10 ** 100000
+    assert cli._exact_decimal("1E-0000100000") == Fraction(1, 10 ** 100000)
+
+
 def test_float_digits_are_read_only_where_floats_print():
     golden = os.path.join(os.path.dirname(__file__), "golden",
                           "lift_order_13.text")

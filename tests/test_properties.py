@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from braidinv import basis_solver, braid_ring
 from braidinv.basis_solver import (MomentMatrix, build_balanced,
@@ -95,12 +95,16 @@ def test_z_is_a_ring_homomorphism(a, b, order):
     assert list(Z(a, order)) == oracles.integral(a.terms, order)
 
 
-@given(braid_sums, st.dictionaries(st.integers(1, 6), rationals, max_size=4))
+@given(braid_sums, st.dictionaries(st.integers(0, 6), rationals, max_size=4))
+@example({1: Fraction(1, 3), -1: Fraction(-1)}, {})
 def test_apply_matches_the_multiply_loop(seed, coeffs):
+    # P[0] times the identity, and the empty lift () at a seed whose
+    # denominator is above one
     seed = BraidSum(seed)
     P = tuple(coeffs.get(k, Fraction(0))
-              for k in range(max(coeffs, default=0) + 1))
+              for k in range(max(coeffs, default=-1) + 1))
     assert apply(P, seed).terms == oracles.braid_poly(coeffs, seed.terms)
+    assert_canonical(apply(P, seed))
 
 
 def test_strengthen_matches_the_stepwise_oracle():
