@@ -11,19 +11,24 @@ Each request compiles only the code it runs: with no bytecode cache
 time.  This module imports no library module at the top and reads argv
 with its own table (COMMANDS), so argparse, gettext and locale never load;
 after parsing, main imports braidinv.commands.<name>, which imports what
-it uses, and calls its run(args).  So --help and usage errors load this
-module alone; beta, basis without --solve-t and reproduce without its lift
-and pairs tables skip inverse_engine, kontsevich, braid_ring and
-power_series; a trace of a sequence file skips inverse_engine.  mpmath
-loads only for float columns (asymptotics, beta --s 1, basis --solve-t),
-json only for --format json, a JSON braid or a sequence file, and csv only
-for --format csv; the only record types, BraidSum, MomentMatrix and
-Table, are plain classes, so no class generator loads at all.
+it uses, and calls its run(args).  run returns (exit code, tables), each
+table a plain (title, columns, rows, notes) tuple; main alone renders the
+tables in the chosen format and writes them to --out or stdout.  So --help
+and usage errors load this module alone; beta, basis without --solve-t
+and reproduce without its lift and pairs tables skip inverse_engine,
+kontsevich, braid_ring and power_series; a trace of a sequence file skips
+inverse_engine.  mpmath loads only for float columns (asymptotics, beta
+--s 1, basis --solve-t), json only for --format json, a JSON braid or a
+sequence file, and csv only for --format csv; the only record types,
+BraidSum and MomentMatrix, are plain classes, so no class generator loads
+at all.
 
 The library raises ValueError for bad input and ArithmeticError for a
 broken internal invariant.  main() alone turns exceptions into exit codes:
 a ValueError or an OSError exits 1 with one `error:` line, and an
-ArithmeticError keeps its traceback.
+ArithmeticError keeps its traceback.  A number past the integer-to-string
+guard, raised to INT_STR_DIGITS for the run, is one of those ValueErrors,
+named by that limit.
 """
 
 import os
@@ -34,19 +39,6 @@ from types import SimpleNamespace
 ENV_FLOAT_DIGITS = "BRAIDINV_FLOAT_DIGITS"
 DEFAULT_FLOAT_DIGITS = 50
 INT_STR_DIGITS = 100000
-
-
-def emit(args, tables) -> None:
-    """Render the tables in the chosen format to --out or stdout."""
-    # imported per call: the core loads no library module at start-up
-    from .render import render_csv, render_json, render_text
-    renderers = {"text": render_text, "json": render_json, "csv": render_csv}
-    payload = renderers[args.format](tables)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload)
 
 
 def _float_digits(args) -> int:
@@ -70,7 +62,9 @@ def _float_digits(args) -> int:
 
 # ---------------------------------------------------------------------------
 # braid input parsing; JSON numbers are read as exact decimals: 0.1 is 1/10,
-# 1e400 is 10^400, and Fraction rejects NaN and Infinity with a ValueError
+# 1e400 is 10^400, and Fraction rejects NaN and Infinity with a ValueError.
+# A JSON object is read as a tuple of its (key, value) pairs, so that an
+# exponent given twice is seen rather than silently dropped
 
 
 def _exact_decimal(text: str) -> "Fraction":
@@ -81,6 +75,13 @@ def _exact_decimal(text: str) -> "Fraction":
     if exponent.isdecimal() and int(exponent[:7]) > INT_STR_DIGITS:
         raise ValueError(f"decimal exponent beyond {INT_STR_DIGITS} in size")
     return Fraction(text)
+
+
+def _json(text: str):
+    import json
+    from fractions import Fraction
+    return json.loads(text, parse_float=_exact_decimal,
+                      parse_constant=Fraction, object_pairs_hook=tuple)
 
 
 def parse_braid(text: str) -> "BraidSum":
@@ -102,11 +103,8 @@ def parse_braid(text: str) -> "BraidSum":
         except ValueError as exc:
             raise ValueError(f"bad power spec {text!r}: {exc}") from exc
     if text.lstrip().startswith("{"):
-        import json
-        from fractions import Fraction
         try:
-            raw = json.loads(text, parse_float=_exact_decimal,
-                             parse_constant=Fraction)
+            raw = _json(text)
         except ValueError as exc:
             raise ValueError(f"bad braid JSON: {exc}") from exc
         return _exponent_map(raw)
@@ -115,36 +113,40 @@ def parse_braid(text: str) -> "BraidSum":
 
 
 def _exponent_map(raw) -> "BraidSum":
-    """A braid sum from a parsed JSON object, decimal exponents to rationals."""
+    """A braid sum from a JSON object's pairs, exponents to rationals."""
     from fractions import Fraction
     from .braid_ring import BraidSum
+    terms = {}
     try:
-        for k, v in raw.items():
+        if not isinstance(raw, tuple):
+            raise ValueError("expected a JSON object")
+        for k, v in raw:
             digits = k[1:] if k[:1] in "+-" else k
             if not (digits.isascii() and digits.isdecimal()):
                 raise ValueError(f"exponent {k!r} is not a decimal integer")
-            if isinstance(v, bool):
-                raise ValueError(f"{str(v).lower()} is not a coefficient")
+            if isinstance(v, bool) or not isinstance(v, (int, str, Fraction)):
+                raise ValueError(f"the coefficient of exponent {k} must be a "
+                                 f"number or a string")
             # Fraction(str) also reads 1_0, full-width digits and padding
             if isinstance(v, str) and not (v.isascii() and "_" not in v
                                            and v == v.strip()):
                 raise ValueError(f"coefficient {v!r} is not a plain number")
-        return BraidSum({int(k): _exact_decimal(v) if isinstance(v, str)
-                         else Fraction(v) for k, v in raw.items()})
-    except (ValueError, ZeroDivisionError, TypeError, AttributeError) as exc:
+            n = int(k)
+            if n in terms:
+                raise ValueError(f"exponent {n} given twice")
+            terms[n] = _exact_decimal(v) if isinstance(v, str) else Fraction(v)
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad exponent map: {exc}") from exc
+    return BraidSum(terms)
 
 
 def load_sequence(path: str) -> tuple:
     """(label, items) from a JSON file {"label": ..., "items": [maps]}."""
-    import json
-    from fractions import Fraction
     try:
         with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle, parse_float=_exact_decimal,
-                                parse_constant=Fraction)
-        if not isinstance(payload, dict) or \
-                not isinstance(payload.get("items"), list):
+            payload = _json(handle.read())
+        payload = dict(payload) if isinstance(payload, tuple) else {}
+        if not isinstance(payload.get("items"), list):
             raise ValueError("expected an object with an 'items' list")
         label = payload.get("label", path)
         if not isinstance(label, str):
@@ -351,10 +353,23 @@ def main(argv=None) -> int:
     if raise_limit:
         sys.set_int_max_str_digits(INT_STR_DIGITS)
     try:
-        return import_module(f".commands.{args.command}", __package__).run(args)
+        code, tables = import_module(f".commands.{args.command}",
+                                     __package__).run(args)
+        from . import render  # render_text, render_json or render_csv
+        payload = getattr(render, f"render_{args.format}")(tables)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        else:
+            sys.stdout.write(payload)
+        return code
     except BrokenPipeError:
         return 0
     except (ValueError, OSError) as exc:
+        if "int_max_str_digits" in str(exc):
+            # Python's message advises a call that no user of the CLI can make
+            exc = (f"a number exceeds the {INT_STR_DIGITS:,}-digit input and "
+                   f"output limit")
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

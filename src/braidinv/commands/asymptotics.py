@@ -1,11 +1,11 @@
 """braidinv asymptotics: pair coefficients against their 4/pi limits."""
 
-from ..cli import _float_digits, emit
+from ..cli import _float_digits
 from ..inverse_engine import asymptotic_check
-from ..render import Table, float_column, fmt_float, fmt_rational
+from ..render import float_column, fmt_float, fmt_rational
 
 
-def run(args) -> int:
+def run(args):
     d = _float_digits(args)
     try:
         orders = [int(x) for x in args.orders.split(",") if x]
@@ -23,9 +23,7 @@ def run(args) -> int:
             table_rows.append([str(order), fmt_rational(c),
                                fmt_float(approx, d), fmt_float(target, d),
                                fmt_float(abs(approx - target), d)])
-    emit(args, [Table(f"pair {j} coefficient against its limit",
-                      ["order", "coefficient", float_column("approx", d),
-                       float_column("target", d), float_column("abs_error", d)],
-                      table_rows,
-                      ["target = (-1)^((j-1)/2) * 4/(pi*j^2)"])])
-    return 0
+    return 0, [(f"pair {j} coefficient against its limit",
+                ["order", "coefficient", float_column("approx", d),
+                 float_column("target", d), float_column("abs_error", d)],
+                table_rows, ["target = (-1)^((j-1)/2) * 4/(pi*j^2)"])]

@@ -2,11 +2,11 @@
 
 from fractions import Fraction
 
-from ..cli import _float_digits, emit
-from ..render import Table, fmt_float, fmt_rational
+from ..cli import _float_digits
+from ..render import fmt_float, fmt_rational
 
 
-def run(args) -> int:
+def run(args):
     from ..basis_solver import (balanced_nodes, build_balanced, build_unbalanced,
                                 invert, solve_t_target)
     if args.solve_t:
@@ -28,28 +28,26 @@ def run(args) -> int:
         raise ValueError(f"bad --entry: entry ({row},{col}) outside a "
                          f"{M.dim}x{M.dim} matrix")
     N = invert(M)
+    columns = [f"c{j}" for j in range(M.dim)]
     tables = [
-        Table(f"{kind} moment matrix, r = {r}",
-              [f"c{j}" for j in range(M.dim)],
-              [[fmt_rational(x) for x in row] for row in M.rows]),
-        Table(f"inverse, r = {r}",
-              [f"c{j}" for j in range(M.dim)],
-              [[fmt_rational(x) for x in row] for row in N]),
+        (f"{kind} moment matrix, r = {r}", columns,
+         [[fmt_rational(x) for x in row] for row in M.rows], []),
+        (f"inverse, r = {r}", columns,
+         [[fmt_rational(x) for x in row] for row in N], []),
     ]
     if args.entry:
-        tables.append(Table(f"inverse entry ({row},{col})",
-                            ["row", "col", "value"],
-                            [[str(row), str(col),
-                              fmt_rational(N[row - 1][col - 1])]]))
+        tables.append((f"inverse entry ({row},{col})", ["row", "col", "value"],
+                       [[str(row), str(col),
+                         fmt_rational(N[row - 1][col - 1])]], []))
     if args.solve_t:
         from ..braid_ring import coefficient, combine, render, tau
         from ..inverse_engine import q_expand, strengthen_to
         solution, b = solve_t_target(N)
         sol_rows = [[str(node), fmt_rational(c)]
                     for node, c in zip(balanced_nodes(r), solution)]
-        tables.append(Table("solution of the degree-1 target system",
-                            ["braid power", "coefficient"], sol_rows,
-                            [f"as a braid sum: {render(b)}"]))
+        tables.append(("solution of the degree-1 target system",
+                       ["braid power", "coefficient"], sol_rows,
+                       [f"as a braid sum: {render(b)}"]))
         lift_order = r if r % 2 == 1 else r - 1
         if lift_order >= 1:
             lift_b = q_expand(strengthen_to(tau(), lift_order))
@@ -59,11 +57,10 @@ def run(args) -> int:
                         for n in sorted(b.nums.keys() | lift_b.nums.keys())]
             worst = Fraction(max(map(abs, diff.nums.values()), default=0),
                              diff.den)
-            tables.append(Table(
+            tables.append((
                 f"solution against the order {lift_order} lift expansion",
                 ["braid power", "solution", "lift", "difference"], cmp_rows,
                 [f"largest coefficient distance: {fmt_float(worst, digits)}",
                  "no identity between the columns is asserted; the distance "
                  "is reported as computed"]))
-    emit(args, tables)
-    return 0
+    return 0, tables

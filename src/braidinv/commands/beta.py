@@ -1,11 +1,11 @@
 """braidinv beta: the Leibniz check at s = 1, the residue relation above."""
 
-from ..cli import _float_digits, emit
+from ..cli import _float_digits
 from ..regularization import leibniz_partial, theta_value
-from ..render import Table, float_column, fmt_float, fmt_rational
+from ..render import float_column, fmt_float, fmt_rational
 
 
-def run(args) -> int:
+def run(args):
     s = args.s
     if s == 1:
         import mpmath
@@ -19,15 +19,14 @@ def run(args) -> int:
                 rows.append([str(r), size,
                              fmt_float(estimate, d),
                              fmt_float(abs(estimate - 1), d)])
-        emit(args, [Table("Leibniz partial sums, scaled by 4",
-                          ["terms", "digits num/den", float_column("over_pi", d),
-                           float_column("abs_error_to_1", d)],
-                          rows,
-                          ["partial sums are held as exact rationals; the "
-                           "column shows their printed size",
-                           "the alternating series bound keeps the error below "
-                           "1/(2r+1)/pi"])])
-        return 0
+        return 0, [("Leibniz partial sums, scaled by 4",
+                    ["terms", "digits num/den", float_column("over_pi", d),
+                     float_column("abs_error_to_1", d)],
+                    rows,
+                    ["partial sums are held as exact rationals; the column "
+                     "shows their printed size",
+                     "the alternating series bound keeps the error below "
+                     "1/(2r+1)/pi"])]
     if s < 3 or s % 2 == 0:
         raise ValueError("--s must be 1 or an odd integer >= 3")
     # the relation's left side reduces exactly to this Abel value
@@ -36,7 +35,7 @@ def run(args) -> int:
     rows = [[f"Abel value at exponent {s - 2}", fmt_rational(abel)],
             ["reduced relation left side", fmt_rational(abel)],
             ["verdict", verdict]]
-    emit(args, [Table(f"residue relation at s = {s}", ["what", "value"], rows,
-                      ["the left side reduces exactly to the Abel value of the "
-                       "alternating sum with exponent s-2; zero is expected"])])
-    return 0 if verdict == "PASS" else 2
+    return 0 if verdict == "PASS" else 2, [
+        (f"residue relation at s = {s}", ["what", "value"], rows,
+         ["the left side reduces exactly to the Abel value of the "
+          "alternating sum with exponent s-2; zero is expected"])]

@@ -1,18 +1,16 @@
 """braidinv lift: the lift coefficients through an odd degree."""
 
 from ..braid_ring import tau
-from ..cli import emit
 from ..inverse_engine import closed_form_lift, strengthen_to
-from ..render import Table, fmt_rational
+from ..render import fmt_rational
 
 
-def run(args) -> int:
+def run(args):
     order = args.order
     if args.method == "reversion":
         P = closed_form_lift(order)
     else:
         P = strengthen_to(tau(), order)
     rows = [[str(k), fmt_rational(c)] for k, c in enumerate(P) if c]
-    emit(args, [Table(f"lift coefficients through degree {order}",
-                      ["degree", "coefficient"], rows)])
-    return 0
+    return 0, [(f"lift coefficients through degree {order}",
+                ["degree", "coefficient"], rows, [])]

@@ -1,12 +1,11 @@
 """braidinv qexpand: the pair expansion of a lift or of its power."""
 
 from ..braid_ring import coefficient, tau
-from ..cli import emit
 from ..inverse_engine import q_expand, strengthen_to
-from ..render import Table, fmt_rational
+from ..render import fmt_rational
 
 
-def run(args) -> int:
+def run(args):
     order, power = args.order, args.power
     if power < 1:
         # checked here as well, so a bad power fails before strengthening
@@ -18,6 +17,5 @@ def run(args) -> int:
              for n in sorted(b.nums) if n > 0]
     notes = [] if power == 1 else \
         ["reported computation; no reference values exist for lift powers"]
-    emit(args, [Table(f"pair expansion of lift order {order}, power {power}",
-                      ["component", "coefficient"], rows, notes)])
-    return 0
+    return 0, [(f"pair expansion of lift order {order}, power {power}",
+                ["component", "coefficient"], rows, notes)]

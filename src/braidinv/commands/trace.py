@@ -1,13 +1,13 @@
 """braidinv trace: finite-window convergence diagnostics of a sequence."""
 
 from ..braid_ring import coefficient
-from ..cli import emit, load_sequence
+from ..cli import load_sequence
 from ..convergence import (CAVEAT, STOCK_SEQUENCES, biconvergence_report,
                            verdict)
-from ..render import Table, fmt_rational
+from ..render import fmt_rational
 
 
-def run(args) -> int:
+def run(args):
     window = args.window
     if window < 2:
         raise ValueError("--window must be at least 2")
@@ -36,12 +36,9 @@ def run(args) -> int:
                     ["(b) integral traces", verdict(z_classes)],
                     ["(c) filtration condition",
                      "fail" if violations else "pass"]]
-    emit(args, [
-        Table(f"coefficient traces for {label}, window {len(items)}",
-              ["exponent", "class", "last value"], coeff_rows),
-        Table(f"integral traces through degree {args.jmax}",
-              ["degree", "class"], z_rows),
-        Table("filtration condition", ["status", "detail"], cond_rows),
-        Table("verdicts", ["condition", "verdict"], verdict_rows, [CAVEAT]),
-    ])
-    return 0
+    return 0, [(f"coefficient traces for {label}, window {len(items)}",
+                ["exponent", "class", "last value"], coeff_rows, []),
+               (f"integral traces through degree {args.jmax}",
+                ["degree", "class"], z_rows, []),
+               ("filtration condition", ["status", "detail"], cond_rows, []),
+               ("verdicts", ["condition", "verdict"], verdict_rows, [CAVEAT])]

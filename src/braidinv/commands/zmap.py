@@ -1,12 +1,12 @@
 """braidinv zmap: the integral of a braid sum and its graded values."""
 
 from ..braid_ring import render
-from ..cli import emit, parse_braid
+from ..cli import parse_braid
 from ..kontsevich import Z, focus_order
-from ..render import Table, fmt_rational
+from ..render import fmt_rational
 
 
-def run(args) -> int:
+def run(args):
     b = parse_braid(args.braid)
     order = args.order
     jmax = args.jmax if args.jmax is not None else order
@@ -22,9 +22,6 @@ def run(args) -> int:
     focused = focus_order(graded)
     note = (f"focussed at degree {focused} through {jmax}" if focused is not None
             else f"not focussed through degree {jmax}")
-    emit(args, [
-        Table(f"integral of {render(b)} through degree {order}",
-              ["degree", "coefficient"], series_rows),
-        Table("graded components", ["degree", "value"], graded_rows, [note]),
-    ])
-    return 0
+    return 0, [(f"integral of {render(b)} through degree {order}",
+                ["degree", "coefficient"], series_rows, []),
+               ("graded components", ["degree", "value"], graded_rows, [note])]

@@ -1,22 +1,16 @@
-"""Table container and the text, JSON, and CSV emitters for the CLI.
+"""Cell formatting and the text, JSON and CSV renderers for the CLI.
 
-Exact rationals render as canonical 'p/q' strings; some of them run to
-thousands of digits, so the command line raises the integer-to-string
+A table is a plain (title, columns, rows, notes) tuple: the title a
+string, the columns and each row lists of strings, the notes a list of
+lines printed under the rows.  Each renderer returns the whole document as
+a string.  Exact rationals render as canonical 'p/q' strings; some of them
+run to thousands of digits, so the command line raises the integer-to-string
 guard for the duration of a run.  Floating point cells are formatted at
 the caller's chosen precision and appear only in columns whose names carry
 a digit tag.
 """
 
 from fractions import Fraction
-
-
-class Table:
-    def __init__(self, title: str, columns: list, rows: list,
-                 notes: list = ()):
-        self.title = title
-        self.columns = columns
-        self.rows = rows
-        self.notes = list(notes)
 
 
 def fmt_rational(x) -> str:
@@ -39,28 +33,28 @@ def float_column(name: str, digits: int) -> str:
 
 def render_text(tables) -> str:
     blocks = []
-    for table in tables:
-        widths = [len(c) for c in table.columns]
-        for row in table.rows:
+    for title, columns, rows, notes in tables:
+        widths = [len(c) for c in columns]
+        for row in rows:
             for i, cell in enumerate(row):
                 widths[i] = max(widths[i], len(cell))
-        lines = [table.title, "-" * len(table.title)]
+        lines = [title, "-" * len(title)]
         lines.append("  ".join(c.ljust(widths[i])
-                               for i, c in enumerate(table.columns)).rstrip())
-        for row in table.rows:
+                               for i, c in enumerate(columns)).rstrip())
+        for row in rows:
             lines.append("  ".join(cell.ljust(widths[i])
                                    for i, cell in enumerate(row)).rstrip())
-        lines += [f"note: {note}" for note in table.notes]
+        lines += [f"note: {note}" for note in notes]
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
 
 def render_json(tables) -> str:
     import json
-    payload = {"tables": [{"title": t.title,
-                           "columns": list(t.columns),
-                           "rows": [list(r) for r in t.rows],
-                           "notes": list(t.notes)} for t in tables]}
+    payload = {"tables": [{"title": title, "columns": list(columns),
+                           "rows": [list(row) for row in rows],
+                           "notes": list(notes)}
+                          for title, columns, rows, notes in tables]}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -69,11 +63,11 @@ def render_csv(tables) -> str:
     import io
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    for index, table in enumerate(tables):
+    for index, (title, columns, rows, notes) in enumerate(tables):
         if index:
             writer.writerow([])
-        writer.writerow(["table", table.title])
-        writer.writerow(table.columns)
-        writer.writerows(table.rows)
-        writer.writerows(["note", note] for note in table.notes)
+        writer.writerow(["table", title])
+        writer.writerow(columns)
+        writer.writerows(rows)
+        writer.writerows(["note", note] for note in notes)
     return out.getvalue()

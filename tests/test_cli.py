@@ -10,7 +10,8 @@ import pytest
 
 from braidinv import basis_solver, cli, convergence
 from braidinv.braid_ring import BraidSum, pair
-from braidinv.commands import qexpand, reproduce, zmap
+from braidinv.commands import beta, qexpand, reproduce, zmap
+from test_golden import read_golden
 
 
 def run_cli(*args, env_extra=None):
@@ -71,14 +72,15 @@ def test_csv_output_parses():
     assert ["5", "3/640"] in rows
 
 
-def test_out_flag_writes_file(tmp_path):
-    target = tmp_path / "lift.json"
-    result = run_cli("lift", "--order", "3", "--format", "json",
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_out_flag_writes_file(fmt, tmp_path):
+    target = tmp_path / f"lift.{fmt}"
+    result = run_cli("lift", "--order", "13", "--format", fmt,
                      "--out", str(target))
     assert result.returncode == 0
     assert result.stdout == ""
-    payload = json.loads(target.read_text(encoding="utf-8"))
-    assert payload["tables"][0]["rows"] == [["1", "1"], ["3", "-1/24"]]
+    assert target.read_bytes() == \
+        read_golden(f"lift --order 13 --format {fmt}")
 
 
 def test_zmap_named_and_json_braids():
@@ -275,6 +277,15 @@ def test_reproduce_offers_exactly_its_tables(capsys):
     ["trace", "--sequence", "{tmp}/underscore.json"],
     ["trace", "--sequence", "{tmp}/label-null.json"],
     ["trace", "--sequence", "{tmp}/label-list.json"],
+    ["zmap", "--braid", '{"1": "1e+000000000100000"}'],
+    ["zmap", "--braid", '{"1": "1e-100000"}'],
+    ["zmap", "--braid", '{"1' + "0" * 60000 + '": 1}', "--order", "2"],
+    ["zmap", "--braid", '{"1": 1, "+1": 2}'],
+    ["zmap", "--braid", '{"01": 1, "1": 2}'],
+    ["zmap", "--braid", '{"1": 1, "1": 2}'],
+    ["trace", "--sequence", "{tmp}/repeated.json"],
+    ["trace", "--sequence", "{tmp}/item-number.json"],
+    ["zmap", "--braid", '{"1": null}'],
 ], ids=["negative-order", "zero-denominator", "sequence-zero-denominator",
         "sequence-top-level-array", "missing-out-dir", "solve-t-at-r-0",
         "sequence-empty", "sequence-one-item", "zmap-negative-jmax",
@@ -285,7 +296,11 @@ def test_reproduce_offers_exactly_its_tables(capsys):
         "exponent-underscore", "sequence-json-bool",
         "coefficient-underscore", "coefficient-fullwidth",
         "sequence-coefficient-underscore", "sequence-label-null",
-        "sequence-label-list"])
+        "sequence-label-list", "output-digits-power", "output-digits-inverse",
+        "output-digits-exponent-key", "repeated-exponent-sign",
+        "repeated-exponent-zero", "repeated-json-key",
+        "sequence-repeated-exponent", "sequence-item-number",
+        "coefficient-null"])
 def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     (tmp_path / "zero.json").write_text('{"items": [{"1": "1/0"}]}',
                                         encoding="utf-8")
@@ -304,10 +319,57 @@ def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
         f'{{"label": null, "items": {two}}}', encoding="utf-8")
     (tmp_path / "label-list.json").write_text(
         f'{{"label": ["x"], "items": {two}}}', encoding="utf-8")
+    (tmp_path / "repeated.json").write_text(
+        '{"items": [{"1": 1}, {"1": 1, "+1": 2}]}', encoding="utf-8")
+    (tmp_path / "item-number.json").write_text('{"items": [{"1": 1}, 5]}',
+                                               encoding="utf-8")
     result = run_cli(*(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
     assert result.returncode == 1
     assert result.stderr.startswith("error: ")
     assert result.stderr.count("\n") == 1
+    # Python's advice names a call that no user of the CLI can make
+    assert "set_int_max_str_digits" not in result.stderr
+
+
+def test_exponent_map_errors_name_the_input(tmp_path, capsys):
+    twice = "error: bad exponent map: exponent 1 given twice\n"
+    for braid, err in (
+            ('{"1": 1, "+1": 2}', twice), ('{"01": 1, "1": 2}', twice),
+            ('{"1": 1, "1": 2}', twice),
+            ('{"1": null}', "error: bad exponent map: the coefficient of "
+                            "exponent 1 must be a number or a string\n")):
+        assert cli.main(["zmap", "--braid", braid]) == 1
+        assert capsys.readouterr().err == err
+    path = tmp_path / "item-number.json"
+    path.write_text('{"items": [{"1": 1}, 5]}', encoding="utf-8")
+    assert cli.main(["trace", "--sequence", str(path)]) == 1
+    assert capsys.readouterr().err == (f"error: cannot load sequence from "
+                                       f"{path}: bad exponent map: expected a "
+                                       f"JSON object\n")
+
+
+def test_output_digit_limit_is_named(capsys):
+    assert cli.main(["zmap", "--braid", '{"1": "1e-100000"}']) == 1
+    assert capsys.readouterr() == ("", "error: a number exceeds the "
+                                   "100,000-digit input and output limit\n")
+
+
+def test_beta_disagreement_exits_2_and_prints_its_table(monkeypatch, capsys):
+    monkeypatch.setattr(beta, "theta_value", lambda k: 1)
+    assert cli.main(["beta", "--s", "7"]) == 2
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["residue", "relation", "at", "s", "=", "7"] in lines
+    assert ["verdict", "FAIL"] in lines
+
+
+def test_reproduce_disagreement_exits_2_and_prints_its_tables(monkeypatch,
+                                                              capsys):
+    monkeypatch.setitem(reproduce.REF_LIFT, 3, "1/24")
+    assert cli.main(["reproduce", "--table", "lift"]) == 2
+    out = capsys.readouterr().out
+    assert ["degree", "3", "1/24", "-1/24", "FAIL"] in \
+        [line.split() for line in out.splitlines()]
+    assert "overall  FAIL" in out
 
 
 def test_bad_entry_names_the_expected_form_before_inverting(monkeypatch,
