@@ -17,9 +17,10 @@ tables in the chosen format and writes them to --out or stdout.  So --help
 and usage errors load this module alone; beta, basis without --solve-t
 and reproduce without its lift and pairs tables skip inverse_engine,
 kontsevich, braid_ring and power_series; a trace of a sequence file skips
-inverse_engine.  mpmath loads only for float columns (asymptotics, beta
---s 1, basis --solve-t), json only for --format json, a JSON braid or a
-sequence file, and csv only for --format csv; the only record types,
+inverse_engine.  floats, which prints float cells from integer arithmetic,
+loads only for float columns (asymptotics, beta --s 1, basis --solve-t),
+json only for --format json, a JSON braid or a sequence file, and csv only
+for --format csv; no request imports mpmath.  The only record types,
 BraidSum and MomentMatrix, are plain classes, so no class generator loads
 at all.
 
@@ -134,8 +135,13 @@ def _exponent_map(raw) -> "BraidSum":
             n = int(k)
             if n in terms:
                 raise ValueError(f"exponent {n} given twice")
-            terms[n] = _exact_decimal(v) if isinstance(v, str) else Fraction(v)
-    except (ValueError, ZeroDivisionError) as exc:
+            try:
+                terms[n] = (_exact_decimal(v) if isinstance(v, str)
+                            else Fraction(v))
+            except ZeroDivisionError:
+                raise ValueError(f"the coefficient {v!r} of exponent {k} has "
+                                 f"a zero denominator") from None
+    except ValueError as exc:
         raise ValueError(f"bad exponent map: {exc}") from exc
     return BraidSum(terms)
 

@@ -2,7 +2,7 @@
 
 from ..cli import _float_digits
 from ..inverse_engine import asymptotic_check
-from ..render import float_column, fmt_float, fmt_rational
+from ..render import float_column, fmt_rational
 
 
 def run(args):
@@ -13,16 +13,19 @@ def run(args):
         raise ValueError(f"bad --orders list: {exc}") from exc
     j = args.j
     rows = asymptotic_check(j, orders)
-    import mpmath
+    from .. import floats
+    p = floats.precision(d)
+    sign = -1 if (j - 1) // 2 % 2 else 1
+    # mpmath's sign * 4 / (pi * j * j), one rounding per operation
+    pi_jj = floats.rounded(floats.rounded(floats.pi(p) * j, p) * j, p)
+    target = floats.rounded(sign * 4 / pi_jj, p)
     table_rows = []
-    with mpmath.workdps(d):
-        sign = -1 if (j - 1) // 2 % 2 else 1
-        target = sign * 4 / (mpmath.pi * j * j)
-        for order, c in rows:
-            approx = mpmath.mpf(c.numerator) / c.denominator
-            table_rows.append([str(order), fmt_rational(c),
-                               fmt_float(approx, d), fmt_float(target, d),
-                               fmt_float(abs(approx - target), d)])
+    for order, c in rows:
+        approx = floats.convert(c, p)
+        table_rows.append([str(order), fmt_rational(c),
+                           floats.nstr(approx, d), floats.nstr(target, d),
+                           floats.nstr(abs(floats.rounded(approx - target, p)),
+                                       d)])
     return 0, [(f"pair {j} coefficient against its limit",
                 ["order", "coefficient", float_column("approx", d),
                  float_column("target", d), float_column("abs_error", d)],

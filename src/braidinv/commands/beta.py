@@ -2,23 +2,23 @@
 
 from ..cli import _float_digits
 from ..regularization import leibniz_partial, theta_value
-from ..render import float_column, fmt_float, fmt_rational
+from ..render import float_column, fmt_rational
 
 
 def run(args):
     s = args.s
     if s == 1:
-        import mpmath
+        from .. import floats
         d = _float_digits(args)
+        p = floats.precision(d)
+        pi = floats.pi(p)
         rows = []
-        with mpmath.workdps(d):
-            for r in (1, 10, 100, 1000, 10000):
-                exact = 4 * leibniz_partial(r)
-                size = f"{len(str(exact.numerator))}/{len(str(exact.denominator))}"
-                estimate = mpmath.mpf(exact.numerator) / exact.denominator / mpmath.pi
-                rows.append([str(r), size,
-                             fmt_float(estimate, d),
-                             fmt_float(abs(estimate - 1), d)])
+        for r in (1, 10, 100, 1000, 10000):
+            exact = 4 * leibniz_partial(r)
+            size = f"{len(str(exact.numerator))}/{len(str(exact.denominator))}"
+            estimate = floats.rounded(floats.convert(exact, p) / pi, p)
+            rows.append([str(r), size, floats.nstr(estimate, d),
+                         floats.nstr(abs(floats.rounded(estimate - 1, p)), d)])
         return 0, [("Leibniz partial sums, scaled by 4",
                     ["terms", "digits num/den", float_column("over_pi", d),
                      float_column("abs_error_to_1", d)],

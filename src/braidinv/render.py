@@ -5,9 +5,9 @@ string, the columns and each row lists of strings, the notes a list of
 lines printed under the rows.  Each renderer returns the whole document as
 a string.  Exact rationals render as canonical 'p/q' strings; some of them
 run to thousands of digits, so the command line raises the integer-to-string
-guard for the duration of a run.  Floating point cells are formatted at
-the caller's chosen precision and appear only in columns whose names carry
-a digit tag.
+guard for the duration of a run.  Floating point cells are binary floats
+at the caller's chosen precision, computed and printed by braidinv.floats
+in integers, and appear only in columns whose names carry a digit tag.
 """
 
 from fractions import Fraction
@@ -17,13 +17,11 @@ def fmt_rational(x) -> str:
     return str(Fraction(x))
 
 
-def fmt_float(x, digits: int) -> str:
-    """An mpmath number, or an exact Fraction, to significant digits."""
-    import mpmath
-    with mpmath.workdps(digits):
-        if isinstance(x, Fraction):
-            x = mpmath.mpf(x.numerator) / x.denominator
-        return mpmath.nstr(x, digits)
+def fmt_float(x: Fraction, digits: int) -> str:
+    """An exact Fraction to significant digits, as mpmath 1.3 printed
+    mpf(x.numerator) / x.denominator at that precision."""
+    from . import floats
+    return floats.nstr(floats.convert(x, floats.precision(digits)), digits)
 
 
 def float_column(name: str, digits: int) -> str:

@@ -5,13 +5,17 @@ and never imports the package under test.  Each oracle gives a second,
 structurally unrelated route to a value that the package computes, so a test
 that compares the two is a genuine consistency check rather than a tautology.
 The command line parser is the argparse one braidinv used before it read
-argv from its own flag table, kept verbatim as that table's reference.
+argv from its own flag table, kept verbatim as that table's reference; the
+float cells are the ones braidinv printed through mpmath before it printed
+them from integer arithmetic, kept as that arithmetic's reference.
 """
 
 from fractions import Fraction
 import argparse
 import math
 import sys
+
+import mpmath
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +360,42 @@ def harmonic_second(r):
 
 def leibniz_direct(r):
     return sum(Fraction((-1) ** m, 2 * m + 1) for m in range(r))
+
+
+# ---------------------------------------------------------------------------
+# the float cells of basis --solve-t, beta --s 1 and asymptotics as mpmath
+# 1.3 printed them at `digits` significant digits
+
+def mpmath_fraction_cell(x, digits):
+    """An exact Fraction, as basis --solve-t printed its distance."""
+    with mpmath.workdps(digits):
+        return mpmath.nstr(mpmath.mpf(x.numerator) / x.denominator, digits)
+
+
+def mpmath_leibniz_cells(exact, digits):
+    """over_pi and abs_error_to_1 of beta --s 1 for exact = 4 * a partial
+    sum."""
+    with mpmath.workdps(digits):
+        estimate = mpmath.mpf(exact.numerator) / exact.denominator / mpmath.pi
+        return [mpmath.nstr(estimate, digits),
+                mpmath.nstr(abs(estimate - 1), digits)]
+
+
+def mpmath_asymptotic_cells(j, c, digits):
+    """approx, target and abs_error of asymptotics for the coefficient c."""
+    with mpmath.workdps(digits):
+        sign = -1 if (j - 1) // 2 % 2 else 1
+        target = sign * 4 / (mpmath.pi * j * j)
+        approx = mpmath.mpf(c.numerator) / c.denominator
+        return [mpmath.nstr(approx, digits), mpmath.nstr(target, digits),
+                mpmath.nstr(abs(approx - target), digits)]
+
+
+def mpmath_pi(digits):
+    """mpmath's pi at `digits` significant digits, as an exact Fraction."""
+    with mpmath.workdps(digits):
+        sign, man, exp, _ = (+mpmath.pi)._mpf_
+    return Fraction((-1) ** sign * man) * Fraction(2) ** exp
 
 
 # ---------------------------------------------------------------------------

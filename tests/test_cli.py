@@ -253,7 +253,9 @@ def test_reproduce_offers_exactly_its_tables(capsys):
 @pytest.mark.parametrize("argv", [
     ["zmap", "--order", "-1"],
     ["zmap", "--braid", '{"1": "1/0"}'],
+    ["zmap", "--braid", '{"-2": "-3/00"}'],
     ["trace", "--sequence", "{tmp}/zero.json"],
+    ["trace", "--sequence", "{tmp}/zero-later.json"],
     ["trace", "--sequence", "{tmp}/array.json"],
     ["lift", "--order", "5", "--out", "{tmp}/missing/x"],
     ["basis", "--r", "0", "--solve-t"],
@@ -286,7 +288,8 @@ def test_reproduce_offers_exactly_its_tables(capsys):
     ["trace", "--sequence", "{tmp}/repeated.json"],
     ["trace", "--sequence", "{tmp}/item-number.json"],
     ["zmap", "--braid", '{"1": null}'],
-], ids=["negative-order", "zero-denominator", "sequence-zero-denominator",
+], ids=["negative-order", "zero-denominator", "zero-denominator-signed",
+        "sequence-zero-denominator", "sequence-zero-denominator-later",
         "sequence-top-level-array", "missing-out-dir", "solve-t-at-r-0",
         "sequence-empty", "sequence-one-item", "zmap-negative-jmax",
         "trace-negative-jmax", "json-infinity", "json-nan",
@@ -304,6 +307,8 @@ def test_reproduce_offers_exactly_its_tables(capsys):
 def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     (tmp_path / "zero.json").write_text('{"items": [{"1": "1/0"}]}',
                                         encoding="utf-8")
+    (tmp_path / "zero-later.json").write_text(
+        '{"items": [{"1": 1}, {"1": 2, "-2": "5/0"}]}', encoding="utf-8")
     (tmp_path / "infinite.json").write_text(
         '{"items": [{"1": 1}, {"1": -Infinity}]}', encoding="utf-8")
     (tmp_path / "array.json").write_text('[{"1": "1"}]', encoding="utf-8")
@@ -337,15 +342,24 @@ def test_exponent_map_errors_name_the_input(tmp_path, capsys):
             ('{"1": 1, "+1": 2}', twice), ('{"01": 1, "1": 2}', twice),
             ('{"1": 1, "1": 2}', twice),
             ('{"1": null}', "error: bad exponent map: the coefficient of "
-                            "exponent 1 must be a number or a string\n")):
+                            "exponent 1 must be a number or a string\n"),
+            ('{"1": "1/0"}', "error: bad exponent map: the coefficient '1/0' "
+                             "of exponent 1 has a zero denominator\n"),
+            ('{"-02": "-3/00"}', "error: bad exponent map: the coefficient "
+                                 "'-3/00' of exponent -02 has a zero "
+                                 "denominator\n")):
         assert cli.main(["zmap", "--braid", braid]) == 1
         assert capsys.readouterr().err == err
-    path = tmp_path / "item-number.json"
-    path.write_text('{"items": [{"1": 1}, 5]}', encoding="utf-8")
-    assert cli.main(["trace", "--sequence", str(path)]) == 1
-    assert capsys.readouterr().err == (f"error: cannot load sequence from "
-                                       f"{path}: bad exponent map: expected a "
-                                       f"JSON object\n")
+    for name, items, reason in (
+            ("item-number.json", '[{"1": 1}, 5]', "expected a JSON object"),
+            ("zero.json", '[{"1": 1}, {"1": 2, "-2": "5/0"}]',
+             "the coefficient '5/0' of exponent -2 has a zero denominator")):
+        path = tmp_path / name
+        path.write_text(f'{{"items": {items}}}', encoding="utf-8")
+        assert cli.main(["trace", "--sequence", str(path)]) == 1
+        assert capsys.readouterr().err == (f"error: cannot load sequence "
+                                           f"from {path}: bad exponent map: "
+                                           f"{reason}\n")
 
 
 def test_output_digit_limit_is_named(capsys):

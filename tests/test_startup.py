@@ -2,15 +2,14 @@
 
 The CLI core loads no library module; after parsing it loads the one
 command module that runs, and that module loads only the library modules
-it uses.  So --help loads the core alone, a command loads mpmath only when
-it prints a float column, and each library module loads only for the
-commands that call it.  json loads only for --format json or a JSON input,
-csv only for --format csv, and dataclasses and inspect never (mpmath loads
-neither).  The core parses argv from its own flag table, so argparse, and
-the gettext and locale it pulls in, never load; nor does __future__, except
-that mpmath imports it itself.  Each command runs in a fresh interpreter,
-so nothing another test imported can hide an import, and its stdout must
-still match its golden.
+it uses.  So --help loads the core alone, a command loads braidinv.floats
+only when it prints a float column, and each library module loads only
+for the commands that call it.  json loads only for --format json or a
+JSON input, csv only for --format csv, and dataclasses, inspect, mpmath
+and __future__ never.  The core parses argv from its own flag table, so
+argparse, and the gettext and locale it pulls in, never load.  Each
+command runs in a fresh interpreter, so nothing another test imported can
+hide an import, and its stdout must still match its golden.
 """
 
 import json
@@ -41,8 +40,8 @@ ALWAYS = CORE | {"braidinv.commands", "braidinv.render"}
 INTEGRAL = {"braidinv.kontsevich", "braidinv.braid_ring",
             "braidinv.power_series"}
 ENGINE = INTEGRAL | {"braidinv.inverse_engine"}
-# mpmath imports __future__ itself
-MPMATH = {"mpmath", "__future__"}
+# what a float column brings with it
+FLOATS = {"braidinv.floats"}
 
 # README command -> what it loads beyond ALWAYS and its module in text format
 EXTRA = {
@@ -50,11 +49,11 @@ EXTRA = {
     "zmap --braid pair:2 --order 4": INTEGRAL,
     "qexpand --order 11": ENGINE,
     "qexpand --order 5 --power 2": ENGINE,
-    "asymptotics --j 3 --orders 9,25,49": ENGINE | MPMATH,
-    "beta --s 1": MPMATH | {"braidinv.regularization"},
+    "asymptotics --j 3 --orders 9,25,49": ENGINE | FLOATS,
+    "beta --s 1": FLOATS | {"braidinv.regularization"},
     "beta --s 7": {"braidinv.regularization"},
     "basis --r 2 --entry 1,3": {"braidinv.basis_solver"},
-    "basis --r 3 --solve-t": ENGINE | MPMATH | {"braidinv.basis_solver"},
+    "basis --r 3 --solve-t": ENGINE | FLOATS | {"braidinv.basis_solver"},
     "trace --sequence tauhat --window 8": ENGINE | {"braidinv.convergence"},
     "reproduce": ENGINE | {"braidinv.basis_solver",
                            "braidinv.regularization"},
