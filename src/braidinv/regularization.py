@@ -13,6 +13,7 @@ The degree-1 integral trace of the pair partial sums, scaled by pi, is
 4 leibniz_partial(r), which tends to pi.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -38,18 +39,31 @@ def theta_value(k: int) -> Fraction:
 def leibniz_partial(r: int) -> Fraction:
     """Partial sum 1 - 1/3 + 1/5 - ... with r terms, exact.
 
-    Summed by halving the range so the growing common denominators meet
-    only log-many times; the flat left-to-right sum is quadratic in r.
+    Binary splitting on integers.  Terms 2m and 2m+1 pair into
+    2 / ((4m+1)(4m+3)); a block of pairs is (p, q) with q the lcm of its
+    denominators 2k+1 and p/q its sum, unreduced.  Leaves of 16 pairs are
+    summed in small integers, two blocks merge with one gcd of their q's,
+    an odd last term merges as one more block, and the only Fraction is
+    built at the end.
     """
     if r < 1:
         raise ValueError("need at least one term")
 
+    def merge(a, b):
+        (p1, q1), (p2, q2) = a, b
+        g = math.gcd(q1, q2)
+        return p1 * (q2 // g) + p2 * (q1 // g), q1 // g * q2
+
     def block(lo, hi):
-        # recursion depth is log2(r), nowhere near the interpreter limit
-        if hi - lo == 1:
-            return Fraction((-1) ** lo, 2 * lo + 1)
+        # recursion depth is log2(r / 32), nowhere near the interpreter limit
+        if hi - lo <= 16:
+            ds = [(4 * m + 1) * (4 * m + 3) for m in range(lo, hi)]
+            q = math.lcm(*ds)
+            return 2 * sum(map(q.__floordiv__, ds)), q
         mid = (lo + hi) // 2
-        return block(lo, mid) + block(mid, hi)
+        return merge(block(lo, mid), block(mid, hi))
 
-    return block(0, r)
-
+    total = block(0, r // 2)
+    if r % 2:
+        total = merge(total, (1, 2 * r - 1))
+    return Fraction(*total)

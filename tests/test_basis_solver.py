@@ -112,6 +112,23 @@ def test_onefive_entries_and_differences():
                      frac(266681, 11289600)]
 
 
+def test_entry_sequence_matches_the_full_inverse():
+    # the one-row route against the whole verified inverse
+    for r in range(6):
+        N = invert(build_balanced(r))
+        for row in range(1, 2 * r + 2):
+            for col in range(1, 2 * r + 2):
+                assert entry_sequence(row, col, [r]) == [N[row - 1][col - 1]]
+
+
+def test_entry_sequence_rejects_entries_outside_the_matrix():
+    for row, col in ((0, 1), (1, 0), (4, 1), (1, 4)):
+        with pytest.raises(ValueError, match="outside a 3x3 matrix"):
+            entry_sequence(row, col, [1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        entry_sequence(1, 1, [-1])
+
+
 def test_zeta2_check_reports_equality():
     entries = entry_sequence(1, 3, range(1, 7))
     assert [-e for e in entries] == [oracles.harmonic_second(r)

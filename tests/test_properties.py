@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from braidinv import basis_solver, braid_ring
 from braidinv.basis_solver import (MomentMatrix, build_balanced,
-                                   build_unbalanced, invert)
+                                   build_unbalanced, entry_sequence, invert)
 from braidinv.braid_ring import (BraidSum, combine, filtration_order,
                                  multiply, sigma_power, tau)
 from braidinv.inverse_engine import (_lift_series, apply, closed_form_lift,
@@ -205,3 +205,40 @@ def test_invert_reports_any_corrupted_entry(monkeypatch):
     with pytest.raises(ArithmeticError,
                        match="inverse failed its own verification"):
         invert(build_balanced(2))
+
+
+def test_entry_sequence_reports_any_corrupted_row(monkeypatch):
+    # entry_sequence and invert share the synthetic division; a fault in it
+    # must stop both, though entry_sequence checks only the row it reads
+    lagrange_row = basis_solver._lagrange_row
+    for r in (1, 2):
+        dim = 2 * r + 1
+        for row in range(1, dim + 1):
+            for i in range(dim):
+                def corrupted(w, a, i=i):
+                    q = lagrange_row(w, a)
+                    q[i] += 1
+                    return q
+                monkeypatch.setattr(basis_solver, "_lagrange_row", corrupted)
+                for col in (1, dim):
+                    with pytest.raises(ArithmeticError,
+                                       match="inverse failed its own "
+                                             "verification"):
+                        entry_sequence(row, col, [r])
+                with pytest.raises(ArithmeticError):
+                    invert(build_balanced(r))
+
+    # added to row 1, the row of node 0: x(x-1)(x-2) = 2x - 3x^2 + x^3
+    # vanishes at 0, 1 and 2, so only the checks at -1 and -2 can see it
+    # (the mirrored fault), and x^3 - x only the checks at 2 and -2
+    for fault in ((0, 2, -3, 1), (0, -1, 0, 1)):
+        def planted(w, a, fault=fault):
+            q = lagrange_row(w, a)
+            for i, c in enumerate(fault):
+                q[i] += c
+            return q
+        monkeypatch.setattr(basis_solver, "_lagrange_row", planted)
+        for col in (1, 3):
+            with pytest.raises(ArithmeticError,
+                               match="inverse failed its own verification"):
+                entry_sequence(1, col, [2])

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import mpmath
@@ -67,10 +66,11 @@ def test_leibniz_partial_small():
 
 
 def test_leibniz_partial_matches_direct_sum():
-    rng = random.Random(840)
-    for _ in range(8):
-        r = rng.randrange(1, 60)
-        assert leibniz_partial(r) == oracles.leibniz_direct(r)
+    # every r up to 300 crosses each leaf of 16 pairs, each merge of the
+    # splitting up to depth 4 and the odd last term; r = 2049 is 1024
+    # pairs, a power of two, and an odd last term
+    for r in [*range(1, 301), 1000, 2049, 3000]:
+        assert leibniz_partial(r) == oracles.leibniz_direct(r), r
 
 
 def test_leibniz_thousand_terms_near_pi_over_four():
