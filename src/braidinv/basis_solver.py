@@ -6,10 +6,13 @@ divided by i! with factorials.  Row k of the inverse holds the coefficients
 of the Lagrange polynomial of node k, w(x) / ((x - n_k) w'(n_k)) with
 w(x) = prod_j (x - n_j), read off one synthetic division of w over the
 integers (Macon and Spitzbart, Amer. Math. Monthly 65, 1958); factorials
-only rescale its columns.  An inverse is a list of rows, verified entry
-by entry, N*M = I, evaluating each row polynomial at each node on integers.
-A sequence of single entries forms and checks only the row it reads: one
-synthetic division and that row of N*M = I, never the whole inverse.
+only rescale its columns.  An inverse is a list of rows, and each row
+the caller reads is certified exactly on its printed Fractions: w is
+monic of degree dim and zero at every node, and the row's polynomial p
+over a common denominator den satisfies p(x) (x - n_k) = p_top w(x)
+and p(n_k) = den.  As the nodes are distinct, that is row k of N*M = I,
+at O(dim) big-integer products per row.  A sequence of single entries
+forms and certifies only the row it reads, never the whole inverse.
 
 Over the balanced nodes, row 1 is the partial Euler product
 prod_{k<=r} (1 - x^2/k^2) of sin(pi x)/(pi x), so the (1,3) entries are
@@ -76,11 +79,12 @@ def _lagrange_row(w, a) -> list[int]:
     return q
 
 
-def _lagrange_rows(nodes, scale) -> list[list[Fraction]]:
-    """Row k: coefficients of w(x) / (x - n_k) over prod_{j != k} (n_k - n_j)."""
+def _lagrange_rows(nodes, scale, ks) -> list[list[Fraction]]:
+    """Rows ks: w(x) / (x - n_k) over prod_{j != k} (n_k - n_j), scaled."""
     w = _node_polynomial(nodes)
     rows = []
-    for a in nodes:
+    for k in ks:
+        a = nodes[k]
         value = math.prod(a - b for b in nodes if b != a)
         rows.append([Fraction(c * f, value)
                      for c, f in zip(_lagrange_row(w, a), scale)])
@@ -88,65 +92,55 @@ def _lagrange_rows(nodes, scale) -> list[list[Fraction]]:
 
 
 def _horner(coeffs, x: int) -> int:
-    """The polynomial with coefficients highest degree first, at x."""
+    """The polynomial with coefficients lowest degree first, at x."""
     acc = 0
-    for c in coeffs:
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-def _check_row(ints, k, value, nodes) -> None:
-    """The polynomial ints (lowest degree first) is value at n_k, 0 elsewhere.
-
-    p(n) = E(n^2) + n O(n^2) for the even and odd parts E and O of p, so
-    both are evaluated once per square and serve the nodes n and -n alike.
-    """
-    squares = {}
-    for j, x in enumerate(nodes):
-        squares.setdefault(x * x, []).append((j, x))
-    even, odd = ints[0::2][::-1], ints[1::2][::-1]
-    for square, group in squares.items():
-        e, o = _horner(even, square), _horner(odd, square)
-        for j, x in group:
-            if e + x * o != (value if j == k else 0):
-                raise ArithmeticError("inverse failed its own verification")
-
-
-def _verify(nodes, scale, rows) -> None:
-    """N*M = I in every entry: row k's polynomial is 1 at n_k, 0 elsewhere."""
-    for k, row in enumerate(rows):
-        coeffs = [x / f for x, f in zip(row, scale)]
-        den = math.lcm(*(c.denominator for c in coeffs))
-        _check_row([c.numerator * (den // c.denominator) for c in coeffs],
-                   k, den, nodes)
+def _verify(nodes, scale, rows, ks) -> None:
+    """Rows ks of N*M = I, by the certificate above on the printed rows."""
+    fail = ArithmeticError("inverse failed its own verification")
+    w = _node_polynomial(nodes)
+    if len(w) != len(nodes) + 1 or w[-1] != 1 or \
+            any(_horner(w, x) for x in nodes):
+        raise fail
+    for k, row in zip(ks, rows):
+        dens = [x.denominator * f for x, f in zip(row, scale)]
+        den = math.lcm(*dens)
+        p = [x.numerator * (den // d) for x, d in zip(row, dens)]
+        a = nodes[k]
+        times_x_minus_a = [lo - a * hi for lo, hi in zip([0] + p, p + [0])]
+        if times_x_minus_a != [p[-1] * c for c in w] or _horner(p, a) != den:
+            raise fail
 
 
 def invert(M: MomentMatrix) -> list[list[Fraction]]:
     """The rows of M's exact inverse: its Lagrange rows, verified."""
-    rows = _lagrange_rows(M.nodes, M.scale)
-    _verify(M.nodes, M.scale, rows)
+    ks = range(M.dim)
+    rows = _lagrange_rows(M.nodes, M.scale, ks)
+    _verify(M.nodes, M.scale, rows, ks)
     return rows
 
 
 def entry_sequence(row: int, col: int, r_range) -> list[Fraction]:
     """Inverse entries (1-based) of the balanced matrices over a range of r.
 
-    Only Lagrange row `row` is formed for each r.  Before its entry is
-    read, the row is checked on integers: w(x) / (x - a) must be
-    prod_{b != a} (a - b) at its own node a and 0 at every other node,
-    which is row `row` of N*M = I.
+    Only Lagrange row `row` is formed and certified for each r, the same
+    way `invert` forms and certifies every row.
     """
     entries = []
     for r in r_range:
         nodes = balanced_nodes(r)
-        if not (1 <= row <= len(nodes) and 1 <= col <= len(nodes)):
-            raise ValueError(f"entry ({row},{col}) outside a "
-                             f"{len(nodes)}x{len(nodes)} matrix")
-        a = nodes[row - 1]
-        ints = _lagrange_row(_node_polynomial(nodes), a)
-        value = math.prod(a - b for b in nodes if b != a)
-        _check_row(ints, row - 1, value, nodes)
-        entries.append(Fraction(ints[col - 1], value))
+        dim = len(nodes)
+        if not (1 <= row <= dim and 1 <= col <= dim):
+            raise ValueError(f"entry ({row},{col}) outside a {dim}x{dim} "
+                             f"matrix")
+        scale, ks = [1] * dim, [row - 1]
+        [lagrange] = _lagrange_rows(nodes, scale, ks)
+        _verify(nodes, scale, [lagrange], ks)
+        entries.append(lagrange[col - 1])
     return entries
 
 

@@ -64,8 +64,8 @@ def _float_digits(args) -> int:
 # ---------------------------------------------------------------------------
 # braid input parsing; JSON numbers are read as exact decimals: 0.1 is 1/10,
 # 1e400 is 10^400, and Fraction rejects NaN and Infinity with a ValueError.
-# A JSON object is read as a tuple of its (key, value) pairs, so that an
-# exponent given twice is seen rather than silently dropped
+# A JSON object is read as a tuple of its (key, value) pairs, so that a
+# key given twice is seen rather than silently dropped
 
 
 def _exact_decimal(text: str) -> "Fraction":
@@ -150,8 +150,12 @@ def load_sequence(path: str) -> tuple:
     """(label, items) from a JSON file {"label": ..., "items": [maps]}."""
     try:
         with open(path, encoding="utf-8") as handle:
-            payload = _json(handle.read())
-        payload = dict(payload) if isinstance(payload, tuple) else {}
+            pairs = _json(handle.read())
+        payload = {}
+        for key, value in pairs if isinstance(pairs, tuple) else ():
+            if key in payload:
+                raise ValueError(f"key {key!r} given twice")
+            payload[key] = value
         if not isinstance(payload.get("items"), list):
             raise ValueError("expected an object with an 'items' list")
         label = payload.get("label", path)

@@ -288,6 +288,8 @@ def test_reproduce_offers_exactly_its_tables(capsys):
     ["trace", "--sequence", "{tmp}/repeated.json"],
     ["trace", "--sequence", "{tmp}/item-number.json"],
     ["zmap", "--braid", '{"1": null}'],
+    ["trace", "--sequence", "{tmp}/items-twice.json"],
+    ["trace", "--sequence", "{tmp}/label-twice.json"],
 ], ids=["negative-order", "zero-denominator", "zero-denominator-signed",
         "sequence-zero-denominator", "sequence-zero-denominator-later",
         "sequence-top-level-array", "missing-out-dir", "solve-t-at-r-0",
@@ -303,7 +305,7 @@ def test_reproduce_offers_exactly_its_tables(capsys):
         "output-digits-exponent-key", "repeated-exponent-sign",
         "repeated-exponent-zero", "repeated-json-key",
         "sequence-repeated-exponent", "sequence-item-number",
-        "coefficient-null"])
+        "coefficient-null", "sequence-items-twice", "sequence-label-twice"])
 def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     (tmp_path / "zero.json").write_text('{"items": [{"1": "1/0"}]}',
                                         encoding="utf-8")
@@ -328,6 +330,11 @@ def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
         '{"items": [{"1": 1}, {"1": 1, "+1": 2}]}', encoding="utf-8")
     (tmp_path / "item-number.json").write_text('{"items": [{"1": 1}, 5]}',
                                                encoding="utf-8")
+    (tmp_path / "items-twice.json").write_text(
+        f'{{"items": {two}, "items": [{{"1": 3}}, {{"1": 4}}]}}',
+        encoding="utf-8")
+    (tmp_path / "label-twice.json").write_text(
+        f'{{"label": "a", "items": {two}, "label": "b"}}', encoding="utf-8")
     result = run_cli(*(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
     assert result.returncode == 1
     assert result.stderr.startswith("error: ")
@@ -360,6 +367,17 @@ def test_exponent_map_errors_name_the_input(tmp_path, capsys):
         assert capsys.readouterr().err == (f"error: cannot load sequence "
                                            f"from {path}: bad exponent map: "
                                            f"{reason}\n")
+
+
+def test_sequence_key_given_twice_is_named(tmp_path, capsys):
+    # json would keep the last value; the file is refused instead
+    for key, text in (("items", '{"items": [{"1": 1}], "items": [{"1": 2}]}'),
+                      ("label", '{"label": "a", "label": "b", "items": []}')):
+        path = tmp_path / f"{key}.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["trace", "--sequence", str(path)]) == 1
+        assert capsys.readouterr().err == (f"error: cannot load sequence from "
+                                           f"{path}: key '{key}' given twice\n")
 
 
 def test_output_digit_limit_is_named(capsys):

@@ -181,12 +181,14 @@ def test_moment_matrix_rejects_repeated_nodes(nodes, data):
 
 def test_invert_reports_any_corrupted_entry(monkeypatch):
     lagrange_rows = basis_solver._lagrange_rows
-    # balanced nodes share their squares in pairs; unbalanced ones do not
-    for M in (build_balanced(2), build_unbalanced(3)):
+    # balanced nodes are symmetric, unbalanced ones are not; with factorials
+    # the certificate first divides each printed column by its scale
+    for M in (build_balanced(2), build_unbalanced(3),
+              build_balanced(2, with_factorials=True)):
         for k in range(M.dim):
             for i in range(M.dim):
-                def corrupted(nodes, scale, k=k, i=i):
-                    rows = lagrange_rows(nodes, scale)
+                def corrupted(nodes, scale, ks, k=k, i=i):
+                    rows = lagrange_rows(nodes, scale, ks)
                     rows[k][i] += Fraction(1, 10 ** 9)
                     return rows
                 monkeypatch.setattr(basis_solver, "_lagrange_rows", corrupted)
@@ -196,15 +198,49 @@ def test_invert_reports_any_corrupted_entry(monkeypatch):
 
     # adding x(x-1)(x-2) = 2x - 3x^2 + x^3 keeps row 0 right at the nodes
     # 0, 1 and 2, so only the check at -1 and -2 can see it
-    def mirrored(nodes, scale):
-        rows = lagrange_rows(nodes, scale)
+    def mirrored(nodes, scale, ks):
+        rows = lagrange_rows(nodes, scale, ks)
         for i, c in enumerate((0, 2, -3, 1)):
             rows[0][i] += Fraction(c, 10 ** 9)
         return rows
-    monkeypatch.setattr(basis_solver, "_lagrange_rows", mirrored)
-    with pytest.raises(ArithmeticError,
-                       match="inverse failed its own verification"):
-        invert(build_balanced(2))
+
+    # a multiple of a Lagrange row times (x - n_k) is still a multiple of w,
+    # so only the row's value at its own node can show it
+    def scaled(nodes, scale, ks):
+        return [[x * Fraction(10 ** 9 + 1, 10 ** 9) for x in row]
+                for row in lagrange_rows(nodes, scale, ks)]
+    for fault in (mirrored, scaled):
+        monkeypatch.setattr(basis_solver, "_lagrange_rows", fault)
+        for compute in (lambda: invert(build_balanced(2)),
+                        lambda: entry_sequence(1, 3, [2])):
+            with pytest.raises(ArithmeticError,
+                               match="inverse failed its own verification"):
+                compute()
+
+
+def test_wrong_node_polynomial_fails_verification(monkeypatch):
+    # the certificate rests on w = prod (x - n_j); a w with one coefficient
+    # off, or with one node missing, must stop invert and entry_sequence.
+    # w + x^2 leaves the row of node 0 a Lagrange-like row that is 1 at 0,
+    # so only the check that w vanishes at every node sees it there
+    node_polynomial = basis_solver._node_polynomial
+
+    def coefficient_off(nodes):
+        w = node_polynomial(nodes)
+        w[2] += 1
+        return w
+
+    def node_missing(nodes):
+        return node_polynomial(nodes[:-1])
+    for wrong in (coefficient_off, node_missing):
+        monkeypatch.setattr(basis_solver, "_node_polynomial", wrong)
+        for compute in (lambda: invert(build_balanced(2)),
+                        lambda: invert(build_unbalanced(3, True)),
+                        lambda: entry_sequence(1, 3, [2]),
+                        lambda: entry_sequence(5, 1, [2, 3])):
+            with pytest.raises(ArithmeticError,
+                               match="inverse failed its own verification"):
+                compute()
 
 
 def test_entry_sequence_reports_any_corrupted_row(monkeypatch):
