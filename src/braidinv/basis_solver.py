@@ -11,8 +11,9 @@ the caller reads is certified exactly on its printed Fractions: w is
 monic of degree dim and zero at every node, and the row's polynomial p
 over a common denominator den satisfies p(x) (x - n_k) = p_top w(x)
 and p(n_k) = den.  As the nodes are distinct, that is row k of N*M = I,
-at O(dim) big-integer products per row.  A sequence of single entries
-forms and certifies only the row it reads, never the whole inverse.
+at O(dim) big-integer products per row.  w is formed once per matrix
+and shared by the rows and their certificate.  A sequence of single
+entries forms and certifies only the row it reads, never the whole inverse.
 
 Over the balanced nodes, row 1 is the partial Euler product
 prod_{k<=r} (1 - x^2/k^2) of sin(pi x)/(pi x), so the (1,3) entries are
@@ -79,9 +80,8 @@ def _lagrange_row(w, a) -> list[int]:
     return q
 
 
-def _lagrange_rows(nodes, scale, ks) -> list[list[Fraction]]:
+def _lagrange_rows(nodes, w, scale, ks) -> list[list[Fraction]]:
     """Rows ks: w(x) / (x - n_k) over prod_{j != k} (n_k - n_j), scaled."""
-    w = _node_polynomial(nodes)
     rows = []
     for k in ks:
         a = nodes[k]
@@ -99,10 +99,9 @@ def _horner(coeffs, x: int) -> int:
     return acc
 
 
-def _verify(nodes, scale, rows, ks) -> None:
+def _verify(nodes, w, scale, rows, ks) -> None:
     """Rows ks of N*M = I, by the certificate above on the printed rows."""
     fail = ArithmeticError("inverse failed its own verification")
-    w = _node_polynomial(nodes)
     if len(w) != len(nodes) + 1 or w[-1] != 1 or \
             any(_horner(w, x) for x in nodes):
         raise fail
@@ -118,9 +117,9 @@ def _verify(nodes, scale, rows, ks) -> None:
 
 def invert(M: MomentMatrix) -> list[list[Fraction]]:
     """The rows of M's exact inverse: its Lagrange rows, verified."""
-    ks = range(M.dim)
-    rows = _lagrange_rows(M.nodes, M.scale, ks)
-    _verify(M.nodes, M.scale, rows, ks)
+    ks, w = range(M.dim), _node_polynomial(M.nodes)
+    rows = _lagrange_rows(M.nodes, w, M.scale, ks)
+    _verify(M.nodes, w, M.scale, rows, ks)
     return rows
 
 
@@ -137,9 +136,9 @@ def entry_sequence(row: int, col: int, r_range) -> list[Fraction]:
         if not (1 <= row <= dim and 1 <= col <= dim):
             raise ValueError(f"entry ({row},{col}) outside a {dim}x{dim} "
                              f"matrix")
-        scale, ks = [1] * dim, [row - 1]
-        [lagrange] = _lagrange_rows(nodes, scale, ks)
-        _verify(nodes, scale, [lagrange], ks)
+        scale, ks, w = [1] * dim, [row - 1], _node_polynomial(nodes)
+        [lagrange] = _lagrange_rows(nodes, w, scale, ks)
+        _verify(nodes, w, scale, [lagrange], ks)
         entries.append(lagrange[col - 1])
     return entries
 

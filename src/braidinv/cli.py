@@ -17,12 +17,12 @@ tables in the chosen format and writes them to --out or stdout.  So --help
 and usage errors load this module alone; beta, basis without --solve-t
 and reproduce without its lift and pairs tables skip inverse_engine,
 kontsevich, braid_ring and power_series; a trace of a sequence file skips
-inverse_engine.  floats, which prints float cells from integer arithmetic,
-loads only for float columns (asymptotics, beta --s 1, basis --solve-t),
-json only for --format json, a JSON braid or a sequence file, and csv only
-for --format csv; no request imports mpmath.  The only record types,
-BraidSum and MomentMatrix, are plain classes, so no class generator loads
-at all.
+inverse_engine.  floats, which alone reads the precision, tags the float
+columns and prints their cells from integer arithmetic, loads only for
+float columns (asymptotics, beta --s 1, basis --solve-t), json only for
+--format json, a JSON braid or a sequence file, and csv only for --format
+csv; no request imports mpmath.  The only record types, BraidSum and
+MomentMatrix, are plain classes, so no class generator loads at all.
 
 The library raises ValueError for bad input and ArithmeticError for a
 broken internal invariant.  main() alone turns exceptions into exit codes:
@@ -32,33 +32,14 @@ guard, raised to INT_STR_DIGITS for the run, is one of those ValueErrors,
 named by that limit.
 """
 
-import os
 import sys
 from importlib import import_module
 from types import SimpleNamespace
 
+# read by floats.requested_digits; here because --help prints them
 ENV_FLOAT_DIGITS = "BRAIDINV_FLOAT_DIGITS"
 DEFAULT_FLOAT_DIGITS = 50
 INT_STR_DIGITS = 100000
-
-
-def _float_digits(args) -> int:
-    """Float precision: --digits, else BRAIDINV_FLOAT_DIGITS, else 50.
-
-    Read only by the commands that print float columns, so a bad value
-    fails those and no other.
-    """
-    digits = args.digits
-    if digits is None:
-        raw = os.environ.get(ENV_FLOAT_DIGITS, str(DEFAULT_FLOAT_DIGITS))
-        try:
-            digits = int(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_FLOAT_DIGITS} must be an integer, "
-                             f"got {raw!r}") from None
-    if digits < 10:
-        raise ValueError("float output needs at least 10 digits")
-    return digits
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +62,11 @@ def _exact_decimal(text: str) -> "Fraction":
 def _json(text: str):
     import json
     from fractions import Fraction
-    return json.loads(text, parse_float=_exact_decimal,
-                      parse_constant=Fraction, object_pairs_hook=tuple)
+    try:
+        return json.loads(text, parse_float=_exact_decimal,
+                          parse_constant=Fraction, object_pairs_hook=tuple)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def parse_braid(text: str) -> "BraidSum":

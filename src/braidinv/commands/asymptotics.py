@@ -1,19 +1,17 @@
 """braidinv asymptotics: pair coefficients against their 4/pi limits."""
 
-from ..cli import _float_digits
+from .. import floats
 from ..inverse_engine import asymptotic_check
-from ..render import float_column, fmt_rational
 
 
 def run(args):
-    d = _float_digits(args)
+    d = floats.requested_digits(args)
     try:
         orders = [int(x) for x in args.orders.split(",") if x]
     except ValueError as exc:
         raise ValueError(f"bad --orders list: {exc}") from exc
     j = args.j
     rows = asymptotic_check(j, orders)
-    from .. import floats
     p = floats.precision(d)
     sign = -1 if (j - 1) // 2 % 2 else 1
     # mpmath's sign * 4 / (pi * j * j), one rounding per operation
@@ -22,11 +20,11 @@ def run(args):
     table_rows = []
     for order, c in rows:
         approx = floats.convert(c, p)
-        table_rows.append([str(order), fmt_rational(c),
+        table_rows.append([str(order), str(c),
                            floats.nstr(approx, d), floats.nstr(target, d),
                            floats.nstr(abs(floats.rounded(approx - target, p)),
                                        d)])
     return 0, [(f"pair {j} coefficient against its limit",
-                ["order", "coefficient", float_column("approx", d),
-                 float_column("target", d), float_column("abs_error", d)],
+                ["order", "coefficient", floats.column("approx", d),
+                 floats.column("target", d), floats.column("abs_error", d)],
                 table_rows, ["target = (-1)^((j-1)/2) * 4/(pi*j^2)"])]

@@ -2,9 +2,6 @@
 
 from fractions import Fraction
 
-from ..cli import _float_digits
-from ..render import fmt_float, fmt_rational
-
 
 def run(args):
     from ..basis_solver import (balanced_nodes, build_balanced, build_unbalanced,
@@ -12,7 +9,8 @@ def run(args):
     if args.solve_t:
         if args.unbalanced:
             raise ValueError("--solve-t applies to the balanced basis")
-        digits = _float_digits(args)
+        from .. import floats
+        digits = floats.requested_digits(args)
     if args.entry:
         # parsed before inverting, so a typo fails at once
         try:
@@ -31,19 +29,19 @@ def run(args):
     columns = [f"c{j}" for j in range(M.dim)]
     tables = [
         (f"{kind} moment matrix, r = {r}", columns,
-         [[fmt_rational(x) for x in row] for row in M.rows], []),
+         [[str(x) for x in row] for row in M.rows], []),
         (f"inverse, r = {r}", columns,
-         [[fmt_rational(x) for x in row] for row in N], []),
+         [[str(x) for x in row] for row in N], []),
     ]
     if args.entry:
         tables.append((f"inverse entry ({row},{col})", ["row", "col", "value"],
                        [[str(row), str(col),
-                         fmt_rational(N[row - 1][col - 1])]], []))
+                         str(N[row - 1][col - 1])]], []))
     if args.solve_t:
         from ..braid_ring import coefficient, combine, render, tau
         from ..inverse_engine import q_expand, strengthen_to
         solution, b = solve_t_target(N)
-        sol_rows = [[str(node), fmt_rational(c)]
+        sol_rows = [[str(node), str(c)]
                     for node, c in zip(balanced_nodes(r), solution)]
         tables.append(("solution of the degree-1 target system",
                        ["braid power", "coefficient"], sol_rows,
@@ -52,7 +50,7 @@ def run(args):
         if lift_order >= 1:
             lift_b = q_expand(strengthen_to(tau(), lift_order))
             diff = combine(b, 1, lift_b, -1)
-            cmp_rows = [[str(n)] + [fmt_rational(coefficient(x, n))
+            cmp_rows = [[str(n)] + [str(coefficient(x, n))
                                     for x in (b, lift_b, diff)]
                         for n in sorted(b.nums.keys() | lift_b.nums.keys())]
             worst = Fraction(max(map(abs, diff.nums.values()), default=0),
@@ -60,7 +58,7 @@ def run(args):
             tables.append((
                 f"solution against the order {lift_order} lift expansion",
                 ["braid power", "solution", "lift", "difference"], cmp_rows,
-                [f"largest coefficient distance: {fmt_float(worst, digits)}",
+                [f"largest coefficient distance: {floats.cell(worst, digits)}",
                  "no identity between the columns is asserted; the distance "
                  "is reported as computed"]))
     return 0, tables

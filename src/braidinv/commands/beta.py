@@ -1,15 +1,13 @@
 """braidinv beta: the Leibniz check at s = 1, the residue relation above."""
 
-from ..cli import _float_digits
 from ..regularization import leibniz_partial, theta_value
-from ..render import float_column, fmt_rational
 
 
 def run(args):
     s = args.s
     if s == 1:
         from .. import floats
-        d = _float_digits(args)
+        d = floats.requested_digits(args)
         p = floats.precision(d)
         pi = floats.pi(p)
         rows = []
@@ -20,8 +18,8 @@ def run(args):
             rows.append([str(r), size, floats.nstr(estimate, d),
                          floats.nstr(abs(floats.rounded(estimate - 1, p)), d)])
         return 0, [("Leibniz partial sums, scaled by 4",
-                    ["terms", "digits num/den", float_column("over_pi", d),
-                     float_column("abs_error_to_1", d)],
+                    ["terms", "digits num/den", floats.column("over_pi", d),
+                     floats.column("abs_error_to_1", d)],
                     rows,
                     ["partial sums are held as exact rationals; the column "
                      "shows their printed size",
@@ -32,8 +30,8 @@ def run(args):
     # the relation's left side reduces exactly to this Abel value
     abel = theta_value(s - 2)
     verdict = "PASS" if abel == 0 else "FAIL"
-    rows = [[f"Abel value at exponent {s - 2}", fmt_rational(abel)],
-            ["reduced relation left side", fmt_rational(abel)],
+    rows = [[f"Abel value at exponent {s - 2}", str(abel)],
+            ["reduced relation left side", str(abel)],
             ["verdict", verdict]]
     return 0 if verdict == "PASS" else 2, [
         (f"residue relation at s = {s}", ["what", "value"], rows,

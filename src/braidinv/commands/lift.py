@@ -2,7 +2,6 @@
 
 from ..braid_ring import tau
 from ..inverse_engine import closed_form_lift, strengthen_to
-from ..render import fmt_rational
 
 
 def run(args):
@@ -11,6 +10,6 @@ def run(args):
         P = closed_form_lift(order)
     else:
         P = strengthen_to(tau(), order)
-    rows = [[str(k), fmt_rational(c)] for k, c in enumerate(P) if c]
+    rows = [[str(k), str(c)] for k, c in enumerate(P) if c]
     return 0, [(f"lift coefficients through degree {order}",
                 ["degree", "coefficient"], rows, [])]

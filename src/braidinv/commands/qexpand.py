@@ -2,7 +2,6 @@
 
 from ..braid_ring import coefficient, tau
 from ..inverse_engine import q_expand, strengthen_to
-from ..render import fmt_rational
 
 
 def run(args):
@@ -12,8 +11,8 @@ def run(args):
         raise ValueError("power must be positive")
     b = q_expand(strengthen_to(tau(), order), power)
     sign = "-" if power % 2 else "+"
-    rows = [] if power % 2 else [["q^0", fmt_rational(coefficient(b, 0))]]
-    rows += [[f"q^{n} {sign} q^-{n}", fmt_rational(coefficient(b, n))]
+    rows = [] if power % 2 else [["q^0", str(coefficient(b, 0))]]
+    rows += [[f"q^{n} {sign} q^-{n}", str(coefficient(b, n))]
              for n in sorted(b.nums) if n > 0]
     notes = [] if power == 1 else \
         ["reported computation; no reference values exist for lift powers"]

@@ -4,7 +4,6 @@ from ..braid_ring import coefficient
 from ..cli import load_sequence
 from ..convergence import (CAVEAT, STOCK_SEQUENCES, biconvergence_report,
                            verdict)
-from ..render import fmt_rational
 
 
 def run(args):
@@ -21,7 +20,7 @@ def run(args):
         label, items = load_sequence(args.sequence)
     items = items[:window]
     n_classes, z_classes, violations = biconvergence_report(items, args.jmax)
-    coeff_rows = [[str(n), cls, fmt_rational(coefficient(items[-1], n))]
+    coeff_rows = [[str(n), cls, str(coefficient(items[-1], n))]
                   for n, cls in sorted(n_classes.items())]
     z_rows = [[str(j), cls] for j, cls in sorted(z_classes.items())]
     if violations:

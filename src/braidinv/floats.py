@@ -6,14 +6,48 @@ whose denominator is a power of two.  Every operation rounds its exact
 result to the nearest float of precision(d) bits, ties to even, as every
 mpf operation does; pi is floor(pi * 2^(p+20)) rounded to p bits, as
 mpmath's constant is; nstr takes mpmath's fixed-point steps to decimal.
-Only the commands that print a float column load this module.
+
+This module owns the float-cell policy: requested_digits resolves the
+precision, column tags a column's name with it and cell prints one exact
+Fraction.  Only the commands that print a float column load it, so only
+they read --digits and BRAIDINV_FLOAT_DIGITS, and a bad value fails those
+and no other.
 """
 
 import math
+import os
 from fractions import Fraction
+
+from .cli import DEFAULT_FLOAT_DIGITS, ENV_FLOAT_DIGITS
 
 LOG2_10 = math.log(10, 2)  # the float mpmath sizes its decimal steps with
 MAX_EXPONENT = 3500  # past 2^±3500 mpmath prints by another route
+
+
+def requested_digits(args) -> int:
+    """Float precision: --digits, else BRAIDINV_FLOAT_DIGITS, else 50."""
+    digits = args.digits
+    if digits is None:
+        raw = os.environ.get(ENV_FLOAT_DIGITS, str(DEFAULT_FLOAT_DIGITS))
+        try:
+            digits = int(raw)
+        except ValueError:
+            raise ValueError(f"{ENV_FLOAT_DIGITS} must be an integer, "
+                             f"got {raw!r}") from None
+    if digits < 10:
+        raise ValueError("float output needs at least 10 digits")
+    return digits
+
+
+def column(name: str, digits: int) -> str:
+    """Column label tagged with its precision."""
+    return f"{name}[{digits}d]"
+
+
+def cell(x: Fraction, digits: int) -> str:
+    """An exact Fraction to significant digits, as mpmath 1.3 printed
+    mpf(x.numerator) / x.denominator at that precision."""
+    return nstr(convert(x, precision(digits)), digits)
 
 
 def precision(digits: int) -> int:

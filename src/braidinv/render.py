@@ -1,32 +1,14 @@
-"""Cell formatting and the text, JSON and CSV renderers for the CLI.
+"""The text, JSON and CSV renderers for the CLI.
 
 A table is a plain (title, columns, rows, notes) tuple: the title a
 string, the columns and each row lists of strings, the notes a list of
 lines printed under the rows.  Each renderer returns the whole document as
-a string.  Exact rationals render as canonical 'p/q' strings; some of them
-run to thousands of digits, so the command line raises the integer-to-string
-guard for the duration of a run.  Floating point cells are binary floats
-at the caller's chosen precision, computed and printed by braidinv.floats
-in integers, and appear only in columns whose names carry a digit tag.
+a string and takes every cell as given.  The commands print exact
+rationals by str, as canonical 'p/q' strings; some of them run to
+thousands of digits, so the command line raises the integer-to-string
+guard for the duration of a run.  Float cells and their digit-tagged
+column names come from braidinv.floats.
 """
-
-from fractions import Fraction
-
-
-def fmt_rational(x) -> str:
-    return str(Fraction(x))
-
-
-def fmt_float(x: Fraction, digits: int) -> str:
-    """An exact Fraction to significant digits, as mpmath 1.3 printed
-    mpf(x.numerator) / x.denominator at that precision."""
-    from . import floats
-    return floats.nstr(floats.convert(x, floats.precision(digits)), digits)
-
-
-def float_column(name: str, digits: int) -> str:
-    """Column label tagged with its precision."""
-    return f"{name}[{digits}d]"
 
 
 def render_text(tables) -> str:

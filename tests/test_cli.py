@@ -290,6 +290,8 @@ def test_reproduce_offers_exactly_its_tables(capsys):
     ["zmap", "--braid", '{"1": null}'],
     ["trace", "--sequence", "{tmp}/items-twice.json"],
     ["trace", "--sequence", "{tmp}/label-twice.json"],
+    ["zmap", "--braid", '{"1": ' + "[" * 5000 + "]" * 5000 + "}"],
+    ["trace", "--sequence", "{tmp}/deep.json"],
 ], ids=["negative-order", "zero-denominator", "zero-denominator-signed",
         "sequence-zero-denominator", "sequence-zero-denominator-later",
         "sequence-top-level-array", "missing-out-dir", "solve-t-at-r-0",
@@ -305,7 +307,8 @@ def test_reproduce_offers_exactly_its_tables(capsys):
         "output-digits-exponent-key", "repeated-exponent-sign",
         "repeated-exponent-zero", "repeated-json-key",
         "sequence-repeated-exponent", "sequence-item-number",
-        "coefficient-null", "sequence-items-twice", "sequence-label-twice"])
+        "coefficient-null", "sequence-items-twice", "sequence-label-twice",
+        "json-nested-deep", "sequence-nested-deep"])
 def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     (tmp_path / "zero.json").write_text('{"items": [{"1": "1/0"}]}',
                                         encoding="utf-8")
@@ -335,6 +338,10 @@ def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
         encoding="utf-8")
     (tmp_path / "label-twice.json").write_text(
         f'{{"label": "a", "items": {two}, "label": "b"}}', encoding="utf-8")
+    # past the recursion limit: a Python that parses this deep rejects the
+    # nested list instead, so the message is left unchecked
+    (tmp_path / "deep.json").write_text(
+        '{"items": ' + "[" * 100000 + "]" * 100000 + "}", encoding="utf-8")
     result = run_cli(*(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
     assert result.returncode == 1
     assert result.stderr.startswith("error: ")
@@ -470,14 +477,18 @@ def test_json_exponents_are_bounded(tmp_path):
 
 
 def test_float_digits_are_read_only_where_floats_print():
-    golden = os.path.join(os.path.dirname(__file__), "golden",
-                          "lift_order_13.text")
-    with open(golden, encoding="utf-8") as handle:
-        expected = handle.read()
-    lift = run_cli("lift", "--order", "13",
-                   env_extra={"BRAIDINV_FLOAT_DIGITS": "abc"})
-    assert lift.returncode == 0
-    assert lift.stdout == expected
+    # every README command with no float column ignores even an invalid
+    # precision, from the flag or from the environment
+    for command in ("lift --order 13", "zmap --braid pair:2 --order 4",
+                    "qexpand --order 11", "qexpand --order 5 --power 2",
+                    "beta --s 7", "basis --r 2 --entry 1,3",
+                    "trace --sequence tauhat --window 8", "reproduce"):
+        expected = read_golden(f"{command} --format text").decode("utf-8")
+        for argv, env in ((["--digits", "4"], None),
+                          ([], {"BRAIDINV_FLOAT_DIGITS": "abc"})):
+            result = run_cli(*command.split(), *argv, env_extra=env)
+            assert result.returncode == 0, (command, argv, env)
+            assert result.stdout == expected, (command, argv, env)
 
 
 def test_basis_solve_t_inverts_once(monkeypatch, capsys):
@@ -498,6 +509,26 @@ def test_basis_solve_t_inverts_once(monkeypatch, capsys):
     assert calls == []
     assert capsys.readouterr().err == \
         "error: --solve-t applies to the balanced basis\n"
+
+
+def test_zmap_prints_each_coefficient_once(monkeypatch, capsys):
+    # both tables show a prefix of the same printed rows: seven coefficients
+    # through degree 6, and one call for each of the two terms of tau in
+    # the title
+    calls = []
+    fraction_str = Fraction.__str__
+
+    def counting_str(x):
+        calls.append(x)
+        return fraction_str(x)
+
+    monkeypatch.setattr(Fraction, "__str__", counting_str)
+    assert cli.main(["zmap", "--order", "6", "--jmax", "6",
+                     "--format", "json"]) == 0
+    assert len(calls) <= 7 + 2
+    series, graded = json.loads(capsys.readouterr().out)["tables"]
+    assert series["rows"] == graded["rows"]
+    assert len(series["rows"]) == 7
 
 
 def test_zmap_integrates_once(monkeypatch, capsys):

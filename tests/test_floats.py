@@ -16,7 +16,6 @@ from hypothesis import example, given, strategies as st
 
 from braidinv import cli, floats
 from braidinv.commands import asymptotics, beta
-from braidinv.render import fmt_float
 
 import oracles
 
@@ -52,7 +51,7 @@ def asymptotic_cells(j, coefficients, digits):
 # mpf(n) / den rounds twice: one rounding of n/den would print ...732e+19
 @example(Fraction(291828021975424642546, 3), 10)
 def test_fraction_cell_matches_mpmath(x, digits):
-    assert fmt_float(x, digits) == oracles.mpmath_fraction_cell(x, digits)
+    assert floats.cell(x, digits) == oracles.mpmath_fraction_cell(x, digits)
 
 
 @given(rationals, digit_counts)
@@ -84,7 +83,7 @@ def test_binary_ties_round_to_even(digits):
         for scale in (Fraction(1, 2 ** 900), half, Fraction(2 ** 900)):
             for x in (low + 1, -low - 1, low + 1 + half, Fraction(low + 1, 3)):
                 x *= scale
-                assert fmt_float(x, digits) == \
+                assert floats.cell(x, digits) == \
                     oracles.mpmath_fraction_cell(x, digits)
 
 
@@ -99,7 +98,7 @@ def test_layout_and_carries_across_the_notation_switch(digits):
         for shift in shifts:
             for x in (shift * Fraction(10) ** exponent,
                       -shift * Fraction(10) ** exponent):
-                assert fmt_float(x, digits) == \
+                assert floats.cell(x, digits) == \
                     oracles.mpmath_fraction_cell(x, digits)
 
 
@@ -120,7 +119,7 @@ def test_edge_of_the_printable_range():
 def test_cells_longer_than_the_int_to_str_guard():
     # the guard refuses str() of an int past 4300 digits by default
     x = Fraction(1, 3)
-    assert fmt_float(x, 6000) == oracles.mpmath_fraction_cell(x, 6000)
+    assert floats.cell(x, 6000) == oracles.mpmath_fraction_cell(x, 6000)
 
 
 def test_a_cell_near_2_to_the_4000_exits_1(monkeypatch, capsys):

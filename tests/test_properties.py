@@ -187,8 +187,8 @@ def test_invert_reports_any_corrupted_entry(monkeypatch):
               build_balanced(2, with_factorials=True)):
         for k in range(M.dim):
             for i in range(M.dim):
-                def corrupted(nodes, scale, ks, k=k, i=i):
-                    rows = lagrange_rows(nodes, scale, ks)
+                def corrupted(nodes, w, scale, ks, k=k, i=i):
+                    rows = lagrange_rows(nodes, w, scale, ks)
                     rows[k][i] += Fraction(1, 10 ** 9)
                     return rows
                 monkeypatch.setattr(basis_solver, "_lagrange_rows", corrupted)
@@ -198,17 +198,17 @@ def test_invert_reports_any_corrupted_entry(monkeypatch):
 
     # adding x(x-1)(x-2) = 2x - 3x^2 + x^3 keeps row 0 right at the nodes
     # 0, 1 and 2, so only the check at -1 and -2 can see it
-    def mirrored(nodes, scale, ks):
-        rows = lagrange_rows(nodes, scale, ks)
+    def mirrored(nodes, w, scale, ks):
+        rows = lagrange_rows(nodes, w, scale, ks)
         for i, c in enumerate((0, 2, -3, 1)):
             rows[0][i] += Fraction(c, 10 ** 9)
         return rows
 
     # a multiple of a Lagrange row times (x - n_k) is still a multiple of w,
     # so only the row's value at its own node can show it
-    def scaled(nodes, scale, ks):
+    def scaled(nodes, w, scale, ks):
         return [[x * Fraction(10 ** 9 + 1, 10 ** 9) for x in row]
-                for row in lagrange_rows(nodes, scale, ks)]
+                for row in lagrange_rows(nodes, w, scale, ks)]
     for fault in (mirrored, scaled):
         monkeypatch.setattr(basis_solver, "_lagrange_rows", fault)
         for compute in (lambda: invert(build_balanced(2)),
