@@ -8,7 +8,11 @@ reference value.
 
 Each request compiles only the code it runs: with no bytecode cache
 (PYTHONDONTWRITEBYTECODE) Python compiles every module it imports, every
-time.  This module imports no library module at the top and reads argv
+time, about a sixth of a short request; starting the interpreter and site
+takes most of the rest.  The process entry, braidinv.__main__.main,
+freezes the start-up heap before it imports this module, so the
+collections at exit skip it; main never freezes, as it also runs
+in-process.  This module imports no library module at the top and reads argv
 with its own table (COMMANDS), so argparse, gettext and locale never load;
 after parsing, main imports braidinv.commands.<name>, which imports what
 it uses, and calls its run(args).  run returns (exit code, tables), each

@@ -3,6 +3,20 @@
 from ..regularization import leibniz_partial, theta_value
 
 
+def decimal_digits(n: int) -> int:
+    """len(str(n)) for n >= 1, without printing n (quadratic in CPython).
+
+    k starts at most at the digit count of 2^(b-1) <= n, since log10(2) is
+    taken to 15 digits rounded down, and rises until n < 10^k.
+    """
+    k = (n.bit_length() - 1) * 301029995663981 // 10 ** 15 + 1
+    power = 10 ** k
+    while n >= power:
+        k += 1
+        power *= 10
+    return k
+
+
 def run(args):
     s = args.s
     if s == 1:
@@ -13,7 +27,8 @@ def run(args):
         rows = []
         for r in (1, 10, 100, 1000, 10000):
             exact = 4 * leibniz_partial(r)
-            size = f"{len(str(exact.numerator))}/{len(str(exact.denominator))}"
+            size = (f"{decimal_digits(exact.numerator)}/"
+                    f"{decimal_digits(exact.denominator)}")
             estimate = floats.rounded(floats.convert(exact, p) / pi, p)
             rows.append([str(r), size, floats.nstr(estimate, d),
                          floats.nstr(abs(floats.rounded(estimate - 1, p)), d)])

@@ -1,0 +1,90 @@
+"""The process entry: `python -m braidinv` and the `braidinv` console script.
+
+Both run braidinv.__main__.main, which freezes the start-up heap with
+gc.freeze() before it imports the CLI, so that no collection, the ones at
+interpreter exit included, walks objects that live for the whole run.
+cli.main never freezes: it also runs in-process, as in these tests.  A
+child process runs the entry with an atexit probe that reports the freeze
+count on the last line of stderr, after the run's own output.
+"""
+
+import gc
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+from braidinv import __main__ as entry, cli
+from test_golden import DIGESTS, ROOT, read_golden
+
+PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
+"""
+# the -m path: braidinv/__main__.py run as the __main__ module
+AS_MODULE = PROBE + """
+import runpy
+runpy.run_module("braidinv", run_name="__main__", alter_sys=True)
+"""
+# what the generated console script does with its target
+AS_SCRIPT = PROBE + """
+from importlib import import_module
+module, _, name = sys.argv.pop(1).partition(":")
+sys.exit(getattr(import_module(module), name)())
+"""
+
+
+def spawn(script, argv):
+    """Exit code, stdout and the freeze count at exit of one fresh run."""
+    env = dict(os.environ)
+    env.pop("BRAIDINV_FLOAT_DIGITS", None)
+    result = subprocess.run([sys.executable, "-c", script, *argv],
+                            capture_output=True, env=env)
+    return (result.returncode, result.stdout,
+            int(result.stderr.decode().splitlines()[-1]))
+
+
+@pytest.mark.parametrize("key", sorted(k for k in DIGESTS
+                                       if k.endswith(" --format text")))
+def test_readme_command_through_the_module_entry(key):
+    code, out, frozen = spawn(AS_MODULE, key.split())
+    assert (code, out) == (0, read_golden(key))
+    assert frozen > 0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["lift", "--order", "x"], 1),
+    (["basis", "--r", "3", "--entry", "8,1"], 1),
+])
+def test_module_entry_keeps_exit_codes(argv, code):
+    assert spawn(AS_MODULE, argv)[0] == code
+
+
+def test_in_process_main_never_freezes(capsys):
+    before = gc.get_freeze_count()
+    assert cli.main(["lift", "--order", "7"]) == 0
+    assert cli.main(["lift", "--order", "x"]) == 1
+    assert gc.get_freeze_count() == before
+    capsys.readouterr()
+
+
+def test_importing_the_entry_runs_nothing():
+    # imported above, as the console script imports it; it must not have
+    # exited, frozen or parsed the test runner's argv
+    assert callable(entry.main)
+    assert gc.get_freeze_count() == 0
+
+
+def test_console_script_names_the_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["braidinv"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is entry.main
+    key = "lift --order 13 --format text"
+    code, out, frozen = spawn(AS_SCRIPT, [target, *key.split()])
+    assert (code, out) == (0, read_golden(key))
+    assert frozen > 0

@@ -9,10 +9,12 @@ one against Lagrange inversion and composition of the seed's integral and
 against stepwise strengthening.  The braid ring laws and the filtration
 order are checked against the ring axioms and the synthetic-division
 oracle, and the Lagrange-row moment-matrix inverse against Gauss-Jordan
-elimination.
+elimination.  beta's digit count from the bit length is checked against
+the printed integer, up to the 100,000-digit limit.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from braidinv.basis_solver import (MomentMatrix, build_balanced,
                                    build_unbalanced, entry_sequence, invert)
 from braidinv.braid_ring import (BraidSum, combine, filtration_order,
                                  multiply, sigma_power, tau)
+from braidinv.commands.beta import decimal_digits
 from braidinv.inverse_engine import (_lift_series, apply, closed_form_lift,
                                      strengthen_to)
 from braidinv.kontsevich import Z
@@ -278,3 +281,37 @@ def test_entry_sequence_reports_any_corrupted_row(monkeypatch):
             with pytest.raises(ArithmeticError,
                                match="inverse failed its own verification"):
                 entry_sequence(1, col, [2])
+
+
+def printed_digits(n):
+    """len(str(n)), past Python's int-to-str guard where it has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return len(str(n))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_digits_at_powers_of_ten():
+    # a 5-digit log10(2) is one off at 10^4004; 10^100000 is the CLI's limit
+    for k in [*range(700), 3010, 4004, 9999, 30103, 99999, 100000]:
+        for n in (10 ** k - 1, 10 ** k, 10 ** k + 1):
+            if n:
+                assert decimal_digits(n) == printed_digits(n), (k, n)
+
+
+def test_decimal_digits_at_powers_of_two():
+    for b in [*range(1, 2400), 13302, 33220, 332192, 332193]:
+        for n in (2 ** (b - 1), 2 ** b - 1):
+            assert decimal_digits(n) == printed_digits(n), b
+
+
+# random bit lengths up to 100,000 digits (332,193 bits)
+@settings(max_examples=25)
+@given(st.integers(1, 332193), st.randoms(use_true_random=False))
+def test_decimal_digits_at_random_sizes(b, rng):
+    n = rng.getrandbits(b) | 1 << (b - 1)
+    assert decimal_digits(n) == printed_digits(n)

@@ -1,20 +1,23 @@
 """Every function and method in src/braidinv, the command modules included,
 runs in some CLI invocation.
 
-The invocations below go through cli.main in-process while sys.setprofile
-records each code object that starts running.  A function that none of them
-reaches is test-only or dead code and belongs in tests/ or nowhere; the one
-exception is __repr__, which serves debugging and test failure messages.
+The invocations below go through cli.main in-process, and --help once
+through the process entry __main__.main with gc.freeze made a no-op, while
+sys.setprofile records each code object that starts running.  A function
+that none of them reaches is test-only or dead code and belongs in tests/
+or nowhere; the one exception is __repr__, which serves debugging and test
+failure messages.
 """
 
 import contextlib
+import gc
 import inspect
 import io
 import json
 import os
 import sys
 
-from braidinv import cli
+from braidinv import __main__ as entry, cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "braidinv")
@@ -77,6 +80,12 @@ def test_every_function_runs_in_some_command(tmp_path, monkeypatch):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 cli.main(argv)
+        # a real freeze would leave every reference cycle made so far in
+        # the test process uncollectable
+        monkeypatch.setattr(gc, "freeze", lambda: None)
+        monkeypatch.setattr(sys, "argv", ["braidinv", "--help"])
+        with contextlib.redirect_stdout(io.StringIO()):
+            entry.main()
     finally:
         sys.setprofile(None)
     reached = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name)
