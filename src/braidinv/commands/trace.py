@@ -1,7 +1,6 @@
 """braidinv trace: finite-window convergence diagnostics of a sequence."""
 
 from ..braid_ring import coefficient
-from ..cli import load_sequence
 from ..convergence import (CAVEAT, STOCK_SEQUENCES, biconvergence_report,
                            verdict)
 
@@ -17,6 +16,8 @@ def run(args):
         label, build = STOCK_SEQUENCES[args.sequence]
         items = build(window)
     else:
+        # only a sequence file compiles the input parser
+        from ..inputs import load_sequence
         label, items = load_sequence(args.sequence)
     items = items[:window]
     n_classes, z_classes, violations = biconvergence_report(items, args.jmax)

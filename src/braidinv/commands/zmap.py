@@ -1,7 +1,7 @@
 """braidinv zmap: the integral of a braid sum and its graded values."""
 
 from ..braid_ring import render
-from ..cli import parse_braid
+from ..inputs import parse_braid
 from ..kontsevich import Z, focus_order
 
 

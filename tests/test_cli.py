@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidinv import basis_solver, cli, convergence
+from braidinv import basis_solver, cli, convergence, inputs
 from braidinv.braid_ring import BraidSum, pair
 from braidinv.commands import beta, qexpand, reproduce, zmap
 from test_golden import read_golden
@@ -100,7 +100,17 @@ def test_zmap_named_and_json_braids():
 def test_named_braids_are_braid_powers():
     for name, terms in (("e", {0: 1}), ("identity", {0: 1}), ("sigma", {1: 1}),
                         ("sigmabar", {-1: 1}), ("tau", {1: 1, -1: -1})):
-        assert cli.parse_braid(name) == BraidSum(terms)
+        assert inputs.parse_braid(name) == BraidSum(terms)
+
+
+def test_braid_spec_integers_are_ascii_decimals():
+    # the check of the JSON exponent keys; int() alone reads the first three
+    assert inputs.parse_braid("sigma^-3") == BraidSum({-3: 1})
+    assert inputs.parse_braid("sigma^+3") == BraidSum({3: 1})
+    assert inputs.parse_braid("pair:03") == pair(3)
+    for spec in ("sigma^5\n", "sigma^\uff15", "sigma^", "pair:+3", "pair:"):
+        with pytest.raises(ValueError, match="is not a decimal integer"):
+            inputs.parse_braid(spec)
 
 
 def test_qexpand_rows():
@@ -292,6 +302,9 @@ def test_reproduce_offers_exactly_its_tables(capsys):
     ["trace", "--sequence", "{tmp}/label-twice.json"],
     ["zmap", "--braid", '{"1": ' + "[" * 5000 + "]" * 5000 + "}"],
     ["trace", "--sequence", "{tmp}/deep.json"],
+    ["zmap", "--braid", "sigma^1_0"],
+    ["zmap", "--braid", "sigma^ 5"],
+    ["zmap", "--braid", "pair:\u0663"],
 ], ids=["negative-order", "zero-denominator", "zero-denominator-signed",
         "sequence-zero-denominator", "sequence-zero-denominator-later",
         "sequence-top-level-array", "missing-out-dir", "solve-t-at-r-0",
@@ -308,7 +321,8 @@ def test_reproduce_offers_exactly_its_tables(capsys):
         "repeated-exponent-zero", "repeated-json-key",
         "sequence-repeated-exponent", "sequence-item-number",
         "coefficient-null", "sequence-items-twice", "sequence-label-twice",
-        "json-nested-deep", "sequence-nested-deep"])
+        "json-nested-deep", "sequence-nested-deep", "power-underscore",
+        "power-padded", "pair-arabic-indic-digit"])
 def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     (tmp_path / "zero.json").write_text('{"items": [{"1": "1/0"}]}',
                                         encoding="utf-8")
@@ -472,8 +486,8 @@ def test_json_exponents_are_bounded(tmp_path):
     assert json.loads(tiny.stdout)["tables"][0]["rows"] == \
         [["0", f"1/{10 ** 400}"]]
     # the bound itself is read, with or without leading zeros
-    assert cli._exact_decimal("1e100000") == 10 ** 100000
-    assert cli._exact_decimal("1E-0000100000") == Fraction(1, 10 ** 100000)
+    assert inputs._exact_decimal("1e100000") == 10 ** 100000
+    assert inputs._exact_decimal("1E-0000100000") == Fraction(1, 10 ** 100000)
 
 
 def test_float_digits_are_read_only_where_floats_print():

@@ -10,9 +10,14 @@ against stepwise strengthening.  The braid ring laws and the filtration
 order are checked against the ring axioms and the synthetic-division
 oracle, and the Lagrange-row moment-matrix inverse against Gauss-Jordan
 elimination.  beta's digit count from the bit length is checked against
-the printed integer, up to the 100,000-digit limit.
+the printed integer, up to the 100,000-digit limit.  The JSON and CSV
+renderers are checked against json.dumps and csv.writer on tables of
+arbitrary text.
 """
 
+import csv
+import io
+import json
 import math
 import sys
 from fractions import Fraction
@@ -30,6 +35,7 @@ from braidinv.inverse_engine import (_lift_series, apply, closed_form_lift,
                                      strengthen_to)
 from braidinv.kontsevich import Z
 from braidinv.power_series import t_series
+from braidinv.render import render_csv, render_json
 
 import oracles
 
@@ -315,3 +321,36 @@ def test_decimal_digits_at_powers_of_two():
 def test_decimal_digits_at_random_sizes(b, rng):
     n = rng.getrandbits(b) | 1 << (b - 1)
     assert decimal_digits(n) == printed_digits(n)
+
+
+# text the renderers must escape or quote, among arbitrary code points
+cells = st.text(st.one_of(st.characters(), st.sampled_from(
+    ['"', "\\", ",", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\u2028",
+     "\U0001f600"])), max_size=6)
+tables = st.lists(st.tuples(
+    cells, st.lists(cells, max_size=3),
+    st.lists(st.one_of(st.lists(cells, max_size=3), st.just([""])),
+             max_size=4),
+    st.lists(cells, max_size=2)), max_size=3)
+
+
+@given(tables)
+def test_render_json_writes_json_dumps(document):
+    payload = {"tables": [{"title": title, "columns": columns, "rows": rows,
+                           "notes": notes}
+                          for title, columns, rows, notes in document]}
+    assert render_json(document) == json.dumps(payload, indent=2) + "\n"
+
+
+@given(tables)
+def test_render_csv_writes_csv_writer(document):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for index, (title, columns, rows, notes) in enumerate(document):
+        if index:
+            writer.writerow([])
+        writer.writerow(["table", title])
+        writer.writerow(columns)
+        writer.writerows(rows)
+        writer.writerows(["note", note] for note in notes)
+    assert render_csv(document) == out.getvalue()

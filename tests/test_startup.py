@@ -4,9 +4,10 @@ The CLI core loads no library module; after parsing it loads the one
 command module that runs, and that module loads only the library modules
 it uses.  So --help loads the core alone, a command loads braidinv.floats
 only when it prints a float column, and each library module loads only
-for the commands that call it.  json loads only for --format json or a
-JSON input, csv only for --format csv, and dataclasses, inspect, mpmath
-and __future__ never.  The core parses argv from its own flag table, so
+for the commands that call it.  braidinv.inputs loads only for zmap and a
+trace of a sequence file, json only for a JSON input (the renderers write
+JSON and CSV themselves), and csv, dataclasses, inspect, mpmath and
+__future__ never.  The core parses argv from its own flag table, so
 argparse, and the gettext and locale it pulls in, never load.  Each
 command runs in a fresh interpreter, so nothing another test imported can
 hide an import, and its stdout must still match its golden.
@@ -42,11 +43,13 @@ INTEGRAL = {"braidinv.kontsevich", "braidinv.braid_ring",
 ENGINE = INTEGRAL | {"braidinv.inverse_engine"}
 # what a float column brings with it
 FLOATS = {"braidinv.floats"}
+# what reading a braid spec or a sequence file brings with it
+INPUTS = {"braidinv.inputs"}
 
-# README command -> what it loads beyond ALWAYS and its module in text format
+# README command -> what it loads beyond ALWAYS and its module, in every format
 EXTRA = {
     "lift --order 13": ENGINE,
-    "zmap --braid pair:2 --order 4": INTEGRAL,
+    "zmap --braid pair:2 --order 4": INTEGRAL | INPUTS,
     "qexpand --order 11": ENGINE,
     "qexpand --order 5 --power 2": ENGINE,
     "asymptotics --j 3 --orders 9,25,49": ENGINE | FLOATS,
@@ -58,8 +61,8 @@ EXTRA = {
     "reproduce": ENGINE | {"braidinv.basis_solver",
                            "braidinv.regularization"},
 }
-# output format -> what it adds
-FORMAT = {"text": set(), "json": {"json"}, "csv": {"csv"}}
+# no output format adds a module: json and csv load for none of them
+FORMATS = ("text", "json", "csv")
 
 
 def probe(argv):
@@ -83,10 +86,10 @@ def loads(command, *adds):
 
 @pytest.mark.parametrize("command", sorted(EXTRA))
 def test_command_loads_only_what_it_uses(command):
-    for fmt, adds in FORMAT.items():
+    for fmt in FORMATS:
         key = f"{command} --format {fmt}"
         assert probe(key.split()) == \
-            (0, loads(command, EXTRA[command], adds), read_golden(key)), key
+            (0, loads(command, EXTRA[command]), read_golden(key)), key
 
 
 def test_help_loads_the_core_alone():
@@ -115,7 +118,7 @@ def test_reproduce_loads_only_its_tables(tables, adds):
 def test_json_braid_loads_json():
     argv = ["zmap", "--braid", '{"2": 1, "-2": -1}', "--order", "4"]
     assert probe(argv) == \
-        (0, loads("zmap", INTEGRAL, {"json"}),
+        (0, loads("zmap", INTEGRAL, INPUTS, {"json"}),
          read_golden("zmap --braid pair:2 --order 4 --format text"))
 
 
@@ -126,5 +129,6 @@ def test_sequence_file_trace_skips_the_engine(tmp_path):
     code, loaded, out = probe(["trace", "--sequence", str(path),
                                "--window", "3", "--format", "csv"])
     assert (code, loaded) == \
-        (0, loads("trace", INTEGRAL, {"braidinv.convergence", "json", "csv"}))
+        (0, loads("trace", INTEGRAL, INPUTS,
+                  {"braidinv.convergence", "json"}))
     assert b"insufficient" in out
