@@ -137,7 +137,8 @@ def parse_args(argv):
             if hit is not None:
                 _fail(command, f"argument {name}: expected one argument")
         try:
-            value = True if kind is bool else int(value) if kind is int else value
+            value = (True if kind is bool else integer(value, name)
+                     if kind is int else value)
         except ValueError:
             _fail(command, f"argument {name}: invalid int value: {value!r}")
         if choices and value not in choices:
@@ -155,6 +156,14 @@ def parse_args(argv):
     if stray:
         _fail(command, f"unrecognized arguments: {' '.join(stray)}")
     return args
+
+
+def integer(text: str, what: str, signed: bool = True) -> int:
+    """int(text) for ASCII decimal digits, after a sign only if signed."""
+    digits = text[1:] if signed and text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdecimal()):
+        raise ValueError(f"{what} {text!r} is not a decimal integer")
+    return int(text)
 
 
 def _match(token, options, command):

@@ -1,13 +1,13 @@
 """braidinv asymptotics: pair coefficients against their 4/pi limits."""
 
-from .. import floats
+from .. import cli, floats
 from ..inverse_engine import asymptotic_check
 
 
 def run(args):
     d = floats.requested_digits(args)
     try:
-        orders = [int(x) for x in args.orders.split(",") if x]
+        orders = [cli.integer(x, "order") for x in args.orders.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad --orders list: {exc}") from exc
     j = args.j

@@ -13,8 +13,9 @@ def run(args):
         digits = floats.requested_digits(args)
     if args.entry:
         # parsed before inverting, so a typo fails at once
+        from ..cli import integer
         try:
-            row, col = map(int, args.entry.split(","))
+            row, col = [integer(x, "index") for x in args.entry.split(",")]
         except ValueError:
             raise ValueError(f"bad --entry: expected ROW,COL, "
                              f"got {args.entry!r}") from None
@@ -48,7 +49,7 @@ def run(args):
                        [f"as a braid sum: {render(b)}"]))
         lift_order = r if r % 2 == 1 else r - 1
         if lift_order >= 1:
-            lift_b = q_expand(strengthen_to(tau(), lift_order))
+            lift_b = q_expand(strengthen_to(tau(), [lift_order])[1][0])
             diff = combine(b, 1, lift_b, -1)
             cmp_rows = [[str(n)] + [str(coefficient(x, n))
                                     for x in (b, lift_b, diff)]

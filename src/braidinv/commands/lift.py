@@ -9,7 +9,7 @@ def run(args):
     if args.method == "reversion":
         P = closed_form_lift(order)
     else:
-        P = strengthen_to(tau(), order)
+        P, _ = strengthen_to(tau(), [order])
     rows = [[str(k), str(c)] for k, c in enumerate(P) if c]
     return 0, [(f"lift coefficients through degree {order}",
                 ["degree", "coefficient"], rows, [])]

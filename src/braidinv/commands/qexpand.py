@@ -9,7 +9,7 @@ def run(args):
     if power < 1:
         # checked here as well, so a bad power fails before strengthening
         raise ValueError("power must be positive")
-    b = q_expand(strengthen_to(tau(), order), power)
+    b = q_expand(strengthen_to(tau(), [order])[1][0], power)
     sign = "-" if power % 2 else "+"
     rows = [] if power % 2 else [["q^0", str(coefficient(b, 0))]]
     rows += [[f"q^{n} {sign} q^-{n}", str(coefficient(b, n))]

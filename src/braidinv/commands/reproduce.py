@@ -56,7 +56,7 @@ def _cell(where: str, printed: str | None, computed: Fraction,
 def _lift_rows():
     from ..braid_ring import tau
     from ..inverse_engine import closed_form_lift, strengthen_to
-    P = strengthen_to(tau(), 13)
+    P, _ = strengthen_to(tau(), [13])
     rows = [_cell(f"degree {k}", printed, P[k])
             for k, printed in sorted(REF_LIFT.items())]
     same = P == closed_form_lift(13)
@@ -68,11 +68,10 @@ def _lift_rows():
 def _pair_rows():
     from ..braid_ring import coefficient, tau
     from ..inverse_engine import q_expand, strengthen_to
-    P = strengthen_to(tau(), 11)
+    _, expanded = strengthen_to(tau(), [r for r, _ in REF_PAIR_ROWS])
     return [_cell(f"order {order}, pair {n}", None if ref is None else ref[n],
                   coefficient(b, n), PAIR_MISPRINTS.get((order, n)))
-            for order, ref in REF_PAIR_ROWS
-            for b in [q_expand(P[:order + 1])]
+            for (order, ref), b in zip(REF_PAIR_ROWS, map(q_expand, expanded))
             for n in sorted(b.nums) if n > 0]
 
 

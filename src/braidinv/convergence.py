@@ -91,14 +91,12 @@ def biconvergence_report(items: list, jmax: int):
 # stock sequences used by the command line and the diagnostics themselves
 
 def lift_truncation_sequence(count: int) -> list:
-    """b_i = the order (2i-1) lift applied to q - q^-1.
-
-    Differences of consecutive items are spans of high seed powers, so the
-    sequence satisfies condition (c) comfortably.
+    """b_i = the order (2i-1) truncation of the lift expanded at q - q^-1,
+    all from one strengthening.  Differences of consecutive items are spans
+    of high seed powers, so the sequence satisfies condition (c) comfortably.
     """
-    from .inverse_engine import apply, strengthen_to
-    full = strengthen_to(tau(), 2 * count - 1)
-    return [apply(full[:2 * i], tau()) for i in range(1, count + 1)]
+    from .inverse_engine import strengthen_to
+    return strengthen_to(tau(), range(1, 2 * count, 2))[1]
 
 
 def harmonic_sigma_sequence(count: int) -> list:

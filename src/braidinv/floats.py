@@ -18,7 +18,7 @@ import math
 import os
 from fractions import Fraction
 
-from .cli import DEFAULT_FLOAT_DIGITS, ENV_FLOAT_DIGITS
+from .cli import DEFAULT_FLOAT_DIGITS, ENV_FLOAT_DIGITS, integer
 
 LOG2_10 = math.log(10, 2)  # the float mpmath sizes its decimal steps with
 MAX_EXPONENT = 3500  # past 2^±3500 mpmath prints by another route
@@ -30,7 +30,7 @@ def requested_digits(args) -> int:
     if digits is None:
         raw = os.environ.get(ENV_FLOAT_DIGITS, str(DEFAULT_FLOAT_DIGITS))
         try:
-            digits = int(raw)
+            digits = integer(raw, ENV_FLOAT_DIGITS)
         except ValueError:
             raise ValueError(f"{ENV_FLOAT_DIGITS} must be an integer, "
                              f"got {raw!r}") from None

@@ -5,19 +5,10 @@ request compiles it.  JSON numbers are read as exact decimals: 0.1 is
 1/10, 1e400 is 10^400, and Fraction rejects NaN and Infinity with a
 ValueError.  A JSON object is read as a tuple of its (key, value) pairs, so
 that a key given twice is seen rather than silently dropped.  Every integer
-in a spec or a key is plain ASCII decimal, as _integer checks: int() alone
-also reads padding, underscores and non-ASCII digits.
+in a spec or a key is plain ASCII decimal, as cli.integer checks.
 """
 
-from .cli import INT_STR_DIGITS
-
-
-def _integer(text: str, what: str, signed: bool = True) -> int:
-    """int(text) for ASCII decimal digits, after a sign only if signed."""
-    digits = text[1:] if signed and text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdecimal()):
-        raise ValueError(f"{what} {text!r} is not a decimal integer")
-    return int(text)
+from .cli import INT_STR_DIGITS, integer
 
 
 def _exact_decimal(text: str) -> "Fraction":
@@ -50,12 +41,12 @@ def parse_braid(text: str) -> "BraidSum":
         return sigma_power(powers[text])
     if text.startswith("pair:"):
         try:
-            return pair(_integer(text[5:], "index", signed=False))
+            return pair(integer(text[5:], "index", signed=False))
         except ValueError as exc:
             raise ValueError(f"bad pair spec {text!r}: {exc}") from exc
     if text.startswith("sigma^"):
         try:
-            return sigma_power(_integer(text[6:], "power"))
+            return sigma_power(integer(text[6:], "power"))
         except ValueError as exc:
             raise ValueError(f"bad power spec {text!r}: {exc}") from exc
     if text.lstrip().startswith("{"):
@@ -77,7 +68,7 @@ def _exponent_map(raw) -> "BraidSum":
         if not isinstance(raw, tuple):
             raise ValueError("expected a JSON object")
         for k, v in raw:
-            n = _integer(k, "exponent")
+            n = integer(k, "exponent")
             if isinstance(v, bool) or not isinstance(v, (int, str, Fraction)):
                 raise ValueError(f"the coefficient of exponent {k} must be a "
                                  f"number or a string")

@@ -7,10 +7,10 @@ expansion at the seed has integral t through a target order.  The integral
 is a ring homomorphism with Z(q^n) = exp(n t/2), so for seed = sum_n c_n q^n
 P is the series with sum_n c_n exp(n P/2) = t.  One solve finds it degree
 by degree on integers, without forming Z(seed); the result is checked once
-at the braid level by expanding P at the seed and integrating.  For the
-seed q - q^-1 this is the reversion of 2 sinh(t/2), whose classical
-closed-form arcsinh coefficients are an independent route to the same
-numbers (`lift --method reversion`).
+at the braid level on its expansion at the seed, made in the one pass that
+expands each truncation the caller asks for.  For the seed q - q^-1 this is
+the reversion of 2 sinh(t/2), whose closed-form arcsinh coefficients are an
+independent route to the same numbers (`lift --method reversion`).
 
 An expanded lift is antisymmetric under q -> q^-1, so its coefficients at
 positive exponents are its coefficients over the pairs q^n - q^-n; they
@@ -28,20 +28,25 @@ from .kontsevich import Z
 from .power_series import common_denominator, t_series
 
 
-def apply(coeffs, seed: BraidSum) -> BraidSum:
-    """Expand the lift sum_k coeffs[k] seed^k into a braid sum.
+def expand(coeffs, seed: BraidSum, orders) -> list:
+    """sum_(k<=r) coeffs[k] seed^k for each order r in orders, in one pass.
 
-    With seed = S / q and coeffs[k] = w_k / den over integers, Horner's rule
-    acc <- acc S + w_k q^(top-k), from top = len(coeffs) - 1 down, builds
-    the numerator over den q^top on the ring's one convolution.
+    With seed = S / C and coeffs[k] = w_k / den over integers, ascending k
+    adds w_k C^(top-k) S^k over den C^top, S^k by the ring's one convolution
+    and zero weights skipped; truncation r < len(coeffs) is the sum at k = r.
     """
     weights, den = common_denominator(coeffs)
-    acc, scale = {}, 1
-    for w in reversed(weights):
-        acc = _convolve(acc, seed.nums)
-        acc[0] = acc.get(0, 0) + w * scale
-        scale *= seed.den
-    return BraidSum.over(acc, den * seed.den ** max(len(weights) - 1, 0))
+    top = max(orders)
+    acc, power, out = {}, {0: 1}, {}
+    for k, w in enumerate(weights[:top + 1]):
+        power = _convolve(power, seed.nums) if k else power
+        if w:
+            w *= seed.den ** (top - k)
+            for n, c in power.items():
+                acc[n] = acc.get(n, 0) + w * c
+        if k in orders:
+            out[k] = BraidSum.over(acc, den * seed.den ** top)
+    return [out[r] for r in orders]
 
 
 def _lift_series(seed: BraidSum, order: int) -> tuple:
@@ -78,21 +83,26 @@ def _lift_series(seed: BraidSum, order: int) -> tuple:
     return tuple(coeffs)
 
 
-def strengthen_to(seed: BraidSum, order: int) -> tuple:
-    """The lift of t through the target order (odd, >= 1) for an order-one seed.
-
-    Solved on the series side as sum_n c_n exp(n P/2) = t, then checked
-    once at the braid level: the integral of the lift expanded at the seed
+def strengthen_to(seed: BraidSum, orders) -> tuple:
+    """(P, expansions) for an order-one seed: the lift of t through the top
+    of the orders, each odd, positive and given once, and its truncations at
+    the orders expanded at the seed.  Solved as sum_n c_n exp(n P/2) = t,
+    then checked once at the braid level: the integral of the top expansion
     must equal t.  The check shares no arithmetic with the solve.
     """
-    if order < 1 or order % 2 == 0:
-        raise ValueError("target order must be odd and positive")
+    for at, r in enumerate(orders):
+        if r < 1 or r % 2 == 0:
+            raise ValueError(f"order {r} is not odd and positive")
+        if r in orders[:at]:
+            raise ValueError(f"order {r} given twice")
     if filtration_order(seed) != 1:
         raise ValueError("seed must have filtration order 1")
-    P = _lift_series(seed, order)
-    if Z(apply(P, seed), order) != t_series(order):
-        raise ArithmeticError(f"lift is not flat through order {order}")
-    return P
+    top = max(orders)
+    P = _lift_series(seed, top)
+    expansions = expand(P, seed, orders)
+    if Z(expansions[orders.index(top)], top) != t_series(top):
+        raise ArithmeticError(f"lift is not flat through order {top}")
+    return P, expansions
 
 
 def closed_form_lift(order: int) -> tuple:
@@ -111,8 +121,8 @@ def closed_form_lift(order: int) -> tuple:
     return tuple(coeffs)
 
 
-def q_expand(P, power: int = 1) -> BraidSum:
-    """A power of the lift expanded at q - q^-1, checked for symmetry.
+def q_expand(b: BraidSum, power: int = 1) -> BraidSum:
+    """A power of a lift's expansion b at q - q^-1, checked for symmetry.
 
     An odd power of an odd polynomial in q - q^-1 is antisymmetric, so its
     positive half holds the coefficients over the pairs q^n - q^-n; an even
@@ -123,7 +133,7 @@ def q_expand(P, power: int = 1) -> BraidSum:
     """
     if power < 1:
         raise ValueError("power must be positive")
-    b = base = apply(P, tau())
+    base = b
     for _ in range(power - 1):
         b = multiply(b, base)
     # antisymmetry also forces the q^0 coefficient to vanish
@@ -146,5 +156,6 @@ def asymptotic_check(j: int, r_list) -> list:
     for r in r_list:
         if r < j:
             raise ValueError(f"order {r} is below the pair index {j}")
-    full = strengthen_to(tau(), max(r_list))
-    return [(r, coefficient(q_expand(full[:r + 1]), j)) for r in sorted(r_list)]
+    orders = sorted(r_list)
+    return [(r, coefficient(q_expand(b), j))
+            for r, b in zip(orders, strengthen_to(tau(), orders)[1])]

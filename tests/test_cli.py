@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidinv import basis_solver, cli, convergence, inputs
+from braidinv import basis_solver, cli, convergence, inputs, inverse_engine
 from braidinv.braid_ring import BraidSum, pair
 from braidinv.commands import beta, qexpand, reproduce, zmap
 from test_golden import read_golden
@@ -139,8 +139,11 @@ def test_asymptotics_digits_env(tmp_path):
 
 
 def test_float_output_needs_enough_digits():
+    # the variable is read as the flag is: ASCII decimal digits only
     for extra, env in ((["--digits", "4"], None),
-                       ([], {"BRAIDINV_FLOAT_DIGITS": "abc"})):
+                       ([], {"BRAIDINV_FLOAT_DIGITS": "abc"}),
+                       ([], {"BRAIDINV_FLOAT_DIGITS": " 20"}),
+                       ([], {"BRAIDINV_FLOAT_DIGITS": "2_0"})):
         result = run_cli("asymptotics", "--j", "1", "--orders", "7", *extra,
                          env_extra=env)
         assert result.returncode == 1
@@ -305,6 +308,13 @@ def test_reproduce_offers_exactly_its_tables(capsys):
     ["zmap", "--braid", "sigma^1_0"],
     ["zmap", "--braid", "sigma^ 5"],
     ["zmap", "--braid", "pair:\u0663"],
+    ["asymptotics", "--j", "3", "--orders", "10,49"],
+    ["asymptotics", "--j", "3", "--orders", "9,10"],
+    ["asymptotics", "--j", "3", "--orders", "9,9"],
+    ["asymptotics", "--j", "3", "--orders", "1_1"],
+    ["asymptotics", "--j", "3", "--orders", " 9"],
+    ["asymptotics", "--j", "3", "--orders", "9,,25"],
+    ["basis", "--r", "2", "--entry", "\u0663,1"],
 ], ids=["negative-order", "zero-denominator", "zero-denominator-signed",
         "sequence-zero-denominator", "sequence-zero-denominator-later",
         "sequence-top-level-array", "missing-out-dir", "solve-t-at-r-0",
@@ -322,7 +332,9 @@ def test_reproduce_offers_exactly_its_tables(capsys):
         "sequence-repeated-exponent", "sequence-item-number",
         "coefficient-null", "sequence-items-twice", "sequence-label-twice",
         "json-nested-deep", "sequence-nested-deep", "power-underscore",
-        "power-padded", "pair-arabic-indic-digit"])
+        "power-padded", "pair-arabic-indic-digit", "orders-even-first",
+        "orders-even-last", "orders-repeated", "orders-underscore",
+        "orders-padded", "orders-empty-item", "entry-arabic-indic-digit"])
 def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     (tmp_path / "zero.json").write_text('{"items": [{"1": "1/0"}]}',
                                         encoding="utf-8")
@@ -578,14 +590,37 @@ def test_qexpand_rejects_a_bad_power_before_strengthening(monkeypatch, capsys):
     calls = []
     strengthen_to = qexpand.strengthen_to
 
-    def counting_strengthen_to(seed, order):
-        calls.append(order)
-        return strengthen_to(seed, order)
+    def counting_strengthen_to(seed, orders):
+        calls.append(orders)
+        return strengthen_to(seed, orders)
 
     monkeypatch.setattr(qexpand, "strengthen_to", counting_strengthen_to)
     assert cli.main(["qexpand", "--order", "61", "--power", "0"]) == 1
     assert calls == []
     assert capsys.readouterr().err == "error: power must be positive\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["qexpand", "--order", "11", "--power", "2"],
+    ["asymptotics", "--j", "3", "--orders", "9,25,49"],
+    ["trace", "--sequence", "tauhat", "--window", "8"],
+    ["reproduce", "--table", "pairs"],
+    ["basis", "--r", "3", "--solve-t"],
+])
+def test_a_request_solves_once_and_expands_once(argv, monkeypatch, capsys):
+    # every truncation a request reads comes out of the one expansion pass
+    calls = []
+    for name in ("_lift_series", "expand"):
+        original = getattr(inverse_engine, name)
+
+        def counting(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(inverse_engine, name, counting)
+    monkeypatch.delenv("BRAIDINV_FLOAT_DIGITS", raising=False)
+    assert cli.main(argv) == 0
+    assert calls == ["_lift_series", "expand"]
 
 
 def test_trace_rejects_a_negative_jmax_before_building(monkeypatch, capsys):

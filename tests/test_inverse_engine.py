@@ -7,8 +7,8 @@ import pytest
 from braidinv import cli, inverse_engine
 from braidinv.braid_ring import (BraidSum, combine, multiply, pair,
                                  sigma_power, tau)
-from braidinv.inverse_engine import (apply, asymptotic_check,
-                                     closed_form_lift, q_expand, strengthen_to)
+from braidinv.inverse_engine import (asymptotic_check, closed_form_lift,
+                                     expand, q_expand, strengthen_to)
 from braidinv.kontsevich import Z
 
 import oracles
@@ -21,11 +21,11 @@ LIFT_13 = (0, frac(1), 0, frac(-1, 24), 0, frac(3, 640), 0, frac(-5, 7168), 0,
            frac(35, 294912), 0, frac(-63, 2883584), 0, frac(231, 54525952))
 
 
-def test_lift_truncate_and_apply():
+def test_lift_truncate_and_expand():
     P = (0, frac(1), 0, frac(-1, 24))
-    assert P[:2] == (0, frac(1))
     expected = combine(tau(), 1, BraidSum(oracles.tau_power(3)), frac(-1, 24))
-    assert apply(P, tau()) == expected
+    assert expand(P, tau(), [1, 3]) == [tau(), expected]
+    assert expand(P, tau(), [3, 0, 2]) == [expected, BraidSum(), tau()]
 
 
 def test_strengthen_single_steps():
@@ -45,26 +45,30 @@ def test_strengthen_step_rejects_misuse():
 
 
 def test_strengthen_to_golden_13():
-    assert strengthen_to(tau(), 13) == LIFT_13
+    assert strengthen_to(tau(), [13])[0] == LIFT_13
 
 
 def test_strengthen_to_rejects_bad_inputs():
+    for orders, message in (([6], "order 6 is not odd"),
+                            ([9, 10, 49], "order 10 is not odd"),
+                            ([-1], "order -1 is not odd"),
+                            ([9, 3, 9], "order 9 given twice")):
+        with pytest.raises(ValueError, match=message):
+            strengthen_to(tau(), orders)
     with pytest.raises(ValueError):
-        strengthen_to(tau(), 6)
-    with pytest.raises(ValueError):
-        strengthen_to(sigma_power(0), 3)
+        strengthen_to(sigma_power(0), [3])
 
 
 def test_strengthened_lift_is_flat():
     """The whole point: the integral of the lift is t through the order."""
-    for order in (1, 3, 7, 11):
-        z = Z(apply(strengthen_to(tau(), order), tau()), order)
-        assert list(z) == [0, 1] + [0] * (order - 1)
+    orders = (1, 3, 7, 11)
+    for order, b in zip(orders, strengthen_to(tau(), orders)[1]):
+        assert list(Z(b, order)) == [0, 1] + [0] * (order - 1)
 
 
 def test_three_routes_agree():
     for order in (1, 3, 5, 9, 13):
-        a = strengthen_to(tau(), order)
+        a, _ = strengthen_to(tau(), [order])
         b = oracles.lagrange_revert(oracles.integral(oracles.TAU, order))
         c = closed_form_lift(order)
         assert a == tuple(b) == c
@@ -73,25 +77,23 @@ def test_three_routes_agree():
 def test_strengthen_general_seed():
     """A different order-one seed gets its own corrections, every degree."""
     seed = combine(sigma_power(1), 2, sigma_power(0), -2)
-    P = strengthen_to(seed, 3)
+    P, [b] = strengthen_to(seed, [3])
     assert P[1] == 1
     assert P[2] == frac(-1, 4)
     assert P[3] == frac(1, 12)
-    z = Z(apply(P, seed), 3)
-    assert list(z) == [0, 1, 0, 0]
+    assert list(Z(b, 3)) == [0, 1, 0, 0]
     # seeds whose integral has a linear coefficient other than 1
     for seed in (seed, BraidSum({1: 2, -1: -2}),
                  BraidSum({1: frac(1, 3), -1: frac(-1, 3)})):
         for order in (1, 3, 5, 7, 9):
-            P = strengthen_to(seed, order)
-            z = Z(apply(P, seed), order)
-            assert list(z) == [0, 1] + [0] * (order - 1)
+            P, [b] = strengthen_to(seed, [order])
+            assert list(Z(b, order)) == [0, 1] + [0] * (order - 1)
             assert P == oracles.strengthen_stepwise(seed.terms, order)
 
 
 def test_strengthen_solves_once_and_checks_once(monkeypatch):
     calls = []
-    for name in ("_lift_series", "apply", "Z"):
+    for name in ("_lift_series", "expand", "Z"):
         original = getattr(inverse_engine, name)
 
         def counting(*args, name=name, original=original):
@@ -99,8 +101,8 @@ def test_strengthen_solves_once_and_checks_once(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(inverse_engine, name, counting)
-    strengthen_to(tau(), 21)
-    assert calls == ["_lift_series", "apply", "Z"]
+    strengthen_to(tau(), range(1, 22, 2))
+    assert calls == ["_lift_series", "expand", "Z"]
 
 
 def test_strengthen_reports_a_broken_invariant(monkeypatch):
@@ -108,39 +110,41 @@ def test_strengthen_reports_a_broken_invariant(monkeypatch):
     monkeypatch.setattr(inverse_engine, "_lift_series",
                         lambda seed, order: solve(seed, order)[:-1] + (1,))
     with pytest.raises(ArithmeticError, match="not flat through order 5"):
-        strengthen_to(tau(), 5)
+        strengthen_to(tau(), [5])
 
 
 def test_q_expand_golden_rows():
-    assert oracles.pair_half(q_expand((0, frac(1))).terms) == {1: frac(1)}
-    row2 = q_expand((0, frac(1), 0, frac(-1, 24)))
+    row1, row2, row7 = map(q_expand, strengthen_to(tau(), [1, 3, 7])[1])
+    assert oracles.pair_half(row1.terms) == {1: frac(1)}
     assert oracles.pair_half(row2.terms) == {1: frac(9, 8), 3: frac(-1, 24)}
-    row7 = q_expand(strengthen_to(tau(), 7))
     assert oracles.pair_half(row7.terms) == {
         1: frac(1225, 1024), 3: frac(-245, 3072), 5: frac(49, 5120),
         7: frac(-5, 7168)}
 
 
 def test_q_expand_matches_binomial_oracle():
-    P = strengthen_to(tau(), 11)
-    assert oracles.pair_half(q_expand(P).terms) == \
+    P, [b] = strengthen_to(tau(), [11])
+    assert oracles.pair_half(q_expand(b).terms) == \
         oracles.pair_expand_binomial({k: c for k, c in enumerate(P) if c})
 
 
 def test_pair_expansion_rebuild_round_trip():
-    P = strengthen_to(tau(), 9)
-    assert q_expand(P) == apply(P, tau())
+    _, [b] = strengthen_to(tau(), [9])
+    rebuilt = BraidSum()
+    for n, c in oracles.pair_half(q_expand(b).terms).items():
+        rebuilt = combine(rebuilt, 1, pair(n), c)
+    assert rebuilt == b
 
 
 def test_power_pair_expand_odd_and_even():
-    P = strengthen_to(tau(), 5)
-    cube = q_expand(P, 3)
+    P, [expanded] = strengthen_to(tau(), [5])
+    applied = BraidSum(oracles.braid_poly(dict(enumerate(P)), oracles.TAU))
+    cube = q_expand(expanded, 3)
     assert oracles.pair_half(cube.terms)
-    applied = apply(P, tau())
     cubed = multiply(multiply(applied, applied), applied)
     assert cube == cubed
 
-    square = q_expand(P, 2)
+    square = q_expand(expanded, 2)
     squared = multiply(applied, applied)
     assert square == squared
     assert all(square.terms.get(-n) == c for n, c in square.terms.items())
@@ -152,10 +156,10 @@ def test_power_pair_expand_odd_and_even():
 
 
 def test_power_pair_expand_power_one_is_q_expand():
-    P = strengthen_to(tau(), 7)
-    assert q_expand(P, 1) == q_expand(P)
+    _, [b] = strengthen_to(tau(), [7])
+    assert q_expand(b, 1) == q_expand(b) == b
     with pytest.raises(ValueError):
-        q_expand(P, 0)
+        q_expand(b, 0)
 
 
 def test_pair_limit_target_signs(capsys, monkeypatch):
@@ -189,8 +193,10 @@ def test_asymptotic_check_rejects_bad_inputs():
 def test_truncations_of_one_run_match_shorter_runs():
     # strengthening never rewrites lower coefficients, so one long run
     # carries every shorter answer inside it
-    full = strengthen_to(tau(), 13)
+    full, expansions = strengthen_to(tau(), [1, 3, 5, 7, 9, 11, 13])
     rng = random.Random(733)
     for _ in range(4):
-        order = rng.choice([1, 3, 5, 7, 9, 11])
-        assert full[:order + 1] == strengthen_to(tau(), order)
+        at = rng.randrange(6)
+        order = 2 * at + 1
+        assert (full[:order + 1], [expansions[at]]) == \
+            strengthen_to(tau(), [order])

@@ -5,6 +5,11 @@ built from cli's flag table both must agree: the same attributes when
 argparse accepts, exit 1 with a usage line and one error line on stderr
 when argparse reports a usage error, and exit 0 with help on stdout when it
 prints help.  The help text must name what the argparse parser named.
+
+One split is deliberate: an int flag takes ASCII decimal digits after an
+optional sign (cli.integer), where argparse's int() also reads padding,
+underscores and non-ASCII digits.  The drawn values hold none of those;
+test_int_flags_read_ascii_decimals_only checks the split itself.
 """
 
 import contextlib
@@ -106,6 +111,17 @@ def test_parser_agrees_with_argparse(argv):
         assert re.match(r"braidinv( [a-z]+)?: error: ", lines[-1]), argv
     else:
         assert out == err == "", argv
+
+
+def test_int_flags_read_ascii_decimals_only():
+    for value in (" 9", "9 ", "1_1", "\u0663", "\uff19"):
+        code, _, _, err = run(cli.parse_args, ["lift", "--order", value])
+        assert code == 1, value
+        assert err.endswith(f"argument --order: invalid int value: "
+                            f"{value!r}\n")
+        assert run(ORACLE.parse_args, ["lift", "--order", value])[0] is None
+    for value, n in (("+9", 9), ("-3", -3), ("007", 7)):
+        assert run(cli.parse_args, ["lift", "--order", value])[1]["order"] == n
 
 
 def words(text):

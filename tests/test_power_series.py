@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from braidinv.braid_ring import BraidSum, multiply, sigma_power, tau
-from braidinv.inverse_engine import (_lift_series, apply, closed_form_lift,
+from braidinv.inverse_engine import (_lift_series, closed_form_lift, expand,
                                      strengthen_to)
 from braidinv.kontsevich import Z
 from braidinv.power_series import t_series
@@ -59,7 +59,8 @@ def test_compose_corrects_the_fifth_degree():
     Z is a ring homomorphism with Z(tau) = 2sinh(t/2), so the integral of
     the lift expanded at tau is that composition.
     """
-    out = Z(apply((0, frac(1), 0, frac(-1, 24)), tau()), 5)
+    [lift] = expand((0, frac(1), 0, frac(-1, 24)), tau(), [3])
+    out = Z(lift, 5)
     assert out[1] == 1
     assert out[3] == 0
     assert out[5] == frac(-3, 640)
@@ -85,7 +86,7 @@ def test_revert_preconditions():
     for seed in (sigma_power(1), sigma_power(0), BraidSum({1: 1, 0: -2}),
                  BraidSum({2: 1, 0: -2, -2: 1}), BraidSum({})):
         with pytest.raises(ValueError, match="filtration order 1"):
-            strengthen_to(seed, 3)
+            strengthen_to(seed, [3])
 
 
 def test_revert_matches_lagrange_oracle_random():

@@ -1,7 +1,7 @@
 """Property tests for the integer kernels and the braid ring.
 
 Braid sums store integer numerators over one reduced denominator, and every
-kernel (combine, multiply, the lift solve, Z and apply) works on
+kernel (combine, multiply, the lift solve, Z and expand) works on
 them; each property compares them with a Fraction-only route that never
 does.  Equality compares the stored integers, so the canonical form itself
 is checked after each kernel.  The solve is checked on random seeds of filtration order
@@ -31,7 +31,7 @@ from braidinv.basis_solver import (MomentMatrix, build_balanced,
 from braidinv.braid_ring import (BraidSum, combine, filtration_order,
                                  multiply, sigma_power, tau)
 from braidinv.commands.beta import decimal_digits
-from braidinv.inverse_engine import (_lift_series, apply, closed_form_lift,
+from braidinv.inverse_engine import (_lift_series, closed_form_lift, expand,
                                      strengthen_to)
 from braidinv.kontsevich import Z
 from braidinv.power_series import t_series
@@ -72,6 +72,15 @@ def order_one_seeds(draw):
     return BraidSum(terms)
 
 
+@st.composite
+def lifts_and_orders(draw):
+    """A coefficient tuple and a nonempty set of its degrees, in any order."""
+    coeffs = draw(st.lists(rationals, min_size=1, max_size=8))
+    orders = draw(st.lists(st.integers(0, len(coeffs) - 1), min_size=1,
+                           unique=True))
+    return tuple(coeffs), orders
+
+
 @given(order_one_seeds(), st.integers(1, 15))
 def test_revert_is_the_compositional_inverse(seed, order):
     s = oracles.integral(seed.terms, order)
@@ -87,13 +96,13 @@ def test_revert_is_the_compositional_inverse(seed, order):
 @given(order_one_seeds(), st.integers(0, 7))
 def test_strengthen_matches_the_stepwise_oracle_on_general_seeds(seed, k):
     order = 2 * k + 1
-    assert strengthen_to(seed, order) == \
+    assert strengthen_to(seed, [order])[0] == \
         oracles.strengthen_stepwise(seed.terms, order)
 
 
 def test_three_routes_agree_at_order_301():
-    assert strengthen_to(tau(), 301) == oracles.arcsinh2_binomial(301) == \
-        closed_form_lift(301)
+    assert strengthen_to(tau(), [301])[0] == oracles.arcsinh2_binomial(301) \
+        == closed_form_lift(301)
 
 
 @given(braid_sums, braid_sums, st.integers(0, 8))
@@ -104,21 +113,25 @@ def test_z_is_a_ring_homomorphism(a, b, order):
     assert list(Z(a, order)) == oracles.integral(a.terms, order)
 
 
-@given(braid_sums, st.dictionaries(st.integers(0, 6), rationals, max_size=4))
-@example({1: Fraction(1, 3), -1: Fraction(-1)}, {})
-def test_apply_matches_the_multiply_loop(seed, coeffs):
-    # P[0] times the identity, and the empty lift () at a seed whose
-    # denominator is above one
+@given(braid_sums, lifts_and_orders())
+@example({1: Fraction(1, 3), -1: Fraction(-1)},
+         ((Fraction(2), Fraction(0), Fraction(1, 2)), [2, 0]))
+def test_expand_matches_the_multiply_loop_on_every_truncation(seed, lift):
+    # the example: P[0] times the identity, a zero weight, orders out of
+    # order, and a seed whose denominator is above one
     seed = BraidSum(seed)
-    P = tuple(coeffs.get(k, Fraction(0))
-              for k in range(max(coeffs, default=-1) + 1))
-    assert apply(P, seed).terms == oracles.braid_poly(coeffs, seed.terms)
-    assert_canonical(apply(P, seed))
+    P, orders = lift
+    expansions = expand(P, seed, orders)
+    assert len(expansions) == len(orders)
+    for r, b in zip(orders, expansions):
+        assert b.terms == oracles.braid_poly(dict(enumerate(P[:r + 1])),
+                                             seed.terms)
+        assert_canonical(b)
 
 
 def test_strengthen_matches_the_stepwise_oracle():
     for order in range(1, 22, 2):
-        assert strengthen_to(tau(), order) == \
+        assert strengthen_to(tau(), [order])[0] == \
             oracles.strengthen_stepwise(oracles.TAU, order)
 
 
