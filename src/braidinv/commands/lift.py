@@ -1,7 +1,6 @@
 """braidinv lift: the lift coefficients through an odd degree."""
 
-from ..braid_ring import tau
-from ..inverse_engine import closed_form_lift, strengthen_to
+from ..inverse_engine import closed_form_lift, tau_lift
 
 
 def run(args):
@@ -9,7 +8,7 @@ def run(args):
     if args.method == "reversion":
         P = closed_form_lift(order)
     else:
-        P, _ = strengthen_to(tau(), [order])
+        P, _ = tau_lift([order])
     rows = [[str(k), str(c)] for k, c in enumerate(P) if c]
     return 0, [(f"lift coefficients through degree {order}",
                 ["degree", "coefficient"], rows, [])]

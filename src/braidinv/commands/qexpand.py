@@ -1,15 +1,12 @@
 """braidinv qexpand: the pair expansion of a lift or of its power."""
 
-from ..braid_ring import coefficient, tau
-from ..inverse_engine import q_expand, strengthen_to
+from ..braid_ring import coefficient
+from ..inverse_engine import tau_lift
 
 
 def run(args):
     order, power = args.order, args.power
-    if power < 1:
-        # checked here as well, so a bad power fails before strengthening
-        raise ValueError("power must be positive")
-    b = q_expand(strengthen_to(tau(), [order])[1][0], power)
+    [b] = tau_lift([order], power)[1]
     sign = "-" if power % 2 else "+"
     rows = [] if power % 2 else [["q^0", str(coefficient(b, 0))]]
     rows += [[f"q^{n} {sign} q^-{n}", str(coefficient(b, n))]

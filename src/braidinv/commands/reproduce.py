@@ -54,9 +54,8 @@ def _cell(where: str, printed: str | None, computed: Fraction,
 
 
 def _lift_rows():
-    from ..braid_ring import tau
-    from ..inverse_engine import closed_form_lift, strengthen_to
-    P, _ = strengthen_to(tau(), [13])
+    from ..inverse_engine import closed_form_lift, tau_lift
+    P, _ = tau_lift([13])
     rows = [_cell(f"degree {k}", printed, P[k])
             for k, printed in sorted(REF_LIFT.items())]
     same = P == closed_form_lift(13)
@@ -66,12 +65,12 @@ def _lift_rows():
 
 
 def _pair_rows():
-    from ..braid_ring import coefficient, tau
-    from ..inverse_engine import q_expand, strengthen_to
-    _, expanded = strengthen_to(tau(), [r for r, _ in REF_PAIR_ROWS])
+    from ..braid_ring import coefficient
+    from ..inverse_engine import tau_lift
+    _, expanded = tau_lift([r for r, _ in REF_PAIR_ROWS])
     return [_cell(f"order {order}, pair {n}", None if ref is None else ref[n],
                   coefficient(b, n), PAIR_MISPRINTS.get((order, n)))
-            for (order, ref), b in zip(REF_PAIR_ROWS, map(q_expand, expanded))
+            for (order, ref), b in zip(REF_PAIR_ROWS, expanded)
             for n in sorted(b.nums) if n > 0]
 
 
@@ -115,8 +114,12 @@ REPRODUCE_TABLES = {
 
 
 def run(args):
+    names = args.table or list(REPRODUCE_TABLES)
+    for at, name in enumerate(names):
+        if name in names[:at]:
+            raise ValueError(f"table {name} given twice")
     tables = []
-    for name in args.table or REPRODUCE_TABLES:
+    for name in names:
         title, rows, notes = REPRODUCE_TABLES[name]
         tables.append((title, ["where", "reference", "computed", "verdict"],
                        rows(), notes))

@@ -15,8 +15,7 @@ insufficient rather than guessed at.
 
 from fractions import Fraction
 
-from .braid_ring import (BraidSum, coefficient, combine, filtration_order,
-                         pair, tau)
+from .braid_ring import BraidSum, coefficient, combine, filtration_order, pair
 from .kontsevich import Z
 
 CAVEAT = ("finite-window evidence only; no verdict here asserts a limit")
@@ -92,11 +91,11 @@ def biconvergence_report(items: list, jmax: int):
 
 def lift_truncation_sequence(count: int) -> list:
     """b_i = the order (2i-1) truncation of the lift expanded at q - q^-1,
-    all from one strengthening.  Differences of consecutive items are spans
-    of high seed powers, so the sequence satisfies condition (c) comfortably.
+    all from one tau_lift, each checked once.  Differences of consecutive
+    items are spans of high seed powers, so condition (c) holds comfortably.
     """
-    from .inverse_engine import strengthen_to
-    return strengthen_to(tau(), range(1, 2 * count, 2))[1]
+    from .inverse_engine import tau_lift
+    return tau_lift(range(1, 2 * count, 2))[1]
 
 
 def harmonic_sigma_sequence(count: int) -> list:

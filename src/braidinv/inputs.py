@@ -8,13 +8,15 @@ that a key given twice is seen rather than silently dropped.  Every integer
 in a spec or a key is plain ASCII decimal, as cli.integer checks.
 """
 
+from fractions import Fraction
+
+from .braid_ring import BraidSum, pair, sigma_power, tau
 from .cli import INT_STR_DIGITS, integer
 
 
-def _exact_decimal(text: str) -> "Fraction":
+def _exact_decimal(text: str) -> Fraction:
     """Fraction(text), refused past a decimal exponent of INT_STR_DIGITS,
     which its first seven digits decide: Fraction builds 10^e in full."""
-    from fractions import Fraction
     exponent = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
     if exponent.isdecimal() and int(exponent[:7]) > INT_STR_DIGITS:
         raise ValueError(f"decimal exponent beyond {INT_STR_DIGITS} in size")
@@ -23,7 +25,6 @@ def _exact_decimal(text: str) -> "Fraction":
 
 def _json(text: str):
     import json
-    from fractions import Fraction
     try:
         return json.loads(text, parse_float=_exact_decimal,
                           parse_constant=Fraction, object_pairs_hook=tuple)
@@ -31,9 +32,8 @@ def _json(text: str):
         raise ValueError("JSON nested too deeply") from None
 
 
-def parse_braid(text: str) -> "BraidSum":
+def parse_braid(text: str) -> BraidSum:
     """Named elements, sigma^K, pair:N, or a JSON exponent map."""
-    from .braid_ring import pair, sigma_power, tau
     powers = {"sigma": 1, "sigmabar": -1, "e": 0, "identity": 0}
     if text == "tau":
         return tau()
@@ -59,10 +59,8 @@ def parse_braid(text: str) -> "BraidSum":
                      f"pair:N, sigma^K, or a JSON exponent map")
 
 
-def _exponent_map(raw) -> "BraidSum":
+def _exponent_map(raw) -> BraidSum:
     """A braid sum from a JSON object's pairs, exponents to rationals."""
-    from fractions import Fraction
-    from .braid_ring import BraidSum
     terms = {}
     try:
         if not isinstance(raw, tuple):

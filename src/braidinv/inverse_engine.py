@@ -12,14 +12,16 @@ expands each truncation the caller asks for.  For the seed q - q^-1 this is
 the reversion of 2 sinh(t/2), whose closed-form arcsinh coefficients are an
 independent route to the same numbers (`lift --method reversion`).
 
-An expanded lift is antisymmetric under q -> q^-1, so its coefficients at
-positive exponents are its coefficients over the pairs q^n - q^-n; they
-approach signed multiples of 4/pi.  Everything here is exact: the float
-columns that compare them with that limit are built in the commands.
+Every solved lift the commands read comes from tau_lift, whose expansions
+at q - q^-1 are checked once to be antisymmetric: their positive exponents
+carry the coefficients over the pairs q^n - q^-n, which approach signed
+multiples of 4/pi.  Everything here is exact; the float columns that
+compare them with that limit are built in the commands.
 """
 
 import math
 from fractions import Fraction
+from functools import reduce
 from operator import add, mul
 
 from .braid_ring import (BraidSum, _convolve, coefficient, filtration_order,
@@ -112,7 +114,7 @@ def closed_form_lift(order: int) -> tuple:
     Independent of the lift solve by construction.
     """
     if order < 1 or order % 2 == 0:
-        raise ValueError("target order must be odd and positive")
+        raise ValueError(f"order {order} is not odd and positive")
     coeffs = [Fraction(0)] * (order + 1)
     for k in range((order + 1) // 2):
         num = (-1) ** k * math.factorial(2 * k)
@@ -121,8 +123,9 @@ def closed_form_lift(order: int) -> tuple:
     return tuple(coeffs)
 
 
-def q_expand(b: BraidSum, power: int = 1) -> BraidSum:
-    """A power of a lift's expansion b at q - q^-1, checked for symmetry.
+def tau_lift(orders, power: int = 1) -> tuple:
+    """(P, expansions) of strengthen_to(tau(), orders), each expansion raised
+    to the power and checked once for its symmetry under q -> q^-1.
 
     An odd power of an odd polynomial in q - q^-1 is antisymmetric, so its
     positive half holds the coefficients over the pairs q^n - q^-n; an even
@@ -133,18 +136,18 @@ def q_expand(b: BraidSum, power: int = 1) -> BraidSum:
     """
     if power < 1:
         raise ValueError("power must be positive")
-    base = b
-    for _ in range(power - 1):
-        b = multiply(b, base)
+    P, expansions = strengthen_to(tau(), orders)
+    powers = [reduce(multiply, [b] * power) for b in expansions]
     # antisymmetry also forces the q^0 coefficient to vanish
     sign = -1 if power % 2 else 1
-    if b != BraidSum.over({-n: sign * c for n, c in b.nums.items()}, b.den):
+    if any(b != BraidSum.over({-n: sign * c for n, c in b.nums.items()}, b.den)
+           for b in powers):
         raise ArithmeticError(f"power {power} lost its symmetry under q -> q^-1")
-    return b
+    return P, powers
 
 
 def asymptotic_check(j: int, r_list) -> list:
-    """(order, pair-j coefficient) for each lift order, ascending.
+    """(order, pair-j coefficient) for each order, ascending, by tau_lift.
 
     The coefficients approach (-1)^((j-1)/2) 4/(pi j^2); that limit
     involves pi, so the comparison with it is left to the float columns.
@@ -157,5 +160,4 @@ def asymptotic_check(j: int, r_list) -> list:
         if r < j:
             raise ValueError(f"order {r} is below the pair index {j}")
     orders = sorted(r_list)
-    return [(r, coefficient(q_expand(b), j))
-            for r, b in zip(orders, strengthen_to(tau(), orders)[1])]
+    return [(r, coefficient(b, j)) for r, b in zip(orders, tau_lift(orders)[1])]

@@ -19,7 +19,7 @@ from braidinv.convergence import (biconvergence_report,
                                   harmonic_sigma_sequence,
                                   lift_truncation_sequence, verdict)
 from braidinv.inverse_engine import (_lift_series, asymptotic_check,
-                                     closed_form_lift, q_expand, strengthen_to)
+                                     closed_form_lift, strengthen_to, tau_lift)
 from braidinv.kontsevich import Z
 from braidinv.power_series import t_series
 from braidinv.regularization import leibniz_partial, theta_value
@@ -85,12 +85,12 @@ def test_criterion_04_pair_expansion_rows():
                     11: frac(-63, 2883584)}
     row5_flagged_correction = frac(-12705, 131072)
 
-    _, expansions = strengthen_to(tau(), [*printed, 11])
+    _, expansions = tau_lift([*printed, 11])
     ok = True
     for expected, expansion in zip(printed.values(), expansions):
-        if oracles.pair_half(q_expand(expansion).terms) != expected:
+        if oracles.pair_half(expansion.terms) != expected:
             ok = False
-    row5 = oracles.pair_half(q_expand(expansions[-1]).terms)
+    row5 = oracles.pair_half(expansions[-1].terms)
     for n, expected in row5_printed.items():
         if row5.get(n) != expected:
             ok = False

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from braidinv import basis_solver, cli, convergence, inputs, inverse_engine
-from braidinv.braid_ring import BraidSum, pair
-from braidinv.commands import beta, qexpand, reproduce, zmap
+from braidinv.braid_ring import BraidSum, combine, pair
+from braidinv.commands import beta, reproduce, zmap
 from test_golden import read_golden
 
 
@@ -46,9 +46,11 @@ def test_lift_methods_are_byte_identical(order, fmt):
 
 
 def test_lift_rejects_even_order():
-    result = run_cli("lift", "--order", "4")
-    assert result.returncode == 1
-    assert "odd" in result.stderr
+    # both methods apply one rule, with one message
+    for method in ("strengthen", "reversion"):
+        result = run_cli("lift", "--order", "4", "--method", method)
+        assert result.returncode == 1
+        assert result.stderr == "error: order 4 is not odd and positive\n"
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -315,6 +317,7 @@ def test_reproduce_offers_exactly_its_tables(capsys):
     ["asymptotics", "--j", "3", "--orders", " 9"],
     ["asymptotics", "--j", "3", "--orders", "9,,25"],
     ["basis", "--r", "2", "--entry", "\u0663,1"],
+    ["reproduce", "--table", "pairs", "--table", "pairs"],
 ], ids=["negative-order", "zero-denominator", "zero-denominator-signed",
         "sequence-zero-denominator", "sequence-zero-denominator-later",
         "sequence-top-level-array", "missing-out-dir", "solve-t-at-r-0",
@@ -334,7 +337,8 @@ def test_reproduce_offers_exactly_its_tables(capsys):
         "json-nested-deep", "sequence-nested-deep", "power-underscore",
         "power-padded", "pair-arabic-indic-digit", "orders-even-first",
         "orders-even-last", "orders-repeated", "orders-underscore",
-        "orders-padded", "orders-empty-item", "entry-arabic-indic-digit"])
+        "orders-padded", "orders-empty-item", "entry-arabic-indic-digit",
+        "reproduce-table-twice"])
 def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     (tmp_path / "zero.json").write_text('{"items": [{"1": "1/0"}]}',
                                         encoding="utf-8")
@@ -588,22 +592,24 @@ def test_zmap_integrates_once(monkeypatch, capsys):
 
 def test_qexpand_rejects_a_bad_power_before_strengthening(monkeypatch, capsys):
     calls = []
-    strengthen_to = qexpand.strengthen_to
+    strengthen_to = inverse_engine.strengthen_to
 
     def counting_strengthen_to(seed, orders):
         calls.append(orders)
         return strengthen_to(seed, orders)
 
-    monkeypatch.setattr(qexpand, "strengthen_to", counting_strengthen_to)
+    monkeypatch.setattr(inverse_engine, "strengthen_to", counting_strengthen_to)
     assert cli.main(["qexpand", "--order", "61", "--power", "0"]) == 1
     assert calls == []
     assert capsys.readouterr().err == "error: power must be positive\n"
 
 
 @pytest.mark.parametrize("argv", [
+    ["lift", "--order", "13"],
     ["qexpand", "--order", "11", "--power", "2"],
     ["asymptotics", "--j", "3", "--orders", "9,25,49"],
     ["trace", "--sequence", "tauhat", "--window", "8"],
+    ["reproduce", "--table", "lift"],
     ["reproduce", "--table", "pairs"],
     ["basis", "--r", "3", "--solve-t"],
 ])
@@ -621,6 +627,36 @@ def test_a_request_solves_once_and_expands_once(argv, monkeypatch, capsys):
     monkeypatch.delenv("BRAIDINV_FLOAT_DIGITS", raising=False)
     assert cli.main(argv) == 0
     assert calls == ["_lift_series", "expand"]
+
+
+def test_a_broken_lower_truncation_fails_its_symmetry_check(monkeypatch):
+    # the top expansion passes the flatness check; only the check on every
+    # expansion a request reads can see a lower one break
+    strengthen_to = inverse_engine.strengthen_to
+
+    def planted(seed, orders):
+        P, expansions = strengthen_to(seed, orders)
+        expansions[0] = combine(expansions[0], 1, BraidSum({2: 1}), 1)
+        return P, expansions
+
+    monkeypatch.setattr(inverse_engine, "strengthen_to", planted)
+    with pytest.raises(ArithmeticError, match="symmetry"):
+        convergence.lift_truncation_sequence(3)
+    with pytest.raises(ArithmeticError, match="symmetry"):
+        cli.main(["trace", "--sequence", "tauhat", "--window", "3"])
+
+
+def test_a_repeated_table_runs_no_table(monkeypatch, capsys):
+    calls = []
+    for name, (title, _, notes) in list(reproduce.REPRODUCE_TABLES.items()):
+        monkeypatch.setitem(reproduce.REPRODUCE_TABLES, name,
+                            (title, lambda n=name: calls.append(n), notes))
+    for argv in (["--table", "pairs", "--table", "pairs"],
+                 ["--table", "zeta2", "--table", "lift", "--table", "zeta2"]):
+        assert cli.main(["reproduce", *argv]) == 1
+        name = argv[1]
+        assert capsys.readouterr() == ("", f"error: table {name} given twice\n")
+    assert calls == []
 
 
 def test_trace_rejects_a_negative_jmax_before_building(monkeypatch, capsys):

@@ -8,7 +8,7 @@ from braidinv import cli, inverse_engine
 from braidinv.braid_ring import (BraidSum, combine, multiply, pair,
                                  sigma_power, tau)
 from braidinv.inverse_engine import (asymptotic_check, closed_form_lift,
-                                     expand, q_expand, strengthen_to)
+                                     expand, strengthen_to, tau_lift)
 from braidinv.kontsevich import Z
 
 import oracles
@@ -113,8 +113,8 @@ def test_strengthen_reports_a_broken_invariant(monkeypatch):
         strengthen_to(tau(), [5])
 
 
-def test_q_expand_golden_rows():
-    row1, row2, row7 = map(q_expand, strengthen_to(tau(), [1, 3, 7])[1])
+def test_tau_lift_golden_rows():
+    row1, row2, row7 = tau_lift([1, 3, 7])[1]
     assert oracles.pair_half(row1.terms) == {1: frac(1)}
     assert oracles.pair_half(row2.terms) == {1: frac(9, 8), 3: frac(-1, 24)}
     assert oracles.pair_half(row7.terms) == {
@@ -122,29 +122,28 @@ def test_q_expand_golden_rows():
         7: frac(-5, 7168)}
 
 
-def test_q_expand_matches_binomial_oracle():
-    P, [b] = strengthen_to(tau(), [11])
-    assert oracles.pair_half(q_expand(b).terms) == \
+def test_tau_lift_matches_binomial_oracle():
+    P, [b] = tau_lift([11])
+    assert oracles.pair_half(b.terms) == \
         oracles.pair_expand_binomial({k: c for k, c in enumerate(P) if c})
 
 
 def test_pair_expansion_rebuild_round_trip():
     _, [b] = strengthen_to(tau(), [9])
     rebuilt = BraidSum()
-    for n, c in oracles.pair_half(q_expand(b).terms).items():
+    for n, c in oracles.pair_half(tau_lift([9])[1][0].terms).items():
         rebuilt = combine(rebuilt, 1, pair(n), c)
     assert rebuilt == b
 
 
 def test_power_pair_expand_odd_and_even():
-    P, [expanded] = strengthen_to(tau(), [5])
+    P, [cube] = tau_lift([5], 3)
     applied = BraidSum(oracles.braid_poly(dict(enumerate(P)), oracles.TAU))
-    cube = q_expand(expanded, 3)
     assert oracles.pair_half(cube.terms)
     cubed = multiply(multiply(applied, applied), applied)
     assert cube == cubed
 
-    square = q_expand(expanded, 2)
+    [square] = tau_lift([5], 2)[1]
     squared = multiply(applied, applied)
     assert square == squared
     assert all(square.terms.get(-n) == c for n, c in square.terms.items())
@@ -155,11 +154,10 @@ def test_power_pair_expand_odd_and_even():
     assert rebuilt == squared
 
 
-def test_power_pair_expand_power_one_is_q_expand():
-    _, [b] = strengthen_to(tau(), [7])
-    assert q_expand(b, 1) == q_expand(b) == b
-    with pytest.raises(ValueError):
-        q_expand(b, 0)
+def test_tau_lift_power_one_is_the_strengthened_lift():
+    assert tau_lift([7], 1) == tau_lift([7]) == strengthen_to(tau(), [7])
+    with pytest.raises(ValueError, match="power must be positive"):
+        tau_lift([7], 0)
 
 
 def test_pair_limit_target_signs(capsys, monkeypatch):
