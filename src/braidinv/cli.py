@@ -20,15 +20,15 @@ table a plain (title, columns, rows, notes) tuple; main alone renders the
 tables in the chosen format and writes them to --out or stdout.  So --help
 and usage errors load this module alone; beta, basis without --solve-t
 and reproduce without its lift and pairs tables skip inverse_engine,
-kontsevich, braid_ring and power_series; a trace of a sequence file skips
-inverse_engine.  floats, which alone reads the precision, tags the float
-columns and prints their cells from integer arithmetic, loads only for
-float columns (asymptotics, beta --s 1, basis --solve-t).  Braid specs and
-sequence files are read by braidinv.inputs, which loads only for zmap and
-a trace of a sequence file.  json loads only for a JSON braid, a sequence
-file or a cell that needs escaping in --format json, csv never loads, and
-no request imports mpmath.  The only record types, BraidSum and
-MomentMatrix, are plain classes, so no class generator loads at all.
+braid_ring and power_series, and only zmap and trace load kontsevich; a trace
+of a sequence file skips inverse_engine.  floats, which alone reads the
+precision, tags the float columns and prints their cells from integer
+arithmetic, loads only for float columns (asymptotics, beta --s 1, basis
+--solve-t).  Braid specs and sequence files are read by braidinv.inputs,
+which loads only for zmap and a trace of a sequence file.  json loads only
+for a JSON braid, a sequence file or a cell that needs escaping in --format
+json, csv never loads, and no request imports mpmath.  The only record types,
+BraidSum and MomentMatrix, are plain classes, so no class generator loads.
 
 The library raises ValueError for bad input and ArithmeticError for a
 broken internal invariant.  main() alone turns exceptions into exit codes:

@@ -2,10 +2,10 @@
 
 from fractions import Fraction
 
+from .. import basis_solver, cli
+
 
 def run(args):
-    from ..basis_solver import (balanced_nodes, build_balanced, build_unbalanced,
-                                invert, solve_t_target)
     if args.solve_t:
         if args.unbalanced:
             raise ValueError("--solve-t applies to the balanced basis")
@@ -13,20 +13,20 @@ def run(args):
         digits = floats.requested_digits(args)
     if args.entry:
         # parsed before inverting, so a typo fails at once
-        from ..cli import integer
         try:
-            row, col = [integer(x, "index") for x in args.entry.split(",")]
+            row, col = [cli.integer(x, "index") for x in args.entry.split(",")]
         except ValueError:
             raise ValueError(f"bad --entry: expected ROW,COL, "
                              f"got {args.entry!r}") from None
     r = args.r
-    build = build_unbalanced if args.unbalanced else build_balanced
+    build = (basis_solver.build_unbalanced if args.unbalanced
+             else basis_solver.build_balanced)
     kind = "unbalanced" if args.unbalanced else "balanced"
     M = build(r, args.with_factorials)
     if args.entry and not (1 <= row <= M.dim and 1 <= col <= M.dim):
         raise ValueError(f"bad --entry: entry ({row},{col}) outside a "
                          f"{M.dim}x{M.dim} matrix")
-    N = invert(M)
+    N = basis_solver.invert(M)
     columns = [f"c{j}" for j in range(M.dim)]
     tables = [
         (f"{kind} moment matrix, r = {r}", columns,
@@ -41,9 +41,9 @@ def run(args):
     if args.solve_t:
         from ..braid_ring import coefficient, combine, render
         from ..inverse_engine import tau_lift
-        solution, b = solve_t_target(N)
-        sol_rows = [[str(node), str(c)]
-                    for node, c in zip(balanced_nodes(r), solution)]
+        solution, b = basis_solver.solve_t_target(N)
+        sol_rows = [[str(node), str(c)] for node, c in
+                    zip(basis_solver.balanced_nodes(r), solution)]
         tables.append(("solution of the degree-1 target system",
                        ["braid power", "coefficient"], sol_rows,
                        [f"as a braid sum: {render(b)}"]))

@@ -6,11 +6,11 @@ braid sum of filtration order one.  Strengthening finds the P whose
 expansion at the seed has integral t through a target order.  The integral
 is a ring homomorphism with Z(q^n) = exp(n t/2), so for seed = sum_n c_n q^n
 P is the series with sum_n c_n exp(n P/2) = t.  One solve finds it degree
-by degree on integers, without forming Z(seed); the result is checked once
-at the braid level on its expansion at the seed, made in the one pass that
-expands each truncation the caller asks for.  For the seed q - q^-1 this is
-the reversion of 2 sinh(t/2), whose closed-form arcsinh coefficients are an
-independent route to the same numbers (`lift --method reversion`).
+by degree on integers, without forming Z(seed); braid_ring.expand expands
+each truncation the caller asks for at the seed in one pass, and the top
+one is checked once at the braid level on its integer moments.  For the
+seed q - q^-1 this is the reversion of 2 sinh(t/2), whose closed-form
+arcsinh coefficients are an independent route to the same numbers.
 
 Every solved lift the commands read comes from tau_lift, whose expansions
 at q - q^-1 are checked once to be antisymmetric: their positive exponents
@@ -22,33 +22,10 @@ compare them with that limit are built in the commands.
 import math
 from fractions import Fraction
 from functools import reduce
-from operator import add, mul
+from operator import add, mul, ne
 
-from .braid_ring import (BraidSum, _convolve, coefficient, filtration_order,
-                         multiply, tau)
-from .kontsevich import Z
-from .power_series import common_denominator, t_series
-
-
-def expand(coeffs, seed: BraidSum, orders) -> list:
-    """sum_(k<=r) coeffs[k] seed^k for each order r in orders, in one pass.
-
-    With seed = S / C and coeffs[k] = w_k / den over integers, ascending k
-    adds w_k C^(top-k) S^k over den C^top, S^k by the ring's one convolution
-    and zero weights skipped; truncation r < len(coeffs) is the sum at k = r.
-    """
-    weights, den = common_denominator(coeffs)
-    top = max(orders)
-    acc, power, out = {}, {0: 1}, {}
-    for k, w in enumerate(weights[:top + 1]):
-        power = _convolve(power, seed.nums) if k else power
-        if w:
-            w *= seed.den ** (top - k)
-            for n, c in power.items():
-                acc[n] = acc.get(n, 0) + w * c
-        if k in orders:
-            out[k] = BraidSum.over(acc, den * seed.den ** top)
-    return [out[r] for r in orders]
+from .braid_ring import (BraidSum, coefficient, expand, filtration_order,
+                         moments, multiply, tau)
 
 
 def _lift_series(seed: BraidSum, order: int) -> tuple:
@@ -89,8 +66,8 @@ def strengthen_to(seed: BraidSum, orders) -> tuple:
     """(P, expansions) for an order-one seed: the lift of t through the top
     of the orders, each odd, positive and given once, and its truncations at
     the orders expanded at the seed.  Solved as sum_n c_n exp(n P/2) = t,
-    then checked once at the braid level: the integral of the top expansion
-    must equal t.  The check shares no arithmetic with the solve.
+    then checked once at the braid level: the top expansion's integer moments
+    must make its integral t.  The check shares no arithmetic with the solve.
     """
     for at, r in enumerate(orders):
         if r < 1 or r % 2 == 0:
@@ -102,7 +79,9 @@ def strengthen_to(seed: BraidSum, orders) -> tuple:
     top = max(orders)
     P = _lift_series(seed, top)
     expansions = expand(P, seed, orders)
-    if Z(expansions[orders.index(top)], top) != t_series(top):
+    b = expansions[orders.index(top)]
+    # Z(b)'s degree-i coefficient is moment i over b.den 2^i i!, so Z(b) = t
+    if any(map(ne, [0, 2 * b.den] + [0] * (top - 1), moments(b))):
         raise ArithmeticError(f"lift is not flat through order {top}")
     return P, expansions
 
@@ -140,9 +119,11 @@ def tau_lift(orders, power: int = 1) -> tuple:
     powers = [reduce(multiply, [b] * power) for b in expansions]
     # antisymmetry also forces the q^0 coefficient to vanish
     sign = -1 if power % 2 else 1
-    if any(b != BraidSum.over({-n: sign * c for n, c in b.nums.items()}, b.den)
-           for b in powers):
-        raise ArithmeticError(f"power {power} lost its symmetry under q -> q^-1")
+    for r, b in zip(orders, powers):
+        mirror = {-n: sign * c for n, c in b.nums.items()}
+        if b != BraidSum.over(mirror, b.den):
+            raise ArithmeticError(f"power {power} of the order {r} expansion "
+                                  "lost its symmetry under q -> q^-1")
     return P, powers
 
 

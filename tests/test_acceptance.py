@@ -21,7 +21,6 @@ from braidinv.convergence import (biconvergence_report,
 from braidinv.inverse_engine import (_lift_series, asymptotic_check,
                                      closed_form_lift, strengthen_to, tau_lift)
 from braidinv.kontsevich import Z
-from braidinv.power_series import t_series
 from braidinv.regularization import leibniz_partial, theta_value
 
 import oracles
@@ -237,7 +236,7 @@ def test_criterion_13_property_suites():
         order = rng.randrange(3, 9)
         r = _lift_series(seed, order)
         if oracles.series_compose(r, oracles.integral(seed.terms, order)) \
-                != list(t_series(order)):
+                != [0, 1] + [0] * (order - 1):
             problems.append("reversion round trip")
 
     lifts = lift_truncation_sequence(8)

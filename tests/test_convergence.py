@@ -87,6 +87,14 @@ def test_classify_trace_shapes():
     assert classify_trace([x * scale for x in div]) == "diverging"
 
 
+def test_constant_nonzero_increments_are_inconclusive():
+    # increments that neither shrink nor grow: converging needs the last
+    # below the first and diverging the last above it, strictly
+    for trace in ([0, 1, 2, 3, 4], [7, 5, 7, 5, 7],
+                  [frac(1), frac(3, 4), frac(1, 2), frac(1, 4), frac(0)]):
+        assert classify_trace(trace) == "inconclusive", trace
+
+
 def test_condition_c_on_stock_sequences():
     assert filtration_condition_c(lift_truncation_sequence(6)) == []
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -105,6 +106,16 @@ def test_layout_and_carries_across_the_notation_switch(digits):
 def test_pi_matches_mpmath_at_every_precision():
     for digits in range(10, 401):
         assert floats.pi(floats.precision(digits)) == oracles.mpmath_pi(digits)
+
+
+def test_machin_encloses_pi():
+    # against mpmath's pi at w + 64 bits, whose error is far below one unit
+    for w in [*range(1, 200), 500, 1000, 3000]:
+        lo, hi = floats._machin(w)
+        with mpmath.workprec(w + 64):
+            floor = int(mpmath.floor(mpmath.pi * 2 ** w))
+        # pi 2^w is no integer: lo < pi 2^w < hi is lo <= floor < hi
+        assert lo <= floor < hi and hi - lo <= 80, w
 
 
 def test_edge_of_the_printable_range():

@@ -93,7 +93,7 @@ def test_strengthen_general_seed():
 
 def test_strengthen_solves_once_and_checks_once(monkeypatch):
     calls = []
-    for name in ("_lift_series", "expand", "Z"):
+    for name in ("_lift_series", "expand", "moments"):
         original = getattr(inverse_engine, name)
 
         def counting(*args, name=name, original=original):
@@ -102,7 +102,7 @@ def test_strengthen_solves_once_and_checks_once(monkeypatch):
 
         monkeypatch.setattr(inverse_engine, name, counting)
     strengthen_to(tau(), range(1, 22, 2))
-    assert calls == ["_lift_series", "expand", "Z"]
+    assert calls == ["_lift_series", "expand", "moments"]
 
 
 def test_strengthen_reports_a_broken_invariant(monkeypatch):

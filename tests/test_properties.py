@@ -34,7 +34,6 @@ from braidinv.commands.beta import decimal_digits
 from braidinv.inverse_engine import (_lift_series, closed_form_lift, expand,
                                      strengthen_to)
 from braidinv.kontsevich import Z
-from braidinv.power_series import t_series
 from braidinv.render import render_csv, render_json
 
 import oracles
@@ -85,8 +84,8 @@ def lifts_and_orders(draw):
 def test_revert_is_the_compositional_inverse(seed, order):
     s = oracles.integral(seed.terms, order)
     r = _lift_series(seed, order)
-    assert oracles.series_compose(r, s) == list(t_series(order))
-    assert oracles.series_compose(s, r) == list(t_series(order))
+    assert oracles.series_compose(r, s) == [0, 1] + [0] * (order - 1)
+    assert oracles.series_compose(s, r) == [0, 1] + [0] * (order - 1)
     assert list(r) == oracles.lagrange_revert(s)
 
 

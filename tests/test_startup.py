@@ -37,10 +37,11 @@ print(json.dumps([code, loaded]), file=sys.stderr)
 CORE = {"braidinv", "braidinv.cli"}
 # every command adds its own module, the commands package and render
 ALWAYS = CORE | {"braidinv.commands", "braidinv.render"}
-# what kontsevich and inverse_engine bring with them
-INTEGRAL = {"braidinv.kontsevich", "braidinv.braid_ring",
-            "braidinv.power_series"}
-ENGINE = INTEGRAL | {"braidinv.inverse_engine"}
+# what kontsevich and inverse_engine bring with them; the lift reads the
+# ring's integer moments, not the integral
+RING = {"braidinv.braid_ring", "braidinv.power_series"}
+INTEGRAL = RING | {"braidinv.kontsevich"}
+ENGINE = RING | {"braidinv.inverse_engine"}
 # what a float column brings with it
 FLOATS = {"braidinv.floats"}
 # what reading a braid spec or a sequence file brings with it
@@ -57,7 +58,9 @@ EXTRA = {
     "beta --s 7": {"braidinv.regularization"},
     "basis --r 2 --entry 1,3": {"braidinv.basis_solver"},
     "basis --r 3 --solve-t": ENGINE | FLOATS | {"braidinv.basis_solver"},
-    "trace --sequence tauhat --window 8": ENGINE | {"braidinv.convergence"},
+    # the integral traces bring kontsevich back
+    "trace --sequence tauhat --window 8":
+        ENGINE | INTEGRAL | {"braidinv.convergence"},
     "reproduce": ENGINE | {"braidinv.basis_solver",
                            "braidinv.regularization"},
 }
