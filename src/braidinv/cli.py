@@ -10,12 +10,14 @@ Each request compiles only the code it runs: with no bytecode cache
 (PYTHONDONTWRITEBYTECODE) Python compiles every module it imports, every
 time, about a sixth of a short request; starting the interpreter and site
 takes most of the rest.  The process entry, braidinv.__main__.main,
-freezes the start-up heap before it imports this module, so the
-collections at exit skip it; main never freezes, as it also runs
-in-process.  This module imports no library module at the top and reads argv
-with its own table (COMMANDS), so argparse, gettext and locale never load;
-after parsing, main imports braidinv.commands.<name>, which imports what
-it uses, and calls its run(args).  run returns (exit code, tables), each
+freezes the start-up heap before it imports this module; once main
+returns, it runs the exit handlers, flushes stdout and stderr and ends
+the process with os._exit, so no teardown follows.  main never freezes
+and never ends the process, as it also runs in-process.  This module
+imports no library module at the top and reads argv with its own table
+(COMMANDS), so argparse, gettext and locale never load; after parsing,
+main imports braidinv.commands.<name>, which imports what it uses, and
+calls its run(args).  run returns (exit code, tables), each
 table a plain (title, columns, rows, notes) tuple; main alone renders the
 tables in the chosen format and writes them to --out or stdout.  So --help
 and usage errors load this module alone; beta, basis without --solve-t
@@ -33,9 +35,13 @@ BraidSum and MomentMatrix, are plain classes, so no class generator loads.
 The library raises ValueError for bad input and ArithmeticError for a
 broken internal invariant.  main() alone turns exceptions into exit codes:
 a ValueError or an OSError exits 1 with one `error:` line, and an
-ArithmeticError keeps its traceback.  A number past the integer-to-string
-guard, raised to INT_STR_DIGITS for the run, is one of those ValueErrors,
-named by that limit.
+ArithmeticError keeps its traceback.  main writes and flushes the help
+and the payload inside that handling, whatever the buffering of stdout: a
+closed pipe exits 0 with nothing on stderr, and any other write failure is
+an OSError; after either, fd 1 points at the null device, so no flush at
+exit fails again.  A number past the integer-to-string guard, raised to
+INT_STR_DIGITS for the run, is one of those ValueErrors, named by that
+limit.
 """
 
 import sys
@@ -99,8 +105,8 @@ def parse_args(argv):
 
     A flag takes its value as the next token or after `=`, and may be
     shortened to a unique prefix; the last of repeated flags wins, and
-    --table appends.  Raises SystemExit(0) after printing help and
-    SystemExit(1) after a usage error.
+    --table appends.  Raises SystemExit(0) after printing help (OSError
+    if it cannot be written) and SystemExit(1) after a usage error.
     """
     for at, token in enumerate(argv):
         hit = _match(token, HELP, None)
@@ -230,8 +236,8 @@ def _help(command, value):
                        if spec["choices"] else name[2:].upper())
             rows.append((name if spec["kind"] is bool else f"{name} {metavar}",
                          spec["help"]))
-    sys.stdout.write(f"{_usage(command)}\n\n{about}\n\noptions:\n" +
-                     "\n".join(_row(*row) for row in rows) + "\n")
+    _write_stdout(f"{_usage(command)}\n\n{about}\n\noptions:\n" +
+                  "\n".join(_row(*row) for row in rows) + "\n")
     raise SystemExit(0)
 
 
@@ -240,11 +246,21 @@ def _row(left, line):
     return f"  {left:<20}  {line}".replace("\n", "\n" + " " * 24).rstrip()
 
 
-def main(argv=None) -> int:
+def _write_stdout(payload):
+    """Write and flush the payload; if that fails, point fd 1 at the null
+    device before raising, so that no flush at exit fails again."""
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
-    except SystemExit as exc:
-        return exc.code
+        sys.stdout.write(payload)
+        sys.stdout.flush()
+    except OSError:
+        import os
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise
+
+
+def main(argv=None) -> int:
     # exact rationals in the tables run to thousands of digits; the
     # int-to-str guard is raised for this run only
     limit = (sys.get_int_max_str_digits()
@@ -253,6 +269,7 @@ def main(argv=None) -> int:
     if raise_limit:
         sys.set_int_max_str_digits(INT_STR_DIGITS)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         code, tables = import_module(f".commands.{args.command}",
                                      __package__).run(args)
         from . import render  # render_text, render_json or render_csv
@@ -261,8 +278,10 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(payload)
         else:
-            sys.stdout.write(payload)
+            _write_stdout(payload)
         return code
+    except SystemExit as exc:  # help or a usage error
+        return exc.code
     except BrokenPipeError:
         return 0
     except (ValueError, OSError) as exc:

@@ -53,9 +53,9 @@ def _cell(where: str, printed: str | None, computed: Fraction,
     return [where, printed or "(none)", str(computed), verdict]
 
 
-def _lift_rows():
-    from ..inverse_engine import closed_form_lift, tau_lift
-    P, _ = tau_lift([13])
+def _lift_rows(solved):
+    from ..inverse_engine import closed_form_lift
+    P, _ = solved
     rows = [_cell(f"degree {k}", printed, P[k])
             for k, printed in sorted(REF_LIFT.items())]
     same = P == closed_form_lift(13)
@@ -64,24 +64,24 @@ def _lift_rows():
     return rows
 
 
-def _pair_rows():
+def _pair_rows(solved):
     from ..braid_ring import coefficient
-    from ..inverse_engine import tau_lift
-    _, expanded = tau_lift([r for r, _ in REF_PAIR_ROWS])
+    _, expanded = solved
     return [_cell(f"order {order}, pair {n}", None if ref is None else ref[n],
-                  coefficient(b, n), PAIR_MISPRINTS.get((order, n)))
-            for (order, ref), b in zip(REF_PAIR_ROWS, expanded)
-            for n in sorted(b.nums) if n > 0]
+                  coefficient(expanded[order], n),
+                  PAIR_MISPRINTS.get((order, n)))
+            for order, ref in REF_PAIR_ROWS
+            for n in sorted(expanded[order].nums) if n > 0]
 
 
-def _zeta2_rows():
+def _zeta2_rows(_solved):
     from ..basis_solver import entry_sequence
     entries = entry_sequence(1, 3, range(1, 9))
     return [_cell(f"r = {r}", printed, computed, ZETA2_MISPRINTS.get(r))
             for r, printed, computed in zip(range(1, 9), REF_ZETA2, entries)]
 
 
-def _onefive_rows():
+def _onefive_rows(_solved):
     from ..basis_solver import entry_sequence
     entries = entry_sequence(1, 5, range(2, 10))
     diffs = [b - a for a, b in zip([Fraction(0)] + entries, entries)]
@@ -92,7 +92,7 @@ def _onefive_rows():
              for r, printed, diff in zip(range(2, 10), REF_ONEFIVE_DIFFS, diffs)])
 
 
-def _beta_rows():
+def _beta_rows(_solved):
     from ..regularization import theta_value
     return ([_cell(f"Abel value, exponent {k}", "0", theta_value(k))
              for k in BETA_ZERO_KS] +
@@ -100,7 +100,10 @@ def _beta_rows():
              for s in BETA_RELATION_SS])
 
 
-# name -> (title, row generator, notes)
+# table -> the lift orders it reads
+LIFT_ORDERS = {"lift": [13], "pairs": [r for r, _ in REF_PAIR_ROWS]}
+
+# name -> (title, row generator of the shared solve, notes)
 REPRODUCE_TABLES = {
     "lift": ("lift coefficients", _lift_rows, []),
     "pairs": ("pair expansions of the lift truncations", _pair_rows,
@@ -118,11 +121,18 @@ def run(args):
     for at, name in enumerate(names):
         if name in names[:at]:
             raise ValueError(f"table {name} given twice")
+    # the lift and pairs tables read one solve, through every order they use
+    orders = sorted({r for name in names for r in LIFT_ORDERS.get(name, ())})
+    solved = None
+    if orders:
+        from ..inverse_engine import tau_lift
+        P, expanded = tau_lift(orders)
+        solved = P, dict(zip(orders, expanded))
     tables = []
     for name in names:
         title, rows, notes = REPRODUCE_TABLES[name]
         tables.append((title, ["where", "reference", "computed", "verdict"],
-                       rows(), notes))
+                       rows(solved), notes))
     verdicts = [row[-1] for _, _, rows, _ in tables for row in rows]
     failed = "FAIL" in verdicts
     tables.append(("summary", ["what", "value"],

@@ -612,6 +612,8 @@ def test_qexpand_rejects_a_bad_power_before_strengthening(monkeypatch, capsys):
     ["reproduce", "--table", "lift"],
     ["reproduce", "--table", "pairs"],
     ["basis", "--r", "3", "--solve-t"],
+    # the lift and pairs tables share one solve
+    ["reproduce"],
 ])
 def test_a_request_solves_once_and_expands_once(argv, monkeypatch, capsys):
     # every truncation a request reads comes out of the one expansion pass
@@ -627,6 +629,25 @@ def test_a_request_solves_once_and_expands_once(argv, monkeypatch, capsys):
     monkeypatch.delenv("BRAIDINV_FLOAT_DIGITS", raising=False)
     assert cli.main(argv) == 0
     assert calls == ["_lift_series", "expand"]
+
+
+@pytest.mark.parametrize("tables, top", [
+    ([], 13), (["pairs"], 11), (["lift"], 13), (["pairs", "lift"], 13),
+    (["beta", "zeta2"], None)])
+def test_reproduce_solves_through_the_orders_its_tables_read(
+        tables, top, monkeypatch, capsys):
+    tops = []
+    strengthen_to = inverse_engine.strengthen_to
+
+    def counting_strengthen_to(seed, orders):
+        tops.append(max(orders))
+        return strengthen_to(seed, orders)
+
+    monkeypatch.setattr(inverse_engine, "strengthen_to", counting_strengthen_to)
+    argv = [arg for name in tables for arg in ("--table", name)]
+    assert cli.main(["reproduce", *argv]) == 0
+    assert tops == ([] if top is None else [top])
+    capsys.readouterr()
 
 
 def test_a_broken_lower_truncation_fails_its_symmetry_check(monkeypatch):

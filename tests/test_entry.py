@@ -1,11 +1,19 @@
 """The process entry: `python -m braidinv` and the `braidinv` console script.
 
 Both run braidinv.__main__.main, which freezes the start-up heap with
-gc.freeze() before it imports the CLI, so that no collection, the ones at
-interpreter exit included, walks objects that live for the whole run.
-cli.main never freezes: it also runs in-process, as in these tests.  A
-child process runs the entry with an atexit probe that reports the freeze
-count on the last line of stderr, after the run's own output.
+gc.freeze() before it imports the CLI, so that no collection walks objects
+that live for the whole run.  After the request it runs the exit handlers,
+flushes stdout and stderr and ends the process with os._exit, skipping
+interpreter teardown.  cli.main never freezes and never ends the process:
+it also runs in-process, as in these tests.  A child process runs the entry
+with an atexit probe that reports the freeze count on the last line of
+stderr, after the run's own output, so every run here also shows that the
+exit handlers still run.
+
+stdout that cannot be written is handled whatever its buffering: a closed
+pipe exits 0 with nothing on stderr, and /dev/full exits 1 with one
+`error:` line, whether the payload or the help fails on its write or on
+its flush.
 """
 
 import gc
@@ -36,20 +44,25 @@ sys.exit(getattr(import_module(module), name)())
 """
 
 
-def spawn(script, argv):
-    """Exit code, stdout and the freeze count at exit of one fresh run."""
+def spawn(script, argv, stdout=subprocess.PIPE, unbuffered=False):
+    """Exit code, stdout, the stderr lines before the probe's and the freeze
+    count at exit of one fresh run; stdout goes to a pipe unless a file
+    descriptor is given."""
     env = dict(os.environ)
     env.pop("BRAIDINV_FLOAT_DIGITS", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     result = subprocess.run([sys.executable, "-c", script, *argv],
-                            capture_output=True, env=env)
-    return (result.returncode, result.stdout,
-            int(result.stderr.decode().splitlines()[-1]))
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+    *errors, frozen = result.stderr.decode().splitlines()
+    return result.returncode, result.stdout, errors, int(frozen)
 
 
 @pytest.mark.parametrize("key", sorted(k for k in DIGESTS
                                        if k.endswith(" --format text")))
 def test_readme_command_through_the_module_entry(key):
-    code, out, frozen = spawn(AS_MODULE, key.split())
+    code, out, _, frozen = spawn(AS_MODULE, key.split())
     assert (code, out) == (0, read_golden(key))
     assert frozen > 0
 
@@ -85,6 +98,31 @@ def test_console_script_names_the_entry():
     module, _, name = target.partition(":")
     assert getattr(importlib.import_module(module), name) is entry.main
     key = "lift --order 13 --format text"
-    code, out, frozen = spawn(AS_SCRIPT, [target, *key.split()])
+    code, out, _, frozen = spawn(AS_SCRIPT, [target, *key.split()])
     assert (code, out) == (0, read_golden(key))
     assert frozen > 0
+
+
+# a short payload stays in a buffered stdout until the flush; a long one is
+# written through at once; the help is written by the parser
+@pytest.mark.parametrize("argv", [["lift", "--order", "13"],
+                                  ["basis", "--r", "40"], ["--help"]],
+                         ids=["short", "long", "help"])
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("script, prefix", [
+    (AS_MODULE, []), (AS_SCRIPT, ["braidinv.__main__:main"])],
+    ids=["module", "script"])
+def test_an_unwritable_stdout_is_handled(script, prefix, unbuffered, argv):
+    argv = prefix + argv
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        closed = spawn(script, argv, writer, unbuffered)
+    finally:
+        os.close(writer)
+    assert closed[0] == 0 and closed[2] == []
+    with open("/dev/full", "wb") as full:
+        code, _, errors, frozen = spawn(script, argv, full, unbuffered)
+    assert (code, errors) == (1, ["error: [Errno 28] No space left on device"])
+    assert closed[3] > 0 and frozen > 0

@@ -2,13 +2,15 @@
 runs in some CLI invocation.
 
 The invocations below go through cli.main in-process, and --help once
-through the process entry __main__.main with gc.freeze made a no-op, while
+through the process entry __main__.main with gc.freeze and the exit
+handlers made no-ops and os._exit raising SystemExit, while
 sys.setprofile records each code object that starts running.  A function
 that none of them reaches is test-only or dead code and belongs in tests/
 or nowhere; the one exception is __repr__, which serves debugging and test
 failure messages.
 """
 
+import atexit
 import contextlib
 import gc
 import inspect
@@ -16,6 +18,8 @@ import io
 import json
 import os
 import sys
+
+import pytest
 
 from braidinv import __main__ as entry, cli
 
@@ -62,6 +66,10 @@ def defined_functions():
     return found
 
 
+def ending(code):
+    raise SystemExit(code)
+
+
 def test_every_function_runs_in_some_command(tmp_path, monkeypatch):
     monkeypatch.delenv("BRAIDINV_FLOAT_DIGITS", raising=False)
     (tmp_path / "seq.json").write_text(
@@ -81,10 +89,14 @@ def test_every_function_runs_in_some_command(tmp_path, monkeypatch):
                     contextlib.redirect_stderr(io.StringIO()):
                 cli.main(argv)
         # a real freeze would leave every reference cycle made so far in
-        # the test process uncollectable
+        # the test process uncollectable, and the real exit handlers and
+        # os._exit would end the session
         monkeypatch.setattr(gc, "freeze", lambda: None)
+        monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: None)
+        monkeypatch.setattr(os, "_exit", ending)
         monkeypatch.setattr(sys, "argv", ["braidinv", "--help"])
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                pytest.raises(SystemExit, match="^0$"):
             entry.main()
     finally:
         sys.setprofile(None)
