@@ -19,18 +19,21 @@ imports no library module at the top and reads argv with its own table
 main imports braidinv.commands.<name>, which imports what it uses, and
 calls its run(args).  run returns (exit code, tables), each
 table a plain (title, columns, rows, notes) tuple; main alone renders the
-tables in the chosen format and writes them to --out or stdout.  So --help
-and usage errors load this module alone; beta, basis without --solve-t
-and reproduce without its lift and pairs tables skip inverse_engine,
-braid_ring and power_series, and only zmap and trace load kontsevich; a trace
-of a sequence file skips inverse_engine.  floats, which alone reads the
-precision, tags the float columns and prints their cells from integer
-arithmetic, loads only for float columns (asymptotics, beta --s 1, basis
---solve-t).  Braid specs and sequence files are read by braidinv.inputs,
-which loads only for zmap and a trace of a sequence file.  json loads only
-for a JSON braid, a sequence file or a cell that needs escaping in --format
-json, csv never loads, and no request imports mpmath.  The only record types,
-BraidSum and MomentMatrix, are plain classes, so no class generator loads.
+tables in the chosen format and writes them to --out or stdout.  Code that
+a request never runs lives where that request does not load it: --help and
+usage errors load this module and braidinv.usage, which writes them and
+which no other request loads; the JSON and CSV writers load only for their
+format, the stock sequences of trace only for a trace of one, and the JSON
+reader braidinv.inputs only for a JSON braid or a sequence file.  beta,
+basis without --solve-t and reproduce without its lift and pairs tables
+skip inverse_engine, braid_ring and power_series, and only zmap and trace
+load kontsevich; a trace of a sequence file skips inverse_engine.  floats,
+which alone reads the precision, tags the float columns and prints their
+cells from integer arithmetic, loads only for float columns (asymptotics,
+beta --s 1, basis --solve-t).  json loads only for a JSON braid, a
+sequence file or a cell that needs escaping in --format json, csv never
+loads, and no request imports mpmath.  The only record types, BraidSum and
+MomentMatrix, are plain classes, so no class generator loads.
 
 The library raises ValueError for bad input and ArithmeticError for a
 broken internal invariant.  main() alone turns exceptions into exit codes:
@@ -39,7 +42,9 @@ ArithmeticError keeps its traceback.  main writes and flushes the help
 and the payload inside that handling, whatever the buffering of stdout: a
 closed pipe exits 0 with nothing on stderr, and any other write failure is
 an OSError; after either, fd 1 points at the null device, so no flush at
-exit fails again.  A number past the integer-to-string guard, raised to
+exit fails again.  With fd 1 closed before the start there is no
+sys.stdout, and writing the help or the payload is an OSError too; --out
+still writes its file.  A number past the integer-to-string guard, raised to
 INT_STR_DIGITS for the run, is one of those ValueErrors, named by that
 limit.
 """
@@ -120,12 +125,12 @@ def parse_args(argv):
     if command not in COMMANDS:
         _fail(None, f"argument command: invalid choice: {command!r} "
                     f"(choose from {', '.join(COMMANDS)})")
-    flags = _flags(command)
-    options = HELP + tuple(flags)
+    table = flags(command)
+    options = HELP + tuple(table)
     # every token is matched first: an ambiguous prefix fails even after -h
     hits = [_match(token, options, command) for token in tokens]
     args = SimpleNamespace(command=command, **{
-        _dest(name): spec["default"] for name, spec in flags.items()})
+        _dest(name): spec["default"] for name, spec in table.items()})
     pairs = iter(zip(tokens, hits))
     for token, hit in pairs:
         if hit is None or hit[0] not in options:
@@ -134,7 +139,7 @@ def parse_args(argv):
         name, value = hit
         if name in HELP:
             _help(command, value)
-        kind, choices = flags[name]["kind"], flags[name]["choices"]
+        kind, choices = table[name]["kind"], table[name]["choices"]
         if kind is bool and value is not None:
             _fail(command, f"argument {name}: ignored explicit argument "
                            f"{value!r}")
@@ -154,7 +159,7 @@ def parse_args(argv):
             value = (getattr(args, _dest(name)) or []) + [value]
         setattr(args, _dest(name), value)
     given = {hit and hit[0] for hit in hits}
-    missing = [name for name, spec in flags.items()
+    missing = [name for name, spec in table.items()
                if spec["required"] and name not in given]
     if missing:
         _fail(command, f"the following arguments are required: "
@@ -196,7 +201,8 @@ def _match(token, options, command):
     return token, None
 
 
-def _flags(command):
+def flags(command):
+    """Every flag of command, with the fields FLAG fills in."""
     return {name: {**FLAG, **spec} for name, spec in
             {**OUTPUT_FLAGS, **COMMANDS[command][1]}.items()}
 
@@ -205,50 +211,25 @@ def _dest(name):
     return name[2:].replace("-", "_")
 
 
-def _usage(command):
-    if command is None:
-        return "usage: braidinv [-h] COMMAND [options]"
-    return " ".join(["usage: braidinv", command, "[-h]", *(
-        f"{name} {name[2:].upper()}" for name, spec in _flags(command).items()
-        if spec["required"]), "[options]"])
-
+# the help and usage errors are written by braidinv.usage, which loads only
+# for them
 
 def _fail(command, message):
-    """The usage and one error line on stderr, then exit 1."""
-    prog = "braidinv" if command is None else f"braidinv {command}"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
-    raise SystemExit(1)
+    from .usage import fail
+    fail(command, message)
 
 
 def _help(command, value):
-    """Help on stdout, then exit 0; `--help=x` is a usage error."""
-    if value is not None:
-        _fail(command, f"argument --help: ignored explicit argument {value!r}")
-    rows = [("-h, --help", "show this help message and exit")]
-    if command is None:
-        about = ("exact computations for the inverse problem of the two-strand "
-                 "braid integral\n\ncommands:\n" + "\n".join(
-                     _row(name, line) for name, (line, _) in COMMANDS.items()))
-    else:
-        about = COMMANDS[command][0]
-        for name, spec in _flags(command).items():
-            metavar = ("{" + ",".join(spec["choices"]) + "}"
-                       if spec["choices"] else name[2:].upper())
-            rows.append((name if spec["kind"] is bool else f"{name} {metavar}",
-                         spec["help"]))
-    _write_stdout(f"{_usage(command)}\n\n{about}\n\noptions:\n" +
-                  "\n".join(_row(*row) for row in rows) + "\n")
-    raise SystemExit(0)
+    from .usage import show_help
+    show_help(command, value)
 
 
-def _row(left, line):
-    """One help row, its text from column 25 on."""
-    return f"  {left:<20}  {line}".replace("\n", "\n" + " " * 24).rstrip()
-
-
-def _write_stdout(payload):
+def write_stdout(payload):
     """Write and flush the payload; if that fails, point fd 1 at the null
-    device before raising, so that no flush at exit fails again."""
+    device before raising, so that no flush at exit fails again.  With fd 1
+    closed at start there is no sys.stdout, and that is an OSError too."""
+    if sys.stdout is None:
+        raise OSError("standard output is closed")
     try:
         sys.stdout.write(payload)
         sys.stdout.flush()
@@ -278,7 +259,7 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(payload)
         else:
-            _write_stdout(payload)
+            write_stdout(payload)
         return code
     except SystemExit as exc:  # help or a usage error
         return exc.code

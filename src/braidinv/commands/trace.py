@@ -1,8 +1,13 @@
 """braidinv trace: finite-window convergence diagnostics of a sequence."""
 
 from ..braid_ring import coefficient
-from ..convergence import (CAVEAT, STOCK_SEQUENCES, biconvergence_report,
-                           verdict)
+from ..convergence import CAVEAT, biconvergence_report, verdict
+
+# stock name -> (label, builder in braidinv.sequences of the first count
+# items); any other --sequence names a file, read without compiling them
+STOCK_SEQUENCES = {"tauhat": ("lift-truncations", "lift_truncation_sequence"),
+                   "pairs": ("pair-partials", "pair_partial_sequence"),
+                   "harmonic": ("harmonic-sigma", "harmonic_sigma_sequence")}
 
 
 def run(args):
@@ -13,8 +18,9 @@ def run(args):
         # checked here as well, so a bad jmax fails before building a sequence
         raise ValueError("jmax must be nonnegative")
     if args.sequence in STOCK_SEQUENCES:
-        label, build = STOCK_SEQUENCES[args.sequence]
-        items = build(window)
+        from .. import sequences
+        label, builder = STOCK_SEQUENCES[args.sequence]
+        items = getattr(sequences, builder)(window)
     else:
         # only a sequence file compiles the input parser
         from ..inputs import load_sequence

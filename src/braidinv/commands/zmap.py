@@ -1,7 +1,7 @@
 """braidinv zmap: the integral of a braid sum and its graded values."""
 
-from ..braid_ring import render
-from ..inputs import parse_braid
+from ..braid_ring import pair, render, sigma_power, tau
+from ..cli import integer
 from ..kontsevich import Z, focus_order
 
 
@@ -23,3 +23,32 @@ def run(args):
                 ["degree", "coefficient"], rows[:order + 1], []),
                ("graded components", ["degree", "value"], rows[:jmax + 1],
                 [note])]
+
+
+def parse_braid(text: str):
+    """The braid sum of a spec: a named element, sigma^K, pair:N, or a JSON
+    exponent map."""
+    powers = {"sigma": 1, "sigmabar": -1, "e": 0, "identity": 0}
+    if text == "tau":
+        return tau()
+    if text in powers:
+        return sigma_power(powers[text])
+    if text.startswith("pair:"):
+        try:
+            return pair(integer(text[5:], "index", signed=False))
+        except ValueError as exc:
+            raise ValueError(f"bad pair spec {text!r}: {exc}") from exc
+    if text.startswith("sigma^"):
+        try:
+            return sigma_power(integer(text[6:], "power"))
+        except ValueError as exc:
+            raise ValueError(f"bad power spec {text!r}: {exc}") from exc
+    if text.lstrip().startswith("{"):
+        from ..inputs import exponent_map, read_json
+        try:
+            raw = read_json(text)
+        except ValueError as exc:
+            raise ValueError(f"bad braid JSON: {exc}") from exc
+        return exponent_map(raw)
+    raise ValueError(f"unknown braid {text!r}; use tau, sigma, sigmabar, e, "
+                     f"pair:N, sigma^K, or a JSON exponent map")

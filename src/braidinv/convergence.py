@@ -13,9 +13,7 @@ carries no information.  Fewer than three nonzero differences is ruled
 insufficient rather than guessed at.
 """
 
-from fractions import Fraction
-
-from .braid_ring import BraidSum, coefficient, combine, filtration_order, pair
+from .braid_ring import coefficient, combine, filtration_order
 from .kontsevich import Z
 
 CAVEAT = ("finite-window evidence only; no verdict here asserts a limit")
@@ -84,51 +82,3 @@ def biconvergence_report(items: list, jmax: int):
     z_classes = {j: classify_trace([s[j] for s in integrals], maturity)
                  for j in range(jmax + 1)}
     return exponent_classes, z_classes, filtration_condition_c(items)
-
-
-# ---------------------------------------------------------------------------
-# stock sequences used by the command line and the diagnostics themselves
-
-def lift_truncation_sequence(count: int) -> list:
-    """b_i = the order (2i-1) truncation of the lift expanded at q - q^-1,
-    all from one tau_lift, each checked once.  Differences of consecutive
-    items are spans of high seed powers, so condition (c) holds comfortably.
-    """
-    from .inverse_engine import tau_lift
-    return tau_lift(range(1, 2 * count, 2))[1]
-
-
-def harmonic_sigma_sequence(count: int) -> list:
-    """b_i = (alternating harmonic partial sum) times the half twist.
-
-    The coefficient converges, every graded trace converges, and condition
-    (c) fails immediately: all differences have filtration order 0.
-    """
-    items = []
-    acc = Fraction(0)
-    for m in range(1, count + 1):
-        acc += Fraction((-1) ** (m + 1), m)
-        items.append(BraidSum({1: acc}))
-    return items
-
-
-def pair_partial_sequence(count: int) -> list:
-    """Partial sums of 4 sum (-1)^m (q^n - q^-n) / n^2 over odd n = 2m+1.
-
-    Scaled so every coefficient stays rational (the limit object carries a
-    1/pi).  Coefficients stabilize, but the raw graded traces of degree
-    3 and higher diverge, which is exactly what regularization is for.
-    """
-    items = []
-    acc = BraidSum()
-    for m in range(count):
-        n = 2 * m + 1
-        acc = combine(acc, 1, pair(n), Fraction(4 * (-1) ** m, n * n))
-        items.append(acc)
-    return items
-
-
-# name -> (label, builder of the first count items)
-STOCK_SEQUENCES = {"tauhat": ("lift-truncations", lift_truncation_sequence),
-                   "pairs": ("pair-partials", pair_partial_sequence),
-                   "harmonic": ("harmonic-sigma", harmonic_sigma_sequence)}

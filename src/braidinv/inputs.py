@@ -1,16 +1,16 @@
-"""Braid and sequence input for the CLI: braid specs and sequence files.
+"""JSON input for the CLI: sequence files and JSON braids.
 
-Only zmap and a trace of a sequence file import this module, so no other
-request compiles it.  JSON numbers are read as exact decimals: 0.1 is
-1/10, 1e400 is 10^400, and Fraction rejects NaN and Infinity with a
-ValueError.  A JSON object is read as a tuple of its (key, value) pairs, so
-that a key given twice is seen rather than silently dropped.  Every integer
-in a spec or a key is plain ASCII decimal, as cli.integer checks.
+Only a trace of a sequence file and zmap with a JSON braid import this
+module, so no other request compiles it.  JSON numbers are read as exact
+decimals: 0.1 is 1/10, 1e400 is 10^400, and Fraction rejects NaN and
+Infinity with a ValueError.  A JSON object is read as a tuple of its (key,
+value) pairs, so that a key given twice is seen rather than silently
+dropped.  Every integer key is plain ASCII decimal, as cli.integer checks.
 """
 
 from fractions import Fraction
 
-from .braid_ring import BraidSum, pair, sigma_power, tau
+from .braid_ring import BraidSum
 from .cli import INT_STR_DIGITS, integer
 
 
@@ -23,7 +23,8 @@ def _exact_decimal(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _json(text: str):
+def read_json(text: str):
+    """The JSON value of text, read as above."""
     import json
     try:
         return json.loads(text, parse_float=_exact_decimal,
@@ -32,34 +33,7 @@ def _json(text: str):
         raise ValueError("JSON nested too deeply") from None
 
 
-def parse_braid(text: str) -> BraidSum:
-    """Named elements, sigma^K, pair:N, or a JSON exponent map."""
-    powers = {"sigma": 1, "sigmabar": -1, "e": 0, "identity": 0}
-    if text == "tau":
-        return tau()
-    if text in powers:
-        return sigma_power(powers[text])
-    if text.startswith("pair:"):
-        try:
-            return pair(integer(text[5:], "index", signed=False))
-        except ValueError as exc:
-            raise ValueError(f"bad pair spec {text!r}: {exc}") from exc
-    if text.startswith("sigma^"):
-        try:
-            return sigma_power(integer(text[6:], "power"))
-        except ValueError as exc:
-            raise ValueError(f"bad power spec {text!r}: {exc}") from exc
-    if text.lstrip().startswith("{"):
-        try:
-            raw = _json(text)
-        except ValueError as exc:
-            raise ValueError(f"bad braid JSON: {exc}") from exc
-        return _exponent_map(raw)
-    raise ValueError(f"unknown braid {text!r}; use tau, sigma, sigmabar, e, "
-                     f"pair:N, sigma^K, or a JSON exponent map")
-
-
-def _exponent_map(raw) -> BraidSum:
+def exponent_map(raw) -> BraidSum:
     """A braid sum from a JSON object's pairs, exponents to rationals."""
     terms = {}
     try:
@@ -91,7 +65,7 @@ def load_sequence(path: str) -> tuple:
     """(label, items) from a JSON file {"label": ..., "items": [maps]}."""
     try:
         with open(path, encoding="utf-8") as handle:
-            pairs = _json(handle.read())
+            pairs = read_json(handle.read())
         payload = {}
         for key, value in pairs if isinstance(pairs, tuple) else ():
             if key in payload:
@@ -102,7 +76,7 @@ def load_sequence(path: str) -> tuple:
         label = payload.get("label", path)
         if not isinstance(label, str):
             raise ValueError("the label must be a string")
-        items = [_exponent_map(item) for item in payload["items"]]
+        items = [exponent_map(item) for item in payload["items"]]
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot load sequence from {path}: {exc}") from exc
     return label, items

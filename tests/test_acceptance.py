@@ -15,13 +15,13 @@ from braidinv.basis_solver import build_unbalanced, entry_sequence, invert
 from braidinv.braid_ring import (BraidSum, combine, filtration_order,
                                  multiply, sigma_power, tau)
 from braidinv.convergence import (biconvergence_report,
-                                  filtration_condition_c,
-                                  harmonic_sigma_sequence,
-                                  lift_truncation_sequence, verdict)
+                                  filtration_condition_c, verdict)
 from braidinv.inverse_engine import (_lift_series, asymptotic_check,
                                      closed_form_lift, strengthen_to, tau_lift)
 from braidinv.kontsevich import Z
 from braidinv.regularization import leibniz_partial, theta_value
+from braidinv.sequences import (harmonic_sigma_sequence,
+                                lift_truncation_sequence)
 
 import oracles
 

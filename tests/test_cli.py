@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidinv import basis_solver, cli, convergence, inputs, inverse_engine
+from braidinv import basis_solver, cli, inputs, inverse_engine, sequences
 from braidinv.braid_ring import BraidSum, combine, pair
 from braidinv.commands import beta, reproduce, zmap
 from test_golden import read_golden
@@ -102,17 +102,17 @@ def test_zmap_named_and_json_braids():
 def test_named_braids_are_braid_powers():
     for name, terms in (("e", {0: 1}), ("identity", {0: 1}), ("sigma", {1: 1}),
                         ("sigmabar", {-1: 1}), ("tau", {1: 1, -1: -1})):
-        assert inputs.parse_braid(name) == BraidSum(terms)
+        assert zmap.parse_braid(name) == BraidSum(terms)
 
 
 def test_braid_spec_integers_are_ascii_decimals():
     # the check of the JSON exponent keys; int() alone reads the first three
-    assert inputs.parse_braid("sigma^-3") == BraidSum({-3: 1})
-    assert inputs.parse_braid("sigma^+3") == BraidSum({3: 1})
-    assert inputs.parse_braid("pair:03") == pair(3)
+    assert zmap.parse_braid("sigma^-3") == BraidSum({-3: 1})
+    assert zmap.parse_braid("sigma^+3") == BraidSum({3: 1})
+    assert zmap.parse_braid("pair:03") == pair(3)
     for spec in ("sigma^5\n", "sigma^\uff15", "sigma^", "pair:+3", "pair:"):
         with pytest.raises(ValueError, match="is not a decimal integer"):
-            inputs.parse_braid(spec)
+            zmap.parse_braid(spec)
 
 
 def test_qexpand_rows():
@@ -663,7 +663,7 @@ def test_a_broken_lower_truncation_fails_its_symmetry_check(monkeypatch):
     monkeypatch.setattr(inverse_engine, "strengthen_to", planted)
     message = "power 1 of the order 1 expansion lost its symmetry"
     with pytest.raises(ArithmeticError, match=message):
-        convergence.lift_truncation_sequence(3)
+        sequences.lift_truncation_sequence(3)
     with pytest.raises(ArithmeticError, match=message):
         cli.main(["trace", "--sequence", "tauhat", "--window", "3"])
 
@@ -683,14 +683,13 @@ def test_a_repeated_table_runs_no_table(monkeypatch, capsys):
 
 def test_trace_rejects_a_negative_jmax_before_building(monkeypatch, capsys):
     calls = []
-    label, build = convergence.STOCK_SEQUENCES["tauhat"]
+    build = sequences.lift_truncation_sequence
 
     def counting_build(count):
         calls.append(count)
         return build(count)
 
-    monkeypatch.setitem(convergence.STOCK_SEQUENCES, "tauhat",
-                        (label, counting_build))
+    monkeypatch.setattr(sequences, "lift_truncation_sequence", counting_build)
     assert cli.main(["trace", "--sequence", "tauhat", "--jmax", "-1",
                      "--window", "120"]) == 1
     assert calls == []

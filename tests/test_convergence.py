@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from braidinv import cli
+from braidinv import cli, sequences
 from braidinv.braid_ring import BraidSum, pair, tau
 from braidinv.braid_ring import combine
-from braidinv.convergence import (CAVEAT, STOCK_SEQUENCES,
-                                  biconvergence_report, classify_trace,
-                                  filtration_condition_c,
-                                  harmonic_sigma_sequence,
-                                  lift_truncation_sequence,
-                                  pair_partial_sequence, verdict)
+from braidinv.commands.trace import STOCK_SEQUENCES
+from braidinv.convergence import (CAVEAT, biconvergence_report,
+                                  classify_trace, filtration_condition_c,
+                                  verdict)
 from braidinv.kontsevich import Z
+from braidinv.sequences import (harmonic_sigma_sequence,
+                                lift_truncation_sequence,
+                                pair_partial_sequence)
 from braidinv.regularization import leibniz_partial
 
 
@@ -150,6 +151,8 @@ def test_stock_sequence_labels():
     assert {name: label for name, (label, _) in STOCK_SEQUENCES.items()} == \
         {"tauhat": "lift-truncations", "pairs": "pair-partials",
          "harmonic": "harmonic-sigma"}
+    for _, builder in STOCK_SEQUENCES.values():
+        assert callable(getattr(sequences, builder))
 
 
 def test_eventual_constancy_under_condition_c():

@@ -13,7 +13,9 @@ exit handlers still run.
 stdout that cannot be written is handled whatever its buffering: a closed
 pipe exits 0 with nothing on stderr, and /dev/full exits 1 with one
 `error:` line, whether the payload or the help fails on its write or on
-its flush.
+its flush.  With fd 1 closed before the start there is no sys.stdout: the
+payload and the help exit 1 with one `error:` line, and --out still
+writes its file.
 """
 
 import gc
@@ -44,17 +46,25 @@ sys.exit(getattr(import_module(module), name)())
 """
 
 
+# spawn's stdout for a child whose fd 1 is closed before Python starts
+CLOSED = "closed"
+
+
 def spawn(script, argv, stdout=subprocess.PIPE, unbuffered=False):
     """Exit code, stdout, the stderr lines before the probe's and the freeze
     count at exit of one fresh run; stdout goes to a pipe unless a file
-    descriptor is given."""
+    descriptor or CLOSED is given."""
     env = dict(os.environ)
     env.pop("BRAIDINV_FLOAT_DIGITS", None)
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    closed = stdout is CLOSED
     result = subprocess.run([sys.executable, "-c", script, *argv],
-                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+                            stdout=None if closed else stdout,
+                            stderr=subprocess.PIPE, env=env,
+                            preexec_fn=(lambda: os.close(1)) if closed
+                            else None)
     *errors, frozen = result.stderr.decode().splitlines()
     return result.returncode, result.stdout, errors, int(frozen)
 
@@ -126,3 +136,19 @@ def test_an_unwritable_stdout_is_handled(script, prefix, unbuffered, argv):
         code, _, errors, frozen = spawn(script, argv, full, unbuffered)
     assert (code, errors) == (1, ["error: [Errno 28] No space left on device"])
     assert closed[3] > 0 and frozen > 0
+
+
+@pytest.mark.parametrize("script, prefix", [
+    (AS_MODULE, []), (AS_SCRIPT, ["braidinv.__main__:main"])],
+    ids=["module", "script"])
+def test_a_closed_stdout_is_one_error_line(script, prefix, tmp_path):
+    for argv in (["lift", "--order", "5"], ["--help"]):
+        code, _, errors, frozen = spawn(script, prefix + argv, CLOSED)
+        assert (code, errors) == (1, ["error: standard output is closed"])
+        assert frozen > 0
+    # the file opened for --out may take fd 1 itself
+    key, path = "lift --order 13 --format text", tmp_path / "out.txt"
+    argv = prefix + key.split() + ["--out", str(path)]
+    code, _, errors, _ = spawn(script, argv, CLOSED)
+    assert (code, errors) == (0, [])
+    assert path.read_bytes() == read_golden(key)
