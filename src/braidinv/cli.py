@@ -44,18 +44,18 @@ closed pipe exits 0 with nothing on stderr, and any other write failure is
 an OSError; after either, fd 1 points at the null device, so no flush at
 exit fails again.  With fd 1 closed before the start there is no
 sys.stdout, and writing the help or the payload is an OSError too; --out
-still writes its file.  A number past the integer-to-string guard, raised to
-INT_STR_DIGITS for the run, is one of those ValueErrors, named by that
-limit.
+still writes its file.  A number past the integer-to-string guard is one of
+those ValueErrors, named by that limit: main sets the guard to
+INT_STR_DIGITS for the run, whatever PYTHONINTMAXSTRDIGITS or the caller
+set, and gives the caller's back after it.  argv is the only setting a
+request reads: no environment variable changes a number, a digit count or
+an exit code.
 """
 
 import sys
 from importlib import import_module
 from types import SimpleNamespace
 
-# read by floats.requested_digits; here because --help prints them
-ENV_FLOAT_DIGITS = "BRAIDINV_FLOAT_DIGITS"
-DEFAULT_FLOAT_DIGITS = 50
 INT_STR_DIGITS = 100000
 
 
@@ -68,8 +68,8 @@ FLAG = {"kind": str, "default": None, "choices": (), "required": False,
         "help": ""}
 OUTPUT_FLAGS = {  # taken by every command
     "--format": {"default": "text", "choices": ("text", "json", "csv")},
-    "--digits": {"kind": int, "help": f"float precision in significant digits"
-                 f"\n(default {DEFAULT_FLOAT_DIGITS}, or {ENV_FLOAT_DIGITS})"},
+    "--digits": {"kind": int, "default": 50,
+                 "help": "float precision in significant digits (default 50)"},
     "--out": {"help": "write output to a file"},
 }
 REQUIRED_INT = {"kind": int, "required": True}
@@ -243,11 +243,10 @@ def write_stdout(payload):
 
 def main(argv=None) -> int:
     # exact rationals in the tables run to thousands of digits; the
-    # int-to-str guard is raised for this run only
-    limit = (sys.get_int_max_str_digits()
-             if hasattr(sys, "get_int_max_str_digits") else 0)
-    raise_limit = 0 < limit < INT_STR_DIGITS
-    if raise_limit:
+    # int-to-str guard is INT_STR_DIGITS for this run, whatever the caller's
+    guard = hasattr(sys, "get_int_max_str_digits")
+    if guard:
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(INT_STR_DIGITS)
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
@@ -273,7 +272,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if raise_limit:
+        if guard:
             sys.set_int_max_str_digits(limit)
 
 

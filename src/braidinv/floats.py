@@ -7,36 +7,28 @@ result to the nearest float of precision(d) bits, ties to even, as every
 mpf operation does; pi is floor(pi * 2^(p+20)) rounded to p bits, as
 mpmath's constant is; nstr takes mpmath's fixed-point steps to decimal.
 
-This module owns the float-cell policy: requested_digits resolves the
-precision, column tags a column's name with it and cell prints one exact
-Fraction.  Only the commands that print a float column load it, so only
-they read --digits and BRAIDINV_FLOAT_DIGITS, and a bad value fails those
-and no other.
+This module owns the float-cell policy: requested_digits checks the
+precision --digits asks for, column tags a column's name with it and cell
+prints one exact Fraction.  Only the commands that print a float column
+load it, so only they read --digits, and a value outside 10 to
+INT_STR_DIGITS fails those, before any work, and no other.
 """
 
 import math
-import os
 from fractions import Fraction
 
-from .cli import DEFAULT_FLOAT_DIGITS, ENV_FLOAT_DIGITS, integer
+from .cli import INT_STR_DIGITS
 
 LOG2_10 = math.log(10, 2)  # the float mpmath sizes its decimal steps with
 MAX_EXPONENT = 3500  # past 2^±3500 mpmath prints by another route
 
 
 def requested_digits(args) -> int:
-    """Float precision: --digits, else BRAIDINV_FLOAT_DIGITS, else 50."""
-    digits = args.digits
-    if digits is None:
-        raw = os.environ.get(ENV_FLOAT_DIGITS, str(DEFAULT_FLOAT_DIGITS))
-        try:
-            digits = integer(raw, ENV_FLOAT_DIGITS)
-        except ValueError:
-            raise ValueError(f"{ENV_FLOAT_DIGITS} must be an integer, "
-                             f"got {raw!r}") from None
-    if digits < 10:
-        raise ValueError("float output needs at least 10 digits")
-    return digits
+    """Float precision: --digits, from 10 to INT_STR_DIGITS."""
+    if not 10 <= args.digits <= INT_STR_DIGITS:
+        raise ValueError(f"float output takes 10 to {INT_STR_DIGITS:,} "
+                         f"digits, the input and output limit")
+    return args.digits
 
 
 def column(name: str, digits: int) -> str:

@@ -399,10 +399,7 @@ def mpmath_pi(digits):
 
 
 # ---------------------------------------------------------------------------
-# the argparse command line parser, verbatim
-
-ENV_FLOAT_DIGITS = "BRAIDINV_FLOAT_DIGITS"
-DEFAULT_FLOAT_DIGITS = 50
+# the argparse command line parser, verbatim but for the --digits default
 
 
 class _Parser(argparse.ArgumentParser):
@@ -420,10 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
-    output.add_argument("--digits", type=int, default=None,
-                        help=f"float precision in significant digits "
-                             f"(default {DEFAULT_FLOAT_DIGITS}, or "
-                             f"{ENV_FLOAT_DIGITS})")
+    output.add_argument("--digits", type=int, default=50,
+                        help="float precision in significant digits "
+                             "(default 50)")
     output.add_argument("--out", default=None, help="write output to a file")
 
     def command(name, help):

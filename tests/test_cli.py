@@ -14,12 +14,8 @@ from braidinv.commands import beta, reproduce, zmap
 from test_golden import read_golden
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env=None):
     """Run the CLI in a subprocess; no input may end in a traceback."""
-    env = dict(os.environ)
-    env.pop("BRAIDINV_FLOAT_DIGITS", None)
-    if env_extra:
-        env.update(env_extra)
     result = subprocess.run([sys.executable, "-m", "braidinv", *args],
                             capture_output=True, text=True, env=env)
     assert "Traceback" not in result.stderr, result.stderr
@@ -129,29 +125,19 @@ def test_qexpand_rows():
 
 def test_asymptotics_digits_env(tmp_path):
     result = run_cli("asymptotics", "--j", "1", "--orders", "7,9",
-                     env_extra={"BRAIDINV_FLOAT_DIGITS": "12"})
+                     "--digits", "15")
     assert result.returncode == 0
-    assert "[12d]" in result.stdout
+    assert "[15d]" in result.stdout
     assert "1225/1024" in result.stdout
-
-    flag_wins = run_cli("asymptotics", "--j", "1", "--orders", "7",
-                        "--digits", "15",
-                        env_extra={"BRAIDINV_FLOAT_DIGITS": "12"})
-    assert "[15d]" in flag_wins.stdout
 
 
 def test_float_output_needs_enough_digits():
-    # the variable is read as the flag is: ASCII decimal digits only
-    for extra, env in ((["--digits", "4"], None),
-                       ([], {"BRAIDINV_FLOAT_DIGITS": "abc"}),
-                       ([], {"BRAIDINV_FLOAT_DIGITS": " 20"}),
-                       ([], {"BRAIDINV_FLOAT_DIGITS": "2_0"})):
-        result = run_cli("asymptotics", "--j", "1", "--orders", "7", *extra,
-                         env_extra=env)
-        assert result.returncode == 1
-        assert result.stderr.startswith("error: ")
-        assert result.stderr.count("\n") == 1
-        assert "DIGITS" in result.stderr.upper()
+    result = run_cli("asymptotics", "--j", "1", "--orders", "7",
+                     "--digits", "4")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert "DIGITS" in result.stderr.upper()
 
 
 def test_beta_subcommand():
@@ -225,6 +211,8 @@ def test_trace_json_sequences_at_extreme_scales(tmp_path):
 
 
 def test_importing_the_package_leaves_int_str_limit_alone():
+    # main sets the guard to its own limit for the run, also for a caller
+    # with none (0), and gives the caller's back
     code = ("import sys\n"
             "limit = sys.get_int_max_str_digits\n"
             "before = limit()\n"
@@ -233,10 +221,30 @@ def test_importing_the_package_leaves_int_str_limit_alone():
             "import braidinv.cli\n"
             "assert limit() == before\n"
             "braidinv.cli.main(['beta', '--s', '7'])\n"
-            "assert limit() == before\n")
+            "assert limit() == before\n"
+            "sys.set_int_max_str_digits(0)\n"
+            "assert braidinv.cli.main(['zmap', '--braid', "
+            "'{\"0\": \"1e100000\"}', '--order', '0']) == 1\n"
+            "assert limit() == 0\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True)
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ("error: a number exceeds the 100,000-digit "
+                             "input and output limit\n")
+
+
+@pytest.mark.parametrize("setting", [None, "0", "200000"])
+def test_the_digit_limit_holds_whatever_the_interpreter_allows(setting):
+    # 10^100000 has 100,001 digits; PYTHONINTMAXSTRDIGITS moves Python's
+    # own guard, not the CLI's
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    if setting is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = setting
+    result = run_cli("zmap", "--braid", '{"0": "1e100000"}', "--order", "0",
+                     env=env)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", "error: a number exceeds the 100,000-digit input and output "
+               "limit\n")
 
 
 def test_reproduce_all():
@@ -417,6 +425,22 @@ def test_sequence_key_given_twice_is_named(tmp_path, capsys):
                                            f"{path}: key '{key}' given twice\n")
 
 
+@pytest.mark.parametrize("command", [
+    "asymptotics --j 1 --orders 1", "beta --s 1", "basis --r 3 --solve-t"])
+def test_float_digits_past_the_limit_are_refused_before_any_work(
+        command, monkeypatch, capsys):
+    from braidinv import floats
+    work = []
+    for module, name in ((floats, "precision"), (basis_solver, "invert")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name: work.append(name))
+    assert cli.main([*command.split(), "--digits", "100001"]) == 1
+    assert work == []
+    assert capsys.readouterr() == ("", "error: float output takes 10 to "
+                                   "100,000 digits, the input and output "
+                                   "limit\n")
+
+
 def test_output_digit_limit_is_named(capsys):
     assert cli.main(["zmap", "--braid", '{"1": "1e-100000"}']) == 1
     assert capsys.readouterr() == ("", "error: a number exceeds the "
@@ -507,18 +531,17 @@ def test_json_exponents_are_bounded(tmp_path):
 
 
 def test_float_digits_are_read_only_where_floats_print():
-    # every README command with no float column ignores even an invalid
-    # precision, from the flag or from the environment
+    # every README command with no float column ignores even a precision
+    # out of range, below 10 or past the digit limit
     for command in ("lift --order 13", "zmap --braid pair:2 --order 4",
                     "qexpand --order 11", "qexpand --order 5 --power 2",
                     "beta --s 7", "basis --r 2 --entry 1,3",
                     "trace --sequence tauhat --window 8", "reproduce"):
         expected = read_golden(f"{command} --format text").decode("utf-8")
-        for argv, env in ((["--digits", "4"], None),
-                          ([], {"BRAIDINV_FLOAT_DIGITS": "abc"})):
-            result = run_cli(*command.split(), *argv, env_extra=env)
-            assert result.returncode == 0, (command, argv, env)
-            assert result.stdout == expected, (command, argv, env)
+        for digits in ("4", "100001"):
+            result = run_cli(*command.split(), "--digits", digits)
+            assert result.returncode == 0, (command, digits)
+            assert result.stdout == expected, (command, digits)
 
 
 def test_basis_solve_t_inverts_once(monkeypatch, capsys):
@@ -530,7 +553,6 @@ def test_basis_solve_t_inverts_once(monkeypatch, capsys):
         return invert(M)
 
     monkeypatch.setattr(basis_solver, "invert", counting_invert)
-    monkeypatch.delenv("BRAIDINV_FLOAT_DIGITS", raising=False)
     assert cli.main(["basis", "--r", "3", "--solve-t"]) == 0
     assert calls == [7]
 
@@ -626,7 +648,6 @@ def test_a_request_solves_once_and_expands_once(argv, monkeypatch, capsys):
             return original(*args)
 
         monkeypatch.setattr(inverse_engine, name, counting)
-    monkeypatch.delenv("BRAIDINV_FLOAT_DIGITS", raising=False)
     assert cli.main(argv) == 0
     assert calls == ["_lift_series", "expand"]
 

@@ -55,7 +55,6 @@ def spawn(script, argv, stdout=subprocess.PIPE, unbuffered=False):
     count at exit of one fresh run; stdout goes to a pipe unless a file
     descriptor or CLOSED is given."""
     env = dict(os.environ)
-    env.pop("BRAIDINV_FLOAT_DIGITS", None)
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"

@@ -47,10 +47,22 @@ def test_golden_matches_digest(key):
 
 
 @pytest.mark.parametrize("key", sorted(DIGESTS))
-def test_readme_command_stdout_is_golden(key, monkeypatch):
-    monkeypatch.delenv("BRAIDINV_FLOAT_DIGITS", raising=False)
+def test_readme_command_stdout_is_golden(key):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(key.split())
     assert code == 0
+    assert out.getvalue().encode("utf-8") == read_golden(key)
+
+
+@pytest.mark.parametrize("key", sorted(
+    k for k in DIGESTS if k.startswith(("asymptotics", "beta --s 1 ",
+                                        "basis --r 3 --solve-t "))))
+def test_float_commands_read_no_precision_from_the_environment(
+        key, monkeypatch):
+    # --digits alone sets the precision; no environment variable does
+    monkeypatch.setenv("BRAIDINV_FLOAT_DIGITS", "12")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(key.split()) == 0
     assert out.getvalue().encode("utf-8") == read_golden(key)

@@ -160,8 +160,7 @@ def test_tau_lift_power_one_is_the_strengthened_lift():
         tau_lift([7], 0)
 
 
-def test_pair_limit_target_signs(capsys, monkeypatch):
-    monkeypatch.delenv("BRAIDINV_FLOAT_DIGITS", raising=False)
+def test_pair_limit_target_signs(capsys):
     signs = []
     for j in (1, 3, 5, 7):
         assert cli.main(["asymptotics", "--j", str(j), "--orders", str(j),

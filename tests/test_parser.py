@@ -147,4 +147,4 @@ def test_command_help_names_every_flag():
                 assert "{" + ",".join(action.choices) + "}" in out, command
             if action.help:
                 assert words(action.help) in words(out), (command, action.help)
-        assert "(default 50, or BRAIDINV_FLOAT_DIGITS)" in out, command
+        assert "significant digits (default 50)" in out, command

@@ -71,7 +71,6 @@ def ending(code):
 
 
 def test_every_function_runs_in_some_command(tmp_path, monkeypatch):
-    monkeypatch.delenv("BRAIDINV_FLOAT_DIGITS", raising=False)
     (tmp_path / "seq.json").write_text(
         '{"label": "file", "items": [{"1": 1}, {"1": 0.5}, {"1": "1/4"}]}',
         encoding="utf-8")

@@ -21,7 +21,6 @@ format, and for a trace of a sequence file.
 """
 
 import json
-import os
 import subprocess
 import sys
 
@@ -117,10 +116,8 @@ FILE_TRACE_UNRUN = 0.25
 def probe(argv):
     """Exit code, loaded watched modules, stdout and the share of compiled
     braidinv bytecode that never ran, of one fresh run."""
-    env = dict(os.environ)
-    env.pop("BRAIDINV_FLOAT_DIGITS", None)
     result = subprocess.run([sys.executable, "-c", SCRIPT, *argv],
-                            capture_output=True, env=env)
+                            capture_output=True)
     code, loaded, unrun = json.loads(result.stderr.decode().splitlines()[-1])
     return code, set(loaded), result.stdout, unrun
 
