@@ -9,11 +9,10 @@ reference value.
 Each request compiles only the code it runs: with no bytecode cache
 (PYTHONDONTWRITEBYTECODE) Python compiles every module it imports, every
 time, about a sixth of a short request; starting the interpreter and site
-takes most of the rest.  The process entry, braidinv.__main__.main,
-freezes the start-up heap before it imports this module; once main
-returns, it runs the exit handlers, flushes stdout and stderr and ends
-the process with os._exit, so no teardown follows.  main never freezes
-and never ends the process, as it also runs in-process.  This module
+takes most of the rest.  Once main returns, the process entry,
+braidinv.__main__.main, runs the exit handlers, flushes stdout and stderr
+and ends the process with os._exit, so no teardown follows.  main never
+ends the process, as it also runs in-process.  This module
 imports no library module at the top and reads argv with its own table
 (COMMANDS), so argparse, gettext and locale never load; after parsing,
 main imports braidinv.commands.<name>, which imports what it uses, and

@@ -62,9 +62,10 @@ def exponent_map(raw) -> BraidSum:
 
 
 def load_sequence(path: str) -> tuple:
-    """(label, items) from a JSON file {"label": ..., "items": [maps]}."""
+    """(label, items) from a JSON file {"label": ..., "items": [maps]}; a
+    leading UTF-8 byte order mark is skipped."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             pairs = read_json(handle.read())
         payload = {}
         for key, value in pairs if isinstance(pairs, tuple) else ():
@@ -76,6 +77,12 @@ def load_sequence(path: str) -> tuple:
         label = payload.get("label", path)
         if not isinstance(label, str):
             raise ValueError("the label must be a string")
+        # JSON's "\ud800" is a lone surrogate, which UTF-8 cannot encode:
+        # refused here, every format exits 1, not only text and csv; the
+        # path default stays as the OS gives it
+        if "label" in payload and \
+                any("\ud800" <= c <= "\udfff" for c in label):
+            raise ValueError("the label holds a lone surrogate")
         items = [exponent_map(item) for item in payload["items"]]
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot load sequence from {path}: {exc}") from exc

@@ -302,6 +302,8 @@ def test_reproduce_offers_exactly_its_tables(capsys):
     ["trace", "--sequence", "{tmp}/underscore.json"],
     ["trace", "--sequence", "{tmp}/label-null.json"],
     ["trace", "--sequence", "{tmp}/label-list.json"],
+    ["trace", "--sequence", "{tmp}/label-surrogate.json", "--window", "2",
+     "--format", "json"],
     ["zmap", "--braid", '{"1": "1e+000000000100000"}'],
     ["zmap", "--braid", '{"1": "1e-100000"}'],
     ["zmap", "--braid", '{"1' + "0" * 60000 + '": 1}', "--order", "2"],
@@ -337,7 +339,8 @@ def test_reproduce_offers_exactly_its_tables(capsys):
         "exponent-underscore", "sequence-json-bool",
         "coefficient-underscore", "coefficient-fullwidth",
         "sequence-coefficient-underscore", "sequence-label-null",
-        "sequence-label-list", "output-digits-power", "output-digits-inverse",
+        "sequence-label-list", "sequence-label-surrogate",
+        "output-digits-power", "output-digits-inverse",
         "output-digits-exponent-key", "repeated-exponent-sign",
         "repeated-exponent-zero", "repeated-json-key",
         "sequence-repeated-exponent", "sequence-item-number",
@@ -367,6 +370,9 @@ def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
         f'{{"label": null, "items": {two}}}', encoding="utf-8")
     (tmp_path / "label-list.json").write_text(
         f'{{"label": ["x"], "items": {two}}}', encoding="utf-8")
+    # a lone surrogate: --format json could escape it, text and csv cannot
+    (tmp_path / "label-surrogate.json").write_text(
+        f'{{"label": "\\ud800", "items": {two}}}', encoding="utf-8")
     (tmp_path / "repeated.json").write_text(
         '{"items": [{"1": 1}, {"1": 1, "+1": 2}]}', encoding="utf-8")
     (tmp_path / "item-number.json").write_text('{"items": [{"1": 1}, 5]}',
@@ -386,6 +392,17 @@ def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
     assert result.stderr.count("\n") == 1
     # Python's advice names a call that no user of the CLI can make
     assert "set_int_max_str_digits" not in result.stderr
+
+
+def test_a_byte_order_mark_is_skipped(tmp_path, capsys):
+    text = '{"label": "marked", "items": [{"1": 1}, {"1": "1/2"}]}'
+    outs = []
+    for name, head in (("plain.json", ""), ("bom.json", "\ufeff")):
+        (tmp_path / name).write_text(head + text, encoding="utf-8")
+        argv = ["trace", "--sequence", str(tmp_path / name), "--window", "2"]
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "marked" in outs[0]
 
 
 def test_exponent_map_errors_name_the_input(tmp_path, capsys):

@@ -1,14 +1,12 @@
 """The process entry: `python -m braidinv` and the `braidinv` console script.
 
-Both run braidinv.__main__.main, which freezes the start-up heap with
-gc.freeze() before it imports the CLI, so that no collection walks objects
-that live for the whole run.  After the request it runs the exit handlers,
-flushes stdout and stderr and ends the process with os._exit, skipping
-interpreter teardown.  cli.main never freezes and never ends the process:
-it also runs in-process, as in these tests.  A child process runs the entry
-with an atexit probe that reports the freeze count on the last line of
-stderr, after the run's own output, so every run here also shows that the
-exit handlers still run.
+Both run braidinv.__main__.main, which runs the CLI, then the exit
+handlers, flushes stdout and stderr and ends the process with os._exit,
+skipping interpreter teardown.  cli.main never ends the process: it also
+runs in-process, as in these tests.  A child process runs the entry with
+an atexit probe that reports the freeze count on the last line of stderr,
+after the run's own output, so every run here also shows that the exit
+handlers still run and that nothing froze the heap.
 
 stdout that cannot be written is handled whatever its buffering: a closed
 pipe exits 0 with nothing on stderr, and /dev/full exits 1 with one
@@ -26,7 +24,7 @@ import sys
 
 import pytest
 
-from braidinv import __main__ as entry, cli
+from braidinv import __main__ as entry
 from test_golden import DIGESTS, ROOT, read_golden
 
 PROBE = """
@@ -73,7 +71,7 @@ def spawn(script, argv, stdout=subprocess.PIPE, unbuffered=False):
 def test_readme_command_through_the_module_entry(key):
     code, out, _, frozen = spawn(AS_MODULE, key.split())
     assert (code, out) == (0, read_golden(key))
-    assert frozen > 0
+    assert frozen == 0
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -85,17 +83,9 @@ def test_module_entry_keeps_exit_codes(argv, code):
     assert spawn(AS_MODULE, argv)[0] == code
 
 
-def test_in_process_main_never_freezes(capsys):
-    before = gc.get_freeze_count()
-    assert cli.main(["lift", "--order", "7"]) == 0
-    assert cli.main(["lift", "--order", "x"]) == 1
-    assert gc.get_freeze_count() == before
-    capsys.readouterr()
-
-
 def test_importing_the_entry_runs_nothing():
     # imported above, as the console script imports it; it must not have
-    # exited, frozen or parsed the test runner's argv
+    # exited or parsed the test runner's argv
     assert callable(entry.main)
     assert gc.get_freeze_count() == 0
 
@@ -109,7 +99,7 @@ def test_console_script_names_the_entry():
     key = "lift --order 13 --format text"
     code, out, _, frozen = spawn(AS_SCRIPT, [target, *key.split()])
     assert (code, out) == (0, read_golden(key))
-    assert frozen > 0
+    assert frozen == 0
 
 
 # a short payload stays in a buffered stdout until the flush; a long one is
@@ -134,7 +124,7 @@ def test_an_unwritable_stdout_is_handled(script, prefix, unbuffered, argv):
     with open("/dev/full", "wb") as full:
         code, _, errors, frozen = spawn(script, argv, full, unbuffered)
     assert (code, errors) == (1, ["error: [Errno 28] No space left on device"])
-    assert closed[3] > 0 and frozen > 0
+    assert closed[3] == 0 and frozen == 0
 
 
 @pytest.mark.parametrize("script, prefix", [
@@ -144,7 +134,7 @@ def test_a_closed_stdout_is_one_error_line(script, prefix, tmp_path):
     for argv in (["lift", "--order", "5"], ["--help"]):
         code, _, errors, frozen = spawn(script, prefix + argv, CLOSED)
         assert (code, errors) == (1, ["error: standard output is closed"])
-        assert frozen > 0
+        assert frozen == 0
     # the file opened for --out may take fd 1 itself
     key, path = "lift --order 13 --format text", tmp_path / "out.txt"
     argv = prefix + key.split() + ["--out", str(path)]

@@ -2,17 +2,15 @@
 runs in some CLI invocation.
 
 The invocations below go through cli.main in-process, and --help once
-through the process entry __main__.main with gc.freeze and the exit
-handlers made no-ops and os._exit raising SystemExit, while
-sys.setprofile records each code object that starts running.  A function
-that none of them reaches is test-only or dead code and belongs in tests/
-or nowhere; the one exception is __repr__, which serves debugging and test
-failure messages.
+through the process entry __main__.main with the exit handlers made a
+no-op and os._exit raising SystemExit, while sys.setprofile records each
+code object that starts running.  A function that none of them reaches
+is test-only or dead code and belongs in tests/ or nowhere; the one
+exception is __repr__, which serves debugging and test failure messages.
 """
 
 import atexit
 import contextlib
-import gc
 import inspect
 import io
 import json
@@ -87,10 +85,7 @@ def test_every_function_runs_in_some_command(tmp_path, monkeypatch):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 cli.main(argv)
-        # a real freeze would leave every reference cycle made so far in
-        # the test process uncollectable, and the real exit handlers and
-        # os._exit would end the session
-        monkeypatch.setattr(gc, "freeze", lambda: None)
+        # the real exit handlers and os._exit would end the session
         monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: None)
         monkeypatch.setattr(os, "_exit", ending)
         monkeypatch.setattr(sys, "argv", ["braidinv", "--help"])
