@@ -5,9 +5,9 @@ generator and q^-1 for its inverse, the rational group algebra is the ring of
 Laurent polynomials in q.  A BraidSum stores an element as a sparse map
 from exponent to nonzero integer numerator over one positive denominator,
 reduced by their gcd so that equal sums have equal fields.  Only this
-module builds those integers: its kernels, expand and moments work on them;
-Fractions come in through the constructor and expand and go out through
-terms, coefficient and render.
+module builds those integers: its kernels and moments work on them;
+Fractions come in through the constructor and go out through terms,
+coefficient and render.
 
 The finite-type filtration order of an element is computed along two
 independent routes that must agree, both over the stored terms only: the
@@ -96,39 +96,13 @@ def combine(a: BraidSum, ca, b: BraidSum, cb) -> BraidSum:
     return BraidSum.over(nums, den)
 
 
-def _convolve(a_nums: dict, b_nums: dict) -> dict:
-    # the group law q^i q^j = q^(i+j) on integer numerators, zeros kept
-    nums = {}
-    for i, x in a_nums.items():
-        for j, y in b_nums.items():
-            nums[i + j] = nums.get(i + j, 0) + x * y
-    return nums
-
-
 def multiply(a: BraidSum, b: BraidSum) -> BraidSum:
-    """Convolution product induced by the group law."""
-    return BraidSum.over(_convolve(a.nums, b.nums), a.den * b.den)
-
-
-def expand(coeffs, seed: BraidSum, orders) -> list:
-    """sum_(k<=r) coeffs[k] seed^k for each order r in orders, in one pass.
-
-    With seed = S / C and coeffs[k] = w_k / den over integers, ascending k
-    adds w_k C^(top-k) S^k over den C^top, S^k by the group-law convolution
-    and zero weights skipped; truncation r < len(coeffs) is the sum at k = r.
-    """
-    weights, den = common_denominator(coeffs)
-    top = max(orders)
-    acc, power, out = {}, {0: 1}, {}
-    for k, w in enumerate(weights[:top + 1]):
-        power = _convolve(power, seed.nums) if k else power
-        if w:
-            w *= seed.den ** (top - k)
-            for n, c in power.items():
-                acc[n] = acc.get(n, 0) + w * c
-        if k in orders:
-            out[k] = BraidSum.over(acc, den * seed.den ** top)
-    return [out[r] for r in orders]
+    """Convolution product induced by the group law q^i q^j = q^(i+j)."""
+    nums = {}
+    for i, x in a.nums.items():
+        for j, y in b.nums.items():
+            nums[i + j] = nums.get(i + j, 0) + x * y
+    return BraidSum.over(nums, a.den * b.den)
 
 
 def coefficient(b: BraidSum, n: int) -> Fraction:

@@ -23,10 +23,12 @@ a request never runs lives where that request does not load it: --help and
 usage errors load this module and braidinv.usage, which writes them and
 which no other request loads; the JSON and CSV writers load only for their
 format, the stock sequences of trace only for a trace of one, and the JSON
-reader braidinv.inputs only for a JSON braid or a sequence file.  beta,
-basis without --solve-t and reproduce without its lift and pairs tables
-skip inverse_engine, braid_ring and power_series, and only zmap and trace
-load kontsevich; a trace of a sequence file skips inverse_engine.  floats,
+reader braidinv.inputs only for a JSON braid or a sequence file.  The
+lift solve, inverse_engine, loads only for lift and reproduce's lift
+table, and the expansions at q - q^-1, pair_expansions, only for the
+requests that read one; beta, basis without --solve-t and reproduce
+without its lift and pairs tables skip both and braid_ring and
+power_series, and only zmap and trace load kontsevich.  floats,
 which alone reads the precision, tags the float columns and prints their
 cells from integer arithmetic, loads only for float columns (asymptotics,
 beta --s 1, basis --solve-t).  json loads only for a JSON braid, a

@@ -1,7 +1,7 @@
 """braidinv asymptotics: pair coefficients against their 4/pi limits."""
 
 from .. import cli, floats
-from ..inverse_engine import asymptotic_check
+from ..pair_expansions import asymptotic_check
 
 
 def run(args):

@@ -40,7 +40,7 @@ def run(args):
                          str(N[row - 1][col - 1])]], []))
     if args.solve_t:
         from ..braid_ring import coefficient, combine, render
-        from ..inverse_engine import tau_lift
+        from ..pair_expansions import tau_expansions
         solution, b = basis_solver.solve_t_target(N)
         sol_rows = [[str(node), str(c)] for node, c in
                     zip(basis_solver.balanced_nodes(r), solution)]
@@ -49,7 +49,7 @@ def run(args):
                        [f"as a braid sum: {render(b)}"]))
         lift_order = r if r % 2 == 1 else r - 1
         if lift_order >= 1:
-            [lift_b] = tau_lift([lift_order])[1]
+            [lift_b] = tau_expansions([lift_order])
             diff = combine(b, 1, lift_b, -1)
             cmp_rows = [[str(n)] + [str(coefficient(x, n))
                                     for x in (b, lift_b, diff)]

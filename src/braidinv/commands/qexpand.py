@@ -1,12 +1,12 @@
 """braidinv qexpand: the pair expansion of a lift or of its power."""
 
 from ..braid_ring import coefficient
-from ..inverse_engine import tau_lift
+from ..pair_expansions import tau_expansions
 
 
 def run(args):
     order, power = args.order, args.power
-    [b] = tau_lift([order], power)[1]
+    [b] = tau_expansions([order], power)
     sign = "-" if power % 2 else "+"
     rows = [] if power % 2 else [["q^0", str(coefficient(b, 0))]]
     rows += [[f"q^{n} {sign} q^-{n}", str(coefficient(b, n))]

@@ -53,35 +53,34 @@ def _cell(where: str, printed: str | None, computed: Fraction,
     return [where, printed or "(none)", str(computed), verdict]
 
 
-def _lift_rows(solved):
-    from ..inverse_engine import closed_form_lift
-    P, _ = solved
+def _lift_rows():
+    from ..inverse_engine import solved_lift
+    P = solved_lift(max(REF_LIFT))
     rows = [_cell(f"degree {k}", printed, P[k])
             for k, printed in sorted(REF_LIFT.items())]
-    same = P == closed_form_lift(13)
-    rows.append(["cross-route (closed form)", "equal",
-                 "equal" if same else "different", "PASS" if same else "FAIL"])
+    # solved_lift raises unless the solve equals the closed form
+    rows.append(["cross-route (closed form)", "equal", "equal", "PASS"])
     return rows
 
 
-def _pair_rows(solved):
+def _pair_rows():
     from ..braid_ring import coefficient
-    _, expanded = solved
+    from ..pair_expansions import tau_expansions
+    expanded = tau_expansions([order for order, _ in REF_PAIR_ROWS])
     return [_cell(f"order {order}, pair {n}", None if ref is None else ref[n],
-                  coefficient(expanded[order], n),
-                  PAIR_MISPRINTS.get((order, n)))
-            for order, ref in REF_PAIR_ROWS
-            for n in sorted(expanded[order].nums) if n > 0]
+                  coefficient(b, n), PAIR_MISPRINTS.get((order, n)))
+            for (order, ref), b in zip(REF_PAIR_ROWS, expanded)
+            for n in sorted(b.nums) if n > 0]
 
 
-def _zeta2_rows(_solved):
+def _zeta2_rows():
     from ..basis_solver import entry_sequence
     entries = entry_sequence(1, 3, range(1, 9))
     return [_cell(f"r = {r}", printed, computed, ZETA2_MISPRINTS.get(r))
             for r, printed, computed in zip(range(1, 9), REF_ZETA2, entries)]
 
 
-def _onefive_rows(_solved):
+def _onefive_rows():
     from ..basis_solver import entry_sequence
     entries = entry_sequence(1, 5, range(2, 10))
     diffs = [b - a for a, b in zip([Fraction(0)] + entries, entries)]
@@ -92,7 +91,7 @@ def _onefive_rows(_solved):
              for r, printed, diff in zip(range(2, 10), REF_ONEFIVE_DIFFS, diffs)])
 
 
-def _beta_rows(_solved):
+def _beta_rows():
     from ..regularization import theta_value
     return ([_cell(f"Abel value, exponent {k}", "0", theta_value(k))
              for k in BETA_ZERO_KS] +
@@ -100,10 +99,7 @@ def _beta_rows(_solved):
              for s in BETA_RELATION_SS])
 
 
-# table -> the lift orders it reads
-LIFT_ORDERS = {"lift": [13], "pairs": [r for r, _ in REF_PAIR_ROWS]}
-
-# name -> (title, row generator of the shared solve, notes)
+# name -> (title, row generator, notes)
 REPRODUCE_TABLES = {
     "lift": ("lift coefficients", _lift_rows, []),
     "pairs": ("pair expansions of the lift truncations", _pair_rows,
@@ -121,18 +117,11 @@ def run(args):
     for at, name in enumerate(names):
         if name in names[:at]:
             raise ValueError(f"table {name} given twice")
-    # the lift and pairs tables read one solve, through every order they use
-    orders = sorted({r for name in names for r in LIFT_ORDERS.get(name, ())})
-    solved = None
-    if orders:
-        from ..inverse_engine import tau_lift
-        P, expanded = tau_lift(orders)
-        solved = P, dict(zip(orders, expanded))
     tables = []
     for name in names:
         title, rows, notes = REPRODUCE_TABLES[name]
         tables.append((title, ["where", "reference", "computed", "verdict"],
-                       rows(solved), notes))
+                       rows(), notes))
     verdicts = [row[-1] for _, _, rows, _ in tables for row in rows]
     failed = "FAIL" in verdicts
     tables.append(("summary", ["what", "value"],

@@ -2,30 +2,20 @@
 
 A lift is a tuple P of Fractions indexed by degree, with P[0] = 0, like
 every series in the package; it stands for sum_k P[k] seed^k for a seed
-braid sum of filtration order one.  Strengthening finds the P whose
-expansion at the seed has integral t through a target order.  The integral
-is a ring homomorphism with Z(q^n) = exp(n t/2), so for seed = sum_n c_n q^n
-P is the series with sum_n c_n exp(n P/2) = t.  One solve finds it degree
-by degree on integers, without forming Z(seed); braid_ring.expand expands
-each truncation the caller asks for at the seed in one pass, and the top
-one is checked once at the braid level on its integer moments.  For the
-seed q - q^-1 this is the reversion of 2 sinh(t/2), whose closed-form
-arcsinh coefficients are an independent route to the same numbers.
-
-Every solved lift the commands read comes from tau_lift, whose expansions
-at q - q^-1 are checked once to be antisymmetric: their positive exponents
-carry the coefficients over the pairs q^n - q^-n, which approach signed
-multiples of 4/pi.  Everything here is exact; the float columns that
-compare them with that limit are built in the commands.
+braid sum of filtration order one.  The integral is a ring homomorphism
+with Z(q^n) = exp(n t/2), so for seed = sum_n c_n q^n the lift of t is the
+series P with sum_n c_n exp(n P/2) = t, found degree by degree on integers
+without forming Z(seed).  For the seed q - q^-1 it is the reversion of
+2 sinh(t/2), whose closed form, the Taylor series of 2 arcsinh(t/2), shares
+no arithmetic with the solve; solved_lift compares the two exactly.  The
+expansions at q - q^-1 come from their own closed form, in pair_expansions.
 """
 
 import math
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul, ne
+from operator import add, mul
 
-from .braid_ring import (BraidSum, coefficient, expand, filtration_order,
-                         moments, multiply, tau)
+from .braid_ring import BraidSum, tau
 
 
 def _lift_series(seed: BraidSum, order: int) -> tuple:
@@ -62,30 +52,6 @@ def _lift_series(seed: BraidSum, order: int) -> tuple:
     return tuple(coeffs)
 
 
-def strengthen_to(seed: BraidSum, orders) -> tuple:
-    """(P, expansions) for an order-one seed: the lift of t through the top
-    of the orders, each odd, positive and given once, and its truncations at
-    the orders expanded at the seed.  Solved as sum_n c_n exp(n P/2) = t,
-    then checked once at the braid level: the top expansion's integer moments
-    must make its integral t.  The check shares no arithmetic with the solve.
-    """
-    for at, r in enumerate(orders):
-        if r < 1 or r % 2 == 0:
-            raise ValueError(f"order {r} is not odd and positive")
-        if r in orders[:at]:
-            raise ValueError(f"order {r} given twice")
-    if filtration_order(seed) != 1:
-        raise ValueError("seed must have filtration order 1")
-    top = max(orders)
-    P = _lift_series(seed, top)
-    expansions = expand(P, seed, orders)
-    b = expansions[orders.index(top)]
-    # Z(b)'s degree-i coefficient is moment i over b.den 2^i i!, so Z(b) = t
-    if any(map(ne, [0, 2 * b.den] + [0] * (top - 1), moments(b))):
-        raise ArithmeticError(f"lift is not flat through order {top}")
-    return P, expansions
-
-
 def closed_form_lift(order: int) -> tuple:
     """The lift for the seed q - q^-1: the Taylor series of 2 arcsinh(t/2).
 
@@ -102,43 +68,14 @@ def closed_form_lift(order: int) -> tuple:
     return tuple(coeffs)
 
 
-def tau_lift(orders, power: int = 1) -> tuple:
-    """(P, expansions) of strengthen_to(tau(), orders), each expansion raised
-    to the power and checked once for its symmetry under q -> q^-1.
-
-    An odd power of an odd polynomial in q - q^-1 is antisymmetric, so its
-    positive half holds the coefficients over the pairs q^n - q^-n; an even
-    power is symmetric, a constant plus coefficients over q^n + q^-n.  A
-    failure of that symmetry means the expansion itself is broken.  No
-    reference values exist for powers above one; they are reported
-    computations.
+def solved_lift(order: int) -> tuple:
+    """The lift for the seed q - q^-1 through an odd, positive order, by the
+    solve, checked coefficient for coefficient against closed_form_lift.
+    The order is checked, by the closed form, before the solve.
     """
-    if power < 1:
-        raise ValueError("power must be positive")
-    P, expansions = strengthen_to(tau(), orders)
-    powers = [reduce(multiply, [b] * power) for b in expansions]
-    # antisymmetry also forces the q^0 coefficient to vanish
-    sign = -1 if power % 2 else 1
-    for r, b in zip(orders, powers):
-        mirror = {-n: sign * c for n, c in b.nums.items()}
-        if b != BraidSum.over(mirror, b.den):
-            raise ArithmeticError(f"power {power} of the order {r} expansion "
-                                  "lost its symmetry under q -> q^-1")
-    return P, powers
-
-
-def asymptotic_check(j: int, r_list) -> list:
-    """(order, pair-j coefficient) for each order, ascending, by tau_lift.
-
-    The coefficients approach (-1)^((j-1)/2) 4/(pi j^2); that limit
-    involves pi, so the comparison with it is left to the float columns.
-    """
-    if j < 1 or j % 2 == 0:
-        raise ValueError("pair index must be odd and positive")
-    if not r_list:
-        raise ValueError("need at least one order")
-    for r in r_list:
-        if r < j:
-            raise ValueError(f"order {r} is below the pair index {j}")
-    orders = sorted(r_list)
-    return [(r, coefficient(b, j)) for r, b in zip(orders, tau_lift(orders)[1])]
+    expected = closed_form_lift(order)
+    P = _lift_series(tau(), order)
+    if P != expected:
+        raise ArithmeticError(f"the solved lift differs from 2 arcsinh(t/2) "
+                              f"through order {order}")
+    return P

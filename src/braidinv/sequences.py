@@ -11,11 +11,12 @@ from .braid_ring import BraidSum, combine, pair
 
 def lift_truncation_sequence(count: int) -> list:
     """b_i = the order (2i-1) truncation of the lift expanded at q - q^-1,
-    all from one tau_lift, each checked once.  Differences of consecutive
-    items are spans of high seed powers, so condition (c) holds comfortably.
+    all from one tau_expansions, the top certified and each checked once.
+    Differences of consecutive items are spans of high seed powers, so
+    condition (c) holds comfortably.
     """
-    from .inverse_engine import tau_lift
-    return tau_lift(range(1, 2 * count, 2))[1]
+    from .pair_expansions import tau_expansions
+    return tau_expansions(range(1, 2 * count, 2))
 
 
 def harmonic_sigma_sequence(count: int) -> list:

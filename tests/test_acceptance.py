@@ -16,9 +16,10 @@ from braidinv.braid_ring import (BraidSum, combine, filtration_order,
                                  multiply, sigma_power, tau)
 from braidinv.convergence import (biconvergence_report,
                                   filtration_condition_c, verdict)
-from braidinv.inverse_engine import (_lift_series, asymptotic_check,
-                                     closed_form_lift, strengthen_to, tau_lift)
+from braidinv.inverse_engine import (_lift_series, closed_form_lift,
+                                     solved_lift)
 from braidinv.kontsevich import Z
+from braidinv.pair_expansions import asymptotic_check, tau_expansions
 from braidinv.regularization import leibniz_partial, theta_value
 from braidinv.sequences import (harmonic_sigma_sequence,
                                 lift_truncation_sequence)
@@ -39,7 +40,7 @@ def test_criterion_01_lift_coefficients():
     expected = {1: frac(1), 3: frac(-1, 24), 5: frac(3, 640),
                 7: frac(-5, 7168), 9: frac(35, 294912),
                 11: frac(-63, 2883584), 13: frac(231, 54525952)}
-    computed, _ = strengthen_to(tau(), [13])
+    computed = solved_lift(13)
     report(1, {k: c for k, c in enumerate(computed) if c} == expected,
            f"seven lift coefficients through degree 13, exact; "
            f"top = {computed[13]}")
@@ -49,7 +50,7 @@ def test_criterion_02_route_agreement():
     orders = list(range(1, 26, 2))
     mismatches = []
     for n in orders:
-        a, _ = strengthen_to(tau(), [n])
+        a = _lift_series(tau(), n)
         b = oracles.arcsinh2_binomial(n)
         c = closed_form_lift(n)
         if not a == b == c:
@@ -84,7 +85,7 @@ def test_criterion_04_pair_expansion_rows():
                     11: frac(-63, 2883584)}
     row5_flagged_correction = frac(-12705, 131072)
 
-    _, expansions = tau_lift([*printed, 11])
+    expansions = tau_expansions([*printed, 11])
     ok = True
     for expected, expansion in zip(printed.values(), expansions):
         if oracles.pair_half(expansion.terms) != expected:

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from braidinv import basis_solver, cli, inputs, inverse_engine, sequences
+from braidinv import (basis_solver, cli, inputs, inverse_engine,
+                      pair_expansions, sequences)
 from braidinv.braid_ring import BraidSum, combine, pair
 from braidinv.commands import beta, reproduce, zmap
 from test_golden import read_golden
@@ -631,42 +632,54 @@ def test_zmap_integrates_once(monkeypatch, capsys):
 
 def test_qexpand_rejects_a_bad_power_before_strengthening(monkeypatch, capsys):
     calls = []
-    strengthen_to = inverse_engine.strengthen_to
-
-    def counting_strengthen_to(seed, orders):
-        calls.append(orders)
-        return strengthen_to(seed, orders)
-
-    monkeypatch.setattr(inverse_engine, "strengthen_to", counting_strengthen_to)
+    monkeypatch.setattr(pair_expansions, "closed_form_expansion",
+                        calls.append)
     assert cli.main(["qexpand", "--order", "61", "--power", "0"]) == 1
     assert calls == []
     assert capsys.readouterr().err == "error: power must be positive\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["lift", "--order", "13"],
-    ["qexpand", "--order", "11", "--power", "2"],
-    ["asymptotics", "--j", "3", "--orders", "9,25,49"],
-    ["trace", "--sequence", "tauhat", "--window", "8"],
-    ["reproduce", "--table", "lift"],
-    ["reproduce", "--table", "pairs"],
-    ["basis", "--r", "3", "--solve-t"],
-    # the lift and pairs tables share one solve
-    ["reproduce"],
-])
-def test_a_request_solves_once_and_expands_once(argv, monkeypatch, capsys):
-    # every truncation a request reads comes out of the one expansion pass
+def counted(monkeypatch):
+    """The (name, order) of every solve of the lift and every flatness
+    certificate of an expansion, in the order they run."""
     calls = []
-    for name in ("_lift_series", "expand"):
-        original = getattr(inverse_engine, name)
+    solve = inverse_engine._lift_series
+    moments = pair_expansions.moments
 
-        def counting(*args, name=name, original=original):
-            calls.append(name)
-            return original(*args)
+    def counting_solve(seed, order):
+        calls.append(("solve", order))
+        return solve(seed, order)
 
-        monkeypatch.setattr(inverse_engine, name, counting)
+    def counting_moments(b):
+        calls.append(("certify", max(b.nums)))
+        return moments(b)
+
+    monkeypatch.setattr(inverse_engine, "_lift_series", counting_solve)
+    monkeypatch.setattr(pair_expansions, "moments", counting_moments)
+    return calls
+
+
+# request -> the solves and certificates it runs
+SOLVES_AND_CERTIFICATES = {
+    "lift --order 13": [("solve", 13)],
+    "qexpand --order 11 --power 2": [("certify", 11)],
+    "asymptotics --j 3 --orders 9,25,49": [("certify", 49)],
+    "trace --sequence tauhat --window 8": [("certify", 15)],
+    "reproduce --table lift": [("solve", 13)],
+    "reproduce --table pairs": [("certify", 11)],
+    "basis --r 3 --solve-t": [("certify", 3)],
+    "reproduce": [("solve", 13), ("certify", 11)],
+}
+
+
+@pytest.mark.parametrize("argv", [request.split()
+                                  for request in SOLVES_AND_CERTIFICATES])
+def test_a_request_solves_once_and_expands_once(argv, monkeypatch, capsys):
+    # the lift is solved only where it is printed; every expansion a
+    # request reads comes from the closed form, certified at its top order
+    calls = counted(monkeypatch)
     assert cli.main(argv) == 0
-    assert calls == ["_lift_series", "expand"]
+    assert calls == SOLVES_AND_CERTIFICATES[" ".join(argv)]
 
 
 @pytest.mark.parametrize("tables, top", [
@@ -674,31 +687,29 @@ def test_a_request_solves_once_and_expands_once(argv, monkeypatch, capsys):
     (["beta", "zeta2"], None)])
 def test_reproduce_solves_through_the_orders_its_tables_read(
         tables, top, monkeypatch, capsys):
-    tops = []
-    strengthen_to = inverse_engine.strengthen_to
-
-    def counting_strengthen_to(seed, orders):
-        tops.append(max(orders))
-        return strengthen_to(seed, orders)
-
-    monkeypatch.setattr(inverse_engine, "strengthen_to", counting_strengthen_to)
+    # the lift table solves through order 13 and the pairs table certifies
+    # its expansions through order 11; no other table reads the lift
+    calls = counted(monkeypatch)
     argv = [arg for name in tables for arg in ("--table", name)]
     assert cli.main(["reproduce", *argv]) == 0
-    assert tops == ([] if top is None else [top])
+    read = set(tables or reproduce.REPRODUCE_TABLES)
+    assert sorted(calls) == sorted(
+        [("solve", 13)] * ("lift" in read) +
+        [("certify", 11)] * ("pairs" in read))
+    assert max((order for _, order in calls), default=None) == top
     capsys.readouterr()
 
 
 def test_a_broken_lower_truncation_fails_its_symmetry_check(monkeypatch):
     # the top expansion passes the flatness check; only the check on every
     # expansion a request reads can see a lower one break
-    strengthen_to = inverse_engine.strengthen_to
+    expansion = pair_expansions.closed_form_expansion
 
-    def planted(seed, orders):
-        P, expansions = strengthen_to(seed, orders)
-        expansions[0] = combine(expansions[0], 1, BraidSum({2: 1}), 1)
-        return P, expansions
+    def planted(order):
+        b = expansion(order)
+        return combine(b, 1, BraidSum({2: 1}), 1) if order == 1 else b
 
-    monkeypatch.setattr(inverse_engine, "strengthen_to", planted)
+    monkeypatch.setattr(pair_expansions, "closed_form_expansion", planted)
     message = "power 1 of the order 1 expansion lost its symmetry"
     with pytest.raises(ArithmeticError, match=message):
         sequences.lift_truncation_sequence(3)

@@ -8,6 +8,9 @@ an atexit probe that reports the freeze count on the last line of stderr,
 after the run's own output, so every run here also shows that the exit
 handlers still run and that nothing froze the heap.
 
+An interrupt (Ctrl-C) during a request writes one `error: interrupted`
+line and ends the process by SIGINT, so a shell sees status 130.
+
 stdout that cannot be written is handled whatever its buffering: a closed
 pipe exits 0 with nothing on stderr, and /dev/full exits 1 with one
 `error:` line, whether the payload or the help fails on its write or on
@@ -19,6 +22,7 @@ writes its file.
 import gc
 import importlib
 import os
+import signal
 import subprocess
 import sys
 
@@ -41,6 +45,18 @@ AS_SCRIPT = PROBE + """
 from importlib import import_module
 module, _, name = sys.argv.pop(1).partition(":")
 sys.exit(getattr(import_module(module), name)())
+"""
+
+# the entry with a request that the user interrupts, as Ctrl-C would
+INTERRUPTED = """
+import sys
+from braidinv import __main__ as entry, cli
+
+def interrupted(argv=None):
+    raise KeyboardInterrupt
+
+cli.main = interrupted
+sys.exit(entry.main())
 """
 
 
@@ -141,3 +157,10 @@ def test_a_closed_stdout_is_one_error_line(script, prefix, tmp_path):
     code, _, errors, _ = spawn(script, argv, CLOSED)
     assert (code, errors) == (0, [])
     assert path.read_bytes() == read_golden(key)
+
+
+def test_an_interrupt_is_one_error_line_and_the_signal():
+    result = subprocess.run([sys.executable, "-c", INTERRUPTED],
+                            capture_output=True)
+    assert (result.returncode, result.stdout, result.stderr) == \
+        (-signal.SIGINT, b"", b"error: interrupted\n")

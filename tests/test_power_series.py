@@ -1,11 +1,8 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from braidinv.braid_ring import BraidSum, multiply, sigma_power, tau
-from braidinv.inverse_engine import (_lift_series, closed_form_lift, expand,
-                                     strengthen_to)
+from braidinv.inverse_engine import _lift_series, closed_form_lift
 from braidinv.kontsevich import Z
 
 import oracles
@@ -58,7 +55,8 @@ def test_compose_corrects_the_fifth_degree():
     Z is a ring homomorphism with Z(tau) = 2sinh(t/2), so the integral of
     the lift expanded at tau is that composition.
     """
-    [lift] = expand((0, frac(1), 0, frac(-1, 24)), tau(), [3])
+    lift = BraidSum(oracles.braid_poly({1: frac(1), 3: frac(-1, 24)},
+                                       tau().terms))
     out = Z(lift, 5)
     assert out[1] == 1
     assert out[3] == 0
@@ -77,15 +75,6 @@ def test_lift_series_of_a_one_sided_seed_is_a_log():
     coefficient is (-1)^(m+1) / (m 2^(m-1)): every degree, not only odd."""
     assert _lift_series(BraidSum({1: 2, 0: -2}), 12) == (0, *(
         frac((-1) ** (m + 1), m * 2 ** (m - 1)) for m in range(1, 13)))
-
-
-def test_revert_preconditions():
-    """The solve needs Z(seed) with zero constant and nonzero linear term,
-    which is filtration order one; strengthening refuses anything else."""
-    for seed in (sigma_power(1), sigma_power(0), BraidSum({1: 1, 0: -2}),
-                 BraidSum({2: 1, 0: -2, -2: 1}), BraidSum({})):
-        with pytest.raises(ValueError, match="filtration order 1"):
-            strengthen_to(seed, [3])
 
 
 def test_revert_matches_lagrange_oracle_random():

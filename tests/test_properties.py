@@ -1,12 +1,12 @@
 """Property tests for the integer kernels and the braid ring.
 
 Braid sums store integer numerators over one reduced denominator, and every
-kernel (combine, multiply, the lift solve, Z and expand) works on
-them; each property compares them with a Fraction-only route that never
-does.  Equality compares the stored integers, so the canonical form itself
+kernel (combine, multiply, the lift solve and Z) works on them; each
+property compares them with a Fraction-only route that never does.  Equality compares the stored integers, so the canonical form itself
 is checked after each kernel.  The solve is checked on random seeds of filtration order
 one against Lagrange inversion and composition of the seed's integral and
-against stepwise strengthening.  The braid ring laws and the filtration
+against stepwise strengthening, and the closed-form expansions at
+q - q^-1 against the multiply loop on the arcsinh series.  The braid ring laws and the filtration
 order are checked against the ring axioms and the synthetic-division
 oracle, and the Lagrange-row moment-matrix inverse against Gauss-Jordan
 elimination.  beta's digit count from the bit length is checked against
@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from braidinv import basis_solver, braid_ring
 from braidinv.basis_solver import (MomentMatrix, build_balanced,
@@ -31,9 +31,10 @@ from braidinv.basis_solver import (MomentMatrix, build_balanced,
 from braidinv.braid_ring import (BraidSum, combine, filtration_order,
                                  multiply, sigma_power, tau)
 from braidinv.commands.beta import decimal_digits
-from braidinv.inverse_engine import (_lift_series, closed_form_lift, expand,
-                                     strengthen_to)
+from braidinv.inverse_engine import (_lift_series, closed_form_lift,
+                                     solved_lift)
 from braidinv.kontsevich import Z
+from braidinv.pair_expansions import closed_form_expansion
 from braidinv.render import render_csv, render_json
 
 import oracles
@@ -71,15 +72,6 @@ def order_one_seeds(draw):
     return BraidSum(terms)
 
 
-@st.composite
-def lifts_and_orders(draw):
-    """A coefficient tuple and a nonempty set of its degrees, in any order."""
-    coeffs = draw(st.lists(rationals, min_size=1, max_size=8))
-    orders = draw(st.lists(st.integers(0, len(coeffs) - 1), min_size=1,
-                           unique=True))
-    return tuple(coeffs), orders
-
-
 @given(order_one_seeds(), st.integers(1, 15))
 def test_revert_is_the_compositional_inverse(seed, order):
     s = oracles.integral(seed.terms, order)
@@ -95,12 +87,12 @@ def test_revert_is_the_compositional_inverse(seed, order):
 @given(order_one_seeds(), st.integers(0, 7))
 def test_strengthen_matches_the_stepwise_oracle_on_general_seeds(seed, k):
     order = 2 * k + 1
-    assert strengthen_to(seed, [order])[0] == \
+    assert _lift_series(seed, order) == \
         oracles.strengthen_stepwise(seed.terms, order)
 
 
 def test_three_routes_agree_at_order_301():
-    assert strengthen_to(tau(), [301])[0] == oracles.arcsinh2_binomial(301) \
+    assert solved_lift(301) == oracles.arcsinh2_binomial(301) \
         == closed_form_lift(301)
 
 
@@ -112,25 +104,25 @@ def test_z_is_a_ring_homomorphism(a, b, order):
     assert list(Z(a, order)) == oracles.integral(a.terms, order)
 
 
-@given(braid_sums, lifts_and_orders())
-@example({1: Fraction(1, 3), -1: Fraction(-1)},
-         ((Fraction(2), Fraction(0), Fraction(1, 2)), [2, 0]))
-def test_expand_matches_the_multiply_loop_on_every_truncation(seed, lift):
-    # the example: P[0] times the identity, a zero weight, orders out of
-    # order, and a seed whose denominator is above one
-    seed = BraidSum(seed)
-    P, orders = lift
-    expansions = expand(P, seed, orders)
-    assert len(expansions) == len(orders)
-    for r, b in zip(orders, expansions):
-        assert b.terms == oracles.braid_poly(dict(enumerate(P[:r + 1])),
-                                             seed.terms)
+def test_closed_form_matches_the_multiply_loop_through_order_201():
+    # the arcsinh series at q - q^-1, one odd truncation after another: the
+    # oracle's running sum adds P[r] (q - q^-1)^r by repeated multiplication,
+    # and at the top it is braid_poly's sum itself
+    P = closed_form_lift(201)
+    running, power = {}, {0: Fraction(1)}
+    for r in range(1, 202, 2):
+        for _ in range(min(r, 2)):
+            power = oracles.braid_mul(power, oracles.TAU)
+        running = oracles.braid_lincomb(running, 1, power, P[r])
+        b = closed_form_expansion(r)
+        assert b.terms == running, r
         assert_canonical(b)
+    assert running == oracles.braid_poly(dict(enumerate(P)), oracles.TAU)
 
 
 def test_strengthen_matches_the_stepwise_oracle():
     for order in range(1, 22, 2):
-        assert strengthen_to(tau(), [order])[0] == \
+        assert _lift_series(tau(), order) == \
             oracles.strengthen_stepwise(oracles.TAU, order)
 
 

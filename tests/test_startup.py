@@ -72,11 +72,13 @@ CORE = {"braidinv", "braidinv.cli"}
 USAGE = CORE | {"braidinv.usage"}
 # every command adds its own module, the commands package and render
 ALWAYS = CORE | {"braidinv.commands", "braidinv.render"}
-# what kontsevich and inverse_engine bring with them; the lift reads the
-# ring's integer moments, not the integral
+# what kontsevich, inverse_engine and pair_expansions bring with them: the
+# lift solve reads the seed's integers, and the expansions are certified on
+# the ring's integer moments, not on the integral
 RING = {"braidinv.braid_ring", "braidinv.power_series"}
 INTEGRAL = RING | {"braidinv.kontsevich"}
 ENGINE = RING | {"braidinv.inverse_engine"}
+EXPANSIONS = RING | {"braidinv.pair_expansions"}
 # what a float column brings with it
 FLOATS = {"braidinv.floats"}
 # what reading a JSON braid or a sequence file brings with it
@@ -86,18 +88,18 @@ INPUTS = {"braidinv.inputs"}
 EXTRA = {
     "lift --order 13": ENGINE,
     "zmap --braid pair:2 --order 4": INTEGRAL,
-    "qexpand --order 11": ENGINE,
-    "qexpand --order 5 --power 2": ENGINE,
-    "asymptotics --j 3 --orders 9,25,49": ENGINE | FLOATS,
+    "qexpand --order 11": EXPANSIONS,
+    "qexpand --order 5 --power 2": EXPANSIONS,
+    "asymptotics --j 3 --orders 9,25,49": EXPANSIONS | FLOATS,
     "beta --s 1": FLOATS | {"braidinv.regularization"},
     "beta --s 7": {"braidinv.regularization"},
     "basis --r 2 --entry 1,3": {"braidinv.basis_solver"},
-    "basis --r 3 --solve-t": ENGINE | FLOATS | {"braidinv.basis_solver"},
+    "basis --r 3 --solve-t": EXPANSIONS | FLOATS | {"braidinv.basis_solver"},
     # the integral traces bring kontsevich back
     "trace --sequence tauhat --window 8":
-        ENGINE | INTEGRAL | {"braidinv.convergence", "braidinv.sequences"},
-    "reproduce": ENGINE | {"braidinv.basis_solver",
-                           "braidinv.regularization"},
+        EXPANSIONS | INTEGRAL | {"braidinv.convergence", "braidinv.sequences"},
+    "reproduce": ENGINE | EXPANSIONS | {"braidinv.basis_solver",
+                                        "braidinv.regularization"},
 }
 # format -> the writer module it adds, as render lays out text itself; the
 # json and csv modules load for none of them
@@ -106,9 +108,9 @@ FORMATS = {"text": set(), "json": {"braidinv.json_document"},
 
 
 # the most of the braidinv bytecode a request compiles that may never run:
-# any README command in any format (zmap, whose braid ring holds the lift's
-# expansion, runs the least of it), and a trace of a sequence file, which
-# the trace-wide bench workload runs most
+# any README command in any format (lift, which reads only the seed's
+# integers from the braid ring, runs the least of it), and a trace of a
+# sequence file, which the trace-wide bench workload runs most
 README_UNRUN = 0.33
 FILE_TRACE_UNRUN = 0.25
 
