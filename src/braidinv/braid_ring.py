@@ -4,10 +4,14 @@ The group is infinite cyclic, generated by the half twist.  Writing q for the
 generator and q^-1 for its inverse, the rational group algebra is the ring of
 Laurent polynomials in q.  A BraidSum stores an element as a sparse map
 from exponent to nonzero integer numerator over one positive denominator,
-reduced by their gcd so that equal sums have equal fields.  Only this
-module builds those integers: its kernels and moments work on them;
-Fractions come in through the constructor and go out through terms,
-coefficient and render.
+reduced by their gcd so that equal sums have equal fields.  Its kernels
+and moments work on those integers, and BraidSum.over takes them as
+they are; Fractions come in through the constructor and go out through
+terms, coefficient and render, and only those import fractions, so a
+request that only multiplies integer sums (a qexpand power) never loads
+it.  The expansions at q - q^-1 are built as integers elsewhere, in
+pair_expansions, and become BraidSums only where a general operation
+needs one.
 
 The finite-type filtration order of an element is computed along two
 independent routes that must agree, both over the stored terms only: the
@@ -17,7 +21,6 @@ zero element has order INFINITE.
 """
 
 import math
-from fractions import Fraction
 
 from .power_series import common_denominator
 
@@ -54,6 +57,7 @@ class BraidSum:
     @property
     def terms(self):
         """Exponent-to-Fraction view, built on each access."""
+        from fractions import Fraction
         return {n: Fraction(c, self.den) for n, c in self.nums.items()}
 
     def __eq__(self, other):
@@ -105,8 +109,9 @@ def multiply(a: BraidSum, b: BraidSum) -> BraidSum:
     return BraidSum.over(nums, a.den * b.den)
 
 
-def coefficient(b: BraidSum, n: int) -> Fraction:
+def coefficient(b: BraidSum, n: int) -> "Fraction":
     """Stored coefficient of exponent n, zero if absent."""
+    from fractions import Fraction
     return Fraction(b.nums.get(n, 0), b.den)
 
 

@@ -1,7 +1,10 @@
 """braidinv asymptotics: pair coefficients against their 4/pi limits."""
 
+from fractions import Fraction
+
 from .. import cli, floats
 from ..pair_expansions import asymptotic_check
+from ..render import rational
 
 
 def run(args):
@@ -19,8 +22,8 @@ def run(args):
     target = floats.rounded(sign * 4 / pi_jj, p)
     table_rows = []
     for order, c in rows:
-        approx = floats.convert(c, p)
-        table_rows.append([str(order), str(c),
+        approx = floats.convert(Fraction(*c), p)
+        table_rows.append([str(order), rational(*c),
                            floats.nstr(approx, d), floats.nstr(target, d),
                            floats.nstr(abs(floats.rounded(approx - target, p)),
                                        d)])

@@ -49,7 +49,7 @@ def run(args):
                        [f"as a braid sum: {render(b)}"]))
         lift_order = r if r % 2 == 1 else r - 1
         if lift_order >= 1:
-            [lift_b] = tau_expansions([lift_order])
+            lift_b = tau_expansions([lift_order])[0].braid_sum()
             diff = combine(b, 1, lift_b, -1)
             cmp_rows = [[str(n)] + [str(coefficient(x, n))
                                     for x in (b, lift_b, diff)]

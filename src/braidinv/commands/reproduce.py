@@ -56,7 +56,7 @@ def _cell(where: str, printed: str | None, computed: Fraction,
 def _lift_rows():
     from ..inverse_engine import solved_lift
     P = solved_lift(max(REF_LIFT))
-    rows = [_cell(f"degree {k}", printed, P[k])
+    rows = [_cell(f"degree {k}", printed, Fraction(*P[k]))
             for k, printed in sorted(REF_LIFT.items())]
     # solved_lift raises unless the solve equals the closed form
     rows.append(["cross-route (closed form)", "equal", "equal", "PASS"])
@@ -64,13 +64,12 @@ def _lift_rows():
 
 
 def _pair_rows():
-    from ..braid_ring import coefficient
     from ..pair_expansions import tau_expansions
     expanded = tau_expansions([order for order, _ in REF_PAIR_ROWS])
     return [_cell(f"order {order}, pair {n}", None if ref is None else ref[n],
-                  coefficient(b, n), PAIR_MISPRINTS.get((order, n)))
+                  Fraction(c, b.den), PAIR_MISPRINTS.get((order, n)))
             for (order, ref), b in zip(REF_PAIR_ROWS, expanded)
-            for n in sorted(b.nums) if n > 0]
+            for n, c in sorted(b.half.items())]
 
 
 def _zeta2_rows():

@@ -1,35 +1,42 @@
 """Lifting the integral back to braid sums: the inverse problem.
 
-A lift is a tuple P of Fractions indexed by degree, with P[0] = 0, like
-every series in the package; it stands for sum_k P[k] seed^k for a seed
-braid sum of filtration order one.  The integral is a ring homomorphism
-with Z(q^n) = exp(n t/2), so for seed = sum_n c_n q^n the lift of t is the
+A lift is a tuple P indexed by degree of exact rationals, each a reduced
+(numerator, denominator) integer pair with a positive denominator, so that
+two lifts are equal as values exactly when they are equal as tuples; P[0]
+is (0, 1).  It stands for sum_k P[k] seed^k for a seed braid sum of
+filtration order one.  The integral is a ring homomorphism with
+Z(q^n) = exp(n t/2), so for seed = sum_n c_n q^n the lift of t is the
 series P with sum_n c_n exp(n P/2) = t, found degree by degree on integers
 without forming Z(seed).  For the seed q - q^-1 it is the reversion of
 2 sinh(t/2), whose closed form, the Taylor series of 2 arcsinh(t/2), shares
 no arithmetic with the solve; solved_lift compares the two exactly.  The
-expansions at q - q^-1 come from their own closed form, in pair_expansions.
+module reads no braid sum and builds no Fraction.  The expansions at
+q - q^-1 come from their own closed form, in pair_expansions.
 """
 
 import math
-from fractions import Fraction
 from operator import add, mul
 
-from .braid_ring import BraidSum, tau
+
+def _reduced(num: int, den: int) -> tuple:
+    """num / den in lowest terms, the denominator positive."""
+    g = math.gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
 
 
-def _lift_series(seed: BraidSum, order: int) -> tuple:
-    """Coefficients 0..order of the series P with sum_n c_n exp(n P/2) = t.
+def _lift_series(nums: dict, den: int, order: int) -> tuple:
+    """Coefficients 0..order of the series P with sum_n c_n exp(n P/2) = t,
+    for the seed sum_n c_n q^n with c_n = nums[n] / den, den > 0.
 
-    seed = sum_n c_n q^n must have filtration order one.  With u = P/2 and
+    The seed must have filtration order one.  With u = P/2 and
     E_n = exp(n u), the ODE E_n' = n u' E_n and sum_n c_n E_n = t fix one
     more derivative of u at 0 per step.  The step runs on integers: the
-    seed's numerators gamma_n over their denominator C, S = sum_n gamma_n n,
+    numerators gamma_n over their denominator C, S = sum_n gamma_n n,
     and the scaled derivatives U_m = S^(2m-1) u^(m)(0) and, for k >= 1,
     F_n,k = S^(2k-1) E_n^(k)(0).  Only the final coefficients divide.
     """
-    exponents = list(seed.nums)
-    gammas, C = list(seed.nums.values()), seed.den
+    exponents = list(nums)
+    gammas, C = list(nums.values()), den
     S = sum(g * n for g, n in zip(gammas, exponents))
     U = [0, C]
     F = [[1, n * C] for n in exponents]
@@ -44,11 +51,11 @@ def _lift_series(seed: BraidSum, order: int) -> tuple:
         U.append(u_next)
         for n, f, acc in zip(exponents, F, accs):
             f.append(n * (S * acc + u_next))
-    coeffs = [Fraction(0)]
-    den = S                                 # S^(2m-1) m!
+    coeffs = [(0, 1)]
+    scale = S                               # S^(2m-1) m!
     for m in range(1, order + 1):
-        coeffs.append(Fraction(2 * U[m], den))
-        den *= S * S * (m + 1)
+        coeffs.append(_reduced(2 * U[m], scale))
+        scale *= S * S * (m + 1)
     return tuple(coeffs)
 
 
@@ -60,11 +67,11 @@ def closed_form_lift(order: int) -> tuple:
     """
     if order < 1 or order % 2 == 0:
         raise ValueError(f"order {order} is not odd and positive")
-    coeffs = [Fraction(0)] * (order + 1)
+    coeffs = [(0, 1)] * (order + 1)
     for k in range((order + 1) // 2):
         num = (-1) ** k * math.factorial(2 * k)
         den = 16 ** k * math.factorial(k) ** 2 * (2 * k + 1)
-        coeffs[2 * k + 1] = Fraction(num, den)
+        coeffs[2 * k + 1] = _reduced(num, den)
     return tuple(coeffs)
 
 
@@ -74,7 +81,7 @@ def solved_lift(order: int) -> tuple:
     The order is checked, by the closed form, before the solve.
     """
     expected = closed_form_lift(order)
-    P = _lift_series(tau(), order)
+    P = _lift_series({1: 1, -1: -1}, 1, order)
     if P != expected:
         raise ArithmeticError(f"the solved lift differs from 2 arcsinh(t/2) "
                               f"through order {order}")

@@ -1,13 +1,14 @@
 """Truncated power series in one variable t over exact rationals.
 
-A series of truncation order N is a tuple of its N + 1 Fraction
-coefficients, exact through degree N: the integral's values and the lifts
-of the strong inverse.  The package does no arithmetic on series; only
-common_denominator, the way into braid_ring's integers, is left here.
+A series of truncation order N is a tuple of its N + 1 coefficients,
+exact through degree N: the integral's values as Fractions, and the lifts
+of the strong inverse as reduced (numerator, denominator) integer pairs
+(inverse_engine).  The package does no arithmetic on series; only
+common_denominator, the way from Fractions into braid_ring's integers, is
+left here, and it alone imports fractions.
 """
 
 import math
-from fractions import Fraction
 
 
 def common_denominator(values) -> tuple[list[int], int]:
@@ -15,6 +16,7 @@ def common_denominator(values) -> tuple[list[int], int]:
 
     den is the least common denominator, so it is 1 for an empty list.
     """
+    from fractions import Fraction
     values = [Fraction(v) for v in values]
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den

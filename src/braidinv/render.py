@@ -16,6 +16,16 @@ of its own (json_document, csv_document), so a request compiles only the
 writer of its format.
 """
 
+import math
+
+
+def rational(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for a nonzero den: lowest terms, the sign on
+    the numerator, and no denominator when it is 1."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    num, den = num // g, den // g
+    return f"{num}/{den}" if den != 1 else str(num)
+
 
 def render_text(tables) -> str:
     blocks = []

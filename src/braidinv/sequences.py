@@ -11,12 +11,12 @@ from .braid_ring import BraidSum, combine, pair
 
 def lift_truncation_sequence(count: int) -> list:
     """b_i = the order (2i-1) truncation of the lift expanded at q - q^-1,
-    all from one tau_expansions, the top certified and each checked once.
+    all from one tau_expansions, the top certified, as BraidSums.
     Differences of consecutive items are spans of high seed powers, so
     condition (c) holds comfortably.
     """
     from .pair_expansions import tau_expansions
-    return tau_expansions(range(1, 2 * count, 2))
+    return [b.braid_sum() for b in tau_expansions(range(1, 2 * count, 2))]
 
 
 def harmonic_sigma_sequence(count: int) -> list:

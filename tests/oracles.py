@@ -285,6 +285,22 @@ def pair_expand_binomial(poly):
     return {n: c for n, c in pairs.items() if c}
 
 
+def exact(value):
+    """A value of braidinv's integer tau paths as Fractions: a (numerator,
+    denominator) pair as a Fraction, a lift (a tuple of pairs) as a tuple
+    of Fractions, and a pair sum as the {exponent: Fraction} map of its
+    nonzero terms on both halves and at q^0, read from its fields."""
+    if isinstance(value, tuple) and isinstance(value[0], int):
+        return Fraction(*value)
+    if isinstance(value, tuple):
+        return tuple(map(exact, value))
+    terms = {0: Fraction(value.zero, value.den)}
+    for n, c in value.half.items():
+        terms[n] = Fraction(c, value.den)
+        terms[-n] = Fraction(value.sign * c, value.den)
+    return {n: c for n, c in terms.items() if c}
+
+
 def pair_half(terms):
     """The pair coefficients of an antisymmetric exponent map: the positive
     half, after checking that every term has its negated mirror."""

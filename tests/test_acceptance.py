@@ -40,7 +40,7 @@ def test_criterion_01_lift_coefficients():
     expected = {1: frac(1), 3: frac(-1, 24), 5: frac(3, 640),
                 7: frac(-5, 7168), 9: frac(35, 294912),
                 11: frac(-63, 2883584), 13: frac(231, 54525952)}
-    computed = solved_lift(13)
+    computed = oracles.exact(solved_lift(13))
     report(1, {k: c for k, c in enumerate(computed) if c} == expected,
            f"seven lift coefficients through degree 13, exact; "
            f"top = {computed[13]}")
@@ -50,9 +50,9 @@ def test_criterion_02_route_agreement():
     orders = list(range(1, 26, 2))
     mismatches = []
     for n in orders:
-        a = _lift_series(tau(), n)
+        a = oracles.exact(_lift_series(tau().nums, tau().den, n))
         b = oracles.arcsinh2_binomial(n)
-        c = closed_form_lift(n)
+        c = oracles.exact(closed_form_lift(n))
         if not a == b == c:
             mismatches.append(n)
     report(2, not mismatches,
@@ -88,9 +88,9 @@ def test_criterion_04_pair_expansion_rows():
     expansions = tau_expansions([*printed, 11])
     ok = True
     for expected, expansion in zip(printed.values(), expansions):
-        if oracles.pair_half(expansion.terms) != expected:
+        if oracles.pair_half(oracles.exact(expansion)) != expected:
             ok = False
-    row5 = oracles.pair_half(expansions[-1].terms)
+    row5 = oracles.pair_half(oracles.exact(expansions[-1]))
     for n, expected in row5_printed.items():
         if row5.get(n) != expected:
             ok = False
@@ -104,8 +104,8 @@ def test_criterion_04_pair_expansion_rows():
 def test_criterion_05_wallis_limit():
     rows = asymptotic_check(1, list(range(7, 50, 2)))
     with mpmath.workdps(50):
-        errors = [abs(mpmath.mpf(c.numerator) / c.denominator - 4 / mpmath.pi)
-                  for _, c in rows]
+        errors = [abs(mpmath.mpf(num) / den - 4 / mpmath.pi)
+                  for _, (num, den) in rows]
         final_ok = errors[-1] < mpmath.mpf("0.02")
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
     report(5, decreasing and final_ok,
@@ -117,10 +117,10 @@ def test_criterion_06_higher_pair_limits():
     details = []
     ok = True
     for j in (3, 5):
-        [(_, c)] = asymptotic_check(j, [49])
+        [(_, (num, den))] = asymptotic_check(j, [49])
         with mpmath.workdps(50):
             limit = (-1) ** ((j - 1) // 2) * 4 / (mpmath.pi * j * j)
-            error = abs(mpmath.mpf(c.numerator) / c.denominator - limit)
+            error = abs(mpmath.mpf(num) / den - limit)
             ok = ok and error < mpmath.mpf("0.05")
         details.append(f"j={j}: {mpmath.nstr(error, 6)}")
     report(6, ok, "distance to the signed limit 4/(pi j^2) at order 49, "
@@ -235,7 +235,7 @@ def test_criterion_13_property_suites():
             continue
         round_trips += 1
         order = rng.randrange(3, 9)
-        r = _lift_series(seed, order)
+        r = oracles.exact(_lift_series(seed.nums, seed.den, order))
         if oracles.series_compose(r, oracles.integral(seed.terms, order)) \
                 != [0, 1] + [0] * (order - 1):
             problems.append("reversion round trip")

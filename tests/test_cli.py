@@ -10,7 +10,7 @@ import pytest
 
 from braidinv import (basis_solver, cli, inputs, inverse_engine,
                       pair_expansions, sequences)
-from braidinv.braid_ring import BraidSum, combine, pair
+from braidinv.braid_ring import BraidSum, pair
 from braidinv.commands import beta, reproduce, zmap
 from test_golden import read_golden
 
@@ -644,18 +644,18 @@ def counted(monkeypatch):
     certificate of an expansion, in the order they run."""
     calls = []
     solve = inverse_engine._lift_series
-    moments = pair_expansions.moments
+    moments = pair_expansions.odd_moments
 
-    def counting_solve(seed, order):
+    def counting_solve(nums, den, order):
         calls.append(("solve", order))
-        return solve(seed, order)
+        return solve(nums, den, order)
 
     def counting_moments(b):
-        calls.append(("certify", max(b.nums)))
+        calls.append(("certify", max(b.half)))
         return moments(b)
 
     monkeypatch.setattr(inverse_engine, "_lift_series", counting_solve)
-    monkeypatch.setattr(pair_expansions, "moments", counting_moments)
+    monkeypatch.setattr(pair_expansions, "odd_moments", counting_moments)
     return calls
 
 
@@ -701,16 +701,18 @@ def test_reproduce_solves_through_the_orders_its_tables_read(
 
 
 def test_a_broken_lower_truncation_fails_its_symmetry_check(monkeypatch):
-    # the top expansion passes the flatness check; only the check on every
-    # expansion a request reads can see a lower one break
+    # the top expansion passes the flatness check; a lower one is
+    # antisymmetric by construction, so a stray q^0 term in it is refused
+    # where it is built, before any request reads it
     expansion = pair_expansions.closed_form_expansion
 
     def planted(order):
         b = expansion(order)
-        return combine(b, 1, BraidSum({2: 1}), 1) if order == 1 else b
+        return pair_expansions.PairSum(b.half, 1, b.den, b.sign) \
+            if order == 1 else b
 
     monkeypatch.setattr(pair_expansions, "closed_form_expansion", planted)
-    message = "power 1 of the order 1 expansion lost its symmetry"
+    message = r"an antisymmetric pair sum has a q\^0 term"
     with pytest.raises(ArithmeticError, match=message):
         sequences.lift_truncation_sequence(3)
     with pytest.raises(ArithmeticError, match=message):

@@ -38,10 +38,12 @@ def beta_cells(x, digits):
 
 
 def asymptotic_cells(j, coefficients, digits):
-    """The float cells of asymptotics for these pair coefficients."""
+    """The float cells of asymptotics for these pair coefficients, given
+    to it as the (numerator, denominator) pairs asymptotic_check returns."""
     orders = list(range(1, len(coefficients) + 1))
+    pairs = [(c.numerator, c.denominator) for c in coefficients]
     with mock.patch.object(asymptotics, "asymptotic_check",
-                           lambda j, orders: list(zip(orders, coefficients))):
+                           lambda j, orders: list(zip(orders, pairs))):
         _, [(_, _, rows, _)] = asymptotics.run(SimpleNamespace(
             j=j, orders=",".join(map(str, orders)), digits=digits))
     return [row[2:] for row in rows]

@@ -5,13 +5,14 @@ import mpmath
 import pytest
 
 from braidinv import cli, inverse_engine, pair_expansions
-from braidinv.braid_ring import (BraidSum, coefficient, combine, multiply,
-                                 pair, sigma_power, tau)
+from braidinv import braid_ring
+from braidinv.braid_ring import (BraidSum, combine, multiply, pair,
+                                 sigma_power, tau)
 from braidinv.inverse_engine import (_lift_series, closed_form_lift,
                                      solved_lift)
 from braidinv.kontsevich import Z
-from braidinv.pair_expansions import (asymptotic_check, closed_form_expansion,
-                                      tau_expansions)
+from braidinv.pair_expansions import (PairSum, asymptotic_check,
+                                      closed_form_expansion, tau_expansions)
 
 import oracles
 
@@ -28,11 +29,21 @@ def applied(P, seed=oracles.TAU):
     return BraidSum(oracles.braid_poly(dict(enumerate(P)), seed))
 
 
+def exact_all(sums):
+    """Each pair sum as its oracle exponent-to-Fraction map."""
+    return [oracles.exact(b) for b in sums]
+
+
+def lift_of(seed, order):
+    """The lift solve on a BraidSum seed's integers."""
+    return _lift_series(seed.nums, seed.den, order)
+
+
 def test_lift_truncate_and_expand():
     expected = combine(tau(), 1, BraidSum(oracles.tau_power(3)), frac(-1, 24))
     assert applied((0, frac(1), 0, frac(-1, 24))) == expected
-    assert tau_expansions([1, 3]) == [tau(), expected]
-    assert tau_expansions([3, 1]) == [expected, tau()]
+    assert exact_all(tau_expansions([1, 3])) == [tau().terms, expected.terms]
+    assert exact_all(tau_expansions([3, 1])) == [expected.terms, tau().terms]
 
 
 def test_strengthen_single_steps():
@@ -52,7 +63,8 @@ def test_strengthen_step_rejects_misuse():
 
 
 def test_strengthen_to_golden_13():
-    assert solved_lift(13) == _lift_series(tau(), 13) == LIFT_13
+    assert solved_lift(13) == lift_of(tau(), 13)
+    assert oracles.exact(solved_lift(13)) == LIFT_13
 
 
 def test_strengthen_to_rejects_bad_inputs():
@@ -71,21 +83,22 @@ def test_strengthened_lift_is_flat():
     """The whole point: the integral of the lift is t through the order."""
     orders = (1, 3, 7, 11)
     for order, b in zip(orders, tau_expansions(orders)):
-        assert list(Z(b, order)) == [0, 1] + [0] * (order - 1)
+        assert list(Z(BraidSum(oracles.exact(b)), order)) == \
+            [0, 1] + [0] * (order - 1)
 
 
 def test_three_routes_agree():
     for order in (1, 3, 5, 9, 13):
-        a = solved_lift(order)
+        a = oracles.exact(solved_lift(order))
         b = oracles.lagrange_revert(oracles.integral(oracles.TAU, order))
-        c = closed_form_lift(order)
+        c = oracles.exact(closed_form_lift(order))
         assert a == tuple(b) == c
 
 
 def test_strengthen_general_seed():
     """A different order-one seed gets its own corrections, every degree."""
     seed = combine(sigma_power(1), 2, sigma_power(0), -2)
-    P = _lift_series(seed, 3)
+    P = oracles.exact(lift_of(seed, 3))
     assert P[1] == 1
     assert P[2] == frac(-1, 4)
     assert P[3] == frac(1, 12)
@@ -94,7 +107,7 @@ def test_strengthen_general_seed():
     for seed in (seed, BraidSum({1: 2, -1: -2}),
                  BraidSum({1: frac(1, 3), -1: frac(-1, 3)})):
         for order in (1, 3, 5, 7, 9):
-            P = _lift_series(seed, order)
+            P = oracles.exact(lift_of(seed, order))
             assert list(Z(applied(P, seed.terms), order)) == \
                 [0, 1] + [0] * (order - 1)
             assert P == oracles.strengthen_stepwise(seed.terms, order)
@@ -105,7 +118,7 @@ def test_strengthen_solves_once_and_checks_once(monkeypatch):
     for module, name in ((inverse_engine, "_lift_series"),
                          (inverse_engine, "closed_form_lift"),
                          (pair_expansions, "closed_form_expansion"),
-                         (pair_expansions, "moments")):
+                         (pair_expansions, "odd_moments")):
         original = getattr(module, name)
 
         def counting(*args, name=name, original=original):
@@ -120,17 +133,20 @@ def test_strengthen_solves_once_and_checks_once(monkeypatch):
     calls.clear()
     tau_expansions([5, 21, 1])
     assert [name for name, _ in calls] == \
-        ["closed_form_expansion"] * 3 + ["moments"]
-    assert calls[-1][1] == closed_form_expansion(21)
+        ["closed_form_expansion"] * 3 + ["odd_moments"]
+    assert oracles.exact(calls[-1][1]) == \
+        oracles.exact(closed_form_expansion(21))
 
 
 def test_strengthen_reports_a_broken_invariant(monkeypatch):
-    # one coefficient of the solved lift off, and the lift command stops
+    # one coefficient of the solved lift off, still a reduced pair, and the
+    # lift command stops
     solve = inverse_engine._lift_series
     for at in (1, 2, 5):
-        def corrupted(seed, order, at=at):
-            P = list(solve(seed, order))
-            P[at] += frac(1, 10 ** 9)
+        def corrupted(*args, at=at):
+            P = list(solve(*args))
+            c = oracles.exact(P[at]) + frac(1, 10 ** 9)
+            P[at] = (c.numerator, c.denominator)
             return tuple(P)
 
         monkeypatch.setattr(inverse_engine, "_lift_series", corrupted)
@@ -147,11 +163,10 @@ def test_a_wrong_sign_in_the_ratio_fails_the_flatness_check(monkeypatch):
 
     def wrong_sign(order):
         b = right(order)
-        return BraidSum.over({n: abs(c) * (1 if n > 0 else -1)
-                              for n, c in b.nums.items()}, b.den)
+        return PairSum({n: abs(c) for n, c in b.half.items()}, 0, b.den, -1)
 
     monkeypatch.setattr(pair_expansions, "closed_form_expansion", wrong_sign)
-    assert wrong_sign(1) == tau()
+    assert oracles.exact(wrong_sign(1)) == tau().terms
     for orders in ([3], [1, 7], [11, 5]):
         with pytest.raises(ArithmeticError,
                            match=f"not flat through order {max(orders)}"):
@@ -169,17 +184,18 @@ def test_closed_form_is_the_staggered_difference_weights():
         exponents = [s * x for x in range(1, order + 1, 2) for s in (1, -1)]
         weights = finite_diff_weights(
             1, [sympy.Rational(x, 2) for x in exponents], 0)[1][-1]
-        b = closed_form_expansion(order)
+        terms = oracles.exact(closed_form_expansion(order))
         assert [frac(int(w.p), int(w.q)) for w in weights] == \
-            [coefficient(b, x) for x in exponents], order
-        assert len(b.nums) == len(exponents)
+            [terms[x] for x in exponents], order
+        assert len(terms) == len(exponents)
 
 
 def test_tau_lift_golden_rows():
     row1, row2, row7 = tau_expansions([1, 3, 7])
-    assert oracles.pair_half(row1.terms) == {1: frac(1)}
-    assert oracles.pair_half(row2.terms) == {1: frac(9, 8), 3: frac(-1, 24)}
-    assert oracles.pair_half(row7.terms) == {
+    assert oracles.pair_half(oracles.exact(row1)) == {1: frac(1)}
+    assert oracles.pair_half(oracles.exact(row2)) == \
+        {1: frac(9, 8), 3: frac(-1, 24)}
+    assert oracles.pair_half(oracles.exact(row7)) == {
         1: frac(1225, 1024), 3: frac(-245, 3072), 5: frac(49, 5120),
         7: frac(-5, 7168)}
 
@@ -187,40 +203,47 @@ def test_tau_lift_golden_rows():
 def test_tau_lift_matches_binomial_oracle():
     P = oracles.arcsinh2_binomial(11)
     [b] = tau_expansions([11])
-    assert oracles.pair_half(b.terms) == \
+    assert oracles.pair_half(oracles.exact(b)) == \
         oracles.pair_expand_binomial({k: c for k, c in enumerate(P) if c})
 
 
 def test_pair_expansion_rebuild_round_trip():
     # the solve's lift expanded by the multiply loop, against the pairs
-    b = applied(_lift_series(tau(), 9))
+    b = applied(oracles.exact(lift_of(tau(), 9)))
     rebuilt = BraidSum()
-    for n, c in oracles.pair_half(tau_expansions([9])[0].terms).items():
+    for n, c in oracles.pair_half(
+            oracles.exact(tau_expansions([9])[0])).items():
         rebuilt = combine(rebuilt, 1, pair(n), c)
     assert rebuilt == b
 
 
 def test_power_pair_expand_odd_and_even():
-    lift = applied(closed_form_lift(5))
+    # each result read from its fields and converted to a BraidSum: a
+    # conversion that drops the q^0 term of the square fails both
+    lift = applied(oracles.exact(closed_form_lift(5)))
     [cube] = tau_expansions([5], 3)
-    assert oracles.pair_half(cube.terms)
+    assert oracles.pair_half(oracles.exact(cube))
     cubed = multiply(multiply(lift, lift), lift)
-    assert cube == cubed
+    assert oracles.exact(cube) == cubed.terms
+    assert cube.braid_sum() == cubed
 
     [square] = tau_expansions([5], 2)
     squared = multiply(lift, lift)
-    assert square == squared
-    assert all(square.terms.get(-n) == c for n, c in square.terms.items())
-    rebuilt = BraidSum({0: square.terms.get(0, 0)})
-    for n, c in square.terms.items():
+    terms = oracles.exact(square)
+    assert terms == squared.terms and 0 in terms
+    assert square.braid_sum() == squared
+    assert all(terms.get(-n) == c for n, c in terms.items())
+    rebuilt = BraidSum({0: terms.get(0, 0)})
+    for n, c in terms.items():
         if n > 0:
             rebuilt = combine(rebuilt, 1, BraidSum({n: c, -n: c}), 1)
     assert rebuilt == squared
 
 
 def test_tau_lift_power_one_is_the_strengthened_lift():
-    assert tau_expansions([7], 1) == tau_expansions([7]) == \
-        [applied(solved_lift(7))]
+    assert exact_all(tau_expansions([7], 1)) == \
+        exact_all(tau_expansions([7])) == \
+        [applied(oracles.exact(solved_lift(7))).terms]
     with pytest.raises(ValueError, match="power must be positive"):
         tau_expansions([7], 0)
 
@@ -236,7 +259,7 @@ def test_pair_limit_target_signs(capsys):
 
 
 def test_asymptotic_golden_rows():
-    rows = asymptotic_check(1, [7, 9])
+    rows = [(r, oracles.exact(c)) for r, c in asymptotic_check(1, [7, 9])]
     assert rows == [(7, frac(1225, 1024)), (9, frac(19845, 16384))]
     errors = [abs(mpmath.mpf(c.numerator) / c.denominator - 4 / mpmath.pi)
               for _, c in rows]
@@ -256,12 +279,68 @@ def test_truncations_of_one_run_match_shorter_runs():
     # the solve never rewrites lower coefficients, so one long run carries
     # every shorter answer inside it, and a request's expansions do not
     # depend on the other orders it reads
-    full = _lift_series(tau(), 13)
+    full = lift_of(tau(), 13)
     expansions = tau_expansions([1, 3, 5, 7, 9, 11, 13])
     rng = random.Random(733)
     for _ in range(4):
         at = rng.randrange(6)
         order = 2 * at + 1
-        assert (full[:order + 1], [expansions[at]]) == \
-            (_lift_series(tau(), order), tau_expansions([order]))
-        assert expansions[at] == applied(full[:order + 1])
+        assert (full[:order + 1], [oracles.exact(expansions[at])]) == \
+            (lift_of(tau(), order), exact_all(tau_expansions([order])))
+        assert oracles.exact(expansions[at]) == \
+            applied(oracles.exact(full[:order + 1])).terms
+
+
+def test_a_symmetric_sum_read_as_antisymmetric_fails(monkeypatch):
+    # the closed form with its sign flipped is symmetric: its odd moments
+    # read as if it were antisymmetric would pass, so the certificate
+    # refuses the sign first
+    right = pair_expansions.closed_form_expansion
+
+    def flipped(order):
+        b = right(order)
+        return PairSum(b.half, 0, b.den, 1)
+
+    monkeypatch.setattr(pair_expansions, "closed_form_expansion", flipped)
+    for orders in ([1], [3, 7]):
+        with pytest.raises(ArithmeticError,
+                           match=f"not flat through order {max(orders)}"):
+            tau_expansions(orders)
+    # an even power carries a q^0 term, which no antisymmetric sum has
+    monkeypatch.setattr(pair_expansions, "closed_form_expansion", right)
+    [square] = tau_expansions([5], 2)
+    with pytest.raises(ArithmeticError, match=r"has a q\^0 term"):
+        PairSum(square.half, square.zero, square.den, -1)
+
+
+@pytest.mark.parametrize("n", [1, 3, 21])
+def test_a_corrupted_pair_coefficient_fails_the_flatness_check(
+        n, monkeypatch):
+    # one positive-half numerator of the top expansion off by one, at the
+    # first pair, the second and the top
+    right = pair_expansions.closed_form_expansion
+
+    def corrupted(order):
+        b = right(order)
+        if order == 21:
+            b = PairSum({**b.half, n: b.half[n] + 1}, 0, b.den, -1)
+        return b
+
+    monkeypatch.setattr(pair_expansions, "closed_form_expansion", corrupted)
+    with pytest.raises(ArithmeticError, match="not flat through order 21"):
+        tau_expansions([5, 21])
+
+
+def test_a_power_that_loses_its_symmetry_fails_its_check(monkeypatch):
+    # a product with a stray term: every power a request reads is checked,
+    # a lower order's as well as the certified top's
+    right = braid_ring.multiply
+
+    def lopsided(a, b):
+        p = right(a, b)
+        return combine(p, 1, sigma_power(max(p.nums) + 2), 1)
+
+    monkeypatch.setattr(braid_ring, "multiply", lopsided)
+    with pytest.raises(ArithmeticError, match="power 2 of the order 1 "
+                                              "expansion lost its symmetry"):
+        tau_expansions([1, 3], 2)

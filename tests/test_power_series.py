@@ -65,7 +65,7 @@ def test_compose_corrects_the_fifth_degree():
 
 def test_revert_two_sinh_half():
     """The solve on q - q^-1 reverts Z(q - q^-1) = 2 sinh(t/2)."""
-    assert _lift_series(tau(), 11) == (
+    assert oracles.exact(_lift_series(tau().nums, tau().den, 11)) == (
         0, 1, 0, frac(-1, 24), 0, frac(3, 640), 0, frac(-5, 7168), 0,
         frac(35, 294912), 0, frac(-63, 2883584))
 
@@ -73,7 +73,8 @@ def test_revert_two_sinh_half():
 def test_lift_series_of_a_one_sided_seed_is_a_log():
     """Z(2q - 2) = 2 exp(t/2) - 2 reverts to 2 log(1 + t/2), whose degree-m
     coefficient is (-1)^(m+1) / (m 2^(m-1)): every degree, not only odd."""
-    assert _lift_series(BraidSum({1: 2, 0: -2}), 12) == (0, *(
+    seed = BraidSum({1: 2, 0: -2})
+    assert oracles.exact(_lift_series(seed.nums, seed.den, 12)) == (0, *(
         frac((-1) ** (m + 1), m * 2 ** (m - 1)) for m in range(1, 13)))
 
 
@@ -82,8 +83,8 @@ def test_revert_matches_lagrange_oracle_random():
     for _ in range(10):
         seed = random_seed(rng)
         order = rng.randrange(1, 9)
-        assert list(_lift_series(seed, order)) == \
-            oracles.lagrange_revert(oracles.integral(seed.terms, order))
+        assert list(oracles.exact(_lift_series(seed.nums, seed.den, order))) \
+            == oracles.lagrange_revert(oracles.integral(seed.terms, order))
 
 
 def test_revert_round_trip_random():
@@ -92,14 +93,14 @@ def test_revert_round_trip_random():
         seed = random_seed(rng)
         order = rng.randrange(1, 9)
         s = oracles.integral(seed.terms, order)
-        r = _lift_series(seed, order)
+        r = oracles.exact(_lift_series(seed.nums, seed.den, order))
         assert oracles.series_compose(r, s) == [0, 1] + [0] * (order - 1)
         assert oracles.series_compose(s, r) == [0, 1] + [0] * (order - 1)
 
 
 def test_closed_form_arcsinh():
-    s = closed_form_lift(7)
+    s = oracles.exact(closed_form_lift(7))
     assert list(s) == [0, 1, 0, frac(-1, 24), 0, frac(3, 640), 0,
                        frac(-5, 7168)]
-    assert closed_form_lift(1) == (0, 1)
-    assert closed_form_lift(13)[13] == frac(231, 54525952)
+    assert closed_form_lift(1) == ((0, 1), (1, 1))
+    assert closed_form_lift(13)[13] == (231, 54525952)

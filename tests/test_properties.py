@@ -5,14 +5,16 @@ kernel (combine, multiply, the lift solve and Z) works on them; each
 property compares them with a Fraction-only route that never does.  Equality compares the stored integers, so the canonical form itself
 is checked after each kernel.  The solve is checked on random seeds of filtration order
 one against Lagrange inversion and composition of the seed's integral and
-against stepwise strengthening, and the closed-form expansions at
+against stepwise strengthening, its (numerator, denominator) pairs
+checked to be in lowest terms, and the closed-form expansions at
 q - q^-1 against the multiply loop on the arcsinh series.  The braid ring laws and the filtration
 order are checked against the ring axioms and the synthetic-division
 oracle, and the Lagrange-row moment-matrix inverse against Gauss-Jordan
 elimination.  beta's digit count from the bit length is checked against
 the printed integer, up to the 100,000-digit limit.  The JSON and CSV
 renderers are checked against json.dumps and csv.writer on tables of
-arbitrary text.
+arbitrary text, and the printer of integer pairs against str of a
+Fraction.
 """
 
 import csv
@@ -23,7 +25,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from braidinv import basis_solver, braid_ring
 from braidinv.basis_solver import (MomentMatrix, build_balanced,
@@ -35,7 +37,7 @@ from braidinv.inverse_engine import (_lift_series, closed_form_lift,
                                      solved_lift)
 from braidinv.kontsevich import Z
 from braidinv.pair_expansions import closed_form_expansion
-from braidinv.render import render_csv, render_json
+from braidinv.render import rational, render_csv, render_json
 
 import oracles
 
@@ -72,10 +74,18 @@ def order_one_seeds(draw):
     return BraidSum(terms)
 
 
+def assert_reduced(P):
+    """Every (numerator, denominator) pair of a lift in lowest terms over a
+    positive denominator, so that equal tuples are equal values."""
+    assert all(den > 0 and math.gcd(num, den) == 1 for num, den in P)
+
+
 @given(order_one_seeds(), st.integers(1, 15))
 def test_revert_is_the_compositional_inverse(seed, order):
     s = oracles.integral(seed.terms, order)
-    r = _lift_series(seed, order)
+    P = _lift_series(seed.nums, seed.den, order)
+    assert_reduced(P)
+    r = oracles.exact(P)
     assert oracles.series_compose(r, s) == [0, 1] + [0] * (order - 1)
     assert oracles.series_compose(s, r) == [0, 1] + [0] * (order - 1)
     assert list(r) == oracles.lagrange_revert(s)
@@ -87,13 +97,15 @@ def test_revert_is_the_compositional_inverse(seed, order):
 @given(order_one_seeds(), st.integers(0, 7))
 def test_strengthen_matches_the_stepwise_oracle_on_general_seeds(seed, k):
     order = 2 * k + 1
-    assert _lift_series(seed, order) == \
+    assert oracles.exact(_lift_series(seed.nums, seed.den, order)) == \
         oracles.strengthen_stepwise(seed.terms, order)
 
 
 def test_three_routes_agree_at_order_301():
-    assert solved_lift(301) == oracles.arcsinh2_binomial(301) \
-        == closed_form_lift(301)
+    P = closed_form_lift(301)
+    assert_reduced(P)
+    assert solved_lift(301) == P
+    assert oracles.exact(P) == oracles.arcsinh2_binomial(301)
 
 
 @given(braid_sums, braid_sums, st.integers(0, 8))
@@ -108,22 +120,23 @@ def test_closed_form_matches_the_multiply_loop_through_order_201():
     # the arcsinh series at q - q^-1, one odd truncation after another: the
     # oracle's running sum adds P[r] (q - q^-1)^r by repeated multiplication,
     # and at the top it is braid_poly's sum itself
-    P = closed_form_lift(201)
+    P = oracles.exact(closed_form_lift(201))
     running, power = {}, {0: Fraction(1)}
     for r in range(1, 202, 2):
         for _ in range(min(r, 2)):
             power = oracles.braid_mul(power, oracles.TAU)
         running = oracles.braid_lincomb(running, 1, power, P[r])
         b = closed_form_expansion(r)
-        assert b.terms == running, r
-        assert_canonical(b)
+        assert oracles.exact(b) == running, r
+        assert b.den > 0 and b.sign == -1 and b.zero == 0
+        assert math.gcd(b.den, *b.half.values()) == 1
     assert running == oracles.braid_poly(dict(enumerate(P)), oracles.TAU)
 
 
 def test_strengthen_matches_the_stepwise_oracle():
     for order in range(1, 22, 2):
-        assert _lift_series(tau(), order) == \
-            oracles.strengthen_stepwise(oracles.TAU, order)
+        assert oracles.exact(_lift_series(tau().nums, tau().den, order)) \
+            == oracles.strengthen_stepwise(oracles.TAU, order)
 
 
 @given(braid_sums, braid_sums, braid_sums, rationals, rationals)
@@ -336,6 +349,19 @@ tables = st.lists(st.tuples(
     st.lists(st.one_of(st.lists(cells, max_size=3), st.just([""])),
              max_size=4),
     st.lists(cells, max_size=2)), max_size=3)
+
+
+# integers past 4,000 digits, and a common factor that leaves them unreduced
+huge = st.integers(-10 ** 4000, 10 ** 4000)
+
+
+@given(huge, huge.filter(bool), st.integers(1, 10 ** 40))
+@example(0, -7, 1)
+@example(6, -4, 3)
+@example(-10 ** 4000, 10 ** 4000 - 1, 10 ** 40)
+def test_rational_prints_as_str_of_fraction(num, den, common):
+    num, den = num * common, den * common
+    assert rational(num, den) == str(Fraction(num, den))
 
 
 @given(tables)

@@ -34,6 +34,7 @@ EXTRA = [
     ["trace", "--sequence", "pairs", "--window", "4"],
     ["trace", "--sequence", "harmonic", "--window", "4"],
     ["trace", "--sequence", "{tmp}/seq.json", "--window", "3"],
+    ["zmap", "--order", "2"],
     ["zmap", "--braid", "e", "--order", "2"],
     ["zmap", "--braid", "sigma", "--order", "2"],
     ["zmap", "--braid", "sigmabar", "--order", "2"],

@@ -8,8 +8,10 @@ and each library module loads only for the commands that call it.  The
 JSON and CSV writers load only for their format.  braidinv.inputs loads
 only for a JSON braid and a trace of a sequence file, braidinv.sequences
 only for a trace of a stock sequence, json only for a JSON input (the
-writers write JSON and CSV themselves), and csv, dataclasses, inspect,
-mpmath and __future__ never.  The core parses argv from its own flag
+writers write JSON and CSV themselves), fractions only for a command
+that builds or prints a Fraction (never lift or qexpand, whose rationals
+are integer pairs), and csv, dataclasses, inspect, mpmath and __future__
+never.  The core parses argv from its own flag
 table, so argparse, and the gettext and locale it pulls in, never load.
 Each command runs in a fresh interpreter, so nothing another test imported
 can hide an import, and its stdout must still match its golden.
@@ -47,7 +49,8 @@ code = cli.main(sys.argv[1:])
 sys.setprofile(None)
 loaded = sorted(n for n in sys.modules if n.startswith("braidinv") or
                 n in ("mpmath", "json", "csv", "dataclasses", "inspect",
-                      "argparse", "gettext", "locale", "__future__"))
+                      "argparse", "gettext", "locale", "__future__",
+                      "fractions"))
 
 def walk(code):
     yield code
@@ -72,34 +75,40 @@ CORE = {"braidinv", "braidinv.cli"}
 USAGE = CORE | {"braidinv.usage"}
 # every command adds its own module, the commands package and render
 ALWAYS = CORE | {"braidinv.commands", "braidinv.render"}
-# what kontsevich, inverse_engine and pair_expansions bring with them: the
-# lift solve reads the seed's integers, and the expansions are certified on
-# the ring's integer moments, not on the integral
+# the lift solve and the expansions at q - q^-1 hold their rationals as
+# integers: neither brings the braid ring or fractions with it
+ENGINE = {"braidinv.inverse_engine"}
+EXPANSIONS = {"braidinv.pair_expansions"}
+# the braid ring loads fractions only where a Fraction goes in or out, so
+# the products of a qexpand power do not load it
 RING = {"braidinv.braid_ring", "braidinv.power_series"}
-INTEGRAL = RING | {"braidinv.kontsevich"}
-ENGINE = RING | {"braidinv.inverse_engine"}
-EXPANSIONS = RING | {"braidinv.pair_expansions"}
-# what a float column brings with it
-FLOATS = {"braidinv.floats"}
+# kontsevich, the float columns, and the modules that print or build
+# Fractions load fractions with them
+FRACTIONS = {"fractions"}
+INTEGRAL = RING | FRACTIONS | {"braidinv.kontsevich"}
+FLOATS = FRACTIONS | {"braidinv.floats"}
+SOLVER = FRACTIONS | {"braidinv.basis_solver"}
+REGULARIZATION = FRACTIONS | {"braidinv.regularization"}
 # what reading a JSON braid or a sequence file brings with it
-INPUTS = {"braidinv.inputs"}
+INPUTS = FRACTIONS | {"braidinv.inputs"}
 
 # README command -> what it loads beyond ALWAYS and its module, in every format
 EXTRA = {
     "lift --order 13": ENGINE,
     "zmap --braid pair:2 --order 4": INTEGRAL,
     "qexpand --order 11": EXPANSIONS,
-    "qexpand --order 5 --power 2": EXPANSIONS,
+    # a power multiplies BraidSums
+    "qexpand --order 5 --power 2": EXPANSIONS | RING,
     "asymptotics --j 3 --orders 9,25,49": EXPANSIONS | FLOATS,
-    "beta --s 1": FLOATS | {"braidinv.regularization"},
-    "beta --s 7": {"braidinv.regularization"},
-    "basis --r 2 --entry 1,3": {"braidinv.basis_solver"},
-    "basis --r 3 --solve-t": EXPANSIONS | FLOATS | {"braidinv.basis_solver"},
+    "beta --s 1": FLOATS | REGULARIZATION,
+    "beta --s 7": REGULARIZATION,
+    "basis --r 2 --entry 1,3": SOLVER,
+    "basis --r 3 --solve-t": EXPANSIONS | RING | FLOATS | SOLVER,
     # the integral traces bring kontsevich back
     "trace --sequence tauhat --window 8":
         EXPANSIONS | INTEGRAL | {"braidinv.convergence", "braidinv.sequences"},
-    "reproduce": ENGINE | EXPANSIONS | {"braidinv.basis_solver",
-                                        "braidinv.regularization"},
+    # the lift and pairs tables read integers and print Fractions
+    "reproduce": ENGINE | EXPANSIONS | SOLVER | REGULARIZATION,
 }
 # format -> the writer module it adds, as render lays out text itself; the
 # json and csv modules load for none of them
@@ -108,9 +117,9 @@ FORMATS = {"text": set(), "json": {"braidinv.json_document"},
 
 
 # the most of the braidinv bytecode a request compiles that may never run:
-# any README command in any format (lift, which reads only the seed's
-# integers from the braid ring, runs the least of it), and a trace of a
-# sequence file, which the trace-wide bench workload runs most
+# any README command in any format (a qexpand power, which multiplies in
+# the braid ring but calls few of its functions, runs the least of it), and
+# a trace of a sequence file, which the trace-wide bench workload runs most
 README_UNRUN = 0.33
 FILE_TRACE_UNRUN = 0.25
 
@@ -155,8 +164,8 @@ def test_usage_error_loads_the_core_and_the_help_writer():
 
 
 @pytest.mark.parametrize("tables, adds", [
-    (["zeta2", "onefive"], {"braidinv.basis_solver"}),
-    (["beta"], {"braidinv.regularization"}),
+    (["zeta2", "onefive"], SOLVER),
+    (["beta"], REGULARIZATION),
 ], ids=["zeta2-onefive", "beta"])
 def test_reproduce_loads_only_its_tables(tables, adds):
     argv = ["reproduce"] + [arg for table in tables
