@@ -7,11 +7,11 @@ from exponent to nonzero integer numerator over one positive denominator,
 reduced by their gcd so that equal sums have equal fields.  Its kernels
 and moments work on those integers, and BraidSum.over takes them as
 they are; Fractions come in through the constructor and go out through
-terms, coefficient and render, and only those import fractions, so a
-request that only multiplies integer sums (a qexpand power) never loads
-it.  The expansions at q - q^-1 are built as integers elsewhere, in
-pair_expansions, and become BraidSums only where a general operation
-needs one.
+terms, coefficient and render; every request that loads the ring builds
+or prints one.  The expansions at q - q^-1 and their powers are built as
+integers in pair_expansions and become BraidSums only where a general
+operation needs one.  No request multiplies two BraidSums; the tests
+keep that product as their reference.
 
 The finite-type filtration order of an element is computed along two
 independent routes that must agree, both over the stored terms only: the
@@ -21,6 +21,7 @@ zero element has order INFINITE.
 """
 
 import math
+from fractions import Fraction
 
 from .power_series import common_denominator
 
@@ -57,13 +58,7 @@ class BraidSum:
     @property
     def terms(self):
         """Exponent-to-Fraction view, built on each access."""
-        from fractions import Fraction
         return {n: Fraction(c, self.den) for n, c in self.nums.items()}
-
-    def __eq__(self, other):
-        if not isinstance(other, BraidSum):
-            return NotImplemented
-        return self.nums == other.nums and self.den == other.den
 
     def __bool__(self):
         return bool(self.nums)
@@ -100,18 +95,8 @@ def combine(a: BraidSum, ca, b: BraidSum, cb) -> BraidSum:
     return BraidSum.over(nums, den)
 
 
-def multiply(a: BraidSum, b: BraidSum) -> BraidSum:
-    """Convolution product induced by the group law q^i q^j = q^(i+j)."""
-    nums = {}
-    for i, x in a.nums.items():
-        for j, y in b.nums.items():
-            nums[i + j] = nums.get(i + j, 0) + x * y
-    return BraidSum.over(nums, a.den * b.den)
-
-
-def coefficient(b: BraidSum, n: int) -> "Fraction":
+def coefficient(b: BraidSum, n: int) -> Fraction:
     """Stored coefficient of exponent n, zero if absent."""
-    from fractions import Fraction
     return Fraction(b.nums.get(n, 0), b.den)
 
 

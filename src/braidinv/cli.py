@@ -26,12 +26,11 @@ format, the stock sequences of trace only for a trace of one, and the JSON
 reader braidinv.inputs only for a JSON braid or a sequence file.  The
 lift solve, inverse_engine, loads only for lift and reproduce's lift
 table, and the expansions at q - q^-1, pair_expansions, only for the
-requests that read one.  Both hold their rationals as integers, so
-neither loads braid_ring, power_series or fractions: lift and qexpand
-load none of them, but qexpand --power above one adds braid_ring and
-power_series for its products.  fractions loads only for a command that
-builds or prints a Fraction, and only zmap and trace load kontsevich.
-floats,
+requests that read one.  Both hold their rationals as integers, and the
+powers of an expansion are products of pair sums, so neither loads
+braid_ring, power_series or fractions: lift and qexpand, at any --power,
+load none of them.  fractions loads only for a command that builds or
+prints a Fraction, and only zmap and trace load kontsevich.  floats,
 which alone reads the precision, tags the float columns and prints their
 cells from integer arithmetic, loads only for float columns (asymptotics,
 beta --s 1, basis --solve-t).  json loads only for a JSON braid, a

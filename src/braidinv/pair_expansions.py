@@ -5,17 +5,15 @@ x_m = 2m - 1, m <= R, and its integral is t through degree r + 1.  Those R
 conditions are a Vandermonde system in the x_m^2, so the sum is unique:
 a_m = (1/x_m) prod_(l != m) x_l^2 / (x_l^2 - x_m^2) on q^x_m - q^-x_m, the
 weights for f'(0) on the staggered nodes +-1/2, +-3/2, ... (Fornberg, Math.
-Comp. 51, 1988).  The top order a request reads is certified on its integer
-moments, which share no arithmetic with the closed form; uniqueness makes
-that sufficient.  The pair coefficients approach signed multiples of 4/pi;
-the float columns that compare them with that limit are built in the
-commands.
+Comp. 51, 1988).  The top order a request reads, raised to the power it
+asks for, is certified on its integer moments, which share no arithmetic
+with the closed form or the product; uniqueness makes that sufficient.
+The pair coefficients approach signed multiples of 4/pi; the float
+columns that compare them with that limit are built in the commands.
 
 Every sum here is symmetric or antisymmetric under q -> q^-1, so it is
 held as a PairSum, its positive half and q^0 term in integers, and built,
-certified and printed without the braid ring or any Fraction.  A power
-above one is the one general product: it loads the braid ring, multiplies
-BraidSums and checks the symmetry of the result.
+multiplied, certified and printed without the braid ring or any Fraction.
 """
 
 import math
@@ -67,23 +65,47 @@ def closed_form_expansion(order: int) -> PairSum:
     return PairSum(half, 0, 8 ** (R - 1) * math.factorial(R - 1) * L, -1)
 
 
-def odd_moments(b: PairSum):
-    """Lazily and unbounded, the positive half's integer moments
-    sum_(n > 0) half[n] n^i at odd i = 1, 3, 5, ..."""
-    weights = [c * n for n, c in b.half.items()]
+def times(a: PairSum, b: PairSum) -> PairSum:
+    """The product ab, formed from the halves and q^0 terms alone:
+    (q^i + s q^-i)(q^j + t q^-j) is q^(i+j) + t q^(i-j) + s q^(j-i) +
+    st q^-(i+j), a pair of sign st at i + j and at |i - j|, or (s + t) q^0
+    at i = j."""
+    s, t = a.sign, b.sign
+    half = {j: a.zero * y for j, y in b.half.items()}
+    for i, x in a.half.items():
+        half[i] = half.get(i, 0) + b.zero * x
+    zero = a.zero * b.zero
+    for i, x in a.half.items():
+        for j, y in b.half.items():
+            xy = x * y
+            half[i + j] = half.get(i + j, 0) + xy
+            if i > j:
+                half[i - j] = half.get(i - j, 0) + t * xy
+            elif j > i:
+                half[j - i] = half.get(j - i, 0) + s * xy
+            else:
+                zero += (s + t) * xy
+    return PairSum(half, zero, a.den * b.den, s * t)
+
+
+def pair_moments(b: PairSum):
+    """Lazily and unbounded, b's integer moments sum_n c_n n^i over both
+    halves and q^0, at i = 1, 3, ... if b is antisymmetric and at
+    i = 0, 2, ... if symmetric (those of the other parity vanish): twice
+    the positive half's, plus the q^0 numerator at i = 0."""
+    weights = [2 * c * (n if b.sign < 0 else 1) for n, c in b.half.items()]
     squares = [n * n for n in b.half]
+    yield sum(weights) + b.zero
     while True:
-        yield sum(weights)
         weights = list(map(mul, weights, squares))
+        yield sum(weights)
 
 
 def tau_expansions(orders, power: int = 1) -> list:
     """Each order's expansion, the orders odd, positive and given once,
-    raised to the power, as PairSums.  The top order is certified flat.
-    An odd power is antisymmetric and an even one symmetric: the
-    expansions are so by construction, and a power above one is checked
-    for it once.  Powers above one have no reference values; they are
-    reported.
+    raised to the power, as PairSums.  The top order's is certified to
+    integrate to t^power.  Powers above one have no reference values; they
+    are reported.
     """
     if power < 1:
         raise ValueError("power must be positive")
@@ -93,29 +115,19 @@ def tau_expansions(orders, power: int = 1) -> list:
             raise ValueError(f"order {r} is not odd and positive")
         if r in orders[:at]:
             raise ValueError(f"order {r} given twice")
-    expansions = [closed_form_expansion(r) for r in orders]
+    powers = [reduce(times, [closed_form_expansion(r)] * power)
+              for r in orders]
     top = max(orders)
-    b = expansions[orders.index(top)]
-    # Z(b)'s degree-i coefficient is b's moment sum_n c_n n^i over all n,
-    # over b.den 2^i i!, so Z(b) = t when that moment is 2 b.den at i = 1
-    # and 0 at every other i <= top.  On an antisymmetric sum the even
-    # moments vanish and the odd ones are twice the positive half's
-    if b.sign > 0 or any(map(ne, [b.den] + [0] * (top // 2), odd_moments(b))):
-        raise ArithmeticError(f"lift is not flat through order {top}")
-    if power == 1:
-        return expansions
-    from .braid_ring import BraidSum, multiply
-    sign = -1 if power % 2 else 1
-    powers = []
-    for r, b in zip(orders, expansions):
-        full = b.braid_sum()
-        p = reduce(multiply, [full] * power)
-        if p != BraidSum.over({-n: sign * c for n, c in p.nums.items()},
-                              p.den):
-            raise ArithmeticError(f"power {power} of the order {r} expansion "
-                                  "lost its symmetry under q -> q^-1")
-        powers.append(PairSum({n: c for n, c in p.nums.items() if n > 0},
-                              p.nums.get(0, 0), p.den, sign))
+    b = powers[orders.index(top)]
+    # Z(b)'s degree-i coefficient is b's moment sum_n c_n n^i over
+    # b.den 2^i i!; the expansion is t through degree top + 1, so its power
+    # p is t^p through top + p: b has the sign (-1)^p, and its moments of
+    # that parity are b.den 2^p p! at i = p and 0 at every other i <= top + p
+    want = [b.den * 2 ** power * math.factorial(power) if i == power else 0
+            for i in range(power % 2, top + power + 1, 2)]
+    if b.sign != (-1) ** power or any(map(ne, want, pair_moments(b))):
+        raise ArithmeticError(f"lift is not flat through order {top} "
+                              f"at power {power}")
     return powers
 
 

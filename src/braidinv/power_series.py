@@ -5,10 +5,11 @@ exact through degree N: the integral's values as Fractions, and the lifts
 of the strong inverse as reduced (numerator, denominator) integer pairs
 (inverse_engine).  The package does no arithmetic on series; only
 common_denominator, the way from Fractions into braid_ring's integers, is
-left here, and it alone imports fractions.
+left here.
 """
 
 import math
+from fractions import Fraction
 
 
 def common_denominator(values) -> tuple[list[int], int]:
@@ -16,7 +17,6 @@ def common_denominator(values) -> tuple[list[int], int]:
 
     den is the least common denominator, so it is 1 for an empty list.
     """
-    from fractions import Fraction
     values = [Fraction(v) for v in values]
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den

@@ -7,7 +7,10 @@ that compares the two is a genuine consistency check rather than a tautology.
 The command line parser is the argparse one braidinv used before it read
 argv from its own flag table, kept verbatim as that table's reference; the
 float cells are the ones braidinv printed through mpmath before it printed
-them from integer arithmetic, kept as that arithmetic's reference.
+them from integer arithmetic, kept as that arithmetic's reference.  The
+product of two braid sums and their field comparison are the ones the
+package held before its powers became products of pair sums; they read
+and build BraidSums through the values passed in.
 """
 
 from fractions import Fraction
@@ -104,6 +107,36 @@ def braid_mul(a, b):
         for j, cb in b.items():
             out[i + j] = out.get(i + j, Fraction(0)) + ca * cb
     return {n: c for n, c in out.items() if c}
+
+
+def multiply(a, b):
+    """The reference product of two BraidSums, convolving their integer
+    numerators by the group law q^i q^j = q^(i+j), over the product of
+    their denominators; built by a's own type, as this module imports no
+    package code."""
+    nums = {}
+    for i, x in a.nums.items():
+        for j, y in b.nums.items():
+            nums[i + j] = nums.get(i + j, 0) + x * y
+    return type(a).over(nums, a.den * b.den)
+
+
+def same(a, *others):
+    """Whether BraidSums are equal, field by field: the package reduces
+    each sum to one canonical (nums, den), so equal sums have equal
+    fields."""
+    return all((b.nums, b.den) == (a.nums, a.den) for b in others)
+
+
+def pair_fields(b):
+    """A BraidSum's fields read as a pair sum's: (positive half, q^0
+    numerator, den, sign), after checking that every term off q^0 has its
+    mirror times the sign; a sum with no such term reads as symmetric."""
+    half = {n: c for n, c in b.nums.items() if n > 0}
+    sign = next((b.nums.get(-n, 0) // c for n, c in half.items()), 1)
+    if any(b.nums.get(-n) != sign * c for n, c in b.nums.items() if n):
+        raise ValueError("neither symmetric nor antisymmetric")
+    return half, b.nums.get(0, 0), b.den, sign
 
 
 def tau_power(k):

@@ -16,6 +16,8 @@ from braidinv.sequences import (harmonic_sigma_sequence,
                                 pair_partial_sequence)
 from braidinv.regularization import leibniz_partial
 
+import oracles
+
 
 def frac(n, d=1):
     return Fraction(n, d)
@@ -183,7 +185,7 @@ def test_additivity_of_traces():
 
 def test_lift_truncation_items():
     seq = lift_truncation_sequence(3)
-    assert seq[0] == tau()
+    assert oracles.same(seq[0], tau())
     assert Z(seq[2], 5)[5] == 0
 
 
@@ -191,11 +193,11 @@ def test_harmonic_sequence_values():
     seq = harmonic_sigma_sequence(3)
     partials = [frac(1), frac(1, 2), frac(5, 6)]
     for item, p in zip(seq, partials):
-        assert item == BraidSum({1: p})
+        assert oracles.same(item, BraidSum({1: p}))
 
 
 def test_pair_partial_first_item():
     seq = pair_partial_sequence(2)
-    assert seq[0] == BraidSum({1: 4, -1: -4})
+    assert oracles.same(seq[0], BraidSum({1: 4, -1: -4}))
     second = seq[1]
     assert second.terms[3] == frac(-4, 9)

@@ -6,7 +6,7 @@ import pytest
 
 from braidinv import cli
 from braidinv.braid_ring import (INFINITE, BraidSum, combine, filtration_order,
-                                 multiply, sigma_power, tau)
+                                 sigma_power, tau)
 from braidinv.kontsevich import Z, focus_order
 
 import oracles
@@ -58,7 +58,7 @@ def test_z_is_multiplicative():
     for _ in range(10):
         a = BraidSum({rng.randrange(-3, 4): rng.randrange(-2, 3) for _ in range(2)})
         b = BraidSum({rng.randrange(-3, 4): rng.randrange(-2, 3) for _ in range(2)})
-        assert list(Z(multiply(a, b), 6)) == \
+        assert list(Z(oracles.multiply(a, b), 6)) == \
             oracles.series_mul(Z(a, 6), Z(b, 6), 6)
 
 

@@ -1,17 +1,21 @@
 """Property tests for the integer kernels and the braid ring.
 
 Braid sums store integer numerators over one reduced denominator, and every
-kernel (combine, multiply, the lift solve and Z) works on them; each
-property compares them with a Fraction-only route that never does.  Equality compares the stored integers, so the canonical form itself
-is checked after each kernel.  The solve is checked on random seeds of filtration order
-one against Lagrange inversion and composition of the seed's integral and
-against stepwise strengthening, its (numerator, denominator) pairs
-checked to be in lowest terms, and the closed-form expansions at
-q - q^-1 against the multiply loop on the arcsinh series.  The braid ring laws and the filtration
-order are checked against the ring axioms and the synthetic-division
-oracle, and the Lagrange-row moment-matrix inverse against Gauss-Jordan
-elimination.  beta's digit count from the bit length is checked against
-the printed integer, up to the 100,000-digit limit.  The JSON and CSV
+kernel (combine, the lift solve and Z, and the reference product
+oracles.multiply) works on them; each property compares them with a
+Fraction-only route that never does.  oracles.same compares the stored
+integers, so the canonical form itself is checked after each kernel.  The
+solve is checked on random seeds of filtration order one against Lagrange
+inversion and composition of the seed's integral and against stepwise
+strengthening, its (numerator, denominator) pairs checked to be in lowest
+terms, and the closed-form expansions at q - q^-1 against the multiply
+loop on the arcsinh series.  The product of pair sums and the powers of
+the expansions are checked against the reference product, read back as
+a pair sum.  The braid ring laws and the filtration order are checked
+against the ring axioms and the synthetic-division oracle, and the
+Lagrange-row moment-matrix inverse against Gauss-Jordan elimination.
+beta's digit count from the bit length is checked against the printed
+integer, up to the 100,000-digit limit.  The JSON and CSV
 renderers are checked against json.dumps and csv.writer on tables of
 arbitrary text, and the printer of integer pairs against str of a
 Fraction.
@@ -31,12 +35,13 @@ from braidinv import basis_solver, braid_ring
 from braidinv.basis_solver import (MomentMatrix, build_balanced,
                                    build_unbalanced, entry_sequence, invert)
 from braidinv.braid_ring import (BraidSum, combine, filtration_order,
-                                 multiply, sigma_power, tau)
+                                 sigma_power, tau)
 from braidinv.commands.beta import decimal_digits
 from braidinv.inverse_engine import (_lift_series, closed_form_lift,
                                      solved_lift)
 from braidinv.kontsevich import Z
-from braidinv.pair_expansions import closed_form_expansion
+from braidinv.pair_expansions import (PairSum, closed_form_expansion,
+                                      tau_expansions, times)
 from braidinv.render import rational, render_csv, render_json
 
 import oracles
@@ -44,6 +49,7 @@ import oracles
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 nonzero = rationals.filter(bool)
 braid_sums = st.dictionaries(st.integers(-7, 7), rationals, max_size=5)
+nonzero_integers = st.integers(-9, 9).filter(bool)
 Q_MINUS_1 = {1: Fraction(1), 0: Fraction(-1)}
 node_sets = st.lists(st.integers(-20, 20), min_size=1, max_size=8, unique=True)
 # zeros, the empty sum and denominators far beyond one machine word
@@ -51,6 +57,17 @@ wide_sums = st.dictionaries(st.integers(-9, 9), st.one_of(
     st.just(Fraction(0)), rationals,
     st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
               st.integers(1, 10 ** 40))), max_size=6)
+
+
+@st.composite
+def pair_sums(draw):
+    """A nonzero pair sum of either sign, a symmetric one with or without
+    a q^0 term."""
+    sign = draw(st.sampled_from((-1, 1)))
+    half = draw(st.dictionaries(st.integers(1, 9), nonzero_integers,
+                                min_size=1, max_size=5))
+    zero = draw(st.integers(-9, 9)) if sign > 0 else 0
+    return PairSum(half, zero, draw(st.integers(1, 12)), sign)
 
 
 @st.composite
@@ -111,7 +128,7 @@ def test_three_routes_agree_at_order_301():
 @given(braid_sums, braid_sums, st.integers(0, 8))
 def test_z_is_a_ring_homomorphism(a, b, order):
     a, b = BraidSum(a), BraidSum(b)
-    assert list(Z(multiply(a, b), order)) == oracles.series_mul(
+    assert list(Z(oracles.multiply(a, b), order)) == oracles.series_mul(
         Z(a, order), Z(b, order), order)
     assert list(Z(a, order)) == oracles.integral(a.terms, order)
 
@@ -133,6 +150,32 @@ def test_closed_form_matches_the_multiply_loop_through_order_201():
     assert running == oracles.braid_poly(dict(enumerate(P)), oracles.TAU)
 
 
+def as_braid_sum(b):
+    """A pair sum as a BraidSum, built from its terms as Fractions."""
+    return BraidSum(oracles.exact(b))
+
+
+def fields(b):
+    return b.half, b.zero, b.den, b.sign
+
+
+@given(pair_sums(), pair_sums())
+def test_times_is_the_reference_product(a, b):
+    product = oracles.multiply(as_braid_sum(a), as_braid_sum(b))
+    assert fields(times(a, b)) == oracles.pair_fields(product)
+
+
+@given(st.integers(0, 30), st.integers(1, 6))
+@example(30, 6)
+def test_powers_are_the_reference_products_through_order_61(k, power):
+    r = 2 * k + 1
+    [b] = tau_expansions([r], power)
+    product = factor = as_braid_sum(closed_form_expansion(r))
+    for _ in range(power - 1):
+        product = oracles.multiply(product, factor)
+    assert fields(b) == oracles.pair_fields(product)
+
+
 def test_strengthen_matches_the_stepwise_oracle():
     for order in range(1, 22, 2):
         assert oracles.exact(_lift_series(tau().nums, tau().den, order)) \
@@ -142,11 +185,12 @@ def test_strengthen_matches_the_stepwise_oracle():
 @given(braid_sums, braid_sums, braid_sums, rationals, rationals)
 def test_multiply_is_a_commutative_ring_product(a, b, c, x, y):
     a, b, c = BraidSum(a), BraidSum(b), BraidSum(c)
-    assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
-    assert multiply(a, b) == multiply(b, a)
-    assert multiply(a, combine(b, x, c, y)) == \
-        combine(multiply(a, b), x, multiply(a, c), y)
-    assert multiply(a, sigma_power(0)) == a
+    multiply, same = oracles.multiply, oracles.same
+    assert same(multiply(multiply(a, b), c), multiply(a, multiply(b, c)))
+    assert same(multiply(a, b), multiply(b, a))
+    assert same(multiply(a, combine(b, x, c, y)),
+                combine(multiply(a, b), x, multiply(a, c), y))
+    assert same(multiply(a, sigma_power(0)), a)
 
 
 def assert_canonical(b):
@@ -162,13 +206,14 @@ def test_kernels_return_the_canonical_form(a, b, x, y):
     A, B = BraidSum(a), BraidSum(b)
     for got, want in ((A, {n: c for n, c in a.items() if c}),
                       (combine(A, x, B, y), sum_oracle),
-                      (multiply(A, B), product_oracle)):
+                      (oracles.multiply(A, B), product_oracle)):
         assert_canonical(got)
         assert got.terms == want
     # one sum built from the rationals and by a kernel compares equal
-    assert combine(A, x, B, y) == BraidSum(sum_oracle) == \
-        combine(B, y, A, x)
-    assert multiply(A, B) == BraidSum(product_oracle) == multiply(B, A)
+    assert oracles.same(combine(A, x, B, y), BraidSum(sum_oracle),
+                        combine(B, y, A, x))
+    assert oracles.same(oracles.multiply(A, B), BraidSum(product_oracle),
+                        oracles.multiply(B, A))
 
 
 @given(vanishing_sums())
@@ -178,7 +223,7 @@ def test_filtration_order_is_the_root_multiplicity_at_one(b):
 
 @given(vanishing_sums().filter(bool), vanishing_sums().filter(bool))
 def test_filtration_order_adds_under_product(a, b):
-    assert filtration_order(multiply(a, b)) == \
+    assert filtration_order(oracles.multiply(a, b)) == \
         filtration_order(a) + filtration_order(b)
 
 

@@ -75,17 +75,16 @@ CORE = {"braidinv", "braidinv.cli"}
 USAGE = CORE | {"braidinv.usage"}
 # every command adds its own module, the commands package and render
 ALWAYS = CORE | {"braidinv.commands", "braidinv.render"}
-# the lift solve and the expansions at q - q^-1 hold their rationals as
-# integers: neither brings the braid ring or fractions with it
+# the lift solve and the expansions at q - q^-1, their powers included,
+# hold their rationals as integers: neither brings the braid ring or
+# fractions with it
 ENGINE = {"braidinv.inverse_engine"}
 EXPANSIONS = {"braidinv.pair_expansions"}
-# the braid ring loads fractions only where a Fraction goes in or out, so
-# the products of a qexpand power do not load it
-RING = {"braidinv.braid_ring", "braidinv.power_series"}
-# kontsevich, the float columns, and the modules that print or build
-# Fractions load fractions with them
+# the braid ring, kontsevich, the float columns, and the modules that
+# print or build Fractions load fractions with them
 FRACTIONS = {"fractions"}
-INTEGRAL = RING | FRACTIONS | {"braidinv.kontsevich"}
+RING = FRACTIONS | {"braidinv.braid_ring", "braidinv.power_series"}
+INTEGRAL = RING | {"braidinv.kontsevich"}
 FLOATS = FRACTIONS | {"braidinv.floats"}
 SOLVER = FRACTIONS | {"braidinv.basis_solver"}
 REGULARIZATION = FRACTIONS | {"braidinv.regularization"}
@@ -97,8 +96,7 @@ EXTRA = {
     "lift --order 13": ENGINE,
     "zmap --braid pair:2 --order 4": INTEGRAL,
     "qexpand --order 11": EXPANSIONS,
-    # a power multiplies BraidSums
-    "qexpand --order 5 --power 2": EXPANSIONS | RING,
+    "qexpand --order 5 --power 2": EXPANSIONS,
     "asymptotics --j 3 --orders 9,25,49": EXPANSIONS | FLOATS,
     "beta --s 1": FLOATS | REGULARIZATION,
     "beta --s 7": REGULARIZATION,
@@ -117,9 +115,10 @@ FORMATS = {"text": set(), "json": {"braidinv.json_document"},
 
 
 # the most of the braidinv bytecode a request compiles that may never run:
-# any README command in any format (a qexpand power, which multiplies in
-# the braid ring but calls few of its functions, runs the least of it), and
-# a trace of a sequence file, which the trace-wide bench workload runs most
+# any README command in any format (reproduce --format csv, whose tables
+# call few of the functions of the modules they load, leaves 0.24 unrun,
+# the most of them), and a trace of a sequence file, which the trace-wide
+# bench workload runs most
 README_UNRUN = 0.33
 FILE_TRACE_UNRUN = 0.25
 
