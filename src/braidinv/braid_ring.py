@@ -13,19 +13,18 @@ integers in pair_expansions and become BraidSums only where a general
 operation needs one.  No request multiplies two BraidSums; the tests
 keep that product as their reference.
 
-The finite-type filtration order of an element is computed along two
-independent routes that must agree, both over the stored terms only: the
-number of leading vanishing power moments sum_n c_n n^i, and the number of
-leading vanishing derivatives at q = 1 (the root multiplicity there).  The
-zero element has order INFINITE.
+Two lazy integer streams read an element over its stored terms only:
+den times its power moments sum_n c_n n^i and its derivatives at q = 1.
+Its finite-type filtration order is where either first leaves zero, the
+same k for both (Stirling numbers relate them triangularly); condition
+(c) compares two items' streams to find the order of their difference.
 """
 
 import math
 from fractions import Fraction
+from itertools import count
 
 from .power_series import common_denominator
-
-INFINITE = math.inf
 
 
 class BraidSum:
@@ -109,43 +108,13 @@ def moments(b: BraidSum):
         weights = [w * n for w, n in zip(weights, exponents)]
 
 
-def _moment_order(b: BraidSum) -> int:
-    # first j with sum_n c_n n^j nonzero; bounded by the term count because
-    # the root multiplicity of a Laurent polynomial at q = 1 is below it
-    for j, total in zip(range(len(b.nums) + 1), moments(b)):
-        if total:
-            return j
-    raise ArithmeticError("moment order exceeded its theoretical bound")
-
-
-def _derivative_order(b: BraidSum) -> int:
-    # first k with the k-th derivative at q = 1, sum_n c_n n(n-1)...(n-k+1),
-    # nonzero; Stirling numbers relate these falling-factorial moments to
-    # the power moments triangularly, so both routes stop at the same k;
-    # scaling by den leaves every vanishing sum at zero
+def derivatives(b: BraidSum):
+    """Lazily and unbounded, sum_n nums[n] n(n-1)...(n-k+1), k >= 0."""
     exponents = list(b.nums)
     weights = list(b.nums.values())
-    for k in range(len(exponents) + 1):
-        if sum(weights):
-            return k
+    for k in count():
+        yield sum(weights)
         weights = [w * (n - k) for w, n in zip(weights, exponents)]
-    raise ArithmeticError("derivative order exceeded its theoretical bound")
-
-
-def filtration_order(b: BraidSum):
-    """Filtration order of b: an integer, or INFINITE for the zero sum.
-
-    Both the moment route and the derivative route are evaluated and
-    compared on every call; a disagreement would mean a bug in one of them.
-    """
-    if not b:
-        return INFINITE
-    order = _moment_order(b)
-    check = _derivative_order(b)
-    if order != check:
-        raise ArithmeticError(
-            f"order routes disagree: moments {order}, derivatives {check}")
-    return order
 
 
 def render(b: BraidSum) -> str:

@@ -3,8 +3,9 @@
 A sequence is a list of BraidSums, b_1 first.  Three conditions are
 inspected: (a) every braid coefficient trace settles, (b) every graded
 integral trace settles, (c) later differences sit deep in the filtration,
-order(b_i - b_j) >= i for i < j.  All verdicts are evidence over the
-inspected window, never limit claims; CAVEAT says so.
+order(b_i - b_j) >= i for i < j, which each item's moment and derivative
+prefixes decide with no difference sum built.  All verdicts are evidence
+over the inspected window, never limit claims; CAVEAT says so.
 
 Trace classification compares successive absolute differences as exact
 rationals, so no scale underflows or overflows.  Leading zero differences
@@ -13,7 +14,9 @@ carries no information.  Fewer than three nonzero differences is ruled
 insufficient rather than guessed at.
 """
 
-from .braid_ring import coefficient, combine, filtration_order
+from fractions import Fraction
+
+from .braid_ring import coefficient, derivatives, moments
 from .kontsevich import Z
 
 CAVEAT = ("finite-window evidence only; no verdict here asserts a limit")
@@ -48,13 +51,38 @@ def verdict(classes: dict) -> str:
     return "fail" if "diverging" in classes.values() else "pass"
 
 
+def _prefix(stream, den: int):
+    """An item's integer stream over its den, by index, each value read
+    once on demand however many pairs compare it."""
+    values = []
+
+    def at(k: int) -> Fraction:
+        while len(values) <= k:
+            values.append(Fraction(next(stream), den))
+        return values[k]
+    return at
+
+
+def _first_difference(a, b, depth: int):
+    """The first k < depth where two prefixes differ, else None."""
+    return next((k for k in range(depth) if a(k) != b(k)), None)
+
+
 def filtration_condition_c(items: list) -> list:
-    """The violations (i, j, order) of order(b_i - b_j) >= i, 1 <= i < j."""
+    """The violations (i, j, order) of order(b_i - b_j) >= i, 1 <= i < j;
+    the order is where the items' moments first differ, and where their
+    derivatives at q = 1 do, and the two routes must agree on each pair."""
+    streams = [(_prefix(moments(b), b.den), _prefix(derivatives(b), b.den))
+               for b in items]
     violations = []
-    for i, a in enumerate(items, 1):
-        for j, b in enumerate(items[i:], i + 1):
-            order = filtration_order(combine(a, 1, b, -1))
-            if order < i:
+    for i, (moments_a, derivatives_a) in enumerate(streams, 1):
+        for j, (moments_b, derivatives_b) in enumerate(streams[i:], i + 1):
+            order = _first_difference(moments_a, moments_b, i)
+            check = _first_difference(derivatives_a, derivatives_b, i)
+            if order != check:
+                raise ArithmeticError(f"order routes disagree: moments "
+                                      f"{order}, derivatives {check}")
+            if order is not None:
                 violations.append((i, j, order))
     return violations
 

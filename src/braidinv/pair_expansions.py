@@ -5,11 +5,13 @@ x_m = 2m - 1, m <= R, and its integral is t through degree r + 1.  Those R
 conditions are a Vandermonde system in the x_m^2, so the sum is unique:
 a_m = (1/x_m) prod_(l != m) x_l^2 / (x_l^2 - x_m^2) on q^x_m - q^-x_m, the
 weights for f'(0) on the staggered nodes +-1/2, +-3/2, ... (Fornberg, Math.
-Comp. 51, 1988).  The top order a request reads, raised to the power it
+Comp. 51, 1988).  The top order a request reads, raised to the power p it
 asks for, is certified on its integer moments, which share no arithmetic
-with the closed form or the product; uniqueness makes that sufficient.
-The pair coefficients approach signed multiples of 4/pi; the float
-columns that compare them with that limit are built in the commands.
+with the closed form or the product.  At p = 1, by uniqueness, that proves
+the expansion; at p > 1 it proves only Z = t^p through degree r + p, and the
+product rests on the tests' reference (ROADMAP item 19).  The pair
+coefficients approach signed multiples of 4/pi; the float columns that
+compare them with that limit are built in the commands.
 
 Every sum here is symmetric or antisymmetric under q -> q^-1, so it is
 held as a PairSum, its positive half and q^0 term in integers, and built,

@@ -10,7 +10,10 @@ float cells are the ones braidinv printed through mpmath before it printed
 them from integer arithmetic, kept as that arithmetic's reference.  The
 product of two braid sums and their field comparison are the ones the
 package held before its powers became products of pair sums; they read
-and build BraidSums through the values passed in.
+and build BraidSums through the values passed in.  The filtration order
+of one braid sum, by both routes, is the one the package held before
+condition (c) compared each item's prefixes; it reads a BraidSum's
+fields and is the pairwise reference for that condition.
 """
 
 from fractions import Fraction
@@ -230,6 +233,54 @@ def root_multiplicity_at_one(b):
         poly = quotient[::-1]
         multiplicity += 1
     return multiplicity
+
+
+INFINITE = math.inf
+
+
+def _moment_order(b) -> int:
+    # first j with sum_n c_n n^j nonzero; bounded by the term count because
+    # the root multiplicity of a Laurent polynomial at q = 1 is below it
+    exponents = list(b.nums)
+    weights = list(b.nums.values())
+    for j in range(len(exponents) + 1):
+        if sum(weights):
+            return j
+        weights = [w * n for w, n in zip(weights, exponents)]
+    raise ArithmeticError("moment order exceeded its theoretical bound")
+
+
+def _derivative_order(b) -> int:
+    # first k with the k-th derivative at q = 1, sum_n c_n n(n-1)...(n-k+1),
+    # nonzero; Stirling numbers relate these falling-factorial moments to
+    # the power moments triangularly, so both routes stop at the same k;
+    # scaling by den leaves every vanishing sum at zero
+    exponents = list(b.nums)
+    weights = list(b.nums.values())
+    for k in range(len(exponents) + 1):
+        if sum(weights):
+            return k
+        weights = [w * (n - k) for w, n in zip(weights, exponents)]
+    raise ArithmeticError("derivative order exceeded its theoretical bound")
+
+
+def filtration_order(b):
+    """Filtration order of a BraidSum: an integer, or INFINITE for the zero
+    sum.
+
+    Both the moment route and the derivative route are evaluated on b's
+    own terms and compared on every call; a disagreement would mean a bug
+    in one of them.  On a difference b_i - b_j this is the pairwise
+    reference for condition (c).
+    """
+    if not b:
+        return INFINITE
+    order = _moment_order(b)
+    check = _derivative_order(b)
+    if order != check:
+        raise ArithmeticError(
+            f"order routes disagree: moments {order}, derivatives {check}")
+    return order
 
 
 # ---------------------------------------------------------------------------

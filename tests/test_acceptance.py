@@ -12,8 +12,7 @@ from fractions import Fraction
 import mpmath
 
 from braidinv.basis_solver import build_unbalanced, entry_sequence, invert
-from braidinv.braid_ring import (BraidSum, combine, filtration_order,
-                                 sigma_power, tau)
+from braidinv.braid_ring import BraidSum, combine, sigma_power, tau
 from braidinv.convergence import (biconvergence_report,
                                   filtration_condition_c, verdict)
 from braidinv.inverse_engine import (_lift_series, closed_form_lift,
@@ -25,6 +24,7 @@ from braidinv.sequences import (harmonic_sigma_sequence,
                                 lift_truncation_sequence)
 
 import oracles
+from oracles import filtration_order
 
 
 def frac(n, d=1):

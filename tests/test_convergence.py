@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from braidinv import cli, sequences
-from braidinv.braid_ring import BraidSum, pair, tau
-from braidinv.braid_ring import combine
+from braidinv import braid_ring, cli, convergence, sequences
+from braidinv.braid_ring import BraidSum, combine, pair, tau
 from braidinv.commands.trace import STOCK_SEQUENCES
 from braidinv.convergence import (CAVEAT, biconvergence_report,
                                   classify_trace, filtration_condition_c,
@@ -108,6 +107,40 @@ def test_condition_c_on_stock_sequences():
 
     b = BraidSum({1: 1, -2: frac(1, 2)})
     assert filtration_condition_c([b, b, b, b]) == []
+
+
+def counting(route, reads):
+    """route's stream, each call appending a slot to reads that counts
+    the values the stream has yielded."""
+    def stream(b):
+        reads.append(0)
+        slot = len(reads) - 1
+        for value in route(b):
+            reads[slot] += 1
+            yield value
+    return stream
+
+
+def test_condition_c_reads_each_stream_only_as_deep_as_a_pair_needs(
+        monkeypatch):
+    # item i is compared to depth i at most, and a pair stops at its first
+    # difference: harmonic items differ at moment 0, pair partials (all
+    # antisymmetric) at moment 1, and tauhat items i < j agree through
+    # degree 2i, beyond the depth i that condition (c) asks about
+    def reads_of(items):
+        moment_reads, derivative_reads = [], []
+        monkeypatch.setattr(convergence, "moments",
+                            counting(braid_ring.moments, moment_reads))
+        monkeypatch.setattr(convergence, "derivatives",
+                            counting(braid_ring.derivatives, derivative_reads))
+        filtration_condition_c(items)
+        assert len(moment_reads) == len(derivative_reads) == len(items)
+        return list(zip(moment_reads, derivative_reads))
+
+    assert max(map(max, reads_of(harmonic_sigma_sequence(60)))) == 1
+    assert max(map(max, reads_of(pair_partial_sequence(60)))) == 2
+    tauhat = reads_of(lift_truncation_sequence(30))
+    assert all(max(r) <= i for i, r in enumerate(tauhat, 1))
 
 
 def test_condition_c_window_restriction():

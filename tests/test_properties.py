@@ -11,9 +11,12 @@ strengthening, its (numerator, denominator) pairs checked to be in lowest
 terms, and the closed-form expansions at q - q^-1 against the multiply
 loop on the arcsinh series.  The product of pair sums and the powers of
 the expansions are checked against the reference product, read back as
-a pair sum.  The braid ring laws and the filtration order are checked
-against the ring axioms and the synthetic-division oracle, and the
-Lagrange-row moment-matrix inverse against Gauss-Jordan elimination.
+a pair sum.  The braid ring laws and the reference filtration order are
+checked against the ring axioms and the synthetic-division oracle;
+condition (c), read from each item's prefixes, against that order taken
+on every difference sum of a window, and against a faulty moment or
+derivative stream planted in it; and the Lagrange-row moment-matrix
+inverse against Gauss-Jordan elimination.
 beta's digit count from the bit length is checked against the printed
 integer, up to the 100,000-digit limit.  The JSON and CSV
 renderers are checked against json.dumps and csv.writer on tables of
@@ -27,16 +30,18 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from braidinv import basis_solver, braid_ring
+from braidinv import basis_solver, cli, convergence, sequences
 from braidinv.basis_solver import (MomentMatrix, build_balanced,
                                    build_unbalanced, entry_sequence, invert)
-from braidinv.braid_ring import (BraidSum, combine, filtration_order,
-                                 sigma_power, tau)
+from braidinv.braid_ring import BraidSum, combine, sigma_power, tau
 from braidinv.commands.beta import decimal_digits
+from braidinv.commands.trace import STOCK_SEQUENCES
+from braidinv.convergence import filtration_condition_c
 from braidinv.inverse_engine import (_lift_series, closed_form_lift,
                                      solved_lift)
 from braidinv.kontsevich import Z
@@ -45,6 +50,7 @@ from braidinv.pair_expansions import (PairSum, closed_form_expansion,
 from braidinv.render import rational, render_csv, render_json
 
 import oracles
+from oracles import filtration_order
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 nonzero = rationals.filter(bool)
@@ -227,10 +233,78 @@ def test_filtration_order_adds_under_product(a, b):
         filtration_order(a) + filtration_order(b)
 
 
-def test_filtration_order_reports_disagreeing_routes(monkeypatch):
-    monkeypatch.setattr(braid_ring, "_derivative_order", lambda b: 2)
+def pairwise_condition_c(items):
+    """The violations of condition (c), each difference b_i - b_j built and
+    its order taken by both reference routes."""
+    violations = []
+    for i, a in enumerate(items, 1):
+        for j, b in enumerate(items[i:], i + 1):
+            order = filtration_order(combine(a, 1, b, -1))
+            if order < i:
+                violations.append((i, j, order))
+    return violations
+
+
+far_sums = st.dictionaries(
+    st.one_of(st.integers(-7, 7), st.integers(-10 ** 18, 10 ** 18)),
+    rationals, max_size=4)
+
+
+@st.composite
+def windows(draw):
+    """2-9 items, each one base plus a sum of some filtration order or of
+    any terms, so that pairs agree to various depths: repeated items, the
+    empty sum, mixed denominators and exponents up to +-10^18."""
+    base = BraidSum(draw(far_sums))
+    offsets = draw(st.lists(st.one_of(vanishing_sums(),
+                                      st.builds(BraidSum, far_sums)),
+                            min_size=1, max_size=8))
+    pool = [BraidSum()] + [combine(base, 1, v, 1) for v in offsets]
+    return draw(st.lists(st.sampled_from(pool), min_size=2, max_size=9))
+
+
+@settings(max_examples=300)
+@given(windows())
+def test_condition_c_is_the_pairwise_reference(items):
+    assert filtration_condition_c(items) == pairwise_condition_c(items)
+
+
+def test_condition_c_is_the_pairwise_reference_on_stock_sequences():
+    # a trace's window of W items is the first W items of the sequence, and
+    # its violations are those of the 30-item window with j <= W
+    for _, builder in STOCK_SEQUENCES.values():
+        items = getattr(sequences, builder)(30)
+        reference = pairwise_condition_c(items)
+        for window in range(2, 31):
+            assert filtration_condition_c(items[:window]) == \
+                [v for v in reference if v[1] <= window]
+
+
+def moments_missing_n(b):
+    # moment 1 and on lack the factor n that takes moment 0 to moment 1
+    exponents, weights = list(b.nums), list(b.nums.values())
+    for k in count():
+        yield sum(weights)
+        if k:
+            weights = [w * n for w, n in zip(weights, exponents)]
+
+
+def derivatives_missing_n(b):
+    # derivative 1 and on lack the factor n - 0 of the first derivative
+    exponents, weights = list(b.nums), list(b.nums.values())
+    for k in count():
+        yield sum(weights)
+        if k:
+            weights = [w * (n - k) for w, n in zip(weights, exponents)]
+
+
+@pytest.mark.parametrize("route, faulty", [
+    ("moments", moments_missing_n), ("derivatives", derivatives_missing_n)],
+    ids=["moments", "derivatives"])
+def test_a_faulty_order_route_stops_the_trace(monkeypatch, route, faulty):
+    monkeypatch.setattr(convergence, route, faulty)
     with pytest.raises(ArithmeticError, match="order routes disagree"):
-        filtration_order(tau())
+        cli.main(["trace", "--sequence", "pairs", "--window", "6"])
 
 
 @given(node_sets, st.booleans())
