@@ -6,14 +6,19 @@ divided by i! with factorials.  Row k of the inverse holds the coefficients
 of the Lagrange polynomial of node k, w(x) / ((x - n_k) w'(n_k)) with
 w(x) = prod_j (x - n_j), read off one synthetic division of w over the
 integers (Macon and Spitzbart, Amer. Math. Monthly 65, 1958); factorials
-only rescale its columns.  An inverse is a list of rows, and each row
-the caller reads is certified exactly on its printed Fractions: w is
-monic of degree dim and zero at every node, and the row's polynomial p
-over a common denominator den satisfies p(x) (x - n_k) = p_top w(x)
-and p(n_k) = den.  As the nodes are distinct, that is row k of N*M = I,
-at O(dim) big-integer products per row.  w is formed once per matrix
-and shared by the rows and their certificate.  A sequence of single
-entries forms and certifies only the row it reads, never the whole inverse.
+only rescale its columns.  Every matrix entry is an exact rational held
+as a reduced (numerator, denominator) integer pair with den > 0, as it is
+printed.  An inverse is a list of rows, and each row the caller reads is
+certified exactly on its printed integers: w is monic of degree dim and
+zero at every node, and the row's polynomial p over a common denominator
+den satisfies p(x) (x - n_k) = p_top w(x) and p(n_k) = den.  As the nodes
+are distinct, that is row k of N*M = I, at O(dim) big-integer products
+per row.  w is formed once per matrix and shared by the rows and their
+certificate.  On a node set symmetric about 0 the row of -a is the row of
+a with its odd columns negated, as L_-a(x) = L_a(-x), so only one row of
+each +-a pair is divided and reduced; the mirrored rows are certified like
+the others.  A sequence of single entries forms and certifies only the row
+it reads, never the whole inverse.
 
 Over the balanced nodes, row 1 is the partial Euler product
 prod_{k<=r} (1 - x^2/k^2) of sin(pi x)/(pi x), so the (1,3) entries are
@@ -23,11 +28,13 @@ finite-difference weights for f'(0).  The unbalanced variant on nodes
 """
 
 import math
-from fractions import Fraction
+
+from .render import _reduced
 
 
 class MomentMatrix:
-    """Row i holds n^i (over i! with factorials) for distinct integer nodes n."""
+    """Row i holds n^i (over i! with factorials) for distinct integer nodes
+    n, each entry a reduced (numerator, denominator) pair."""
 
     def __init__(self, nodes, with_factorials: bool = False):
         self.nodes = tuple(nodes)
@@ -36,7 +43,7 @@ class MomentMatrix:
         self.dim = len(self.nodes)
         self.scale = [math.factorial(i) if with_factorials else 1
                       for i in range(self.dim)]
-        self.rows = [[Fraction(n ** i, f) for n in self.nodes]
+        self.rows = [[_reduced(n ** i, f) for n in self.nodes]
                      for i, f in enumerate(self.scale)]
 
 
@@ -80,15 +87,30 @@ def _lagrange_row(w, a) -> list[int]:
     return q
 
 
-def _lagrange_rows(nodes, w, scale, ks) -> list[list[Fraction]]:
-    """Rows ks: w(x) / (x - n_k) over prod_{j != k} (n_k - n_j), scaled."""
-    rows = []
+def _lagrange_rows(nodes, w, scale, ks) -> list[list[tuple]]:
+    """Rows ks: w(x) / (x - n_k) over prod_{j != k} (n_k - n_j), scaled,
+    as reduced pairs; over symmetric nodes, the second row of a +-a pair
+    is the mirror of the first."""
+    symmetric = {-b for b in nodes} == set(nodes)
+    rows, formed = [], {}
     for k in ks:
         a = nodes[k]
-        value = math.prod(a - b for b in nodes if b != a)
-        rows.append([Fraction(c * f, value)
-                     for c, f in zip(_lagrange_row(w, a), scale)])
+        if symmetric and -a in formed:
+            row = _mirror(formed[-a])
+        else:
+            value = math.prod(a - b for b in nodes if b != a)
+            row = [_reduced(c * f, value)
+                   for c, f in zip(_lagrange_row(w, a), scale)]
+        formed[a] = row
+        rows.append(row)
     return rows
+
+
+def _mirror(row) -> list[tuple]:
+    """The row of node -a from the row of a, its odd columns negated."""
+    mirrored = row[:]
+    mirrored[1::2] = [(-num, den) for num, den in row[1::2]]
+    return mirrored
 
 
 def _horner(coeffs, x: int) -> int:
@@ -106,16 +128,16 @@ def _verify(nodes, w, scale, rows, ks) -> None:
             any(_horner(w, x) for x in nodes):
         raise fail
     for k, row in zip(ks, rows):
-        dens = [x.denominator * f for x, f in zip(row, scale)]
+        dens = [d * f for (_, d), f in zip(row, scale)]
         den = math.lcm(*dens)
-        p = [x.numerator * (den // d) for x, d in zip(row, dens)]
+        p = [num * (den // d) for (num, _), d in zip(row, dens)]
         a = nodes[k]
         times_x_minus_a = [lo - a * hi for lo, hi in zip([0] + p, p + [0])]
         if times_x_minus_a != [p[-1] * c for c in w] or _horner(p, a) != den:
             raise fail
 
 
-def invert(M: MomentMatrix) -> list[list[Fraction]]:
+def invert(M: MomentMatrix) -> list[list[tuple]]:
     """The rows of M's exact inverse: its Lagrange rows, verified."""
     ks, w = range(M.dim), _node_polynomial(M.nodes)
     rows = _lagrange_rows(M.nodes, w, M.scale, ks)
@@ -123,8 +145,9 @@ def invert(M: MomentMatrix) -> list[list[Fraction]]:
     return rows
 
 
-def entry_sequence(row: int, col: int, r_range) -> list[Fraction]:
-    """Inverse entries (1-based) of the balanced matrices over a range of r.
+def entry_sequence(row: int, col: int, r_range) -> list[tuple]:
+    """Inverse entries (1-based) of the balanced matrices over a range of r,
+    as reduced pairs.
 
     Only Lagrange row `row` is formed and certified for each r, the same
     way `invert` forms and certifies every row.
@@ -147,10 +170,13 @@ def solve_t_target(N: list):
     """Solve the balanced moment system against the target (0, 1, 0, ...).
 
     The solution is column 1 of N, the rows of a balanced inverse; it is
-    returned as a list in node order and as the braid sum over those powers.
+    returned as a list of Fractions in node order and as the braid sum over
+    those powers.
     """
+    from fractions import Fraction
+
     from .braid_ring import BraidSum
     if len(N) < 3:
         raise ValueError("the degree-1 target needs r >= 1")
-    solution = [row[1] for row in N]
+    solution = [Fraction(*row[1]) for row in N]
     return solution, BraidSum(dict(zip(balanced_nodes(len(N) // 2), solution)))

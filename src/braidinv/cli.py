@@ -29,8 +29,10 @@ table, and the expansions at q - q^-1, pair_expansions, only for the
 requests that read one.  Both hold their rationals as integers, and the
 powers of an expansion are products of pair sums, so neither loads
 braid_ring, power_series or fractions: lift and qexpand, at any --power,
-load none of them.  fractions loads only for a command that builds or
-prints a Fraction, and only zmap and trace load kontsevich.  floats,
+load none of them.  The moment matrices of basis_solver and their
+inverses are reduced integer pairs as well, so basis without --solve-t
+loads no fractions either.  fractions loads only for a command that builds
+or prints a Fraction, and only zmap and trace load kontsevich.  floats,
 which alone reads the precision, tags the float columns and prints their
 cells from integer arithmetic, loads only for float columns (asymptotics,
 beta --s 1, basis --solve-t).  json loads only for a JSON braid, a

@@ -1,8 +1,7 @@
 """braidinv basis: moment matrices, their inverses and the degree-1 system."""
 
-from fractions import Fraction
-
 from .. import basis_solver, cli
+from ..render import rationals
 
 
 def run(args):
@@ -28,17 +27,18 @@ def run(args):
                          f"{M.dim}x{M.dim} matrix")
     N = basis_solver.invert(M)
     columns = [f"c{j}" for j in range(M.dim)]
+    inverse = [rationals(row) for row in N]
     tables = [
         (f"{kind} moment matrix, r = {r}", columns,
-         [[str(x) for x in row] for row in M.rows], []),
-        (f"inverse, r = {r}", columns,
-         [[str(x) for x in row] for row in N], []),
+         [rationals(row) for row in M.rows], []),
+        (f"inverse, r = {r}", columns, inverse, []),
     ]
     if args.entry:
         tables.append((f"inverse entry ({row},{col})", ["row", "col", "value"],
-                       [[str(row), str(col),
-                         str(N[row - 1][col - 1])]], []))
+                       [[str(row), str(col), inverse[row - 1][col - 1]]], []))
     if args.solve_t:
+        from fractions import Fraction
+
         from ..braid_ring import coefficient, combine, render
         from ..pair_expansions import tau_expansions
         solution, b = basis_solver.solve_t_target(N)

@@ -74,14 +74,14 @@ def _pair_rows():
 
 def _zeta2_rows():
     from ..basis_solver import entry_sequence
-    entries = entry_sequence(1, 3, range(1, 9))
+    entries = [Fraction(*e) for e in entry_sequence(1, 3, range(1, 9))]
     return [_cell(f"r = {r}", printed, computed, ZETA2_MISPRINTS.get(r))
             for r, printed, computed in zip(range(1, 9), REF_ZETA2, entries)]
 
 
 def _onefive_rows():
     from ..basis_solver import entry_sequence
-    entries = entry_sequence(1, 5, range(2, 10))
+    entries = [Fraction(*e) for e in entry_sequence(1, 5, range(2, 10))]
     diffs = [b - a for a, b in zip([Fraction(0)] + entries, entries)]
     return ([_cell(f"entry r = {r}", printed, computed)
              for r, printed, computed in zip(range(2, 10), REF_ONEFIVE + [None],

@@ -17,11 +17,7 @@ q - q^-1 come from their own closed form, in pair_expansions.
 import math
 from operator import add, mul
 
-
-def _reduced(num: int, den: int) -> tuple:
-    """num / den in lowest terms, the denominator positive."""
-    g = math.gcd(num, den)
-    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
+from .render import _reduced
 
 
 def _lift_series(nums: dict, den: int, order: int) -> tuple:

@@ -1,6 +1,7 @@
 """The --format json document, without the json module: a string that is
 printable ASCII with no quote or backslash is written between quotes as it
-is, and json loads only to escape any other string."""
+is, and json loads only to escape any other string.  A list of such strings,
+a table row, is written with one join."""
 
 
 def document(tables) -> str:
@@ -31,6 +32,8 @@ def _json_value(value, parts, pad):
                       ": "]
             _json_value(item, parts, inner)
         parts.append(pad + "}")
+    elif set(map(type, value)) == {str} and _plain("".join(value)):
+        parts.append(f'[{inner}"' + f'",{inner}"'.join(value) + f'"{pad}]')
     else:
         parts.append("[")
         for index, item in enumerate(value):
@@ -39,10 +42,16 @@ def _json_value(value, parts, pad):
         parts.append(pad + "]")
 
 
+def _plain(text):
+    """Whether text is printable ASCII with no quote or backslash, which JSON
+    writes as it is."""
+    return text.isascii() and text.isprintable() and '"' not in text \
+        and "\\" not in text
+
+
 def _json_string(text):
     """A JSON string; json escapes any text but printable ASCII."""
-    if text.isascii() and text.isprintable() and '"' not in text \
-            and "\\" not in text:
+    if _plain(text):
         return f'"{text}"'
     import json
     return json.dumps(text)

@@ -4,7 +4,8 @@ A table is a plain (title, columns, rows, notes) tuple: the title a
 string, the columns and each row lists of strings, the notes a list of
 lines printed under the rows.  Each renderer returns the whole document as
 a string and takes every cell as given.  The commands print exact
-rationals by str, as canonical 'p/q' strings; some of them run to
+rationals as str of a Fraction prints them, canonical 'p/q' strings, most
+of them from integer pairs by rational and rationals; some of them run to
 thousands of digits, so the command line raises the integer-to-string
 guard for the duration of a run.  Float cells and their digit-tagged
 column names come from braidinv.floats.
@@ -19,12 +20,26 @@ writer of its format.
 import math
 
 
+def _reduced(num: int, den: int) -> tuple:
+    """num / den in lowest terms, the denominator positive.
+
+    The one reduction of the integer-pair paths, inverse_engine and
+    basis_solver.  It is private although they import it, since the bench
+    tracer times every public call of a layer and this runs once per entry.
+    """
+    g = math.gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
+
+
+def rationals(pairs) -> list[str]:
+    """str(Fraction(num, den)) of each pair already in lowest terms with
+    den > 0, with no second gcd: no denominator when it is 1."""
+    return [f"{num}/{den}" if den != 1 else str(num) for num, den in pairs]
+
+
 def rational(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for a nonzero den: lowest terms, the sign on
-    the numerator, and no denominator when it is 1."""
-    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-    num, den = num // g, den // g
-    return f"{num}/{den}" if den != 1 else str(num)
+    """str(Fraction(num, den)) for a nonzero den."""
+    return rationals([_reduced(num, den)])[0]
 
 
 def render_text(tables) -> str:

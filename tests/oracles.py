@@ -385,6 +385,19 @@ def exact(value):
     return {n: c for n, c in terms.items() if c}
 
 
+def read_pairs(value):
+    """A reduced (numerator, denominator) pair of the moment-matrix solver as
+    a Fraction, and a list of them, or of such lists, as a list; a pair
+    not in lowest terms over a positive denominator fails, as it would not
+    print as str of its Fraction."""
+    if isinstance(value, list):
+        return [read_pairs(item) for item in value]
+    num, den = value
+    if den <= 0 or math.gcd(num, den) != 1:
+        raise AssertionError(f"{value} is not a reduced pair")
+    return Fraction(num, den)
+
+
 def pair_half(terms):
     """The pair coefficients of an antisymmetric exponent map: the positive
     half, after checking that every term has its negated mirror."""

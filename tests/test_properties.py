@@ -16,11 +16,14 @@ checked against the ring axioms and the synthetic-division oracle;
 condition (c), read from each item's prefixes, against that order taken
 on every difference sum of a window, and against a faulty moment or
 derivative stream planted in it; and the Lagrange-row moment-matrix
-inverse against Gauss-Jordan elimination.
+inverse, read as Fractions from its reduced integer pairs, against
+Gauss-Jordan elimination on any node set and on symmetric ones; a wrong
+sign planted in the mirrored rows must stop it.
 beta's digit count from the bit length is checked against the printed
 integer, up to the 100,000-digit limit.  The JSON and CSV
 renderers are checked against json.dumps and csv.writer on tables of
-arbitrary text, and the printer of integer pairs against str of a
+arbitrary text, with rows of plain ASCII cells that JSON writes with one
+join among them, and the printer of integer pairs against str of a
 Fraction.
 """
 
@@ -50,7 +53,7 @@ from braidinv.pair_expansions import (PairSum, closed_form_expansion,
 from braidinv.render import rational, render_csv, render_json
 
 import oracles
-from oracles import filtration_order
+from oracles import filtration_order, read_pairs
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 nonzero = rationals.filter(bool)
@@ -58,6 +61,11 @@ braid_sums = st.dictionaries(st.integers(-7, 7), rationals, max_size=5)
 nonzero_integers = st.integers(-9, 9).filter(bool)
 Q_MINUS_1 = {1: Fraction(1), 0: Fraction(-1)}
 node_sets = st.lists(st.integers(-20, 20), min_size=1, max_size=8, unique=True)
+# 0 and +-S, in the balanced order 0, s, -s, ... or shuffled: the node sets
+# whose inverse forms half its rows as mirrors of the others
+symmetric_node_sets = st.lists(st.integers(1, 20), max_size=4, unique=True) \
+    .map(lambda S: [0] + [n for s in S for n in (s, -s)]) \
+    .flatmap(lambda nodes: st.one_of(st.just(nodes), st.permutations(nodes)))
 # zeros, the empty sum and denominators far beyond one machine word
 wide_sums = st.dictionaries(st.integers(-9, 9), st.one_of(
     st.just(Fraction(0)), rationals,
@@ -307,13 +315,15 @@ def test_a_faulty_order_route_stops_the_trace(monkeypatch, route, faulty):
         cli.main(["trace", "--sequence", "pairs", "--window", "6"])
 
 
-@given(node_sets, st.booleans())
+@given(st.one_of(node_sets, symmetric_node_sets), st.booleans())
+@example([0, 1, -1, 2, -2], False)
+@example([-3, 0, 3, -1, 1], True)
 def test_invert_matches_gauss_jordan(nodes, with_factorials):
     rows = [[Fraction(n ** i, math.factorial(i) if with_factorials else 1)
              for n in nodes] for i in range(len(nodes))]
     M = MomentMatrix(nodes, with_factorials)
-    assert M.rows == rows
-    assert invert(M) == oracles.gauss_inverse(rows)
+    assert read_pairs(M.rows) == rows
+    assert read_pairs(invert(M)) == oracles.gauss_inverse(rows)
 
 
 @given(node_sets, st.data())
@@ -324,17 +334,24 @@ def test_moment_matrix_rejects_repeated_nodes(nodes, data):
         MomentMatrix(nodes[:at] + [repeat] + nodes[at:])
 
 
+def shifted(pair, delta):
+    """The reduced pair of pair + delta."""
+    x = Fraction(*pair) + delta
+    return x.numerator, x.denominator
+
+
 def test_invert_reports_any_corrupted_entry(monkeypatch):
     lagrange_rows = basis_solver._lagrange_rows
-    # balanced nodes are symmetric, unbalanced ones are not; with factorials
-    # the certificate first divides each printed column by its scale
+    # balanced nodes are symmetric, so the rows of -1 and -2 are mirrors,
+    # unbalanced ones are not; with factorials the certificate first
+    # divides each printed column by its scale
     for M in (build_balanced(2), build_unbalanced(3),
               build_balanced(2, with_factorials=True)):
         for k in range(M.dim):
             for i in range(M.dim):
                 def corrupted(nodes, w, scale, ks, k=k, i=i):
                     rows = lagrange_rows(nodes, w, scale, ks)
-                    rows[k][i] += Fraction(1, 10 ** 9)
+                    rows[k][i] = shifted(rows[k][i], Fraction(1, 10 ** 9))
                     return rows
                 monkeypatch.setattr(basis_solver, "_lagrange_rows", corrupted)
                 with pytest.raises(ArithmeticError,
@@ -346,13 +363,13 @@ def test_invert_reports_any_corrupted_entry(monkeypatch):
     def mirrored(nodes, w, scale, ks):
         rows = lagrange_rows(nodes, w, scale, ks)
         for i, c in enumerate((0, 2, -3, 1)):
-            rows[0][i] += Fraction(c, 10 ** 9)
+            rows[0][i] = shifted(rows[0][i], Fraction(c, 10 ** 9))
         return rows
 
     # a multiple of a Lagrange row times (x - n_k) is still a multiple of w,
     # so only the row's value at its own node can show it
     def scaled(nodes, w, scale, ks):
-        return [[x * Fraction(10 ** 9 + 1, 10 ** 9) for x in row]
+        return [[shifted(x, Fraction(*x) / 10 ** 9) for x in row]
                 for row in lagrange_rows(nodes, w, scale, ks)]
     for fault in (mirrored, scaled):
         monkeypatch.setattr(basis_solver, "_lagrange_rows", fault)
@@ -361,6 +378,22 @@ def test_invert_reports_any_corrupted_entry(monkeypatch):
             with pytest.raises(ArithmeticError,
                                match="inverse failed its own verification"):
                 compute()
+
+
+@pytest.mark.parametrize("fault", [
+    # -L_-a: the row is -1 at its own node
+    lambda row: [(-num, den) if j % 2 == 0 else (num, den)
+                 for j, (num, den) in enumerate(row)],
+    # L_a: the row is 0 at its own node
+    lambda row: list(row)], ids=["even-columns-negated", "sign-not-flipped"])
+def test_invert_refuses_a_wrong_mirror(monkeypatch, fault):
+    # each mirrored row is certified like a divided one, in any node order
+    monkeypatch.setattr(basis_solver, "_mirror", fault)
+    for M in (build_balanced(1), build_balanced(3, with_factorials=True),
+              MomentMatrix([-2, 5, 0, 2, -5])):
+        with pytest.raises(ArithmeticError,
+                           match="inverse failed its own verification"):
+            invert(M)
 
 
 def test_wrong_node_polynomial_fails_verification(monkeypatch):
@@ -463,11 +496,22 @@ def test_decimal_digits_at_random_sizes(b, rng):
 cells = st.text(st.one_of(st.characters(), st.sampled_from(
     ['"', "\\", ",", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\u2028",
      "\U0001f600"])), max_size=6)
+# printable ASCII but the quote and the backslash, which JSON writes as it
+# is: a list of these alone is written with one join, and a list with one
+# escaped cell among them cell by cell
+plain_cells = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                                    exclude_characters='"\\'), max_size=6)
+plain_lists = st.lists(plain_cells, max_size=4)
+escaped_cells = st.builds("{}{}{}".format, plain_cells, st.sampled_from(
+    ['"', "\\", "\n", "\x7f", "\xe9", "\U0001f600"]), plain_cells)
+cell_lists = st.one_of(
+    st.lists(cells, max_size=3), plain_lists,
+    st.builds(lambda head, cell, tail: head + [cell] + tail,
+              plain_lists, escaped_cells, plain_lists),
+    st.just([]), st.just([""]))
 tables = st.lists(st.tuples(
-    cells, st.lists(cells, max_size=3),
-    st.lists(st.one_of(st.lists(cells, max_size=3), st.just([""])),
-             max_size=4),
-    st.lists(cells, max_size=2)), max_size=3)
+    cells, cell_lists, st.lists(cell_lists, max_size=4), cell_lists),
+    max_size=3)
 
 
 # integers past 4,000 digits, and a common factor that leaves them unreduced
@@ -484,6 +528,8 @@ def test_rational_prints_as_str_of_fraction(num, den, common):
 
 
 @given(tables)
+@example([("t", ["c0", "c1"], [["-1/2", "3"], [], [""], ["a", 'b"c'],
+                               ["\\", "x"]], ["note", "\u2028"])])
 def test_render_json_writes_json_dumps(document):
     payload = {"tables": [{"title": title, "columns": columns, "rows": rows,
                            "notes": notes}

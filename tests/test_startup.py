@@ -9,10 +9,10 @@ JSON and CSV writers load only for their format.  braidinv.inputs loads
 only for a JSON braid and a trace of a sequence file, braidinv.sequences
 only for a trace of a stock sequence, json only for a JSON input (the
 writers write JSON and CSV themselves), fractions only for a command
-that builds or prints a Fraction (never lift or qexpand, whose rationals
-are integer pairs), and csv, dataclasses, inspect, mpmath and __future__
-never.  The core parses argv from its own flag
-table, so argparse, and the gettext and locale it pulls in, never load.
+that builds or prints a Fraction (never lift, qexpand or basis without
+--solve-t, whose rationals are integer pairs), and csv, dataclasses,
+inspect, mpmath and __future__ never.  The core parses argv from its own
+flag table, so argparse, and the gettext and locale it pulls in, never load.
 Each command runs in a fresh interpreter, so nothing another test imported
 can hide an import, and its stdout must still match its golden.
 
@@ -75,18 +75,18 @@ CORE = {"braidinv", "braidinv.cli"}
 USAGE = CORE | {"braidinv.usage"}
 # every command adds its own module, the commands package and render
 ALWAYS = CORE | {"braidinv.commands", "braidinv.render"}
-# the lift solve and the expansions at q - q^-1, their powers included,
-# hold their rationals as integers: neither brings the braid ring or
-# fractions with it
+# the lift solve, the expansions at q - q^-1, their powers included, and
+# the moment matrices and their inverses hold their rationals as integers:
+# none of them brings the braid ring or fractions with it
 ENGINE = {"braidinv.inverse_engine"}
 EXPANSIONS = {"braidinv.pair_expansions"}
+SOLVER = {"braidinv.basis_solver"}
 # the braid ring, kontsevich, the float columns, and the modules that
 # print or build Fractions load fractions with them
 FRACTIONS = {"fractions"}
 RING = FRACTIONS | {"braidinv.braid_ring", "braidinv.power_series"}
 INTEGRAL = RING | {"braidinv.kontsevich"}
 FLOATS = FRACTIONS | {"braidinv.floats"}
-SOLVER = FRACTIONS | {"braidinv.basis_solver"}
 REGULARIZATION = FRACTIONS | {"braidinv.regularization"}
 # what reading a JSON braid or a sequence file brings with it
 INPUTS = FRACTIONS | {"braidinv.inputs"}
@@ -105,7 +105,7 @@ EXTRA = {
     # the integral traces bring kontsevich back
     "trace --sequence tauhat --window 8":
         EXPANSIONS | INTEGRAL | {"braidinv.convergence", "braidinv.sequences"},
-    # the lift and pairs tables read integers and print Fractions
+    # the lift, pairs and entry tables read integers and print Fractions
     "reproduce": ENGINE | EXPANSIONS | SOLVER | REGULARIZATION,
 }
 # format -> the writer module it adds, as render lays out text itself; the
@@ -163,7 +163,7 @@ def test_usage_error_loads_the_core_and_the_help_writer():
 
 
 @pytest.mark.parametrize("tables, adds", [
-    (["zeta2", "onefive"], SOLVER),
+    (["zeta2", "onefive"], SOLVER | FRACTIONS),
     (["beta"], REGULARIZATION),
 ], ids=["zeta2-onefive", "beta"])
 def test_reproduce_loads_only_its_tables(tables, adds):
@@ -172,6 +172,16 @@ def test_reproduce_loads_only_its_tables(tables, adds):
     code, loaded, out, _ = probe(argv)
     assert (code, loaded) == (0, loads("reproduce", adds))
     assert out.count(b"PASS") > len(tables)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_unbalanced_basis_with_factorials_loads_no_fractions(fmt):
+    # factorials make the matrix entries proper fractions, still pairs
+    argv = ["basis", "--r", "6", "--unbalanced", "--with-factorials",
+            "--entry", "7,7", "--format", fmt]
+    code, loaded, out, unrun = probe(argv)
+    assert (code, loaded) == (0, loads("basis", SOLVER, FORMATS[fmt]))
+    assert b"1/720" in out and unrun <= README_UNRUN
 
 
 def test_json_braid_loads_json():
