@@ -165,18 +165,3 @@ def entry_sequence(row: int, col: int, r_range) -> list[tuple]:
         entries.append(lagrange[col - 1])
     return entries
 
-
-def solve_t_target(N: list):
-    """Solve the balanced moment system against the target (0, 1, 0, ...).
-
-    The solution is column 1 of N, the rows of a balanced inverse; it is
-    returned as a list of Fractions in node order and as the braid sum over
-    those powers.
-    """
-    from fractions import Fraction
-
-    from .braid_ring import BraidSum
-    if len(N) < 3:
-        raise ValueError("the degree-1 target needs r >= 1")
-    solution = [Fraction(*row[1]) for row in N]
-    return solution, BraidSum(dict(zip(balanced_nodes(len(N) // 2), solution)))

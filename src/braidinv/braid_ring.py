@@ -4,11 +4,11 @@ The group is infinite cyclic, generated by the half twist.  Writing q for the
 generator and q^-1 for its inverse, the rational group algebra is the ring of
 Laurent polynomials in q.  A BraidSum stores an element as a sparse map
 from exponent to nonzero integer numerator over one positive denominator,
-reduced by their gcd so that equal sums have equal fields.  Its kernels
-and moments work on those integers, and BraidSum.over takes them as
-they are; Fractions come in through the constructor and go out through
-terms, coefficient and render; every request that loads the ring builds
-or prints one.  The expansions at q - q^-1 and their powers are built as
+reduced by their gcd so that equal sums have equal fields.  Its kernels,
+moments and stock braids work on those integers, and BraidSum.over takes
+them as they are; Fractions come in through the constructor and go out
+through terms, coefficient and render; every request that loads the ring
+builds or prints one.  The expansions at q - q^-1 and their powers are built as
 integers in pair_expansions and become BraidSums only where a general
 operation needs one.  No request multiplies two BraidSums; the tests
 keep that product as their reference.
@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import count
 
 from .power_series import common_denominator
+from .render import braid_text
 
 
 class BraidSum:
@@ -59,28 +60,25 @@ class BraidSum:
         """Exponent-to-Fraction view, built on each access."""
         return {n: Fraction(c, self.den) for n, c in self.nums.items()}
 
-    def __bool__(self):
-        return bool(self.nums)
-
     def __repr__(self):
         return f"<BraidSum {render(self)}>"
 
 
 def sigma_power(n: int) -> BraidSum:
     """The braid power q^n: the identity at 0, the half twist at 1."""
-    return BraidSum({n: 1})
+    return BraidSum.over({n: 1}, 1)
 
 
 def tau() -> BraidSum:
     """The difference q - q^-1 of the two half twists."""
-    return BraidSum({1: 1, -1: -1})
+    return BraidSum.over({1: 1, -1: -1}, 1)
 
 
 def pair(n: int) -> BraidSum:
     """The antisymmetric pair q^n - q^-n, n > 0."""
     if n <= 0:
         raise ValueError("pair exponent must be positive")
-    return BraidSum({n: 1, -n: -1})
+    return BraidSum.over({n: 1, -n: -1}, 1)
 
 
 def combine(a: BraidSum, ca, b: BraidSum, cb) -> BraidSum:
@@ -119,7 +117,4 @@ def derivatives(b: BraidSum):
 
 def render(b: BraidSum) -> str:
     """Canonical text form, decreasing exponents, e.g. '1*q^1 + -1*q^-1'."""
-    if not b:
-        return "0"
-    parts = [f"{c}*q^{n}" for n, c in sorted(b.terms.items(), reverse=True)]
-    return " + ".join(parts)
+    return braid_text((n, str(c)) for n, c in b.terms.items())

@@ -31,14 +31,15 @@ powers of an expansion are products of pair sums, so neither loads
 braid_ring, power_series or fractions: lift and qexpand, at any --power,
 load none of them.  The moment matrices of basis_solver and their
 inverses are reduced integer pairs as well, so basis without --solve-t
-loads no fractions either.  fractions loads only for a command that builds
-or prints a Fraction, and only zmap and trace load kontsevich.  floats,
-which alone reads the precision, tags the float columns and prints their
-cells from integer arithmetic, loads only for float columns (asymptotics,
-beta --s 1, basis --solve-t).  json loads only for a JSON braid, a
-sequence file or a cell that needs escaping in --format json, csv never
-loads, and no request imports mpmath.  The only record types, BraidSum and
-MomentMatrix, are plain classes, so no class generator loads.
+loads no fractions either, and basis --solve-t reads column 1 of the
+inverse and a pair sum: only zmap and trace, which evaluate the integral
+of a general braid sum, load braid_ring, power_series and kontsevich.
+fractions loads only for a command that builds or prints a Fraction, and
+floats, which alone reads the precision and prints the float cells, only
+for float columns (asymptotics, beta --s 1, basis --solve-t).  json loads
+only for a JSON braid, a sequence file or a cell that needs escaping in
+--format json, csv never loads, and no request imports mpmath.  The only
+record types, BraidSum, PairSum and MomentMatrix, are plain classes.
 
 The library raises ValueError for bad input and ArithmeticError for a
 broken internal invariant.  main() alone turns exceptions into exit codes:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from .. import cli, floats
 from ..pair_expansions import asymptotic_check
-from ..render import rational
+from ..render import rationals
 
 
 def run(args):
@@ -21,9 +21,9 @@ def run(args):
     pi_jj = floats.rounded(floats.rounded(floats.pi(p) * j, p) * j, p)
     target = floats.rounded(sign * 4 / pi_jj, p)
     table_rows = []
-    for order, c in rows:
+    for (order, c), cell in zip(rows, rationals(c for _, c in rows)):
         approx = floats.convert(Fraction(*c), p)
-        table_rows.append([str(order), rational(*c),
+        table_rows.append([str(order), cell,
                            floats.nstr(approx, d), floats.nstr(target, d),
                            floats.nstr(abs(floats.rounded(approx - target, p)),
                                        d)])

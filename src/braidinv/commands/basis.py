@@ -1,7 +1,9 @@
 """braidinv basis: moment matrices, their inverses and the degree-1 system."""
 
+import math
+
 from .. import basis_solver, cli
-from ..render import rationals
+from ..render import braid_text, rational, rationals
 
 
 def run(args):
@@ -37,29 +39,37 @@ def run(args):
         tables.append((f"inverse entry ({row},{col})", ["row", "col", "value"],
                        [[str(row), str(col), inverse[row - 1][col - 1]]], []))
     if args.solve_t:
+        if r < 1:
+            raise ValueError("the degree-1 target needs r >= 1")
         from fractions import Fraction
 
-        from ..braid_ring import coefficient, combine, render
         from ..pair_expansions import tau_expansions
-        solution, b = basis_solver.solve_t_target(N)
-        sol_rows = [[str(node), str(c)] for node, c in
-                    zip(basis_solver.balanced_nodes(r), solution)]
+        # the solution of the degree-1 target system is column 1 of N
+        nodes = basis_solver.balanced_nodes(r)
+        cells = [row[1] for row in inverse]
         tables.append(("solution of the degree-1 target system",
-                       ["braid power", "coefficient"], sol_rows,
-                       [f"as a braid sum: {render(b)}"]))
+                       ["braid power", "coefficient"],
+                       [[str(n), c] for n, c in zip(nodes, cells)],
+                       [f"as a braid sum: {braid_text(zip(nodes, cells))}"]))
         lift_order = r if r % 2 == 1 else r - 1
-        if lift_order >= 1:
-            lift_b = tau_expansions([lift_order])[0].braid_sum()
-            diff = combine(b, 1, lift_b, -1)
-            cmp_rows = [[str(n)] + [str(coefficient(x, n))
-                                    for x in (b, lift_b, diff)]
-                        for n in sorted(b.nums.keys() | lift_b.nums.keys())]
-            worst = Fraction(max(map(abs, diff.nums.values()), default=0),
-                             diff.den)
-            tables.append((
-                f"solution against the order {lift_order} lift expansion",
-                ["braid power", "solution", "lift", "difference"], cmp_rows,
-                [f"largest coefficient distance: {floats.cell(worst, digits)}",
-                 "no identity between the columns is asserted; the distance "
-                 "is reported as computed"]))
+        lift = tau_expansions([lift_order])[0]
+        column = dict(zip(nodes, zip((row[1] for row in N), cells)))
+        # the differences over one denominator, which the distance keeps
+        den = math.lcm(lift.den, *(d for (_, d), _ in column.values()))
+        cmp_rows, worst = [], 0
+        for n in sorted(nodes):
+            (a, d), cell = column[n]
+            c = lift.half.get(abs(n), 0) * (lift.sign if n < 0 else 1)
+            if a or c:
+                diff = a * (den // d) - c * (den // lift.den)
+                cmp_rows.append([str(n), cell, rational(c, lift.den),
+                                 rational(diff, den)])
+                worst = max(worst, abs(diff))
+        tables.append((
+            f"solution against the order {lift_order} lift expansion",
+            ["braid power", "solution", "lift", "difference"], cmp_rows,
+            [f"largest coefficient distance: "
+             f"{floats.cell(Fraction(worst, den), digits)}",
+             "no identity between the columns is asserted; the distance "
+             "is reported as computed"]))
     return 0, tables

@@ -2,7 +2,7 @@
 
 
 def document(tables) -> str:
-    """csv.writer(lineterminator="\n")'s document, byte for byte."""
+    """csv.writer(lineterminator="\n")'s document on Python 3.13, bytewise."""
     lines = []
     for index, (title, columns, rows, notes) in enumerate(tables):
         if index:
@@ -21,8 +21,8 @@ def _csv_row(row):
 
 
 def _csv_field(field):
-    """The field, quoted with its quotes doubled if it holds a comma, a quote
-    or a newline; a carriage return alone is left unquoted, as csv does."""
-    if "," in field or '"' in field or "\n" in field:
+    """The field, quoted with its quotes doubled if it holds a comma, a quote,
+    a newline or a carriage return (RFC 4180)."""
+    if "," in field or '"' in field or "\n" in field or "\r" in field:
         return '"' + field.replace('"', '""') + '"'
     return field

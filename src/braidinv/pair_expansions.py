@@ -22,6 +22,8 @@ import math
 from functools import reduce
 from operator import mul, ne
 
+from .render import _reduced
+
 
 class PairSum:
     """(zero + sum_(n > 0) half[n] (q^n + sign q^-n)) / den.
@@ -148,8 +150,5 @@ def asymptotic_check(j: int, r_list) -> list:
         if r < j:
             raise ValueError(f"order {r} is below the pair index {j}")
     orders = sorted(r_list)
-    rows = []
-    for r, b in zip(orders, tau_expansions(orders)):
-        g = math.gcd(b.half[j], b.den)
-        rows.append((r, (b.half[j] // g, b.den // g)))
-    return rows
+    return [(r, _reduced(b.half[j], b.den))
+            for r, b in zip(orders, tau_expansions(orders))]

@@ -11,10 +11,10 @@ guard for the duration of a run.  Float cells and their digit-tagged
 column names come from braidinv.floats.
 
 render_json writes the bytes of json.dumps(payload, indent=2) and
-render_csv those of csv.writer(lineterminator="\n") (as of Python 3.11)
-without loading either module.  Each of the two calls a writer in a module
-of its own (json_document, csv_document), so a request compiles only the
-writer of its format.
+render_csv those of csv.writer(lineterminator="\n") of Python 3.13, which
+quotes a bare carriage return, without loading either module.  Each of the
+two calls a writer in a module of its own (json_document, csv_document),
+so a request compiles only the writer of its format.
 """
 
 import math
@@ -23,9 +23,10 @@ import math
 def _reduced(num: int, den: int) -> tuple:
     """num / den in lowest terms, the denominator positive.
 
-    The one reduction of the integer-pair paths, inverse_engine and
-    basis_solver.  It is private although they import it, since the bench
-    tracer times every public call of a layer and this runs once per entry.
+    The one reduction of the integer-pair paths: inverse_engine,
+    basis_solver and pair_expansions.  It is private although they import
+    it, since the bench tracer times every public call of a layer and this
+    runs once per entry.
     """
     g = math.gcd(num, den)
     return (num // g, den // g) if den > 0 else (-num // g, -den // g)
@@ -40,6 +41,13 @@ def rationals(pairs) -> list[str]:
 def rational(num: int, den: int) -> str:
     """str(Fraction(num, den)) for a nonzero den."""
     return rationals([_reduced(num, den)])[0]
+
+
+def braid_text(cells) -> str:
+    """A braid sum as text, e.g. '1*q^1 + -1*q^-1', from (exponent, printed
+    coefficient) pairs: exponents decreasing, "0" cells left out."""
+    return " + ".join(f"{c}*q^{n}" for n, c in sorted(cells, reverse=True)
+                      if c != "0") or "0"
 
 
 def render_text(tables) -> str:

@@ -273,7 +273,7 @@ def filtration_order(b):
     in one of them.  On a difference b_i - b_j this is the pairwise
     reference for condition (c).
     """
-    if not b:
+    if not b.nums:
         return INFINITE
     order = _moment_order(b)
     check = _derivative_order(b)

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,9 +6,7 @@ import pytest
 
 from braidinv import cli
 from braidinv.basis_solver import (balanced_nodes, build_balanced,
-                                   build_unbalanced, entry_sequence, invert,
-                                   solve_t_target)
-from braidinv.braid_ring import BraidSum
+                                   build_unbalanced, entry_sequence, invert)
 
 import oracles
 from oracles import read_pairs
@@ -93,7 +92,6 @@ def test_column_one_holds_the_difference_weights():
         N = invert(build_balanced(r))
         assert [row[1] for row in read_pairs(N)] == \
             oracles.difference_weights(r)
-        assert solve_t_target(N)[0] == oracles.difference_weights(r)
 
 
 def test_with_factorials_rescales_the_inverse_columns():
@@ -155,20 +153,33 @@ def test_unbalanced_entries_grow():
         assert b > a
 
 
-def test_solve_t_target_smallest_system():
-    solution, b = solve_t_target(invert(build_balanced(1)))
-    assert solution == [0, frac(1, 2), frac(-1, 2)]
-    assert oracles.same(b, BraidSum({1: frac(1, 2), -1: frac(-1, 2)}))
-
-
-def test_solve_t_target_solves_the_system():
-    for r in (1, 2, 3):
-        M = build_balanced(r)
-        solution, _ = solve_t_target(invert(M))
-        rows = read_pairs(M.rows)
-        for i in range(M.dim):
-            lhs = sum((rows[i][j] * solution[j] for j in range(M.dim)),
-                      frac(0))
-            assert lhs == (1 if i == 1 else 0)
-    with pytest.raises(ValueError):
-        solve_t_target(invert(build_balanced(0)))
+@pytest.mark.parametrize("r", range(1, 9))
+def test_solve_t_tables_match_their_oracles(r, capsys):
+    assert cli.main(["basis", "--r", str(r), "--solve-t",
+                     "--format", "json"]) == 0
+    tables = {table["title"]: table
+              for table in json.loads(capsys.readouterr().out)["tables"]}
+    nodes = [0] + [n for k in range(1, r + 1) for n in (k, -k)]
+    weights = dict(zip(nodes, oracles.difference_weights(r)))
+    # the weights solve the system: node powers against (0, 1, 0, ...)
+    assert [sum(c * n ** i for n, c in weights.items())
+            for i in range(len(nodes))] == [int(i == 1)
+                                            for i in range(len(nodes))]
+    solution = tables["solution of the degree-1 target system"]
+    assert solution["rows"] == [[str(n), str(weights[n])] for n in nodes]
+    [note] = solution["notes"]
+    terms = [term.split("*q^")
+             for term in note.removeprefix("as a braid sum: ").split(" + ")]
+    assert [(int(n), Fraction(c)) for c, n in terms] == \
+        sorted(((n, c) for n, c in weights.items() if c), reverse=True)
+    order = r if r % 2 else r - 1
+    arcsinh = oracles.arcsinh2_binomial(order)
+    lift = oracles.braid_poly(dict(enumerate(arcsinh)), oracles.TAU)
+    table = tables[f"solution against the order {order} lift expansion"]
+    powers = sorted({n for n, c in weights.items() if c} | set(lift))
+    diffs = {n: weights[n] - lift.get(n, 0) for n in powers}
+    assert table["rows"] == [[str(n), str(weights[n]), str(lift.get(n, 0)),
+                              str(diffs[n])] for n in powers]
+    worst = max(map(abs, diffs.values()))
+    assert table["notes"][0] == "largest coefficient distance: " + \
+        oracles.mpmath_fraction_cell(worst, 50)

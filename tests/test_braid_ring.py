@@ -16,8 +16,8 @@ def tau_power(k):
 
 def test_zero_coefficients_are_dropped():
     assert oracles.same(BraidSum({1: 0, 2: Fraction(0)}), BraidSum())
-    assert not BraidSum()
-    assert BraidSum({3: Fraction(1, 2)})
+    assert BraidSum().nums == {}
+    assert BraidSum({3: Fraction(1, 2)}).nums == {3: 1}
 
 
 def test_terms_are_canonical():

@@ -101,7 +101,7 @@ EXTRA = {
     "beta --s 1": FLOATS | REGULARIZATION,
     "beta --s 7": REGULARIZATION,
     "basis --r 2 --entry 1,3": SOLVER,
-    "basis --r 3 --solve-t": EXPANSIONS | RING | FLOATS | SOLVER,
+    "basis --r 3 --solve-t": EXPANSIONS | FLOATS | SOLVER,
     # the integral traces bring kontsevich back
     "trace --sequence tauhat --window 8":
         EXPANSIONS | INTEGRAL | {"braidinv.convergence", "braidinv.sequences"},
