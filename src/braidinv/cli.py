@@ -33,10 +33,12 @@ load none of them.  The moment matrices of basis_solver and their
 inverses are reduced integer pairs as well, so basis without --solve-t
 loads no fractions either, and basis --solve-t reads column 1 of the
 inverse and a pair sum: only zmap and trace, which evaluate the integral
-of a general braid sum, load braid_ring, power_series and kontsevich.
-fractions loads only for a command that builds or prints a Fraction, and
-floats, which alone reads the precision and prints the float cells, only
-for float columns (asymptotics, beta --s 1, basis --solve-t).  json loads
+of a general braid sum, load braid_ring and kontsevich.  The braid ring
+is built from integers, so power_series, which puts Fractions over one
+denominator, loads only with inputs.  fractions loads only for a command
+that builds or prints a Fraction, and floats, which alone reads the
+precision and prints the float cells, only for float columns
+(asymptotics, beta --s 1, basis --solve-t).  json loads
 only for a JSON braid, a sequence file or a cell that needs escaping in
 --format json, csv never loads, and no request imports mpmath.  The only
 record types, BraidSum, PairSum and MomentMatrix, are plain classes.
@@ -280,7 +282,3 @@ def main(argv=None) -> int:
     finally:
         if guard:
             sys.set_int_max_str_digits(limit)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,9 +3,11 @@
 A sequence is a list of BraidSums, b_1 first.  Three conditions are
 inspected: (a) every braid coefficient trace settles, (b) every graded
 integral trace settles, (c) later differences sit deep in the filtration,
-order(b_i - b_j) >= i for i < j, which each item's moment and derivative
-prefixes decide with no difference sum built.  All verdicts are evidence
-over the inspected window, never limit claims; CAVEAT says so.
+order(b_i - b_j) >= i for i < j, which each item's integral and derivative
+prefixes decide with no difference sum built: an element's order is the
+degree where its integral starts, and the derivatives at q = 1 are the
+check.  All verdicts are evidence over the inspected window, never limit
+claims; CAVEAT says so.
 
 Trace classification compares successive absolute differences as exact
 rationals, so no scale underflows or overflows.  Leading zero differences
@@ -15,9 +17,10 @@ insufficient rather than guessed at.
 """
 
 from fractions import Fraction
+from itertools import repeat
 
-from .braid_ring import coefficient, derivatives, moments
-from .kontsevich import Z
+from .braid_ring import coefficient, derivatives
+from .kontsevich import Z, integral
 
 CAVEAT = ("finite-window evidence only; no verdict here asserts a limit")
 
@@ -51,14 +54,14 @@ def verdict(classes: dict) -> str:
     return "fail" if "diverging" in classes.values() else "pass"
 
 
-def _prefix(stream, den: int):
-    """An item's integer stream over its den, by index, each value read
-    once on demand however many pairs compare it."""
+def _prefix(stream):
+    """An item's stream by index, each value read once on demand however
+    many pairs compare it."""
     values = []
 
     def at(k: int) -> Fraction:
         while len(values) <= k:
-            values.append(Fraction(next(stream), den))
+            values.append(next(stream))
         return values[k]
     return at
 
@@ -70,17 +73,18 @@ def _first_difference(a, b, depth: int):
 
 def filtration_condition_c(items: list) -> list:
     """The violations (i, j, order) of order(b_i - b_j) >= i, 1 <= i < j;
-    the order is where the items' moments first differ, and where their
+    the order is where the items' integrals first differ, and where their
     derivatives at q = 1 do, and the two routes must agree on each pair."""
-    streams = [(_prefix(moments(b), b.den), _prefix(derivatives(b), b.den))
+    streams = [(_prefix(integral(b)),
+                _prefix(map(Fraction, derivatives(b), repeat(b.den))))
                for b in items]
     violations = []
-    for i, (moments_a, derivatives_a) in enumerate(streams, 1):
-        for j, (moments_b, derivatives_b) in enumerate(streams[i:], i + 1):
-            order = _first_difference(moments_a, moments_b, i)
+    for i, (integral_a, derivatives_a) in enumerate(streams, 1):
+        for j, (integral_b, derivatives_b) in enumerate(streams[i:], i + 1):
+            order = _first_difference(integral_a, integral_b, i)
             check = _first_difference(derivatives_a, derivatives_b, i)
             if order != check:
-                raise ArithmeticError(f"order routes disagree: moments "
+                raise ArithmeticError(f"order routes disagree: integral "
                                       f"{order}, derivatives {check}")
             if order is not None:
                 violations.append((i, j, order))

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .braid_ring import BraidSum
 from .cli import INT_STR_DIGITS, integer
+from .power_series import common_denominator
 
 
 def _exact_decimal(text: str) -> Fraction:
@@ -34,7 +35,9 @@ def read_json(text: str):
 
 
 def exponent_map(raw) -> BraidSum:
-    """A braid sum from a JSON object's pairs, exponents to rationals."""
+    """A braid sum from a JSON object's pairs, exponents to rationals: the
+    one place where Fractions enter a BraidSum, over their least common
+    denominator."""
     terms = {}
     try:
         if not isinstance(raw, tuple):
@@ -58,7 +61,8 @@ def exponent_map(raw) -> BraidSum:
                                  f"a zero denominator") from None
     except ValueError as exc:
         raise ValueError(f"bad exponent map: {exc}") from exc
-    return BraidSum(terms)
+    nums, den = common_denominator(terms.values())
+    return BraidSum(dict(zip(terms, nums)), den)
 
 
 def load_sequence(path: str) -> tuple:

@@ -4,30 +4,37 @@ On two strands the integral is determined by its value on the half twist:
 Z(q^n) = exp(n t / 2).  Extended linearly to braid sums it becomes a
 series-valued map whose degree-i component lands in a one-dimensional
 space; we identify that space with the rationals via the basis t^i, so the
-degree-i coefficient of Z(b) is sum_n b_n (n/2)^i / i!, exactly.  Z
-returns those coefficients as a tuple of Fractions, and the graded
-components of b are its entries, read off by index.
+degree-i coefficient of Z(b) is sum_n b_n (n/2)^i / i!, exactly: b's i-th
+integer power moment sum_n nums[n] n^i over den 2^i i!.  integral yields
+those coefficients lazily as Fractions, Z is its prefix through an order,
+and the graded components of b are its entries, read off by index.
+Condition (c) reads the same stream: an element's filtration order is the
+degree where its integral starts.
 """
 
 from fractions import Fraction
+from itertools import count, islice
 
-from .braid_ring import BraidSum, moments
+from .braid_ring import BraidSum
+
+
+def integral(b: BraidSum):
+    """Lazily and unbounded, the coefficients of Z(b) by degree i >= 0:
+    sum_n nums[n] n^i over den 2^i i!."""
+    exponents = list(b.nums)
+    weights = list(b.nums.values())
+    den = b.den
+    for i in count(1):
+        yield Fraction(sum(weights), den)
+        weights = [w * n for w, n in zip(weights, exponents)]
+        den *= 2 * i
 
 
 def Z(b: BraidSum, order: int) -> tuple:
-    """Series value of the integral on b, its coefficients through the order.
-
-    The degree-i coefficient is the i-th integer moment of b divided by
-    b.den 2^i i!.
-    """
+    """Series value of the integral on b, its coefficients through the order."""
     if order < 0:
         raise ValueError("negative order")
-    den = b.den
-    coeffs = []
-    for i, total in zip(range(order + 1), moments(b)):
-        coeffs.append(Fraction(total, den))
-        den *= 2 * (i + 1)
-    return tuple(coeffs)
+    return tuple(islice(integral(b), order + 1))
 
 
 def focus_order(components):

@@ -49,7 +49,7 @@ class PairSum:
         nums = {0: self.zero}
         for n, c in self.half.items():
             nums[n], nums[-n] = c, self.sign * c
-        return BraidSum.over(nums, self.den)
+        return BraidSum(nums, self.den)
 
 
 def closed_form_expansion(order: int) -> PairSum:

@@ -4,8 +4,9 @@ A series of truncation order N is a tuple of its N + 1 coefficients,
 exact through degree N: the integral's values as Fractions, and the lifts
 of the strong inverse as reduced (numerator, denominator) integer pairs
 (inverse_engine).  The package does no arithmetic on series; only
-common_denominator, the way from Fractions into braid_ring's integers, is
-left here.
+common_denominator is left here, which inputs.exponent_map calls to put a
+JSON braid's Fractions over one denominator.  So this module loads only
+with inputs, for a JSON braid or a sequence file.
 """
 
 import math

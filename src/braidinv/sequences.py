@@ -4,9 +4,10 @@ Only a trace of a stock sequence imports this module; the trace command
 holds the table of stock names, labels and builders.
 """
 
+import math
 from fractions import Fraction
 
-from .braid_ring import BraidSum, combine, pair
+from .braid_ring import BraidSum
 
 
 def lift_truncation_sequence(count: int) -> list:
@@ -29,7 +30,7 @@ def harmonic_sigma_sequence(count: int) -> list:
     acc = Fraction(0)
     for m in range(1, count + 1):
         acc += Fraction((-1) ** (m + 1), m)
-        items.append(BraidSum({1: acc}))
+        items.append(BraidSum({1: acc.numerator}, acc.denominator))
     return items
 
 
@@ -39,11 +40,16 @@ def pair_partial_sequence(count: int) -> list:
     Scaled so every coefficient stays rational (the limit object carries a
     1/pi).  Coefficients stabilize, but the raw graded traces of degree
     3 and higher diverge, which is exactly what regularization is for.
+    The running numerators stay over the lcm of the n^2 so far.
     """
     items = []
-    acc = BraidSum()
+    nums, den = {}, 1
     for m in range(count):
         n = 2 * m + 1
-        acc = combine(acc, 1, pair(n), Fraction(4 * (-1) ** m, n * n))
-        items.append(acc)
+        scale = math.lcm(den, n * n) // den
+        nums = {k: c * scale for k, c in nums.items()}
+        den *= scale
+        nums[n] = 4 * (-1) ** m * den // (n * n)
+        nums[-n] = -nums[n]
+        items.append(BraidSum(nums, den))
     return items

@@ -9,7 +9,9 @@ argv from its own flag table, kept verbatim as that table's reference; the
 float cells are the ones braidinv printed through mpmath before it printed
 them from integer arithmetic, kept as that arithmetic's reference.  The
 product of two braid sums and their field comparison are the ones the
-package held before its powers became products of pair sums; they read
+package held before its powers became products of pair sums, and the
+linear combination and the reading of rationals into integer fields the
+ones it held before a braid sum was built from integers only; they read
 and build BraidSums through the values passed in.  The filtration order
 of one braid sum, by both routes, is the one the package held before
 condition (c) compared each item's prefixes; it reads a BraidSum's
@@ -112,6 +114,27 @@ def braid_mul(a, b):
     return {n: c for n, c in out.items() if c}
 
 
+def fields(terms):
+    """(nums, den) of a map of exponents to rationals: the nonzero integer
+    numerators over the least common denominator, as a BraidSum takes them
+    and, being coprime to it as a whole, as it stores them."""
+    values = {n: Fraction(c) for n, c in terms.items() if c}
+    den = math.lcm(*(c.denominator for c in values.values()))
+    return {n: c.numerator * (den // c.denominator)
+            for n, c in values.items()}, den
+
+
+def terms(b):
+    """A BraidSum's nonzero coefficients read back as Fractions."""
+    return {n: Fraction(c, b.den) for n, c in b.nums.items()}
+
+
+def combine(a, x, b, y):
+    """x a + y b of two BraidSums and two rationals, term by term as
+    Fractions, built by a's own type."""
+    return type(a)(*fields(braid_lincomb(terms(a), x, terms(b), y)))
+
+
 def multiply(a, b):
     """The reference product of two BraidSums, convolving their integer
     numerators by the group law q^i q^j = q^(i+j), over the product of
@@ -121,7 +144,7 @@ def multiply(a, b):
     for i, x in a.nums.items():
         for j, y in b.nums.items():
             nums[i + j] = nums.get(i + j, 0) + x * y
-    return type(a).over(nums, a.den * b.den)
+    return type(a)(nums, a.den * b.den)
 
 
 def same(a, *others):

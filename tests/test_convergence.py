@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from braidinv import braid_ring, cli, convergence, sequences
-from braidinv.braid_ring import BraidSum, combine, pair, tau
+from braidinv import braid_ring, cli, convergence, kontsevich, sequences
+from braidinv.braid_ring import BraidSum, pair, tau
 from braidinv.commands.trace import STOCK_SEQUENCES
 from braidinv.convergence import (CAVEAT, biconvergence_report,
                                   classify_trace, filtration_condition_c,
@@ -16,6 +16,7 @@ from braidinv.sequences import (harmonic_sigma_sequence,
 from braidinv.regularization import leibniz_partial
 
 import oracles
+from oracles import combine
 
 
 def frac(n, d=1):
@@ -29,7 +30,7 @@ def z_trace(items, j):
 
 def coefficient_trace(items, n):
     """The coefficient of q^n over the items of a sequence."""
-    return [b.terms.get(n, 0) for b in items]
+    return [oracles.terms(b).get(n, 0) for b in items]
 
 
 def verdicts(items, jmax):
@@ -53,7 +54,7 @@ def test_coefficient_trace_exponent_zero_is_flat():
 
 
 def test_trace_over_constant_sequence():
-    b = BraidSum({2: frac(1, 3)})
+    b = BraidSum({2: 1}, 3)
     seq = [b, b, b]
     assert coefficient_trace(seq, 2) == [frac(1, 3)] * 3
     assert classify_trace(coefficient_trace(seq, 2)) == "constant"
@@ -105,7 +106,7 @@ def test_condition_c_on_stock_sequences():
     # every difference of the harmonic items has order 0 < i
     assert len(harmonic) == 10
 
-    b = BraidSum({1: 1, -2: frac(1, 2)})
+    b = BraidSum({1: 2, -2: 1}, 2)
     assert filtration_condition_c([b, b, b, b]) == []
 
 
@@ -124,18 +125,18 @@ def counting(route, reads):
 def test_condition_c_reads_each_stream_only_as_deep_as_a_pair_needs(
         monkeypatch):
     # item i is compared to depth i at most, and a pair stops at its first
-    # difference: harmonic items differ at moment 0, pair partials (all
-    # antisymmetric) at moment 1, and tauhat items i < j agree through
+    # difference: harmonic items differ at degree 0, pair partials (all
+    # antisymmetric) at degree 1, and tauhat items i < j agree through
     # degree 2i, beyond the depth i that condition (c) asks about
     def reads_of(items):
-        moment_reads, derivative_reads = [], []
-        monkeypatch.setattr(convergence, "moments",
-                            counting(braid_ring.moments, moment_reads))
+        integral_reads, derivative_reads = [], []
+        monkeypatch.setattr(convergence, "integral",
+                            counting(kontsevich.integral, integral_reads))
         monkeypatch.setattr(convergence, "derivatives",
                             counting(braid_ring.derivatives, derivative_reads))
         filtration_condition_c(items)
-        assert len(moment_reads) == len(derivative_reads) == len(items)
-        return list(zip(moment_reads, derivative_reads))
+        assert len(integral_reads) == len(derivative_reads) == len(items)
+        return list(zip(integral_reads, derivative_reads))
 
     assert max(map(max, reads_of(harmonic_sigma_sequence(60)))) == 1
     assert max(map(max, reads_of(pair_partial_sequence(60)))) == 2
@@ -157,7 +158,7 @@ def test_biconvergence_verdicts():
     assert verdicts(harmonic_sigma_sequence(8), 5) == ("pass", "pass", "fail")
     assert verdicts(pair_partial_sequence(8), 5)[1:] == ("fail", "fail")
 
-    b = BraidSum({3: frac(2, 7)})
+    b = BraidSum({3: 2}, 7)
     assert verdicts([b] * 6, 4) == ("pass",) * 3
 
 
@@ -226,11 +227,38 @@ def test_harmonic_sequence_values():
     seq = harmonic_sigma_sequence(3)
     partials = [frac(1), frac(1, 2), frac(5, 6)]
     for item, p in zip(seq, partials):
-        assert oracles.same(item, BraidSum({1: p}))
+        assert oracles.same(item, BraidSum({1: p.numerator}, p.denominator))
 
 
 def test_pair_partial_first_item():
     seq = pair_partial_sequence(2)
     assert oracles.same(seq[0], BraidSum({1: 4, -1: -4}))
     second = seq[1]
-    assert second.terms[3] == frac(-4, 9)
+    assert oracles.terms(second)[3] == frac(-4, 9)
+
+
+def test_stock_sequences_are_their_fraction_definitions():
+    # every window 1-60 of each stock sequence, field by field, against
+    # items summed as Fractions: the lift truncations from the binomial
+    # series of 2 arcsinh(t/2) at q - q^-1, the pair partials and the
+    # harmonic partials from their definitions
+    lift = oracles.arcsinh2_binomial(119)
+    tauhat, pairs, harmonic = [], [], []
+    running, power, partials, acc = {}, {0: frac(1)}, {}, frac(0)
+    for m in range(60):
+        for _ in range(min(2 * m + 1, 2)):
+            power = oracles.braid_mul(power, oracles.TAU)
+        running = oracles.braid_lincomb(running, 1, power, lift[2 * m + 1])
+        tauhat.append(oracles.fields(running))
+        n = 2 * m + 1
+        partials = oracles.braid_lincomb(partials, 1, {n: 1, -n: -1},
+                                         frac(4 * (-1) ** m, n * n))
+        pairs.append(oracles.fields(partials))
+        acc += frac((-1) ** m, m + 1)
+        harmonic.append(oracles.fields({1: acc}))
+    for builder, want in ((lift_truncation_sequence, tauhat),
+                          (pair_partial_sequence, pairs),
+                          (harmonic_sigma_sequence, harmonic)):
+        for window in range(1, 61):
+            assert [(b.nums, b.den) for b in builder(window)] == \
+                want[:window], (builder.__name__, window)

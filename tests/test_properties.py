@@ -1,10 +1,12 @@
 """Property tests for the integer kernels and the braid ring.
 
 Braid sums store integer numerators over one reduced denominator, and every
-kernel (combine, the lift solve and Z, and the reference product
+kernel (the constructor, the lift solve and Z, and the reference product
 oracles.multiply) works on them; each property compares them with a
 Fraction-only route that never does.  oracles.same compares the stored
-integers, so the canonical form itself is checked after each kernel.  The
+integers, so the canonical form itself is checked after each kernel: the
+constructor's on any common multiple of numerators and denominator, and
+the JSON reader's on int, decimal and "p/q" coefficients.  The
 solve is checked on random seeds of filtration order one against Lagrange
 inversion and composition of the seed's integral and against stepwise
 strengthening, its (numerator, denominator) pairs checked to be in lowest
@@ -14,7 +16,7 @@ the expansions are checked against the reference product, read back as
 a pair sum.  The braid ring laws and the reference filtration order are
 checked against the ring axioms and the synthetic-division oracle;
 condition (c), read from each item's prefixes, against that order taken
-on every difference sum of a window, and against a faulty moment or
+on every difference sum of a window, and against a faulty integral or
 derivative stream planted in it; and the Lagrange-row moment-matrix
 inverse, read as Fractions from its reduced integer pairs, against
 Gauss-Jordan elimination on any node set and on symmetric ones; a wrong
@@ -23,11 +25,12 @@ beta's digit count from the bit length is checked against the printed
 integer, up to the 100,000-digit limit.  The JSON and CSV
 renderers are checked against json.dumps and csv.writer on tables of
 arbitrary text, with rows of plain ASCII cells that JSON writes with one
-join among them, and the printer of integer pairs against str of a
-Fraction.
+join among them, and the printers of integer pairs and of braid sums
+against str of a Fraction.
 """
 
 import csv
+import decimal
 import io
 import json
 import math
@@ -41,10 +44,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from braidinv import basis_solver, cli, convergence, sequences
 from braidinv.basis_solver import (MomentMatrix, build_balanced,
                                    build_unbalanced, entry_sequence, invert)
-from braidinv.braid_ring import BraidSum, combine, sigma_power, tau
+from braidinv.braid_ring import BraidSum, render, sigma_power, tau
 from braidinv.commands.beta import decimal_digits
 from braidinv.commands.trace import STOCK_SEQUENCES
 from braidinv.convergence import filtration_condition_c
+from braidinv.inputs import exponent_map, read_json
 from braidinv.inverse_engine import (_lift_series, closed_form_lift,
                                      solved_lift)
 from braidinv.kontsevich import Z
@@ -53,7 +57,7 @@ from braidinv.pair_expansions import (PairSum, closed_form_expansion,
 from braidinv.render import rational, render_csv, render_json
 
 import oracles
-from oracles import filtration_order, read_pairs
+from oracles import combine, filtration_order, read_pairs
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 nonzero = rationals.filter(bool)
@@ -90,7 +94,7 @@ def vanishing_sums(draw):
     terms = draw(st.dictionaries(st.integers(-8, 8), rationals, max_size=5))
     for _ in range(draw(st.integers(0, 4))):
         terms = oracles.braid_mul(terms, Q_MINUS_1)
-    return BraidSum(terms)
+    return braid(terms)
 
 
 @st.composite
@@ -102,7 +106,12 @@ def order_one_seeds(draw):
                            max_size=len(exponents) - 1))
     terms = dict(zip(exponents, coeffs + [-sum(coeffs)]))
     assume(sum(n * c for n, c in terms.items()))
-    return BraidSum(terms)
+    return braid(terms)
+
+
+def braid(terms):
+    """A BraidSum from a map of exponents to rationals."""
+    return BraidSum(*oracles.fields(terms))
 
 
 def assert_reduced(P):
@@ -113,7 +122,7 @@ def assert_reduced(P):
 
 @given(order_one_seeds(), st.integers(1, 15))
 def test_revert_is_the_compositional_inverse(seed, order):
-    s = oracles.integral(seed.terms, order)
+    s = oracles.integral(oracles.terms(seed), order)
     P = _lift_series(seed.nums, seed.den, order)
     assert_reduced(P)
     r = oracles.exact(P)
@@ -129,7 +138,7 @@ def test_revert_is_the_compositional_inverse(seed, order):
 def test_strengthen_matches_the_stepwise_oracle_on_general_seeds(seed, k):
     order = 2 * k + 1
     assert oracles.exact(_lift_series(seed.nums, seed.den, order)) == \
-        oracles.strengthen_stepwise(seed.terms, order)
+        oracles.strengthen_stepwise(oracles.terms(seed), order)
 
 
 def test_three_routes_agree_at_order_301():
@@ -141,10 +150,10 @@ def test_three_routes_agree_at_order_301():
 
 @given(braid_sums, braid_sums, st.integers(0, 8))
 def test_z_is_a_ring_homomorphism(a, b, order):
-    a, b = BraidSum(a), BraidSum(b)
+    a, b = braid(a), braid(b)
     assert list(Z(oracles.multiply(a, b), order)) == oracles.series_mul(
         Z(a, order), Z(b, order), order)
-    assert list(Z(a, order)) == oracles.integral(a.terms, order)
+    assert list(Z(a, order)) == oracles.integral(oracles.terms(a), order)
 
 
 def test_closed_form_matches_the_multiply_loop_through_order_201():
@@ -166,7 +175,7 @@ def test_closed_form_matches_the_multiply_loop_through_order_201():
 
 def as_braid_sum(b):
     """A pair sum as a BraidSum, built from its terms as Fractions."""
-    return BraidSum(oracles.exact(b))
+    return braid(oracles.exact(b))
 
 
 def fields(b):
@@ -198,7 +207,7 @@ def test_strengthen_matches_the_stepwise_oracle():
 
 @given(braid_sums, braid_sums, braid_sums, rationals, rationals)
 def test_multiply_is_a_commutative_ring_product(a, b, c, x, y):
-    a, b, c = BraidSum(a), BraidSum(b), BraidSum(c)
+    a, b, c = braid(a), braid(b), braid(c)
     multiply, same = oracles.multiply, oracles.same
     assert same(multiply(multiply(a, b), c), multiply(a, multiply(b, c)))
     assert same(multiply(a, b), multiply(b, a))
@@ -217,22 +226,65 @@ def assert_canonical(b):
 def test_kernels_return_the_canonical_form(a, b, x, y):
     sum_oracle = oracles.braid_lincomb(a, x, b, y)
     product_oracle = oracles.braid_mul(a, b)
-    A, B = BraidSum(a), BraidSum(b)
+    A, B = braid(a), braid(b)
     for got, want in ((A, {n: c for n, c in a.items() if c}),
                       (combine(A, x, B, y), sum_oracle),
                       (oracles.multiply(A, B), product_oracle)):
         assert_canonical(got)
-        assert got.terms == want
+        assert oracles.terms(got) == want
     # one sum built from the rationals and by a kernel compares equal
-    assert oracles.same(combine(A, x, B, y), BraidSum(sum_oracle),
+    assert oracles.same(combine(A, x, B, y), braid(sum_oracle),
                         combine(B, y, A, x))
-    assert oracles.same(oracles.multiply(A, B), BraidSum(product_oracle),
+    assert oracles.same(oracles.multiply(A, B), braid(product_oracle),
                         oracles.multiply(B, A))
+
+
+@given(st.dictionaries(st.integers(-9, 9), st.integers(-10 ** 30, 10 ** 30),
+                       max_size=6),
+       st.integers(1, 10 ** 30), st.integers(1, 10 ** 12))
+def test_constructor_reduces_every_multiple_to_one_form(nums, den, k):
+    # the constructor's form is the oracle's: the nonzero numerators over
+    # the least common denominator of the rationals nums[n] / den
+    plain = BraidSum(nums, den)
+    scaled = BraidSum({n: k * c for n, c in nums.items()}, k * den)
+    want = oracles.fields({n: Fraction(c, den) for n, c in nums.items()})
+    assert (plain.nums, plain.den) == (scaled.nums, scaled.den) == want
+    assert_canonical(plain)
+
+
+@given(wide_sums)
+def test_render_is_str_of_each_fraction(terms):
+    want = " + ".join(f"{c}*q^{n}" for n, c in sorted(terms.items(),
+                                                      reverse=True) if c)
+    assert render(braid(terms)) == (want or "0")
+
+
+# JSON coefficients as their text and their value: integers, decimals with
+# an exponent, and "p/q" strings, neither side reduced
+json_coefficients = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30).map(lambda n: (str(n), Fraction(n))),
+    st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(0, 10 ** 4),
+              st.integers(-30, 30)).map(
+        lambda t: (f"{t[0]}.{t[1]:04d}e{t[2]}",
+                   Fraction(decimal.Decimal(f"{t[0]}.{t[1]:04d}e{t[2]}")))),
+    st.tuples(st.integers(-10 ** 20, 10 ** 20), st.integers(1, 10 ** 20)).map(
+        lambda t: (f'"{t[0]}/{t[1]}"', Fraction(*t))))
+
+
+@given(st.dictionaries(st.integers(-10 ** 6, 10 ** 6), json_coefficients,
+                       max_size=6))
+def test_exponent_map_is_the_common_denominator_of_its_values(entries):
+    text = "{" + ", ".join(f'"{n}": {v}' for n, (v, _) in entries.items()) \
+        + "}"
+    b = exponent_map(read_json(text))
+    assert (b.nums, b.den) == \
+        oracles.fields({n: x for n, (_, x) in entries.items()})
 
 
 @given(vanishing_sums())
 def test_filtration_order_is_the_root_multiplicity_at_one(b):
-    assert filtration_order(b) == oracles.root_multiplicity_at_one(b.terms)
+    assert filtration_order(b) == \
+        oracles.root_multiplicity_at_one(oracles.terms(b))
 
 
 @given(vanishing_sums().filter(bool), vanishing_sums().filter(bool))
@@ -263,11 +315,10 @@ def windows(draw):
     """2-9 items, each one base plus a sum of some filtration order or of
     any terms, so that pairs agree to various depths: repeated items, the
     empty sum, mixed denominators and exponents up to +-10^18."""
-    base = BraidSum(draw(far_sums))
-    offsets = draw(st.lists(st.one_of(vanishing_sums(),
-                                      st.builds(BraidSum, far_sums)),
+    base = braid(draw(far_sums))
+    offsets = draw(st.lists(st.one_of(vanishing_sums(), far_sums.map(braid)),
                             min_size=1, max_size=8))
-    pool = [BraidSum()] + [combine(base, 1, v, 1) for v in offsets]
+    pool = [BraidSum({})] + [combine(base, 1, v, 1) for v in offsets]
     return draw(st.lists(st.sampled_from(pool), min_size=2, max_size=9))
 
 
@@ -288,11 +339,11 @@ def test_condition_c_is_the_pairwise_reference_on_stock_sequences():
                 [v for v in reference if v[1] <= window]
 
 
-def moments_missing_n(b):
-    # moment 1 and on lack the factor n that takes moment 0 to moment 1
+def integral_missing_n(b):
+    # coefficient 1 and on lack the factor n that takes moment 0 to moment 1
     exponents, weights = list(b.nums), list(b.nums.values())
     for k in count():
-        yield sum(weights)
+        yield Fraction(sum(weights), b.den * 2 ** k * math.factorial(k))
         if k:
             weights = [w * n for w, n in zip(weights, exponents)]
 
@@ -307,8 +358,8 @@ def derivatives_missing_n(b):
 
 
 @pytest.mark.parametrize("route, faulty", [
-    ("moments", moments_missing_n), ("derivatives", derivatives_missing_n)],
-    ids=["moments", "derivatives"])
+    ("integral", integral_missing_n), ("derivatives", derivatives_missing_n)],
+    ids=["integral", "derivatives"])
 def test_a_faulty_order_route_stops_the_trace(monkeypatch, route, faulty):
     monkeypatch.setattr(convergence, route, faulty)
     with pytest.raises(ArithmeticError, match="order routes disagree"):
@@ -540,10 +591,16 @@ def test_render_json_writes_json_dumps(document):
 def csv_record(row):
     """One row as csv.writer writes it, without its line terminator.  A
     "\r\n" terminator makes every version quote a field that holds a bare
-    "\r", as csv.writer does for any terminator from Python 3.13 on."""
+    "\r", as csv.writer does for any terminator from Python 3.13 on.
+    Python 3.10's csv.writer refuses a field that holds a NUL, which later
+    versions write bare; each NUL passes through it as the first private-use
+    character that the row does not hold, which every version writes bare."""
+    nul = next(c for c in map(chr, count(0xE000))
+               if not any(c in field for field in row))
     out = io.StringIO()
-    csv.writer(out, lineterminator="\r\n").writerow(row)
-    return out.getvalue().removesuffix("\r\n")
+    csv.writer(out, lineterminator="\r\n").writerow(
+        [field.replace("\x00", nul) for field in row])
+    return out.getvalue().removesuffix("\r\n").replace(nul, "\x00")
 
 
 @given(tables)

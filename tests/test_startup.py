@@ -5,14 +5,15 @@ command module that runs, and that module loads only the library modules
 it uses.  So --help and a usage error load the core and the help writer
 alone, a command loads braidinv.floats only when it prints a float column,
 and each library module loads only for the commands that call it.  The
-JSON and CSV writers load only for their format.  braidinv.inputs loads
-only for a JSON braid and a trace of a sequence file, braidinv.sequences
-only for a trace of a stock sequence, json only for a JSON input (the
-writers write JSON and CSV themselves), fractions only for a command
-that builds or prints a Fraction (never lift, qexpand or basis without
---solve-t, whose rationals are integer pairs), and csv, dataclasses,
-inspect, mpmath and __future__ never.  The core parses argv from its own
-flag table, so argparse, and the gettext and locale it pulls in, never load.
+JSON and CSV writers load only for their format.  braidinv.inputs, and
+braidinv.power_series with it, load only for a JSON braid and a trace of a
+sequence file, braidinv.sequences only for a trace of a stock sequence,
+json only for a JSON input (the writers write JSON and CSV themselves),
+fractions only for a command that builds or prints a Fraction (never
+lift, qexpand or basis without --solve-t, whose rationals are integer
+pairs), and csv, dataclasses, inspect, mpmath and __future__ never.  The
+core parses argv from its own flag table, so argparse, and the gettext and
+locale it pulls in, never load.
 Each command runs in a fresh interpreter, so nothing another test imported
 can hide an import, and its stdout must still match its golden.
 
@@ -82,14 +83,16 @@ ENGINE = {"braidinv.inverse_engine"}
 EXPANSIONS = {"braidinv.pair_expansions"}
 SOLVER = {"braidinv.basis_solver"}
 # the braid ring, kontsevich, the float columns, and the modules that
-# print or build Fractions load fractions with them
+# print or build Fractions load fractions with them; the ring is built
+# from integers, so it brings no power_series
 FRACTIONS = {"fractions"}
-RING = FRACTIONS | {"braidinv.braid_ring", "braidinv.power_series"}
+RING = FRACTIONS | {"braidinv.braid_ring"}
 INTEGRAL = RING | {"braidinv.kontsevich"}
 FLOATS = FRACTIONS | {"braidinv.floats"}
 REGULARIZATION = FRACTIONS | {"braidinv.regularization"}
-# what reading a JSON braid or a sequence file brings with it
-INPUTS = FRACTIONS | {"braidinv.inputs"}
+# what reading a JSON braid or a sequence file brings with it: its
+# Fractions go over their common denominator in power_series
+INPUTS = FRACTIONS | {"braidinv.inputs", "braidinv.power_series"}
 
 # README command -> what it loads beyond ALWAYS and its module, in every format
 EXTRA = {
