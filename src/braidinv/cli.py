@@ -6,42 +6,16 @@ reproduce.  Exit codes: 0 when everything asked for passed, 1 for bad
 input or a usage error, 2 when a computation disagrees with a bundled
 reference value.
 
-Each request compiles only the code it runs: with no bytecode cache
-(PYTHONDONTWRITEBYTECODE) Python compiles every module it imports, every
-time, about a sixth of a short request; starting the interpreter and site
-takes most of the rest.  Once main returns, the process entry,
-braidinv.__main__.main, runs the exit handlers, flushes stdout and stderr
-and ends the process with os._exit, so no teardown follows.  main never
-ends the process, as it also runs in-process.  This module
-imports no library module at the top and reads argv with its own table
-(COMMANDS), so argparse, gettext and locale never load; after parsing,
-main imports braidinv.commands.<name>, which imports what it uses, and
-calls its run(args).  run returns (exit code, tables), each
-table a plain (title, columns, rows, notes) tuple; main alone renders the
-tables in the chosen format and writes them to --out or stdout.  Code that
-a request never runs lives where that request does not load it: --help and
-usage errors load this module and braidinv.usage, which writes them and
-which no other request loads; the JSON and CSV writers load only for their
-format, the stock sequences of trace only for a trace of one, and the JSON
-reader braidinv.inputs only for a JSON braid or a sequence file.  The
-lift solve, inverse_engine, loads only for lift and reproduce's lift
-table, and the expansions at q - q^-1, pair_expansions, only for the
-requests that read one.  Both hold their rationals as integers, and the
-powers of an expansion are products of pair sums, so neither loads
-braid_ring, power_series or fractions: lift and qexpand, at any --power,
-load none of them.  The moment matrices of basis_solver and their
-inverses are reduced integer pairs as well, so basis without --solve-t
-loads no fractions either, and basis --solve-t reads column 1 of the
-inverse and a pair sum: only zmap and trace, which evaluate the integral
-of a general braid sum, load braid_ring and kontsevich.  The braid ring
-is built from integers, so power_series, which puts Fractions over one
-denominator, loads only with inputs.  fractions loads only for a command
-that builds or prints a Fraction, and floats, which alone reads the
-precision and prints the float cells, only for float columns
-(asymptotics, beta --s 1, basis --solve-t).  json loads
-only for a JSON braid, a sequence file or a cell that needs escaping in
---format json, csv never loads, and no request imports mpmath.  The only
-record types, BraidSum, PairSum and MomentMatrix, are plain classes.
+Each request compiles only the code it runs.  This module imports no
+library module at the top and reads argv with its own table (COMMANDS),
+so argparse, gettext and locale never load; after parsing, main imports
+braidinv.commands.<name>, which imports what it uses, and calls its
+run(args).  run returns (exit code, tables), each table a plain (title,
+columns, rows, notes) tuple; main alone renders the tables in the chosen
+format and writes them to --out or stdout.  tests/test_startup.py holds
+the modules each request may load.  main never ends the process, as it
+also runs in-process; the process entry, braidinv.__main__.main, does,
+with os._exit once the exit handlers have run.
 
 The library raises ValueError for bad input and ArithmeticError for a
 broken internal invariant.  main() alone turns exceptions into exit codes:
@@ -52,12 +26,14 @@ closed pipe exits 0 with nothing on stderr, and any other write failure is
 an OSError; after either, fd 1 points at the null device, so no flush at
 exit fails again.  With fd 1 closed before the start there is no
 sys.stdout, and writing the help or the payload is an OSError too; --out
-still writes its file.  A number past the integer-to-string guard is one of
-those ValueErrors, named by that limit: main sets the guard to
-INT_STR_DIGITS for the run, whatever PYTHONINTMAXSTRDIGITS or the caller
-set, and gives the caller's back after it.  argv is the only setting a
-request reads: no environment variable changes a number, a digit count or
-an exit code.
+still writes its file.  A number past INT_STR_DIGITS digits is one of
+those ValueErrors, with the message DIGIT_LIMIT: main sets the
+integer-to-string guard to INT_STR_DIGITS for the run, whatever
+PYTHONINTMAXSTRDIGITS or the caller set, and gives the caller's back after
+it; from Python 3.12 that guard lets a few hundred digits more through,
+so render.rationals, which prints every exact cell, counts them.  argv is
+the only setting a request reads: no environment variable changes a
+number, a digit count or an exit code.
 """
 
 import sys
@@ -65,6 +41,8 @@ from importlib import import_module
 from types import SimpleNamespace
 
 INT_STR_DIGITS = 100000
+DIGIT_LIMIT = (f"a number exceeds the {INT_STR_DIGITS:,}-digit input and "
+               f"output limit")
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +253,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         if "int_max_str_digits" in str(exc):
             # Python's message advises a call that no user of the CLI can make
-            exc = (f"a number exceeds the {INT_STR_DIGITS:,}-digit input and "
-                   f"output limit")
+            exc = DIGIT_LIMIT
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -1,6 +1,7 @@
 """braidinv beta: the Leibniz check at s = 1, the residue relation above."""
 
 from ..regularization import leibniz_partial, theta_value
+from ..render import rational
 
 
 def decimal_digits(n: int) -> int:
@@ -45,8 +46,9 @@ def run(args):
     # the relation's left side reduces exactly to this Abel value
     abel = theta_value(s - 2)
     verdict = "PASS" if abel == 0 else "FAIL"
-    rows = [[f"Abel value at exponent {s - 2}", str(abel)],
-            ["reduced relation left side", str(abel)],
+    cell = rational(*abel.as_integer_ratio())
+    rows = [[f"Abel value at exponent {s - 2}", cell],
+            ["reduced relation left side", cell],
             ["verdict", verdict]]
     return 0 if verdict == "PASS" else 2, [
         (f"residue relation at s = {s}", ["what", "value"], rows,

@@ -9,6 +9,8 @@ marked FLAGGED rather than FAIL and does not affect the exit code.
 
 from fractions import Fraction
 
+from ..render import rational
+
 
 REF_LIFT = {1: "1", 3: "-1/24", 5: "3/640", 7: "-5/7168",
             9: "35/294912", 11: "-63/2883584", 13: "231/54525952"}
@@ -50,7 +52,8 @@ def _cell(where: str, printed: str | None, computed: Fraction,
         verdict = "FLAGGED"
     else:
         verdict = "FAIL"
-    return [where, printed or "(none)", str(computed), verdict]
+    return [where, printed or "(none)", rational(*computed.as_integer_ratio()),
+            verdict]
 
 
 def _lift_rows():

@@ -1,7 +1,7 @@
 """braidinv trace: finite-window convergence diagnostics of a sequence."""
 
-from ..braid_ring import coefficient
 from ..convergence import CAVEAT, biconvergence_report, verdict
+from ..render import rational
 
 # stock name -> (label, builder in braidinv.sequences of the first count
 # items); any other --sequence names a file, read without compiling them
@@ -27,7 +27,8 @@ def run(args):
         label, items = load_sequence(args.sequence)
     items = items[:window]
     n_classes, z_classes, violations = biconvergence_report(items, args.jmax)
-    coeff_rows = [[str(n), cls, str(coefficient(items[-1], n))]
+    last = items[-1]
+    coeff_rows = [[str(n), cls, rational(last.nums.get(n, 0), last.den)]
                   for n, cls in sorted(n_classes.items())]
     z_rows = [[str(j), cls] for j, cls in sorted(z_classes.items())]
     if violations:

@@ -3,6 +3,7 @@
 from ..braid_ring import pair, render, sigma_power, tau
 from ..cli import integer
 from ..kontsevich import Z, focus_order
+from ..render import rationals
 
 
 def run(args):
@@ -15,7 +16,8 @@ def run(args):
         raise ValueError("jmax must be nonnegative")
     coeffs = Z(b, max(order, jmax))
     # each coefficient is printed once; both tables take a prefix
-    rows = [[str(i), str(c)] for i, c in enumerate(coeffs)]
+    rows = [[str(i), cell] for i, cell in enumerate(
+        rationals(c.as_integer_ratio() for c in coeffs))]
     focused = focus_order(coeffs[:jmax + 1])
     note = (f"focussed at degree {focused} through {jmax}" if focused is not None
             else f"not focussed through degree {jmax}")
@@ -51,4 +53,4 @@ def parse_braid(text: str):
             raise ValueError(f"bad braid JSON: {exc}") from exc
         return exponent_map(raw)
     raise ValueError(f"unknown braid {text!r}; use tau, sigma, sigmabar, e, "
-                     f"pair:N, sigma^K, or a JSON exponent map")
+                     f"identity, pair:N, sigma^K, or a JSON exponent map")

@@ -4,7 +4,7 @@ A table is a plain (title, columns, rows, notes) tuple: the title a
 string, the columns and each row lists of strings, the notes a list of
 lines printed under the rows.  Each renderer returns the whole document as
 a string and takes every cell as given.  The commands print exact
-rationals as str of a Fraction prints them, canonical 'p/q' strings, most
+rationals as str of a Fraction prints them, canonical 'p/q' strings, all
 of them from integer pairs by rational and rationals; some of them run to
 thousands of digits, so the command line raises the integer-to-string
 guard for the duration of a run.  Float cells and their digit-tagged
@@ -18,6 +18,8 @@ so a request compiles only the writer of its format.
 """
 
 import math
+
+from .cli import DIGIT_LIMIT, INT_STR_DIGITS
 
 
 def _reduced(num: int, den: int) -> tuple:
@@ -34,8 +36,21 @@ def _reduced(num: int, den: int) -> tuple:
 
 def rationals(pairs) -> list[str]:
     """str(Fraction(num, den)) of each pair already in lowest terms with
-    den > 0, with no second gcd: no denominator when it is 1."""
-    return [f"{num}/{den}" if den != 1 else str(num) for num, den in pairs]
+    den > 0, with no second gcd: no denominator when it is 1.
+
+    A numerator or denominator of more than INT_STR_DIGITS digits is
+    refused.  The guard that main sets does not suffice: from Python 3.12
+    str() checks only an estimate of an int's size against it, and prints
+    a few hundred digits past the limit.  Only a cell longer than the limit
+    can hold such a number, so the common case stays one pass of len.
+    """
+    cells = [f"{num}/{den}" if den != 1 else str(num) for num, den in pairs]
+    if cells and max(map(len, cells)) > INT_STR_DIGITS:
+        for cell in cells:
+            if len(cell) > INT_STR_DIGITS and max(
+                    map(len, cell.lstrip("-").split("/"))) > INT_STR_DIGITS:
+                raise ValueError(DIGIT_LIMIT)
+    return cells
 
 
 def rational(num: int, den: int) -> str:

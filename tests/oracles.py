@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything in this file is written directly from the mathematical definitions
-and never imports the package under test.  Each oracle gives a second,
-structurally unrelated route to a value that the package computes, so a test
-that compares the two is a genuine consistency check rather than a tautology.
+and imports the package under test only where braid builds a braid sum.
+Each oracle gives a second, structurally unrelated route to a value that the
+package computes, so a test that compares the two is a genuine consistency
+check rather than a tautology.
 The command line parser is the argparse one braidinv used before it read
 argv from its own flag table, kept verbatim as that table's reference; the
 float cells are the ones braidinv printed through mpmath before it printed
@@ -124,6 +125,13 @@ def fields(terms):
             for n, c in values.items()}, den
 
 
+def braid(values):
+    """The BraidSum of a map of exponents to rationals, built from its
+    fields: the one place this module imports the package."""
+    from braidinv.braid_ring import BraidSum
+    return BraidSum(*fields(values))
+
+
 def terms(b):
     """A BraidSum's nonzero coefficients read back as Fractions."""
     return {n: Fraction(c, b.den) for n, c in b.nums.items()}
@@ -166,11 +174,11 @@ def pair_fields(b):
 
 
 def tau_power(k):
-    """(q - q^-1)^k, k >= 0, by k multiplications."""
+    """The BraidSum (q - q^-1)^k, k >= 0, by k multiplications."""
     out = {0: Fraction(1)}
     for _ in range(k):
         out = braid_mul(out, TAU)
-    return out
+    return braid(out)
 
 
 def braid_poly(coeffs, seed):

@@ -27,19 +27,15 @@ import oracles
 from oracles import filtration_order, read_pairs
 
 
-def frac(n, d=1):
-    return Fraction(n, d)
-
-
 def report(num, ok, detail):
     print(f"criterion {num:02d}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
 
 
 def test_criterion_01_lift_coefficients():
-    expected = {1: frac(1), 3: frac(-1, 24), 5: frac(3, 640),
-                7: frac(-5, 7168), 9: frac(35, 294912),
-                11: frac(-63, 2883584), 13: frac(231, 54525952)}
+    expected = {1: Fraction(1), 3: Fraction(-1, 24), 5: Fraction(3, 640),
+                7: Fraction(-5, 7168), 9: Fraction(35, 294912),
+                11: Fraction(-63, 2883584), 13: Fraction(231, 54525952)}
     computed = oracles.exact(solved_lift(13))
     report(1, {k: c for k, c in enumerate(computed) if c} == expected,
            f"seven lift coefficients through degree 13, exact; "
@@ -62,28 +58,29 @@ def test_criterion_02_route_agreement():
 
 
 def test_criterion_03_integral_golden_series():
-    half = frac(1, 2)
+    half = Fraction(1, 2)
     ok = (list(Z(sigma_power(1), 7)) == oracles.exp_series(half, 7)
           and list(Z(sigma_power(-1), 7)) == oracles.exp_series(-half, 7)
-          and list(Z(tau(), 7)) == [0, 1, 0, frac(1, 24), 0,
-                                    frac(1, 1920), 0, frac(1, 322560)])
+          and list(Z(tau(), 7)) == [0, 1, 0, Fraction(1, 24), 0,
+                                    Fraction(1, 1920), 0, Fraction(1, 322560)])
     report(3, ok, "integral of the two generators and their difference "
                   "matches the displayed degree-7 series exactly")
 
 
 def test_criterion_04_pair_expansion_rows():
     printed = {
-        1: {1: frac(1)},
-        3: {1: frac(9, 8), 3: frac(-1, 24)},
-        7: {1: frac(1225, 1024), 3: frac(-245, 3072), 5: frac(49, 5120),
-            7: frac(-5, 7168)},
-        9: {1: frac(19845, 16384), 3: frac(-735, 8192), 5: frac(567, 40960),
-            7: frac(-405, 229376), 9: frac(35, 294912)},
+        1: {1: Fraction(1)},
+        3: {1: Fraction(9, 8), 3: Fraction(-1, 24)},
+        7: {1: Fraction(1225, 1024), 3: Fraction(-245, 3072),
+            5: Fraction(49, 5120), 7: Fraction(-5, 7168)},
+        9: {1: Fraction(19845, 16384), 3: Fraction(-735, 8192),
+            5: Fraction(567, 40960), 7: Fraction(-405, 229376),
+            9: Fraction(35, 294912)},
     }
-    row5_printed = {1: frac(160083, 131072), 5: frac(22869, 1310720),
-                    7: frac(-5445, 1835008), 9: frac(847, 2359296),
-                    11: frac(-63, 2883584)}
-    row5_flagged_correction = frac(-12705, 131072)
+    row5_printed = {1: Fraction(160083, 131072), 5: Fraction(22869, 1310720),
+                    7: Fraction(-5445, 1835008), 9: Fraction(847, 2359296),
+                    11: Fraction(-63, 2883584)}
+    row5_flagged_correction = Fraction(-12705, 131072)
 
     expansions = tau_expansions([*printed, 11])
     ok = True
@@ -156,22 +153,23 @@ def test_criterion_09_leibniz_estimate():
 
 
 def test_criterion_10_balanced_entry_tables():
-    zeta2_printed = [frac(-1), frac(-5, 4), frac(-49, 36), frac(-205, 144),
-                     frac(-5269, 3600), frac(-5369, 3600),
-                     frac(266681, 176400), frac(-1077749, 705600)]
+    zeta2_printed = [Fraction(-1), Fraction(-5, 4), Fraction(-49, 36),
+                     Fraction(-205, 144), Fraction(-5269, 3600),
+                     Fraction(-5369, 3600), Fraction(266681, 176400),
+                     Fraction(-1077749, 705600)]
     zeta2_computed = read_pairs(entry_sequence(1, 3, range(1, 9)))
     zeta2_ok = all(c == p for r, c, p in
                    zip(range(1, 9), zeta2_computed, zeta2_printed) if r != 7)
-    flagged_ok = zeta2_computed[6] == frac(-266681, 176400)
+    flagged_ok = zeta2_computed[6] == Fraction(-266681, 176400)
 
-    onefive_printed = [frac(1, 4), frac(7, 18), frac(91, 192),
-                       frac(1529, 2880), frac(37037, 64800),
-                       frac(54613, 90720), frac(63566689, 101606400)]
+    onefive_printed = [Fraction(1, 4), Fraction(7, 18), Fraction(91, 192),
+                       Fraction(1529, 2880), Fraction(37037, 64800),
+                       Fraction(54613, 90720), Fraction(63566689, 101606400)]
     onefive = read_pairs(entry_sequence(1, 5, range(2, 9)))
-    diffs = [b - a for a, b in zip([frac(0)] + onefive, onefive)]
-    diffs_printed = [frac(1, 4), frac(5, 36), frac(49, 576), frac(41, 720),
-                     frac(5269, 129600), frac(767, 25200),
-                     frac(266681, 11289600)]
+    diffs = [b - a for a, b in zip([Fraction(0)] + onefive, onefive)]
+    diffs_printed = [Fraction(1, 4), Fraction(5, 36), Fraction(49, 576),
+                     Fraction(41, 720), Fraction(5269, 129600),
+                     Fraction(767, 25200), Fraction(266681, 11289600)]
     report(10, zeta2_ok and flagged_ok and onefive == onefive_printed
            and diffs == diffs_printed,
            f"(1,3) entries r=1..8 exact with the 7th sign FLAGGED "
@@ -213,8 +211,7 @@ def test_criterion_13_property_suites():
                 2 * x - 3 * y for x, y in zip(Z(a, 6), Z(b, 6))):
             problems.append("linearity")
 
-    powers = [BraidSum(*oracles.fields(oracles.tau_power(i)))
-              for i in range(5)]
+    powers = [oracles.tau_power(i) for i in range(5)]
     for i in range(1, 4):
         for j in range(1, 4):
             product = oracles.multiply(powers[i], powers[j])
@@ -230,10 +227,10 @@ def test_criterion_13_property_suites():
     round_trips = 0
     while round_trips < 5:
         # the lift solve on a random seed of filtration order one
-        coeffs = [frac(rng.randrange(-3, 4), rng.randrange(1, 4))
+        coeffs = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
                   for _ in range(2)]
-        seed = BraidSum(*oracles.fields(dict(zip(rng.sample(range(-5, 6), 3),
-                                                 coeffs + [-sum(coeffs)]))))
+        seed = oracles.braid(dict(zip(rng.sample(range(-5, 6), 3),
+                                      coeffs + [-sum(coeffs)])))
         if filtration_order(seed) != 1:
             continue
         round_trips += 1

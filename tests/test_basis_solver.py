@@ -12,10 +12,6 @@ import oracles
 from oracles import read_pairs
 
 
-def frac(n, d=1):
-    return Fraction(n, d)
-
-
 def inverse(M):
     """invert(M) read back as rows of Fractions, each pair checked reduced."""
     return read_pairs(invert(M))
@@ -31,7 +27,7 @@ def test_balanced_nodes_order():
 
 
 def test_build_balanced_small():
-    assert read_pairs(build_balanced(0).rows) == [[frac(1)]]
+    assert read_pairs(build_balanced(0).rows) == [[Fraction(1)]]
     M1 = build_balanced(1)
     assert read_pairs(M1.rows) == [[1, 1, 1], [0, 1, -1], [0, 1, 1]]
     M2 = build_balanced(2)
@@ -55,7 +51,7 @@ def test_with_factorials_divides_rows():
 
 def test_invert_m1():
     N = inverse(build_balanced(1))
-    half = frac(1, 2)
+    half = Fraction(1, 2)
     assert N == [[1, 0, -1], [0, half, half], [0, -half, half]]
     assert N[0][2] == -1
 
@@ -66,7 +62,7 @@ def test_invert_identity_and_m2_entry():
         N = invert(M)
         assert (M.dim, N) == (1, [[(1, 1)]])
         assert type(N[0][0][0]) is int
-    assert inverse(build_balanced(2))[0][2] == frac(-5, 4)
+    assert inverse(build_balanced(2))[0][2] == Fraction(-5, 4)
 
 
 def test_entry_bounds(capsys):
@@ -105,22 +101,25 @@ def test_with_factorials_rescales_the_inverse_columns():
 
 
 def test_zeta2_entries():
-    expected = [frac(-1), frac(-5, 4), frac(-49, 36), frac(-205, 144),
-                frac(-5269, 3600), frac(-5369, 3600), frac(-266681, 176400),
-                frac(-1077749, 705600)]
+    expected = [Fraction(-1), Fraction(-5, 4), Fraction(-49, 36),
+                Fraction(-205, 144), Fraction(-5269, 3600),
+                Fraction(-5369, 3600), Fraction(-266681, 176400),
+                Fraction(-1077749, 705600)]
     assert entries(1, 3, range(1, 9)) == expected
 
 
 def test_onefive_entries_and_differences():
-    expected = [frac(1, 4), frac(7, 18), frac(91, 192), frac(1529, 2880),
-                frac(37037, 64800), frac(54613, 90720),
-                frac(63566689, 101606400)]
+    expected = [Fraction(1, 4), Fraction(7, 18), Fraction(91, 192),
+                Fraction(1529, 2880), Fraction(37037, 64800),
+                Fraction(54613, 90720),
+                Fraction(63566689, 101606400)]
     onefive = entries(1, 5, range(2, 9))
     assert onefive == expected
-    diffs = [b - a for a, b in zip([frac(0)] + onefive, onefive)]
-    assert diffs == [frac(1, 4), frac(5, 36), frac(49, 576), frac(41, 720),
-                     frac(5269, 129600), frac(767, 25200),
-                     frac(266681, 11289600)]
+    diffs = [b - a for a, b in zip([Fraction(0)] + onefive, onefive)]
+    assert diffs == [Fraction(1, 4), Fraction(5, 36), Fraction(49, 576),
+                     Fraction(41, 720), Fraction(5269, 129600),
+                     Fraction(767, 25200),
+                     Fraction(266681, 11289600)]
 
 
 def test_entry_sequence_matches_the_full_inverse():

@@ -7,15 +7,8 @@ from braidinv.braid_ring import (BraidSum, coefficient, pair, render,
                                  sigma_power, tau)
 
 import oracles
-from oracles import INFINITE, combine, filtration_order, terms
-
-
-def braid(values):
-    return BraidSum(*oracles.fields(values))
-
-
-def tau_power(k):
-    return braid(oracles.tau_power(k))
+from oracles import (INFINITE, braid, combine, filtration_order, tau_power,
+                     terms)
 
 
 def test_zero_coefficients_are_dropped():
@@ -60,9 +53,11 @@ def test_multiply_homomorphism_random():
 def test_combine_is_bilinear_random():
     rng = random.Random(412)
     for _ in range(20):
-        a = braid({rng.randrange(-5, 6): Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+        a = braid({rng.randrange(-5, 6):
+                   Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
                    for _ in range(3)})
-        b = braid({rng.randrange(-5, 6): Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+        b = braid({rng.randrange(-5, 6):
+                   Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
                    for _ in range(3)})
         c = Fraction(rng.randrange(-4, 5), rng.randrange(1, 5))
         left = combine(a, c, b, c)
@@ -125,7 +120,8 @@ def test_filtration_order_random_sums_stay_consistent():
     # ever disagree, so surviving a spread of random inputs is the check
     rng = random.Random(413)
     for _ in range(40):
-        values = {rng.randrange(-6, 7): Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+        values = {rng.randrange(-6, 7):
+                  Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
                   for _ in range(rng.randrange(1, 6))}
         order = filtration_order(braid(values))
         assert order == INFINITE or 0 <= order <= len(values)

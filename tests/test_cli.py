@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +13,7 @@ from braidinv.braid_ring import BraidSum, pair
 from braidinv.commands import beta, reproduce, zmap
 
 import oracles
+import replay_cli
 from test_golden import read_golden
 
 
@@ -236,18 +236,10 @@ def test_importing_the_package_leaves_int_str_limit_alone():
                              "input and output limit\n")
 
 
-@pytest.mark.parametrize("setting", [None, "0", "200000"])
-def test_the_digit_limit_holds_whatever_the_interpreter_allows(setting):
-    # 10^100000 has 100,001 digits; PYTHONINTMAXSTRDIGITS moves Python's
-    # own guard, not the CLI's
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
-    if setting is not None:
-        env["PYTHONINTMAXSTRDIGITS"] = setting
-    result = run_cli("zmap", "--braid", '{"0": "1e100000"}', "--order", "0",
-                     env=env)
-    assert (result.returncode, result.stdout, result.stderr) == (
-        1, "", "error: a number exceeds the 100,000-digit input and output "
-               "limit\n")
+@pytest.mark.parametrize("row", replay_cli.GUARDS,
+                         ids=lambda row: row.name.rpartition("-")[2])
+def test_the_digit_limit_holds_whatever_the_interpreter_allows(row):
+    replay_cli.check(row)
 
 
 def test_reproduce_all():
@@ -276,125 +268,11 @@ def test_reproduce_offers_exactly_its_tables(capsys):
     assert offered in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", [
-    ["zmap", "--order", "-1"],
-    ["zmap", "--braid", '{"1": "1/0"}'],
-    ["zmap", "--braid", '{"-2": "-3/00"}'],
-    ["trace", "--sequence", "{tmp}/zero.json"],
-    ["trace", "--sequence", "{tmp}/zero-later.json"],
-    ["trace", "--sequence", "{tmp}/array.json"],
-    ["lift", "--order", "5", "--out", "{tmp}/missing/x"],
-    ["basis", "--r", "0", "--solve-t"],
-    ["trace", "--sequence", "{tmp}/empty.json"],
-    ["trace", "--sequence", "{tmp}/one.json"],
-    ["zmap", "--jmax", "-1"],
-    ["trace", "--jmax", "-1"],
-    ["zmap", "--braid", '{"1": Infinity}'],
-    ["zmap", "--braid", '{"1": NaN}'],
-    ["trace", "--sequence", "{tmp}/infinite.json"],
-    ["basis", "--r", "-1"],
-    ["basis", "--r", "-1", "--unbalanced"],
-    ["basis", "--r", "3", "--entry", "1"],
-    ["basis", "--r", "3", "--entry", "1,3,4"],
-    ["zmap", "--braid", '{"1": true}'],
-    ["zmap", "--braid", '{"1": false}'],
-    ["zmap", "--braid", '{"1_0": 1}'],
-    ["trace", "--sequence", "{tmp}/bool.json"],
-    ["zmap", "--braid", '{"1": "1_0"}'],
-    ["zmap", "--braid", '{"1": "\uff11"}'],
-    ["trace", "--sequence", "{tmp}/underscore.json"],
-    ["trace", "--sequence", "{tmp}/label-null.json"],
-    ["trace", "--sequence", "{tmp}/label-list.json"],
-    ["trace", "--sequence", "{tmp}/label-surrogate.json", "--window", "2",
-     "--format", "json"],
-    ["zmap", "--braid", '{"1": "1e+000000000100000"}'],
-    ["zmap", "--braid", '{"1": "1e-100000"}'],
-    ["zmap", "--braid", '{"1' + "0" * 60000 + '": 1}', "--order", "2"],
-    ["zmap", "--braid", '{"1": 1, "+1": 2}'],
-    ["zmap", "--braid", '{"01": 1, "1": 2}'],
-    ["zmap", "--braid", '{"1": 1, "1": 2}'],
-    ["trace", "--sequence", "{tmp}/repeated.json"],
-    ["trace", "--sequence", "{tmp}/item-number.json"],
-    ["zmap", "--braid", '{"1": null}'],
-    ["trace", "--sequence", "{tmp}/items-twice.json"],
-    ["trace", "--sequence", "{tmp}/label-twice.json"],
-    ["zmap", "--braid", '{"1": ' + "[" * 5000 + "]" * 5000 + "}"],
-    ["trace", "--sequence", "{tmp}/deep.json"],
-    ["zmap", "--braid", "sigma^1_0"],
-    ["zmap", "--braid", "sigma^ 5"],
-    ["zmap", "--braid", "pair:\u0663"],
-    ["asymptotics", "--j", "3", "--orders", "10,49"],
-    ["asymptotics", "--j", "3", "--orders", "9,10"],
-    ["asymptotics", "--j", "3", "--orders", "9,9"],
-    ["asymptotics", "--j", "3", "--orders", "1_1"],
-    ["asymptotics", "--j", "3", "--orders", " 9"],
-    ["asymptotics", "--j", "3", "--orders", "9,,25"],
-    ["basis", "--r", "2", "--entry", "\u0663,1"],
-    ["reproduce", "--table", "pairs", "--table", "pairs"],
-], ids=["negative-order", "zero-denominator", "zero-denominator-signed",
-        "sequence-zero-denominator", "sequence-zero-denominator-later",
-        "sequence-top-level-array", "missing-out-dir", "solve-t-at-r-0",
-        "sequence-empty", "sequence-one-item", "zmap-negative-jmax",
-        "trace-negative-jmax", "json-infinity", "json-nan",
-        "sequence-json-infinity", "basis-negative-r",
-        "basis-unbalanced-negative-r", "entry-one-value",
-        "entry-three-values", "json-true", "json-false",
-        "exponent-underscore", "sequence-json-bool",
-        "coefficient-underscore", "coefficient-fullwidth",
-        "sequence-coefficient-underscore", "sequence-label-null",
-        "sequence-label-list", "sequence-label-surrogate",
-        "output-digits-power", "output-digits-inverse",
-        "output-digits-exponent-key", "repeated-exponent-sign",
-        "repeated-exponent-zero", "repeated-json-key",
-        "sequence-repeated-exponent", "sequence-item-number",
-        "coefficient-null", "sequence-items-twice", "sequence-label-twice",
-        "json-nested-deep", "sequence-nested-deep", "power-underscore",
-        "power-padded", "pair-arabic-indic-digit", "orders-even-first",
-        "orders-even-last", "orders-repeated", "orders-underscore",
-        "orders-padded", "orders-empty-item", "entry-arabic-indic-digit",
-        "reproduce-table-twice"])
-def test_bad_input_exits_1_with_one_error_line(argv, tmp_path):
-    (tmp_path / "zero.json").write_text('{"items": [{"1": "1/0"}]}',
-                                        encoding="utf-8")
-    (tmp_path / "zero-later.json").write_text(
-        '{"items": [{"1": 1}, {"1": 2, "-2": "5/0"}]}', encoding="utf-8")
-    (tmp_path / "infinite.json").write_text(
-        '{"items": [{"1": 1}, {"1": -Infinity}]}', encoding="utf-8")
-    (tmp_path / "array.json").write_text('[{"1": "1"}]', encoding="utf-8")
-    (tmp_path / "bool.json").write_text(
-        '{"items": [{"1": 1}, {"1": true}]}', encoding="utf-8")
-    (tmp_path / "underscore.json").write_text(
-        '{"items": [{"1": 1}, {"1": "1_0"}]}', encoding="utf-8")
-    (tmp_path / "empty.json").write_text('{"items": []}', encoding="utf-8")
-    (tmp_path / "one.json").write_text('{"items": [{"1": "1"}]}',
-                                       encoding="utf-8")
-    two = '[{"1": 1}, {"1": 2}]'
-    (tmp_path / "label-null.json").write_text(
-        f'{{"label": null, "items": {two}}}', encoding="utf-8")
-    (tmp_path / "label-list.json").write_text(
-        f'{{"label": ["x"], "items": {two}}}', encoding="utf-8")
-    # a lone surrogate: --format json could escape it, text and csv cannot
-    (tmp_path / "label-surrogate.json").write_text(
-        f'{{"label": "\\ud800", "items": {two}}}', encoding="utf-8")
-    (tmp_path / "repeated.json").write_text(
-        '{"items": [{"1": 1}, {"1": 1, "+1": 2}]}', encoding="utf-8")
-    (tmp_path / "item-number.json").write_text('{"items": [{"1": 1}, 5]}',
-                                               encoding="utf-8")
-    (tmp_path / "items-twice.json").write_text(
-        f'{{"items": {two}, "items": [{{"1": 3}}, {{"1": 4}}]}}',
-        encoding="utf-8")
-    (tmp_path / "label-twice.json").write_text(
-        f'{{"label": "a", "items": {two}, "label": "b"}}', encoding="utf-8")
-    # past the recursion limit: a Python that parses this deep rejects the
-    # nested list instead, so the message is left unchecked
-    (tmp_path / "deep.json").write_text(
-        '{"items": ' + "[" * 100000 + "]" * 100000 + "}", encoding="utf-8")
-    result = run_cli(*(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
-    assert result.returncode == 1
-    assert result.stderr.startswith("error: ")
-    assert result.stderr.count("\n") == 1
-    # Python's advice names a call that no user of the CLI can make
-    assert "set_int_max_str_digits" not in result.stderr
+@pytest.mark.parametrize("row", replay_cli.REFUSED, ids=lambda row: row.name)
+def test_bad_input_exits_1_with_one_error_line(row):
+    # the rows of bad input in the one table of end-to-end checks, with the
+    # files they read
+    replay_cli.check(row)
 
 
 def test_a_byte_order_mark_is_skipped(tmp_path, capsys):
@@ -465,6 +343,26 @@ def test_output_digit_limit_is_named(capsys):
     assert cli.main(["zmap", "--braid", '{"1": "1e-100000"}']) == 1
     assert capsys.readouterr() == ("", "error: a number exceeds the "
                                    "100,000-digit input and output limit\n")
+
+
+def test_rationals_refuse_a_number_past_the_limit_without_the_guard():
+    # from Python 3.12 str() prints a few hundred digits past its guard, so
+    # the limit holds by the count of digits; with no guard (0) every
+    # Python prints, and only that count refuses
+    from braidinv import render
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for pairs in ([(1, 3), (10 ** 100000, 1)], [(1, 10 ** 100000)]):
+            with pytest.raises(ValueError) as caught:
+                render.rationals(pairs)
+            assert str(caught.value) == ("a number exceeds the 100,000-digit "
+                                         "input and output limit")
+        # 100,000 digits each side of the bar, the sign not counted
+        [cell] = render.rationals([(-(10 ** 99999), 10 ** 99999 + 1)])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert cell == "-1" + "0" * 99999 + "/1" + "0" * 99998 + "1"
 
 
 def test_beta_disagreement_exits_2_and_prints_its_table(monkeypatch, capsys):

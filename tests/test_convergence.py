@@ -19,10 +19,6 @@ import oracles
 from oracles import combine
 
 
-def frac(n, d=1):
-    return Fraction(n, d)
-
-
 def z_trace(items, j):
     """The degree-j graded integral over the items of a sequence."""
     return [Z(b, j)[j] for b in items]
@@ -43,29 +39,30 @@ def verdicts(items, jmax):
 def test_coefficient_trace_of_lift_truncations():
     # the reference table skips the order-5 row, the sequence does not
     seq = lift_truncation_sequence(5)
-    assert coefficient_trace(seq, 1) == [frac(1), frac(9, 8), frac(75, 64),
-                                         frac(1225, 1024),
-                                         frac(19845, 16384)]
+    assert coefficient_trace(seq, 1) == [Fraction(1), Fraction(9, 8),
+                                         Fraction(75, 64),
+                                         Fraction(1225, 1024),
+                                         Fraction(19845, 16384)]
 
 
 def test_coefficient_trace_exponent_zero_is_flat():
     seq = pair_partial_sequence(6)
-    assert coefficient_trace(seq, 0) == [frac(0)] * 6
+    assert coefficient_trace(seq, 0) == [Fraction(0)] * 6
 
 
 def test_trace_over_constant_sequence():
     b = BraidSum({2: 1}, 3)
     seq = [b, b, b]
-    assert coefficient_trace(seq, 2) == [frac(1, 3)] * 3
+    assert coefficient_trace(seq, 2) == [Fraction(1, 3)] * 3
     assert classify_trace(coefficient_trace(seq, 2)) == "constant"
 
 
 def test_z_trace_identities():
     diffs = [pair(n) for n in (1, 2, 3)]
-    assert z_trace(diffs, 0) == [frac(0)] * 3
+    assert z_trace(diffs, 0) == [Fraction(0)] * 3
 
     lifts = lift_truncation_sequence(5)
-    assert z_trace(lifts, 2) == [frac(0)] * 5
+    assert z_trace(lifts, 2) == [Fraction(0)] * 5
 
 
 def test_z_trace_degree_one_of_pair_partials_is_leibniz():
@@ -75,17 +72,17 @@ def test_z_trace_degree_one_of_pair_partials_is_leibniz():
 
 
 def test_classify_trace_shapes():
-    assert classify_trace([frac(1)] * 4) == "constant"
-    assert classify_trace([0, 0, frac(1), frac(1)]) == "insufficient"
-    conv = [frac(0), frac(8), frac(12), frac(14), frac(15)]
+    assert classify_trace([Fraction(1)] * 4) == "constant"
+    assert classify_trace([0, 0, Fraction(1), Fraction(1)]) == "insufficient"
+    conv = [Fraction(0), Fraction(8), Fraction(12), Fraction(14), Fraction(15)]
     assert classify_trace(conv) == "converging"
-    div = [frac(0), frac(1), frac(3), frac(7), frac(15)]
+    div = [Fraction(0), Fraction(1), Fraction(3), Fraction(7), Fraction(15)]
     assert classify_trace(div) == "diverging"
-    wobble = [frac(0), frac(3), frac(4), frac(7), frac(8)]
+    wobble = [Fraction(0), Fraction(3), Fraction(4), Fraction(7), Fraction(8)]
     assert classify_trace(wobble) == "inconclusive"
     assert classify_trace(div, min_diffs=5) == "insufficient"
     # beyond the float range: differences would underflow to zero or overflow
-    scale = frac(10) ** 400
+    scale = Fraction(10) ** 400
     assert classify_trace([x / scale for x in conv]) == "converging"
     assert classify_trace([x * scale for x in div]) == "diverging"
 
@@ -94,7 +91,8 @@ def test_constant_nonzero_increments_are_inconclusive():
     # increments that neither shrink nor grow: converging needs the last
     # below the first and diverging the last above it, strictly
     for trace in ([0, 1, 2, 3, 4], [7, 5, 7, 5, 7],
-                  [frac(1), frac(3, 4), frac(1, 2), frac(1, 4), frac(0)]):
+                  [Fraction(1), Fraction(3, 4), Fraction(1, 2), Fraction(1, 4),
+                   Fraction(0)]):
         assert classify_trace(trace) == "inconclusive", trace
 
 
@@ -225,7 +223,7 @@ def test_lift_truncation_items():
 
 def test_harmonic_sequence_values():
     seq = harmonic_sigma_sequence(3)
-    partials = [frac(1), frac(1, 2), frac(5, 6)]
+    partials = [Fraction(1), Fraction(1, 2), Fraction(5, 6)]
     for item, p in zip(seq, partials):
         assert oracles.same(item, BraidSum({1: p.numerator}, p.denominator))
 
@@ -234,7 +232,7 @@ def test_pair_partial_first_item():
     seq = pair_partial_sequence(2)
     assert oracles.same(seq[0], BraidSum({1: 4, -1: -4}))
     second = seq[1]
-    assert oracles.terms(second)[3] == frac(-4, 9)
+    assert oracles.terms(second)[3] == Fraction(-4, 9)
 
 
 def test_stock_sequences_are_their_fraction_definitions():
@@ -244,7 +242,7 @@ def test_stock_sequences_are_their_fraction_definitions():
     # harmonic partials from their definitions
     lift = oracles.arcsinh2_binomial(119)
     tauhat, pairs, harmonic = [], [], []
-    running, power, partials, acc = {}, {0: frac(1)}, {}, frac(0)
+    running, power, partials, acc = {}, {0: Fraction(1)}, {}, Fraction(0)
     for m in range(60):
         for _ in range(min(2 * m + 1, 2)):
             power = oracles.braid_mul(power, oracles.TAU)
@@ -252,9 +250,9 @@ def test_stock_sequences_are_their_fraction_definitions():
         tauhat.append(oracles.fields(running))
         n = 2 * m + 1
         partials = oracles.braid_lincomb(partials, 1, {n: 1, -n: -1},
-                                         frac(4 * (-1) ** m, n * n))
+                                         Fraction(4 * (-1) ** m, n * n))
         pairs.append(oracles.fields(partials))
-        acc += frac((-1) ** m, m + 1)
+        acc += Fraction((-1) ** m, m + 1)
         harmonic.append(oracles.fields({1: acc}))
     for builder, want in ((lift_truncation_sequence, tauhat),
                           (pair_partial_sequence, pairs),

@@ -14,23 +14,17 @@ from braidinv.pair_expansions import (PairSum, asymptotic_check,
                                       closed_form_expansion, tau_expansions)
 
 import oracles
-from oracles import combine, terms
+from oracles import braid, combine, terms
 
 
-def frac(n, d=1):
-    return Fraction(n, d)
-
-LIFT_13 = (0, frac(1), 0, frac(-1, 24), 0, frac(3, 640), 0, frac(-5, 7168), 0,
-           frac(35, 294912), 0, frac(-63, 2883584), 0, frac(231, 54525952))
+LIFT_13 = (0, Fraction(1), 0, Fraction(-1, 24), 0, Fraction(3, 640), 0,
+           Fraction(-5, 7168), 0, Fraction(35, 294912), 0,
+           Fraction(-63, 2883584), 0, Fraction(231, 54525952))
 
 
 def applied(P, seed=oracles.TAU):
     """The braid sum of sum_k P[k] seed^k, by the oracle's multiply loop."""
     return braid(oracles.braid_poly(dict(enumerate(P)), seed))
-
-
-def braid(values):
-    return BraidSum(*oracles.fields(values))
 
 
 def exact_all(sums):
@@ -44,26 +38,26 @@ def lift_of(seed, order):
 
 
 def test_lift_truncate_and_expand():
-    expected = combine(tau(), 1, braid(oracles.tau_power(3)), frac(-1, 24))
-    assert oracles.same(applied((0, frac(1), 0, frac(-1, 24))), expected)
+    expected = combine(tau(), 1, oracles.tau_power(3), Fraction(-1, 24))
+    assert oracles.same(applied((0, 1, 0, Fraction(-1, 24))), expected)
     assert exact_all(tau_expansions([1, 3])) == [terms(tau()), terms(expected)]
     assert exact_all(tau_expansions([3, 1])) == [terms(expected), terms(tau())]
 
 
 def test_strengthen_single_steps():
-    P1 = {1: frac(1)}
+    P1 = {1: Fraction(1)}
     P3 = oracles.strengthen_step(oracles.strengthen_step(P1, 2), 3)
-    assert P3 == {1: frac(1), 3: frac(-1, 24)}
+    assert P3 == {1: Fraction(1), 3: Fraction(-1, 24)}
     P5 = oracles.strengthen_step(oracles.strengthen_step(P3, 4), 5)
-    assert P5 == {1: frac(1), 3: frac(-1, 24), 5: frac(3, 640)}
+    assert P5 == {1: Fraction(1), 3: Fraction(-1, 24), 5: Fraction(3, 640)}
 
 
 def test_strengthen_step_rejects_misuse():
     with pytest.raises(ValueError):
-        oracles.strengthen_step({1: frac(1)}, 1)
+        oracles.strengthen_step({1: Fraction(1)}, 1)
     # degree 4 step before the degree 3 correction: precondition broken
     with pytest.raises(ValueError):
-        oracles.strengthen_step({1: frac(1)}, 4)
+        oracles.strengthen_step({1: Fraction(1)}, 4)
 
 
 def test_strengthen_to_golden_13():
@@ -104,8 +98,8 @@ def test_strengthen_general_seed():
     seed = combine(sigma_power(1), 2, sigma_power(0), -2)
     P = oracles.exact(lift_of(seed, 3))
     assert P[1] == 1
-    assert P[2] == frac(-1, 4)
-    assert P[3] == frac(1, 12)
+    assert P[2] == Fraction(-1, 4)
+    assert P[3] == Fraction(1, 12)
     assert list(Z(applied(P, terms(seed)), 3)) == [0, 1, 0, 0]
     # seeds whose integral has a linear coefficient other than 1
     for seed in (seed, BraidSum({1: 2, -1: -2}), BraidSum({1: 1, -1: -1}, 3)):
@@ -148,7 +142,7 @@ def test_strengthen_reports_a_broken_invariant(monkeypatch):
     for at in (1, 2, 5):
         def corrupted(*args, at=at):
             P = list(solve(*args))
-            c = oracles.exact(P[at]) + frac(1, 10 ** 9)
+            c = oracles.exact(P[at]) + Fraction(1, 10 ** 9)
             P[at] = (c.numerator, c.denominator)
             return tuple(P)
 
@@ -188,19 +182,19 @@ def test_closed_form_is_the_staggered_difference_weights():
         weights = finite_diff_weights(
             1, [sympy.Rational(x, 2) for x in exponents], 0)[1][-1]
         values = oracles.exact(closed_form_expansion(order))
-        assert [frac(int(w.p), int(w.q)) for w in weights] == \
+        assert [Fraction(int(w.p), int(w.q)) for w in weights] == \
             [values[x] for x in exponents], order
         assert len(values) == len(exponents)
 
 
 def test_tau_lift_golden_rows():
     row1, row2, row7 = tau_expansions([1, 3, 7])
-    assert oracles.pair_half(oracles.exact(row1)) == {1: frac(1)}
+    assert oracles.pair_half(oracles.exact(row1)) == {1: Fraction(1)}
     assert oracles.pair_half(oracles.exact(row2)) == \
-        {1: frac(9, 8), 3: frac(-1, 24)}
+        {1: Fraction(9, 8), 3: Fraction(-1, 24)}
     assert oracles.pair_half(oracles.exact(row7)) == {
-        1: frac(1225, 1024), 3: frac(-245, 3072), 5: frac(49, 5120),
-        7: frac(-5, 7168)}
+        1: Fraction(1225, 1024), 3: Fraction(-245, 3072),
+        5: Fraction(49, 5120), 7: Fraction(-5, 7168)}
 
 
 def test_tau_lift_matches_binomial_oracle():
@@ -263,7 +257,7 @@ def test_pair_limit_target_signs(capsys):
 
 def test_asymptotic_golden_rows():
     rows = [(r, oracles.exact(c)) for r, c in asymptotic_check(1, [7, 9])]
-    assert rows == [(7, frac(1225, 1024)), (9, frac(19845, 16384))]
+    assert rows == [(7, Fraction(1225, 1024)), (9, Fraction(19845, 16384))]
     errors = [abs(mpmath.mpf(c.numerator) / c.denominator - 4 / mpmath.pi)
               for _, c in rows]
     assert errors[1] < errors[0]

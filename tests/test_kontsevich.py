@@ -9,15 +9,7 @@ from braidinv.braid_ring import BraidSum, sigma_power, tau
 from braidinv.kontsevich import Z, focus_order, integral
 
 import oracles
-from oracles import INFINITE, combine, filtration_order
-
-
-def frac(n, d=1):
-    return Fraction(n, d)
-
-
-def tau_power(k):
-    return BraidSum(*oracles.fields(oracles.tau_power(k)))
+from oracles import INFINITE, combine, filtration_order, tau_power
 
 
 def residue(b):
@@ -27,20 +19,21 @@ def residue(b):
 
 
 def test_z_on_generators():
-    assert list(Z(sigma_power(1), 7)) == oracles.exp_series(frac(1, 2), 7)
-    assert list(Z(sigma_power(-1), 7)) == oracles.exp_series(frac(-1, 2), 7)
+    assert list(Z(sigma_power(1), 7)) == oracles.exp_series(Fraction(1, 2), 7)
+    assert list(Z(sigma_power(-1), 7)) == \
+        oracles.exp_series(Fraction(-1, 2), 7)
 
 
 def test_z_on_tau():
     s = Z(tau(), 7)
-    assert list(s) == [0, 1, 0, frac(1, 24), 0, frac(1, 1920), 0,
-                       frac(1, 322560)]
+    assert list(s) == [0, 1, 0, Fraction(1, 24), 0, Fraction(1, 1920), 0,
+                       Fraction(1, 322560)]
 
 
 def test_z_on_double_difference():
     b = combine(sigma_power(1), 2, sigma_power(0), -2)
     s = Z(b, 2)
-    assert list(s) == [0, 1, frac(1, 4)]
+    assert list(s) == [0, 1, Fraction(1, 4)]
 
 
 def test_z_is_linear():
@@ -63,7 +56,7 @@ def test_z_is_multiplicative():
 
 
 def test_z_i_agrees_with_series_coefficients():
-    b = combine(tau_power(3), frac(1, 7), sigma_power(1), 2)
+    b = combine(tau_power(3), Fraction(1, 7), sigma_power(1), 2)
     assert list(Z(b, 6)) == oracles.integral(oracles.terms(b), 6)
     with pytest.raises(ValueError, match="negative order"):
         Z(b, -1)
@@ -78,7 +71,7 @@ def test_z_is_the_prefix_of_the_integral_stream():
 
 
 def test_z_i_golden_values():
-    assert Z(tau(), 3) == (0, 1, 0, frac(1, 24))
+    assert Z(tau(), 3) == (0, 1, 0, Fraction(1, 24))
 
 
 def test_residue_of_order_one_elements():
@@ -89,8 +82,8 @@ def test_residue_of_order_one_elements():
 def test_residue_of_tau_cubed():
     # checked against the direct moment sum over the six expanded terms
     b = tau_power(3)
-    direct = sum((c * frac(n, 2) ** 3 for n, c in oracles.terms(b).items()),
-                 frac(0)) / 6
+    direct = sum((c * Fraction(n, 2) ** 3
+                  for n, c in oracles.terms(b).items()), Fraction(0)) / 6
     assert direct == 1
     assert residue(b) == (3, 1)
 
@@ -110,8 +103,8 @@ def test_residue_multiplicative_at_matching_orders():
 
 
 def test_focus_profile_of_corrected_lift():
-    b = combine(combine(tau(), 1, tau_power(3), frac(-1, 24)), 1,
-                tau_power(5), frac(3, 640))
+    b = combine(combine(tau(), 1, tau_power(3), Fraction(-1, 24)), 1,
+                tau_power(5), Fraction(3, 640))
     profile = Z(b, 5)
     assert list(profile) == [0, 1, 0, 0, 0, 0]
     assert focus_order(profile) == 1
@@ -119,7 +112,7 @@ def test_focus_profile_of_corrected_lift():
 
 def test_focus_profile_trivial_cases():
     assert list(Z(sigma_power(0), 3)) == [1, 0, 0, 0]
-    assert list(Z(tau(), 3)) == [0, 1, 0, frac(1, 24)]
+    assert list(Z(tau(), 3)) == [0, 1, 0, Fraction(1, 24)]
     assert focus_order(Z(sigma_power(0), 3)) == 0
     assert focus_order(Z(tau(), 1)) == 1
     assert focus_order(Z(tau(), 3)) is None

@@ -8,28 +8,25 @@ from braidinv.kontsevich import Z
 import oracles
 
 
-def frac(n, d=1):
-    return Fraction(n, d)
-
-
 def random_seed(rng):
     """A seed of filtration order one: coefficients summing to zero, and a
     nonzero first moment."""
     while True:
         exponents = rng.sample(range(-6, 7), rng.randrange(2, 5))
-        coeffs = [frac(rng.randrange(-4, 5), rng.randrange(1, 4))
+        coeffs = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
                   for _ in exponents[1:]]
         terms = dict(zip(exponents, coeffs + [-sum(coeffs)]))
         if sum(n * c for n, c in terms.items()):
-            return BraidSum(*oracles.fields(terms))
+            return oracles.braid(terms)
 
 
 def test_exp_half_matches_displayed_series():
     """Z(q) = exp(t/2), and the oracle's exponential series agrees."""
-    displayed = [frac(1), frac(1, 2), frac(1, 8), frac(1, 48), frac(1, 384),
-                 frac(1, 3840), frac(1, 46080), frac(1, 645120)]
+    displayed = [Fraction(1), Fraction(1, 2), Fraction(1, 8), Fraction(1, 48),
+                 Fraction(1, 384), Fraction(1, 3840), Fraction(1, 46080),
+                 Fraction(1, 645120)]
     assert list(Z(sigma_power(1), 7)) == displayed
-    assert oracles.exp_series(frac(1, 2), 7) == displayed
+    assert oracles.exp_series(Fraction(1, 2), 7) == displayed
 
 
 def test_exp_minus_half_alternates():
@@ -45,7 +42,7 @@ def test_exp_zero_is_one():
 
 def test_exp_product_is_one():
     p = oracles.series_mul(Z(sigma_power(1), 7), Z(sigma_power(-1), 7), 7)
-    assert p == [frac(1)] + [frac(0)] * 7
+    assert p == [Fraction(1)] + [Fraction(0)] * 7
     assert list(Z(oracles.multiply(sigma_power(1), sigma_power(-1)), 7)) == p
 
 
@@ -55,19 +52,20 @@ def test_compose_corrects_the_fifth_degree():
     Z is a ring homomorphism with Z(tau) = 2sinh(t/2), so the integral of
     the lift expanded at tau is that composition.
     """
-    lift = BraidSum(*oracles.fields(oracles.braid_poly(
-        {1: frac(1), 3: frac(-1, 24)}, oracles.terms(tau()))))
+    lift = oracles.braid(oracles.braid_poly(
+        {1: Fraction(1), 3: Fraction(-1, 24)}, oracles.terms(tau())))
     out = Z(lift, 5)
     assert out[1] == 1
     assert out[3] == 0
-    assert out[5] == frac(-3, 640)
+    assert out[5] == Fraction(-3, 640)
 
 
 def test_revert_two_sinh_half():
     """The solve on q - q^-1 reverts Z(q - q^-1) = 2 sinh(t/2)."""
     assert oracles.exact(_lift_series(tau().nums, tau().den, 11)) == (
-        0, 1, 0, frac(-1, 24), 0, frac(3, 640), 0, frac(-5, 7168), 0,
-        frac(35, 294912), 0, frac(-63, 2883584))
+        0, 1, 0, Fraction(-1, 24), 0, Fraction(3, 640), 0,
+        Fraction(-5, 7168), 0, Fraction(35, 294912), 0,
+        Fraction(-63, 2883584))
 
 
 def test_lift_series_of_a_one_sided_seed_is_a_log():
@@ -75,7 +73,7 @@ def test_lift_series_of_a_one_sided_seed_is_a_log():
     coefficient is (-1)^(m+1) / (m 2^(m-1)): every degree, not only odd."""
     seed = BraidSum({1: 2, 0: -2})
     assert oracles.exact(_lift_series(seed.nums, seed.den, 12)) == (0, *(
-        frac((-1) ** (m + 1), m * 2 ** (m - 1)) for m in range(1, 13)))
+        Fraction((-1) ** (m + 1), m * 2 ** (m - 1)) for m in range(1, 13)))
 
 
 def test_revert_matches_lagrange_oracle_random():
@@ -101,7 +99,7 @@ def test_revert_round_trip_random():
 
 def test_closed_form_arcsinh():
     s = oracles.exact(closed_form_lift(7))
-    assert list(s) == [0, 1, 0, frac(-1, 24), 0, frac(3, 640), 0,
-                       frac(-5, 7168)]
+    assert list(s) == [0, 1, 0, Fraction(-1, 24), 0, Fraction(3, 640), 0,
+                       Fraction(-5, 7168)]
     assert closed_form_lift(1) == ((0, 1), (1, 1))
     assert closed_form_lift(13)[13] == (231, 54525952)

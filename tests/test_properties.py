@@ -57,7 +57,7 @@ from braidinv.pair_expansions import (PairSum, closed_form_expansion,
 from braidinv.render import rational, render_csv, render_json
 
 import oracles
-from oracles import combine, filtration_order, read_pairs
+from oracles import braid, combine, filtration_order, read_pairs
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 nonzero = rationals.filter(bool)
@@ -107,11 +107,6 @@ def order_one_seeds(draw):
     terms = dict(zip(exponents, coeffs + [-sum(coeffs)]))
     assume(sum(n * c for n, c in terms.items()))
     return braid(terms)
-
-
-def braid(terms):
-    """A BraidSum from a map of exponents to rationals."""
-    return BraidSum(*oracles.fields(terms))
 
 
 def assert_reduced(P):
