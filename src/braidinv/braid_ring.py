@@ -5,13 +5,13 @@ generator and q^-1 for its inverse, the rational group algebra is the ring of
 Laurent polynomials in q.  A BraidSum stores an element as a sparse map
 from exponent to nonzero integer numerator over one positive denominator,
 reduced by their gcd so that equal sums have equal fields.  It is built
-from integers only, by its one constructor; a Fraction comes in through
-inputs.exponent_map alone, which puts a JSON braid's coefficients over
-their common denominator, and goes out through coefficient.  render
-prints each cell from its integer pair.  The expansions at q - q^-1 and
-their powers are built as integers in pair_expansions and become
-BraidSums only where a general operation needs one.  No request
-multiplies two BraidSums; the tests keep that product as their reference.
+from integers only, by its one constructor: inputs.exponent_map puts a
+JSON braid's integer pairs over their common denominator.  render prints
+each cell from its integer pair, and the traces read the numerators.
+The expansions at q - q^-1 and their powers are built as integers in
+pair_expansions and become BraidSums only where a general operation
+needs one.  No request multiplies two BraidSums; the tests keep that
+product as their reference.
 
 derivatives reads an element's derivatives at q = 1, times den, lazily
 over its stored terms; its power moments are the integral's coefficients
@@ -22,7 +22,6 @@ find the order of their difference.
 """
 
 import math
-from fractions import Fraction
 from itertools import count
 
 from .render import braid_text, rational
@@ -63,11 +62,6 @@ def pair(n: int) -> BraidSum:
     if n <= 0:
         raise ValueError("pair exponent must be positive")
     return BraidSum({n: 1, -n: -1})
-
-
-def coefficient(b: BraidSum, n: int) -> Fraction:
-    """Stored coefficient of exponent n, zero if absent."""
-    return Fraction(b.nums.get(n, 0), b.den)
 
 
 def derivatives(b: BraidSum):

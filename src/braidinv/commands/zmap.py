@@ -16,8 +16,7 @@ def run(args):
         raise ValueError("jmax must be nonnegative")
     coeffs = Z(b, max(order, jmax))
     # each coefficient is printed once; both tables take a prefix
-    rows = [[str(i), cell] for i, cell in enumerate(
-        rationals(c.as_integer_ratio() for c in coeffs))]
+    rows = [[str(i), cell] for i, cell in enumerate(rationals(coeffs))]
     focused = focus_order(coeffs[:jmax + 1])
     note = (f"focussed at degree {focused} through {jmax}" if focused is not None
             else f"not focussed through degree {jmax}")

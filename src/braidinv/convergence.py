@@ -9,18 +9,20 @@ degree where its integral starts, and the derivatives at q = 1 are the
 check.  All verdicts are evidence over the inspected window, never limit
 claims; CAVEAT says so.
 
-Trace classification compares successive absolute differences as exact
-rationals, so no scale underflows or overflows.  Leading zero differences
-are trimmed first, because an exponent that has not entered the window yet
-carries no information.  Fewer than three nonzero differences is ruled
-insufficient rather than guessed at.
+Trace classification compares successive absolute differences of the
+values' numerators over their least common denominator, exact integers
+whose class no positive common scale changes, so no scale underflows or
+overflows.  Leading zero differences are trimmed first, because an
+exponent that has not entered the window yet carries no information.
+Fewer than three nonzero differences is ruled insufficient rather than
+guessed at.  Each item's integral, a lazy stream of reduced pairs, is read
+once for (b) and (c); its derivatives are put over the window's common
+denominator, so (c) too compares integers.
 """
 
-from fractions import Fraction
-from itertools import repeat
-
-from .braid_ring import coefficient, derivatives
-from .kontsevich import Z, integral
+from .braid_ring import derivatives
+from .kontsevich import integral
+from .power_series import common_denominator
 
 CAVEAT = ("finite-window evidence only; no verdict here asserts a limit")
 
@@ -54,12 +56,18 @@ def verdict(classes: dict) -> str:
     return "fail" if "diverging" in classes.values() else "pass"
 
 
+def _scales(items) -> list:
+    """The factor that puts each item's den onto the items' least common
+    denominator: the numerator of 1 / den over it."""
+    return common_denominator([(1, b.den) for b in items])[0]
+
+
 def _prefix(stream):
     """An item's stream by index, each value read once on demand however
-    many pairs compare it."""
+    many pairs and traces read it."""
     values = []
 
-    def at(k: int) -> Fraction:
+    def at(k: int):
         while len(values) <= k:
             values.append(next(stream))
         return values[k]
@@ -71,13 +79,15 @@ def _first_difference(a, b, depth: int):
     return next((k for k in range(depth) if a(k) != b(k)), None)
 
 
-def filtration_condition_c(items: list) -> list:
+def filtration_condition_c(items: list, integrals=None) -> list:
     """The violations (i, j, order) of order(b_i - b_j) >= i, 1 <= i < j;
     the order is where the items' integrals first differ, and where their
-    derivatives at q = 1 do, and the two routes must agree on each pair."""
-    streams = [(_prefix(integral(b)),
-                _prefix(map(Fraction, derivatives(b), repeat(b.den))))
-               for b in items]
+    derivatives at q = 1 do, and the two routes must agree on each pair.
+    integrals are the items' integral prefixes, if already read."""
+    if integrals is None:
+        integrals = [_prefix(integral(b)) for b in items]
+    streams = [(at, _prefix(map(scale.__mul__, derivatives(b))))
+               for at, b, scale in zip(integrals, items, _scales(items))]
     violations = []
     for i, (integral_a, derivatives_a) in enumerate(streams, 1):
         for j, (integral_b, derivatives_b) in enumerate(streams[i:], i + 1):
@@ -107,10 +117,13 @@ def biconvergence_report(items: list, jmax: int):
     # off such rows at every window size
     maturity = max(3, window // 2 + 2)
     exponents = sorted({n for b in items for n in b.nums})
+    scales = _scales(items)
     exponent_classes = {
-        n: classify_trace([coefficient(b, n) for b in items], maturity)
+        n: classify_trace([b.nums.get(n, 0) * s
+                           for b, s in zip(items, scales)], maturity)
         for n in exponents}
-    integrals = [Z(b, jmax) for b in items]
-    z_classes = {j: classify_trace([s[j] for s in integrals], maturity)
-                 for j in range(jmax + 1)}
-    return exponent_classes, z_classes, filtration_condition_c(items)
+    integrals = [_prefix(integral(b)) for b in items]
+    z_classes = {j: classify_trace(common_denominator(
+        at(j) for at in integrals)[0], maturity) for j in range(jmax + 1)}
+    return (exponent_classes, z_classes,
+            filtration_condition_c(items, integrals))

@@ -1,50 +1,82 @@
 """JSON input for the CLI: sequence files and JSON braids.
 
 Only a trace of a sequence file and zmap with a JSON braid import this
-module, so no other request compiles it.  JSON numbers are read as exact
-decimals: 0.1 is 1/10, 1e400 is 10^400, and Fraction rejects NaN and
-Infinity with a ValueError.  A JSON object is read as a tuple of its (key,
-value) pairs, so that a key given twice is seen rather than silently
-dropped.  Every integer key is plain ASCII decimal, as cli.integer checks.
+module, so no other request compiles it.  A JSON number or a string
+coefficient is an exact decimal, a reduced (numerator, denominator) pair:
+0.1 is 1/10, 1e400 is 10^400, and NaN and Infinity are refused.  A JSON
+object is read as a tuple of its (key, value) pairs, so that a key given
+twice is seen rather than silently dropped, and a number with a point or
+an exponent as a _Number, a pair told apart from it.  Every integer key
+is plain ASCII decimal, as cli.integer checks.
 """
-
-from fractions import Fraction
 
 from .braid_ring import BraidSum
 from .cli import INT_STR_DIGITS, integer
 from .power_series import common_denominator
+from .render import _reduced
 
 
-def _exact_decimal(text: str) -> Fraction:
-    """Fraction(text), refused past a decimal exponent of INT_STR_DIGITS,
-    which its first seven digits decide: Fraction builds 10^e in full."""
+class _Number(tuple):
+    """A JSON number with a point or an exponent, as its reduced pair."""
+    __slots__ = ()
+
+
+def _exact_decimal(text: str) -> tuple:
+    """Fraction(text) as a reduced pair, read with the grammar and messages
+    of Python 3.11's Fraction(str), whose d* after the point fails in
+    int(), for a JSON number or a text past exponent_map's guards.  An
+    exponent past INT_STR_DIGITS is refused first, decided by its first
+    seven digits: 10^e is built in full."""
     exponent = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
     if exponent.isdecimal() and int(exponent[:7]) > INT_STR_DIGITS:
         raise ValueError(f"decimal exponent beyond {INT_STR_DIGITS} in size")
-    return Fraction(text)
+    num, slash, den = text[text[:1] in ("-", "+"):].partition("/")
+    decimal = exp = ""
+    if slash:
+        valid = num.isdecimal() and den.isdecimal()
+    else:
+        head, e, exp = num.replace("E", "e").partition("e")
+        num, _, decimal = head.partition(".")
+        valid = ((num or decimal[:1]).isdecimal()
+                 and (decimal.isdecimal() or not decimal.strip("dD"))
+                 and (not e or exp[exp[:1] in ("-", "+"):].isdecimal()))
+    if not valid:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    numerator, denominator = int(num or "0"), int(den or "1")
+    if decimal:
+        denominator = 10 ** len(decimal)
+        numerator = numerator * denominator + int(decimal)
+    power = int(exp or "0")
+    numerator *= 10 ** max(power, 0)
+    denominator *= 10 ** max(-power, 0)
+    if text[:1] == "-":
+        numerator = -numerator
+    if not denominator:
+        raise ZeroDivisionError(f"Fraction({numerator}, 0)")
+    return _reduced(numerator, denominator)
 
 
 def read_json(text: str):
     """The JSON value of text, read as above."""
     import json
     try:
-        return json.loads(text, parse_float=_exact_decimal,
-                          parse_constant=Fraction, object_pairs_hook=tuple)
+        return json.loads(text, parse_float=lambda t: _Number(
+            _exact_decimal(t)), parse_constant=_exact_decimal,
+            object_pairs_hook=tuple)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
 
 
 def exponent_map(raw) -> BraidSum:
-    """A braid sum from a JSON object's pairs, exponents to rationals: the
-    one place where Fractions enter a BraidSum, over their least common
-    denominator."""
+    """A braid sum from a JSON object's pairs, exponents to rationals, read
+    as integer pairs and put over their least common denominator."""
     terms = {}
     try:
-        if not isinstance(raw, tuple):
+        if type(raw) is not tuple:
             raise ValueError("expected a JSON object")
         for k, v in raw:
             n = integer(k, "exponent")
-            if isinstance(v, bool) or not isinstance(v, (int, str, Fraction)):
+            if isinstance(v, bool) or not isinstance(v, (int, str, _Number)):
                 raise ValueError(f"the coefficient of exponent {k} must be a "
                                  f"number or a string")
             # Fraction(str) also reads 1_0, full-width digits and padding
@@ -55,7 +87,7 @@ def exponent_map(raw) -> BraidSum:
                 raise ValueError(f"exponent {n} given twice")
             try:
                 terms[n] = (_exact_decimal(v) if isinstance(v, str)
-                            else Fraction(v))
+                            else (v, 1) if isinstance(v, int) else v)
             except ZeroDivisionError:
                 raise ValueError(f"the coefficient {v!r} of exponent {k} has "
                                  f"a zero denominator") from None
@@ -72,7 +104,7 @@ def load_sequence(path: str) -> tuple:
         with open(path, encoding="utf-8-sig") as handle:
             pairs = read_json(handle.read())
         payload = {}
-        for key, value in pairs if isinstance(pairs, tuple) else ():
+        for key, value in pairs if type(pairs) is tuple else ():
             if key in payload:
                 raise ValueError(f"key {key!r} given twice")
             payload[key] = value

@@ -6,26 +6,26 @@ series-valued map whose degree-i component lands in a one-dimensional
 space; we identify that space with the rationals via the basis t^i, so the
 degree-i coefficient of Z(b) is sum_n b_n (n/2)^i / i!, exactly: b's i-th
 integer power moment sum_n nums[n] n^i over den 2^i i!.  integral yields
-those coefficients lazily as Fractions, Z is its prefix through an order,
-and the graded components of b are its entries, read off by index.
-Condition (c) reads the same stream: an element's filtration order is the
-degree where its integral starts.
+those coefficients lazily as reduced (numerator, denominator) integer
+pairs, Z is its prefix through an order, and the graded components of b
+are its entries, read off by index.  Condition (c) reads the same stream:
+an element's filtration order is the degree where its integral starts.
 """
 
-from fractions import Fraction
 from itertools import count, islice
 
 from .braid_ring import BraidSum
+from .render import _reduced
 
 
 def integral(b: BraidSum):
     """Lazily and unbounded, the coefficients of Z(b) by degree i >= 0:
-    sum_n nums[n] n^i over den 2^i i!."""
+    sum_n nums[n] n^i over den 2^i i!, each a reduced pair."""
     exponents = list(b.nums)
     weights = list(b.nums.values())
     den = b.den
     for i in count(1):
-        yield Fraction(sum(weights), den)
+        yield _reduced(sum(weights), den)
         weights = [w * n for w, n in zip(weights, exponents)]
         den *= 2 * i
 
@@ -40,9 +40,9 @@ def Z(b: BraidSum, order: int) -> tuple:
 def focus_order(components):
     """The unique degree with a nonzero graded component, if there is one.
 
-    components are the coefficients of Z(b) for degrees 0..jmax.  Returns
-    None when they are all zero or two or more are nonzero; a sum is
-    focussed only up to the inspected degree.
+    components are the coefficients of Z(b) for degrees 0..jmax, as pairs.
+    Returns None when they are all zero or two or more are nonzero; a sum
+    is focussed only up to the inspected degree.
     """
-    nonzero = [j for j, c in enumerate(components) if c]
+    nonzero = [j for j, (num, _) in enumerate(components) if num]
     return nonzero[0] if len(nonzero) == 1 else None

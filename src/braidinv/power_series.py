@@ -1,24 +1,25 @@
 """Truncated power series in one variable t over exact rationals.
 
 A series of truncation order N is a tuple of its N + 1 coefficients,
-exact through degree N: the integral's values as Fractions, and the lifts
-of the strong inverse as reduced (numerator, denominator) integer pairs
-(inverse_engine).  The package does no arithmetic on series; only
-common_denominator is left here, which inputs.exponent_map calls to put a
-JSON braid's Fractions over one denominator.  So this module loads only
-with inputs, for a JSON braid or a sequence file.
+exact through degree N, each a reduced (numerator, denominator) integer
+pair: the integral's values (kontsevich) and the lifts of the strong
+inverse (inverse_engine).  The package does no arithmetic on series; only
+common_denominator is left here, which puts such pairs over one
+denominator: a JSON braid's coefficients in inputs.exponent_map, and the
+values of a trace in convergence.  So this module loads only with those
+two, for zmap of a JSON braid and for trace.
 """
 
 import math
-from fractions import Fraction
 
 
-def common_denominator(values) -> tuple[list[int], int]:
-    """Integer numerators over one positive denominator: values[i] = ints[i] / den.
+def common_denominator(pairs) -> tuple[list[int], int]:
+    """Integer numerators over one positive denominator: the i-th pair
+    (n, d), d > 0, is n / d = ints[i] / den.
 
-    den is the least common denominator, so it is 1 for an empty list.
+    den is the least common denominator of pairs in lowest terms, so it is
+    1 for no pairs.
     """
-    values = [Fraction(v) for v in values]
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
+    pairs = list(pairs)
+    den = math.lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den

@@ -25,10 +25,10 @@ from .cli import DIGIT_LIMIT, INT_STR_DIGITS
 def _reduced(num: int, den: int) -> tuple:
     """num / den in lowest terms, the denominator positive.
 
-    The one reduction of the integer-pair paths: inverse_engine,
-    basis_solver and pair_expansions.  It is private although they import
-    it, since the bench tracer times every public call of a layer and this
-    runs once per entry.
+    The one reduction of the integer-pair paths: the lifts, the moment
+    matrices, the expansions, the integral and the JSON reader.  It is
+    private although they import it, since the bench tracer times every
+    public call of a layer and this runs once per entry.
     """
     g = math.gcd(num, den)
     return (num // g, den // g) if den > 0 else (-num // g, -den // g)

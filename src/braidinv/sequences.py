@@ -5,9 +5,9 @@ holds the table of stock names, labels and builders.
 """
 
 import math
-from fractions import Fraction
 
 from .braid_ring import BraidSum
+from .render import _reduced
 
 
 def lift_truncation_sequence(count: int) -> list:
@@ -25,12 +25,12 @@ def harmonic_sigma_sequence(count: int) -> list:
 
     The coefficient converges, every graded trace converges, and condition
     (c) fails immediately: all differences have filtration order 0.
+    The running sum is one reduced integer pair.
     """
-    items = []
-    acc = Fraction(0)
+    items, num, den = [], 0, 1
     for m in range(1, count + 1):
-        acc += Fraction((-1) ** (m + 1), m)
-        items.append(BraidSum({1: acc.numerator}, acc.denominator))
+        num, den = _reduced(num * m + (-1) ** (m + 1) * den, den * m)
+        items.append(BraidSum({1: num}, den))
     return items
 
 

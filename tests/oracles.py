@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything in this file is written directly from the mathematical definitions
-and imports the package under test only where braid builds a braid sum.
+and imports the package under test only where braid builds a braid sum
+and read_z reads the integral's reduced pairs.
 Each oracle gives a second, structurally unrelated route to a value that the
 package computes, so a test that compares the two is a genuine consistency
 check rather than a tautology.
@@ -16,7 +17,8 @@ ones it held before a braid sum was built from integers only; they read
 and build BraidSums through the values passed in.  The filtration order
 of one braid sum, by both routes, is the one the package held before
 condition (c) compared each item's prefixes; it reads a BraidSum's
-fields and is the pairwise reference for that condition.
+fields and is the pairwise reference for that condition, as classify,
+on Fractions, is for the trace classes.
 """
 
 from fractions import Fraction
@@ -314,6 +316,27 @@ def filtration_order(b):
     return order
 
 
+def classify(values, min_diffs):
+    """The class of a trace of rationals, read as Fractions, from its
+    absolute increments after the leading zero ones: constant with none
+    left, insufficient with fewer than min_diffs, converging if they never
+    rise and end below the first, diverging if they never fall and end
+    above it, else inconclusive.  The one the package held before it
+    classified integer numerators over a common denominator."""
+    values = [Fraction(v) for v in values]
+    diffs = [abs(b - a) for a, b in zip(values, values[1:])]
+    diffs = diffs[next((i for i, d in enumerate(diffs) if d), len(diffs)):]
+    if not diffs:
+        return "constant"
+    if len(diffs) < min_diffs:
+        return "insufficient"
+    if diffs == sorted(diffs, reverse=True) and diffs[-1] < diffs[0]:
+        return "converging"
+    if diffs == sorted(diffs) and diffs[-1] > diffs[0]:
+        return "diverging"
+    return "inconclusive"
+
+
 # ---------------------------------------------------------------------------
 # naive exact linear algebra
 
@@ -417,8 +440,8 @@ def exact(value):
 
 
 def read_pairs(value):
-    """A reduced (numerator, denominator) pair of the moment-matrix solver as
-    a Fraction, and a list of them, or of such lists, as a list; a pair
+    """A reduced (numerator, denominator) pair of the moment-matrix solver or
+    the integral as a Fraction, and a list of them, or of such lists, as a list; a pair
     not in lowest terms over a positive denominator fails, as it would not
     print as str of its Fraction."""
     if isinstance(value, list):
@@ -427,6 +450,13 @@ def read_pairs(value):
     if den <= 0 or math.gcd(num, den) != 1:
         raise AssertionError(f"{value} is not a reduced pair")
     return Fraction(num, den)
+
+
+def read_z(b, order):
+    """The package's Z(b) through the order, its pairs read as a list of
+    Fractions by read_pairs."""
+    from braidinv.kontsevich import Z
+    return read_pairs(list(Z(b, order)))
 
 
 def pair_half(terms):

@@ -195,6 +195,12 @@ REFUSED = [Row(name, argv, refused(*more)) for name, argv, *more in [
     ("json-exponent-past-limit",
      ["zmap", "--braid", '{"1": 1e100001, "-1": -1}']),
     ("entry-past-the-matrix", ["basis", "--r", "3", "--entry", "8,1"]),
+    # a coefficient outside the grammar of Fraction(str), with its message
+    *[(f"coefficient-{name}", ["zmap", "--braid", f'{{"1": "{text}"}}'],
+       f"error: bad exponent map: Invalid literal for Fraction: '{text}'\n")
+      for name, text in [("negative-denominator", "1/-2"),
+                         ("hexadecimal", "0x10"), ("double-sign", "--1"),
+                         ("decimal-ratio", "1.5/2")]],
     ("float-digits-past-limit",
      ["asymptotics", "--j", "1", "--orders", "1", "--digits", "100001"],
      "error: float output takes 10 to 100,000 digits, the input and output "
@@ -271,7 +277,15 @@ AT_SIZE = [Row(command, command.split(), prints()) for command in [
      holds("coefficient traces for bom, window 2")),
     ("reproduce-out-file", ["reproduce", "--out", "{tmp}/r.txt"],
      same_file("reproduce --format text", "r.txt")),
-]]
+]] + [Row(f"coefficient-{name}",
+          ["zmap", "--braid", f'{{"1": "{text}"}}', "--order", "2"],
+          prints(then=holds(f"integral of {value}*q^1 through degree 2")))
+      # the edges of the grammar of Fraction(str) that a coefficient may use
+      for name, text, value in [
+          ("point-last", "1.", "1"), ("point-first", ".5", "1/2"),
+          ("plus-ratio", "+7/3", "7/3"),
+          ("signed-exponent", "-.5E+2", "-50"),
+          ("padded-ratio", "00012/0004", "3")]]
 
 
 def inverse_reads_back(r, unbalanced=False, factorials=False):

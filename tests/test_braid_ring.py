@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidinv.braid_ring import (BraidSum, coefficient, pair, render,
+from braidinv.braid_ring import (BraidSum, pair, render,
                                  sigma_power, tau)
 
 import oracles
@@ -92,12 +92,6 @@ def test_tau_power_pair_expansion_matches_oracle():
         for n, c in expanded.items():
             rebuilt = combine(rebuilt, 1, pair(n), c)
         assert oracles.same(tau_power(k), rebuilt)
-
-
-def test_coefficient_access():
-    assert coefficient(tau(), 1) == 1
-    assert coefficient(tau(), 0) == 0
-    assert coefficient(tau(), -1) == -1
 
 
 def test_filtration_order_basics():

@@ -3,9 +3,8 @@ from fractions import Fraction
 
 from braidinv.braid_ring import BraidSum, sigma_power, tau
 from braidinv.inverse_engine import _lift_series, closed_form_lift
-from braidinv.kontsevich import Z
-
 import oracles
+from oracles import read_z
 
 
 def random_seed(rng):
@@ -25,25 +24,26 @@ def test_exp_half_matches_displayed_series():
     displayed = [Fraction(1), Fraction(1, 2), Fraction(1, 8), Fraction(1, 48),
                  Fraction(1, 384), Fraction(1, 3840), Fraction(1, 46080),
                  Fraction(1, 645120)]
-    assert list(Z(sigma_power(1), 7)) == displayed
+    assert read_z(sigma_power(1), 7) == displayed
     assert oracles.exp_series(Fraction(1, 2), 7) == displayed
 
 
 def test_exp_minus_half_alternates():
-    plus = Z(sigma_power(1), 7)
-    minus = Z(sigma_power(-1), 7)
+    plus = read_z(sigma_power(1), 7)
+    minus = read_z(sigma_power(-1), 7)
     for i in range(8):
         assert minus[i] == (-1) ** i * plus[i]
 
 
 def test_exp_zero_is_one():
-    assert Z(sigma_power(0), 5) == (1, 0, 0, 0, 0, 0)
+    assert read_z(sigma_power(0), 5) == [1, 0, 0, 0, 0, 0]
 
 
 def test_exp_product_is_one():
-    p = oracles.series_mul(Z(sigma_power(1), 7), Z(sigma_power(-1), 7), 7)
+    p = oracles.series_mul(read_z(sigma_power(1), 7),
+                           read_z(sigma_power(-1), 7), 7)
     assert p == [Fraction(1)] + [Fraction(0)] * 7
-    assert list(Z(oracles.multiply(sigma_power(1), sigma_power(-1)), 7)) == p
+    assert read_z(oracles.multiply(sigma_power(1), sigma_power(-1)), 7) == p
 
 
 def test_compose_corrects_the_fifth_degree():
@@ -54,7 +54,7 @@ def test_compose_corrects_the_fifth_degree():
     """
     lift = oracles.braid(oracles.braid_poly(
         {1: Fraction(1), 3: Fraction(-1, 24)}, oracles.terms(tau())))
-    out = Z(lift, 5)
+    out = read_z(lift, 5)
     assert out[1] == 1
     assert out[3] == 0
     assert out[5] == Fraction(-3, 640)

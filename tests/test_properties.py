@@ -6,7 +6,9 @@ oracles.multiply) works on them; each property compares them with a
 Fraction-only route that never does.  oracles.same compares the stored
 integers, so the canonical form itself is checked after each kernel: the
 constructor's on any common multiple of numerators and denominator, and
-the JSON reader's on int, decimal and "p/q" coefficients.  The
+the JSON reader's on int, decimal and "p/q" coefficients; the reader of
+decimal and "p/q" texts is checked against Fraction(str), value or
+message, on short ASCII texts and JSON float texts.  The
 solve is checked on random seeds of filtration order one against Lagrange
 inversion and composition of the seed's integral and against stepwise
 strengthening, its (numerator, denominator) pairs checked to be in lowest
@@ -17,8 +19,10 @@ a pair sum.  The braid ring laws and the reference filtration order are
 checked against the ring axioms and the synthetic-division oracle;
 condition (c), read from each item's prefixes, against that order taken
 on every difference sum of a window, and against a faulty integral or
-derivative stream planted in it; and the Lagrange-row moment-matrix
-inverse, read as Fractions from its reduced integer pairs, against
+derivative stream planted in it; the whole trace report, whose (a) and
+(b) classify integer numerators over a common denominator, against
+oracles.classify on the Fraction values; and the Lagrange-row
+moment-matrix inverse, read as Fractions from its reduced integer pairs, against
 Gauss-Jordan elimination on any node set and on symmetric ones; a wrong
 sign planted in the mirrored rows must stop it.
 beta's digit count from the bit length is checked against the printed
@@ -47,17 +51,16 @@ from braidinv.basis_solver import (MomentMatrix, build_balanced,
 from braidinv.braid_ring import BraidSum, render, sigma_power, tau
 from braidinv.commands.beta import decimal_digits
 from braidinv.commands.trace import STOCK_SEQUENCES
-from braidinv.convergence import filtration_condition_c
-from braidinv.inputs import exponent_map, read_json
+from braidinv.convergence import biconvergence_report, filtration_condition_c
+from braidinv.inputs import _exact_decimal, exponent_map, read_json
 from braidinv.inverse_engine import (_lift_series, closed_form_lift,
                                      solved_lift)
-from braidinv.kontsevich import Z
 from braidinv.pair_expansions import (PairSum, closed_form_expansion,
                                       tau_expansions, times)
 from braidinv.render import rational, render_csv, render_json
 
 import oracles
-from oracles import braid, combine, filtration_order, read_pairs
+from oracles import braid, combine, filtration_order, read_pairs, read_z
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
 nonzero = rationals.filter(bool)
@@ -146,9 +149,9 @@ def test_three_routes_agree_at_order_301():
 @given(braid_sums, braid_sums, st.integers(0, 8))
 def test_z_is_a_ring_homomorphism(a, b, order):
     a, b = braid(a), braid(b)
-    assert list(Z(oracles.multiply(a, b), order)) == oracles.series_mul(
-        Z(a, order), Z(b, order), order)
-    assert list(Z(a, order)) == oracles.integral(oracles.terms(a), order)
+    assert read_z(oracles.multiply(a, b), order) == oracles.series_mul(
+        read_z(a, order), read_z(b, order), order)
+    assert read_z(a, order) == oracles.integral(oracles.terms(a), order)
 
 
 def test_closed_form_matches_the_multiply_loop_through_order_201():
@@ -276,6 +279,54 @@ def test_exponent_map_is_the_common_denominator_of_its_values(entries):
         oracles.fields({n: x for n, (_, x) in entries.items()})
 
 
+# short ASCII texts over the reader's alphabet: digits, signs, the point,
+# the slash, e, E and other letters; seven characters keep every exponent
+# under the INT_STR_DIGITS guard, which Fraction does not have.  d and D
+# are left out: after the point Python 3.11 and 3.12 match them and fail
+# in int(), 3.10 and 3.13 do not, and the reader keeps 3.11's message
+reader_texts = st.text(alphabet="0123456789+-./eExXnNIa", max_size=7)
+# JSON number texts with a point or an exponent, as parse_float gets them
+json_float_texts = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+    st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(0, 10 ** 4),
+              st.integers(-30, 30)).map(lambda t: f"{t[0]}.{t[1]}E{t[2]}"))
+
+
+def outcome(read, text):
+    """("value", the Fraction) or (exception type, message) of read(text);
+    a pair must be reduced, as Fraction's own fields are."""
+    try:
+        value = read(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return "value", read_pairs(value) if isinstance(value, tuple) else value
+
+
+@given(st.one_of(reader_texts, json_float_texts))
+@example("NaN")
+@example("Infinity")
+@example("-Infinity")
+@example("1/0")
+@example("-3/00")
+@example("-.5E+2")
+@example("1e100000")
+@example("1E-0000100000")
+def test_the_reader_is_fraction_of_str(text):
+    assert outcome(_exact_decimal, text) == outcome(Fraction, text)
+
+
+def test_the_reader_refuses_first_an_exponent_past_the_limit():
+    past = (ValueError, f"decimal exponent beyond {cli.INT_STR_DIGITS} in "
+                        f"size")
+    for text in ("1e100001", "-1E-100001", "1e+000000000100001",
+                 "0x1e9999999", "NaNe100001"):
+        assert outcome(_exact_decimal, text) == past, text
+    assert outcome(_exact_decimal, "1.d") == \
+        (ValueError, "invalid literal for int() with base 10: 'd'")
+    assert outcome(_exact_decimal, "-2.DE7") == \
+        (ValueError, "invalid literal for int() with base 10: 'D'")
+
+
 @given(vanishing_sums())
 def test_filtration_order_is_the_root_multiplicity_at_one(b):
     assert filtration_order(b) == \
@@ -334,11 +385,60 @@ def test_condition_c_is_the_pairwise_reference_on_stock_sequences():
                 [v for v in reference if v[1] <= window]
 
 
+RATIOS = (Fraction(1), Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2),
+          Fraction(-2))
+
+
+@st.composite
+def traced_windows(draw):
+    """5-10 items over exponents in [-3, 3], each exponent's coefficients
+    random rationals (zeros, both signs, unequal denominators), a constant
+    or the partial sums of a geometric series from an early item on, so
+    that traces stay constant, converge, diverge and wobble."""
+    size = draw(st.integers(5, 10))
+    columns = {}
+    for n in draw(st.lists(st.integers(-3, 3), unique=True, max_size=4)):
+        kind = draw(st.sampled_from(("random", "constant", "geometric")))
+        if kind == "random":
+            columns[n] = draw(st.lists(rationals, min_size=size,
+                                       max_size=size))
+        elif kind == "constant":
+            columns[n] = [draw(rationals)] * size
+        else:
+            c, ratio = draw(nonzero), draw(st.sampled_from(RATIOS))
+            start = draw(st.integers(0, size // 2 - 2))
+            columns[n] = [c * (1 - ratio ** max(i - start, 0))
+                          for i in range(size)]
+    return [braid({n: column[i] for n, column in columns.items()})
+            for i in range(size)]
+
+
+def fraction_report(items, jmax):
+    """(a), (b) and (c) from the items' terms as Fractions: oracles.classify
+    on every coefficient and integral trace, and condition (c) on every
+    difference sum."""
+    maturity = max(3, len(items) // 2 + 2)
+    terms = [oracles.terms(b) for b in items]
+    integrals = [oracles.integral(t, jmax) for t in terms]
+    return ({n: oracles.classify([t.get(n, 0) for t in terms], maturity)
+             for n in {n for t in terms for n in t}},
+            {j: oracles.classify([z[j] for z in integrals], maturity)
+             for j in range(jmax + 1)},
+            pairwise_condition_c(items))
+
+
+@settings(max_examples=300)
+@given(st.one_of(traced_windows(), windows()), st.integers(0, 6))
+def test_the_report_is_the_fraction_report(items, jmax):
+    assert biconvergence_report(items, jmax) == fraction_report(items, jmax)
+
+
 def integral_missing_n(b):
     # coefficient 1 and on lack the factor n that takes moment 0 to moment 1
     exponents, weights = list(b.nums), list(b.nums.values())
     for k in count():
-        yield Fraction(sum(weights), b.den * 2 ** k * math.factorial(k))
+        yield Fraction(sum(weights), b.den * 2 ** k *
+                       math.factorial(k)).as_integer_ratio()
         if k:
             weights = [w * n for w, n in zip(weights, exponents)]
 

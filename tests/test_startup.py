@@ -5,14 +5,16 @@ command module that runs, and that module loads only the library modules
 it uses.  So --help and a usage error load the core and the help writer
 alone, a command loads braidinv.floats only when it prints a float column,
 and each library module loads only for the commands that call it.  The
-JSON and CSV writers load only for their format.  braidinv.inputs, and
-braidinv.power_series with it, load only for a JSON braid and a trace of a
-sequence file, braidinv.sequences only for a trace of a stock sequence,
+JSON and CSV writers load only for their format.  braidinv.power_series
+loads only for a JSON braid and a trace (whose values it puts over a
+common denominator), braidinv.inputs only for a JSON braid and a trace of
+a sequence file, braidinv.sequences only for a trace of a stock sequence,
 json only for a JSON input (the writers write JSON and CSV themselves),
-fractions only for a command that builds or prints a Fraction (never
-lift, qexpand or basis without --solve-t, whose rationals are integer
-pairs), and csv, dataclasses, inspect, mpmath and __future__ never.  The
-core parses argv from its own flag table, so argparse, and the gettext and
+fractions, and decimal with it, only for a command that builds or prints
+a Fraction (never lift, qexpand, zmap, trace or basis without --solve-t,
+whose rationals are integer pairs, from the integral to the JSON reader),
+and csv, dataclasses, inspect, mpmath and __future__ never.  The core
+parses argv from its own flag table, so argparse, and the gettext and
 locale it pulls in, never load.
 Each command runs in a fresh interpreter, so nothing another test imported
 can hide an import, and its stdout must still match its golden.
@@ -51,7 +53,7 @@ sys.setprofile(None)
 loaded = sorted(n for n in sys.modules if n.startswith("braidinv") or
                 n in ("mpmath", "json", "csv", "dataclasses", "inspect",
                       "argparse", "gettext", "locale", "__future__",
-                      "fractions"))
+                      "fractions", "decimal"))
 
 def walk(code):
     yield code
@@ -82,17 +84,19 @@ ALWAYS = CORE | {"braidinv.commands", "braidinv.render"}
 ENGINE = {"braidinv.inverse_engine"}
 EXPANSIONS = {"braidinv.pair_expansions"}
 SOLVER = {"braidinv.basis_solver"}
-# the braid ring, kontsevich, the float columns, and the modules that
-# print or build Fractions load fractions with them; the ring is built
-# from integers, so it brings no power_series
-FRACTIONS = {"fractions"}
-RING = FRACTIONS | {"braidinv.braid_ring"}
+# the float columns and the modules that print or build Fractions load
+# fractions, and decimal with it; the braid ring, the integral, the traces
+# and the JSON reader hold integer pairs and load neither
+FRACTIONS = {"fractions", "decimal"}
+RING = {"braidinv.braid_ring"}
 INTEGRAL = RING | {"braidinv.kontsevich"}
 FLOATS = FRACTIONS | {"braidinv.floats"}
 REGULARIZATION = FRACTIONS | {"braidinv.regularization"}
-# what reading a JSON braid or a sequence file brings with it: its
-# Fractions go over their common denominator in power_series
-INPUTS = FRACTIONS | {"braidinv.inputs", "braidinv.power_series"}
+# a trace puts each trace's values over their common denominator, and
+# reading a JSON braid or a sequence file puts its coefficients over
+# theirs, both in power_series
+CONVERGENCE = {"braidinv.convergence", "braidinv.power_series"}
+INPUTS = {"braidinv.inputs", "braidinv.power_series"}
 
 # README command -> what it loads beyond ALWAYS and its module, in every format
 EXTRA = {
@@ -107,7 +111,7 @@ EXTRA = {
     "basis --r 3 --solve-t": EXPANSIONS | FLOATS | SOLVER,
     # the integral traces bring kontsevich back
     "trace --sequence tauhat --window 8":
-        EXPANSIONS | INTEGRAL | {"braidinv.convergence", "braidinv.sequences"},
+        EXPANSIONS | INTEGRAL | CONVERGENCE | {"braidinv.sequences"},
     # the lift, pairs and entry tables read integers and print Fractions
     "reproduce": ENGINE | EXPANSIONS | SOLVER | REGULARIZATION,
 }
@@ -201,7 +205,24 @@ def test_sequence_file_trace_skips_the_engine(tmp_path):
     code, loaded, out, unrun = probe(["trace", "--sequence", str(path),
                                       "--window", "3", "--format", "csv"])
     assert (code, loaded) == \
-        (0, loads("trace", INTEGRAL, INPUTS, FORMATS["csv"],
-                  {"braidinv.convergence", "json"}))
+        (0, loads("trace", INTEGRAL, INPUTS, FORMATS["csv"], CONVERGENCE,
+                  {"json"}))
     assert b"insufficient" in out
     assert unrun <= FILE_TRACE_UNRUN
+
+
+@pytest.mark.parametrize("argv", [
+    "trace --sequence tauhat", "trace --sequence pairs",
+    "trace --sequence harmonic", "trace --sequence {seq} --window 3",
+    "zmap --braid tau", "zmap --braid pair:3", "zmap --braid sigma^5",
+    'zmap --braid {"1":1.5e-3,"0":"-7/4","-1":2}'],
+    ids=["tauhat", "pairs", "harmonic", "file", "tau", "pair", "sigma-power",
+         "json"])
+def test_braid_ring_requests_load_no_fractions(argv, tmp_path):
+    # the integral, the traces and the JSON reader hold integer pairs
+    path = tmp_path / "seq.json"
+    path.write_text('{"items": [{"1": 1}, {"1": 2.5E-1, "-1": "-3/4"}, '
+                    '{"1": 0.125, "-1": -0.75}]}', encoding="utf-8")
+    code, loaded, out, _ = probe(argv.replace("{seq}", str(path)).split())
+    assert code == 0 and out.startswith((b"coefficient traces", b"integral"))
+    assert not loaded & FRACTIONS
