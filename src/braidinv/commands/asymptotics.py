@@ -1,7 +1,5 @@
 """braidinv asymptotics: pair coefficients against their 4/pi limits."""
 
-from fractions import Fraction
-
 from .. import cli, floats
 from ..pair_expansions import asymptotic_check
 from ..render import rationals
@@ -18,15 +16,14 @@ def run(args):
     p = floats.precision(d)
     sign = -1 if (j - 1) // 2 % 2 else 1
     # mpmath's sign * 4 / (pi * j * j), one rounding per operation
-    pi_jj = floats.rounded(floats.rounded(floats.pi(p) * j, p) * j, p)
-    target = floats.rounded(sign * 4 / pi_jj, p)
+    pi_jj = floats.times(floats.times(floats.pi(p), j, p), j, p)
+    target = floats.quotient((sign * 4, 0), pi_jj, p)
     table_rows = []
     for (order, c), cell in zip(rows, rationals(c for _, c in rows)):
-        approx = floats.convert(Fraction(*c), p)
-        table_rows.append([str(order), cell,
-                           floats.nstr(approx, d), floats.nstr(target, d),
-                           floats.nstr(abs(floats.rounded(approx - target, p)),
-                                       d)])
+        approx = floats.convert(*c, p)
+        error = floats.absolute(floats.difference(approx, target, p))
+        table_rows.append([str(order), cell, floats.nstr(approx, d),
+                           floats.nstr(target, d), floats.nstr(error, d)])
     return 0, [(f"pair {j} coefficient against its limit",
                 ["order", "coefficient", floats.column("approx", d),
                  floats.column("target", d), floats.column("abs_error", d)],

@@ -3,7 +3,7 @@
 import math
 
 from .. import basis_solver, cli
-from ..render import braid_text, rational, rationals
+from ..render import _reduced, braid_text, rational, rationals
 
 
 def run(args):
@@ -41,8 +41,6 @@ def run(args):
     if args.solve_t:
         if r < 1:
             raise ValueError("the degree-1 target needs r >= 1")
-        from fractions import Fraction
-
         from ..pair_expansions import tau_expansions
         # the solution of the degree-1 target system is column 1 of N
         nodes = basis_solver.balanced_nodes(r)
@@ -69,7 +67,7 @@ def run(args):
             f"solution against the order {lift_order} lift expansion",
             ["braid power", "solution", "lift", "difference"], cmp_rows,
             [f"largest coefficient distance: "
-             f"{floats.cell(Fraction(worst, den), digits)}",
+             f"{floats.cell(*_reduced(worst, den), digits)}",
              "no identity between the columns is asserted; the distance "
              "is reported as computed"]))
     return 0, tables

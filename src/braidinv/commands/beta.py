@@ -1,7 +1,7 @@
 """braidinv beta: the Leibniz check at s = 1, the residue relation above."""
 
 from ..regularization import leibniz_partial, theta_value
-from ..render import rational
+from ..render import _reduced, rational
 
 
 def decimal_digits(n: int) -> int:
@@ -27,12 +27,13 @@ def run(args):
         pi = floats.pi(p)
         rows = []
         for r in (1, 10, 100, 1000, 10000):
-            exact = 4 * leibniz_partial(r)
-            size = (f"{decimal_digits(exact.numerator)}/"
-                    f"{decimal_digits(exact.denominator)}")
-            estimate = floats.rounded(floats.convert(exact, p) / pi, p)
+            num, den = leibniz_partial(r)
+            num, den = _reduced(4 * num, den)
+            size = f"{decimal_digits(num)}/{decimal_digits(den)}"
+            estimate = floats.quotient(floats.convert(num, den, p), pi, p)
+            error = floats.absolute(floats.difference(estimate, (1, 0), p))
             rows.append([str(r), size, floats.nstr(estimate, d),
-                         floats.nstr(abs(floats.rounded(estimate - 1, p)), d)])
+                         floats.nstr(error, d)])
         return 0, [("Leibniz partial sums, scaled by 4",
                     ["terms", "digits num/den", floats.column("over_pi", d),
                      floats.column("abs_error_to_1", d)],
@@ -45,8 +46,8 @@ def run(args):
         raise ValueError("--s must be 1 or an odd integer >= 3")
     # the relation's left side reduces exactly to this Abel value
     abel = theta_value(s - 2)
-    verdict = "PASS" if abel == 0 else "FAIL"
-    cell = rational(*abel.as_integer_ratio())
+    verdict = "PASS" if abel[0] == 0 else "FAIL"
+    cell = rational(*abel)
     rows = [[f"Abel value at exponent {s - 2}", cell],
             ["reduced relation left side", cell],
             ["verdict", verdict]]

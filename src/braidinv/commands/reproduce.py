@@ -7,8 +7,6 @@ value but matches the independently cross-checked correction, the row is
 marked FLAGGED rather than FAIL and does not affect the exit code.
 """
 
-from fractions import Fraction
-
 from ..render import rational
 
 
@@ -41,25 +39,31 @@ BETA_ZERO_KS = (1, 3, 5, 7, 9, 11, 13)
 BETA_RELATION_SS = (3, 5, 7, 9)
 
 
-def _cell(where: str, printed: str | None, computed: Fraction,
+def _equal(printed: str, num: int, den: int) -> bool:
+    """Whether the reference string "p/q" or "p" has the value num/den."""
+    p, _, q = printed.partition("/")
+    return int(p) * den == num * int(q or 1)
+
+
+def _cell(where: str, printed: str | None, computed: tuple,
           corrected: str | None = None) -> list[str]:
-    """One reproduce row; INFO when no printed value exists."""
+    """One reproduce row for the computed (numerator, denominator) pair,
+    den > 0; INFO when no printed value exists."""
     if printed is None:
         verdict = "INFO"
-    elif computed == Fraction(printed):
+    elif _equal(printed, *computed):
         verdict = "PASS"
-    elif corrected is not None and computed == Fraction(corrected):
+    elif corrected is not None and _equal(corrected, *computed):
         verdict = "FLAGGED"
     else:
         verdict = "FAIL"
-    return [where, printed or "(none)", rational(*computed.as_integer_ratio()),
-            verdict]
+    return [where, printed or "(none)", rational(*computed), verdict]
 
 
 def _lift_rows():
     from ..inverse_engine import solved_lift
     P = solved_lift(max(REF_LIFT))
-    rows = [_cell(f"degree {k}", printed, Fraction(*P[k]))
+    rows = [_cell(f"degree {k}", printed, P[k])
             for k, printed in sorted(REF_LIFT.items())]
     # solved_lift raises unless the solve equals the closed form
     rows.append(["cross-route (closed form)", "equal", "equal", "PASS"])
@@ -70,22 +74,23 @@ def _pair_rows():
     from ..pair_expansions import tau_expansions
     expanded = tau_expansions([order for order, _ in REF_PAIR_ROWS])
     return [_cell(f"order {order}, pair {n}", None if ref is None else ref[n],
-                  Fraction(c, b.den), PAIR_MISPRINTS.get((order, n)))
+                  (c, b.den), PAIR_MISPRINTS.get((order, n)))
             for (order, ref), b in zip(REF_PAIR_ROWS, expanded)
             for n, c in sorted(b.half.items())]
 
 
 def _zeta2_rows():
     from ..basis_solver import entry_sequence
-    entries = [Fraction(*e) for e in entry_sequence(1, 3, range(1, 9))]
+    entries = entry_sequence(1, 3, range(1, 9))
     return [_cell(f"r = {r}", printed, computed, ZETA2_MISPRINTS.get(r))
             for r, printed, computed in zip(range(1, 9), REF_ZETA2, entries)]
 
 
 def _onefive_rows():
     from ..basis_solver import entry_sequence
-    entries = [Fraction(*e) for e in entry_sequence(1, 5, range(2, 10))]
-    diffs = [b - a for a, b in zip([Fraction(0)] + entries, entries)]
+    entries = entry_sequence(1, 5, range(2, 10))
+    diffs = [(b * c - a * d, d * c)
+             for (a, c), (b, d) in zip([(0, 1)] + entries, entries)]
     return ([_cell(f"entry r = {r}", printed, computed)
              for r, printed, computed in zip(range(2, 10), REF_ONEFIVE + [None],
                                              entries)] +

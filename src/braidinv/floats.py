@@ -1,21 +1,21 @@
-"""Binary floats held as exact rationals, printed as mpmath 1.3 prints them.
+"""Binary floats as integer pairs, printed as mpmath 1.3 prints them.
 
 The float columns show the digits that mpmath's mpf arithmetic and nstr
-gave at --digits d, computed here in integers.  A float is a Fraction
-whose denominator is a power of two.  Every operation rounds its exact
-result to the nearest float of precision(d) bits, ties to even, as every
-mpf operation does; pi is floor(pi * 2^(p+20)) rounded to p bits, as
-mpmath's constant is; nstr takes mpmath's fixed-point steps to decimal.
+gave at --digits d, computed here in integers.  A float is a pair (man,
+exp), the value man * 2^exp, as in an mpf.  Each operation is one exact
+integer expression, with no gcd, rounded once to the nearest float of
+precision(d) bits, ties to even, as every mpf operation is; pi is
+floor(pi * 2^(p+20)) rounded to p bits, as mpmath's constant is; nstr
+takes mpmath's fixed-point steps to decimal.
 
 This module owns the float-cell policy: requested_digits checks the
 precision --digits asks for, column tags a column's name with it and cell
-prints one exact Fraction.  Only the commands that print a float column
+prints one exact rational.  Only the commands that print a float column
 load it, so only they read --digits, and a value outside 10 to
 INT_STR_DIGITS fails those, before any work, and no other.
 """
 
 import math
-from fractions import Fraction
 
 from .cli import INT_STR_DIGITS
 
@@ -36,10 +36,10 @@ def column(name: str, digits: int) -> str:
     return f"{name}[{digits}d]"
 
 
-def cell(x: Fraction, digits: int) -> str:
-    """An exact Fraction to significant digits, as mpmath 1.3 printed
-    mpf(x.numerator) / x.denominator at that precision."""
-    return nstr(convert(x, precision(digits)), digits)
+def cell(num: int, den: int, digits: int) -> str:
+    """The rational num/den, in lowest terms with den > 0, to significant
+    digits, as mpmath 1.3 printed mpf(num) / den at that precision."""
+    return nstr(convert(num, den, precision(digits)), digits)
 
 
 def precision(digits: int) -> int:
@@ -47,12 +47,11 @@ def precision(digits: int) -> int:
     return max(1, int(round((digits + 1) * 3.3219280948873626)))
 
 
-def rounded(x, p: int) -> Fraction:
-    """x rounded to the nearest binary float of p bits, ties to even."""
-    x = Fraction(x)
-    n, m = abs(x.numerator), x.denominator
+def rounded(num: int, den: int, p: int, exp: int = 0) -> tuple:
+    """num / den * 2^exp, den > 0, to the nearest p-bit float, ties to even."""
+    n, m = abs(num), den
     if not n:
-        return x
+        return 0, 0
     # scale n/m by 2^-e into [2^(p-1), 2^p)
     e = n.bit_length() - m.bit_length() - p
     if e < 0:
@@ -64,16 +63,38 @@ def rounded(x, p: int) -> Fraction:
         e += 1
     q, r = divmod(n, m)
     q += 2 * r > m or 2 * r == m and q & 1
-    q = q if x > 0 else -q
-    return Fraction(q << e) if e >= 0 else Fraction(q, 1 << -e)
+    return (q if num > 0 else -q), e + exp
 
 
-def convert(x: Fraction, p: int) -> Fraction:
-    """mpmath's mpf(x.numerator) / x.denominator: two roundings."""
-    return rounded(rounded(x.numerator, p) / x.denominator, p)
+def times(x: tuple, k: int, p: int) -> tuple:
+    """The float x times the integer k, rounded to p bits."""
+    return rounded(x[0] * k, 1, p, x[1])
 
 
-def pi(p: int) -> Fraction:
+def quotient(x: tuple, y: tuple, p: int) -> tuple:
+    """The float x over the nonzero float y, rounded to p bits."""
+    (a, ea), (b, eb) = x, y
+    return rounded(a if b > 0 else -a, abs(b), p, ea - eb)
+
+
+def difference(x: tuple, y: tuple, p: int) -> tuple:
+    """The float x minus the float y, rounded to p bits."""
+    (a, ea), (b, eb) = x, y
+    e = min(ea, eb)
+    return rounded((a << ea - e) - (b << eb - e), 1, p, e)
+
+
+def absolute(x: tuple) -> tuple:
+    """|x|, exact."""
+    return abs(x[0]), x[1]
+
+
+def convert(num: int, den: int, p: int) -> tuple:
+    """mpmath's mpf(num) / den: two roundings."""
+    return quotient(rounded(num, 1, p), (den, 0), p)
+
+
+def pi(p: int) -> tuple:
     """mpmath's pi at p bits: floor(pi * 2^(p+20)) rounded to p bits.
 
     The floor comes from an integer enclosure of pi * 2^(p+20+guard); the
@@ -83,7 +104,7 @@ def pi(p: int) -> Fraction:
     while True:
         lo, hi = _machin(p + 20 + guard)
         if lo >> guard == hi >> guard:
-            return rounded(Fraction(lo >> guard, 1 << p + 20), p)
+            return rounded(lo >> guard, 1, p, -(p + 20))
         guard *= 2
 
 
@@ -113,25 +134,26 @@ def _atan_terms(xx: int, a: int, b: int) -> tuple:
     return p1 * q2 * xx ** (b - m) + p2 * q1, q1 * q2
 
 
-def nstr(x: Fraction, digits: int) -> str:
-    """mpmath's nstr(x, digits) of the binary float x.
+def nstr(x: tuple, digits: int) -> str:
+    """mpmath's nstr(x, digits) of the float x.
 
     Truncate to digits+3 decimals through mpmath's fixed-point steps,
     round half up on the digit after the last kept one, print in fixed
     notation for decimal exponents strictly between min(-digits//3, -5)
     and digits, and strip trailing zeros.
     """
-    if not x:
+    man, exp = x
+    if not man:
         return "0.0"
-    n, m = abs(x.numerator), x.denominator
-    top = n.bit_length() - m.bit_length() + 1  # 2^(top-1) <= |x| < 2^top
+    n = abs(man)
+    top = n.bit_length() + exp  # 2^(top-1) <= |x| < 2^top
     if abs(top) > MAX_EXPONENT:
         raise ValueError(f"a float cell of about 2^{top} is beyond the "
                          f"printable range of 2^±{MAX_EXPONENT}")
     dps = digits + 3
     fixprec = max(int(dps * LOG2_10) + 10 - top, 0)
     fixdps = int(fixprec / LOG2_10 + 0.5)
-    shift = fixprec - m.bit_length() + 1  # m is a power of two
+    shift = fixprec + exp
     fixed = n << shift if shift >= 0 else n >> -shift
     text = _decimal(fixed * 10 ** fixdps >> fixprec, dps)
     exponent = len(text) - fixdps - 1
@@ -151,7 +173,7 @@ def nstr(x: Fraction, digits: int) -> str:
     text = (text[:point] + "." + text[point:]).rstrip("0")
     if text.endswith("."):
         text += "0"
-    sign = "-" if x < 0 else ""
+    sign = "-" if man < 0 else ""
     return f"{sign}{text}e{exponent:+d}" if exponent else sign + text
 
 

@@ -7,8 +7,13 @@ coefficient is an exact decimal, a reduced (numerator, denominator) pair:
 object is read as a tuple of its (key, value) pairs, so that a key given
 twice is seen rather than silently dropped, and a number with a point or
 an exponent as a _Number, a pair told apart from it.  Every integer key
-is plain ASCII decimal, as cli.integer checks.
+is plain ASCII decimal, as cli.integer checks.  Valid JSON is read by the
+C scanner json.loads runs, so json, which compiles regular expressions at
+import, loads only to report an error, and a sequence file is decoded
+here, so the utf-8-sig codec never loads.
 """
+
+from types import SimpleNamespace
 
 from .braid_ring import BraidSum
 from .cli import INT_STR_DIGITS, integer
@@ -23,10 +28,10 @@ class _Number(tuple):
 
 def _exact_decimal(text: str) -> tuple:
     """Fraction(text) as a reduced pair, read with the grammar and messages
-    of Python 3.11's Fraction(str), whose d* after the point fails in
-    int(), for a JSON number or a text past exponent_map's guards.  An
-    exponent past INT_STR_DIGITS is refused first, decided by its first
-    seven digits: 10^e is built in full."""
+    of Python 3.11's Fraction(str), but refusing a point followed only by d
+    or D as 3.10's and 3.13's do, for a JSON number or a text past
+    exponent_map's guards.  An exponent past INT_STR_DIGITS is refused
+    first, decided by its first seven digits: 10^e is built in full."""
     exponent = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
     if exponent.isdecimal() and int(exponent[:7]) > INT_STR_DIGITS:
         raise ValueError(f"decimal exponent beyond {INT_STR_DIGITS} in size")
@@ -38,7 +43,7 @@ def _exact_decimal(text: str) -> tuple:
         head, e, exp = num.replace("E", "e").partition("e")
         num, _, decimal = head.partition(".")
         valid = ((num or decimal[:1]).isdecimal()
-                 and (decimal.isdecimal() or not decimal.strip("dD"))
+                 and (decimal.isdecimal() or not decimal)
                  and (not e or exp[exp[:1] in ("-", "+"):].isdecimal()))
     if not valid:
         raise ValueError(f"Invalid literal for Fraction: {text!r}")
@@ -56,13 +61,29 @@ def _exact_decimal(text: str) -> tuple:
     return _reduced(numerator, denominator)
 
 
+_HOOKS = {"parse_float": lambda text: _Number(_exact_decimal(text)),
+          "parse_constant": _exact_decimal, "object_pairs_hook": tuple}
+_WHITESPACE = " \t\n\r"  # json's, and no other
+
+
 def read_json(text: str):
-    """The JSON value of text, read as above."""
+    """The JSON value of text, read as above: scanned as json.loads scans
+    it, and read by json.loads only for the error if the scan fails or
+    stops short of the end.  Any failure counts, as on Python 3.10 and 3.11
+    the scanner's errors are a SystemError unless json.decoder is loaded."""
+    start = len(text) - len(text.lstrip(_WHITESPACE))
+    try:
+        from _json import make_scanner
+        value, end = make_scanner(SimpleNamespace(
+            strict=True, object_hook=None, parse_int=int, **_HOOKS))(
+                text, start)
+        if not text[end:].lstrip(_WHITESPACE):
+            return value
+    except Exception:
+        pass
     import json
     try:
-        return json.loads(text, parse_float=lambda t: _Number(
-            _exact_decimal(t)), parse_constant=_exact_decimal,
-            object_pairs_hook=tuple)
+        return json.loads(text, **_HOOKS)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
 
@@ -101,8 +122,12 @@ def load_sequence(path: str) -> tuple:
     """(label, items) from a JSON file {"label": ..., "items": [maps]}; a
     leading UTF-8 byte order mark is skipped."""
     try:
-        with open(path, encoding="utf-8-sig") as handle:
-            pairs = read_json(handle.read())
+        with open(path, "rb") as handle:
+            data = handle.read()
+        # as utf-8-sig in text mode: part of a mark alone reads as empty,
+        # positions count after the mark, and \r\n and \r become \n
+        text = data[3 * b"\xef\xbb\xbf".startswith(data[:3]):].decode("utf-8")
+        pairs = read_json(text.replace("\r\n", "\n").replace("\r", "\n"))
         payload = {}
         for key, value in pairs if type(pairs) is tuple else ():
             if key in payload:

@@ -10,14 +10,16 @@ at odd k and produce half Euler numbers at even k.
 The residue relation at odd s >= 3 reduces algebraically to the Abel value
 at exponent s - 2: the pi factors cancel before any number is produced.
 The degree-1 integral trace of the pair partial sums, scaled by pi, is
-4 leibniz_partial(r), which tends to pi.
+4 leibniz_partial(r), which tends to pi.  Both functions return reduced
+(numerator, denominator) pairs.
 """
 
 import math
-from fractions import Fraction
+
+from .render import _reduced
 
 
-def theta_value(k: int) -> Fraction:
+def theta_value(k: int) -> tuple:
     """Abel value of 1^k - 3^k + 5^k - ..., exactly.
 
     theta^k applied to x / (1 + x^2), the Abel transform of the alternating
@@ -33,18 +35,18 @@ def theta_value(k: int) -> Fraction:
         for i, c in enumerate(numerator):
             out[i + 2] += (i - 2 * p) * c
         numerator = out
-    return Fraction(sum(numerator), 2 ** (k + 1))
+    return _reduced(sum(numerator), 2 ** (k + 1))
 
 
-def leibniz_partial(r: int) -> Fraction:
+def leibniz_partial(r: int) -> tuple:
     """Partial sum 1 - 1/3 + 1/5 - ... with r terms, exact.
 
     Binary splitting on integers.  Terms 2m and 2m+1 pair into
     2 / ((4m+1)(4m+3)); a block of pairs is (p, q) with q the lcm of its
     denominators 2k+1 and p/q its sum, unreduced.  Leaves of 16 pairs are
     summed in small integers, two blocks merge with one gcd of their q's,
-    an odd last term merges as one more block, and the only Fraction is
-    built at the end.
+    an odd last term merges as one more block, and the sum is reduced once
+    at the end.
     """
     if r < 1:
         raise ValueError("need at least one term")
@@ -66,4 +68,4 @@ def leibniz_partial(r: int) -> Fraction:
     total = block(0, r // 2)
     if r % 2:
         total = merge(total, (1, 2 * r - 1))
-    return Fraction(*total)
+    return _reduced(*total)

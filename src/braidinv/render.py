@@ -26,7 +26,8 @@ def _reduced(num: int, den: int) -> tuple:
     """num / den in lowest terms, the denominator positive.
 
     The one reduction of the integer-pair paths: the lifts, the moment
-    matrices, the expansions, the integral and the JSON reader.  It is
+    matrices, the expansions, the integral, the JSON reader, the
+    regularized sums and the float cells' inputs.  It is
     private although they import it, since the bench tracer times every
     public call of a layer and this runs once per entry.
     """

@@ -65,6 +65,18 @@ FILES = {
     # nested list instead, so the message is left unchecked
     "deep.json": '{"items": ' + "[" * 100000 + "]" * 100000 + "}",
     "bom.json": f'\ufeff{{"label": "bom", "items": {TWO}}}\n',
+    # read as text mode reads them: \r\n and \r are \n before the JSON
+    # is read, so the error names line 3, and a raw CR in a string is a
+    # raw LF; one mark is skipped, a second is refused, and a decoding
+    # error counts its position after the mark
+    "crlf.json": '{"label": "crlf",\r\n "items": [{"1": 1},\r\n'
+                 ' {"1": 2} {"1": 3}]}\r\n',
+    "raw-cr.json": f'{{"label": "a\rb", "items": {TWO}}}',
+    "bom-twice.json": f'\ufeff\ufeff{{"items": {TWO}}}',
+    "bom-bad-byte.json": b'\xef\xbb\xbf{"items": [\xff]}',
+    "bom-part.json": b"\xef\xbb",
+    "trailing.json": f'{{"items": {TWO}}}\n]',
+    "empty-text.json": "",
     "label.json": json.dumps({"label": LABEL, "items": json.loads(TWO)},
                              ensure_ascii=False),
 }
@@ -107,7 +119,8 @@ def refused(stderr=None, usage=False):
         else:
             expect(len(lines) == 1 and lines[0].startswith("error: ")
                    and lines[0].endswith("\n"), f"stderr {result.err!r}")
-        expect(stderr is None or result.err == stderr,
+        expect(stderr is None
+               or result.err == stderr.replace("{tmp}", result.folder),
                f"stderr {result.err!r}, not {stderr!r}")
     return check
 
@@ -200,7 +213,29 @@ REFUSED = [Row(name, argv, refused(*more)) for name, argv, *more in [
        f"error: bad exponent map: Invalid literal for Fraction: '{text}'\n")
       for name, text in [("negative-denominator", "1/-2"),
                          ("hexadecimal", "0x10"), ("double-sign", "--1"),
-                         ("decimal-ratio", "1.5/2")]],
+                         ("decimal-ratio", "1.5/2"), ("point-d", "1.d")]],
+    # text that is not JSON, with json's own message
+    ("json-trailing-data", ["zmap", "--braid", '{"1": 1} x'],
+     "error: bad braid JSON: Extra data: line 1 column 10 (char 9)\n"),
+    *[(f"sequence-{name}", ["trace", "--sequence", f"{{tmp}}/{file}"],
+       f"error: cannot load sequence from {{tmp}}/{file}: {message}\n")
+      for name, file, message in [
+          ("crlf-error-on-line-3", "crlf.json",
+           "Expecting ',' delimiter: line 3 column 11 (char 49)"),
+          ("raw-carriage-return", "raw-cr.json",
+           "Invalid control character at: line 1 column 13 (char 12)"),
+          ("byte-order-mark-twice", "bom-twice.json",
+           "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 "
+           "(char 0)"),
+          ("bad-byte-after-byte-order-mark", "bom-bad-byte.json",
+           "'utf-8' codec can't decode byte 0xff in position 11: invalid "
+           "start byte"),
+          ("part-of-byte-order-mark", "bom-part.json",
+           "Expecting value: line 1 column 1 (char 0)"),
+          ("trailing-data", "trailing.json",
+           "Extra data: line 2 column 1 (char 32)"),
+          ("empty-text", "empty-text.json",
+           "Expecting value: line 1 column 1 (char 0)")]],
     ("float-digits-past-limit",
      ["asymptotics", "--j", "1", "--orders", "1", "--digits", "100001"],
      "error: float output takes 10 to 100,000 digits, the input and output "
@@ -383,9 +418,9 @@ def check(row):
     with tempfile.TemporaryDirectory() as folder:
         for name, text in FILES.items():
             if "{tmp}/" + name in row.argv:
-                with open(os.path.join(folder, name), "w",
-                          encoding="utf-8") as handle:
-                    handle.write(text)
+                with open(os.path.join(folder, name), "wb") as handle:
+                    handle.write(text if isinstance(text, bytes)
+                                 else text.encode("utf-8"))
         result = spawn(row, folder)
         expect("Traceback" not in result.err, result.err)
         expect("set_int_max_str_digits" not in result.err, result.err)

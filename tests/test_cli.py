@@ -366,7 +366,7 @@ def test_rationals_refuse_a_number_past_the_limit_without_the_guard():
 
 
 def test_beta_disagreement_exits_2_and_prints_its_table(monkeypatch, capsys):
-    monkeypatch.setattr(beta, "theta_value", lambda k: 1)
+    monkeypatch.setattr(beta, "theta_value", lambda k: (1, 1))
     assert cli.main(["beta", "--s", "7"]) == 2
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert ["residue", "relation", "at", "s", "=", "7"] in lines

@@ -15,7 +15,7 @@ from braidinv.sequences import (harmonic_sigma_sequence,
 from braidinv.regularization import leibniz_partial
 
 import oracles
-from oracles import combine, read_z
+from oracles import combine, read_pairs, read_z
 
 
 def z_trace(items, j):
@@ -67,7 +67,7 @@ def test_z_trace_identities():
 def test_z_trace_degree_one_of_pair_partials_is_leibniz():
     seq = pair_partial_sequence(6)
     values = z_trace(seq, 1)
-    assert values == [4 * leibniz_partial(r) for r in range(1, 7)]
+    assert values == [4 * read_pairs(leibniz_partial(r)) for r in range(1, 7)]
 
 
 def test_classify_trace_shapes():

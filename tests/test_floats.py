@@ -5,6 +5,8 @@ printed, so each cell pipeline of the float commands must give the same
 bytes as the oracle: x (basis --solve-t), x/pi and |x/pi - 1| (beta --s 1),
 4/(pi j^2) and |a - t| (asymptotics).  The beta and asymptotics pipelines
 run through the commands themselves, with their exact inputs replaced.
+The package's floats are (mantissa, exponent) pairs and its rationals
+(numerator, denominator) pairs; Fractions appear here only as oracles.
 """
 
 from fractions import Fraction
@@ -30,9 +32,21 @@ digit_counts = st.integers(10, 600)
 TERMS = (1, 10, 100, 1000, 10000)
 
 
+def pair(x):
+    """A Fraction as its (numerator, denominator) pair."""
+    return x.numerator, x.denominator
+
+
+def value(x):
+    """A float (mantissa, exponent) as the exact Fraction it stands for."""
+    man, exp = x
+    return man * Fraction(2) ** exp
+
+
 def beta_cells(x, digits):
     """The float cells of beta --s 1 when 4 * the partial sum at r is x / r."""
-    with mock.patch.object(beta, "leibniz_partial", lambda r: x / 4 / r):
+    with mock.patch.object(beta, "leibniz_partial",
+                           lambda r: pair(x / 4 / r)):
         _, [(_, _, rows, _)] = beta.run(SimpleNamespace(s=1, digits=digits))
     return [row[2:] for row in rows]
 
@@ -41,7 +55,7 @@ def asymptotic_cells(j, coefficients, digits):
     """The float cells of asymptotics for these pair coefficients, given
     to it as the (numerator, denominator) pairs asymptotic_check returns."""
     orders = list(range(1, len(coefficients) + 1))
-    pairs = [(c.numerator, c.denominator) for c in coefficients]
+    pairs = [pair(c) for c in coefficients]
     with mock.patch.object(asymptotics, "asymptotic_check",
                            lambda j, orders: list(zip(orders, pairs))):
         _, [(_, _, rows, _)] = asymptotics.run(SimpleNamespace(
@@ -54,7 +68,8 @@ def asymptotic_cells(j, coefficients, digits):
 # mpf(n) / den rounds twice: one rounding of n/den would print ...732e+19
 @example(Fraction(291828021975424642546, 3), 10)
 def test_fraction_cell_matches_mpmath(x, digits):
-    assert floats.cell(x, digits) == oracles.mpmath_fraction_cell(x, digits)
+    assert floats.cell(*pair(x), digits) == \
+        oracles.mpmath_fraction_cell(x, digits)
 
 
 @given(rationals, digit_counts)
@@ -81,12 +96,13 @@ def test_binary_ties_round_to_even(digits):
         # exactly halfway between two p-bit floats: up only from an odd
         # one; the last base rounds up into the next power of two
         low = 2 ** p + 2 * base
-        assert floats.rounded(low + 1, p) == low + 2 * (base & 1)
-        assert floats.rounded(-low - 1, p) == -low - 2 * (base & 1)
+        assert value(floats.rounded(low + 1, 1, p)) == low + 2 * (base & 1)
+        assert value(floats.rounded(-low - 1, 1, p)) == \
+            -low - 2 * (base & 1)
         for scale in (Fraction(1, 2 ** 900), half, Fraction(2 ** 900)):
             for x in (low + 1, -low - 1, low + 1 + half, Fraction(low + 1, 3)):
                 x *= scale
-                assert floats.cell(x, digits) == \
+                assert floats.cell(*pair(x), digits) == \
                     oracles.mpmath_fraction_cell(x, digits)
 
 
@@ -101,13 +117,14 @@ def test_layout_and_carries_across_the_notation_switch(digits):
         for shift in shifts:
             for x in (shift * Fraction(10) ** exponent,
                       -shift * Fraction(10) ** exponent):
-                assert floats.cell(x, digits) == \
+                assert floats.cell(*pair(x), digits) == \
                     oracles.mpmath_fraction_cell(x, digits)
 
 
 def test_pi_matches_mpmath_at_every_precision():
     for digits in range(10, 401):
-        assert floats.pi(floats.precision(digits)) == oracles.mpmath_pi(digits)
+        assert value(floats.pi(floats.precision(digits))) == \
+            oracles.mpmath_pi(digits)
 
 
 def test_machin_encloses_pi():
@@ -122,21 +139,22 @@ def test_machin_encloses_pi():
 
 def test_edge_of_the_printable_range():
     # mpmath converts past 2^±3500 by another route; floats refuses
-    for x in (Fraction(2 ** 3499), Fraction(1, 2 ** 3501)):
-        assert floats.nstr(x, 20) == oracles.mpmath_fraction_cell(x, 20)
-    for x in (Fraction(2 ** 3500), Fraction(1, 2 ** 3502)):
+    for exp in (3499, -3501):
+        assert floats.nstr((1, exp), 20) == \
+            oracles.mpmath_fraction_cell(value((1, exp)), 20)
+    for exp in (3500, -3502):
         with pytest.raises(ValueError, match="beyond the printable range"):
-            floats.nstr(x, 20)
+            floats.nstr((1, exp), 20)
 
 
 def test_cells_longer_than_the_int_to_str_guard():
     # the guard refuses str() of an int past 4300 digits by default
-    x = Fraction(1, 3)
-    assert floats.cell(x, 6000) == oracles.mpmath_fraction_cell(x, 6000)
+    assert floats.cell(1, 3, 6000) == \
+        oracles.mpmath_fraction_cell(Fraction(1, 3), 6000)
 
 
 def test_a_cell_near_2_to_the_4000_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(beta, "leibniz_partial", lambda r: Fraction(2 ** 4000))
+    monkeypatch.setattr(beta, "leibniz_partial", lambda r: (2 ** 4000, 1))
     assert cli.main(["beta", "--s", "1"]) == 1
     out, err = capsys.readouterr()
     assert out == ""

@@ -8,7 +8,8 @@ integers, so the canonical form itself is checked after each kernel: the
 constructor's on any common multiple of numerators and denominator, and
 the JSON reader's on int, decimal and "p/q" coefficients; the reader of
 decimal and "p/q" texts is checked against Fraction(str), value or
-message, on short ASCII texts and JSON float texts.  The
+message, on short ASCII texts and JSON float texts, and the JSON reader
+against json.loads with the same hooks on texts near JSON documents.  The
 solve is checked on random seeds of filtration order one against Lagrange
 inversion and composition of the seed's integral and against stepwise
 strengthening, its (numerator, denominator) pairs checked to be in lowest
@@ -52,7 +53,7 @@ from braidinv.braid_ring import BraidSum, render, sigma_power, tau
 from braidinv.commands.beta import decimal_digits
 from braidinv.commands.trace import STOCK_SEQUENCES
 from braidinv.convergence import biconvergence_report, filtration_condition_c
-from braidinv.inputs import _exact_decimal, exponent_map, read_json
+from braidinv.inputs import _Number, _exact_decimal, exponent_map, read_json
 from braidinv.inverse_engine import (_lift_series, closed_form_lift,
                                      solved_lift)
 from braidinv.pair_expansions import (PairSum, closed_form_expansion,
@@ -283,7 +284,8 @@ def test_exponent_map_is_the_common_denominator_of_its_values(entries):
 # the slash, e, E and other letters; seven characters keep every exponent
 # under the INT_STR_DIGITS guard, which Fraction does not have.  d and D
 # are left out: after the point Python 3.11 and 3.12 match them and fail
-# in int(), 3.10 and 3.13 do not, and the reader keeps 3.11's message
+# in int(), 3.10 and 3.13 do not, and the reader refuses them as 3.10 and
+# 3.13 do
 reader_texts = st.text(alphabet="0123456789+-./eExXnNIa", max_size=7)
 # JSON number texts with a point or an exponent, as parse_float gets them
 json_float_texts = st.one_of(
@@ -322,9 +324,62 @@ def test_the_reader_refuses_first_an_exponent_past_the_limit():
                  "0x1e9999999", "NaNe100001"):
         assert outcome(_exact_decimal, text) == past, text
     assert outcome(_exact_decimal, "1.d") == \
-        (ValueError, "invalid literal for int() with base 10: 'd'")
+        (ValueError, "Invalid literal for Fraction: '1.d'")
     assert outcome(_exact_decimal, "-2.DE7") == \
-        (ValueError, "invalid literal for int() with base 10: 'D'")
+        (ValueError, "Invalid literal for Fraction: '-2.DE7'")
+
+
+# JSON documents, and texts near them: cut short, one character changed or
+# put in, padded with whitespace that json skips or does not, or behind
+# one or two byte order marks
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 20, 10 ** 20)
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=10)
+JSON_CHARACTERS = (" \t\n\r\x0b\x0c\x00\x1f\x7f\u00a0\u2028\ufeff"
+                   '"\\{}[],:.-+eE01NIx')
+
+
+@st.composite
+def json_texts(draw):
+    text = json.dumps(draw(json_values), ensure_ascii=draw(st.booleans()))
+    at = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from(JSON_CHARACTERS))
+    pad = st.text(alphabet=" \t\n\r\x0b\u00a0", max_size=3)
+    return draw(st.sampled_from([
+        text, text[:at], text[:at] + char + text[at + 1:],
+        text[:at] + char + text[at:], draw(pad) + text + draw(pad),
+        "\ufeff" + text, "\ufeff\ufeff" + text]))
+
+
+@given(json_texts())
+@example("")
+@example(" \r\n")
+@example('{"1": 1} x')
+@example('{"1": "a\rb"}')
+@example('{"1": [1, 2.5e-3, NaN]}')
+@example("\ufeff[]")
+@example('{"1": 1,}')
+def test_the_json_reader_is_json_loads(text):
+    def outcome(read):
+        """The value and the type of each of its parts, or the exception's
+        type and message."""
+        try:
+            value = read(text)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return value, shape(value)
+
+    def shape(value):
+        return type(value), [shape(part) for part in value] \
+            if isinstance(value, (list, tuple)) else []
+
+    # the hooks written out again, not read from the module under test
+    assert outcome(read_json) == outcome(lambda t: json.loads(
+        t, parse_float=lambda x: _Number(_exact_decimal(x)),
+        parse_constant=_exact_decimal, object_pairs_hook=tuple))
 
 
 @given(vanishing_sums())

@@ -9,13 +9,14 @@ JSON and CSV writers load only for their format.  braidinv.power_series
 loads only for a JSON braid and a trace (whose values it puts over a
 common denominator), braidinv.inputs only for a JSON braid and a trace of
 a sequence file, braidinv.sequences only for a trace of a stock sequence,
-json only for a JSON input (the writers write JSON and CSV themselves),
-fractions, and decimal with it, only for a command that builds or prints
-a Fraction (never lift, qexpand, zmap, trace or basis without --solve-t,
-whose rationals are integer pairs, from the integral to the JSON reader),
-and csv, dataclasses, inspect, mpmath and __future__ never.  The core
-parses argv from its own flag table, so argparse, and the gettext and
-locale it pulls in, never load.
+and _json, json's C scanner, only for a JSON input.  json, fractions,
+decimal, numbers and the utf-8-sig codec never load for a README command
+or a request of the bench workloads: every rational is an integer pair,
+every float a (mantissa, exponent) pair, JSON is read by json's own C
+scanner, a sequence file is decoded from its bytes, and the writers write
+JSON and CSV themselves.  csv, dataclasses, inspect, mpmath and
+__future__ never load.  The core parses argv from its own flag table, so
+argparse, and the gettext and locale it pulls in, never load.
 Each command runs in a fresh interpreter, so nothing another test imported
 can hide an import, and its stdout must still match its golden.
 
@@ -51,9 +52,10 @@ from braidinv import cli
 code = cli.main(sys.argv[1:])
 sys.setprofile(None)
 loaded = sorted(n for n in sys.modules if n.startswith("braidinv") or
-                n in ("mpmath", "json", "csv", "dataclasses", "inspect",
-                      "argparse", "gettext", "locale", "__future__",
-                      "fractions", "decimal"))
+                n in ("mpmath", "json", "_json", "csv", "dataclasses",
+                      "inspect", "argparse", "gettext", "locale",
+                      "__future__", "fractions", "decimal", "numbers",
+                      "encodings.utf_8_sig"))
 
 def walk(code):
     yield code
@@ -80,18 +82,17 @@ USAGE = CORE | {"braidinv.usage"}
 ALWAYS = CORE | {"braidinv.commands", "braidinv.render"}
 # the lift solve, the expansions at q - q^-1, their powers included, and
 # the moment matrices and their inverses hold their rationals as integers:
-# none of them brings the braid ring or fractions with it
+# none of them brings the braid ring with it
 ENGINE = {"braidinv.inverse_engine"}
 EXPANSIONS = {"braidinv.pair_expansions"}
 SOLVER = {"braidinv.basis_solver"}
-# the float columns and the modules that print or build Fractions load
-# fractions, and decimal with it; the braid ring, the integral, the traces
-# and the JSON reader hold integer pairs and load neither
-FRACTIONS = {"fractions", "decimal"}
 RING = {"braidinv.braid_ring"}
 INTEGRAL = RING | {"braidinv.kontsevich"}
-FLOATS = FRACTIONS | {"braidinv.floats"}
-REGULARIZATION = FRACTIONS | {"braidinv.regularization"}
+FLOATS = {"braidinv.floats"}
+REGULARIZATION = {"braidinv.regularization"}
+# what no request loads now that every number is an integer pair and JSON
+# is read by _json's scanner: each took 0.2-3 ms to import
+UNUSED = {"json", "fractions", "decimal", "numbers", "encodings.utf_8_sig"}
 # a trace puts each trace's values over their common denominator, and
 # reading a JSON braid or a sequence file puts its coefficients over
 # theirs, both in power_series
@@ -112,7 +113,7 @@ EXTRA = {
     # the integral traces bring kontsevich back
     "trace --sequence tauhat --window 8":
         EXPANSIONS | INTEGRAL | CONVERGENCE | {"braidinv.sequences"},
-    # the lift, pairs and entry tables read integers and print Fractions
+    # the lift, pairs and entry tables read integers and compare pairs
     "reproduce": ENGINE | EXPANSIONS | SOLVER | REGULARIZATION,
 }
 # format -> the writer module it adds, as render lays out text itself; the
@@ -170,7 +171,7 @@ def test_usage_error_loads_the_core_and_the_help_writer():
 
 
 @pytest.mark.parametrize("tables, adds", [
-    (["zeta2", "onefive"], SOLVER | FRACTIONS),
+    (["zeta2", "onefive"], SOLVER),
     (["beta"], REGULARIZATION),
 ], ids=["zeta2-onefive", "beta"])
 def test_reproduce_loads_only_its_tables(tables, adds):
@@ -194,7 +195,7 @@ def test_unbalanced_basis_with_factorials_loads_no_fractions(fmt):
 def test_json_braid_loads_json():
     argv = ["zmap", "--braid", '{"2": 1, "-2": -1}', "--order", "4"]
     assert probe(argv)[:3] == \
-        (0, loads("zmap", INTEGRAL, INPUTS, {"json"}),
+        (0, loads("zmap", INTEGRAL, INPUTS, {"_json"}),
          read_golden("zmap --braid pair:2 --order 4 --format text"))
 
 
@@ -206,7 +207,7 @@ def test_sequence_file_trace_skips_the_engine(tmp_path):
                                       "--window", "3", "--format", "csv"])
     assert (code, loaded) == \
         (0, loads("trace", INTEGRAL, INPUTS, FORMATS["csv"], CONVERGENCE,
-                  {"json"}))
+                  {"_json"}))
     assert b"insufficient" in out
     assert unrun <= FILE_TRACE_UNRUN
 
@@ -225,4 +226,38 @@ def test_braid_ring_requests_load_no_fractions(argv, tmp_path):
                     '{"1": 0.125, "-1": -0.75}]}', encoding="utf-8")
     code, loaded, out, _ = probe(argv.replace("{seq}", str(path)).split())
     assert code == 0 and out.startswith((b"coefficient traces", b"integral"))
-    assert not loaded & FRACTIONS
+    assert not loaded & UNUSED
+
+
+# one request of each shape that bench/workloads.py builds, beside the
+# README commands of readme-session, which the tests above pin: the
+# command and its flags, and each format, which picks the writer
+WORKLOAD_SHAPES = {
+    "lift-ladder": ["lift --order 15", "lift --order 51 --method reversion",
+                    "qexpand --order 15", "qexpand --order 9 --power 2",
+                    "qexpand --order 13 --power 3",
+                    "asymptotics --j 3 --orders 5,9,17"],
+    "basis-ladder": ["basis --r 3 --solve-t", "basis --r 5 --entry 1,3",
+                     "basis --r 8 --unbalanced --entry 1,3",
+                     "basis --r 7 --with-factorials --entry 1,3",
+                     "reproduce --table zeta2 --table onefive"],
+    "trace-wide": ["trace --sequence tauhat --window 7",
+                   "trace --sequence pairs --window 8",
+                   "trace --sequence harmonic --window 9",
+                   "trace --sequence {seq} --window 3"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    argv for shapes in WORKLOAD_SHAPES.values() for argv in shapes])
+def test_no_workload_request_loads_json_or_fractions(argv, tmp_path):
+    # a sequence file as the bench writes one: a label and "p/q" strings
+    path = tmp_path / "deep-0.json"
+    path.write_text(json.dumps({"label": "deep-0", "items": [
+        {"40": "1/3", "-40": "-1/3"}, {"40": "1/3", "-40": "-1/3", "0": "2"},
+        {"40": "1/3", "-40": "-1/3", "0": "5/7"}]}), encoding="utf-8")
+    for fmt in FORMATS:
+        key = f"{argv} --format {fmt}".replace("{seq}", str(path))
+        code, loaded, out, _ = probe(key.split())
+        assert code == 0 and out, key
+        assert not loaded & UNUSED, key
