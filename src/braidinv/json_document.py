@@ -1,7 +1,8 @@
 """The --format json document, without the json module: a string that is
 printable ASCII with no quote or backslash is written between quotes as it
-is, and json loads only to escape any other string.  A list of such strings,
-a table row, is written with one join."""
+is, and any other string is escaped by _json's encode_basestring_ascii, the
+function json.dumps runs for a string.  A list of such strings, a table
+row, is written with one join."""
 
 
 def document(tables) -> str:
@@ -50,8 +51,12 @@ def _plain(text):
 
 
 def _json_string(text):
-    """A JSON string; json escapes any text but printable ASCII."""
+    """A JSON string, as json.dumps writes it; json itself loads only where
+    its C module, _json, is missing."""
     if _plain(text):
         return f'"{text}"'
-    import json
-    return json.dumps(text)
+    try:
+        from _json import encode_basestring_ascii
+    except ImportError:
+        from json import dumps as encode_basestring_ascii
+    return encode_basestring_ascii(text)

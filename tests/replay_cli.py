@@ -2,21 +2,25 @@
 
 Each row runs `python -m braidinv ARGS` under this interpreter in a fresh
 process and checks its exit code, stderr and stdout; no stderr may hold a
-traceback or Python's advice to call set_int_max_str_digits.  The script
-needs only the standard library and takes no arguments.  It runs the rows
-one after another, prints each failure and the count, and exits 1 if a row
-failed:
+traceback or Python's advice to call set_int_max_str_digits.  This is the
+only code under tests/ that spawns the command line: a test that reads
+only a run's output calls braidinv.cli.main in-process, and a check of
+process behaviour is a row here.  The script needs only the standard
+library and takes no arguments.  It runs the rows one after another,
+prints each failure and the count, and exits 1 if a row failed:
 
     PYTHONPATH=src /path/to/python3.X tests/replay_cli.py
 
 Where braidinv is installed, no PYTHONPATH is needed.  The rows: README,
 every README command against bench/readme_digests.json; REFUSED and
 GUARDS, bad input that exits 1, the last under each setting of Python's
-own digit guard; UNWRITABLE, stdout that cannot be written; AT_SIZE, every
-subcommand once, some at sizes the goldens do not reach; READ_BACKS,
-output read back through the json, csv and fractions modules, which the
-package's writers do not use.  tests/test_replay_cli.py and
-tests/test_cli.py run each row as a test of its own.
+own digit guard; UNWRITABLE, stdout that is closed, full or a pipe whose
+reader has gone, buffered and not; AT_SIZE, every subcommand once, some at
+sizes the goldens do not reach; READ_BACKS, output read back through the
+json, csv and fractions modules, which the package's writers do not use.
+tests/test_replay_cli.py, tests/test_cli.py and tests/test_entry.py run
+each row as a test, once however many tests name it; tests/test_entry.py
+also runs some through the console script, an entry that check takes.
 """
 
 import csv
@@ -41,6 +45,7 @@ Row = namedtuple("Row", "name argv check env stdout", defaults=({}, "pipe"))
 Result = namedtuple("Result", "code out err folder")
 
 LIMIT = "error: a number exceeds the 100,000-digit input and output limit\n"
+MAP = "error: bad exponent map: "
 LABEL = 'say "hi", then\nleave \u00e9'
 TWO = '[{"1": 1}, {"1": 2}]'
 FILES = {
@@ -125,17 +130,38 @@ def refused(stderr=None, usage=False):
     return check
 
 
+def holds(text):
+    """A check that stdout holds text."""
+    def check(result):
+        expect(text.encode("utf-8") in result.out, f"stdout lacks {text!r}")
+    return check
+
+
+def same_file(key, name):
+    """A check that the file NAME holds the stdout of the README key."""
+    def check(result):
+        with open(os.path.join(result.folder, name), "rb") as handle:
+            expect(hashlib.sha256(handle.read()).hexdigest() == DIGESTS[key],
+                   f"{name} differs from the stdout of {key}")
+    return check
+
+
 README = [Row(key, key.split(), prints(DIGESTS[key]))
           for key in sorted(DIGESTS)]
 
 REFUSED = [Row(name, argv, refused(*more)) for name, argv, *more in [
     # each name as tests/test_cli.py has long named the case
     ("negative-order", ["zmap", "--order", "-1"]),
-    ("zero-denominator", ["zmap", "--braid", '{"1": "1/0"}']),
-    ("zero-denominator-signed", ["zmap", "--braid", '{"-2": "-3/00"}']),
+    ("zero-denominator", ["zmap", "--braid", '{"1": "1/0"}'],
+     f"{MAP}the coefficient '1/0' of exponent 1 has a zero denominator\n"),
+    # an exponent is named as it is written
+    ("zero-denominator-signed", ["zmap", "--braid", '{"-02": "-3/00"}'],
+     f"{MAP}the coefficient '-3/00' of exponent -02 has a zero denominator\n"),
     ("sequence-zero-denominator", ["trace", "--sequence", "{tmp}/zero.json"]),
     ("sequence-zero-denominator-later",
-     ["trace", "--sequence", "{tmp}/zero-later.json"]),
+     ["trace", "--sequence", "{tmp}/zero-later.json"],
+     "error: cannot load sequence from {tmp}/zero-later.json: bad exponent "
+     "map: the coefficient '5/0' of exponent -2 has a zero denominator\n"),
     ("sequence-top-level-array", ["trace", "--sequence", "{tmp}/array.json"]),
     ("missing-out-dir", ["lift", "--order", "5", "--out", "{tmp}/missing/x"]),
     ("solve-t-at-r-0", ["basis", "--r", "0", "--solve-t"]),
@@ -158,7 +184,9 @@ REFUSED = [Row(name, argv, refused(*more)) for name, argv, *more in [
     ("coefficient-fullwidth", ["zmap", "--braid", '{"1": "\uff11"}']),
     ("sequence-coefficient-underscore",
      ["trace", "--sequence", "{tmp}/underscore.json"]),
-    ("sequence-label-null", ["trace", "--sequence", "{tmp}/label-null.json"]),
+    ("sequence-label-null", ["trace", "--sequence", "{tmp}/label-null.json"],
+     "error: cannot load sequence from {tmp}/label-null.json: the label must "
+     "be a string\n"),
     ("sequence-label-list", ["trace", "--sequence", "{tmp}/label-list.json"]),
     ("sequence-label-surrogate",
      ["trace", "--sequence", "{tmp}/label-surrogate.json", "--window", "2",
@@ -170,18 +198,25 @@ REFUSED = [Row(name, argv, refused(*more)) for name, argv, *more in [
      LIMIT),
     ("output-digits-exponent-key",
      ["zmap", "--braid", '{"1' + "0" * 60000 + '": 1}', "--order", "2"]),
-    ("repeated-exponent-sign", ["zmap", "--braid", '{"1": 1, "+1": 2}']),
-    ("repeated-exponent-zero", ["zmap", "--braid", '{"01": 1, "1": 2}']),
-    ("repeated-json-key", ["zmap", "--braid", '{"1": 1, "1": 2}']),
+    ("repeated-exponent-sign", ["zmap", "--braid", '{"1": 1, "+1": 2}'],
+     f"{MAP}exponent 1 given twice\n"),
+    ("repeated-exponent-zero", ["zmap", "--braid", '{"01": 1, "1": 2}'],
+     f"{MAP}exponent 1 given twice\n"),
+    ("repeated-json-key", ["zmap", "--braid", '{"1": 1, "1": 2}'],
+     f"{MAP}exponent 1 given twice\n"),
     ("sequence-repeated-exponent",
      ["trace", "--sequence", "{tmp}/repeated.json"]),
     ("sequence-item-number",
-     ["trace", "--sequence", "{tmp}/item-number.json"]),
-    ("coefficient-null", ["zmap", "--braid", '{"1": null}']),
-    ("sequence-items-twice",
-     ["trace", "--sequence", "{tmp}/items-twice.json"]),
-    ("sequence-label-twice",
-     ["trace", "--sequence", "{tmp}/label-twice.json"]),
+     ["trace", "--sequence", "{tmp}/item-number.json"],
+     "error: cannot load sequence from {tmp}/item-number.json: bad exponent "
+     "map: expected a JSON object\n"),
+    ("coefficient-null", ["zmap", "--braid", '{"1": null}'],
+     f"{MAP}the coefficient of exponent 1 must be a number or a string\n"),
+    # json would keep the last value; the file is refused instead
+    *[(f"sequence-{key}-twice",
+       ["trace", "--sequence", f"{{tmp}}/{key}-twice.json"],
+       f"error: cannot load sequence from {{tmp}}/{key}-twice.json: key "
+       f"'{key}' given twice\n") for key in ("items", "label")],
     ("json-nested-deep",
      ["zmap", "--braid", '{"1": ' + "[" * 5000 + "]" * 5000 + "}"]),
     ("sequence-nested-deep", ["trace", "--sequence", "{tmp}/deep.json"]),
@@ -249,34 +284,30 @@ GUARDS = [Row(f"digit-limit-guard-{setting}",
               refused(LIMIT), {"PYTHONINTMAXSTRDIGITS": setting})
           for setting in (None, "0", "200000")]
 
-# Python buffers stdout when it is not a terminal unless PYTHONUNBUFFERED
-# is set, and these are the writes that fail at the flush
-UNBUFFERED = {"PYTHONUNBUFFERED": None}
+# fd 1 closed at the start, /dev/full, or a reader that has gone (no
+# error).  Unless PYTHONUNBUFFERED is set, a short payload stays in stdout's
+# buffer until the flush; a long one, or the parser's help, is written at
+# once.  A row name adds -long or -help for the payload, -unbuffered for it
+CLOSED = refused("error: standard output is closed\n")
+FULL = refused("error: [Errno 28] No space left on device\n")
+BUFFERING = {"": {"PYTHONUNBUFFERED": None},
+             "-unbuffered": {"PYTHONUNBUFFERED": "1"}}
 UNWRITABLE = [
-    Row("stdout-closed", ["lift", "--order", "5"], refused(), UNBUFFERED,
-        "closed"),
-    Row("stdout-full", ["lift", "--order", "13"], refused(), UNBUFFERED,
-        "full"),
-    # a reader that has gone is no error: exit 0 with nothing on stderr
-    Row("stdout-broken-pipe", ["basis", "--r", "3"], prints(), UNBUFFERED,
-        "broken"),
-]
-
-
-def holds(text):
-    """A check that stdout holds text."""
-    def check(result):
-        expect(text.encode("utf-8") in result.out, f"stdout lacks {text!r}")
-    return check
-
-
-def same_file(key, name):
-    """A check that the file NAME holds the stdout of the README key."""
-    def check(result):
-        with open(os.path.join(result.folder, name), "rb") as handle:
-            expect(hashlib.sha256(handle.read()).hexdigest() == DIGESTS[key],
-                   f"{name} differs from the stdout of {key}")
-    return check
+    Row("stdout-closed", ["lift", "--order", "5"], CLOSED,
+        BUFFERING[""], "closed"),
+    Row("stdout-closed-help", ["--help"], CLOSED, BUFFERING[""], "closed"),
+    # the file opened for --out may take fd 1 itself
+    Row("stdout-closed-out-file",
+        ["lift", "--order", "13", "--out", "{tmp}/out.txt"],
+        prints(then=same_file("lift --order 13 --format text", "out.txt")),
+        BUFFERING[""], "closed"),
+] + [Row(f"stdout-{name}{size}{buffering}", argv, check, env, stdout)
+     for stdout, name, check in (("full", "full", FULL),
+                                 ("broken", "broken-pipe", prints()))
+     for size, argv in (("", ["lift", "--order", "13"]),
+                        ("-long", ["basis", "--r", "40"]),
+                        ("-help", ["--help"]))
+     for buffering, env in BUFFERING.items()]
 
 
 AT_SIZE = [Row(command, command.split(), prints()) for command in [
@@ -384,11 +415,17 @@ READ_BACKS = [
      for fmt in ("json", "csv")]
 
 ROWS = README + REFUSED + GUARDS + UNWRITABLE + AT_SIZE + READ_BACKS
+BY_NAME = {row.name: row for row in ROWS}
 
 
-def spawn(row, folder):
-    """Run the row's command in a fresh process: its Result."""
-    argv = [sys.executable, "-m", "braidinv",
+# the interpreter's arguments before a row's command
+MODULE = ("-m", "braidinv")
+
+
+def spawn(row, folder, entry=MODULE):
+    """Run the row's command in a fresh process through the entry: its
+    Result."""
+    argv = [sys.executable, *entry,
             *(arg.replace("{tmp}", folder) for arg in row.argv)]
     env = {name: value for name, value in {**os.environ, **row.env}.items()
            if value is not None}
@@ -412,16 +449,16 @@ def spawn(row, folder):
                   folder)
 
 
-def check(row):
-    """Run one row, writing the files it names first; raises
-    AssertionError for a failed check."""
+def check(row, entry=MODULE):
+    """Run one row through the entry, writing the files it names first;
+    raises AssertionError for a failed check."""
     with tempfile.TemporaryDirectory() as folder:
         for name, text in FILES.items():
             if "{tmp}/" + name in row.argv:
                 with open(os.path.join(folder, name), "wb") as handle:
                     handle.write(text if isinstance(text, bytes)
                                  else text.encode("utf-8"))
-        result = spawn(row, folder)
+        result = spawn(row, folder, entry)
         expect("Traceback" not in result.err, result.err)
         expect("set_int_max_str_digits" not in result.err, result.err)
         row.check(result)

@@ -1,3 +1,10 @@
+"""The command line run in-process through braidinv.cli.main: each test
+reads the exit code, stdout and stderr of its runs, and an exception that
+escapes cli.main fails it.  What a fresh process shows is a row of
+tests/replay_cli.py, checked by name through the replay fixture: the bad
+inputs, with the error lines that name them, and Python's own digit guard.
+"""
+
 import csv
 import io
 import json
@@ -17,85 +24,78 @@ import replay_cli
 from test_golden import read_golden
 
 
-def run_cli(*args, env=None):
-    """Run the CLI in a subprocess; no input may end in a traceback."""
-    result = subprocess.run([sys.executable, "-m", "braidinv", *args],
-                            capture_output=True, text=True, env=env)
-    assert "Traceback" not in result.stderr, result.stderr
-    return result
+def prints(capsys, *argv):
+    """The stdout of cli.main on argv, which must exit 0 with nothing on
+    stderr."""
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    return out
 
 
-def test_lift_text_output():
-    result = run_cli("lift", "--order", "7")
-    assert result.returncode == 0
-    assert "-5/7168" in result.stdout
-    assert "-1/24" in result.stdout
+def refuses(capsys, *argv):
+    """The stderr of cli.main on argv, which must exit 1 with nothing on
+    stdout."""
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    return err
+
+
+def test_lift_text_output(capsys):
+    out = prints(capsys, "lift", "--order", "7")
+    assert "-5/7168" in out and "-1/24" in out
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize("order", ["1", "13", "151"])
-def test_lift_methods_are_byte_identical(order, fmt):
+def test_lift_methods_are_byte_identical(order, fmt, capsys):
     # strengthening and the arcsinh closed form share no code
-    a = run_cli("lift", "--order", order, "--format", fmt,
-                "--method", "strengthen")
-    b = run_cli("lift", "--order", order, "--format", fmt,
-                "--method", "reversion")
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
+    lift = ("lift", "--order", order, "--format", fmt, "--method")
+    assert prints(capsys, *lift, "strengthen") == \
+        prints(capsys, *lift, "reversion")
 
 
-def test_lift_rejects_even_order():
+def test_lift_rejects_even_order(capsys):
     # both methods apply one rule, with one message
     for method in ("strengthen", "reversion"):
-        result = run_cli("lift", "--order", "4", "--method", method)
-        assert result.returncode == 1
-        assert result.stderr == "error: order 4 is not odd and positive\n"
+        assert refuses(capsys, "lift", "--order", "4", "--method", method) \
+            == "error: order 4 is not odd and positive\n"
 
 
-def test_unknown_subcommand_is_usage_error():
-    result = run_cli("nonsense")
-    assert result.returncode == 1
+def test_unknown_subcommand_is_usage_error(capsys):
+    refuses(capsys, "nonsense")
 
 
-def test_json_output_parses():
-    result = run_cli("lift", "--order", "5", "--format", "json")
-    assert result.returncode == 0
-    payload = json.loads(result.stdout)
-    table = payload["tables"][0]
+def test_json_output_parses(capsys):
+    out = prints(capsys, "lift", "--order", "5", "--format", "json")
+    table = json.loads(out)["tables"][0]
     assert table["columns"] == ["degree", "coefficient"]
     assert ["5", "3/640"] in table["rows"]
 
 
-def test_csv_output_parses():
-    result = run_cli("lift", "--order", "5", "--format", "csv")
-    rows = list(csv.reader(io.StringIO(result.stdout)))
+def test_csv_output_parses(capsys):
+    out = prints(capsys, "lift", "--order", "5", "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][0] == "table"
     assert ["5", "3/640"] in rows
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-def test_out_flag_writes_file(fmt, tmp_path):
+def test_out_flag_writes_file(fmt, tmp_path, capsys):
     target = tmp_path / f"lift.{fmt}"
-    result = run_cli("lift", "--order", "13", "--format", fmt,
-                     "--out", str(target))
-    assert result.returncode == 0
-    assert result.stdout == ""
+    assert prints(capsys, "lift", "--order", "13", "--format", fmt,
+                  "--out", str(target)) == ""
     assert target.read_bytes() == \
         read_golden(f"lift --order 13 --format {fmt}")
 
 
-def test_zmap_named_and_json_braids():
-    result = run_cli("zmap", "--braid", "pair:2", "--order", "3")
-    assert result.returncode == 0
-    assert "1/3" in result.stdout
-
-    inline = run_cli("zmap", "--braid", '{"1": "1", "-1": "-1"}',
-                     "--order", "3", "--jmax", "3")
-    assert inline.returncode == 0
-    assert "1/24" in inline.stdout
-
-    bad = run_cli("zmap", "--braid", "what")
-    assert bad.returncode == 1
+def test_zmap_named_and_json_braids(capsys):
+    assert "1/3" in prints(capsys, "zmap", "--braid", "pair:2", "--order", "3")
+    assert "1/24" in prints(capsys, "zmap", "--braid",
+                            '{"1": "1", "-1": "-1"}', "--order", "3",
+                            "--jmax", "3")
+    refuses(capsys, "zmap", "--braid", "what")
 
 
 def test_named_braids_are_braid_powers():
@@ -114,90 +114,57 @@ def test_braid_spec_integers_are_ascii_decimals():
             zmap.parse_braid(spec)
 
 
-def test_qexpand_rows():
-    result = run_cli("qexpand", "--order", "7")
-    assert result.returncode == 0
-    assert "q^7 - q^-7" in result.stdout
-    assert "1225/1024" in result.stdout
-
-    square = run_cli("qexpand", "--order", "3", "--power", "2")
-    assert square.returncode == 0
-    assert "q^0" in square.stdout
-    assert "q^2 + q^-2" in square.stdout
+def test_qexpand_rows(capsys):
+    out = prints(capsys, "qexpand", "--order", "7")
+    assert "q^7 - q^-7" in out and "1225/1024" in out
+    square = prints(capsys, "qexpand", "--order", "3", "--power", "2")
+    assert "q^0" in square and "q^2 + q^-2" in square
 
 
-def test_asymptotics_digits_env(tmp_path):
-    result = run_cli("asymptotics", "--j", "1", "--orders", "7,9",
-                     "--digits", "15")
-    assert result.returncode == 0
-    assert "[15d]" in result.stdout
-    assert "1225/1024" in result.stdout
+def test_asymptotics_digits_env(tmp_path, capsys):
+    out = prints(capsys, "asymptotics", "--j", "1", "--orders", "7,9",
+                 "--digits", "15")
+    assert "[15d]" in out and "1225/1024" in out
 
 
-def test_float_output_needs_enough_digits():
-    result = run_cli("asymptotics", "--j", "1", "--orders", "7",
-                     "--digits", "4")
-    assert result.returncode == 1
-    assert result.stderr.startswith("error: ")
-    assert result.stderr.count("\n") == 1
-    assert "DIGITS" in result.stderr.upper()
+def test_float_output_needs_enough_digits(capsys):
+    err = refuses(capsys, "asymptotics", "--j", "1", "--orders", "7",
+                  "--digits", "4")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "DIGITS" in err.upper()
 
 
-def test_beta_subcommand():
-    ok = run_cli("beta", "--s", "5")
-    assert ok.returncode == 0
-    assert "PASS" in ok.stdout
-
-    leibniz = run_cli("beta", "--s", "1", "--digits", "20")
-    assert leibniz.returncode == 0
-    assert "10000" in leibniz.stdout
-
-    bad = run_cli("beta", "--s", "6")
-    assert bad.returncode == 1
+def test_beta_subcommand(capsys):
+    assert "PASS" in prints(capsys, "beta", "--s", "5")
+    assert "10000" in prints(capsys, "beta", "--s", "1", "--digits", "20")
+    refuses(capsys, "beta", "--s", "6")
 
 
-def test_basis_subcommand():
-    result = run_cli("basis", "--r", "1", "--entry", "1,3")
-    assert result.returncode == 0
-    assert "inverse entry (1,3)" in result.stdout
-
-    solve = run_cli("basis", "--r", "1", "--solve-t")
-    assert solve.returncode == 0
-    assert "1/2*q^1 + -1/2*q^-1" in solve.stdout
-
-    clash = run_cli("basis", "--r", "2", "--unbalanced", "--solve-t")
-    assert clash.returncode == 1
-
-    out_of_range = run_cli("basis", "--r", "1", "--entry", "9,9")
-    assert out_of_range.returncode == 1
+def test_basis_subcommand(capsys):
+    assert "inverse entry (1,3)" in \
+        prints(capsys, "basis", "--r", "1", "--entry", "1,3")
+    assert "1/2*q^1 + -1/2*q^-1" in \
+        prints(capsys, "basis", "--r", "1", "--solve-t")
+    refuses(capsys, "basis", "--r", "2", "--unbalanced", "--solve-t")
+    refuses(capsys, "basis", "--r", "1", "--entry", "9,9")
 
 
-def test_trace_subcommand_and_file_sequence(tmp_path):
-    stock = run_cli("trace", "--sequence", "harmonic", "--jmax", "3",
-                    "--window", "6")
-    assert stock.returncode == 0
-    assert "(c) filtration condition" in stock.stdout
-    assert "fail" in stock.stdout
+def test_trace_subcommand_and_file_sequence(tmp_path, capsys, replay):
+    stock = prints(capsys, "trace", "--sequence", "harmonic", "--jmax", "3",
+                   "--window", "6")
+    assert "(c) filtration condition" in stock and "fail" in stock
 
     payload = {"label": "steady", "items": [{"1": "1/2", "-1": "-1/2"}] * 4}
     path = tmp_path / "seq.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    custom = run_cli("trace", "--sequence", str(path), "--jmax", "2",
-                     "--window", "4")
-    assert custom.returncode == 0
-    assert "steady" in custom.stdout
+    assert "steady" in prints(capsys, "trace", "--sequence", str(path),
+                              "--jmax", "2", "--window", "4")
 
-    path.write_text(json.dumps({**payload, "label": None}), encoding="utf-8")
-    unlabeled = run_cli("trace", "--sequence", str(path))
-    assert unlabeled.returncode == 1
-    assert unlabeled.stderr == (f"error: cannot load sequence from {path}: "
-                                f"the label must be a string\n")
-
-    missing = run_cli("trace", "--sequence", str(tmp_path / "nope.json"))
-    assert missing.returncode == 1
+    refuses(capsys, "trace", "--sequence", str(tmp_path / "nope.json"))
+    replay("sequence-label-null")
 
 
-def test_trace_json_sequences_at_extreme_scales(tmp_path):
+def test_trace_json_sequences_at_extreme_scales(tmp_path, capsys):
     for label, steps, expected in (
             ("tiny", [Fraction(1, 10 ** 400 * 2 ** i) for i in range(7)],
              "converging"),
@@ -207,10 +174,9 @@ def test_trace_json_sequences_at_extreme_scales(tmp_path):
                    "items": [{"1": str(v)} for v in values]}
         path = tmp_path / f"{label}.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        result = run_cli("trace", "--sequence", str(path), "--format", "csv")
-        assert result.returncode == 0, result.stderr
-        rows = list(csv.reader(io.StringIO(result.stdout)))
-        assert rows[2][:2] == ["1", expected]
+        out = prints(capsys, "trace", "--sequence", str(path), "--format",
+                     "csv")
+        assert list(csv.reader(io.StringIO(out)))[2][:2] == ["1", expected]
 
 
 def test_importing_the_package_leaves_int_str_limit_alone():
@@ -238,41 +204,33 @@ def test_importing_the_package_leaves_int_str_limit_alone():
 
 @pytest.mark.parametrize("row", replay_cli.GUARDS,
                          ids=lambda row: row.name.rpartition("-")[2])
-def test_the_digit_limit_holds_whatever_the_interpreter_allows(row):
-    replay_cli.check(row)
+def test_the_digit_limit_holds_whatever_the_interpreter_allows(row, replay):
+    replay(row.name)
 
 
-def test_reproduce_all():
-    result = run_cli("reproduce")
-    assert result.returncode == 0
-    flagged = [ln for ln in result.stdout.splitlines()
-               if ln.rstrip().endswith("FLAGGED")]
-    assert len(flagged) == 2
-    verdicts = [ln for ln in result.stdout.splitlines()
-                if ln.rstrip().endswith("FAIL")]
-    assert verdicts == []
-    assert "overall  PASS" in result.stdout
+def test_reproduce_all(capsys):
+    out = prints(capsys, "reproduce")
+    verdicts = [line.split()[-1] for line in out.splitlines() if line]
+    assert verdicts.count("FLAGGED") == 2 and "FAIL" not in verdicts
+    assert "overall  PASS" in out
 
 
-def test_reproduce_single_table():
-    result = run_cli("reproduce", "--table", "beta")
-    assert result.returncode == 0
-    assert "residue relation" in result.stdout
-    assert "pair" not in result.stdout
+def test_reproduce_single_table(capsys):
+    out = prints(capsys, "reproduce", "--table", "beta")
+    assert "residue relation" in out and "pair" not in out
 
 
 def test_reproduce_offers_exactly_its_tables(capsys):
     # the parser lists the names itself, so --help loads no command module
-    assert cli.main(["reproduce", "--help"]) == 0
     offered = "{" + ",".join(sorted(reproduce.REPRODUCE_TABLES)) + "}"
-    assert offered in capsys.readouterr().out
+    assert offered in prints(capsys, "reproduce", "--help")
 
 
 @pytest.mark.parametrize("row", replay_cli.REFUSED, ids=lambda row: row.name)
-def test_bad_input_exits_1_with_one_error_line(row):
+def test_bad_input_exits_1_with_one_error_line(row, replay):
     # the rows of bad input in the one table of end-to-end checks, with the
     # files they read
-    replay_cli.check(row)
+    replay(row.name)
 
 
 def test_a_byte_order_mark_is_skipped(tmp_path, capsys):
@@ -280,47 +238,20 @@ def test_a_byte_order_mark_is_skipped(tmp_path, capsys):
     outs = []
     for name, head in (("plain.json", ""), ("bom.json", "\ufeff")):
         (tmp_path / name).write_text(head + text, encoding="utf-8")
-        argv = ["trace", "--sequence", str(tmp_path / name), "--window", "2"]
-        assert cli.main(argv) == 0
-        outs.append(capsys.readouterr().out)
+        outs.append(prints(capsys, "trace", "--sequence",
+                           str(tmp_path / name), "--window", "2"))
     assert outs[0] == outs[1] and "marked" in outs[0]
 
 
-def test_exponent_map_errors_name_the_input(tmp_path, capsys):
-    twice = "error: bad exponent map: exponent 1 given twice\n"
-    for braid, err in (
-            ('{"1": 1, "+1": 2}', twice), ('{"01": 1, "1": 2}', twice),
-            ('{"1": 1, "1": 2}', twice),
-            ('{"1": null}', "error: bad exponent map: the coefficient of "
-                            "exponent 1 must be a number or a string\n"),
-            ('{"1": "1/0"}', "error: bad exponent map: the coefficient '1/0' "
-                             "of exponent 1 has a zero denominator\n"),
-            ('{"-02": "-3/00"}', "error: bad exponent map: the coefficient "
-                                 "'-3/00' of exponent -02 has a zero "
-                                 "denominator\n")):
-        assert cli.main(["zmap", "--braid", braid]) == 1
-        assert capsys.readouterr().err == err
-    for name, items, reason in (
-            ("item-number.json", '[{"1": 1}, 5]', "expected a JSON object"),
-            ("zero.json", '[{"1": 1}, {"1": 2, "-2": "5/0"}]',
-             "the coefficient '5/0' of exponent -2 has a zero denominator")):
-        path = tmp_path / name
-        path.write_text(f'{{"items": {items}}}', encoding="utf-8")
-        assert cli.main(["trace", "--sequence", str(path)]) == 1
-        assert capsys.readouterr().err == (f"error: cannot load sequence "
-                                           f"from {path}: bad exponent map: "
-                                           f"{reason}\n")
+def test_exponent_map_errors_name_the_input(replay):
+    replay("repeated-exponent-sign", "repeated-exponent-zero",
+           "repeated-json-key", "coefficient-null", "zero-denominator",
+           "zero-denominator-signed", "sequence-item-number",
+           "sequence-zero-denominator-later")
 
 
-def test_sequence_key_given_twice_is_named(tmp_path, capsys):
-    # json would keep the last value; the file is refused instead
-    for key, text in (("items", '{"items": [{"1": 1}], "items": [{"1": 2}]}'),
-                      ("label", '{"label": "a", "label": "b", "items": []}')):
-        path = tmp_path / f"{key}.json"
-        path.write_text(text, encoding="utf-8")
-        assert cli.main(["trace", "--sequence", str(path)]) == 1
-        assert capsys.readouterr().err == (f"error: cannot load sequence from "
-                                           f"{path}: key '{key}' given twice\n")
+def test_sequence_key_given_twice_is_named(replay):
+    replay("sequence-items-twice", "sequence-label-twice")
 
 
 @pytest.mark.parametrize("command", [
@@ -332,17 +263,14 @@ def test_float_digits_past_the_limit_are_refused_before_any_work(
     for module, name in ((floats, "precision"), (basis_solver, "invert")):
         monkeypatch.setattr(module, name,
                             lambda *args, name=name: work.append(name))
-    assert cli.main([*command.split(), "--digits", "100001"]) == 1
+    assert refuses(capsys, *command.split(), "--digits", "100001") == \
+        "error: float output takes 10 to 100,000 digits, the input and " \
+        "output limit\n"
     assert work == []
-    assert capsys.readouterr() == ("", "error: float output takes 10 to "
-                                   "100,000 digits, the input and output "
-                                   "limit\n")
 
 
-def test_output_digit_limit_is_named(capsys):
-    assert cli.main(["zmap", "--braid", '{"1": "1e-100000"}']) == 1
-    assert capsys.readouterr() == ("", "error: a number exceeds the "
-                                   "100,000-digit input and output limit\n")
+def test_output_digit_limit_is_named(replay):
+    replay("output-digits-inverse")
 
 
 def test_rationals_refuse_a_number_past_the_limit_without_the_guard():
@@ -388,67 +316,57 @@ def test_bad_entry_names_the_expected_form_before_inverting(monkeypatch,
     calls = []
     monkeypatch.setattr(basis_solver, "invert", calls.append)
     for entry in ("1", "1,3,4", "1,x"):
-        assert cli.main(["basis", "--r", "3", "--entry", entry]) == 1
-        assert capsys.readouterr().err == \
+        assert refuses(capsys, "basis", "--r", "3", "--entry", entry) == \
             f"error: bad --entry: expected ROW,COL, got {entry!r}\n"
     # the bounds are checked against the built matrix, still uninverted
     for entry in ("0,1", "1,8", "8,1"):
-        assert cli.main(["basis", "--r", "3", "--entry", entry]) == 1
-        assert capsys.readouterr().err == \
+        assert refuses(capsys, "basis", "--r", "3", "--entry", entry) == \
             f"error: bad --entry: entry ({entry}) outside a 7x7 matrix\n"
     assert calls == []
     monkeypatch.undo()
-    assert cli.main(["basis", "--r", "1", "--entry", "4,1"]) == 1
-    assert capsys.readouterr().err == \
+    assert refuses(capsys, "basis", "--r", "1", "--entry", "4,1") == \
         "error: bad --entry: entry (4,1) outside a 3x3 matrix\n"
 
 
-def test_json_numbers_are_exact_decimals(tmp_path):
+def test_json_numbers_are_exact_decimals(tmp_path, capsys):
     # a string coefficient may still be a decimal or a ratio
     for value in ('0.1', '"0.1"', '"1/10"'):
-        tenth = run_cli("zmap", "--braid", f'{{"1": {value}}}', "--order", "1")
-        assert tenth.returncode == 0
-        assert "integral of 1/10*q^1 through degree 1" in tenth.stdout
-    huge = run_cli("zmap", "--braid", '{"1": 1e400}', "--order", "0",
-                   "--format", "json")
-    assert huge.returncode == 0
-    assert json.loads(huge.stdout)["tables"][0]["rows"] == [["0", str(10 ** 400)]]
+        assert "integral of 1/10*q^1 through degree 1" in \
+            prints(capsys, "zmap", "--braid", f'{{"1": {value}}}',
+                   "--order", "1")
+    huge = prints(capsys, "zmap", "--braid", '{"1": 1e400}', "--order", "0",
+                  "--format", "json")
+    assert json.loads(huge)["tables"][0]["rows"] == [["0", str(10 ** 400)]]
     path = tmp_path / "decimals.json"
     path.write_text('{"items": [{"1": 1e400}, {"1": 0.25}, {"1": 0.125}]}',
                     encoding="utf-8")
-    seq = run_cli("trace", "--sequence", str(path), "--window", "3",
-                  "--format", "csv")
-    assert seq.returncode == 0
-    assert list(csv.reader(io.StringIO(seq.stdout)))[2] == \
+    seq = prints(capsys, "trace", "--sequence", str(path), "--window", "3",
+                 "--format", "csv")
+    assert list(csv.reader(io.StringIO(seq)))[2] == \
         ["1", "insufficient", "1/8"]
 
 
-def test_json_exponents_are_bounded(tmp_path):
+def test_json_exponents_are_bounded(tmp_path, capsys):
     # Fraction builds 10^e in full, so an exponent past the digit limit is
     # refused from the text, in a JSON number, a string and a sequence file
     path = tmp_path / "exponent.json"
     path.write_text('{"items": [{"1": 1}, {"1": 1e100001}]}', encoding="utf-8")
-    bound = "decimal exponent beyond 100000 in size\n"
     for argv in (["zmap", "--braid", '{"1": 1e100001, "-1": -1}'],
                  ["zmap", "--braid", '{"1": 1e20000000, "-1": -1}'],
                  ["zmap", "--braid", '{"1": "-1E-100001"}'],
                  ["trace", "--sequence", str(path)]):
-        result = run_cli(*argv)
-        assert result.returncode == 1
-        assert result.stderr.startswith("error: ")
-        assert result.stderr.count("\n") == 1
-        assert result.stderr.endswith(bound)
-    tiny = run_cli("zmap", "--braid", '{"1": "1e-400"}', "--order", "0",
-                   "--format", "json")
-    assert tiny.returncode == 0
-    assert json.loads(tiny.stdout)["tables"][0]["rows"] == \
-        [["0", f"1/{10 ** 400}"]]
+        err = refuses(capsys, *argv)
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("decimal exponent beyond 100000 in size\n")
+    tiny = prints(capsys, "zmap", "--braid", '{"1": "1e-400"}', "--order",
+                  "0", "--format", "json")
+    assert json.loads(tiny)["tables"][0]["rows"] == [["0", f"1/{10 ** 400}"]]
     # the bound itself is read, with or without leading zeros
     assert inputs._exact_decimal("1e100000") == (10 ** 100000, 1)
     assert inputs._exact_decimal("1E-0000100000") == (1, 10 ** 100000)
 
 
-def test_float_digits_are_read_only_where_floats_print():
+def test_float_digits_are_read_only_where_floats_print(capsys):
     # every README command with no float column ignores even a precision
     # out of range, below 10 or past the digit limit
     for command in ("lift --order 13", "zmap --braid pair:2 --order 4",
@@ -457,9 +375,8 @@ def test_float_digits_are_read_only_where_floats_print():
                     "trace --sequence tauhat --window 8", "reproduce"):
         expected = read_golden(f"{command} --format text").decode("utf-8")
         for digits in ("4", "100001"):
-            result = run_cli(*command.split(), "--digits", digits)
-            assert result.returncode == 0, (command, digits)
-            assert result.stdout == expected, (command, digits)
+            assert prints(capsys, *command.split(), "--digits", digits) == \
+                expected, (command, digits)
 
 
 def test_basis_solve_t_inverts_once(monkeypatch, capsys):
@@ -471,14 +388,14 @@ def test_basis_solve_t_inverts_once(monkeypatch, capsys):
         return invert(M)
 
     monkeypatch.setattr(basis_solver, "invert", counting_invert)
-    assert cli.main(["basis", "--r", "3", "--solve-t"]) == 0
+    prints(capsys, "basis", "--r", "3", "--solve-t")
     assert calls == [7]
 
     calls.clear()
-    assert cli.main(["basis", "--r", "2", "--unbalanced", "--solve-t"]) == 1
-    assert calls == []
-    assert capsys.readouterr().err == \
+    assert refuses(capsys, "basis", "--r", "2", "--unbalanced",
+                   "--solve-t") == \
         "error: --solve-t applies to the balanced basis\n"
+    assert calls == []
 
 
 def test_zmap_prints_each_coefficient_once(monkeypatch, capsys):
@@ -516,28 +433,28 @@ def test_zmap_integrates_once(monkeypatch, capsys):
     monkeypatch.setattr(zmap, "Z", counting_Z)
     for order, jmax in ((4, 4), (2, 5), (6, 3)):
         calls.clear()
-        assert cli.main(["zmap", "--braid", "pair:2", "--order", str(order),
-                         "--jmax", str(jmax), "--format", "json"]) == 0
+        series, graded = json.loads(prints(
+            capsys, "zmap", "--braid", "pair:2", "--order", str(order),
+            "--jmax", str(jmax), "--format", "json"))["tables"]
         assert calls == [max(order, jmax)]
-        series, graded = json.loads(capsys.readouterr().out)["tables"]
         assert series["rows"] == rows(order)
         assert graded["rows"] == rows(jmax)
 
     calls.clear()
-    assert cli.main(["zmap", "--order", "-1", "--jmax", "-1"]) == 1
-    assert cli.main(["basis", "--r", "-1"]) == 1
+    assert refuses(capsys, "zmap", "--order", "-1", "--jmax", "-1") == \
+        "error: order must be nonnegative\n"
+    assert refuses(capsys, "basis", "--r", "-1") == \
+        "error: r must be nonnegative\n"
     assert calls == []
-    assert capsys.readouterr().err == \
-        "error: order must be nonnegative\nerror: r must be nonnegative\n"
 
 
 def test_qexpand_rejects_a_bad_power_before_strengthening(monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(pair_expansions, "closed_form_expansion",
                         calls.append)
-    assert cli.main(["qexpand", "--order", "61", "--power", "0"]) == 1
+    assert refuses(capsys, "qexpand", "--order", "61", "--power", "0") == \
+        "error: power must be positive\n"
     assert calls == []
-    assert capsys.readouterr().err == "error: power must be positive\n"
 
 
 def counted(monkeypatch):
@@ -628,9 +545,8 @@ def test_a_repeated_table_runs_no_table(monkeypatch, capsys):
                             (title, lambda n=name: calls.append(n), notes))
     for argv in (["--table", "pairs", "--table", "pairs"],
                  ["--table", "zeta2", "--table", "lift", "--table", "zeta2"]):
-        assert cli.main(["reproduce", *argv]) == 1
-        name = argv[1]
-        assert capsys.readouterr() == ("", f"error: table {name} given twice\n")
+        assert refuses(capsys, "reproduce", *argv) == \
+            f"error: table {argv[1]} given twice\n"
     assert calls == []
 
 
@@ -643,20 +559,17 @@ def test_trace_rejects_a_negative_jmax_before_building(monkeypatch, capsys):
         return build(count)
 
     monkeypatch.setattr(sequences, "lift_truncation_sequence", counting_build)
-    assert cli.main(["trace", "--sequence", "tauhat", "--jmax", "-1",
-                     "--window", "120"]) == 1
+    assert refuses(capsys, "trace", "--sequence", "tauhat", "--jmax", "-1",
+                   "--window", "120") == "error: jmax must be nonnegative\n"
     assert calls == []
-    assert capsys.readouterr().err == "error: jmax must be nonnegative\n"
 
 
-def test_trace_handles_huge_exponents(tmp_path):
+def test_trace_handles_huge_exponents(tmp_path, capsys):
     big = "1000000000000000000"
     payload = {"label": "huge-pairs",
                "items": [{big: "1", f"-{big}": "-1"},
                          {big: "2", f"-{big}": "-2"}]}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    result = run_cli("trace", "--sequence", str(path))
-    assert result.returncode == 0, result.stderr
-    assert "satisfied" in result.stdout
-    assert "1 pairs checked" in result.stdout
+    out = prints(capsys, "trace", "--sequence", str(path))
+    assert "satisfied" in out and "1 pairs checked" in out

@@ -10,20 +10,15 @@ a golden cannot be re-recorded to hide a change of output.
 import contextlib
 import hashlib
 import io
-import json
 import os
 import re
 
 import pytest
 
 from braidinv import cli
+from replay_cli import DIGESTS, ROOT
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
-
-with open(os.path.join(ROOT, "bench", "readme_digests.json"),
-          encoding="utf-8") as _handle:
-    DIGESTS = json.load(_handle)
 
 
 def golden_name(key: str) -> str:

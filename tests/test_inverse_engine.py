@@ -1,6 +1,7 @@
 import inspect
 import random
 from fractions import Fraction
+from functools import reduce
 
 import mpmath
 import pytest
@@ -365,3 +366,34 @@ def test_a_power_that_loses_its_symmetry_fails_its_check(monkeypatch):
     with pytest.raises(ArithmeticError, match="not flat through order 3 "
                                               "at power 3"):
         tau_expansions([1, 3], 3)
+
+
+# (q - q^-1)^k planted in the power at (order, power), of filtration order
+# k, above the top + power that its certificate reads
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="a power's certificate checks about (top + p)/2 "
+                          "moments, fewer than its pair coefficients "
+                          "(ROADMAP item 19)")
+@pytest.mark.parametrize("order, power, k", [(3, 2, 6), (1, 3, 5)])
+def test_a_planted_fault_above_the_certified_order_fails(order, power, k,
+                                                          monkeypatch):
+    right = pair_expansions.times
+    fault = reduce(right, [PairSum({1: 1}, 0, 1, -1)] * k)
+
+    def planted(a, b):
+        # into each product of the fault's symmetry: the square, or the
+        # cube and not the square before it
+        p = right(a, b)
+        return p if p.sign != fault.sign else PairSum(
+            {n: p.half.get(n, 0) + p.den * fault.half.get(n, 0)
+             for n in p.half.keys() | fault.half.keys()},
+            p.zero + p.den * fault.zero, p.den, p.sign)
+
+    # the q^k pair coefficient is one more than the true power's
+    b = closed_form_expansion(order)
+    wrong, true = (reduce(f, [b] * power) for f in (planted, right))
+    assert Fraction(wrong.half[k], wrong.den) == \
+        Fraction(true.half.get(k, 0), true.den) + 1
+    monkeypatch.setattr(pair_expansions, "times", planted)
+    with pytest.raises(ArithmeticError):
+        tau_expansions([order], power)

@@ -14,7 +14,8 @@ decimal, numbers and the utf-8-sig codec never load for a README command
 or a request of the bench workloads: every rational is an integer pair,
 every float a (mantissa, exponent) pair, JSON is read by json's own C
 scanner, a sequence file is decoded from its bytes, and the writers write
-JSON and CSV themselves.  csv, dataclasses, inspect, mpmath and
+JSON and CSV themselves, escaping a JSON string outside printable ASCII with
+_json's own encoder.  csv, dataclasses, inspect, mpmath and
 __future__ never load.  The core parses argv from its own flag table, so
 argparse, and the gettext and locale it pulls in, never load.
 Each command runs in a fresh interpreter, so nothing another test imported
@@ -210,6 +211,17 @@ def test_sequence_file_trace_skips_the_engine(tmp_path):
                   {"_json"}))
     assert b"insufficient" in out
     assert unrun <= FILE_TRACE_UNRUN
+
+
+def test_a_json_label_outside_ascii_loads_no_json(tmp_path):
+    # the title is escaped as json.dumps escapes it, by _json's encoder
+    path = tmp_path / "cafe.json"
+    path.write_text('{"label": "caf\u00e9", "items": [{"1": 1}, {"1": 2}]}',
+                    encoding="utf-8")
+    code, loaded, out, _ = probe(["trace", "--sequence", str(path),
+                                  "--window", "2", "--format", "json"])
+    assert code == 0 and b'"coefficient traces for caf\\u00e9' in out
+    assert "_json" in loaded and not loaded & UNUSED
 
 
 @pytest.mark.parametrize("argv", [
