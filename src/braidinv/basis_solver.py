@@ -137,12 +137,17 @@ def _verify(nodes, w, scale, rows, ks) -> None:
             raise fail
 
 
+def _certified_rows(nodes, scale, ks) -> list[list[tuple]]:
+    """Rows ks of the inverse over the nodes, formed on one w and certified."""
+    w = _node_polynomial(nodes)
+    rows = _lagrange_rows(nodes, w, scale, ks)
+    _verify(nodes, w, scale, rows, ks)
+    return rows
+
+
 def invert(M: MomentMatrix) -> list[list[tuple]]:
     """The rows of M's exact inverse: its Lagrange rows, verified."""
-    ks, w = range(M.dim), _node_polynomial(M.nodes)
-    rows = _lagrange_rows(M.nodes, w, M.scale, ks)
-    _verify(M.nodes, w, M.scale, rows, ks)
-    return rows
+    return _certified_rows(M.nodes, M.scale, range(M.dim))
 
 
 def entry_sequence(row: int, col: int, r_range) -> list[tuple]:
@@ -159,9 +164,7 @@ def entry_sequence(row: int, col: int, r_range) -> list[tuple]:
         if not (1 <= row <= dim and 1 <= col <= dim):
             raise ValueError(f"entry ({row},{col}) outside a {dim}x{dim} "
                              f"matrix")
-        scale, ks, w = [1] * dim, [row - 1], _node_polynomial(nodes)
-        [lagrange] = _lagrange_rows(nodes, w, scale, ks)
-        _verify(nodes, w, scale, [lagrange], ks)
+        [lagrange] = _certified_rows(nodes, [1] * dim, [row - 1])
         entries.append(lagrange[col - 1])
     return entries
 

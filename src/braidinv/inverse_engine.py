@@ -3,55 +3,43 @@
 A lift is a tuple P indexed by degree of exact rationals, each a reduced
 (numerator, denominator) integer pair with a positive denominator, so that
 two lifts are equal as values exactly when they are equal as tuples; P[0]
-is (0, 1).  It stands for sum_k P[k] seed^k for a seed braid sum of
-filtration order one.  The integral is a ring homomorphism with
-Z(q^n) = exp(n t/2), so for seed = sum_n c_n q^n the lift of t is the
-series P with sum_n c_n exp(n P/2) = t, found degree by degree on integers
-without forming Z(seed).  For the seed q - q^-1 it is the reversion of
-2 sinh(t/2), whose closed form, the Taylor series of 2 arcsinh(t/2), shares
+is (0, 1).  It stands for sum_k P[k] tau^k for the seed tau = q - q^-1.
+The integral is a ring homomorphism with Z(q^n) = exp(n t/2), so
+Z(tau) = 2 sinh(t/2), and the lift of t is the series P with
+2 sinh(P/2) = t.  The solve finds it through w = exp(P/2) by two integer
+recurrences, on convolutions, without forming Z(tau).  Its closed form,
+the Taylor series of 2 arcsinh(t/2), is built from factorials and shares
 no arithmetic with the solve; solved_lift compares the two exactly.  The
 module reads no braid sum and builds no Fraction.  The expansions at
 q - q^-1 come from their own closed form, in pair_expansions.
 """
 
 import math
-from operator import add, mul
+from operator import mul
 
 from .render import _reduced
 
 
-def _lift_series(nums: dict, den: int, order: int) -> tuple:
-    """Coefficients 0..order of the series P with sum_n c_n exp(n P/2) = t,
-    for the seed sum_n c_n q^n with c_n = nums[n] / den, den > 0.
+def _recurrence_lift(order: int) -> tuple:
+    """Coefficients 0..order of the lift P for the seed q - q^-1.
 
-    The seed must have filtration order one.  With u = P/2 and
-    E_n = exp(n u), the ODE E_n' = n u' E_n and sum_n c_n E_n = t fix one
-    more derivative of u at 0 per step.  The step runs on integers: the
-    numerators gamma_n over their denominator C, S = sum_n gamma_n n,
-    and the scaled derivatives U_m = S^(2m-1) u^(m)(0) and, for k >= 1,
-    F_n,k = S^(2k-1) E_n^(k)(0).  Only the final coefficients divide.
+    w = exp(P/2) satisfies w - 1/w = t, so w^2 = t w + 1, and
+    w (log w)' = w'.  With A_k = 4^k [t^k] w and N_k = 4^k k [t^k] log w,
+    integers as the coefficients of w(4t) = 2t + sqrt(1 + 4t^2) are, these
+    give 2 A_k = 4 A_(k-1) - sum_(0<i<k) A_i A_(k-i) from A_0 = 1, and
+    N_k = k A_k - sum_(0<j<k) N_j A_(k-j); then P_k = 2 N_k / (k 4^k).  A
+    halving that leaves a remainder raises ArithmeticError.
     """
-    exponents = list(nums)
-    gammas, C = list(nums.values()), den
-    S = sum(g * n for g, n in zip(gammas, exponents))
-    U = [0, C]
-    F = [[1, n * C] for n in exponents]
-    binom = [1]
-    for k in range(1, order):
-        # E_n^(k+1) = n sum_(j<=k) C(k,j) u^(j+1) E_n^(k-j) by Leibniz; acc
-        # is the part j < k, and sum_n c_n E_n^(k+1) = 0 then gives u^(k+1)
-        binom = [1, *map(add, binom, binom[1:]), 1]
-        row = list(map(mul, binom, U[1:]))
-        accs = [sum(map(mul, row, reversed(f))) for f in F]
-        u_next = -sum(g * n * a for g, n, a in zip(gammas, exponents, accs))
-        U.append(u_next)
-        for n, f, acc in zip(exponents, F, accs):
-            f.append(n * (S * acc + u_next))
-    coeffs = [(0, 1)]
-    scale = S                               # S^(2m-1) m!
-    for m in range(1, order + 1):
-        coeffs.append(_reduced(2 * U[m], scale))
-        scale *= S * S * (m + 1)
+    A, N, coeffs = [1], [0], [(0, 1)]
+    for k in range(1, order + 1):
+        inner = A[1:k]
+        twice = 4 * A[k - 1] - sum(map(mul, inner, reversed(inner)))
+        if twice % 2:
+            raise ArithmeticError(f"odd value before the halving at degree "
+                                  f"{k} of the lift")
+        A.append(twice // 2)
+        N.append(k * A[k] - sum(map(mul, N[1:k], reversed(inner))))
+        coeffs.append(_reduced(2 * N[k], k * 4 ** k))
     return tuple(coeffs)
 
 
@@ -77,7 +65,7 @@ def solved_lift(order: int) -> tuple:
     The order is checked, by the closed form, before the solve.
     """
     expected = closed_form_lift(order)
-    P = _lift_series({1: 1, -1: -1}, 1, order)
+    P = _recurrence_lift(order)
     if P != expected:
         raise ArithmeticError(f"the solved lift differs from 2 arcsinh(t/2) "
                               f"through order {order}")

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything in this file is written directly from the mathematical definitions
-and imports the package under test only where braid builds a braid sum
-and read_z reads the integral's reduced pairs.
+and imports the package under test only where braid builds a braid sum,
+read_z reads the integral's reduced pairs and the general-seed lift solve
+reduces its coefficients.
 Each oracle gives a second, structurally unrelated route to a value that the
 package computes, so a test that compares the two is a genuine consistency
 check rather than a tautology.
@@ -18,15 +19,20 @@ and build BraidSums through the values passed in.  The filtration order
 of one braid sum, by both routes, is the one the package held before
 condition (c) compared each item's prefixes; it reads a BraidSum's
 fields and is the pairwise reference for that condition, as classify,
-on Fractions, is for the trace classes.
+on Fractions, is for the trace classes.  The lift solve for a general
+seed is the one the package held before it lifted q - q^-1 alone, the
+reference for that solve.
 """
 
 from fractions import Fraction
+from operator import add, mul
 import argparse
 import math
 import sys
 
 import mpmath
+
+from braidinv.render import _reduced
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +245,45 @@ def arcsinh2_binomial(order):
         out[2 * k + 1] = c / (2 * k + 1)
         c *= Fraction(-(2 * k + 1), 8 * (k + 1))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the lift for any seed of filtration order one, on integers: the solve the
+# package held before it lifted q - q^-1 alone by two recurrences
+
+def _lift_series(nums: dict, den: int, order: int) -> tuple:
+    """Coefficients 0..order of the series P with sum_n c_n exp(n P/2) = t,
+    for the seed sum_n c_n q^n with c_n = nums[n] / den, den > 0.
+
+    The seed must have filtration order one.  With u = P/2 and
+    E_n = exp(n u), the ODE E_n' = n u' E_n and sum_n c_n E_n = t fix one
+    more derivative of u at 0 per step.  The step runs on integers: the
+    numerators gamma_n over their denominator C, S = sum_n gamma_n n,
+    and the scaled derivatives U_m = S^(2m-1) u^(m)(0) and, for k >= 1,
+    F_n,k = S^(2k-1) E_n^(k)(0).  Only the final coefficients divide.
+    """
+    exponents = list(nums)
+    gammas, C = list(nums.values()), den
+    S = sum(g * n for g, n in zip(gammas, exponents))
+    U = [0, C]
+    F = [[1, n * C] for n in exponents]
+    binom = [1]
+    for k in range(1, order):
+        # E_n^(k+1) = n sum_(j<=k) C(k,j) u^(j+1) E_n^(k-j) by Leibniz; acc
+        # is the part j < k, and sum_n c_n E_n^(k+1) = 0 then gives u^(k+1)
+        binom = [1, *map(add, binom, binom[1:]), 1]
+        row = list(map(mul, binom, U[1:]))
+        accs = [sum(map(mul, row, reversed(f))) for f in F]
+        u_next = -sum(g * n * a for g, n, a in zip(gammas, exponents, accs))
+        U.append(u_next)
+        for n, f, acc in zip(exponents, F, accs):
+            f.append(n * (S * acc + u_next))
+    coeffs = [(0, 1)]
+    scale = S                               # S^(2m-1) m!
+    for m in range(1, order + 1):
+        coeffs.append(_reduced(2 * U[m], scale))
+        scale *= S * S * (m + 1)
+    return tuple(coeffs)
 
 
 def root_multiplicity_at_one(b):

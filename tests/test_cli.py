@@ -462,18 +462,18 @@ def counted(monkeypatch):
     certificate of an expansion, in the order they run; a certificate of
     a power p names p times the order, the top exponent it reads."""
     calls = []
-    solve = inverse_engine._lift_series
+    solve = inverse_engine._recurrence_lift
     moments = pair_expansions.pair_moments
 
-    def counting_solve(nums, den, order):
+    def counting_solve(order):
         calls.append(("solve", order))
-        return solve(nums, den, order)
+        return solve(order)
 
     def counting_moments(b):
         calls.append(("certify", max(b.half)))
         return moments(b)
 
-    monkeypatch.setattr(inverse_engine, "_lift_series", counting_solve)
+    monkeypatch.setattr(inverse_engine, "_recurrence_lift", counting_solve)
     monkeypatch.setattr(pair_expansions, "pair_moments", counting_moments)
     return calls
 

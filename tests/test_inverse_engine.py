@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import random
 from fractions import Fraction
 from functools import reduce
@@ -8,7 +9,7 @@ import pytest
 
 from braidinv import cli, inverse_engine, pair_expansions
 from braidinv.braid_ring import BraidSum, pair, sigma_power, tau
-from braidinv.inverse_engine import (_lift_series, closed_form_lift,
+from braidinv.inverse_engine import (_recurrence_lift, closed_form_lift,
                                      solved_lift)
 from braidinv.pair_expansions import (PairSum, asymptotic_check,
                                       closed_form_expansion, tau_expansions)
@@ -33,8 +34,8 @@ def exact_all(sums):
 
 
 def lift_of(seed, order):
-    """The lift solve on a BraidSum seed's integers."""
-    return _lift_series(seed.nums, seed.den, order)
+    """The general-seed lift solve on a BraidSum seed's integers."""
+    return oracles._lift_series(seed.nums, seed.den, order)
 
 
 def test_lift_truncate_and_expand():
@@ -112,7 +113,7 @@ def test_strengthen_general_seed():
 
 def test_strengthen_solves_once_and_checks_once(monkeypatch):
     calls = []
-    for module, name in ((inverse_engine, "_lift_series"),
+    for module, name in ((inverse_engine, "_recurrence_lift"),
                          (inverse_engine, "closed_form_lift"),
                          (pair_expansions, "closed_form_expansion"),
                          (pair_expansions, "pair_moments")):
@@ -126,7 +127,7 @@ def test_strengthen_solves_once_and_checks_once(monkeypatch):
     # the lift solves once and compares once; the expansions solve nothing,
     # build each order once and certify the top one alone
     solved_lift(21)
-    assert calls == [("closed_form_lift", 21), ("_lift_series", 21)]
+    assert calls == [("closed_form_lift", 21), ("_recurrence_lift", 21)]
     calls.clear()
     tau_expansions([5, 21, 1])
     assert [name for name, _ in calls] == \
@@ -138,7 +139,7 @@ def test_strengthen_solves_once_and_checks_once(monkeypatch):
 def test_strengthen_reports_a_broken_invariant(monkeypatch):
     # one coefficient of the solved lift off, still a reduced pair, and the
     # lift command stops
-    solve = inverse_engine._lift_series
+    solve = inverse_engine._recurrence_lift
     for at in (1, 2, 5):
         def corrupted(*args, at=at):
             P = list(solve(*args))
@@ -146,12 +147,54 @@ def test_strengthen_reports_a_broken_invariant(monkeypatch):
             P[at] = (c.numerator, c.denominator)
             return tuple(P)
 
-        monkeypatch.setattr(inverse_engine, "_lift_series", corrupted)
+        monkeypatch.setattr(inverse_engine, "_recurrence_lift", corrupted)
         with pytest.raises(ArithmeticError,
                            match=r"arcsinh\(t/2\) through order 5"):
             solved_lift(5)
         with pytest.raises(ArithmeticError, match="through order 5"):
             cli.main(["lift", "--order", "5"])
+
+
+def test_the_recurrences_are_the_general_solve_at_q_minus_q_inverse():
+    # every odd truncation through 301 against both oracles' prefixes, and
+    # order 1201 against the closed form
+    binomial = oracles.arcsinh2_binomial(301)
+    general = oracles._lift_series({1: 1, -1: -1}, 1, 301)
+    for order in range(1, 302, 2):
+        P = _recurrence_lift(order)
+        assert P == general[:order + 1]
+        assert oracles.exact(P) == binomial[:order + 1]
+    assert _recurrence_lift(1201) == closed_form_lift(1201)
+
+
+def planted(monkeypatch, at, by):
+    """Put the at-th product (from 0) of the solve's convolutions off by
+    `by`."""
+    products = itertools.count()
+
+    def mul(x, y):
+        return x * y + by * (next(products) == at)
+
+    monkeypatch.setattr(inverse_engine, "mul", mul)
+
+
+def test_a_corrupted_convolution_term_stops_the_lift(monkeypatch):
+    # the order-7 solve forms 42 products; one off by 2 keeps every halving
+    # even or breaks a later one, and either way solved_lift raises
+    for at in range(42):
+        planted(monkeypatch, at, 2)
+        with pytest.raises(ArithmeticError):
+            solved_lift(7)
+    planted(monkeypatch, 42, 2)
+    assert solved_lift(7) == closed_form_lift(7)
+
+
+def test_an_odd_value_before_the_halving_stops_the_lift(monkeypatch):
+    # the first product is A_1^2 = 4 at degree 2, where 2 A_2 = 8 - 4
+    planted(monkeypatch, 0, 1)
+    with pytest.raises(ArithmeticError,
+                       match="odd value before the halving at degree 2"):
+        solved_lift(5)
 
 
 def test_a_wrong_sign_in_the_ratio_fails_the_flatness_check(monkeypatch):
