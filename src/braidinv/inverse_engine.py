@@ -6,12 +6,13 @@ two lifts are equal as values exactly when they are equal as tuples; P[0]
 is (0, 1).  It stands for sum_k P[k] tau^k for the seed tau = q - q^-1.
 The integral is a ring homomorphism with Z(q^n) = exp(n t/2), so
 Z(tau) = 2 sinh(t/2), and the lift of t is the series P with
-2 sinh(P/2) = t.  The solve finds it through w = exp(P/2) by two integer
-recurrences, on convolutions, without forming Z(tau).  Its closed form,
-the Taylor series of 2 arcsinh(t/2), is built from factorials and shares
-no arithmetic with the solve; solved_lift compares the two exactly.  The
-module reads no braid sum and builds no Fraction.  The expansions at
-q - q^-1 come from their own closed form, in pair_expansions.
+2 sinh(P/2) = t.  The solve finds it from P'^2 = 4/(4 + t^2) by one
+integer recurrence, a square root by convolution, without forming Z(tau).
+Its closed form, the Taylor series of 2 arcsinh(t/2), is built from
+factorials and shares no arithmetic with the solve; solved_lift compares
+the two exactly.  The module reads no braid sum and builds no Fraction.
+The expansions at q - q^-1 come from their own closed form, in
+pair_expansions.
 """
 
 import math
@@ -23,23 +24,21 @@ from .render import _reduced
 def _recurrence_lift(order: int) -> tuple:
     """Coefficients 0..order of the lift P for the seed q - q^-1.
 
-    w = exp(P/2) satisfies w - 1/w = t, so w^2 = t w + 1, and
-    w (log w)' = w'.  With A_k = 4^k [t^k] w and N_k = 4^k k [t^k] log w,
-    integers as the coefficients of w(4t) = 2t + sqrt(1 + 4t^2) are, these
-    give 2 A_k = 4 A_(k-1) - sum_(0<i<k) A_i A_(k-i) from A_0 = 1, and
-    N_k = k A_k - sum_(0<j<k) N_j A_(k-j); then P_k = 2 N_k / (k 4^k).  A
-    halving that leaves a remainder raises ArithmeticError.
+    P' = 1/cosh(P/2) and 4 cosh^2(P/2) = 4 + t^2, so P'^2 = 4/(4 + t^2)
+    = sum_j (-t^2/4)^j: P is odd, and V_j = 16^j [t^(2j)] P' are integers.
+    Squaring P' by convolution gives 2 V_j = (-4)^j - sum_(0<i<j) V_i V_(j-i)
+    from V_0 = 1; then P_(2j+1) = V_j / (16^j (2j + 1)).  A halving that
+    leaves a remainder raises ArithmeticError.
     """
-    A, N, coeffs = [1], [0], [(0, 1)]
-    for k in range(1, order + 1):
-        inner = A[1:k]
-        twice = 4 * A[k - 1] - sum(map(mul, inner, reversed(inner)))
+    V, coeffs = [1], [(0, 1), (1, 1)]
+    for j in range(1, (order + 1) // 2):
+        inner = V[1:j]
+        twice = (-4) ** j - sum(map(mul, inner, reversed(inner)))
         if twice % 2:
             raise ArithmeticError(f"odd value before the halving at degree "
-                                  f"{k} of the lift")
-        A.append(twice // 2)
-        N.append(k * A[k] - sum(map(mul, N[1:k], reversed(inner))))
-        coeffs.append(_reduced(2 * N[k], k * 4 ** k))
+                                  f"{2 * j + 1} of the lift")
+        V.append(twice // 2)
+        coeffs += [(0, 1), _reduced(V[j], 16 ** j * (2 * j + 1))]
     return tuple(coeffs)
 
 

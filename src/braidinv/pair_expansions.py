@@ -56,17 +56,17 @@ def closed_form_expansion(order: int) -> PairSum:
     """The order-r truncation, r = 2R - 1 odd and positive.
 
     Multiplying out the Vandermonde weights gives
-    a_m = (-1)^(m-1) (2R-1)!! C(2R-1, R-m) / (8^(R-1) (R-1)! x_m^2), here
-    over the common denominator 8^(R-1) (R-1)! L, L the least common
-    multiple of the x_m^2.
+    a_m = (-1)^(m-1) R C(2R, R) C(2R-1, R-m) / (2^(4R-3) x_m^2), here over
+    the common denominator 2^(4R-3) L, L the least common multiple of the
+    x_m^2.
     """
     R = (order + 1) // 2
     odd = range(1, order + 1, 2)
     L = math.lcm(*odd) ** 2
-    scale = math.prod(odd) * L
+    scale = R * math.comb(2 * R, R) * L
     half = {x: (-1) ** m * math.comb(order, R - 1 - m) * (scale // (x * x))
             for m, x in enumerate(odd)}
-    return PairSum(half, 0, 8 ** (R - 1) * math.factorial(R - 1) * L, -1)
+    return PairSum(half, 0, 2 ** (4 * R - 3) * L, -1)
 
 
 def times(a: PairSum, b: PairSum) -> PairSum:

@@ -249,7 +249,7 @@ def arcsinh2_binomial(order):
 
 # ---------------------------------------------------------------------------
 # the lift for any seed of filtration order one, on integers: the solve the
-# package held before it lifted q - q^-1 alone by two recurrences
+# package held before it lifted q - q^-1 alone
 
 def _lift_series(nums: dict, den: int, order: int) -> tuple:
     """Coefficients 0..order of the series P with sum_n c_n exp(n P/2) = t,

@@ -322,6 +322,7 @@ AT_SIZE = [Row(command, command.split(), prints()) for command in [
     # the integer lift and expansion paths at size
     "qexpand --order 601 --format csv", "qexpand --order 1201 --format csv",
     "lift --order 601 --format csv", "lift --order 1201 --format csv",
+    "lift --order 2401 --format csv",
     "beta --s 41",
     "basis --r 6 --unbalanced --with-factorials --entry 7,7",
     "trace --window 4", "trace --sequence tauhat --window 30",

@@ -179,22 +179,37 @@ def planted(monkeypatch, at, by):
 
 
 def test_a_corrupted_convolution_term_stops_the_lift(monkeypatch):
-    # the order-7 solve forms 42 products; one off by 2 keeps every halving
-    # even or breaks a later one, and either way solved_lift raises
-    for at in range(42):
+    # the order-21 solve forms 45 products; one off by 2 keeps every
+    # halving even or breaks a later one, and either way solved_lift raises
+    for at in range(45):
         planted(monkeypatch, at, 2)
         with pytest.raises(ArithmeticError):
-            solved_lift(7)
-    planted(monkeypatch, 42, 2)
-    assert solved_lift(7) == closed_form_lift(7)
+            solved_lift(21)
+    planted(monkeypatch, 45, 2)
+    assert solved_lift(21) == closed_form_lift(21)
 
 
 def test_an_odd_value_before_the_halving_stops_the_lift(monkeypatch):
-    # the first product is A_1^2 = 4 at degree 2, where 2 A_2 = 8 - 4
+    # the first product is V_1^2 = 4 at j = 2, where 2 V_2 = 16 - 4
     planted(monkeypatch, 0, 1)
     with pytest.raises(ArithmeticError,
-                       match="odd value before the halving at degree 2"):
+                       match="odd value before the halving at degree 5"):
         solved_lift(5)
+
+
+def test_the_solve_forms_no_product_with_a_zero_factor(monkeypatch):
+    # P is odd and every V_j is nonzero, so the solve convolves only
+    # nonzero values: (j - 1) products at each j, none of them of a zero
+    factors = []
+
+    def mul(x, y):
+        factors.append((x, y))
+        return x * y
+
+    monkeypatch.setattr(inverse_engine, "mul", mul)
+    assert _recurrence_lift(301) == closed_form_lift(301)
+    assert len(factors) == sum(j - 1 for j in range(1, 151)) == 11175
+    assert all(x and y for x, y in factors)
 
 
 def test_a_wrong_sign_in_the_ratio_fails_the_flatness_check(monkeypatch):
