@@ -65,7 +65,7 @@ def _lift_rows():
     P = solved_lift(max(REF_LIFT))
     rows = [_cell(f"degree {k}", printed, P[k])
             for k, printed in sorted(REF_LIFT.items())]
-    # solved_lift raises unless the solve equals the closed form
+    # solved_lift raises unless the lift passes (4 + t^2)P'' + tP' = 0
     rows.append(["cross-route (closed form)", "equal", "equal", "PASS"])
     return rows
 

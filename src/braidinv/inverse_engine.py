@@ -6,66 +6,60 @@ two lifts are equal as values exactly when they are equal as tuples; P[0]
 is (0, 1).  It stands for sum_k P[k] tau^k for the seed tau = q - q^-1.
 The integral is a ring homomorphism with Z(q^n) = exp(n t/2), so
 Z(tau) = 2 sinh(t/2), and the lift of t is the series P with
-2 sinh(P/2) = t.  The solve finds it from P'^2 = 4/(4 + t^2) by one
-integer recurrence, a square root by convolution, without forming Z(tau).
-Its closed form, the Taylor series of 2 arcsinh(t/2), is built from
-factorials and shares no arithmetic with the solve; solved_lift compares
-the two exactly.  The module reads no braid sum and builds no Fraction.
-The expansions at q - q^-1 come from their own closed form, in
-pair_expansions.
+2 sinh(P/2) = t: P = 2 arcsinh(t/2), built from its binomial ratio and
+proved by (4 + t^2) P'' + t P' = 0 without forming Z(tau).  The module
+reads no braid sum and builds no Fraction.  The expansions at q - q^-1
+come from their own closed form, in pair_expansions.
 """
 
 import math
-from operator import mul
-
-from .render import _reduced
-
-
-def _recurrence_lift(order: int) -> tuple:
-    """Coefficients 0..order of the lift P for the seed q - q^-1.
-
-    P' = 1/cosh(P/2) and 4 cosh^2(P/2) = 4 + t^2, so P'^2 = 4/(4 + t^2)
-    = sum_j (-t^2/4)^j: P is odd, and V_j = 16^j [t^(2j)] P' are integers.
-    Squaring P' by convolution gives 2 V_j = (-4)^j - sum_(0<i<j) V_i V_(j-i)
-    from V_0 = 1; then P_(2j+1) = V_j / (16^j (2j + 1)).  A halving that
-    leaves a remainder raises ArithmeticError.
-    """
-    V, coeffs = [1], [(0, 1), (1, 1)]
-    for j in range(1, (order + 1) // 2):
-        inner = V[1:j]
-        twice = (-4) ** j - sum(map(mul, inner, reversed(inner)))
-        if twice % 2:
-            raise ArithmeticError(f"odd value before the halving at degree "
-                                  f"{2 * j + 1} of the lift")
-        V.append(twice // 2)
-        coeffs += [(0, 1), _reduced(V[j], 16 ** j * (2 * j + 1))]
-    return tuple(coeffs)
 
 
 def closed_form_lift(order: int) -> tuple:
     """The lift for the seed q - q^-1: the Taylor series of 2 arcsinh(t/2).
 
-    The degree 2k+1 coefficient is (-1)^k (2k)! / (16^k (k!)^2 (2k+1)).
-    Independent of the lift solve by construction.
+    The degree 2k+1 coefficient is (-1)^k C(2k, k) / (16^k (2k + 1)).
+    C(2k, k) is C(2k - 2, k - 1) times 2(2k - 1)/k, and 2 divides it
+    exactly popcount(k) times (Kummer), so its odd part over
+    2^(4k - popcount(k)) (2k + 1) is reduced by one gcd against 2k + 1.
     """
     if order < 1 or order % 2 == 0:
         raise ValueError(f"order {order} is not odd and positive")
-    coeffs = [(0, 1)] * (order + 1)
-    for k in range((order + 1) // 2):
-        num = (-1) ** k * math.factorial(2 * k)
-        den = 16 ** k * math.factorial(k) ** 2 * (2 * k + 1)
-        coeffs[2 * k + 1] = _reduced(num, den)
+    coeffs, central = [(0, 1), (1, 1)], 1
+    for k in range(1, (order + 1) // 2):
+        central = central * (4 * k - 2) // k
+        twos, odd = k.bit_count(), 2 * k + 1
+        rest = central >> twos
+        g = math.gcd(rest % odd, odd)
+        rest //= g
+        coeffs += [(0, 1), (-rest if k % 2 else rest,
+                            odd // g << 4 * k - twos)]
     return tuple(coeffs)
 
 
 def solved_lift(order: int) -> tuple:
-    """The lift for the seed q - q^-1 through an odd, positive order, by the
-    solve, checked coefficient for coefficient against closed_form_lift.
-    The order is checked, by the closed form, before the solve.
+    """closed_form_lift(order), returned only once a certificate that reads
+    its pairs alone proves it is 2 arcsinh(t/2), the one solution of
+    (4 + t^2) P'' + t P' = 0, or 4(n + 1)(n + 2) P_(n+2) = -n^2 P_n, with
+    P_0 = 0 and P_1 = 1: it checks those two, every even coefficient
+    (0, 1), every odd one reduced over a positive denominator, and the
+    recurrence at each odd degree; a failure raises ArithmeticError.  A
+    denominator is 2^e times a small odd number, so each check is a
+    product by a small number and a shift.
     """
-    expected = closed_form_lift(order)
-    P = _recurrence_lift(order)
-    if P != expected:
-        raise ArithmeticError(f"the solved lift differs from 2 arcsinh(t/2) "
-                              f"through order {order}")
+    P = closed_form_lift(order)
+    head = f"the lift is not 2 arcsinh(t/2) through order {order}"
+    if len(P) != order + 1 or P[1] != (1, 1) or set(P[::2]) != {(0, 1)}:
+        raise ArithmeticError(f"{head}: it is not t plus odd powers")
+    split = []  # (numerator, odd part, power of 2) at each odd degree
+    for n, (num, den) in zip(range(1, order + 1, 2), P[1::2]):
+        twos = (den & -den).bit_length() - 1
+        if den < 1 or twos and num % 2 == 0 or \
+                math.gcd(num % (den >> twos), den >> twos) > 1:
+            raise ArithmeticError(f"{head}: degree {n} is not a reduced pair")
+        split.append((num, den >> twos, twos))
+    for n, (a, b, e), (c, d, f) in zip(range(1, order, 2), split, split[1:]):
+        if c * (4 * (n + 1) * (n + 2) * b) << e != a * -(n * n * d) << f:
+            raise ArithmeticError(f"{head}: degree {n + 2} breaks "
+                                  f"(4 + t^2) P'' + t P' = 0")
     return P

@@ -46,7 +46,7 @@ def leibniz_partial(r: int) -> tuple:
     denominators 2k+1 and p/q its sum, unreduced.  Leaves of 16 pairs are
     summed in small integers, two blocks merge with one gcd of their q's,
     an odd last term merges as one more block, and the sum is reduced once
-    at the end.
+    at the end; every q is odd, and so is the reduced denominator.
     """
     if r < 1:
         raise ValueError("need at least one term")

@@ -2,8 +2,8 @@
 
 Everything in this file is written directly from the mathematical definitions
 and imports the package under test only where braid builds a braid sum,
-read_z reads the integral's reduced pairs and the general-seed lift solve
-reduces its coefficients.
+read_z reads the integral's reduced pairs and the three lift references
+reduce their coefficients.
 Each oracle gives a second, structurally unrelated route to a value that the
 package computes, so a test that compares the two is a genuine consistency
 check rather than a tautology.
@@ -21,7 +21,9 @@ condition (c) compared each item's prefixes; it reads a BraidSum's
 fields and is the pairwise reference for that condition, as classify,
 on Fractions, is for the trace classes.  The lift solve for a general
 seed is the one the package held before it lifted q - q^-1 alone, the
-reference for that solve.
+reference for that solve; the lift of q - q^-1 by a square-root
+convolution and by factorials are the two it held before it built that
+lift from its binomial ratio, the references for that builder.
 """
 
 from fractions import Fraction
@@ -245,6 +247,43 @@ def arcsinh2_binomial(order):
         out[2 * k + 1] = c / (2 * k + 1)
         c *= Fraction(-(2 * k + 1), 8 * (k + 1))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the lift for q - q^-1 as reduced pairs, by the two routes the package held
+# before it built the lift from its binomial ratio
+
+def _recurrence_lift(order: int) -> tuple:
+    """Coefficients 0..order of the lift P for the seed q - q^-1.
+
+    P' = 1/cosh(P/2) and 4 cosh^2(P/2) = 4 + t^2, so P'^2 = 4/(4 + t^2)
+    = sum_j (-t^2/4)^j: P is odd, and V_j = 16^j [t^(2j)] P' are integers.
+    Squaring P' by convolution gives 2 V_j = (-4)^j - sum_(0<i<j) V_i V_(j-i)
+    from V_0 = 1; then P_(2j+1) = V_j / (16^j (2j + 1)).  A halving that
+    leaves a remainder raises ArithmeticError.
+    """
+    V, coeffs = [1], [(0, 1), (1, 1)]
+    for j in range(1, (order + 1) // 2):
+        inner = V[1:j]
+        twice = (-4) ** j - sum(map(mul, inner, reversed(inner)))
+        if twice % 2:
+            raise ArithmeticError(f"odd value before the halving at degree "
+                                  f"{2 * j + 1} of the lift")
+        V.append(twice // 2)
+        coeffs += [(0, 1), _reduced(V[j], 16 ** j * (2 * j + 1))]
+    return tuple(coeffs)
+
+
+def factorial_lift(order: int) -> tuple:
+    """The Taylor series of 2 arcsinh(t/2) through an odd order, whose
+    degree 2k+1 coefficient is (-1)^k (2k)! / (16^k (k!)^2 (2k+1)), each
+    reduced by one gcd."""
+    coeffs = [(0, 1)] * (order + 1)
+    for k in range((order + 1) // 2):
+        num = (-1) ** k * math.factorial(2 * k)
+        den = 16 ** k * math.factorial(k) ** 2 * (2 * k + 1)
+        coeffs[2 * k + 1] = _reduced(num, den)
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------

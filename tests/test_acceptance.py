@@ -15,8 +15,7 @@ from braidinv.basis_solver import build_unbalanced, entry_sequence, invert
 from braidinv.braid_ring import BraidSum, sigma_power, tau
 from braidinv.convergence import (biconvergence_report,
                                   filtration_condition_c, verdict)
-from braidinv.inverse_engine import (_recurrence_lift, closed_form_lift,
-                                     solved_lift)
+from braidinv.inverse_engine import closed_form_lift, solved_lift
 from braidinv.pair_expansions import asymptotic_check, tau_expansions
 from braidinv.regularization import leibniz_partial, theta_value
 from braidinv.sequences import (harmonic_sigma_sequence,
@@ -45,13 +44,13 @@ def test_criterion_02_route_agreement():
     orders = list(range(1, 26, 2))
     mismatches = []
     for n in orders:
-        a = oracles.exact(_recurrence_lift(n))
+        a = oracles.exact(solved_lift(n))
         b = oracles.arcsinh2_binomial(n)
         c = oracles.exact(closed_form_lift(n))
         if not a == b == c:
             mismatches.append(n)
     report(2, not mismatches,
-           f"strengthening = binomial series oracle = closed form "
+           f"certified lift = binomial series oracle = closed form "
            f"(--method reversion) at odd orders "
            f"{orders[0]}..{orders[-1]}; mismatches: {mismatches or 'none'}")
 

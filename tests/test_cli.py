@@ -17,7 +17,9 @@ import pytest
 from braidinv import (basis_solver, cli, inputs, inverse_engine,
                       pair_expansions, sequences)
 from braidinv.braid_ring import BraidSum, pair
-from braidinv.commands import beta, reproduce, zmap
+# the lift command binds closed_form_lift by name when first imported: here,
+# before a test patches it
+from braidinv.commands import beta, lift, reproduce, zmap  # noqa: F401
 
 import oracles
 import replay_cli
@@ -458,43 +460,44 @@ def test_qexpand_rejects_a_bad_power_before_strengthening(monkeypatch, capsys):
 
 
 def counted(monkeypatch):
-    """The (name, order) of every solve of the lift and every flatness
-    certificate of an expansion, in the order they run; a certificate of
-    a power p names p times the order, the top exponent it reads."""
+    """The (name, order) of every certified build of the lift and every
+    flatness certificate of an expansion, in the order they run; a
+    certificate of a power p names p times the order, the top exponent it
+    reads."""
     calls = []
-    solve = inverse_engine._recurrence_lift
+    build = inverse_engine.closed_form_lift
     moments = pair_expansions.pair_moments
 
-    def counting_solve(order):
-        calls.append(("solve", order))
-        return solve(order)
+    def counting_build(order):
+        calls.append(("build", order))
+        return build(order)
 
     def counting_moments(b):
         calls.append(("certify", max(b.half)))
         return moments(b)
 
-    monkeypatch.setattr(inverse_engine, "_recurrence_lift", counting_solve)
+    monkeypatch.setattr(inverse_engine, "closed_form_lift", counting_build)
     monkeypatch.setattr(pair_expansions, "pair_moments", counting_moments)
     return calls
 
 
-# request -> the solves and certificates it runs
+# request -> the lift builds and the certificates it runs
 SOLVES_AND_CERTIFICATES = {
-    "lift --order 13": [("solve", 13)],
+    "lift --order 13": [("build", 13)],
     "qexpand --order 11 --power 2": [("certify", 22)],
     "asymptotics --j 3 --orders 9,25,49": [("certify", 49)],
     "trace --sequence tauhat --window 8": [("certify", 15)],
-    "reproduce --table lift": [("solve", 13)],
+    "reproduce --table lift": [("build", 13)],
     "reproduce --table pairs": [("certify", 11)],
     "basis --r 3 --solve-t": [("certify", 3)],
-    "reproduce": [("solve", 13), ("certify", 11)],
+    "reproduce": [("build", 13), ("certify", 11)],
 }
 
 
 @pytest.mark.parametrize("argv", [request.split()
                                   for request in SOLVES_AND_CERTIFICATES])
 def test_a_request_solves_once_and_expands_once(argv, monkeypatch, capsys):
-    # the lift is solved only where it is printed; every expansion a
+    # the lift is built only where it is printed; every expansion a
     # request reads comes from the closed form, certified at its top order
     calls = counted(monkeypatch)
     assert cli.main(argv) == 0
@@ -506,14 +509,14 @@ def test_a_request_solves_once_and_expands_once(argv, monkeypatch, capsys):
     (["beta", "zeta2"], None)])
 def test_reproduce_solves_through_the_orders_its_tables_read(
         tables, top, monkeypatch, capsys):
-    # the lift table solves through order 13 and the pairs table certifies
+    # the lift table builds through order 13 and the pairs table certifies
     # its expansions through order 11; no other table reads the lift
     calls = counted(monkeypatch)
     argv = [arg for name in tables for arg in ("--table", name)]
     assert cli.main(["reproduce", *argv]) == 0
     read = set(tables or reproduce.REPRODUCE_TABLES)
     assert sorted(calls) == sorted(
-        [("solve", 13)] * ("lift" in read) +
+        [("build", 13)] * ("lift" in read) +
         [("certify", 11)] * ("pairs" in read))
     assert max((order for _, order in calls), default=None) == top
     capsys.readouterr()

@@ -1,5 +1,4 @@
 import inspect
-import itertools
 import random
 from fractions import Fraction
 from functools import reduce
@@ -9,8 +8,10 @@ import pytest
 
 from braidinv import cli, inverse_engine, pair_expansions
 from braidinv.braid_ring import BraidSum, pair, sigma_power, tau
-from braidinv.inverse_engine import (_recurrence_lift, closed_form_lift,
-                                     solved_lift)
+# the lift command binds closed_form_lift by name when first imported: here,
+# before a test patches it
+from braidinv.commands import lift  # noqa: F401
+from braidinv.inverse_engine import closed_form_lift, solved_lift
 from braidinv.pair_expansions import (PairSum, asymptotic_check,
                                       closed_form_expansion, tau_expansions)
 
@@ -113,8 +114,7 @@ def test_strengthen_general_seed():
 
 def test_strengthen_solves_once_and_checks_once(monkeypatch):
     calls = []
-    for module, name in ((inverse_engine, "_recurrence_lift"),
-                         (inverse_engine, "closed_form_lift"),
+    for module, name in ((inverse_engine, "closed_form_lift"),
                          (pair_expansions, "closed_form_expansion"),
                          (pair_expansions, "pair_moments")):
         original = getattr(module, name)
@@ -124,10 +124,10 @@ def test_strengthen_solves_once_and_checks_once(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(module, name, counting)
-    # the lift solves once and compares once; the expansions solve nothing,
-    # build each order once and certify the top one alone
+    # the lift is built once and certified from its pairs; the expansions
+    # solve nothing, build each order once and certify the top one alone
     solved_lift(21)
-    assert calls == [("closed_form_lift", 21), ("_recurrence_lift", 21)]
+    assert calls == [("closed_form_lift", 21)]
     calls.clear()
     tau_expansions([5, 21, 1])
     assert [name for name, _ in calls] == \
@@ -137,79 +137,36 @@ def test_strengthen_solves_once_and_checks_once(monkeypatch):
 
 
 def test_strengthen_reports_a_broken_invariant(monkeypatch):
-    # one coefficient of the solved lift off, still a reduced pair, and the
+    # one coefficient of the built lift off, still a reduced pair, and the
     # lift command stops
-    solve = inverse_engine._recurrence_lift
-    for at in (1, 2, 5):
+    build = inverse_engine.closed_form_lift
+    for at, broken in ((1, "it is not t plus odd powers"),
+                       (2, "it is not t plus odd powers"),
+                       (5, r"degree 5 breaks \(4 \+ t\^2\) P'' \+ t P' = 0")):
         def corrupted(*args, at=at):
-            P = list(solve(*args))
+            P = list(build(*args))
             c = oracles.exact(P[at]) + Fraction(1, 10 ** 9)
             P[at] = (c.numerator, c.denominator)
             return tuple(P)
 
-        monkeypatch.setattr(inverse_engine, "_recurrence_lift", corrupted)
+        monkeypatch.setattr(inverse_engine, "closed_form_lift", corrupted)
         with pytest.raises(ArithmeticError,
-                           match=r"arcsinh\(t/2\) through order 5"):
+                           match=r"the lift is not 2 arcsinh\(t/2\) through "
+                                 f"order 5: {broken}"):
             solved_lift(5)
         with pytest.raises(ArithmeticError, match="through order 5"):
             cli.main(["lift", "--order", "5"])
 
 
 def test_the_recurrences_are_the_general_solve_at_q_minus_q_inverse():
-    # every odd truncation through 301 against both oracles' prefixes, and
-    # order 1201 against the closed form
+    # the square-root recurrence of tests/oracles.py, every odd truncation
+    # through 301 against the other oracles' prefixes
     binomial = oracles.arcsinh2_binomial(301)
     general = oracles._lift_series({1: 1, -1: -1}, 1, 301)
     for order in range(1, 302, 2):
-        P = _recurrence_lift(order)
+        P = oracles._recurrence_lift(order)
         assert P == general[:order + 1]
         assert oracles.exact(P) == binomial[:order + 1]
-    assert _recurrence_lift(1201) == closed_form_lift(1201)
-
-
-def planted(monkeypatch, at, by):
-    """Put the at-th product (from 0) of the solve's convolutions off by
-    `by`."""
-    products = itertools.count()
-
-    def mul(x, y):
-        return x * y + by * (next(products) == at)
-
-    monkeypatch.setattr(inverse_engine, "mul", mul)
-
-
-def test_a_corrupted_convolution_term_stops_the_lift(monkeypatch):
-    # the order-21 solve forms 45 products; one off by 2 keeps every
-    # halving even or breaks a later one, and either way solved_lift raises
-    for at in range(45):
-        planted(monkeypatch, at, 2)
-        with pytest.raises(ArithmeticError):
-            solved_lift(21)
-    planted(monkeypatch, 45, 2)
-    assert solved_lift(21) == closed_form_lift(21)
-
-
-def test_an_odd_value_before_the_halving_stops_the_lift(monkeypatch):
-    # the first product is V_1^2 = 4 at j = 2, where 2 V_2 = 16 - 4
-    planted(monkeypatch, 0, 1)
-    with pytest.raises(ArithmeticError,
-                       match="odd value before the halving at degree 5"):
-        solved_lift(5)
-
-
-def test_the_solve_forms_no_product_with_a_zero_factor(monkeypatch):
-    # P is odd and every V_j is nonzero, so the solve convolves only
-    # nonzero values: (j - 1) products at each j, none of them of a zero
-    factors = []
-
-    def mul(x, y):
-        factors.append((x, y))
-        return x * y
-
-    monkeypatch.setattr(inverse_engine, "mul", mul)
-    assert _recurrence_lift(301) == closed_form_lift(301)
-    assert len(factors) == sum(j - 1 for j in range(1, 151)) == 11175
-    assert all(x and y for x, y in factors)
 
 
 def test_a_wrong_sign_in_the_ratio_fails_the_flatness_check(monkeypatch):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from braidinv.braid_ring import BraidSum, sigma_power, tau
-from braidinv.inverse_engine import _recurrence_lift, closed_form_lift
+from braidinv.inverse_engine import closed_form_lift, solved_lift
 import oracles
 from oracles import read_z
 
@@ -61,8 +61,8 @@ def test_compose_corrects_the_fifth_degree():
 
 
 def test_revert_two_sinh_half():
-    """The solve on q - q^-1 reverts Z(q - q^-1) = 2 sinh(t/2)."""
-    assert oracles.exact(_recurrence_lift(11)) == (
+    """The certified lift on q - q^-1 reverts Z(q - q^-1) = 2 sinh(t/2)."""
+    assert oracles.exact(solved_lift(11)) == (
         0, 1, 0, Fraction(-1, 24), 0, Fraction(3, 640), 0,
         Fraction(-5, 7168), 0, Fraction(35, 294912), 0,
         Fraction(-63, 2883584))

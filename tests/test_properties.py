@@ -14,10 +14,13 @@ solve is checked on random seeds of filtration order one against Lagrange
 inversion and composition of the seed's integral and against stepwise
 strengthening, its (numerator, denominator) pairs checked to be in lowest
 terms, and the closed-form expansions at q - q^-1 against the multiply
-loop on the arcsinh series.  The product of pair sums and the powers of
-the expansions are checked against the reference product, read back as
-a pair sum.  The braid ring laws and the reference filtration order are
-checked against the ring axioms and the synthetic-division oracle;
+loop on the arcsinh series.  The lift of q - q^-1 is checked against both
+references of tests/oracles.py through order 1201, and its certificate
+must refuse one fault planted in it at a time.  The product of pair sums
+and the powers of the expansions are checked against the reference
+product, read back as a pair sum.  The braid ring laws and the reference
+filtration order are checked against the ring axioms and the
+synthetic-division oracle;
 condition (c), read from each item's prefixes, against that order taken
 on every difference sum of a window, and against a faulty integral or
 derivative stream planted in it; the whole trace report, whose (a) and
@@ -42,11 +45,12 @@ import math
 import sys
 from fractions import Fraction
 from itertools import count
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from braidinv import basis_solver, cli, convergence, sequences
+from braidinv import basis_solver, cli, convergence, inverse_engine, sequences
 from braidinv.basis_solver import (MomentMatrix, build_balanced,
                                    build_unbalanced, entry_sequence, invert)
 from braidinv.braid_ring import BraidSum, render, sigma_power, tau
@@ -54,8 +58,7 @@ from braidinv.commands.beta import decimal_digits
 from braidinv.commands.trace import STOCK_SEQUENCES
 from braidinv.convergence import biconvergence_report, filtration_condition_c
 from braidinv.inputs import _Number, _exact_decimal, exponent_map, read_json
-from braidinv.inverse_engine import (_recurrence_lift, closed_form_lift,
-                                     solved_lift)
+from braidinv.inverse_engine import closed_form_lift, solved_lift
 from braidinv.pair_expansions import (PairSum, closed_form_expansion,
                                       tau_expansions, times)
 from braidinv.render import rational, render_csv, render_json
@@ -148,6 +151,44 @@ def test_three_routes_agree_at_order_301():
     assert oracles.exact(P) == oracles.arcsinh2_binomial(301)
 
 
+def test_the_builder_is_both_references_through_order_1201():
+    # and the certificate passes every odd truncation
+    recurrence = oracles._recurrence_lift(1201)
+    assert oracles.factorial_lift(1201) == recurrence
+    for order in range(1, 1202, 2):
+        assert closed_form_lift(order) == solved_lift(order) \
+            == recurrence[:order + 1]
+
+
+# one fault at an odd degree: the numerator off, both fields times 3, a
+# nonzero cell at the even degree below, or the pair swapped with another
+FAULTS = (-2, -1, 1, 2, "times 3", "even cell", "swap")
+
+
+@settings(max_examples=400)
+@given(st.integers(0, 150), st.sampled_from(FAULTS), st.data())
+def test_a_fault_planted_in_the_lift_fails_its_certificate(k, fault, data):
+    order = 2 * k + 1
+    P = list(closed_form_lift(order))
+    n = 2 * data.draw(st.integers(0, k)) + 1
+    num, den = P[n]
+    if fault == "swap":
+        assume(k > 0)
+        m = 2 * data.draw(st.integers(0, k - 1)) + 1
+        m += 2 * (m >= n)
+        P[n], P[m] = P[m], P[n]
+    elif fault == "even cell":
+        P[n - 1] = (data.draw(nonzero_integers), data.draw(st.integers(1, 9)))
+    elif fault == "times 3":
+        P[n] = (3 * num, 3 * den)
+    else:
+        P[n] = (num + fault, den)
+    with mock.patch.object(inverse_engine, "closed_form_lift",
+                           lambda order: tuple(P)):
+        with pytest.raises(ArithmeticError):
+            solved_lift(order)
+
+
 @given(braid_sums, braid_sums, st.integers(0, 8))
 def test_z_is_a_ring_homomorphism(a, b, order):
     a, b = braid(a), braid(b)
@@ -201,7 +242,7 @@ def test_powers_are_the_reference_products_through_order_61(k, power):
 
 def test_strengthen_matches_the_stepwise_oracle():
     for order in range(1, 22, 2):
-        assert oracles.exact(_recurrence_lift(order)) \
+        assert oracles.exact(solved_lift(order)) \
             == oracles.strengthen_stepwise(oracles.TAU, order)
 
 

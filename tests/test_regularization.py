@@ -2,6 +2,7 @@
 read as Fractions (oracles.read_pairs, which also fails on an unreduced
 pair) where an oracle compares them."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -76,6 +77,13 @@ def test_leibniz_partial_matches_direct_sum():
     # pairs, a power of two, and an odd last term
     for r in [*range(1, 301), 1000, 2049, 3000]:
         assert read_pairs(leibniz_partial(r)) == oracles.leibniz_direct(r), r
+
+
+def test_leibniz_partial_has_odd_reduced_denominators():
+    # so beta --s 1 scales the sum by 4 without reducing it again
+    for r in (1, 10, 100, 1000, 10000):
+        num, den = leibniz_partial(r)
+        assert den % 2 == 1 and math.gcd(num, den) == 1, r
 
 
 def test_leibniz_thousand_terms_near_pi_over_four():
