@@ -5,22 +5,25 @@ x_m = 2m - 1, m <= R, and its integral is t through degree r + 1.  Those R
 conditions are a Vandermonde system in the x_m^2, so the sum is unique:
 a_m = (1/x_m) prod_(l != m) x_l^2 / (x_l^2 - x_m^2) on q^x_m - q^-x_m, the
 weights for f'(0) on the staggered nodes +-1/2, +-3/2, ... (Fornberg, Math.
-Comp. 51, 1988).  The top order a request reads, raised to the power p it
-asks for, is certified on its integer moments, which share no arithmetic
-with the closed form or the product.  At p = 1, by uniqueness, that proves
-the expansion; at p > 1 it proves only Z = t^p through degree r + p, and the
-product rests on the tests' reference (ROADMAP item 19).  The pair
-coefficients approach signed multiples of 4/pi; the float columns that
-compare them with that limit are built in the commands.
+Comp. 51, 1988).  Every expansion a request reads is certified from its
+own cells, which share no arithmetic with the closed form: under
+theta = q d/dq it must satisfy theta^2 e = c (q - q^-1)^r with
+t-coefficient 1, which proves it integrates to t through degree r + 1
+and so, by uniqueness, proves the expansion.  A power p > 1 is checked
+through the integral, Z(e^p) = t^p through degree r + p; that proves less
+than the power, and the product rests on the tests' reference (ROADMAP
+item 19).  The pair coefficients approach signed multiples of 4/pi; the
+float columns that compare them with that limit are built in the
+commands.
 
 Every sum here is symmetric or antisymmetric under q -> q^-1, so it is
 held as a PairSum, its positive half and q^0 term in integers, and built,
-multiplied, certified and printed without the braid ring or any Fraction.
+multiplied, certified and printed without Fractions; only a power's check
+reads it as a braid sum.
 """
 
 import math
 from functools import reduce
-from operator import mul, ne
 
 from .render import _reduced
 
@@ -92,24 +95,11 @@ def times(a: PairSum, b: PairSum) -> PairSum:
     return PairSum(half, zero, a.den * b.den, s * t)
 
 
-def pair_moments(b: PairSum):
-    """Lazily and unbounded, b's integer moments sum_n c_n n^i over both
-    halves and q^0, at i = 1, 3, ... if b is antisymmetric and at
-    i = 0, 2, ... if symmetric (those of the other parity vanish): twice
-    the positive half's, plus the q^0 numerator at i = 0."""
-    weights = [2 * c * (n if b.sign < 0 else 1) for n, c in b.half.items()]
-    squares = [n * n for n in b.half]
-    yield sum(weights) + b.zero
-    while True:
-        weights = list(map(mul, weights, squares))
-        yield sum(weights)
-
-
 def tau_expansions(orders, power: int = 1) -> list:
     """Each order's expansion, the orders odd, positive and given once,
-    raised to the power, as PairSums.  The top order's is certified to
-    integrate to t^power.  Powers above one have no reference values; they
-    are reported.
+    raised to the power, as PairSums, each certified to integrate to
+    t^power through degree order + power.  Powers above one have no
+    reference values; they are reported.
     """
     if power < 1:
         raise ValueError("power must be positive")
@@ -119,19 +109,27 @@ def tau_expansions(orders, power: int = 1) -> list:
             raise ValueError(f"order {r} is not odd and positive")
         if r in orders[:at]:
             raise ValueError(f"order {r} given twice")
-    powers = [reduce(times, [closed_form_expansion(r)] * power)
-              for r in orders]
-    top = max(orders)
-    b = powers[orders.index(top)]
-    # Z(b)'s degree-i coefficient is b's moment sum_n c_n n^i over
-    # b.den 2^i i!; the expansion is t through degree top + 1, so its power
-    # p is t^p through top + p: b has the sign (-1)^p, and its moments of
-    # that parity are b.den 2^p p! at i = p and 0 at every other i <= top + p
-    want = [b.den * 2 ** power * math.factorial(power) if i == power else 0
-            for i in range(power % 2, top + power + 1, 2)]
-    if b.sign != (-1) ** power or any(map(ne, want, pair_moments(b))):
-        raise ArithmeticError(f"lift is not flat through order {top} "
-                              f"at power {power}")
+    powers = []
+    for r in orders:
+        e = closed_form_expansion(r)
+        # theta^2 e = sum x^2 half[x] (q^x - q^-x) / den is c (q - q^-1)^r,
+        # whose cell at x = r - 2k is c (-1)^k C(r, k), and Z(e)'s
+        # t-coefficient, sum x half[x] / den, is 1.  Z(theta^2 e) = 4 Z(e)''
+        # and Z((q - q^-1)^r) = O(t^r), so Z(e) = t through degree r + 1
+        d = [x * x * e.half.get(x, 0) for x in range(r, 0, -2)]
+        flat = e.sign < 0 and e.half.keys() == set(range(1, r + 1, 2)) \
+            and sum(x * c for x, c in e.half.items()) == e.den \
+            and all((k + 1) * d[k + 1] == (k - r) * d[k]
+                    for k in range(len(d) - 1))
+        b = reduce(times, [e] * power)
+        if flat and power > 1:
+            from .kontsevich import Z
+            flat = Z(b.braid_sum(), r + power) == \
+                ((0, 1),) * power + ((1, 1),) + ((0, 1),) * r
+        if not flat:
+            raise ArithmeticError(f"lift is not flat through order {r} "
+                                  f"at power {power}")
+        powers.append(b)
     return powers
 
 

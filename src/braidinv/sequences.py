@@ -12,7 +12,7 @@ from .render import _reduced
 
 def lift_truncation_sequence(count: int) -> list:
     """b_i = the order (2i-1) truncation of the lift expanded at q - q^-1,
-    all from one tau_expansions, the top certified, as BraidSums.
+    all from one tau_expansions, each certified, as BraidSums.
     Differences of consecutive items are spans of high seed powers, so
     condition (c) holds comfortably.
     """

@@ -23,11 +23,14 @@ on Fractions, is for the trace classes.  The lift solve for a general
 seed is the one the package held before it lifted q - q^-1 alone, the
 reference for that solve; the lift of q - q^-1 by a square-root
 convolution and by factorials are the two it held before it built that
-lift from its binomial ratio, the references for that builder.
+lift from its binomial ratio, the references for that builder.  The
+moments of a pair sum, and the flatness read from them, are the
+certificate the package ran on its expansions before it checked the
+theta^2 identity on their cells, the reference for that identity.
 """
 
 from fractions import Fraction
-from operator import add, mul
+from operator import add, eq, mul
 import argparse
 import math
 import sys
@@ -181,6 +184,29 @@ def pair_fields(b):
     if any(b.nums.get(-n) != sign * c for n, c in b.nums.items() if n):
         raise ValueError("neither symmetric nor antisymmetric")
     return half, b.nums.get(0, 0), b.den, sign
+
+
+def pair_moments(b):
+    """Lazily and unbounded, a pair sum's integer moments sum_n c_n n^i
+    over both halves and q^0, at i = 1, 3, ... if b is antisymmetric and
+    at i = 0, 2, ... if symmetric (those of the other parity vanish):
+    twice the positive half's, plus the q^0 numerator at i = 0."""
+    weights = [2 * c * (n if b.sign < 0 else 1) for n, c in b.half.items()]
+    squares = [n * n for n in b.half]
+    yield sum(weights) + b.zero
+    while True:
+        weights = list(map(mul, weights, squares))
+        yield sum(weights)
+
+
+def moments_flat(b, top):
+    """Whether a pair sum b integrates to t through degree top + 1, read
+    from its moments: Z(b)'s degree-i coefficient is the i-th moment over
+    b.den 2^i i!, so b is antisymmetric and its moments are 2 b.den at
+    i = 1 and 0 at i = 3, 5, ..., top.  This is the certificate the
+    package ran on an expansion of order top before the theta^2 identity."""
+    want = [2 * b.den] + [0] * ((top - 1) // 2)
+    return b.sign < 0 and all(map(eq, want, pair_moments(b)))
 
 
 def tau_power(k):

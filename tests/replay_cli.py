@@ -16,8 +16,8 @@ every README command against bench/readme_digests.json; REFUSED and
 GUARDS, bad input that exits 1, the last under each setting of Python's
 own digit guard; UNWRITABLE, stdout that is closed, full or a pipe whose
 reader has gone, buffered and not; AT_SIZE, every subcommand once, some at
-sizes the goldens do not reach, the largest lifts against the SHA-256 of
-their stdout; READ_BACKS, output read back through the json, csv and
+sizes the goldens do not reach, the largest lifts and expansions and a
+power against the SHA-256 of their stdout; READ_BACKS, output read back through the json, csv and
 fractions modules, which the package's writers do not use.
 tests/test_replay_cli.py, tests/test_cli.py and tests/test_entry.py run
 each row as a test, once however many tests name it; tests/test_entry.py
@@ -314,7 +314,7 @@ UNWRITABLE = [
 AT_SIZE = [Row(command, command.split(), prints()) for command in [
     "--help", "lift --help", "lift --order 301 --format csv",
     "lift --order 151 --method reversion",
-    "qexpand --order 5", "qexpand --order 301 --power 4 --format csv",
+    "qexpand --order 5",
     # an odd power, whose left factor is symmetric with a q^0 term
     "qexpand --order 201 --power 3 --format json",
     "asymptotics --j 3 --orders 9",
@@ -341,6 +341,13 @@ AT_SIZE = [Row(command, command.split(), prints()) for command in [
     *[(f"lift --order 9601{method} --format csv",
        "524733f0e1f1f0fe8804466bd026059c66fa7e3d6e8dd53b5fe283224ce4ee2f")
       for method in ("", " --method reversion")],
+    # the expansions at size and a power, byte for byte
+    ("qexpand --order 2401 --format csv",
+     "b1f00216ae1756281aaa7579bdcb2171ea1fb67b4b08e465648c46a358e99cc2"),
+    ("asymptotics --j 3 --orders 601,1201,2401 --format csv",
+     "725e77f499c5f68bff73996ecac324fbf2a46fc50b55ce60549991459432ca43"),
+    ("qexpand --order 301 --power 4 --format csv",
+     "fb667492bdfed848ab94022cef38cf012f63625ccb0ef012dfcbc0b6ba292df2"),
 ]] + [Row(name, argv, prints(then=then)) for name, argv, then in [
     ("zmap-json-braid", ["zmap", "--braid", '{"1": "1", "-1": "-1"}'], None),
     ("zmap-identity", ["zmap", "--braid", "identity"],

@@ -51,7 +51,7 @@ def test_criterion_02_route_agreement():
             mismatches.append(n)
     report(2, not mismatches,
            f"certified lift = binomial series oracle = closed form "
-           f"(--method reversion) at odd orders "
+           f"at odd orders "
            f"{orders[0]}..{orders[-1]}; mismatches: {mismatches or 'none'}")
 
 

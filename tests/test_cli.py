@@ -15,11 +15,9 @@ from fractions import Fraction
 import pytest
 
 from braidinv import (basis_solver, cli, inputs, inverse_engine,
-                      pair_expansions, sequences)
+                      kontsevich, pair_expansions, sequences)
 from braidinv.braid_ring import BraidSum, pair
-# the lift command binds closed_form_lift by name when first imported: here,
-# before a test patches it
-from braidinv.commands import beta, lift, reproduce, zmap  # noqa: F401
+from braidinv.commands import beta, reproduce, zmap
 
 import oracles
 import replay_cli
@@ -52,7 +50,7 @@ def test_lift_text_output(capsys):
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize("order", ["1", "13", "151"])
 def test_lift_methods_are_byte_identical(order, fmt, capsys):
-    # strengthening and the arcsinh closed form share no code
+    # both methods print the one certified lift
     lift = ("lift", "--order", order, "--format", fmt, "--method")
     assert prints(capsys, *lift, "strengthen") == \
         prints(capsys, *lift, "reversion")
@@ -460,37 +458,47 @@ def test_qexpand_rejects_a_bad_power_before_strengthening(monkeypatch, capsys):
 
 
 def counted(monkeypatch):
-    """The (name, order) of every certified build of the lift and every
-    flatness certificate of an expansion, in the order they run; a
-    certificate of a power p names p times the order, the top exponent it
-    reads."""
+    """The (name, order) of every certified build of the lift, every
+    expansion built and certified from its own cells, and every integral
+    that checks a power, with the degree it reads through, in the order
+    they run."""
     calls = []
     build = inverse_engine.closed_form_lift
-    moments = pair_expansions.pair_moments
+    expand = pair_expansions.closed_form_expansion
+    integrate = kontsevich.Z
 
     def counting_build(order):
         calls.append(("build", order))
         return build(order)
 
-    def counting_moments(b):
-        calls.append(("certify", max(b.half)))
-        return moments(b)
+    def counting_expand(order):
+        calls.append(("expand", order))
+        return expand(order)
+
+    def counting_integrate(b, order):
+        calls.append(("integrate", order))
+        return integrate(b, order)
 
     monkeypatch.setattr(inverse_engine, "closed_form_lift", counting_build)
-    monkeypatch.setattr(pair_expansions, "pair_moments", counting_moments)
+    monkeypatch.setattr(pair_expansions, "closed_form_expansion",
+                        counting_expand)
+    monkeypatch.setattr(kontsevich, "Z", counting_integrate)
     return calls
 
 
-# request -> the lift builds and the certificates it runs
+PAIR_ORDERS = [("expand", order) for order in (1, 3, 5, 7, 9, 11)]
+# request -> the lift builds, expansions and power checks it runs
 SOLVES_AND_CERTIFICATES = {
     "lift --order 13": [("build", 13)],
-    "qexpand --order 11 --power 2": [("certify", 22)],
-    "asymptotics --j 3 --orders 9,25,49": [("certify", 49)],
-    "trace --sequence tauhat --window 8": [("certify", 15)],
+    "qexpand --order 11 --power 2": [("expand", 11), ("integrate", 13)],
+    "asymptotics --j 3 --orders 9,25,49":
+        [("expand", 9), ("expand", 25), ("expand", 49)],
+    "trace --sequence tauhat --window 8":
+        [("expand", order) for order in range(1, 16, 2)],
     "reproduce --table lift": [("build", 13)],
-    "reproduce --table pairs": [("certify", 11)],
-    "basis --r 3 --solve-t": [("certify", 3)],
-    "reproduce": [("build", 13), ("certify", 11)],
+    "reproduce --table pairs": PAIR_ORDERS,
+    "basis --r 3 --solve-t": [("expand", 3)],
+    "reproduce": [("build", 13), *PAIR_ORDERS],
 }
 
 
@@ -498,7 +506,8 @@ SOLVES_AND_CERTIFICATES = {
                                   for request in SOLVES_AND_CERTIFICATES])
 def test_a_request_solves_once_and_expands_once(argv, monkeypatch, capsys):
     # the lift is built only where it is printed; every expansion a
-    # request reads comes from the closed form, certified at its top order
+    # request reads comes from the closed form, each order once, and a
+    # power alone reads the integral
     calls = counted(monkeypatch)
     assert cli.main(argv) == 0
     assert calls == SOLVES_AND_CERTIFICATES[" ".join(argv)]
@@ -509,23 +518,22 @@ def test_a_request_solves_once_and_expands_once(argv, monkeypatch, capsys):
     (["beta", "zeta2"], None)])
 def test_reproduce_solves_through_the_orders_its_tables_read(
         tables, top, monkeypatch, capsys):
-    # the lift table builds through order 13 and the pairs table certifies
-    # its expansions through order 11; no other table reads the lift
+    # the lift table builds through order 13 and the pairs table expands
+    # and certifies orders 1-11; no other table reads the lift
     calls = counted(monkeypatch)
     argv = [arg for name in tables for arg in ("--table", name)]
     assert cli.main(["reproduce", *argv]) == 0
     read = set(tables or reproduce.REPRODUCE_TABLES)
     assert sorted(calls) == sorted(
-        [("build", 13)] * ("lift" in read) +
-        [("certify", 11)] * ("pairs" in read))
+        [("build", 13)] * ("lift" in read) + PAIR_ORDERS * ("pairs" in read))
     assert max((order for _, order in calls), default=None) == top
     capsys.readouterr()
 
 
 def test_a_broken_lower_truncation_fails_its_symmetry_check(monkeypatch):
-    # the top expansion passes the flatness check; a lower one is
-    # antisymmetric by construction, so a stray q^0 term in it is refused
-    # where it is built, before any request reads it
+    # an expansion is antisymmetric by construction, so a stray q^0 term
+    # in a lower one is refused where it is built, before its certificate
+    # or any request reads it
     expansion = pair_expansions.closed_form_expansion
 
     def planted(order):

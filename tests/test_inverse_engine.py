@@ -6,11 +6,8 @@ from functools import reduce
 import mpmath
 import pytest
 
-from braidinv import cli, inverse_engine, pair_expansions
+from braidinv import cli, inverse_engine, kontsevich, pair_expansions
 from braidinv.braid_ring import BraidSum, pair, sigma_power, tau
-# the lift command binds closed_form_lift by name when first imported: here,
-# before a test patches it
-from braidinv.commands import lift  # noqa: F401
 from braidinv.inverse_engine import closed_form_lift, solved_lift
 from braidinv.pair_expansions import (PairSum, asymptotic_check,
                                       closed_form_expansion, tau_expansions)
@@ -116,7 +113,7 @@ def test_strengthen_solves_once_and_checks_once(monkeypatch):
     calls = []
     for module, name in ((inverse_engine, "closed_form_lift"),
                          (pair_expansions, "closed_form_expansion"),
-                         (pair_expansions, "pair_moments")):
+                         (kontsevich, "Z")):
         original = getattr(module, name)
 
         def counting(*args, name=name, original=original):
@@ -125,20 +122,21 @@ def test_strengthen_solves_once_and_checks_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
     # the lift is built once and certified from its pairs; the expansions
-    # solve nothing, build each order once and certify the top one alone
+    # solve nothing and build each order once, certified from its own
+    # cells, and only a power is checked through the integral
     solved_lift(21)
     assert calls == [("closed_form_lift", 21)]
     calls.clear()
     tau_expansions([5, 21, 1])
-    assert [name for name, _ in calls] == \
-        ["closed_form_expansion"] * 3 + ["pair_moments"]
-    assert oracles.exact(calls[-1][1]) == \
-        oracles.exact(closed_form_expansion(21))
+    assert calls == [("closed_form_expansion", r) for r in (5, 21, 1)]
+    calls.clear()
+    tau_expansions([5], 3)
+    assert calls == [("closed_form_expansion", 5), ("Z", 8)]
 
 
 def test_strengthen_reports_a_broken_invariant(monkeypatch):
     # one coefficient of the built lift off, still a reduced pair, and the
-    # lift command stops
+    # lift command stops under either method
     build = inverse_engine.closed_form_lift
     for at, broken in ((1, "it is not t plus odd powers"),
                        (2, "it is not t plus odd powers"),
@@ -154,8 +152,9 @@ def test_strengthen_reports_a_broken_invariant(monkeypatch):
                            match=r"the lift is not 2 arcsinh\(t/2\) through "
                                  f"order 5: {broken}"):
             solved_lift(5)
-        with pytest.raises(ArithmeticError, match="through order 5"):
-            cli.main(["lift", "--order", "5"])
+        for method in ("strengthen", "reversion"):
+            with pytest.raises(ArithmeticError, match="through order 5"):
+                cli.main(["lift", "--order", "5", "--method", method])
 
 
 def test_the_recurrences_are_the_general_solve_at_q_minus_q_inverse():
@@ -179,11 +178,12 @@ def test_a_wrong_sign_in_the_ratio_fails_the_flatness_check(monkeypatch):
 
     monkeypatch.setattr(pair_expansions, "closed_form_expansion", wrong_sign)
     assert oracles.exact(wrong_sign(1)) == terms(tau())
-    for orders in ([3], [1, 7], [11, 5]):
+    # the message names the first order that fails
+    for orders, first in (([3], 3), ([1, 7], 7), ([11, 5], 11)):
         with pytest.raises(ArithmeticError,
-                           match=f"not flat through order {max(orders)}"):
+                           match=f"not flat through order {first} at"):
             tau_expansions(orders)
-    with pytest.raises(ArithmeticError, match="not flat through order 49"):
+    with pytest.raises(ArithmeticError, match="not flat through order 9 at"):
         cli.main(["asymptotics", "--j", "3", "--orders", "9,25,49"])
 
 
@@ -304,9 +304,9 @@ def test_truncations_of_one_run_match_shorter_runs():
 
 
 def test_a_symmetric_sum_read_as_antisymmetric_fails(monkeypatch):
-    # the closed form with its sign flipped is symmetric: its odd moments
-    # read as if it were antisymmetric would pass, so the certificate
-    # refuses the sign first
+    # the closed form with its sign flipped is symmetric: its cells, read
+    # as if it were antisymmetric, would pass, so the certificate refuses
+    # the sign; the message names the first order that fails
     right = pair_expansions.closed_form_expansion
 
     def flipped(order):
@@ -316,7 +316,7 @@ def test_a_symmetric_sum_read_as_antisymmetric_fails(monkeypatch):
     monkeypatch.setattr(pair_expansions, "closed_form_expansion", flipped)
     for orders in ([1], [3, 7]):
         with pytest.raises(ArithmeticError,
-                           match=f"not flat through order {max(orders)}"):
+                           match=f"not flat through order {orders[0]} at"):
             tau_expansions(orders)
     # an even power carries a q^0 term, which no antisymmetric sum has
     monkeypatch.setattr(pair_expansions, "closed_form_expansion", right)
@@ -368,9 +368,8 @@ def test_a_planted_fault_in_the_product_fails_the_certificate(fault,
 
 
 def test_a_power_that_loses_its_symmetry_fails_its_check(monkeypatch):
-    # a product that comes out mirrored under q -> q^-1: the certificate on
-    # the top order's power checks its sign.  Only that power is checked,
-    # as a request that asks for a power (qexpand) passes one order
+    # a product that comes out mirrored under q -> q^-1: the integral of
+    # each order's power reads it, and the cube of order 1, the first, fails
     right = pair_expansions.times
 
     def mirrored(a, b):
@@ -378,17 +377,18 @@ def test_a_power_that_loses_its_symmetry_fails_its_check(monkeypatch):
         return p if p.zero else PairSum(p.half, 0, p.den, -p.sign)
 
     monkeypatch.setattr(pair_expansions, "times", mirrored)
-    with pytest.raises(ArithmeticError, match="not flat through order 3 "
+    with pytest.raises(ArithmeticError, match="not flat through order 1 "
                                               "at power 3"):
         tau_expansions([1, 3], 3)
 
 
 # (q - q^-1)^k planted in the power at (order, power), of filtration order
-# k, above the top + power that its certificate reads
+# k, above the degree order + power through which its check reads the
+# integral
 @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
-                   reason="a power's certificate checks about (top + p)/2 "
-                          "moments, fewer than its pair coefficients "
-                          "(ROADMAP item 19)")
+                   reason="a power's check reads its integral through degree "
+                          "order + p, fewer values than its pair "
+                          "coefficients (ROADMAP item 19)")
 @pytest.mark.parametrize("order, power, k", [(3, 2, 6), (1, 3, 5)])
 def test_a_planted_fault_above_the_certified_order_fails(order, power, k,
                                                           monkeypatch):

@@ -16,7 +16,9 @@ strengthening, its (numerator, denominator) pairs checked to be in lowest
 terms, and the closed-form expansions at q - q^-1 against the multiply
 loop on the arcsinh series.  The lift of q - q^-1 is checked against both
 references of tests/oracles.py through order 1201, and its certificate
-must refuse one fault planted in it at a time.  The product of pair sums
+must refuse one fault planted in it at a time; so must the expansions'
+certificate, in any order of a batch, with the same verdict as their
+moments.  The product of pair sums
 and the powers of the expansions are checked against the reference
 product, read back as a pair sum.  The braid ring laws and the reference
 filtration order are checked against the ring axioms and the
@@ -50,7 +52,8 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from braidinv import basis_solver, cli, convergence, inverse_engine, sequences
+from braidinv import (basis_solver, cli, convergence, inverse_engine,
+                      pair_expansions, sequences)
 from braidinv.basis_solver import (MomentMatrix, build_balanced,
                                    build_unbalanced, entry_sequence, invert)
 from braidinv.braid_ring import BraidSum, render, sigma_power, tau
@@ -212,6 +215,65 @@ def test_closed_form_matches_the_multiply_loop_through_order_201():
         assert b.den > 0 and b.sign == -1 and b.zero == 0
         assert math.gcd(b.den, *b.half.values()) == 1
     assert running == oracles.braid_poly(dict(enumerate(P)), oracles.TAU)
+
+
+# one fault in an expansion's cells: a numerator off, a cell dropped, a
+# cell at the even exponent above, the cell swapped with a neighbour, or
+# every numerator times 3
+EXPANSION_FAULTS = (-2, -1, 1, 2, "drop", "even cell", "swap", "times 3")
+
+
+@settings(max_examples=400)
+@given(st.integers(0, 150), st.sampled_from((None, *EXPANSION_FAULTS)),
+       st.data())
+def test_a_fault_planted_in_an_expansion_fails_its_certificate(k, fault,
+                                                               data):
+    # the theta^2 certificate refuses exactly what the moment reference
+    # refuses: every fault, and none of the unfaulted expansions
+    order = 2 * k + 1
+    b = closed_form_expansion(order)
+    half = dict(b.half)
+    x = 2 * data.draw(st.integers(0, k)) + 1
+    if fault == "swap":
+        assume(k > 0)
+        y = x + 2 if x < order else x - 2
+        half[x], half[y] = half[y], half[x]
+    elif fault == "drop":
+        del half[x]
+    elif fault == "even cell":
+        half[x + 1] = data.draw(nonzero_integers)
+    elif fault == "times 3":
+        half = {n: 3 * c for n, c in half.items()}
+    elif fault is not None:
+        half[x] += fault
+    planted = PairSum(half, 0, b.den, -1)
+    assert oracles.moments_flat(planted, order) == (fault is None)
+    with mock.patch.object(pair_expansions, "closed_form_expansion",
+                           lambda order: planted):
+        if fault is None:
+            assert tau_expansions([order]) == [planted]
+        else:
+            with pytest.raises(ArithmeticError):
+                tau_expansions([order])
+
+
+def test_a_fault_in_a_lower_order_of_a_batch_fails_its_certificate():
+    # order 5's q^3 numerator off by one, -124 over 1920 for -125: the top
+    # order of the batch is sound, so a certificate of the top alone, by
+    # moments or by theta^2, passes the batch
+    def planted(order):
+        b = closed_form_expansion(order)
+        return PairSum({**b.half, 3: b.half[3] + 1}, 0, b.den, -1) \
+            if order == 5 else b
+
+    assert (planted(5).half[3], planted(5).den) == (-124, 1920)
+    assert not oracles.moments_flat(planted(5), 5)
+    assert oracles.moments_flat(planted(21), 21)
+    with mock.patch.object(pair_expansions, "closed_form_expansion",
+                           planted):
+        with pytest.raises(ArithmeticError,
+                           match="not flat through order 5 at power 1"):
+            tau_expansions([5, 21])
 
 
 def as_braid_sum(b):

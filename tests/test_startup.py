@@ -81,9 +81,10 @@ CORE = {"braidinv", "braidinv.cli"}
 USAGE = CORE | {"braidinv.usage"}
 # every command adds its own module, the commands package and render
 ALWAYS = CORE | {"braidinv.commands", "braidinv.render"}
-# the lift solve, the expansions at q - q^-1, their powers included, and
-# the moment matrices and their inverses hold their rationals as integers:
-# none of them brings the braid ring with it
+# the lift solve, the expansions at q - q^-1 and the moment matrices and
+# their inverses hold their rationals as integers: none of them brings the
+# braid ring with it, but a power of an expansion is checked through the
+# integral
 ENGINE = {"braidinv.inverse_engine"}
 EXPANSIONS = {"braidinv.pair_expansions"}
 SOLVER = {"braidinv.basis_solver"}
@@ -105,7 +106,7 @@ EXTRA = {
     "lift --order 13": ENGINE,
     "zmap --braid pair:2 --order 4": INTEGRAL,
     "qexpand --order 11": EXPANSIONS,
-    "qexpand --order 5 --power 2": EXPANSIONS,
+    "qexpand --order 5 --power 2": EXPANSIONS | INTEGRAL,
     "asymptotics --j 3 --orders 9,25,49": EXPANSIONS | FLOATS,
     "beta --s 1": FLOATS | REGULARIZATION,
     "beta --s 7": REGULARIZATION,
