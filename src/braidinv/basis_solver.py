@@ -29,7 +29,7 @@ finite-difference weights for f'(0).  The unbalanced variant on nodes
 
 import math
 
-from .render import _reduced
+from .render import _reduced, common_denominator
 
 
 class MomentMatrix:
@@ -128,9 +128,8 @@ def _verify(nodes, w, scale, rows, ks) -> None:
             any(_horner(w, x) for x in nodes):
         raise fail
     for k, row in zip(ks, rows):
-        dens = [d * f for (_, d), f in zip(row, scale)]
-        den = math.lcm(*dens)
-        p = [num * (den // d) for (num, _), d in zip(row, dens)]
+        p, den = common_denominator([(num, d * f)
+                                     for (num, d), f in zip(row, scale)])
         a = nodes[k]
         times_x_minus_a = [lo - a * hi for lo, hi in zip([0] + p, p + [0])]
         if times_x_minus_a != [p[-1] * c for c in w] or _horner(p, a) != den:

@@ -1,9 +1,8 @@
 """braidinv basis: moment matrices, their inverses and the degree-1 system."""
 
-import math
-
 from .. import basis_solver, cli
-from ..render import _reduced, braid_text, rational, rationals
+from ..render import (_reduced, braid_text, common_denominator, rational,
+                      rationals)
 
 
 def run(args):
@@ -51,18 +50,15 @@ def run(args):
                        [f"as a braid sum: {braid_text(zip(nodes, cells))}"]))
         lift_order = r if r % 2 == 1 else r - 1
         lift = tau_expansions([lift_order])[0]
-        column = dict(zip(nodes, zip((row[1] for row in N), cells)))
-        # the differences over one denominator, which the distance keeps
-        den = math.lcm(lift.den, *(d for (_, d), _ in column.values()))
-        cmp_rows, worst = [], 0
-        for n in sorted(nodes):
-            (a, d), cell = column[n]
-            c = lift.half.get(abs(n), 0) * (lift.sign if n < 0 else 1)
-            if a or c:
-                diff = a * (den // d) - c * (den // lift.den)
-                cmp_rows.append([str(n), cell, rational(c, lift.den),
-                                 rational(diff, den)])
-                worst = max(worst, abs(diff))
+        lifted = [(lift.half.get(abs(n), 0) * (lift.sign if n < 0 else 1),
+                   lift.den) for n in nodes]
+        # the solution and the lift over one denominator, which the
+        # differences and their distance keep
+        ints, den = common_denominator([row[1] for row in N] + lifted)
+        compared = sorted(zip(nodes, cells, lifted, ints, ints[len(nodes):]))
+        cmp_rows = [[str(n), cell, rational(*pair), rational(a - c, den)]
+                    for n, cell, pair, a, c in compared if a or c]
+        worst = max(abs(a - c) for *_, a, c in compared)
         tables.append((
             f"solution against the order {lift_order} lift expansion",
             ["braid power", "solution", "lift", "difference"], cmp_rows,

@@ -10,7 +10,8 @@ check.  All verdicts are evidence over the inspected window, never limit
 claims; CAVEAT says so.
 
 Trace classification compares successive absolute differences of the
-values' numerators over their least common denominator, exact integers
+values' numerators over their least common denominator (put there by
+render.common_denominator, which every command loads), exact integers
 whose class no positive common scale changes, so no scale underflows or
 overflows.  Leading zero differences are trimmed first, because an
 exponent that has not entered the window yet carries no information.
@@ -22,7 +23,7 @@ denominator, so (c) too compares integers.
 
 from .braid_ring import derivatives
 from .kontsevich import integral
-from .power_series import common_denominator
+from .render import common_denominator
 
 CAVEAT = ("finite-window evidence only; no verdict here asserts a limit")
 

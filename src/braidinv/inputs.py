@@ -10,15 +10,15 @@ an exponent as a _Number, a pair told apart from it.  Every integer key
 is plain ASCII decimal, as cli.integer checks.  Valid JSON is read by the
 C scanner json.loads runs, so json, which compiles regular expressions at
 import, loads only to report an error, and a sequence file is decoded
-here, so the utf-8-sig codec never loads.
+here, so the utf-8-sig codec never loads.  render's _reduced and
+common_denominator reduce the pairs and put a braid's over one denominator.
 """
 
 from types import SimpleNamespace
 
 from .braid_ring import BraidSum
 from .cli import INT_STR_DIGITS, integer
-from .power_series import common_denominator
-from .render import _reduced
+from .render import _reduced, common_denominator
 
 
 class _Number(tuple):

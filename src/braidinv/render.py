@@ -10,6 +10,10 @@ thousands of digits, so the command line raises the integer-to-string
 guard for the duration of a run.  Float cells and their digit-tagged
 column names come from braidinv.floats.
 
+Every command loads this module, so the integer-pair format lives here:
+_reduced puts a pair in lowest terms, common_denominator a list of pairs
+over one denominator.
+
 render_json writes the bytes of json.dumps(payload, indent=2) and
 render_csv those of csv.writer(lineterminator="\n") of Python 3.13, which
 quotes a bare carriage return, without loading either module.  Each of the
@@ -25,14 +29,26 @@ from .cli import DIGIT_LIMIT, INT_STR_DIGITS
 def _reduced(num: int, den: int) -> tuple:
     """num / den in lowest terms, the denominator positive.
 
-    The one reduction of the integer-pair paths: the lifts, the moment
-    matrices, the expansions, the integral, the JSON reader, the
+    The one reduction of the integer-pair paths: the moment matrices, the
+    expansions, the integral, the JSON reader, the stock sequences, the
     regularized sums and the float cells' inputs.  It is
     private although they import it, since the bench tracer times every
     public call of a layer and this runs once per entry.
     """
     g = math.gcd(num, den)
     return (num // g, den // g) if den > 0 else (-num // g, -den // g)
+
+
+def common_denominator(pairs) -> tuple[list[int], int]:
+    """Integer numerators over one positive denominator: the i-th pair
+    (n, d), d > 0, is n / d = ints[i] / den.
+
+    den is the least common denominator of pairs in lowest terms, so it is
+    1 for no pairs.
+    """
+    pairs = list(pairs)
+    den = math.lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
 
 
 def rationals(pairs) -> list[str]:

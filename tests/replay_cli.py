@@ -276,6 +276,11 @@ REFUSED = [Row(name, argv, refused(*more)) for name, argv, *more in [
      ["asymptotics", "--j", "1", "--orders", "1", "--digits", "100001"],
      "error: float output takes 10 to 100,000 digits, the input and output "
      "limit\n"),
+    # the top coefficient of the order-3487 expansion is about 2^-3503
+    ("float-cell-past-range",
+     ["asymptotics", "--j", "3487", "--orders", "3487"],
+     "error: a float cell of about 2^-3503 is beyond the printable range of "
+     "2^\u00b13500\n"),
 ]]
 
 # 10^100000 has 100,001 digits; PYTHONINTMAXSTRDIGITS moves Python's own

@@ -35,8 +35,9 @@ beta's digit count from the bit length is checked against the printed
 integer, up to the 100,000-digit limit.  The JSON and CSV
 renderers are checked against json.dumps and csv.writer on tables of
 arbitrary text, with rows of plain ASCII cells that JSON writes with one
-join among them, and the printers of integer pairs and of braid sums
-against str of a Fraction.
+join among them, the printers of integer pairs and of braid sums
+against str of a Fraction, and pairs put over one denominator against
+their Fractions and the least common denominator.
 """
 
 import csv
@@ -64,7 +65,8 @@ from braidinv.inputs import _Number, _exact_decimal, exponent_map, read_json
 from braidinv.inverse_engine import closed_form_lift, solved_lift
 from braidinv.pair_expansions import (PairSum, closed_form_expansion,
                                       tau_expansions, times)
-from braidinv.render import rational, render_csv, render_json
+from braidinv.render import (common_denominator, rational, render_csv,
+                             render_json)
 
 import oracles
 from oracles import braid, combine, filtration_order, read_pairs, read_z
@@ -830,6 +832,34 @@ huge = st.integers(-10 ** 4000, 10 ** 4000)
 def test_rational_prints_as_str_of_fraction(num, den, common):
     num, den = num * common, den * common
     assert rational(num, den) == str(Fraction(num, den))
+
+
+# (n, d) pairs, d > 0, numerators of both signs, many of them n and d
+# times a common factor k and so not in lowest terms
+pair_lists = st.lists(st.builds(lambda n, d, k: (n * k, d * k),
+                                st.integers(-10 ** 6, 10 ** 6),
+                                st.integers(1, 10 ** 4), st.integers(1, 12)),
+                      max_size=8)
+
+
+@given(pair_lists)
+@example([])
+@example([(0, 6), (-4, 6), (3, 9), (5, 1)])
+def test_common_denominator_puts_pairs_over_the_lcm(pairs):
+    from sympy import primefactors
+    values = [Fraction(n, d) for n, d in pairs]
+    ints, den = common_denominator(iter(pairs))
+    assert [Fraction(i, den) for i in ints] == values
+    assert den == math.lcm(*(d for _, d in pairs))
+    # in lowest terms, den is the least common denominator of the values:
+    # it clears each of them, and den / p, for any prime p of den, not all
+    ints, den = common_denominator([(x.numerator, x.denominator)
+                                    for x in values])
+    assert [Fraction(i, den) for i in ints] == values
+    assert all((x * den).denominator == 1 for x in values)
+    assert all(any((x * (den // p)).denominator != 1 for x in values)
+               for p in primefactors(den))
+    assert pairs or (ints, den) == ([], 1)
 
 
 @given(tables)

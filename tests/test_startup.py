@@ -5,9 +5,10 @@ command module that runs, and that module loads only the library modules
 it uses.  So --help and a usage error load the core and the help writer
 alone, a command loads braidinv.floats only when it prints a float column,
 and each library module loads only for the commands that call it.  The
-JSON and CSV writers load only for their format.  braidinv.power_series
-loads only for a JSON braid and a trace (whose values it puts over a
-common denominator), braidinv.inputs only for a JSON braid and a trace of
+JSON and CSV writers load only for their format.  braidinv.render, which
+every command loads, puts a JSON braid's coefficients and a trace's values
+over a common denominator, so braidinv.power_series, which holds no code,
+never loads.  braidinv.inputs loads only for a JSON braid and a trace of
 a sequence file, braidinv.sequences only for a trace of a stock sequence,
 and _json, json's C scanner, only for a JSON input.  json, fractions,
 decimal, numbers and the utf-8-sig codec never load for a README command
@@ -97,9 +98,11 @@ REGULARIZATION = {"braidinv.regularization"}
 UNUSED = {"json", "fractions", "decimal", "numbers", "encodings.utf_8_sig"}
 # a trace puts each trace's values over their common denominator, and
 # reading a JSON braid or a sequence file puts its coefficients over
-# theirs, both in power_series
-CONVERGENCE = {"braidinv.convergence", "braidinv.power_series"}
-INPUTS = {"braidinv.inputs", "braidinv.power_series"}
+# theirs, both with render.common_denominator
+CONVERGENCE = {"braidinv.convergence"}
+INPUTS = {"braidinv.inputs"}
+# holds no code and stays only for the bench tracer; no request loads it
+EMPTY = "braidinv.power_series"
 
 # README command -> what it loads beyond ALWAYS and its module, in every format
 EXTRA = {
@@ -239,7 +242,7 @@ def test_braid_ring_requests_load_no_fractions(argv, tmp_path):
                     '{"1": 0.125, "-1": -0.75}]}', encoding="utf-8")
     code, loaded, out, _ = probe(argv.replace("{seq}", str(path)).split())
     assert code == 0 and out.startswith((b"coefficient traces", b"integral"))
-    assert not loaded & UNUSED
+    assert not loaded & UNUSED and EMPTY not in loaded
 
 
 # one request of each shape that bench/workloads.py builds, beside the
@@ -273,4 +276,4 @@ def test_no_workload_request_loads_json_or_fractions(argv, tmp_path):
         key = f"{argv} --format {fmt}".replace("{seq}", str(path))
         code, loaded, out, _ = probe(key.split())
         assert code == 0 and out, key
-        assert not loaded & UNUSED, key
+        assert not loaded & UNUSED and EMPTY not in loaded, key
